@@ -443,7 +443,7 @@ _MODULAR_DISPATCH = {
 
 
 def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1e-9,
-                  with_witnesses: bool = False, threads: int | None = None) -> RingReport:
+                  with_witnesses: bool = False) -> RingReport:
     """Run all three branches on one parameter ring."""
     canon = canonicalize(params)
     ring = make_rank3_ring(canon)
@@ -451,7 +451,7 @@ def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1
     info = galois_type(system)
     verdicts = {
         "symmetric": symmetric_filter(ring, system),
-        "nonmodular": nonmodular_filter(canon, system, max_cos_order=max_twist_order),
+        "nonmodular": nonmodular_filter(canon, system),
     }
     if info.tag == GaloisType.S3:
         case_name = "none"
@@ -473,9 +473,7 @@ def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1
         admissible=admissible,
     )
     if with_witnesses:
-        report.witnesses = search_ribbon_data(
-            ring, max_twist_order, tol=tol, threads=threads
-        )
+        report.witnesses = search_ribbon_data(ring, max_twist_order, tol=tol)
     if verdicts["nonmodular"].passed:
         report.notes.append(
             "nonmodular branch is conditional on the cited structure result for "
@@ -484,8 +482,7 @@ def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1
     return report
 
 
-def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool,
-               threads: int | None) -> RingReport:
+def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool) -> RingReport:
     ring = make_z3_ring()
     system = solve_characters(ring)
     verdicts = {
@@ -518,24 +515,24 @@ def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool,
         admissible=True,
     )
     if with_witnesses:
-        report.witnesses = search_ribbon_data(ring, max_twist_order, tol=tol, threads=threads)
+        report.witnesses = search_ribbon_data(ring, max_twist_order, tol=tol)
     return report
 
 
 def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
-                 witness_all: bool = False, threads: int | None = None) -> ClassificationReport:
+                 witness_all: bool = False) -> ClassificationReport:
     """Classify the Z/3 ring and every canonical parameter ring up to `bound`,
     attaching search witnesses to admissible rings (to all rings when
     `witness_all` is set)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rings: list[RingReport] = []
-    rings.append(_z3_report(max_twist_order, tol, True, threads))
+    rings.append(_z3_report(max_twist_order, tol, True))
     for params in enumerate_star_solutions(bound):
-        report = classify_ring(params, max_twist_order, tol, with_witnesses=False, threads=threads)
+        report = classify_ring(params, max_twist_order, tol, with_witnesses=False)
         if report.admissible or witness_all:
             report.witnesses = search_ribbon_data(
-                make_rank3_ring(report.params), max_twist_order, tol=tol, threads=threads
+                make_rank3_ring(report.params), max_twist_order, tol=tol
             )
         rings.append(report)
     config = {

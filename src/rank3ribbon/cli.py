@@ -67,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--threads", type=int, default=os.cpu_count())
+        p.add_argument(
+            "--threads", type=int, default=os.cpu_count(),
+            help="accepted for compatibility; no command uses threads",
+        )
 
     p_ring = sub.add_parser("ring", help="construct and analyze one parameter ring")
     p_ring.add_argument("--params", required=True)
@@ -169,7 +172,6 @@ def _cmd_search(args) -> tuple[object, str | None]:
         tol=args.tol,
         precision_bits=args.precision_bits,
         include_degenerate=args.include_degenerate,
-        threads=args.threads,
     )
     payload = {
         "params": list(params.as_tuple()),
@@ -193,7 +195,6 @@ def _cmd_classify(args) -> tuple[object, str | None]:
         max_twist_order=args.max_twist_order,
         tol=args.tol,
         witness_all=args.witness_all,
-        threads=args.threads,
     )
     return report.to_json(), report.render_table()
 

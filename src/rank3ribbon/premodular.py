@@ -9,8 +9,12 @@ matrix is
 
 Numerics are two-tier: a vectorized floating scan proposes twist pairs, and
 every candidate is then re-verified with exact cyclotomic arithmetic over the
-character field.  A witness is admitted only if its structure class passes the
-corresponding consistency rule:
+character field.  The scan does not visit the whole twist grid: setting
+S[1][2] = d_1 * chi(2) for a character chi gives the Moebius relation
+theta_2 * (T*theta_1 - c) = a + b*theta_1, which solves for theta_2 given
+theta_1 (see `_scan_twist_grid`), so its cost is near-linear in the number of
+roots of unity rather than quadratic.  A witness is admitted only if its
+structure class passes the corresponding consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
@@ -637,18 +641,21 @@ def search_ribbon_data(
     character within `tol`; each candidate is then re-verified exactly and
     must pass its structure-class consistency rule (see module docstring).
     Degenerate (properly premodular) candidates are returned only when
-    `include_degenerate` is set.
+    `include_degenerate` is set.  `threads` is accepted for compatibility and
+    has no effect: the scan is one vectorized pass, near-linear in the number
+    of roots.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
     system = solve_characters(ring)
     roots = roots_of_unity_up_to(max_twist_order)
     root_values = np.array([r.complex_approx() for r in roots])
+    root_turns = np.array([r.p / r.q for r in roots])
     witnesses: list[PremodularDatum] = []
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        pairs = _scan_twist_grid(ring, system, dims, root_values, tol, threads)
+        pairs = _scan_twist_grid(ring, system, dims, root_values, root_turns, tol)
         for a, b in pairs:
             datum = _certify_candidate(
                 ring, system, dims, dims_index,
@@ -663,94 +670,150 @@ def search_ribbon_data(
     return witnesses
 
 
-def _scan_twist_grid(ring, system, dims, root_values, tol, threads,
-                     chunk: int = 256) -> list[tuple[int, int]]:
-    """Vectorized floating filter over the twist grid.
+SCAN_CHUNK = 1 << 15  # candidate pairs per block of the float mask
+SCAN_SLACK = 1e-12  # relative widening of each solved window for float rounding
 
-    Keeps pairs that look symmetric and row-characterlike within tol, and that
-    either look degenerate (det ~ 0) or pass the floating Frobenius-Schur
-    screen; exact verification later redoes everything rigorously.
+
+def _scan_twist_grid(ring, system, dims, root_values, root_turns,
+                     tol) -> list[tuple[int, int]]:
+    """Floating filter over the twist grid that visits only solved candidates.
+
+    Returns the (theta_1, theta_2) index pairs, in row-major order, that look
+    symmetric and row-characterlike within tol and either look degenerate
+    (det ~ 0) or pass the floating Frobenius-Schur screen; exact verification
+    later redoes everything rigorously.
+
+    A kept pair has row 1 within tol of d_1 * chi for some character chi, so
+    |S[1][2] - T| <= tol with T = d_1 * chi(2).  Multiplying by the unit
+    theta_1 * theta_2 turns that entry into the Moebius relation
+
+        theta_2 * (T*theta_1 - c) = a + b*theta_1,
+        a = N[1*][2][0],  b = N[1*][2][1] * d_1,  c = N[1*][2][2] * d_2,
+
+    that is |theta_2 * D - A| <= tol with D = T*theta_1 - c, A = a + b*theta_1.
+    Since |theta_2| = 1 this needs ||A| - |D|| <= tol, and for |D| > tol it
+    puts theta_2 within r = tol/|D| < 1 of A/D.  A point of the unit circle at
+    angle delta from the ray through A/D is at least sin(delta) away from it
+    (at least 1 once delta >= pi/2), so theta_2 lies on the arc of half-angle
+    arcsin(r) around arg(A/D).  When |D| <= tol (theta_1 pinned, as on k = 0
+    rings) every theta_2 is a candidate; when a = c = 0 (Z/3) the solved
+    theta_2 = b/T does not depend on theta_1.  Both bounds are widened by
+    SCAN_SLACK, relative to the size of the coefficients, against float
+    rounding; the roots inside each arc are found by binary search over the
+    sorted turns.  The candidates of the three characters are deduplicated
+    and run through the unchanged per-pair float mask in blocks of
+    SCAN_CHUNK, so the scan keeps exactly the pairs the full grid would, in
+    O(R log R + candidates) time and O(R + candidates) memory.
     """
-    dual = ring.dual
-    nt = ring.N
+    size = len(root_values)
     d = np.array([dims.value_complex(j) for j in range(3)])
     chars = [
         np.array([c.value_complex(j) for j in range(3)]) for c in system.chars
     ]
-    u = root_values
-    size = len(u)
+    keys = _solved_candidates(ring, d, chars, root_values, root_turns, tol)
+    out: list[tuple[int, int]] = []
+    for start in range(0, len(keys), SCAN_CHUNK):
+        first, second = np.divmod(keys[start:start + SCAN_CHUNK], size)
+        keep = _float_mask(ring, d, chars, root_values[first], root_values[second], tol)
+        out.extend(zip(first[keep].tolist(), second[keep].tolist()))
+    return out
+
+
+def _solved_candidates(ring, d, chars, root_values, root_turns, tol) -> np.ndarray:
+    """Sorted, distinct keys first * R + second of every twist pair with
+    |S[1][2] - d_1 * chi(2)| <= tol for some chi in `chars` (plus a few more
+    inside the rounding slack); see `_scan_twist_grid`."""
+    size = len(root_values)
+    n12 = ring.N[ring.dual[1]][2]
+    a, b, c = n12[0], n12[1] * d[1], n12[2] * d[2]
+    order = np.argsort(root_turns, kind="stable")
+    # Sorted turns shifted by -1, 0, +1: an arc of width < 1 around a center
+    # in [0, 1) is one contiguous run of this array.
+    ext_turns = np.concatenate(
+        (root_turns[order] - 1, root_turns[order], root_turns[order] + 1)
+    )
+    ext_index = np.tile(order, 3)
+    rows = np.arange(size)
+    blocks = []
+    for chi in chars:
+        T = d[1] * chi[2]
+        bound = tol + SCAN_SLACK * (1 + abs(a) + abs(b) + abs(c) + abs(T))
+        den = T * root_values - c
+        num = a + b * root_values
+        den_abs = np.abs(den)
+        feasible = np.abs(np.abs(num) - den_abs) <= bound
+        full = feasible & (den_abs <= bound)
+        arc = feasible & ~full
+        pinned = rows[full]
+        blocks.append(np.repeat(pinned, size) * size + np.tile(rows, len(pinned)))
+        center = np.angle(num[arc] / den[arc]) / (2 * np.pi) % 1.0
+        half = np.arcsin(bound / den_abs[arc]) / (2 * np.pi) + SCAN_SLACK
+        lo = np.searchsorted(ext_turns, center - half, side="left")
+        hi = np.searchsorted(ext_turns, center + half, side="right")
+        counts = hi - lo
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        blocks.append(
+            np.repeat(rows[arc], counts) * size
+            + ext_index[np.repeat(lo, counts) + offsets]
+        )
+    keys = np.sort(np.concatenate(blocks))
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _float_mask(ring, d, chars, A, B, tol) -> np.ndarray:
+    """Per-pair floating screen for twists theta_1 = A, theta_2 = B (arrays
+    of equal shape): symmetric, rows within tol of characters, and either
+    degenerate or passing the Frobenius-Schur indicator test."""
+    dual = ring.dual
+    nt = ring.N
     d2_scalar = complex((d * d).sum())
     fs_allowed = [
         [1] if k == 0 else ([1, -1] if dual[k] == k else [0]) for k in range(3)
     ]
-
-    def process(start: int) -> list[tuple[int, int]]:
-        A = u[start:start + chunk][:, None]
-        B = u[None, :]
-        t = [np.ones_like(A * B), A * d[1], B * d[2]]
-        inv = [np.ones_like(A * B), np.conj(A) + 0 * B, np.conj(B) + 0 * A]
-        S = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = 0
-                for k in range(3):
-                    coef = nt[dual[i]][j][k]
-                    if coef:
-                        acc = acc + coef * t[k]
-                S[i][j] = inv[i] * inv[j] * acc
-        mask = np.ones(S[0][0].shape, dtype=bool)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                mask &= np.abs(S[i][j] - S[j][i]) <= tol
-        for i in (1, 2):
-            best = None
-            for c in chars:
-                err = np.abs(S[i][0] - d[i] * c[0])
-                err = np.maximum(err, np.abs(S[i][1] - d[i] * c[1]))
-                err = np.maximum(err, np.abs(S[i][2] - d[i] * c[2]))
-                best = err if best is None else np.minimum(best, err)
-            mask &= best <= tol
-        if not mask.any():
-            return []
-        det = (
-            S[0][0] * (S[1][1] * S[2][2] - S[1][2] * S[2][1])
-            - S[0][1] * (S[1][0] * S[2][2] - S[1][2] * S[2][0])
-            + S[0][2] * (S[1][0] * S[2][1] - S[1][1] * S[2][0])
-        )
-        degenerate = np.abs(det) <= 1e-6
-        ratio2 = [[None] * 3 for _ in range(3)]
-        th = [np.ones_like(A * B), A + 0 * B, B + 0 * A]
-        for i in range(3):
-            for j in range(3):
-                ratio2[i][j] = (th[i] * np.conj(th[j])) ** 2
-        fs_ok = np.ones_like(mask)
-        for k in range(3):
+    one = np.ones_like(A)
+    t = [one, A * d[1], B * d[2]]
+    inv = [one, np.conj(A), np.conj(B)]
+    S = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
             acc = 0
-            for i in range(3):
-                for j in range(3):
-                    coef = nt[i][j][k]
-                    if coef:
-                        acc = acc + coef * (d[i] * d[j]) * ratio2[i][j]
-            k_ok = np.zeros_like(mask)
-            for nu in fs_allowed[k]:
-                k_ok |= np.abs(acc - nu * d2_scalar) <= 1e-6 * max(1.0, abs(d2_scalar))
-            fs_ok &= k_ok
-        mask &= degenerate | fs_ok
-        rows, cols = np.nonzero(mask)
-        return [(start + int(r), int(c)) for r, c in zip(rows, cols)]
-
-    starts = list(range(0, size, chunk))
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(process, starts))
-    else:
-        chunks = [process(s) for s in starts]
-    out: list[tuple[int, int]] = []
-    for c in chunks:
-        out.extend(c)
-    return out
+            for k in range(3):
+                coef = nt[dual[i]][j][k]
+                if coef:
+                    acc = acc + coef * t[k]
+            S[i][j] = inv[i] * inv[j] * acc
+    mask = np.ones(A.shape, dtype=bool)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            mask &= np.abs(S[i][j] - S[j][i]) <= tol
+    for i in (1, 2):
+        best = None
+        for c in chars:
+            err = np.abs(S[i][0] - d[i] * c[0])
+            err = np.maximum(err, np.abs(S[i][1] - d[i] * c[1]))
+            err = np.maximum(err, np.abs(S[i][2] - d[i] * c[2]))
+            best = err if best is None else np.minimum(best, err)
+        mask &= best <= tol
+    det = (
+        S[0][0] * (S[1][1] * S[2][2] - S[1][2] * S[2][1])
+        - S[0][1] * (S[1][0] * S[2][2] - S[1][2] * S[2][0])
+        + S[0][2] * (S[1][0] * S[2][1] - S[1][1] * S[2][0])
+    )
+    degenerate = np.abs(det) <= 1e-6
+    th = [one, A, B]
+    fs_ok = np.ones_like(mask)
+    for k in range(3):
+        acc = 0
+        for i in range(3):
+            for j in range(3):
+                coef = nt[i][j][k]
+                if coef:
+                    acc = acc + coef * (d[i] * d[j]) * (th[i] * np.conj(th[j])) ** 2
+        k_ok = np.zeros_like(mask)
+        for nu in fs_allowed[k]:
+            k_ok |= np.abs(acc - nu * d2_scalar) <= 1e-6 * max(1.0, abs(d2_scalar))
+        fs_ok &= k_ok
+    return mask & (degenerate | fs_ok)
 
 
 def _certify_candidate(ring, system, dims, dims_index, twists, tol,
@@ -892,8 +955,8 @@ def symmetric_witness(ring: FusionRing, system: CharacterSystem,
 # Non-modular, non-symmetric filter
 # ---------------------------------------------------------------------------
 
-def nonmodular_filter(params: Rank3Params, system: CharacterSystem | None = None,
-                      max_cos_order: int = 60) -> FilterVerdict:
+def nonmodular_filter(params: Rank3Params,
+                      system: CharacterSystem | None = None) -> FilterVerdict:
     """Necessary conditions for a degenerate, non-symmetric structure.
 
     Applies only to rings whose canonical form is (0, 1, 0, n) -- the shape
@@ -920,7 +983,7 @@ def nonmodular_filter(params: Rank3Params, system: CharacterSystem | None = None
         if d_y.is_zero:
             continue
         target = _scaled_value(d_y, Fraction(-n, 2))
-        hit = _match_two_cos(target, max_cos_order)
+        hit = _match_two_cos(target)
         if hit is not None:
             witness = {"d_Y": d_y.approx_str(12), "theta_turn": str(hit.turn)}
             break
@@ -931,24 +994,24 @@ def nonmodular_filter(params: Rank3Params, system: CharacterSystem | None = None
     return FilterVerdict(Verdict.PASS, cert)
 
 
-def _match_two_cos(value, max_order: int) -> Optional[RootOfUnity]:
-    """Exact search for a reduced turn p/q, q <= max_order, with
-    2cos(2*pi*p/q) equal to the given real algebraic number."""
+def _match_two_cos(value) -> Optional[RootOfUnity]:
+    """Exact search for a reduced turn p/q with 2cos(2*pi*p/q) equal to the
+    given real algebraic number.
+
+    2cos(2*pi*p/q) has degree phi(q)/2 for q > 2 and 1 for q in {1, 2}, so
+    only the finitely many q with phi(q) = 2*deg (all q <= 8*deg^2, since
+    phi(q) >= sqrt(q/2)), plus q in {1, 2} when deg = 1, can match; they are
+    tried in ascending order.
+    """
     import math
 
     if value < Fraction(-2) or value > Fraction(2):
         return None
     deg = value.degree
-    for q in range(1, max_order + 1):
-        from .exactnum.cyclotomic import cos_minimal_poly
-
-        if cos_minimal_poly(q).degree != deg:
+    for q in range(1, 8 * deg * deg + 1):
+        if euler_phi(q) != 2 * deg and not (deg == 1 and q <= 2):
             continue
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            if two_cos(Fraction(p, q)) == value:
+        for p in range(q // 2 + 1):
+            if math.gcd(p, q) == 1 and two_cos(Fraction(p, q)) == value:
                 return RootOfUnity(p, q)
-        if q <= 2 and two_cos(Fraction(0, 1) if q == 1 else Fraction(1, 2)) == value:
-            return RootOfUnity(0, 1) if q == 1 else RootOfUnity(1, 2)
     return None

@@ -1,7 +1,6 @@
 """Tests for the admissibility filters and the classification driver."""
 
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -281,6 +280,16 @@ def test_galois_dispatch_total_bound_5():
         assert len(applicable) == 1
 
 
+@pytest.mark.parametrize("params", [Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1)])
+def test_nonmodular_verdict_independent_of_twist_order(params):
+    """The nonmodular branch is decided exactly; a small search order must
+    not turn its Pass into a Fail."""
+    low = classify_ring(params, max_twist_order=2)
+    default = classify_ring(params, max_twist_order=60)
+    assert low.verdicts["nonmodular"].status == Verdict.PASS
+    assert low.verdicts["nonmodular"].to_json() == default.verdicts["nonmodular"].to_json()
+
+
 def test_cross_validation_witnesses_bound_5():
     """Branch verdicts agree with witness existence: no failing ring has a
     witness and every passing ring has at least one (twist order <= 60)."""
@@ -295,10 +304,6 @@ def test_cross_validation_witnesses_bound_5():
             assert witnesses == [], params
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RANK3_SLOW"),
-    reason="full bound-10 cross-validation is slow; set RANK3_SLOW=1 to run",
-)
 def test_cross_validation_witnesses_bound_10():
     from rank3ribbon.premodular import search_ribbon_data
 

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rank3ribbon.characters import solve_characters
+from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.exactnum import RootOfUnity
+from rank3ribbon.exactnum.cyclotomic import roots_of_unity_up_to
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
     ExactContext,
@@ -15,6 +18,8 @@ from rank3ribbon.premodular import (
     Twists,
     Verdict,
     ZeroDimension,
+    _scan_twist_grid,
+    _solved_candidates,
     build_s_matrix,
     classify_s_matrix,
     nonmodular_filter,
@@ -187,6 +192,142 @@ def test_search_deterministic_under_threads(ising):
     b = search_ribbon_data(ring, 12, threads=4)
     key = lambda ws: [(w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn) for w in ws]
     assert key(a) == key(b)
+
+
+def test_search_order240_matches_order60(ising):
+    """Raising the twist order fourfold finds no new witness on K(0,1,0,0)."""
+    ring, _ = ising
+    key = lambda ws: [
+        (w.dims_index, w.twists.theta[1], w.twists.theta[2], w.structure_class,
+         w.certificate) for w in ws
+    ]
+    at60 = search_ribbon_data(ring, 60)
+    assert len(at60) == 16
+    assert key(search_ribbon_data(ring, 240)) == key(at60)
+
+
+def _grid_survivors(ring, system, dims, values, tol=1e-9, chunk=64):
+    """Reference scan: the float mask evaluated on every (theta_1, theta_2)
+    pair of the R x R twist grid, in blocks of rows."""
+    N, dual = ring.N, ring.dual
+    d = np.array([dims.value_complex(j) for j in range(3)])
+    chars = [np.array([c.value_complex(j) for j in range(3)]) for c in system.chars]
+    d2 = complex((d * d).sum())
+    allowed = [[1] if k == 0 else ([1, -1] if dual[k] == k else [0]) for k in range(3)]
+    found = []
+    for start in range(0, len(values), chunk):
+        t1, t2 = np.meshgrid(values[start:start + chunk], values, indexing="ij")
+        theta = [np.ones_like(t1), t1, t2]
+        S = [
+            [
+                np.conj(theta[i] * theta[j])
+                * sum(N[dual[i]][j][k] * d[k] * theta[k] for k in range(3))
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        keep = np.ones(t1.shape, dtype=bool)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            keep &= np.abs(S[i][j] - S[j][i]) <= tol
+        for i in (1, 2):
+            row_err = [
+                np.max([np.abs(S[i][j] - d[i] * chi[j]) for j in range(3)], axis=0)
+                for chi in chars
+            ]
+            keep &= np.min(row_err, axis=0) <= tol
+        rows, cols = np.nonzero(keep)
+        if not len(rows):
+            continue
+        mats = np.array([[S[i][j][rows, cols] for j in range(3)] for i in range(3)])
+        degenerate = np.abs(np.linalg.det(mats.transpose(2, 0, 1))) <= 1e-6
+        th = [np.ones(len(rows)), t1[rows, cols], t2[rows, cols]]
+        fs_ok = np.ones(len(rows), dtype=bool)
+        for k in range(3):
+            total = sum(
+                N[i][j][k] * d[i] * d[j] * (th[i] * np.conj(th[j])) ** 2
+                for i in range(3) for j in range(3)
+            )
+            fs_ok &= np.any(
+                [np.abs(total - nu * d2) <= 1e-6 * max(1.0, abs(d2)) for nu in allowed[k]],
+                axis=0,
+            )
+        ok = degenerate | fs_ok
+        found.extend(zip((start + rows[ok]).tolist(), cols[ok].tolist()))
+    return sorted(found)
+
+
+def _assert_scan_matches_grid(ring, order):
+    system = solve_characters(ring)
+    roots = roots_of_unity_up_to(order)
+    values = np.array([r.complex_approx() for r in roots])
+    turns = np.array([r.p / r.q for r in roots])
+    survivors = []
+    for dims in system.chars:
+        if not dims.nonzero():
+            continue
+        expected = _grid_survivors(ring, system, dims, values)
+        assert _scan_twist_grid(ring, system, dims, values, turns, 1e-9) == expected
+        survivors.extend((roots[a], roots[b]) for a, b in expected)
+    return survivors
+
+
+@pytest.mark.parametrize("params", enumerate_star_solutions(5), ids=lambda p: p.name())
+def test_solved_scan_matches_grid_bound5_order24(params):
+    _assert_scan_matches_grid(make_rank3_ring(params), 24)
+
+
+@pytest.mark.parametrize("params", [
+    Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1),
+    Rank3Params(1, 1, 0, 1), Rank3Params(0, 1, 0, 2),
+], ids=lambda p: p.name())
+def test_solved_scan_matches_grid_order60(params):
+    _assert_scan_matches_grid(make_rank3_ring(params), 60)
+
+
+@pytest.mark.parametrize("ring", [
+    make_z3_ring(), make_rank3_ring(Rank3Params(0, 1, 0, 0)),
+    make_rank3_ring(Rank3Params(1, 1, 0, 1)), make_rank3_ring(Rank3Params(1, 2, 0, 4)),
+], ids=lambda r: r.params.name() if r.params else "Z3")
+@pytest.mark.parametrize("tol", [1e-9, 0.05, 0.4])
+def test_solved_candidates_cover_s12_window(ring, tol):
+    """Every grid pair with |S[1][2] - d_1*chi(2)| <= tol for some character
+    chi is a candidate; loose tolerances put many pairs near the arc edges."""
+    system = solve_characters(ring)
+    roots = roots_of_unity_up_to(30)
+    values = np.array([r.complex_approx() for r in roots])
+    turns = np.array([r.p / r.q for r in roots])
+    t1, t2 = np.meshgrid(values, values, indexing="ij")
+    theta = [np.ones_like(t1), t1, t2]
+    n12 = ring.N[ring.dual[1]][2]
+    for dims in system.chars:
+        if not dims.nonzero():
+            continue
+        d = np.array([dims.value_complex(j) for j in range(3)])
+        chars = [np.array([c.value_complex(j) for j in range(3)]) for c in system.chars]
+        s12 = np.conj(t1 * t2) * sum(n12[k] * d[k] * theta[k] for k in range(3))
+        near = np.zeros(t1.shape, dtype=bool)
+        for chi in chars:
+            near |= np.abs(s12 - d[1] * chi[2]) <= tol
+        rows, cols = np.nonzero(near)
+        keys = _solved_candidates(ring, d, chars, values, turns, tol)
+        assert np.isin(rows * len(values) + cols, keys).all()
+        assert list(keys) == sorted(set(keys.tolist()))
+
+
+def test_solved_scan_covers_pinned_theta_1():
+    """On K(0,1,0,0) (k = 0) the relation pins theta_1 and leaves theta_2
+    free: the grid keeps theta_1 = -1 with every primitive 16th root."""
+    pairs = _assert_scan_matches_grid(make_rank3_ring(Rank3Params(0, 1, 0, 0)), 60)
+    free = {t2 for t1, t2 in pairs if t1 == RootOfUnity.make(1, 2)}
+    assert {t for t in free if t.q == 16} == {RootOfUnity.make(p, 16) for p in range(1, 16, 2)}
+
+
+def test_solved_scan_matches_grid_z3_pinned_theta_2():
+    """On Z/3 (a = c = 0) the relation pins theta_2 to a cube root of unity
+    whatever theta_1 is."""
+    pairs = _assert_scan_matches_grid(make_z3_ring(), 24)
+    assert pairs
+    assert all(3 % t2.q == 0 for _, t2 in pairs)
 
 
 def test_symmetric_witness_is_rank_one_product(rep_s3):
