@@ -40,12 +40,14 @@ from .fusion import (
     param_aliases,
 )
 from .premodular import (
+    LANDAU_BOUND_3,
     ExactContext,
     FilterVerdict,
     PremodularDatum,
     StructureClass,
     Twists,
     Verdict,
+    landau_admissible,
     nonmodular_filter,
     search_ribbon_data,
     symmetric_witness,
@@ -134,7 +136,8 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
         return FilterVerdict(Verdict.PASS, {"group": "Z/3", "global_dim": "3"})
     fp = system.chars[0]
     cert: dict = {}
-    if not (fp.x.is_integer and fp.y.is_integer):
+    ok, total = landau_admissible(fp)
+    if total is None:
         bad = fp.x if not fp.x.is_integer else fp.y
         cert["failed"] = "dimension character is not integral"
         cert["nonintegral_value"] = {
@@ -142,14 +145,11 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
             "approx": bad.approx_str(12),
         }
         return FilterVerdict(Verdict.FAIL, cert)
-    dx, dy = fp.x.rational_value, fp.y.rational_value
-    total = 1 + dx * dx + dy * dy
-    cert["dims"] = ["1", str(dx), str(dy)]
+    cert["dims"] = ["1", str(fp.x.rational_value), str(fp.y.rational_value)]
     cert["global_dim"] = str(total)
-    bound = landau_bound(3)
-    cert["landau_bound"] = bound
-    if total > bound:
-        cert["failed"] = f"global dimension {total} exceeds the Landau bound {bound}"
+    cert["landau_bound"] = LANDAU_BOUND_3
+    if not ok:
+        cert["failed"] = f"global dimension {total} exceeds the Landau bound {LANDAU_BOUND_3}"
         return FilterVerdict(Verdict.FAIL, cert)
     witness = symmetric_witness(ring, system)
     if witness is None:
@@ -159,39 +159,25 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
     return FilterVerdict(Verdict.PASS, cert)
 
 
-def case1_filter(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
+def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
     """Rational-spectrum branch: integer dimensions force a global dimension
     of at most 6, and the certificate records the dimension vector."""
-    info = galois_type(system)
-    if info.tag != GaloisType.TRIVIAL:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, {"galois": info.tag.value})
-    return case1_rule(params, system)
-
-
-def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
     fp = system.chars[0]
-    dx, dy = fp.x.rational_value, fp.y.rational_value
-    assert dx is not None and dy is not None and dx.denominator == 1 and dy.denominator == 1, (
+    ok, total = landau_admissible(fp)
+    assert total is not None, (
         "rational character values of a monic characteristic polynomial must be integers"
     )
-    total = 1 + dx * dx + dy * dy
-    cert = {"dims": ["1", str(dx), str(dy)], "global_dim": str(total), "bound": 6}
-    if total <= 6:
+    dx, dy = fp.x.rational_value, fp.y.rational_value
+    cert = {"dims": ["1", str(dx), str(dy)], "global_dim": str(total), "bound": LANDAU_BOUND_3}
+    if ok:
         return FilterVerdict(Verdict.PASS, cert)
-    cert["failed"] = f"global dimension {total} > 6"
+    cert["failed"] = f"global dimension {total} > {LANDAU_BOUND_3}"
     return FilterVerdict(Verdict.FAIL, cert)
 
 
-def case2_filter(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
+def case2_rule(params: Rank3Params) -> FilterVerdict:
     """Cyclic-cubic branch: a positive rational lambda with lambda^3 = l*k
     must satisfy the two symmetric-function identities below."""
-    info = galois_type(system)
-    if info.tag != GaloisType.C3:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, {"galois": info.tag.value})
-    return case2_rule(params)
-
-
-def case2_rule(params: Rank3Params) -> FilterVerdict:
     k, l, m, n = params.as_tuple()
     if m + l == 0 or n + k == 0:
         return FilterVerdict(
@@ -230,7 +216,7 @@ def _integer_cube_root(v: int) -> int | None:
     return None
 
 
-def case3a_filter(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
+def case3a_rule(params: Rank3Params) -> FilterVerdict:
     """Order-two-fixing branch: divisibility forces k <= 1 and l <= 1, and a
     rationality refinement leaves only two parameter orbits.
 
@@ -239,13 +225,6 @@ def case3a_filter(params: Rank3Params, system: CharacterSystem) -> FilterVerdict
     though the divisibility conclusion holds, so it is reported but not used
     for exclusion.
     """
-    info = galois_type(system)
-    if info.tag != GaloisType.C2_FIXING_FP:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, {"galois": info.tag.value})
-    return case3a_rule(params)
-
-
-def case3a_rule(params: Rank3Params) -> FilterVerdict:
     k, l, m, n = params.as_tuple()
     lhs = (k * k * m + l**3) * l
     rhs = (k**3 + l * l * n) * k
@@ -269,17 +248,10 @@ def case3a_rule(params: Rank3Params) -> FilterVerdict:
     return FilterVerdict(Verdict.FAIL, cert)
 
 
-def case3b_filter(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
+def case3b_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
     """Order-two-moving branch: the fixed character has integer values (t, s),
     and the three exhaustive branches (grid impossibility; t = -1 family;
     s = 0 family) leave only the canonical ring (0,1,0,0)."""
-    info = galois_type(system)
-    if info.tag != GaloisType.C2_MOVING_FP:
-        return FilterVerdict(Verdict.NOT_APPLICABLE, {"galois": info.tag.value})
-    return case3b_rule(params, system)
-
-
-def case3b_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
     fixed = next((c for c in system.chars if c.all_rational), None)
     if fixed is None:
         raise NonIntegralFixedCharacter("no rational character in an order-two orbit")
@@ -376,6 +348,9 @@ class RingReport:
     admissible: bool
     witnesses: list[PremodularDatum] | None = None
     notes: list[str] = field(default_factory=list)
+    # The ring's solved characters, handed on to the witness search; not
+    # part of the report payload.
+    system: CharacterSystem | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -435,23 +410,23 @@ class ClassificationReport:
 
 
 _MODULAR_DISPATCH = {
-    GaloisType.TRIVIAL: ("case1", case1_filter),
-    GaloisType.C3: ("case2", case2_filter),
-    GaloisType.C2_FIXING_FP: ("case3a", case3a_filter),
-    GaloisType.C2_MOVING_FP: ("case3b", case3b_filter),
+    GaloisType.TRIVIAL: ("case1", case1_rule),
+    GaloisType.C3: ("case2", lambda params, system: case2_rule(params)),
+    GaloisType.C2_FIXING_FP: ("case3a", lambda params, system: case3a_rule(params)),
+    GaloisType.C2_MOVING_FP: ("case3b", case3b_rule),
 }
 
 
-def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1e-9,
-                  with_witnesses: bool = False) -> RingReport:
-    """Run all three branches on one parameter ring."""
+def classify_ring(params: Rank3Params) -> RingReport:
+    """Run all three branches on one parameter ring.  The modular branch runs
+    the one case rule that the ring's Galois type selects."""
     canon = canonicalize(params)
     ring = make_rank3_ring(canon)
     system = solve_characters(ring)
     info = galois_type(system)
     verdicts = {
         "symmetric": symmetric_filter(ring, system),
-        "nonmodular": nonmodular_filter(canon, system),
+        "nonmodular": nonmodular_filter(canon),
     }
     if info.tag == GaloisType.S3:
         case_name = "none"
@@ -471,9 +446,8 @@ def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1
         verdicts=verdicts,
         modular_case=case_name,
         admissible=admissible,
+        system=system,
     )
-    if with_witnesses:
-        report.witnesses = search_ribbon_data(ring, max_twist_order, tol=tol)
     if verdicts["nonmodular"].passed:
         report.notes.append(
             "nonmodular branch is conditional on the cited structure result for "
@@ -482,7 +456,7 @@ def classify_ring(params: Rank3Params, max_twist_order: int = 60, tol: float = 1
     return report
 
 
-def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool) -> RingReport:
+def _z3_report(max_twist_order: int, tol: float) -> RingReport:
     ring = make_z3_ring()
     system = solve_characters(ring)
     verdicts = {
@@ -505,7 +479,7 @@ def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool) -> RingRe
             "fs_indicators": fs,
         },
     )
-    report = RingReport(
+    return RingReport(
         label="Z/3",
         params=None,
         aliases=["K(Rep(Z/3))"],
@@ -513,10 +487,8 @@ def _z3_report(max_twist_order: int, tol: float, with_witnesses: bool) -> RingRe
         verdicts=verdicts,
         modular_case="group-ring",
         admissible=True,
+        witnesses=search_ribbon_data(ring, max_twist_order, tol=tol, system=system),
     )
-    if with_witnesses:
-        report.witnesses = search_ribbon_data(ring, max_twist_order, tol=tol)
-    return report
 
 
 def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
@@ -527,12 +499,12 @@ def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rings: list[RingReport] = []
-    rings.append(_z3_report(max_twist_order, tol, True))
+    rings.append(_z3_report(max_twist_order, tol))
     for params in enumerate_star_solutions(bound):
-        report = classify_ring(params, max_twist_order, tol, with_witnesses=False)
+        report = classify_ring(params)
         if report.admissible or witness_all:
             report.witnesses = search_ribbon_data(
-                make_rank3_ring(report.params), max_twist_order, tol=tol
+                report.system.ring, max_twist_order, tol=tol, system=report.system
             )
         rings.append(report)
     config = {

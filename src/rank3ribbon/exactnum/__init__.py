@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: integer polynomials, real algebraic numbers,
 roots of unity, and certified complex ball arithmetic."""
 
-from .ball import ComplexBall, ball_det3
+from .ball import ComplexBall
 from .cyclotomic import (
     CycloNum,
     RootOfUnity,
@@ -35,7 +35,6 @@ __all__ = [
     "IsolatedRoot",
     "RealAlgebraic",
     "RootOfUnity",
-    "ball_det3",
     "cos_minimal_poly",
     "cubic_discriminant",
     "cyclotomic_poly",

@@ -66,28 +66,9 @@ class ComplexBall:
         """True only if every point of the ball is nonzero."""
         return max(abs(self.re), abs(self.im)) > self.rad
 
-    def contains_zero_possibly(self) -> bool:
-        return not self.definitely_nonzero()
-
-    def center_distance(self, other: "ComplexBall") -> float:
-        dre = float(self.re - other.re)
-        dim = float(self.im - other.im)
-        return (dre * dre + dim * dim) ** 0.5
-
     def center_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
         return f"ComplexBall({float(self.re):.6g}{float(self.im):+.6g}j, rad~{float(self.rad):.3g})"
 
-
-def ball_det3(m: list[list[ComplexBall]]) -> ComplexBall:
-    """Determinant of a 3x3 ball matrix by cofactor expansion."""
-    def minor(r1, r2, c1, c2):
-        return m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
-
-    return (
-        m[0][0] * minor(1, 2, 1, 2)
-        - m[0][1] * minor(1, 2, 0, 2)
-        + m[0][2] * minor(1, 2, 0, 1)
-    )

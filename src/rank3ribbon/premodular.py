@@ -9,11 +9,14 @@ matrix is
 
 Numerics are two-tier: a vectorized floating scan proposes twist pairs, and
 every candidate is then re-verified with exact cyclotomic arithmetic over the
-character field.  The scan does not visit the whole twist grid: setting
-S[1][2] = d_1 * chi(2) for a character chi gives the Moebius relation
-theta_2 * (T*theta_1 - c) = a + b*theta_1, which solves for theta_2 given
-theta_1 (see `_scan_twist_grid`), so its cost is near-linear in the number of
-roots of unity rather than quadratic.  A witness is admitted only if its
+character field.  There is no approximate fallback: a candidate whose
+cyclotomic field has degree phi(n) > EXACT_PHI_CAP cannot be certified, and
+`ExactContext` raises Undecidable before building any table, which stops the
+search instead of dropping the candidate.  The scan does not visit the whole
+twist grid: setting S[1][2] = d_1 * chi(2) for a character chi gives the
+Moebius relation theta_2 * (T*theta_1 - c) = a + b*theta_1, which solves for
+theta_2 given theta_1 (see `_scan_twist_grid`), so its cost is near-linear in
+the number of roots of unity rather than quadratic.  A witness is admitted only if its
 structure class passes the corresponding consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
@@ -21,7 +24,7 @@ structure class passes the corresponding consistency rule:
   three classes, since a symmetric structure forces the ring to be the
   character ring of a finite group.
 - Modular (nonzero determinant): the second Frobenius-Schur indicators
-  computed from (N, d, theta) must be +-1 on self-dual elements and 0
+  computed exactly from (N, d, theta) must be +-1 on self-dual elements and 0
   otherwise; this is the standard admissibility test for modular data and is
   what pins the twists beyond the S-matrix itself.
 - Properly premodular (degenerate, rank 2): such data cannot be certified at
@@ -39,13 +42,14 @@ from typing import Optional
 import numpy as np
 
 from .characters import Character, CharacterSystem, solve_characters
-from .exactnum import ComplexBall, CycloNum, RootOfUnity, ball_det3, lcm, two_cos
+from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, root_of_unity_value, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
 from .exactnum.qpoly import QPoly, qnormalize
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
 PRECISION_CAP_BITS = 4096  # ball precision cap before declaring Undecidable
+LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
 
 
 class ZeroDimension(ValueError):
@@ -53,7 +57,8 @@ class ZeroDimension(ValueError):
 
 
 class Undecidable(RuntimeError):
-    """Precision cap reached without an exact certificate."""
+    """No exact certificate within the caps: the cyclotomic field is too large
+    or a zero test did not separate at the precision cap."""
 
 
 class StructureClass(enum.Enum):
@@ -112,9 +117,6 @@ class SMatrix:
     def entry(self, i: int, j: int) -> ComplexBall:
         return self.entries[i][j]
 
-    def max_radius(self) -> Fraction:
-        return max(self.entries[i][j].rad for i in range(3) for j in range(3))
-
     def to_json(self) -> dict:
         return {
             "entries": [
@@ -171,9 +173,7 @@ def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists,
     """Entrywise evaluation of the defining formula in ball arithmetic."""
     if not dims.nonzero():
         raise ZeroDimension("candidate dimensions contain an exact zero")
-    theta_balls = [
-        _root_ball(t, precision_bits) for t in twists.theta
-    ]
+    theta_balls = [root_of_unity_value(t, precision_bits + 16) for t in twists.theta]
     dim_balls = [dims.value_ball(j, precision_bits + 16) for j in range(3)]
     dual = ring.dual
     entries = []
@@ -195,12 +195,6 @@ def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists,
     for j in range(3):
         assert (sm.entry(0, j) - dim_balls[j]).mag_upper() < Fraction(1, 2**(precision_bits // 2))
     return sm
-
-
-def _root_ball(r: RootOfUnity, precision_bits: int) -> ComplexBall:
-    from .exactnum import root_of_unity_value
-
-    return root_of_unity_value(r, precision_bits + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +250,6 @@ class ExtNum:
 
     def __neg__(self) -> "ExtNum":
         return ExtNum(self.n, self.modulus, tuple(-a for a in self.coeffs))
-
-    def scale_cyclo(self, c: CycloNum) -> "ExtNum":
-        return ExtNum(self.n, self.modulus, tuple(a * c for a in self.coeffs))
 
     def scale(self, r) -> "ExtNum":
         return ExtNum(self.n, self.modulus, tuple(a.scale(r) for a in self.coeffs))
@@ -348,12 +339,21 @@ def _cpoly_exact_div(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
 
 
 class ExactContext:
-    """Exact S-matrix entries for one (ring, dims, twists) datum."""
+    """Exact S-matrix entries for one (ring, dims, twists) datum.
+
+    Raises Undecidable, before any arithmetic table is built, when the
+    ambient cyclotomic degree phi(n) exceeds EXACT_PHI_CAP.
+    """
 
     def __init__(self, ring: FusionRing, dims: Character, twists: Twists):
         n = ambient_cyclotomic_order(dims, twists)
         self.n = n
         self.phi_degree = euler_phi(n)
+        if self.phi_degree > EXACT_PHI_CAP:
+            raise Undecidable(
+                f"cyclotomic order {n} has degree phi = {self.phi_degree}, "
+                f"beyond the exact cap {EXACT_PHI_CAP}"
+            )
         modulus: Optional[QPoly] = None
         if dims.gen is not None:
             modulus = tuple(
@@ -579,47 +579,14 @@ def ambient_cyclotomic_order(dims: Character, twists: Twists) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Classification and row verification
+# Classification
 # ---------------------------------------------------------------------------
 
 def classify_s_matrix(s: SMatrix) -> StructureClass:
-    """Symmetric / ProperPremodular / Modular, with certified decisions.
-
-    The determinant ball decides modularity when it excludes zero; degenerate
-    cases escalate to exact cyclotomic arithmetic.  Raises Undecidable only if
-    the exact route is out of reach (cyclotomic degree beyond the cap).
-    """
-    det = ball_det3([[s.entry(i, j) for j in range(3)] for i in range(3)])
-    if det.definitely_nonzero():
-        return StructureClass.MODULAR
-    ctx = ExactContext(s.ring, s.dims, s.twists)
-    if ctx.phi_degree > EXACT_PHI_CAP:
-        raise Undecidable(
-            "determinant ball straddles zero and the exact field is too large"
-        )
-    return ctx.structure_class()
-
-
-def verify_row_characters(s: SMatrix, dims: Character, system: CharacterSystem,
-                          tol: float) -> bool:
-    """True iff every row i of S, divided by d_i, matches some character of
-    the system within tol (compared at ball centers)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    for i in range(3):
-        di = dims.value_ball(i, s.precision_bits)
-        row_ok = False
-        for char in system.chars:
-            err = 0.0
-            for j in range(3):
-                target = di * char.value_ball(j, s.precision_bits)
-                err = max(err, s.entry(i, j).center_distance(target))
-            if err <= tol:
-                row_ok = True
-                break
-        if not row_ok:
-            return False
-    return True
+    """Symmetric / ProperPremodular / Modular, decided exactly from the datum
+    behind the matrix.  Raises Undecidable when the cyclotomic degree exceeds
+    EXACT_PHI_CAP."""
+    return ExactContext(s.ring, s.dims, s.twists).structure_class()
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +599,7 @@ def search_ribbon_data(
     tol: float = 1e-9,
     precision_bits: int = 128,
     include_degenerate: bool = False,
-    threads: int | None = None,
+    system: CharacterSystem | None = None,
 ) -> list[PremodularDatum]:
     """All admissible (dimension character, twist pair) data with twist orders
     up to `max_twist_order`, deterministically ordered.
@@ -641,13 +608,16 @@ def search_ribbon_data(
     character within `tol`; each candidate is then re-verified exactly and
     must pass its structure-class consistency rule (see module docstring).
     Degenerate (properly premodular) candidates are returned only when
-    `include_degenerate` is set.  `threads` is accepted for compatibility and
-    has no effect: the scan is one vectorized pass, near-linear in the number
-    of roots.
+    `include_degenerate` is set.  `system` is the ring's character system when
+    the caller has already solved it; it is solved here otherwise.  A
+    candidate beyond the exact cap raises Undecidable.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
-    system = solve_characters(ring)
+    if system is None:
+        system = solve_characters(ring)
+    elif system.ring != ring:
+        raise ValueError("the character system belongs to a different ring")
     roots = roots_of_unity_up_to(max_twist_order)
     root_values = np.array([r.complex_approx() for r in roots])
     root_turns = np.array([r.p / r.q for r in roots])
@@ -658,9 +628,8 @@ def search_ribbon_data(
         pairs = _scan_twist_grid(ring, system, dims, root_values, root_turns, tol)
         for a, b in pairs:
             datum = _certify_candidate(
-                ring, system, dims, dims_index,
-                Twists.of(roots[a], roots[b]),
-                tol, precision_bits, include_degenerate,
+                ring, dims, dims_index, Twists.of(roots[a], roots[b]),
+                precision_bits, include_degenerate,
             )
             if datum is not None:
                 witnesses.append(datum)
@@ -816,37 +785,23 @@ def _float_mask(ring, d, chars, A, B, tol) -> np.ndarray:
     return mask & (degenerate | fs_ok)
 
 
-def _certify_candidate(ring, system, dims, dims_index, twists, tol,
-                       precision_bits, include_degenerate) -> Optional[PremodularDatum]:
+def _certify_candidate(ring, dims, dims_index, twists, precision_bits,
+                       include_degenerate) -> Optional[PremodularDatum]:
     """Exact verification and class-consistency rules for one scan survivor."""
-    certificate: dict = {}
-    exact = euler_phi(ambient_cyclotomic_order(dims, twists)) <= EXACT_PHI_CAP
-    ctx = None
-    if exact:
-        ctx = ExactContext(ring, dims, twists)
-        if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
-            return None
-        certificate["verification"] = "exact"
-        sclass = ctx.structure_class()
-    else:
-        sm = build_s_matrix(ring, dims, twists, max(precision_bits, 256))
-        if not verify_row_characters(sm, dims, system, tol):
-            return None
-        certificate["verification"] = f"ball(tol={tol})"
-        try:
-            sclass = classify_s_matrix(sm)
-        except Undecidable:
-            return None
+    ctx = ExactContext(ring, dims, twists)
+    if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
+        return None
+    certificate: dict = {"verification": "exact"}
+    sclass = ctx.structure_class()
 
     if sclass == StructureClass.SYMMETRIC:
-        ok, sym_cert = _symmetric_admissible(system, dims, dims_index)
+        ok, sym_cert = _symmetric_admissible(dims, dims_index)
         certificate["symmetric_rule"] = sym_cert
         if not ok:
             return None
     elif sclass == StructureClass.MODULAR:
-        fs = ctx.fs_indicators() if ctx is not None else None
+        fs = ctx.fs_indicators()
         if fs is None:
-            certificate["fs_indicators"] = None
             return None
         certificate["fs_indicators"] = fs
     else:
@@ -866,7 +821,19 @@ def _certify_candidate(ring, system, dims, dims_index, twists, tol,
     )
 
 
-def _symmetric_admissible(system, dims, dims_index) -> tuple[bool, dict]:
+def landau_admissible(dims: Character) -> tuple[bool, Optional[Fraction]]:
+    """The finite-group test on a real dimension character: both values are
+    integers and the total squared dimension 1 + d_X^2 + d_Y^2 is at most
+    LANDAU_BOUND_3.  Returns (passed, total), with total None when a value is
+    not an integer."""
+    if not (dims.x.is_integer and dims.y.is_integer):
+        return False, None
+    dx, dy = dims.x.rational_value, dims.y.rational_value
+    total = 1 + dx * dx + dy * dy
+    return total <= LANDAU_BOUND_3, total
+
+
+def _symmetric_admissible(dims, dims_index) -> tuple[bool, dict]:
     """Rank-1 data must look like a finite-group character ring: dimension
     character positive with integer values and total squared dimension at
     most 6 (the Landau bound for three classes)."""
@@ -879,19 +846,16 @@ def _symmetric_admissible(system, dims, dims_index) -> tuple[bool, dict]:
     if dims_index != 0 or not dims.is_positive:
         cert["dims_positive"] = False
         return False, cert
-    if not (dims.x.is_integer and dims.y.is_integer):
+    ok, total = landau_admissible(dims)
+    if total is None:
         cert["dims_integer"] = False
         cert["nonintegral_value"] = dims.y.approx_str(12) if not dims.y.is_integer else dims.x.approx_str(12)
         return False, cert
-    dx = dims.x.rational_value
-    dy = dims.y.rational_value
-    total = 1 + dx * dx + dy * dy
     cert["dims_integer"] = True
     cert["global_dim"] = str(total)
-    if total > 6:
-        cert["landau_bound"] = 6
-        return False, cert
-    return True, cert
+    if not ok:
+        cert["landau_bound"] = LANDAU_BOUND_3
+    return ok, cert
 
 
 def _degenerate_certificate(ring, dims, twists) -> dict:
@@ -955,8 +919,7 @@ def symmetric_witness(ring: FusionRing, system: CharacterSystem,
 # Non-modular, non-symmetric filter
 # ---------------------------------------------------------------------------
 
-def nonmodular_filter(params: Rank3Params,
-                      system: CharacterSystem | None = None) -> FilterVerdict:
+def nonmodular_filter(params: Rank3Params) -> FilterVerdict:
     """Necessary conditions for a degenerate, non-symmetric structure.
 
     Applies only to rings whose canonical form is (0, 1, 0, n) -- the shape

@@ -99,7 +99,7 @@ def test_criterion_3_excluded_ring():
     with criterion(3, "K(0,1,0,2) fails every branch and has no witnesses at order 60"):
         from rank3ribbon.classify import classify_ring
 
-        report = classify_ring(Rank3Params(0, 1, 0, 2), max_twist_order=60)
+        report = classify_ring(Rank3Params(0, 1, 0, 2))
         assert not report.admissible
         for verdict in report.verdicts.values():
             assert verdict.status in (Verdict.FAIL, Verdict.NOT_APPLICABLE)

@@ -10,12 +10,8 @@ from rank3ribbon.classify import (
     LIMITATION_NOTE,
     audit_case3b_grid,
     audit_t_minus_one_family,
-    case1_filter,
-    case2_filter,
     case2_rule,
-    case3a_filter,
     case3a_rule,
-    case3b_filter,
     case3b_rule,
     classify_all,
     classify_ring,
@@ -24,7 +20,7 @@ from rank3ribbon.classify import (
     symmetric_filter,
 )
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
-from rank3ribbon.premodular import Verdict
+from rank3ribbon.premodular import LANDAU_BOUND_3, Verdict
 
 
 def _system(*params):
@@ -69,6 +65,7 @@ def test_landau_bound():
     assert landau_bound(1) == 1
     assert landau_bound(2) == 2
     assert landau_bound(3) == 6  # solutions (3,3,3), (2,4,4), (2,3,6)
+    assert LANDAU_BOUND_3 == landau_bound(3)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +97,10 @@ def test_symmetric_filter_ising_fails_on_irrationality():
 # ---------------------------------------------------------------------------
 
 def test_case1():
-    assert case1_filter(Rank3Params(0, 1, 0, 1), _system(0, 1, 0, 1)).status == Verdict.PASS
-    v = case1_filter(Rank3Params(1, 1, 0, 1), _system(1, 1, 0, 1))
-    assert v.status == Verdict.NOT_APPLICABLE
+    report = classify_ring(Rank3Params(0, 1, 0, 1))
+    assert report.modular_case == "case1"
+    assert report.verdicts["modular"].status == Verdict.PASS
+    assert classify_ring(Rank3Params(1, 1, 0, 1)).modular_case != "case1"
 
 
 def test_no_trivial_ring_beyond_rep_s3_at_bound_20():
@@ -141,8 +139,10 @@ def test_case2_rule_exception_branch():
 
 
 def test_case2_filter_dispatch():
-    assert case2_filter(Rank3Params(1, 1, 0, 1), _system(1, 1, 0, 1)).status == Verdict.PASS
-    assert case2_filter(Rank3Params(0, 1, 0, 1), _system(0, 1, 0, 1)).status == Verdict.NOT_APPLICABLE
+    report = classify_ring(Rank3Params(1, 1, 0, 1))
+    assert report.modular_case == "case2"
+    assert report.verdicts["modular"].status == Verdict.PASS
+    assert classify_ring(Rank3Params(0, 1, 0, 1)).modular_case != "case2"
 
 
 def test_case2_constraint_identity():
@@ -162,8 +162,8 @@ def test_case3a_rule():
 
 
 def test_case3a_filter_not_applicable():
-    assert case3a_filter(Rank3Params(0, 1, 0, 0), _system(0, 1, 0, 0)).status == Verdict.NOT_APPLICABLE
-    # no order-two-fixing ring exists up to bound 20, so the dispatched filter
+    assert classify_ring(Rank3Params(0, 1, 0, 0)).modular_case != "case3a"
+    # no order-two-fixing ring exists up to bound 20, so the dispatched rule
     # never fires; the rule-level checks above cover its logic
     fixing = [
         p for p in enumerate_star_solutions(20)
@@ -199,8 +199,10 @@ def test_case3b_rule_t_minus_one_family():
 
 
 def test_case3b_filter_dispatch():
-    assert case3b_filter(Rank3Params(0, 1, 0, 0), _system(0, 1, 0, 0)).status == Verdict.PASS
-    assert case3b_filter(Rank3Params(0, 1, 0, 1), _system(0, 1, 0, 1)).status == Verdict.NOT_APPLICABLE
+    report = classify_ring(Rank3Params(0, 1, 0, 0))
+    assert report.modular_case == "case3b"
+    assert report.verdicts["modular"].status == Verdict.PASS
+    assert classify_ring(Rank3Params(0, 1, 0, 1)).modular_case != "case3b"
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +270,31 @@ def test_classify_table_render(report_bound2):
     assert LIMITATION_NOTE.splitlines()[0] in table
 
 
+def test_classify_all_solves_each_ring_once(monkeypatch):
+    """The witness search reuses the system the filters solved: one
+    character solve per ring, even with witnesses on every ring."""
+    from collections import Counter
+
+    from rank3ribbon import classify, premodular
+
+    calls = Counter()
+
+    def counting_solve(ring):
+        calls[ring] += 1
+        return solve_characters(ring)
+
+    monkeypatch.setattr(classify, "solve_characters", counting_solve)
+    monkeypatch.setattr(premodular, "solve_characters", counting_solve)
+    report = classify_all(5, max_twist_order=16, witness_all=True)
+    assert all(r.witnesses is not None for r in report.rings)
+    assert len(calls) == len(report.rings)
+    assert set(calls.values()) == {1}
+
+
 def test_galois_dispatch_total_bound_5():
     """Every ring receives exactly one applicable modular case."""
     for params in enumerate_star_solutions(5):
-        report = classify_ring(params, max_twist_order=4)
+        report = classify_ring(params)
         assert report.galois.tag in GaloisType
         applicable = [
             name for name, v in report.verdicts.items()
@@ -281,11 +304,11 @@ def test_galois_dispatch_total_bound_5():
 
 
 @pytest.mark.parametrize("params", [Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1)])
-def test_nonmodular_verdict_independent_of_twist_order(params):
+def test_nonmodular_verdict_independent_of_twist_order(params, report_bound2):
     """The nonmodular branch is decided exactly; a small search order must
     not turn its Pass into a Fail."""
-    low = classify_ring(params, max_twist_order=2)
-    default = classify_ring(params, max_twist_order=60)
+    low = next(r for r in classify_all(1, max_twist_order=2).rings if r.params == params)
+    default = next(r for r in report_bound2.rings if r.params == params)
     assert low.verdicts["nonmodular"].status == Verdict.PASS
     assert low.verdicts["nonmodular"].to_json() == default.verdicts["nonmodular"].to_json()
 
@@ -296,7 +319,7 @@ def test_cross_validation_witnesses_bound_5():
     from rank3ribbon.premodular import search_ribbon_data
 
     for params in enumerate_star_solutions(5):
-        report = classify_ring(params, max_twist_order=60)
+        report = classify_ring(params)
         witnesses = search_ribbon_data(make_rank3_ring(params), 60)
         if report.admissible:
             assert witnesses, params
@@ -308,6 +331,6 @@ def test_cross_validation_witnesses_bound_10():
     from rank3ribbon.premodular import search_ribbon_data
 
     for params in enumerate_star_solutions(10):
-        report = classify_ring(params, max_twist_order=60)
+        report = classify_ring(params)
         witnesses = search_ribbon_data(make_rank3_ring(params), 60)
         assert bool(witnesses) == report.admissible, params

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+
+import pytest
 
 from rank3ribbon.cli import run
 
@@ -110,6 +113,24 @@ def test_json_output_deterministic(capsys):
         ["search", "--params", "0,1,0,1", "--max-twist-order", "6", "--threads", "3"],
     )
     assert first == third
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (
+        ["classify", "--bound", "5", "--witness-all", "--max-twist-order", "16"],
+        "7ba5d5e3631333a0683d2239a78493a7a24c7482baf6ddf6a2de52d29ac2c443",
+    ),
+    (
+        ["search", "--params", "0,1,0,0", "--max-twist-order", "16"],
+        "53ae1921abf4b26120995b293daa95313cf387c26c06ebf52d337c3c990a5f51",
+    ),
+], ids=["classify-b5-witness-all-o16", "search-k0100-o16"])
+def test_stdout_matches_golden_digest(capsys, argv, digest):
+    """stdout is pinned byte for byte by its sha256: any change to a verdict,
+    certificate, witness or rendering of these runs shows up here."""
+    code, out, err = _capture(capsys, argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_every_number_exact_or_approx_labeled(capsys):

@@ -8,14 +8,15 @@ import pytest
 
 from rank3ribbon.characters import solve_characters
 from rank3ribbon.classify import enumerate_star_solutions
-from rank3ribbon.exactnum import RootOfUnity
-from rank3ribbon.exactnum.cyclotomic import roots_of_unity_up_to
+from rank3ribbon.exactnum import ComplexBall, RootOfUnity
+from rank3ribbon.exactnum.cyclotomic import _power_basis, roots_of_unity_up_to
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
     ExactContext,
     SMatrix,
     StructureClass,
     Twists,
+    Undecidable,
     Verdict,
     ZeroDimension,
     _scan_twist_grid,
@@ -25,7 +26,6 @@ from rank3ribbon.premodular import (
     nonmodular_filter,
     search_ribbon_data,
     symmetric_witness,
-    verify_row_characters,
 )
 
 
@@ -54,7 +54,7 @@ def test_rep_s3_symmetric_matrix(rep_s3):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
     assert classify_s_matrix(sm) == StructureClass.SYMMETRIC
-    assert verify_row_characters(sm, system.chars[0], system, 1e-9)
+    assert ExactContext(ring, system.chars[0], sm.twists).rows_are_characters()
 
 
 def test_ising_modular_matrix(ising):
@@ -68,7 +68,7 @@ def test_ising_modular_matrix(ising):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
     assert classify_s_matrix(sm) == StructureClass.MODULAR
-    assert verify_row_characters(sm, system.chars[0], system, 1e-9)
+    assert ExactContext(ring, system.chars[0], tw).rows_are_characters()
 
 
 def test_unit_row_identity(ising, rep_s3):
@@ -96,7 +96,7 @@ def test_proper_premodular_matrix(rep_s3):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
     assert classify_s_matrix(sm) == StructureClass.PROPER_PREMODULAR
-    assert verify_row_characters(sm, system.chars[0], system, 1e-9)
+    assert ExactContext(ring, system.chars[0], tw).rows_are_characters()
 
 
 def test_zero_dimension_rejected(ising):
@@ -110,11 +110,43 @@ def test_zero_dimension_rejected(ising):
 def test_corrupted_matrix_fails_row_check(ising):
     ring, system = ising
     tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 16))
-    sm = build_s_matrix(ring, system.chars[0], tw)
-    entries = [list(row) for row in sm.entries]
-    entries[1][1] = -entries[1][1]
-    corrupted = SMatrix(tuple(tuple(r) for r in entries), ring, sm.dims, tw, sm.precision_bits)
-    assert not verify_row_characters(corrupted, system.chars[0], system, 1e-9)
+    ctx = ExactContext(ring, system.chars[0], tw)
+    assert ctx.rows_are_characters()
+    ctx.entries[1][1] = -ctx.entries[1][1]
+    assert not ctx.rows_are_characters()
+
+
+def _float_smatrix(ring, dims, twists):
+    """S-matrix with entries rounded from floats (radius 1e-9), for twists
+    whose certified root-of-unity balls are slow to build."""
+    d = [dims.value_complex(j) for j in range(3)]
+    th = [t.complex_approx() for t in twists.theta]
+    entries = tuple(
+        tuple(
+            ComplexBall(Fraction(z.real), Fraction(z.imag), Fraction(1, 10**9))
+            for z in (
+                (th[i] * th[j]).conjugate()
+                * sum(ring.N[ring.dual[i]][j][k] * th[k] * d[k] for k in range(3))
+                for j in range(3)
+            )
+        )
+        for i in range(3)
+    )
+    return SMatrix(entries, ring, dims, twists, 30)
+
+
+def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
+    """Twists of orders 97 and 89 need Q(zeta_8633), of degree 8448 > the
+    exact cap: the context raises Undecidable, naming the order and degree,
+    before it builds the power-basis table of that field."""
+    ring, system = rep_s3
+    tw = Twists.of(RootOfUnity.make(1, 97), RootOfUnity.make(1, 89))
+    before = _power_basis.cache_info().currsize
+    with pytest.raises(Undecidable, match="8633.*8448"):
+        ExactContext(ring, system.chars[0], tw)
+    with pytest.raises(Undecidable):
+        classify_s_matrix(_float_smatrix(ring, system.chars[0], tw))
+    assert _power_basis.cache_info().currsize == before
 
 
 def test_twists_require_unit():
@@ -186,12 +218,15 @@ def test_search_z3():
         assert w.certificate["fs_indicators"] == [1, 0, 0]
 
 
-def test_search_deterministic_under_threads(ising):
+def test_search_reuses_given_system(ising):
+    """A system solved by the caller gives the same witnesses, byte for byte,
+    as the search's own solve; a system of another ring is refused."""
     ring, _ = ising
-    a = search_ribbon_data(ring, 12, threads=1)
-    b = search_ribbon_data(ring, 12, threads=4)
-    key = lambda ws: [(w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn) for w in ws]
-    assert key(a) == key(b)
+    own = [w.to_json() for w in search_ribbon_data(ring, 12)]
+    given = search_ribbon_data(ring, 12, system=solve_characters(ring))
+    assert [w.to_json() for w in given] == own
+    with pytest.raises(ValueError):
+        search_ribbon_data(ring, 12, system=solve_characters(make_z3_ring()))
 
 
 def test_search_order240_matches_order60(ising):
@@ -353,12 +388,14 @@ def test_modular_rows_pair_opposite_y(ising):
 
 
 def test_exact_context_agrees_with_ball_classifier(ising, rep_s3):
+    """The exact class agrees with the determinant of the rendered ball
+    matrix: clearly nonzero for a modular datum."""
     ring, system = ising
     tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(5, 16))
     ctx = ExactContext(ring, system.chars[0], tw)
-    assert ctx.structure_class() == classify_s_matrix(
-        build_s_matrix(ring, system.chars[0], tw)
-    )
+    sm = build_s_matrix(ring, system.chars[0], tw)
+    assert ctx.structure_class() == classify_s_matrix(sm) == StructureClass.MODULAR
+    assert abs(np.linalg.det(np.array(_centers(sm)))) > 1e-6
 
 
 # ---------------------------------------------------------------------------
