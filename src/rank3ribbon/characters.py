@@ -108,11 +108,6 @@ class Character:
             return True
         return not (self.x.is_zero or self.y.is_zero)
 
-    def sort_key(self):
-        if self.is_cyclotomic:
-            return (float(self.x.turn), float(self.y.turn))
-        return (float(self.x), float(self.y))
-
     def to_json(self) -> dict:
         if self.is_cyclotomic:
             return {
@@ -187,10 +182,11 @@ def solve_characters(ring: FusionRing) -> CharacterSystem:
     fp = [i for i, c in enumerate(chars) if c.is_positive]
     if len(fp) != 1:
         raise NoPositiveCharacter(f"{len(fp)} everywhere-positive characters found")
+    # Exact RealAlgebraic comparison; float() would refine each value to 1e-18.
     ordered = [chars[fp[0]]] + sorted(
-        (c for i, c in enumerate(chars) if i != fp[0]), key=Character.sort_key
+        (c for i, c in enumerate(chars) if i != fp[0]), key=lambda c: (c.x, c.y)
     )
-    if len({(repr(c.x), repr(c.y)) for c in ordered}) < 3:
+    if len({(c.x, c.y) for c in ordered}) < 3:
         raise DegenerateSystem("characters are not pairwise distinct")
     return CharacterSystem(
         ring=ring,

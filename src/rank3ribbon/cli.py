@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--params", required=True)
     p_search.add_argument("--max-twist-order", type=int, default=60)
     p_search.add_argument("--tol", type=float, default=1e-9)
-    p_search.add_argument("--precision-bits", type=int, default=128)
     p_search.add_argument("--include-degenerate", action="store_true")
     common(p_search)
 
@@ -170,7 +169,6 @@ def _cmd_search(args) -> tuple[object, str | None]:
         ring,
         args.max_twist_order,
         tol=args.tol,
-        precision_bits=args.precision_bits,
         include_degenerate=args.include_degenerate,
     )
     payload = {

@@ -19,6 +19,7 @@ from .intpoly import (
     is_perfect_square,
     rational_roots,
 )
+from .qpoly import charpoly
 from .realalg import (
     IsolatedRoot,
     RealAlgebraic,
@@ -35,6 +36,7 @@ __all__ = [
     "IsolatedRoot",
     "RealAlgebraic",
     "RootOfUnity",
+    "charpoly",
     "cos_minimal_poly",
     "cubic_discriminant",
     "cyclotomic_poly",

@@ -125,10 +125,6 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.p == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.q in (1, 2)
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity.from_turn(self.turn + other.turn)
 
@@ -245,6 +241,9 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse in Q(zeta_n), via extended gcd with Phi_n."""
         if self.is_zero:
@@ -253,6 +252,10 @@ class CycloNum:
         g, s, _t = qpoly.qxgcd(self.coeffs, phi)
         assert qpoly.qdegree(g) == 0, "cyclotomic polynomial must be coprime to a nonzero element"
         return CycloNum(self.n, qpoly.qscale(s, Fraction(1) / g[0]))
+
+    def __rtruediv__(self, other) -> "CycloNum":
+        """other / self for a rational other, e.g. Fraction(1) / self."""
+        return self.inverse().scale(other)
 
     def ball(self, precision_bits: int = 96) -> ComplexBall:
         """Certified enclosure of the complex value."""

@@ -54,12 +54,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
 
@@ -121,14 +115,6 @@ class IntPoly:
     def gcd(self, other: "IntPoly") -> "IntPoly":
         g = qpoly.qgcd(self.to_q(), other.to_q())
         return from_q(g).primitive()
-
-    def squarefree_part(self) -> "IntPoly":
-        if self.degree <= 0:
-            return self.primitive()
-        g = self.gcd(self.derivative())
-        if g.degree == 0:
-            return self.primitive()
-        return self.exact_div(g).primitive()
 
     def squarefree_decomposition(self) -> list[tuple["IntPoly", int]]:
         """Yun decomposition: list of (squarefree factor, multiplicity)."""

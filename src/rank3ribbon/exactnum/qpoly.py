@@ -1,15 +1,20 @@
-"""Dense univariate polynomial arithmetic over the rationals.
+"""Dense univariate polynomial arithmetic over any field.
 
-Polynomials are tuples of Fractions, lowest degree first, with no trailing
-zeros (the zero polynomial is the empty tuple).  These helpers back the Sturm
-machinery and the modular reductions used for exact algebraic arithmetic.
+Polynomials are tuples of coefficients, lowest degree first, with no trailing
+zeros (the zero polynomial is the empty tuple).  The ring operations coerce
+their coefficients to Fraction; division, gcd and `qmonic` work unchanged on
+any field whose elements support +, -, *, truthiness and `Fraction(1) / c`
+(Fraction, and CycloNum for Q(zeta_n)).  These helpers back the Sturm
+machinery, the modular reductions of exact algebraic arithmetic and the zero
+test of S-matrix entries over Q(zeta_n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-QPoly = tuple  # tuple[Fraction, ...]
+QPoly = tuple  # tuple of field elements (Fraction unless stated)
 
 ZERO: QPoly = ()
 ONE: QPoly = (Fraction(1),)
@@ -19,6 +24,14 @@ X: QPoly = (Fraction(0), Fraction(1))
 def qnormalize(coeffs) -> QPoly:
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def qtrim(coeffs) -> QPoly:
+    """Drop trailing zeros without coercing the coefficients."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -68,22 +81,22 @@ def qmul(p: QPoly, q: QPoly) -> QPoly:
 def qdivmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
+    inv_lead = Fraction(1) / q[-1]
+    rem = list(qtrim(p))
     dq = len(q) - 1
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(p) - dq, 0)
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
+    zero = q[-1] - q[-1]  # the zero of the coefficient field
+    quot = [zero] * max(len(rem) - dq, 0)
+    while len(rem) > dq:
         shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
+        factor = rem[-1] * inv_lead
         quot[shift] = factor
-        for i, b in enumerate(q):
-            rem[shift + i] -= factor * b
+        for i, b in enumerate(q[:-1]):
+            if b:  # cyclotomic moduli are sparse
+                rem[shift + i] -= factor * b
         rem.pop()
-    return qnormalize(quot), qnormalize(rem)
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(quot), tuple(rem)
 
 
 def qmod(p: QPoly, q: QPoly) -> QPoly:
@@ -105,12 +118,12 @@ def qderiv(p: QPoly) -> QPoly:
 def qmonic(p: QPoly) -> QPoly:
     if not p:
         return ZERO
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+    inv = Fraction(1) / p[-1]
+    return tuple(c * inv for c in p)
 
 
 def qgcd(p: QPoly, q: QPoly) -> QPoly:
-    a, b = p, q
+    a, b = qtrim(p), qtrim(q)
     while b:
         a, b = b, qmod(a, b)
     return qmonic(a)
@@ -133,16 +146,26 @@ def qxgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
     return qscale(r0, inv), qscale(s0, inv), qscale(t0, inv)
 
 
-def qmulmod(p: QPoly, q: QPoly, m: QPoly) -> QPoly:
-    return qmod(qmul(p, q), m)
+def charpoly(matrix) -> tuple:
+    """Characteristic polynomial det(t*I - M) of a small square matrix,
+    lowest degree first.  The coefficient of t^(d-k) is (-1)^k times the sum
+    of the k x k principal minors, so int and Fraction entries stay exact
+    and int entries give int coefficients."""
+    d = len(matrix)
+    return tuple(
+        (-1) ** (d - j) * sum(
+            _det([[matrix[r][c] for c in rows] for r in rows])
+            for rows in combinations(range(d), d - j)
+        )
+        for j in range(d + 1)
+    )
 
 
-def qpowmod(p: QPoly, e: int, m: QPoly) -> QPoly:
-    result = ONE
-    base = qmod(p, m)
-    while e > 0:
-        if e & 1:
-            result = qmulmod(result, base, m)
-        base = qmulmod(base, base, m)
-        e >>= 1
-    return result
+def _det(m):
+    """Laplace expansion along the first row; 1 for the empty matrix."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )

@@ -76,7 +76,7 @@ class RealAlgebraic:
     never changes which root is denoted.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational", "_chain")
+    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational")
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction,
                  root_index: int, rational: Fraction | None):
@@ -85,7 +85,6 @@ class RealAlgebraic:
         self._hi = hi
         self.root_index = root_index
         self._rational = rational
-        self._chain = None
 
     # -- construction -----------------------------------------------------
 
@@ -125,11 +124,6 @@ class RealAlgebraic:
         return self._lo, self._hi
 
     # -- refinement ---------------------------------------------------------
-
-    def _sturm(self):
-        if self._chain is None:
-            self._chain = sturm_chain(self.minpoly.to_q())
-        return self._chain
 
     def refine_once(self) -> None:
         if self._rational is not None:
@@ -368,36 +362,16 @@ def roots_of_irreducible(p: IntPoly, width=_DEFAULT_WIDTH) -> list[RealAlgebraic
 def _charpoly_of_multiplication(minpoly: IntPoly, expr: qpoly.QPoly) -> qpoly.QPoly:
     """Characteristic polynomial of multiplication by expr(x) on Q[x]/minpoly.
 
-    The minimal polynomial of expr(alpha) divides this; degree here is <= 3.
+    The minimal polynomial of expr(alpha) divides this.
     """
     d = minpoly.degree
     m = minpoly.to_q()
+    # cols[i][j] = coefficient of x^j in expr * x^i mod m.
     cols = []
     for i in range(d):
         col = qpoly.qmod(qpoly.qmul(expr, qpoly.qnormalize([0] * i + [1])), m)
         cols.append([col[j] if j < len(col) else Fraction(0) for j in range(d)])
-    # Matrix with cols[i][j] = coefficient of x^j in expr * x^i mod m.
-    a = [[cols[i][j] for i in range(d)] for j in range(d)]  # a[row][col]
-    if d == 1:
-        return (-a[0][0], Fraction(1))
-    if d == 2:
-        tr = a[0][0] + a[1][1]
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        return (det, -tr, Fraction(1))
-    if d == 3:
-        tr = a[0][0] + a[1][1] + a[2][2]
-        m2 = (
-            a[0][0] * a[1][1] - a[0][1] * a[1][0]
-            + a[0][0] * a[2][2] - a[0][2] * a[2][0]
-            + a[1][1] * a[2][2] - a[1][2] * a[2][1]
-        )
-        det = (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-        return (-det, m2, -tr, Fraction(1))
-    raise ValueError("expression fields beyond degree 3 are out of scope")
+    return qpoly.charpoly([[cols[i][j] for i in range(d)] for j in range(d)])
 
 
 def _interval_eval(expr: qpoly.QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

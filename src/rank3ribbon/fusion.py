@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import IntPoly, RealAlgebraic, isolate_real_roots
+from .exactnum import IntPoly, RealAlgebraic, charpoly, isolate_real_roots
 from .exactnum.realalg import from_poly_expr
 
 
@@ -278,28 +278,12 @@ def _relabel_canonical_key(tensor, dual) -> tuple:
 # Frobenius-Perron dimensions
 # ---------------------------------------------------------------------------
 
-def charpoly_3x3(m) -> IntPoly:
-    """Characteristic polynomial det(tI - M) of an integer 3x3 matrix."""
-    tr = m[0][0] + m[1][1] + m[2][2]
-    m2 = (
-        m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    )
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return IntPoly((-det, m2, -tr, 1))
-
-
 def fp_dimensions(ring: FusionRing) -> tuple[RealAlgebraic, ...]:
     """Per-basis Frobenius-Perron dimension: the largest real eigenvalue of
     each multiplication matrix.  Always >= 1 for a based ring."""
     dims = []
     for i in range(ring.rank):
-        poly = charpoly_3x3(ring.mult_matrix(i))
+        poly = IntPoly(charpoly(ring.mult_matrix(i)))
         roots = isolate_real_roots(poly, Fraction(1, 1 << 20))
         if not roots:
             raise ValueError("multiplication matrix has no real eigenvalue")

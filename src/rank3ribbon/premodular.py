@@ -12,7 +12,12 @@ every candidate is then re-verified with exact cyclotomic arithmetic over the
 character field.  There is no approximate fallback: a candidate whose
 cyclotomic field has degree phi(n) > EXACT_PHI_CAP cannot be certified, and
 `ExactContext` raises Undecidable before building any table, which stops the
-search instead of dropping the candidate.  The scan does not visit the whole
+search instead of dropping the candidate.  Exact entries live in
+Q(zeta_n)[x]/(minimal polynomial of the character generator); a nonzero
+representative is tested for vanishing with the gcd and division of
+`exactnum.qpoly`, run over CycloNum coefficients (see `ExactContext._is_zero`).
+The rendered `approx` S-matrix is a ball evaluation at SMATRIX_PRECISION_BITS.
+The scan does not visit the whole
 twist grid: setting S[1][2] = d_1 * chi(2) for a character chi gives the
 Moebius relation theta_2 * (T*theta_1 - c) = a + b*theta_1, which solves for
 theta_2 given theta_1 (see `_scan_twist_grid`), so its cost is near-linear in
@@ -44,10 +49,11 @@ import numpy as np
 from .characters import Character, CharacterSystem, solve_characters
 from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, root_of_unity_value, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
-from .exactnum.qpoly import QPoly, qnormalize
+from .exactnum.qpoly import QPoly, qdivmod, qgcd, qnormalize, qtrim
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
+SMATRIX_PRECISION_BITS = 128  # radius bound 2^-bits of the rendered approx S-matrix
 PRECISION_CAP_BITS = 4096  # ball precision cap before declaring Undecidable
 LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
 
@@ -168,13 +174,12 @@ class PremodularDatum:
 # Ball S-matrix
 # ---------------------------------------------------------------------------
 
-def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists,
-                   precision_bits: int = 128) -> SMatrix:
+def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists) -> SMatrix:
     """Entrywise evaluation of the defining formula in ball arithmetic."""
     if not dims.nonzero():
         raise ZeroDimension("candidate dimensions contain an exact zero")
-    theta_balls = [root_of_unity_value(t, precision_bits + 16) for t in twists.theta]
-    dim_balls = [dims.value_ball(j, precision_bits + 16) for j in range(3)]
+    theta_balls = [root_of_unity_value(t, SMATRIX_PRECISION_BITS + 16) for t in twists.theta]
+    dim_balls = [dims.value_ball(j, SMATRIX_PRECISION_BITS + 16) for j in range(3)]
     dual = ring.dual
     entries = []
     for i in range(3):
@@ -190,10 +195,10 @@ def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists,
                     acc = acc + term.scale(coef)
             row.append(inv_i * inv_j * acc)
         entries.append(tuple(row))
-    sm = SMatrix(tuple(entries), ring, dims, twists, precision_bits)
+    sm = SMatrix(tuple(entries), ring, dims, twists, SMATRIX_PRECISION_BITS)
     # Unit-row identity: entry (0, j) equals d_j up to the ball radius.
     for j in range(3):
-        assert (sm.entry(0, j) - dim_balls[j]).mag_upper() < Fraction(1, 2**(precision_bits // 2))
+        assert (sm.entry(0, j) - dim_balls[j]).mag_upper() < Fraction(1, 2**(SMATRIX_PRECISION_BITS // 2))
     return sm
 
 
@@ -286,58 +291,6 @@ class ExtNum:
         raise TypeError("ExtNum is unhashable")
 
 
-# -- polynomials with CycloNum coefficients (lowest degree first) -----------
-
-def _cpoly_trim(p: list[CycloNum]) -> list[CycloNum]:
-    while p and p[-1].is_zero:
-        p.pop()
-    return p
-
-
-def _cpoly_rem(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
-    rem = _cpoly_trim(list(a))
-    b = _cpoly_trim(list(b))
-    inv_lead = b[-1].inverse()
-    db = len(b) - 1
-    while rem and len(rem) - 1 >= db:
-        factor = rem[-1] * inv_lead
-        shift = len(rem) - 1 - db
-        for i, c in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * c
-        rem.pop()
-        _cpoly_trim(rem)
-    return rem
-
-
-def _cpoly_gcd(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
-    x, y = _cpoly_trim(list(a)), _cpoly_trim(list(b))
-    while y:
-        x, y = y, _cpoly_rem(x, y)
-    if x:
-        inv = x[-1].inverse()
-        x = [c * inv for c in x]
-    return x
-
-
-def _cpoly_exact_div(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
-    rem = _cpoly_trim(list(a))
-    b = _cpoly_trim(list(b))
-    inv_lead = b[-1].inverse()
-    db = len(b) - 1
-    zero = CycloNum.from_rational(b[-1].n, 0)
-    quot = [zero] * max(len(rem) - db, 1)
-    while rem and len(rem) - 1 >= db:
-        factor = rem[-1] * inv_lead
-        shift = len(rem) - 1 - db
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * c
-        rem.pop()
-        _cpoly_trim(rem)
-    assert not rem, "division was not exact"
-    return quot
-
-
 class ExactContext:
     """Exact S-matrix entries for one (ring, dims, twists) datum.
 
@@ -417,28 +370,29 @@ class ExactContext:
             return True
         if self.modulus is None:
             return False
-        g = _cpoly_trim(list(elem.coeffs))
+        g = qtrim(elem.coeffs)
         if len(g) == 1:
             return False
-        m = [CycloNum.from_rational(self.n, c) for c in self.modulus]
-        h = _cpoly_gcd(g, m)
+        m = tuple(CycloNum.from_rational(self.n, c) for c in self.modulus)
+        h = qgcd(g, m)
         if len(h) <= 1:
             return False
         if len(h) == len(m):
             return True
-        h2 = _cpoly_exact_div(m, h)
+        h2, rem = qdivmod(m, h)
+        assert not rem, "the gcd must divide the modulus"
         prec = 96
         while prec <= PRECISION_CAP_BITS:
-            bh = self._eval_cpoly_ball(h, prec)
+            bh = self._eval_ball_at_gen(h, prec)
             if bh.definitely_nonzero():
                 return False
-            bh2 = self._eval_cpoly_ball(h2, prec)
+            bh2 = self._eval_ball_at_gen(h2, prec)
             if bh2.definitely_nonzero():
                 return True
             prec *= 2
         raise Undecidable("zero test did not separate at the precision cap")
 
-    def _eval_cpoly_ball(self, poly, prec: int) -> ComplexBall:
+    def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
         self.gen.refine_to(Fraction(1, 2**prec))
         ab = ComplexBall.from_real_interval(*self.gen.interval())
         acc = ComplexBall.from_rational(0)
@@ -597,7 +551,6 @@ def search_ribbon_data(
     ring: FusionRing,
     max_twist_order: int,
     tol: float = 1e-9,
-    precision_bits: int = 128,
     include_degenerate: bool = False,
     system: CharacterSystem | None = None,
 ) -> list[PremodularDatum]:
@@ -629,7 +582,7 @@ def search_ribbon_data(
         for a, b in pairs:
             datum = _certify_candidate(
                 ring, dims, dims_index, Twists.of(roots[a], roots[b]),
-                precision_bits, include_degenerate,
+                include_degenerate,
             )
             if datum is not None:
                 witnesses.append(datum)
@@ -785,7 +738,7 @@ def _float_mask(ring, d, chars, A, B, tol) -> np.ndarray:
     return mask & (degenerate | fs_ok)
 
 
-def _certify_candidate(ring, dims, dims_index, twists, precision_bits,
+def _certify_candidate(ring, dims, dims_index, twists,
                        include_degenerate) -> Optional[PremodularDatum]:
     """Exact verification and class-consistency rules for one scan survivor."""
     ctx = ExactContext(ring, dims, twists)
@@ -809,7 +762,7 @@ def _certify_candidate(ring, dims, dims_index, twists, precision_bits,
             return None
         certificate["degenerate_rule"] = _degenerate_certificate(ring, dims, twists)
 
-    sm = build_s_matrix(ring, dims, twists, precision_bits)
+    sm = build_s_matrix(ring, dims, twists)
     return PremodularDatum(
         ring=ring,
         dims=dims,
@@ -893,8 +846,7 @@ def _scaled_value(v, c: Fraction):
     return from_poly_expr(v, qscale(X, c))
 
 
-def symmetric_witness(ring: FusionRing, system: CharacterSystem,
-                      precision_bits: int = 128) -> Optional[PremodularDatum]:
+def symmetric_witness(ring: FusionRing, system: CharacterSystem) -> Optional[PremodularDatum]:
     """The all-twists-1 datum on the dimension character, if it verifies as a
     rank-1 (symmetric-class) matrix; exact certificate included."""
     dims = system.chars[0]
@@ -909,7 +861,7 @@ def symmetric_witness(ring: FusionRing, system: CharacterSystem,
         dims=dims,
         dims_index=0,
         twists=twists,
-        smatrix=build_s_matrix(ring, dims, twists, precision_bits),
+        smatrix=build_s_matrix(ring, dims, twists),
         structure_class=StructureClass.SYMMETRIC,
         certificate={"verification": "exact", "rank": 1},
     )

@@ -15,7 +15,13 @@ from rank3ribbon.characters import (
     vieta_products,
 )
 from rank3ribbon.classify import enumerate_star_solutions
-from rank3ribbon.exactnum import IntPoly, cubic_discriminant, is_perfect_square, rational_roots
+from rank3ribbon.exactnum import (
+    IntPoly,
+    RealAlgebraic,
+    cubic_discriminant,
+    is_perfect_square,
+    rational_roots,
+)
 from rank3ribbon.fusion import Rank3Params, StarViolation, make_rank3_ring, make_z3_ring
 
 
@@ -55,6 +61,27 @@ def test_characters_z3():
     system = solve_characters(make_z3_ring())
     turns = [(str(c.x.turn), str(c.y.turn)) for c in system.chars]
     assert turns == [("0", "0"), ("1/3", "2/3"), ("2/3", "1/3")]
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0, 1), (0, 1, 0, 3)])
+def test_characters_ordered_by_exact_comparison(monkeypatch, params):
+    """The non-dimension characters are sorted and told apart exactly:
+    solving renders no value through float() or repr()."""
+    ring = make_rank3_ring(Rank3Params(*params))
+    calls = []
+    for name in ("__float__", "__repr__"):
+        original = getattr(RealAlgebraic, name)
+
+        def counted(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(RealAlgebraic, name, counted)
+    system = solve_characters(ring)
+    assert calls == []
+    monkeypatch.undo()
+    first, second = system.chars[1], system.chars[2]
+    assert (first.x, first.y) < (second.x, second.y)
 
 
 def test_galois_types():

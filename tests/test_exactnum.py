@@ -25,6 +25,7 @@ from rank3ribbon.exactnum import (
     roots_of_irreducible,
     two_cos,
 )
+from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qgcd
 from rank3ribbon.exactnum.realalg import from_poly_expr
 
 
@@ -272,6 +273,39 @@ def test_cyclonum_field_ops():
     assert (w * inv - one).is_zero
     mixed = CycloNum.from_root(RootOfUnity.make(1, 4), 12)
     assert (mixed * mixed + CycloNum.from_rational(12, 1)).is_zero
+
+
+def test_qdivmod_and_qgcd_over_cyclotomic_field():
+    """Over Q(zeta_8), x^2 - 2 and 2x - 2(zeta_8 + zeta_8^-1) = 2x - 2sqrt(2)
+    have the monic gcd x - sqrt(2), which divides x^2 - 2 exactly."""
+    n = 8
+    s = CycloNum.from_root(RootOfUnity.make(1, 8), n) + CycloNum.from_root(RootOfUnity.make(7, 8), n)
+    zero, one = CycloNum.from_rational(n, 0), CycloNum.from_rational(n, 1)
+    modulus = (CycloNum.from_rational(n, -2), zero, one)
+    g = qgcd(modulus, (-s - s, one + one))
+    assert g == (-s, one)
+    quot, rem = qdivmod(modulus, g)
+    assert rem == ()
+    assert quot == (s, one)
+
+
+def test_qdivmod_int_coefficients_stay_exact():
+    """x^2 + 1 = (3x + 1)(x/3 - 1/9) + 10/9: no coefficient goes through a
+    float, which could not hold 1/3."""
+    quot, rem = qdivmod((1, 0, 1), (1, 3))
+    assert quot == (Fraction(-1, 9), Fraction(1, 3))
+    assert rem == (Fraction(10, 9),)
+    assert not any(isinstance(c, float) for c in quot + rem)
+
+
+def test_charpoly_small_matrices():
+    int_poly = charpoly([[0, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert int_poly == (1, -2, -1, 1)
+    assert all(type(c) is int for c in int_poly)
+    assert charpoly([[Fraction(1, 2), 1], [2, Fraction(1, 3)]]) == (
+        Fraction(1, 6) - 2, -Fraction(5, 6), 1
+    )
+    assert charpoly([[Fraction(5, 7)]]) == (-Fraction(5, 7), 1)
 
 
 def test_cyclonum_ball_containment():

@@ -8,11 +8,12 @@ import pytest
 
 from rank3ribbon.characters import solve_characters
 from rank3ribbon.classify import enumerate_star_solutions
-from rank3ribbon.exactnum import ComplexBall, RootOfUnity
+from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity
 from rank3ribbon.exactnum.cyclotomic import _power_basis, roots_of_unity_up_to
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
     ExactContext,
+    ExtNum,
     SMatrix,
     StructureClass,
     Twists,
@@ -114,6 +115,22 @@ def test_corrupted_matrix_fails_row_check(ising):
     assert ctx.rows_are_characters()
     ctx.entries[1][1] = -ctx.entries[1][1]
     assert not ctx.rows_are_characters()
+
+
+def test_is_zero_sees_through_the_tensor_ring(ising):
+    """sqrt(2) = zeta_8 + zeta_8^-1 lies in Q(zeta_8), so x - (zeta_8 +
+    zeta_8^-1) is nonzero in Q(zeta_8)[x]/(x^2 - 2) but vanishes at the
+    generator x = sqrt(2); x + (zeta_8 + zeta_8^-1) is 2*sqrt(2) there."""
+    ring, system = ising
+    tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8))
+    ctx = ExactContext(ring, system.chars[0], tw)
+    assert ctx.n == 8 and ctx.gen.minpoly == IntPoly((-2, 0, 1)) and ctx.gen > 0
+    s = CycloNum.from_root(RootOfUnity.make(1, 8), 8) + CycloNum.from_root(RootOfUnity.make(7, 8), 8)
+    one = CycloNum.from_rational(8, 1)
+    vanishing = ExtNum(8, ctx.modulus, (-s, one))
+    assert not vanishing.is_zero_in_tensor_ring
+    assert ctx._is_zero(vanishing)
+    assert not ctx._is_zero(ExtNum(8, ctx.modulus, (s, one)))
 
 
 def _float_smatrix(ring, dims, twists):
