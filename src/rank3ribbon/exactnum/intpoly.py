@@ -47,12 +47,9 @@ class IntPoly:
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        x = Fraction(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def sign_at(self, x: Fraction) -> int:
+        """Sign of p(x) at a rational x, in integer arithmetic."""
+        return sign_at(self.coeffs, x.numerator, x.denominator)
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
@@ -165,6 +162,21 @@ class IntPoly:
         return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
+def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of p(num/den) for integer coefficients and den > 0.
+
+    Homogeneous Horner: den^n * p(num/den) = sum c_i * num^i * den^(n-i) is an
+    integer with the sign of p(num/den), so no fraction is ever formed and the
+    point need not be in lowest terms.
+    """
+    acc = 0
+    scale = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
 def from_q(p: qpoly.QPoly) -> IntPoly:
     """Clear denominators of a rational polynomial (up to a positive scalar)."""
     if not p:
@@ -198,7 +210,7 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
     for cand in sorted(candidates):
-        while work.degree > 0 and work(cand) == 0:
+        while work.degree > 0 and work.sign_at(cand) == 0:
             roots.append(cand)
             work = _deflate(work, cand)
     return sorted(roots)
@@ -253,7 +265,7 @@ def factor_into_irreducibles(p: IntPoly) -> list[tuple[IntPoly, int]]:
     for sqf, mult in p.squarefree_decomposition():
         work = sqf
         for root in sorted(set(rational_roots(work) if work.degree > 0 else [])):
-            while work.degree > 0 and work(root) == 0:
+            while work.degree > 0 and work.sign_at(root) == 0:
                 lin = IntPoly((-root.numerator, root.denominator)).primitive()
                 out[lin] = out.get(lin, 0) + mult
                 work = _deflate(work, root)

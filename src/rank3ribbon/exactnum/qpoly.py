@@ -4,9 +4,10 @@ Polynomials are tuples of coefficients, lowest degree first, with no trailing
 zeros (the zero polynomial is the empty tuple).  The ring operations coerce
 their coefficients to Fraction; division, gcd and `qmonic` work unchanged on
 any field whose elements support +, -, *, truthiness and `Fraction(1) / c`
-(Fraction, and CycloNum for Q(zeta_n)).  These helpers back the Sturm
-machinery, the modular reductions of exact algebraic arithmetic and the zero
-test of S-matrix entries over Q(zeta_n).
+(Fraction, and CycloNum for Q(zeta_n)).  These helpers back the modular
+reductions of exact algebraic arithmetic and the zero test of S-matrix entries
+over Q(zeta_n); root isolation works on integer polynomials instead
+(`realalg.sturm_chain`).
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ def qeval(p: QPoly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def qderiv(p: QPoly) -> QPoly:
-    return qnormalize(tuple(i * p[i] for i in range(1, len(p))))
 
 
 def qmonic(p: QPoly) -> QPoly:

@@ -1,7 +1,9 @@
 """Exact real algebraic numbers via minimal polynomial + isolating interval.
 
-Root isolation uses Sturm sequences with rational interval endpoints, so every
-comparison and refinement is exact.  A value is canonically identified by its
+Root isolation uses Sturm sequences with rational interval endpoints.  Every
+sign is decided by integer evaluation at a rational point (homogeneous Horner,
+`intpoly.sign_at`), so every comparison and refinement is exact and no
+fraction is formed while bisecting.  A value is canonically identified by its
 (irreducible, primitive, positive-leading) minimal polynomial together with
 its rank among that polynomial's real roots; two values are equal iff those
 agree, which makes equality decidable without separation bounds.
@@ -9,11 +11,12 @@ agree, which makes equality decidable without separation bounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import qpoly
-from .intpoly import IntPoly, factor_into_irreducibles, from_q
+from .intpoly import IntPoly, factor_into_irreducibles, from_q, sign_at
 
 _DEFAULT_WIDTH = Fraction(1, 64)
 
@@ -22,14 +25,39 @@ _DEFAULT_WIDTH = Fraction(1, 64)
 # Sturm machinery
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: qpoly.QPoly) -> list[qpoly.QPoly]:
-    """Sturm chain of a squarefree rational polynomial."""
-    chain = [p, qpoly.qderiv(p)]
-    while chain[-1]:
-        rem = qpoly.qmod(chain[-2], chain[-1])
-        chain.append(qpoly.qneg(rem))
-    chain.pop()
+def sturm_chain(p: IntPoly) -> list[tuple[int, ...]]:
+    """Sturm chain of a squarefree polynomial, each member scaled by a
+    positive constant to primitive integer coefficients."""
+    chain = [_positive_primitive(p.coeffs), _positive_primitive(p.derivative().coeffs)]
+    while len(chain[-1]) > 1:
+        f, g = chain[-2], chain[-1]
+        # prem = lead(g)^k * (f mod g), so the next member -(f mod g) is a
+        # positive multiple of -prem, or of prem when lead(g)^k < 0.
+        k = len(f) - len(g) + 1
+        flip = -1 if g[-1] < 0 and k % 2 else 1
+        chain.append(_positive_primitive([-flip * c for c in _pseudo_remainder(f, g)]))
     return chain
+
+
+def _pseudo_remainder(f: tuple[int, ...], g: tuple[int, ...]) -> list[int]:
+    """Remainder of lead(g)^(deg f - deg g + 1) * f on division by g, over Z."""
+    rem = list(f)
+    lead, dg = g[-1], len(g) - 1
+    while len(rem) > dg:
+        c = rem.pop()
+        shift = len(rem) - dg
+        rem = [lead * r for r in rem]
+        for j in range(dg):
+            rem[shift + j] -= c * g[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _positive_primitive(coeffs) -> tuple[int, ...]:
+    """Divide out the (positive) content, keeping every sign."""
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def _variations(signs: list[int]) -> int:
@@ -48,13 +76,9 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def variations_at(chain: list[qpoly.QPoly], x: Fraction) -> int:
-    return _variations([_sign(qpoly.qeval(f, x)) for f in chain])
-
-
-def count_roots_between(chain: list[qpoly.QPoly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    return variations_at(chain, a) - variations_at(chain, b)
+def variations_at(chain: list[tuple[int, ...]], num: int, den: int) -> int:
+    """Sign variations of the chain at num/den (den > 0)."""
+    return _variations([sign_at(f, num, den) for f in chain])
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
@@ -76,7 +100,7 @@ class RealAlgebraic:
     never changes which root is denoted.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational")
+    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational", "_lo_sign")
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction,
                  root_index: int, rational: Fraction | None):
@@ -85,6 +109,9 @@ class RealAlgebraic:
         self._hi = hi
         self.root_index = root_index
         self._rational = rational
+        # Sign of minpoly at _lo; it holds on all of (_lo, root), so it stays
+        # valid as refinement moves _lo towards the root.
+        self._lo_sign = None
 
     # -- construction -----------------------------------------------------
 
@@ -131,7 +158,9 @@ class RealAlgebraic:
         mid = (self._lo + self._hi) / 2
         # The minimal polynomial is irreducible of degree >= 2, so it cannot
         # vanish at a rational midpoint.
-        if _sign(self.minpoly(self._lo)) != _sign(self.minpoly(mid)):
+        if self._lo_sign is None:
+            self._lo_sign = self.minpoly.sign_at(self._lo)
+        if self.minpoly.sign_at(mid) != self._lo_sign:
             self._hi = mid
         else:
             self._lo = mid
@@ -285,32 +314,54 @@ class IsolatedRoot(NamedTuple):
 
 
 def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for all real roots of squarefree p."""
-    if p.degree <= 0:
-        return []
-    chain = sturm_chain(p.to_q())
+    """Disjoint isolating intervals, no wider than `width`, for all real roots
+    of p, ascending.
+
+    p must be irreducible of degree >= 2 (as `roots_of_irreducible` ensures):
+    then it has no rational root, so no cut point is a root of p.  Intervals
+    are halved at their midpoints.  While an interval holds several roots the
+    Sturm chain is evaluated once per cut point, the variations at the ends
+    being carried down from the parent; once it holds one root it is halved
+    by the sign of p alone, which picks the same half as the Sturm count.
+    Endpoints are integer numerators over a common denominator that doubles
+    with each halving.
+    """
+    chain = sturm_chain(p)
+    coeffs = p.coeffs
     bound = cauchy_bound(p)
-    total = count_roots_between(chain, -bound, bound)
+    wnum, wden = width.numerator, width.denominator
     out: list[tuple[Fraction, Fraction]] = []
 
-    def split(lo: Fraction, hi: Fraction, nroots: int) -> None:
+    def isolated(lo: int, hi: int, den: int) -> None:
+        # (lo/den, hi/den) holds exactly one root.
+        lo_sign = sign_at(coeffs, lo, den)
+        while (hi - lo) * wden > wnum * den:
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            mid_sign = sign_at(coeffs, mid, den)
+            assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
+            if mid_sign != lo_sign:
+                hi = mid
+            else:
+                lo = mid
+        out.append((Fraction(lo, den), Fraction(hi, den)))
+
+    def split(lo: int, hi: int, den: int, v_lo: int, v_hi: int) -> None:
+        # (lo/den, hi/den] holds v_lo - v_hi roots.
+        nroots = v_lo - v_hi
         if nroots == 0:
             return
-        if nroots == 1 and hi - lo <= width and p(lo) != 0:
-            out.append((lo, hi))
+        if nroots == 1:
+            isolated(lo, hi, den)
             return
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            # Nudge the cut point off the root.
-            mid = (lo + 2 * hi) / 3
-            if p(mid) == 0:
-                mid = (2 * lo + hi) / 3
-        left = count_roots_between(chain, lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, nroots - left)
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
+        v_mid = variations_at(chain, mid, den)
+        split(lo, mid, den, v_lo, v_mid)
+        split(mid, hi, den, v_mid, v_hi)
 
-    split(-bound, bound, total)
-    return sorted(out)
+    num, den = bound.numerator, bound.denominator
+    split(-num, num, den, variations_at(chain, -num, den), variations_at(chain, num, den))
+    return out
 
 
 def isolate_real_roots(p: IntPoly, width=_DEFAULT_WIDTH) -> list[IsolatedRoot]:

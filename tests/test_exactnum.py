@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic substrate."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,11 @@ from rank3ribbon.exactnum import (
     roots_of_irreducible,
     two_cos,
 )
-from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qgcd
+from rank3ribbon.characters import char_poly_x, char_poly_y
+from rank3ribbon.classify import enumerate_star_solutions
+from rank3ribbon.exactnum import realalg
+from rank3ribbon.exactnum.intpoly import sign_at
+from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qgcd, qmod, qneg
 from rank3ribbon.exactnum.realalg import from_poly_expr
 
 
@@ -162,6 +167,144 @@ def test_isolation_against_companion_matrix_oracle():
         checked += 1
 
 
+# ---------------------------------------------------------------------------
+# integer root isolation against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+def _fraction_sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _reference_isolation(p: IntPoly, width: Fraction):
+    """Plain Fraction Sturm bisection: halve at midpoints from the Cauchy
+    bound, count roots by Sturm variations at both ends of every cut, and
+    stop once an interval holds one root and is no wider than `width`.
+
+    Returns the isolating intervals and the number of cuts made while an
+    interval held two or more roots.
+    """
+    chain = [p.to_q(), p.derivative().to_q()]
+    while chain[-1]:
+        chain.append(qneg(qmod(chain[-2], chain[-1])))
+    chain.pop()
+
+    def variations(x):
+        signs = [s for s in (_fraction_sign(qeval(f, x)) for f in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading)) + 1
+    out = []
+    multi_root_cuts = 0
+
+    def split(lo, hi, nroots):
+        nonlocal multi_root_cuts
+        if nroots == 0:
+            return
+        if nroots == 1 and hi - lo <= width:
+            out.append((lo, hi))
+            return
+        multi_root_cuts += nroots > 1
+        mid = (lo + hi) / 2
+        left = variations(lo) - variations(mid)
+        split(lo, mid, left)
+        split(mid, hi, nroots - left)
+
+    split(-bound, bound, variations(-bound) - variations(bound))
+    return out, multi_root_cuts
+
+
+def _reference_refine(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
+    q = p.to_q()
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if _fraction_sign(qeval(q, lo)) != _fraction_sign(qeval(q, mid)):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _character_factors(bound: int) -> list[IntPoly]:
+    factors = set()
+    for params in enumerate_star_solutions(bound):
+        for poly in (char_poly_x(params), char_poly_y(params)):
+            factors.update(f for f, _ in factor_into_irreducibles(poly) if f.degree >= 2)
+    return sorted(factors, key=lambda f: (f.degree, f.coeffs))
+
+
+def _assert_matches_reference(p: IntPoly, width: Fraction) -> None:
+    roots = roots_of_irreducible(p, width)
+    expected, _ = _reference_isolation(p, width)
+    assert [r.interval() for r in roots] == expected
+    target = Fraction(1, 10**18)
+    for root, (lo, hi) in zip(roots, expected):
+        root.refine_to(target)
+        assert root.interval() == _reference_refine(p, lo, hi, target)
+
+
+def test_isolation_matches_fraction_reference_on_character_polys():
+    factors = _character_factors(10)
+    assert any(f.degree == 2 for f in factors) and any(f.degree == 3 for f in factors)
+    for p in factors:
+        # The width solve_characters isolates to.
+        _assert_matches_reference(p, Fraction(1, 1 << 20))
+
+
+@pytest.mark.parametrize("q", [q for q in range(1, 41) if cos_minimal_poly(q).degree >= 2])
+def test_isolation_matches_fraction_reference_on_cos_minimal_polys(q):
+    # The width two_cos isolates to.
+    _assert_matches_reference(cos_minimal_poly(q), Fraction(1, 1 << 16))
+
+
+@pytest.mark.parametrize("coeffs", [(-2, 0, 3), (-1, -1, 0, 5)])
+def test_isolation_matches_fraction_reference_off_dyadic_points(coeffs):
+    """3x^2 - 2 and 5x^3 - x - 1 have Cauchy bounds 5/3 and 6/5, so every cut
+    point has a non-power-of-two denominator."""
+    p = IntPoly(coeffs)
+    assert realalg.cauchy_bound(p).denominator in (3, 5)
+    for width in (Fraction(1, 64), Fraction(1, 1 << 20)):
+        _assert_matches_reference(p, width)
+
+
+def test_integer_sign_matches_fraction_evaluation():
+    rng = random.Random(2026)
+    for _ in range(500):
+        p = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 7))])
+        num, den = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+        # Points need not be in lowest terms.
+        scale = rng.randint(1, 50)
+        expected = _fraction_sign(qeval(p.to_q(), Fraction(num, den)))
+        assert sign_at(p.coeffs, num * scale, den * scale) == expected
+        assert p.sign_at(Fraction(num, den)) == expected
+    assert IntPoly((-2, 0, 3)).sign_at(Fraction(0)) == -1
+    assert IntPoly((-4, 0, 9)).sign_at(Fraction(2, 3)) == 0
+
+
+def test_sturm_chain_evaluated_only_before_isolation(monkeypatch):
+    """Each cut point made while an interval holds several roots evaluates
+    the Sturm chain once; the two ends of the Cauchy interval add one each.
+    Halving an isolated interval and refine_to use the sign of p alone, so
+    the count does not grow with the requested width."""
+    calls = 0
+    original = realalg.variations_at
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(realalg, "variations_at", counting)
+    p = IntPoly((1, -2, -1, 1))  # three real roots
+    _, multi_root_cuts = _reference_isolation(p, Fraction(1, 64))
+    for width in (Fraction(1, 64), Fraction(1, 1 << 20), Fraction(1, 1 << 60)):
+        calls = 0
+        roots = roots_of_irreducible(p, width)
+        assert len(roots) == 3
+        assert calls <= 2 + multi_root_cuts
+        roots[0].refine_to(Fraction(1, 10**30))
+        assert calls <= 2 + multi_root_cuts
+
+
 def test_equality_stable_under_refinement():
     a = roots_of_irreducible(IntPoly((-2, 0, 1)))[1]
     b = roots_of_irreducible(IntPoly((-2, 0, 1)), Fraction(1, 10**9))[1]
@@ -217,6 +360,17 @@ def test_root_of_unity_radius_bound():
         for bits in (32, 80, 128):
             ball = root_of_unity_value(RootOfUnity.make(p, q), bits)
             assert ball.rad <= Fraction(2, 2**bits)
+
+
+def test_root_of_unity_value_of_large_prime_order():
+    """Order 97 needs the degree-48 (real part) and degree-96 (imaginary
+    part, order 388) cosine minimal polynomials isolated and refined to
+    2^-130; this once took minutes."""
+    ball = root_of_unity_value(RootOfUnity.make(1, 97), 128)
+    assert ball.rad <= Fraction(2, 2**128)
+    z = cmath.exp(2j * cmath.pi / 97)
+    # The float error of z dwarfs the radius, so allow for it.
+    assert abs(ball.center_complex() - z) <= float(ball.rad) + 1e-15
 
 
 def test_root_of_unity_requires_precision():
