@@ -21,12 +21,17 @@ from .exactnum import (
     cubic_discriminant,
     factor_into_irreducibles,
     is_perfect_square,
+    rational_roots,
     root_of_unity_value,
     roots_of_irreducible,
 )
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qmul, qnormalize, qscale, qsub, X
 from .exactnum.realalg import from_poly_expr
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring, rank3_tensor
+
+
+# Width to which every character value is first isolated.
+ROOT_WIDTH = Fraction(1, 1 << 20)
 
 
 class DegenerateSystem(ValueError):
@@ -239,7 +244,7 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
         ypoly = IntPoly((-2, -n, 1))
         for factor, mult in factor_into_irreducibles(ypoly):
             assert mult == 1
-            for root in roots_of_irreducible(factor, Fraction(1, 1 << 20)):
+            for root in roots_of_irreducible(factor, ROOT_WIDTH):
                 if root.is_rational:
                     chars.append(
                         Character(
@@ -270,7 +275,7 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
     for factor, mult in factor_into_irreducibles(xpoly):
         if mult > 1:
             raise DegenerateSystem("repeated eigenvalue with k != 0")
-        for root in roots_of_irreducible(factor, Fraction(1, 1 << 20)):
+        for root in roots_of_irreducible(factor, ROOT_WIDTH):
             if root.is_rational:
                 xv = root.rational_value
                 yv = qeval(y_expr, xv)
@@ -345,9 +350,7 @@ def galois_type(system: CharacterSystem) -> GaloisInfo:
         cubic = next(
             c.x.minpoly if c.x.degree == 3 else c.y.minpoly for c in chars if max(c.x.degree, c.y.degree) == 3
         )
-        disc = cubic_discriminant(_monicize(cubic))
-        tag = GaloisType.C3 if is_perfect_square(disc) else GaloisType.S3
-        return GaloisInfo(tag, ((0, 1, 2),))
+        return _cubic_galois_info(cubic)
     # Quadratic case: the two conjugate characters form one orbit.
     irrational = tuple(i for i, c in enumerate(chars) if not c.all_rational)
     rational = tuple(i for i, c in enumerate(chars) if c.all_rational)
@@ -355,6 +358,40 @@ def galois_type(system: CharacterSystem) -> GaloisInfo:
     if 0 in rational:
         return GaloisInfo(GaloisType.C2_FIXING_FP, (rational, irrational))
     return GaloisInfo(GaloisType.C2_MOVING_FP, (irrational, rational))
+
+
+def integer_galois_type(params: Rank3Params) -> GaloisInfo | None:
+    """The Galois type where the integers of char_poly_x decide it, before
+    any character is solved.
+
+    With k != 0 each y-value is a polynomial in its x-value, so the values
+    have degree 3 exactly when char_poly_x has no rational root; the orbit is
+    then one 3-cycle and the discriminant picks C3 or S3, as in galois_type.
+    Returns None when every value has degree at most 2 (k = 0, or a rational
+    x-value): telling those types apart needs the solved characters.
+    """
+    if params.k == 0:
+        return None
+    xpoly = char_poly_x(params)
+    if rational_roots(xpoly):
+        return None
+    return _cubic_galois_info(xpoly)
+
+
+def dimension_x_value(params: Rank3Params) -> RealAlgebraic:
+    """x-value of the dimension character when char_poly_x is irreducible:
+    its largest root, the Perron-Frobenius eigenvalue of N_X.  It is isolated
+    like every solved value, so it refines and renders exactly as
+    solve_characters(...).chars[0].x does."""
+    return roots_of_irreducible(char_poly_x(params), ROOT_WIDTH)[-1]
+
+
+def _cubic_galois_info(cubic: IntPoly) -> GaloisInfo:
+    """An irreducible cubic gives one 3-cycle orbit; the image is cyclic iff
+    the discriminant is a perfect square, otherwise the full symmetric group."""
+    disc = cubic_discriminant(_monicize(cubic))
+    tag = GaloisType.C3 if is_perfect_square(disc) else GaloisType.S3
+    return GaloisInfo(tag, ((0, 1, 2),))
 
 
 def _monicize(p: IntPoly) -> IntPoly:

@@ -1,8 +1,8 @@
 """Admissibility filters for rank-3 rings and the classification driver.
 
-The driver enumerates the parameter family up to a bound, computes the
-character system and Galois orbit type of each ring, and runs three
-independent admissibility branches:
+`classify_all` enumerates the parameter family up to a bound, determines
+the Galois orbit type of each ring, and runs three independent
+admissibility branches:
 
 - symmetric: rank-1 data exist only on finite-group character rings
   (integer dimensions, total squared dimension within the Landau bound);
@@ -12,6 +12,11 @@ independent admissibility branches:
   type (rational spectrum, cyclic cubic, order-two fixing or moving the
   dimension character); a full symmetric-group Galois image fails the branch
   outright since the relevant Galois action is abelian.
+
+An S3 ring is recognised from the integers of its characteristic
+polynomial, and its three verdicts need only the Perron-Frobenius root, so
+its character system is solved only when a witness search asks for it.  Every
+other ring is solved once, and the search reuses that system.
 
 Every verdict carries a machine-checkable certificate with the exact
 intermediate quantities.
@@ -27,10 +32,12 @@ from .characters import (
     CharacterSystem,
     GaloisInfo,
     GaloisType,
+    dimension_x_value,
     galois_type,
+    integer_galois_type,
     solve_characters,
 )
-from .exactnum import IntPoly, RootOfUnity, isolate_real_roots
+from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots
 from .fusion import (
     FusionRing,
     Rank3Params,
@@ -135,16 +142,10 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
     if ring.is_z3:
         return FilterVerdict(Verdict.PASS, {"group": "Z/3", "global_dim": "3"})
     fp = system.chars[0]
-    cert: dict = {}
     ok, total = landau_admissible(fp)
     if total is None:
-        bad = fp.x if not fp.x.is_integer else fp.y
-        cert["failed"] = "dimension character is not integral"
-        cert["nonintegral_value"] = {
-            "minpoly": list(bad.minpoly.coeffs),
-            "approx": bad.approx_str(12),
-        }
-        return FilterVerdict(Verdict.FAIL, cert)
+        return _nonintegral_dimension(fp.x if not fp.x.is_integer else fp.y)
+    cert: dict = {}
     cert["dims"] = ["1", str(fp.x.rational_value), str(fp.y.rational_value)]
     cert["global_dim"] = str(total)
     cert["landau_bound"] = LANDAU_BOUND_3
@@ -157,6 +158,18 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
         return FilterVerdict(Verdict.FAIL, cert)
     cert["witness"] = "rank-1 matrix on the dimension character with unit twists"
     return FilterVerdict(Verdict.PASS, cert)
+
+
+def _nonintegral_dimension(value: RealAlgebraic) -> FilterVerdict:
+    """Symmetric-branch Fail for a dimension character with a non-integer
+    value, certified by that value's minimal polynomial."""
+    return FilterVerdict(Verdict.FAIL, {
+        "failed": "dimension character is not integral",
+        "nonintegral_value": {
+            "minpoly": list(value.minpoly.coeffs),
+            "approx": value.approx_str(12),
+        },
+    })
 
 
 def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
@@ -209,11 +222,21 @@ def case2_rule(params: Rank3Params) -> FilterVerdict:
 
 
 def _integer_cube_root(v: int) -> int | None:
-    c = round(v ** (1 / 3)) if v > 0 else 0
-    for cand in (c - 1, c, c + 1):
-        if cand >= 0 and cand**3 == v:
-            return cand
-    return None
+    """The integer c with c^3 = v, or None when v is not a perfect cube.
+
+    Exact for any size: integer Newton steps from above converge to the
+    floor of the real cube root."""
+    if v < 0:
+        return None
+    if v == 0:
+        return 0
+    c = 1 << -(-v.bit_length() // 3)
+    while True:
+        nxt = (2 * c + v // (c * c)) // 3
+        if nxt >= c:
+            break
+        c = nxt
+    return c if c**3 == v else None
 
 
 def case3a_rule(params: Rank3Params) -> FilterVerdict:
@@ -348,8 +371,9 @@ class RingReport:
     admissible: bool
     witnesses: list[PremodularDatum] | None = None
     notes: list[str] = field(default_factory=list)
-    # The ring's solved characters, handed on to the witness search; not
-    # part of the report payload.
+    # The ring's solved characters, handed on to the witness search; None
+    # for an S3 ring, which is typed without solving.  Not part of the
+    # report payload.
     system: CharacterSystem | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -419,13 +443,22 @@ _MODULAR_DISPATCH = {
 
 def classify_ring(params: Rank3Params) -> RingReport:
     """Run all three branches on one parameter ring.  The modular branch runs
-    the one case rule that the ring's Galois type selects."""
+    the one case rule that the ring's Galois type selects.
+
+    An S3 ring is typed from the integers of char_poly_x and fails the
+    symmetric branch on the dimension character's x-value alone, so its
+    characters are not solved (report.system stays None)."""
     canon = canonicalize(params)
-    ring = make_rank3_ring(canon)
-    system = solve_characters(ring)
-    info = galois_type(system)
+    info = integer_galois_type(canon)
+    if info is not None and info.tag == GaloisType.S3:
+        system = None
+        symmetric = _nonintegral_dimension(dimension_x_value(canon))
+    else:
+        system = solve_characters(make_rank3_ring(canon))
+        info = galois_type(system)
+        symmetric = symmetric_filter(system.ring, system)
     verdicts = {
-        "symmetric": symmetric_filter(ring, system),
+        "symmetric": symmetric,
         "nonmodular": nonmodular_filter(canon),
     }
     if info.tag == GaloisType.S3:
@@ -503,8 +536,11 @@ def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
+            system = report.system
+            if system is None:  # an S3 ring, typed without solving
+                system = solve_characters(make_rank3_ring(report.params))
             report.witnesses = search_ribbon_data(
-                report.system.ring, max_twist_order, tol=tol, system=report.system
+                system.ring, max_twist_order, tol=tol, system=system
             )
         rings.append(report)
     config = {

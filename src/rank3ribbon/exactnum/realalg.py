@@ -166,9 +166,18 @@ class RealAlgebraic:
             self._lo = mid
 
     def refine_to(self, width: Fraction) -> None:
+        """Halve until the interval is at most `width` wide, on integer
+        numerators; the midpoints are those of refine_once."""
         width = Fraction(width)
-        while self._hi - self._lo > width:
-            self.refine_once()
+        if self._rational is not None or self._hi - self._lo <= width:
+            return
+        den = math.lcm(self._lo.denominator, self._hi.denominator)
+        lo = self._lo.numerator * (den // self._lo.denominator)
+        hi = self._hi.numerator * (den // self._hi.denominator)
+        if self._lo_sign is None:
+            self._lo_sign = sign_at(self.minpoly.coeffs, lo, den)
+        lo, hi, den = _halve_isolated(self.minpoly.coeffs, lo, hi, den, self._lo_sign, width)
+        self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
 
     def sign(self) -> int:
         if self._rational is not None:
@@ -329,21 +338,7 @@ def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fra
     chain = sturm_chain(p)
     coeffs = p.coeffs
     bound = cauchy_bound(p)
-    wnum, wden = width.numerator, width.denominator
     out: list[tuple[Fraction, Fraction]] = []
-
-    def isolated(lo: int, hi: int, den: int) -> None:
-        # (lo/den, hi/den) holds exactly one root.
-        lo_sign = sign_at(coeffs, lo, den)
-        while (hi - lo) * wden > wnum * den:
-            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-            mid_sign = sign_at(coeffs, mid, den)
-            assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
-            if mid_sign != lo_sign:
-                hi = mid
-            else:
-                lo = mid
-        out.append((Fraction(lo, den), Fraction(hi, den)))
 
     def split(lo: int, hi: int, den: int, v_lo: int, v_hi: int) -> None:
         # (lo/den, hi/den] holds v_lo - v_hi roots.
@@ -351,7 +346,8 @@ def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fra
         if nroots == 0:
             return
         if nroots == 1:
-            isolated(lo, hi, den)
+            lo, hi, den = _halve_isolated(coeffs, lo, hi, den, sign_at(coeffs, lo, den), width)
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             return
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
         assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
@@ -362,6 +358,24 @@ def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fra
     num, den = bound.numerator, bound.denominator
     split(-num, num, den, variations_at(chain, -num, den), variations_at(chain, num, den))
     return out
+
+
+def _halve_isolated(coeffs: tuple[int, ...], lo: int, hi: int, den: int, lo_sign: int,
+                    width: Fraction) -> tuple[int, int, int]:
+    """Halve (lo/den, hi/den), which holds exactly one root of the irreducible
+    p of degree >= 2 with these coefficients, until it is at most `width`
+    wide.  lo_sign is the sign of p at lo/den; the root lies in the half
+    where the sign changes.  Returns the new (lo, hi, den)."""
+    wnum, wden = width.numerator, width.denominator
+    while (hi - lo) * wden > wnum * den:
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        mid_sign = sign_at(coeffs, mid, den)
+        assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
+        if mid_sign != lo_sign:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, den
 
 
 def isolate_real_roots(p: IntPoly, width=_DEFAULT_WIDTH) -> list[IsolatedRoot]:

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from rank3ribbon.characters import GaloisType, galois_type, solve_characters
+from rank3ribbon.characters import (
+    GaloisType,
+    galois_type,
+    integer_galois_type,
+    solve_characters,
+)
 from rank3ribbon.classify import (
     LIMITATION_NOTE,
+    _integer_cube_root,
     audit_case3b_grid,
     audit_t_minus_one_family,
     case2_rule,
@@ -130,6 +136,25 @@ def test_case2_rule_irrational_lambda():
     v = case2_rule(Rank3Params(1, 2, 0, 4))
     assert v.status == Verdict.FAIL
     assert "irrational" in v.certificate["failed"]
+
+
+def test_integer_cube_root_is_exact_for_large_cubes():
+    """A float cube root misses these: (10**45) ** (1/3) rounds to 10**15 - 2,
+    and 10**400 overflows a float."""
+    assert _integer_cube_root(10**45) == 10**15
+    assert _integer_cube_root((2**60 + 3) ** 3) == 2**60 + 3
+    assert _integer_cube_root((2**60 + 3) ** 3 - 1) is None
+    assert _integer_cube_root(10**400) is None
+    assert _integer_cube_root(10**399) == 10**133
+    assert [_integer_cube_root(v) for v in (0, 1, 7, 8, 27)] == [0, 1, None, 2, 3]
+
+
+def test_case2_rule_rational_lambda_of_large_cube():
+    # K(10^45, 1, 10^90, 0) satisfies the star equation with l*k = 10^45,
+    # so lambda = 10^15 is rational and the identities decide the verdict.
+    v = case2_rule(Rank3Params(10**45, 1, 10**90, 0))
+    assert v.certificate["lambda"] == 10**15
+    assert v.certificate["failed"] == "symmetric-function identities do not hold"
 
 
 def test_case2_rule_exception_branch():
@@ -270,9 +295,9 @@ def test_classify_table_render(report_bound2):
     assert LIMITATION_NOTE.splitlines()[0] in table
 
 
-def test_classify_all_solves_each_ring_once(monkeypatch):
-    """The witness search reuses the system the filters solved: one
-    character solve per ring, even with witnesses on every ring."""
+def _count_solves(monkeypatch):
+    """Count character solves per ring, through every name `classify` and
+    the search look the solver up by."""
     from collections import Counter
 
     from rank3ribbon import classify, premodular
@@ -285,10 +310,62 @@ def test_classify_all_solves_each_ring_once(monkeypatch):
 
     monkeypatch.setattr(classify, "solve_characters", counting_solve)
     monkeypatch.setattr(premodular, "solve_characters", counting_solve)
+    return calls
+
+
+def test_classify_all_solves_no_s3_ring(monkeypatch):
+    """Without a witness search an S3 ring is typed from integers and never
+    solved; every other ring is solved exactly once."""
+    expected = {
+        make_rank3_ring(p) for p in enumerate_star_solutions(5)
+        if galois_type(solve_characters(make_rank3_ring(p))).tag != GaloisType.S3
+    } | {make_z3_ring()}
+    calls = _count_solves(monkeypatch)
+    report = classify_all(5, max_twist_order=16)
+    assert any(r.galois is not None and r.galois.tag == GaloisType.S3 for r in report.rings)
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+
+
+def test_classify_all_solves_each_ring_once(monkeypatch):
+    """With witnesses on every ring, the search reuses the system the
+    filters solved and an S3 ring is solved for its search only: one
+    character solve per ring."""
+    calls = _count_solves(monkeypatch)
     report = classify_all(5, max_twist_order=16, witness_all=True)
     assert all(r.witnesses is not None for r in report.rings)
     assert len(calls) == len(report.rings)
     assert set(calls.values()) == {1}
+
+
+def test_integer_galois_type_matches_solved_system_bound_30():
+    """Oracle for the S3 fast path: the integer Galois type agrees with the
+    type of the solved characters on every ring up to bound 30, and an S3
+    ring's symmetric certificate is the one the solved system gives."""
+    s3 = 0
+    for params in enumerate_star_solutions(30):
+        system = solve_characters(make_rank3_ring(params))
+        solved = galois_type(system)
+        fast = integer_galois_type(params)
+        if fast is None:
+            assert solved.tag not in (GaloisType.C3, GaloisType.S3), params
+        else:
+            assert fast == solved, params
+        if solved.tag == GaloisType.S3:
+            s3 += 1
+            report = classify_ring(params)
+            assert report.system is None and report.galois == solved
+            assert (
+                report.verdicts["symmetric"].to_json()
+                == symmetric_filter(system.ring, system).to_json()
+            ), params
+    assert s3 == 413
+
+
+def test_classify_bound_50_admits_exactly_the_four_rings():
+    assert classify_all(50).admissible_labels == [
+        "Z/3", "K(0,1,0,0)", "K(0,1,0,1)", "K(1,1,0,1)"
+    ]
 
 
 def test_galois_dispatch_total_bound_5():

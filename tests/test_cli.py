@@ -124,7 +124,11 @@ def test_json_output_deterministic(capsys):
         ["search", "--params", "0,1,0,0", "--max-twist-order", "16"],
         "53ae1921abf4b26120995b293daa95313cf387c26c06ebf52d337c3c990a5f51",
     ),
-], ids=["classify-b5-witness-all-o16", "search-k0100-o16"])
+    (
+        ["classify", "--bound", "30"],
+        "325282a8d7d6a8cfdcff7c8b8dbb27a6054b24d07e56cb616bd7241f187781f1",
+    ),
+], ids=["classify-b5-witness-all-o16", "search-k0100-o16", "classify-b30"])
 def test_stdout_matches_golden_digest(capsys, argv, digest):
     """stdout is pinned byte for byte by its sha256: any change to a verdict,
     certificate, witness or rendering of these runs shows up here."""

@@ -266,6 +266,29 @@ def test_isolation_matches_fraction_reference_off_dyadic_points(coeffs):
         _assert_matches_reference(p, width)
 
 
+@pytest.mark.parametrize("coeffs", [(-2, 0, 3), (-1, -1, 0, 5), (1, -2, -1, 1)])
+def test_refine_to_continues_the_refine_once_chain(coeffs):
+    """refine_to bisects on integer numerators, yet from any point of the
+    bisection chain it lands on the interval that repeated refine_once and
+    the Fraction reference give, non-dyadic endpoints included."""
+    p = IntPoly(coeffs)
+    roots = roots_of_irreducible(p, Fraction(1, 64))
+    twins = roots_of_irreducible(p, Fraction(1, 64))
+    for steps, (root, twin) in enumerate(zip(roots, twins)):
+        for _ in range(steps):
+            root.refine_once()
+            twin.refine_once()
+        lo, hi = root.interval()
+        # (hi - lo) / 2^20 is met exactly: refine_to stops there, not after.
+        for width in (Fraction(1, 10**6), (hi - lo) / 2**20, Fraction(1, 2**129)):
+            start = root.interval()
+            root.refine_to(width)
+            while twin.interval()[1] - twin.interval()[0] > width:
+                twin.refine_once()
+            assert root.interval() == twin.interval()
+            assert root.interval() == _reference_refine(p, *start, width)
+
+
 def test_integer_sign_matches_fraction_evaluation():
     rng = random.Random(2026)
     for _ in range(500):
