@@ -7,7 +7,13 @@ come from root isolation rather than transcendental evaluation.
 
 CycloNum provides exact field arithmetic in Q(zeta_n) on the power basis,
 reduced modulo the n-th cyclotomic polynomial.  It is the certification
-backend for the S-matrix checks.
+backend for the S-matrix checks.  Every Phi_n is monic with integer
+coefficients, so the whole layer runs on Python ints: `cyclotomic_poly` by
+integer long division, an element as integer numerators over one common
+denominator, a product as an integer convolution folded back by a cached
+integer table of x^e mod Phi_n, and an inverse as an extended Euclid on
+integer vectors.  Fractions appear only in the `coeffs` view that rendering
+and ball enclosures read.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .realalg import RealAlgebraic, roots_of_irreducible
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact recursive division."""
+    """The n-th cyclotomic polynomial: x^n - 1 divided by every Phi_d for a
+    proper divisor d of n, each a monic integer division."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -182,29 +189,69 @@ def roots_of_unity_up_to(max_order: int) -> list[RootOfUnity]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _power_basis(n: int) -> tuple[qpoly.QPoly, tuple[qpoly.QPoly, ...]]:
-    """(cyclotomic modulus, table of x^e mod Phi_n for e in [0, 2n))."""
-    phi = cyclotomic_poly(n).to_q()
+def _power_basis(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(coefficients of Phi_n, table of x^e mod Phi_n for e in [0, n)).
+
+    Phi_n is monic, so every remainder has integer coefficients."""
+    phi = cyclotomic_poly(n).coeffs
+    deg = len(phi) - 1
     table = []
-    cur: qpoly.QPoly = (Fraction(1),)
-    for _ in range(2 * n):
-        table.append(cur)
-        cur = qpoly.qmod(qpoly.qmul(cur, qpoly.X), phi)
+    cur = (1,) + (0,) * (deg - 1)
+    for _ in range(n):
+        table.append(qpoly.qtrim(cur))
+        top = cur[-1]
+        cur = (0,) + cur[:-1]
+        if top:
+            cur = tuple(c - top * p for c, p in zip(cur, phi))
     return phi, tuple(table)
 
 
-class CycloNum:
-    """Element of Q(zeta_n) on the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(n), rows): row e - phi(n) is x^e mod Phi_n for e in
+    [phi(n), 2*phi(n) - 1) as sparse (index, coefficient) pairs, which folds
+    the high half of a product back onto the power basis."""
+    phi, table = _power_basis(n)
+    deg = len(phi) - 1
+    return deg, tuple(
+        tuple((k, c) for k, c in enumerate(table[e % n]) if c)  # x^n = 1
+        for e in range(deg, 2 * deg - 1)
+    )
 
-    __slots__ = ("n", "coeffs")
+
+class CycloNum:
+    """Element of Q(zeta_n) on the power basis 1, zeta, ..., zeta^(phi(n)-1).
+
+    The value is sum(num[i] * zeta^i) / den with integer numerators `num`
+    (no trailing zero) and one positive denominator `den` coprime to their
+    content; zero is ((), 1).  That form is canonical, so equality and
+    hashing compare (n, num, den).  Sums and differences stay on integers,
+    and a product is an integer convolution folded back by a cached integer
+    table of x^e mod Phi_n.
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: qpoly.QPoly):
+        """From rational coefficients (int or Fraction), lowest degree first."""
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
         self.n = n
-        self.coeffs = qpoly.qnormalize(coeffs)
+        self.num, self.den = _reduce([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def _make(n: int, num: list[int], den: int) -> "CycloNum":
+        """From integer numerators over den > 0, not necessarily reduced."""
+        out = object.__new__(CycloNum)
+        out.n = n
+        out.num, out.den = _reduce(num, den)
+        return out
 
     @staticmethod
     def from_rational(n: int, value) -> "CycloNum":
-        return CycloNum(n, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return CycloNum._make(n, [value.numerator], value.denominator)
 
     @staticmethod
     def from_root(root: RootOfUnity, n: int) -> "CycloNum":
@@ -212,46 +259,82 @@ class CycloNum:
             raise ValueError(f"order {root.q} does not divide ambient order {n}")
         exponent = root.p * (n // root.q)
         _, table = _power_basis(n)
-        return CycloNum(n, table[exponent % n])
+        return CycloNum._make(n, list(table[exponent % n]), 1)
+
+    @property
+    def coeffs(self) -> qpoly.QPoly:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check(self, other: "CycloNum") -> None:
         if self.n != other.n:
             raise ValueError("mixed cyclotomic orders")
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
-        self._check(other)
-        return CycloNum(self.n, qpoly.qadd(self.coeffs, other.coeffs))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "CycloNum", sign: int) -> "CycloNum":
+        """self + sign * other on integer numerators."""
         self._check(other)
-        return CycloNum(self.n, qpoly.qsub(self.coeffs, other.coeffs))
+        a, b = self.num, other.num
+        if not b:
+            return self
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, sign * (self.den // g)
+        out = [x * ma for x in a] + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y * mb
+        return CycloNum._make(self.n, out, self.den * ma)
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.n, qpoly.qneg(self.coeffs))
+        return CycloNum._make(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other: "CycloNum") -> "CycloNum":
         self._check(other)
-        phi, _ = _power_basis(self.n)
-        return CycloNum(self.n, qpoly.qmod(qpoly.qmul(self.coeffs, other.coeffs), phi))
+        a, b = self.num, other.num
+        if not a or not b:
+            return CycloNum._make(self.n, [], 1)
+        if len(a) < len(b):
+            a, b = b, a
+        bz = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bz:
+                    out[i + j] += x * y
+        deg, rows = _fold_rows(self.n)
+        for e in range(deg, len(out)):
+            c = out[e]
+            if c:
+                for k, t in rows[e - deg]:
+                    out[k] += c * t
+        del out[deg:]
+        return CycloNum._make(self.n, out, self.den * other.den)
 
     def scale(self, c) -> "CycloNum":
-        return CycloNum(self.n, qpoly.qscale(self.coeffs, Fraction(c)))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return CycloNum._make(self.n, [x * c.numerator for x in self.num], self.den * c.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse in Q(zeta_n), via extended gcd with Phi_n."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         phi, _ = _power_basis(self.n)
-        g, s, _t = qpoly.qxgcd(self.coeffs, phi)
-        assert qpoly.qdegree(g) == 0, "cyclotomic polynomial must be coprime to a nonzero element"
-        return CycloNum(self.n, qpoly.qscale(s, Fraction(1) / g[0]))
+        s, c = _integer_inverse(self.num, phi)
+        if c < 0:
+            s, c = [-x for x in s], -c
+        return CycloNum._make(self.n, [x * self.den for x in s], c)
 
     def __rtruediv__(self, other) -> "CycloNum":
         """other / self for a rational other, e.g. Fraction(1) / self."""
@@ -270,11 +353,12 @@ class CycloNum:
         return (
             isinstance(other, CycloNum)
             and self.n == other.n
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def complex_approx(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
@@ -282,6 +366,54 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(n={self.n}, {list(self.coeffs)})"
+
+
+def _integer_inverse(num: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int], int]:
+    """(s, c) with s * num = c mod phi for a nonzero integer c, where num is
+    nonzero, of lower degree than phi, and phi is irreducible.
+
+    Extended Euclid on integer vectors: every remainder r is kept with its
+    cofactor s, r = s * num mod phi.  A leading term of r0 is cancelled by
+    the pair (a*r0 - b*x^k*r1, a*s0 - b*x^k*s1), and each new remainder pair
+    is divided by its joint content.  As phi is irreducible the chain ends
+    in a nonzero constant c.
+    """
+    r0, s0 = list(phi), []
+    r1, s1 = list(num), [1]
+    while len(r1) > 1:
+        lead, d1 = r1[-1], len(r1) - 1
+        while len(r0) > d1:
+            shift = len(r0) - 1 - d1
+            g = math.gcd(lead, r0[-1])
+            a, b = lead // g, r0[-1] // g
+            r0 = [x * a for x in r0]
+            s0 = [x * a for x in s0] + [0] * (shift + len(s1) - len(s0))
+            for i, y in enumerate(r1, shift):
+                r0[i] -= b * y
+            for i, y in enumerate(s1, shift):
+                s0[i] -= b * y
+            while r0 and not r0[-1]:
+                r0.pop()
+        assert r0, "phi must be coprime to a nonzero element"
+        while not s0[-1]:
+            s0.pop()
+        g = math.gcd(*r0, *s0)
+        r0, s0, r1, s1 = r1, s1, [x // g for x in r0], [x // g for x in s0]
+    return s1, r1[0]
+
+
+def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (numerators, denominator): trailing zeros dropped and the
+    common content of the numerators and den divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
 
 
 @lru_cache(maxsize=None)

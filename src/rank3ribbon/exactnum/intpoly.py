@@ -81,16 +81,26 @@ class IntPoly:
         return IntPoly(out)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient; raises if the division leaves a remainder."""
-        quot, rem = qpoly.qdivmod(self.to_q(), other.to_q())
-        if rem:
-            raise ValueError("division is not exact")
-        out = []
-        for c in quot:
-            if c.denominator != 1:
+        """Exact quotient by integer long division; raises if the quotient is
+        not integral or the division leaves a remainder."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        den = other.coeffs
+        dq, lead = len(den) - 1, den[-1]
+        quot = [0] * max(len(rem) - dq, 0)
+        for shift in range(len(quot) - 1, -1, -1):
+            factor, r = divmod(rem[shift + dq], lead)
+            if r:
                 raise ValueError("quotient is not integral")
-            out.append(c.numerator)
-        return IntPoly(out)
+            if factor:
+                quot[shift] = factor
+                for i in range(dq):
+                    if den[i]:  # cyclotomic divisors are sparse
+                        rem[shift + i] -= factor * den[i]
+        if any(rem[:dq]):
+            raise ValueError("division is not exact")
+        return IntPoly(quot)
 
     # -- content and squarefree structure ---------------------------------
 

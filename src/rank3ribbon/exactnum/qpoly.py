@@ -1,12 +1,15 @@
 """Dense univariate polynomial arithmetic over any field.
 
 Polynomials are tuples of coefficients, lowest degree first, with no trailing
-zeros (the zero polynomial is the empty tuple).  The ring operations coerce
-their coefficients to Fraction; division, gcd and `qmonic` work unchanged on
-any field whose elements support +, -, *, truthiness and `Fraction(1) / c`
-(Fraction, and CycloNum for Q(zeta_n)).  These helpers back the modular
-reductions of exact algebraic arithmetic and the zero test of S-matrix entries
-over Q(zeta_n); root isolation works on integer polynomials instead
+zeros (the zero polynomial is the empty tuple).  The ring operations
+(`qnormalize`, `qadd`, `qmul`, `qscale`, ...) coerce their coefficients to
+Fraction and serve polynomial algebra over Q: character expressions and the
+characteristic polynomials of `realalg.from_poly_expr`.  Division, gcd and
+`qmonic` work unchanged on any field whose elements support +, -, *,
+truthiness and `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)); run
+over CycloNum coefficients they decide the zero test of S-matrix entries.
+Arithmetic inside Q(zeta_n) itself does not come here: CycloNum works on
+integer vectors (`cyclotomic.py`), and root isolation on integer polynomials
 (`realalg.sturm_chain`).
 """
 
@@ -18,7 +21,6 @@ from itertools import combinations
 QPoly = tuple  # tuple of field elements (Fraction unless stated)
 
 ZERO: QPoly = ()
-ONE: QPoly = (Fraction(1),)
 X: QPoly = (Fraction(0), Fraction(1))
 
 
@@ -124,23 +126,6 @@ def qgcd(p: QPoly, q: QPoly) -> QPoly:
     while b:
         a, b = b, qmod(a, b)
     return qmonic(a)
-
-
-def qxgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while r1:
-        q, r = qdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, qsub(s0, qmul(q, s1))
-        t0, t1 = t1, qsub(t0, qmul(q, t1))
-    if not r0:
-        return ZERO, ZERO, ZERO
-    lead = r0[-1]
-    inv = Fraction(1) / lead
-    return qscale(r0, inv), qscale(s0, inv), qscale(t0, inv)
 
 
 def charpoly(matrix) -> tuple:

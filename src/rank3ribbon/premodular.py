@@ -13,9 +13,12 @@ character field.  There is no approximate fallback: a candidate whose
 cyclotomic field has degree phi(n) > EXACT_PHI_CAP cannot be certified, and
 `ExactContext` raises Undecidable before building any table, which stops the
 search instead of dropping the candidate.  Exact entries live in
-Q(zeta_n)[x]/(minimal polynomial of the character generator); a nonzero
-representative is tested for vanishing with the gcd and division of
-`exactnum.qpoly`, run over CycloNum coefficients (see `ExactContext._is_zero`).
+Q(zeta_n)[x]/(minimal polynomial of the character generator) as ExtNum
+polynomials whose coefficients are CycloNum integer vectors over one
+denominator, so building and checking a matrix runs on Python ints.  A
+nonzero representative is tested for vanishing with the gcd and division of
+`exactnum.qpoly`, run over CycloNum coefficients against the modulus lifted
+to Q(zeta_n) once per context (see `ExactContext._is_zero`).
 The rendered `approx` S-matrix is a ball evaluation at SMATRIX_PRECISION_BITS.
 The scan does not visit the whole
 twist grid: setting S[1][2] = d_1 * chi(2) for a character chi gives the
@@ -210,7 +213,8 @@ class ExtNum:
     """Element of Q(zeta_n)[x]/(modulus), the exact house for S-matrix entries.
 
     `modulus` is the (monic) minimal polynomial of the character generator, or
-    None when the character values are rational/cyclotomic.
+    None when the character values are rational/cyclotomic.  `coeffs` holds
+    exactly deg(modulus) CycloNum coefficients (one without a modulus).
     """
 
     __slots__ = ("n", "modulus", "coeffs")
@@ -219,8 +223,16 @@ class ExtNum:
         self.n = n
         self.modulus = modulus
         deg = 1 if modulus is None else len(modulus) - 1
-        cs = list(coeffs) + [CycloNum.from_rational(n, 0)] * (deg - len(coeffs))
-        self.coeffs = tuple(cs[:deg])
+        if len(coeffs) > deg:
+            if any(coeffs[deg:]):
+                raise ValueError(
+                    f"representative of degree {len(coeffs) - 1} is not reduced "
+                    f"modulo a modulus of degree {deg}"
+                )
+            coeffs = coeffs[:deg]
+        elif len(coeffs) < deg:
+            coeffs = tuple(coeffs) + (CycloNum.from_rational(n, 0),) * (deg - len(coeffs))
+        self.coeffs = tuple(coeffs)
 
     @staticmethod
     def from_cyclo(n: int, modulus: Optional[QPoly], c: CycloNum) -> "ExtNum":
@@ -236,48 +248,47 @@ class ExtNum:
             n, modulus, tuple(CycloNum.from_rational(n, c) for c in rep)
         )
 
-    def _zero(self) -> CycloNum:
-        return CycloNum.from_rational(self.n, 0)
+    def _with(self, coeffs) -> "ExtNum":
+        """A sibling with the same field and `coeffs` already of full length."""
+        out = object.__new__(ExtNum)
+        out.n, out.modulus, out.coeffs = self.n, self.modulus, tuple(coeffs)
+        return out
 
     def __add__(self, other: "ExtNum") -> "ExtNum":
-        return ExtNum(
-            self.n,
-            self.modulus,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self._with(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "ExtNum") -> "ExtNum":
-        return ExtNum(
-            self.n,
-            self.modulus,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self._with(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "ExtNum":
-        return ExtNum(self.n, self.modulus, tuple(-a for a in self.coeffs))
+        return self._with(-a for a in self.coeffs)
 
     def scale(self, r) -> "ExtNum":
-        return ExtNum(self.n, self.modulus, tuple(a.scale(r) for a in self.coeffs))
+        return self._with(a.scale(r) for a in self.coeffs)
 
     def __mul__(self, other: "ExtNum") -> "ExtNum":
-        da, db = len(self.coeffs), len(other.coeffs)
-        prod = [self._zero() for _ in range(da + db - 1)]
+        if self.modulus is None:
+            return self._with((self.coeffs[0] * other.coeffs[0],))
+        deg = len(self.modulus) - 1
+        prod: list = [None] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        deg = 1 if self.modulus is None else len(self.modulus) - 1
-        if self.modulus is not None:
-            # Reduce modulo the monic modulus.
-            for d in range(len(prod) - 1, deg - 1, -1):
-                lead = prod[d]
-                if lead.is_zero:
-                    continue
-                for t in range(deg):
-                    prod[d - deg + t] = prod[d - deg + t] - lead.scale(self.modulus[t])
-                prod[d] = self._zero()
-        return ExtNum(self.n, self.modulus, tuple(prod[:deg]))
+            for j, b in enumerate(other.coeffs, i):
+                if b:
+                    ab = a * b
+                    prod[j] = ab if prod[j] is None else prod[j] + ab
+        # Reduce modulo the monic modulus.
+        for d in range(2 * deg - 2, deg - 1, -1):
+            lead = prod[d]
+            if not lead:  # None or zero
+                continue
+            for t, m in enumerate(self.modulus[:deg], d - deg):
+                if m:
+                    lm = lead.scale(m)
+                    prod[t] = -lm if prod[t] is None else prod[t] - lm
+        zero = CycloNum.from_rational(self.n, 0)
+        return self._with(zero if c is None else c for c in prod[:deg])
 
     @property
     def is_zero_in_tensor_ring(self) -> bool:
@@ -313,6 +324,10 @@ class ExactContext:
                 Fraction(c, dims.gen.minpoly.leading) for c in dims.gen.minpoly.coeffs
             )
         self.modulus = modulus
+        # The modulus over Q(zeta_n), for the gcd of the zero test.
+        self.cyclo_modulus: Optional[tuple[CycloNum, ...]] = None if modulus is None else tuple(
+            CycloNum.from_rational(n, c) for c in modulus
+        )
         self.gen = dims.gen
         self.ring = ring
         self.dims = dims
@@ -373,7 +388,7 @@ class ExactContext:
         g = qtrim(elem.coeffs)
         if len(g) == 1:
             return False
-        m = tuple(CycloNum.from_rational(self.n, c) for c in self.modulus)
+        m = self.cyclo_modulus
         h = qgcd(g, m)
         if len(h) <= 1:
             return False

@@ -128,7 +128,14 @@ def test_json_output_deterministic(capsys):
         ["classify", "--bound", "30"],
         "325282a8d7d6a8cfdcff7c8b8dbb27a6054b24d07e56cb616bd7241f187781f1",
     ),
-], ids=["classify-b5-witness-all-o16", "search-k0100-o16", "classify-b30"])
+    (
+        ["classify", "--bound", "10", "--witness-all", "--max-twist-order", "16"],
+        "c83267ae33fa337e45c9663cb444c827526d900aebf549ccc4fb8eb01d637885",
+    ),
+], ids=[
+    "classify-b5-witness-all-o16", "search-k0100-o16", "classify-b30",
+    "classify-b10-witness-all-o16",
+])
 def test_stdout_matches_golden_digest(capsys, argv, digest):
     """stdout is pinned byte for byte by its sha256: any change to a verdict,
     certificate, witness or rendering of these runs shows up here."""

@@ -442,6 +442,142 @@ def test_cyclotomic_poly_basics():
     assert cyclotomic_poly(12) == IntPoly((1, 0, -1, 0, 1))
 
 
+def _mobius(m):
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def test_cyclotomic_poly_matches_reference_constructions_up_to_400():
+    """Integer division gives the same Phi_n as the Fraction division it
+    replaced (kept here for n <= 100) and as the independent product
+    prod_{d | n} (x^d - 1)^mu(n/d), run on int lists, for every n <= 400."""
+    by_fractions = {}
+    for n in range(1, 101):
+        num = (Fraction(-1),) + (Fraction(0),) * (n - 1) + (Fraction(1),)
+        for d in range(1, n):
+            if n % d == 0:
+                num, rem = qdivmod(num, by_fractions[d])
+                assert rem == ()
+        by_fractions[n] = num
+        assert cyclotomic_poly(n).to_q() == num, n
+    for n in range(1, 401):
+        acc = [1]
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for d in (d for d in divisors if _mobius(n // d) == 1):
+            acc = [0] * d + acc  # times x^d - 1
+            for i in range(len(acc) - d):
+                acc[i] -= acc[i + d]
+        for d in (d for d in divisors if _mobius(n // d) == -1):
+            for i in range(len(acc) - d - 1, -1, -1):  # divided by x^d - 1
+                acc[i] += acc[i + d]
+            assert not any(acc[:d])
+            acc = acc[d:]
+        assert cyclotomic_poly(n) == IntPoly(acc), n
+
+
+def test_exact_div_rejects_inexact_and_nonintegral_quotients():
+    p = IntPoly((-1, 0, 1))
+    assert p.exact_div(IntPoly((1, 1))) == IntPoly((-1, 1))
+    assert IntPoly((-4, 0, 4)).exact_div(IntPoly((-2, 2))) == IntPoly((2, 2))
+    with pytest.raises(ValueError):
+        p.exact_div(IntPoly((2, 1)))  # remainder 3
+    with pytest.raises(ValueError):
+        p.exact_div(IntPoly((1, 2)))  # quotient x/2 - 1/4
+
+
+def _ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _ref_add(p, q, sign=1):
+    n = max(len(p), len(q))
+    return _ref_trim(
+        (p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0) for i in range(n)
+    )
+
+
+def _ref_mul_mod(p, q, phi):
+    """Plain Fraction product of p and q, reduced modulo the monic phi."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    deg = len(phi) - 1
+    for top in range(len(out) - 1, deg - 1, -1):
+        c = out[top]
+        for k in range(deg + 1):
+            out[top - deg + k] -= c * phi[k]
+    return _ref_trim(out[:deg])
+
+
+def _random_coeffs(rng, deg, den_pool):
+    """Random rational coefficients over one of a few denominators, so both
+    equal and mixed denominators occur; sometimes zero."""
+    if rng.random() < 0.1:
+        return ()
+    den = rng.choice(den_pool)
+    return _ref_trim(
+        Fraction(rng.randint(-30, 30), den * rng.choice((1, 1, 2, 3)))
+        for _ in range(rng.randint(1, deg))
+    )
+
+
+def _assert_canonical(z):
+    assert not z.num or z.num[-1] != 0
+    assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+    assert z.num or z.den == 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12, 16, 48, 60, 97])
+def test_cyclonum_matches_fraction_reference(n):
+    """+, -, *, scale, inverse and == on integer numerators agree with plain
+    Fraction arithmetic reduced modulo Phi_n, on seeded random elements with
+    equal and mixed denominators and with zero results."""
+    rng = random.Random(7000 + n)
+    phi = tuple(Fraction(c) for c in cyclotomic_poly(n).coeffs)
+    deg = len(phi) - 1
+    trials = 4 if n == 97 else 40
+    for _ in range(trials):
+        a = _random_coeffs(rng, deg, (1, 6, 35))
+        b = _random_coeffs(rng, deg, (1, 6, 35)) if rng.random() < 0.8 else a
+        x, y = CycloNum(n, a), CycloNum(n, b)
+        assert x.coeffs == a and y.coeffs == b
+        results = {
+            "add": (x + y, _ref_add(a, b)),
+            "sub": (x - y, _ref_add(a, b, -1)),
+            "mul": (x * y, _ref_mul_mod(a, b, phi)),
+            "neg": (-x, _ref_add((), a, -1)),
+        }
+        for c in (0, 1, -3, Fraction(5, 6), Fraction(-35, 4)):
+            results[f"scale {c}"] = (x.scale(c), _ref_trim(v * c for v in a))
+        for name, (got, expected) in results.items():
+            _assert_canonical(got)
+            assert got.coeffs == expected, (n, name, a, b)
+            assert got == CycloNum(n, expected) and hash(got) == hash(CycloNum(n, expected))
+            assert got.is_zero == (expected == ()) == (not got)
+        assert (x == y) == (a == b)
+        assert (x == x.scale(Fraction(1, 2))) == (not a)  # same numerators, other denominator
+        assert (x - x).is_zero and (x + (-x)).is_zero
+        if x:
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert _ref_mul_mod(a, inv.coeffs, phi) == (Fraction(1),)
+            assert Fraction(1) / x == inv
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+
+
 def test_cyclonum_field_ops():
     w = CycloNum.from_root(RootOfUnity.make(1, 3), 3)
     one = CycloNum.from_rational(3, 1)

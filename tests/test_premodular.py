@@ -9,7 +9,12 @@ import pytest
 from rank3ribbon.characters import solve_characters
 from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity
-from rank3ribbon.exactnum.cyclotomic import _power_basis, roots_of_unity_up_to
+from rank3ribbon.exactnum.cyclotomic import (
+    _fold_rows,
+    _power_basis,
+    cyclotomic_poly,
+    roots_of_unity_up_to,
+)
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
     ExactContext,
@@ -133,6 +138,20 @@ def test_is_zero_sees_through_the_tensor_ring(ising):
     assert not ctx._is_zero(ExtNum(8, ctx.modulus, (s, one)))
 
 
+def test_extnum_rejects_an_unreduced_representative(ising):
+    """Coefficients beyond the modulus degree must be zero: a nonzero one
+    would be dropped silently, changing the value."""
+    ring, system = ising
+    ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8)))
+    zero, one = CycloNum.from_rational(8, 0), CycloNum.from_rational(8, 1)
+    assert ExtNum(8, ctx.modulus, (one, one, zero)).coeffs == (one, one)
+    assert ExtNum(8, ctx.modulus, (one,)).coeffs == (one, zero)
+    with pytest.raises(ValueError, match="not reduced"):
+        ExtNum(8, ctx.modulus, (one, zero, one))
+    with pytest.raises(ValueError, match="not reduced"):
+        ExtNum(8, None, (one, one))
+
+
 def _float_smatrix(ring, dims, twists):
     """S-matrix with entries rounded from floats (radius 1e-9), for twists
     whose certified root-of-unity balls are slow to build."""
@@ -155,15 +174,17 @@ def _float_smatrix(ring, dims, twists):
 def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
     """Twists of orders 97 and 89 need Q(zeta_8633), of degree 8448 > the
     exact cap: the context raises Undecidable, naming the order and degree,
-    before it builds the power-basis table of that field."""
+    before it computes Phi_8633 or builds the power-basis or product-folding
+    table of that field."""
     ring, system = rep_s3
     tw = Twists.of(RootOfUnity.make(1, 97), RootOfUnity.make(1, 89))
-    before = _power_basis.cache_info().currsize
+    tables = (cyclotomic_poly, _power_basis, _fold_rows)
+    before = [t.cache_info() for t in tables]
     with pytest.raises(Undecidable, match="8633.*8448"):
         ExactContext(ring, system.chars[0], tw)
     with pytest.raises(Undecidable):
         classify_s_matrix(_float_smatrix(ring, system.chars[0], tw))
-    assert _power_basis.cache_info().currsize == before
+    assert [t.cache_info() for t in tables] == before
 
 
 def test_twists_require_unit():
