@@ -112,11 +112,6 @@ class RootOfUnity:
         return RootOfUnity(p // g, q // g)
 
     @staticmethod
-    def from_turn(turn) -> "RootOfUnity":
-        turn = Fraction(turn) % 1
-        return RootOfUnity(turn.numerator, turn.denominator)
-
-    @staticmethod
     def one() -> "RootOfUnity":
         return RootOfUnity(0, 1)
 
@@ -133,7 +128,7 @@ class RootOfUnity:
         return self.p == 0
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.from_turn(self.turn + other.turn)
+        return RootOfUnity.make(self.p * other.q + other.p * self.q, self.q * other.q)
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity.make(-self.p, self.q)
@@ -141,7 +136,7 @@ class RootOfUnity:
     conjugate = inverse
 
     def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity.from_turn(self.turn * e)
+        return RootOfUnity.make(self.p * e, self.q)
 
     def real_two_cos(self) -> RealAlgebraic:
         """Exact value of z + 1/z = 2cos(2*pi*p/q)."""
@@ -233,11 +228,21 @@ class CycloNum:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: qpoly.QPoly):
-        """From rational coefficients (int or Fraction), lowest degree first."""
+        """From rational coefficients (int or Fraction), lowest degree first;
+        a coefficient of zeta^e with e >= phi(n) is folded onto the power
+        basis through x^e mod Phi_n, so the result is canonical."""
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > 1:
+            phi, table = _power_basis(n)
+            deg = len(phi) - 1
+            high, num = num[deg:], num[:deg]
+            for e, c in enumerate(high, deg):
+                for k, t in enumerate(table[e % n]):  # zeta^n = 1
+                    num[k] += c * t
         self.n = n
-        self.num, self.den = _reduce([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = _reduce(num, den)
 
     @staticmethod
     def _make(n: int, num: list[int], den: int) -> "CycloNum":

@@ -201,7 +201,8 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
     """All rational roots of p, once per multiplicity, sorted ascending.
 
     Uses the rational-root test on the primitive part, then synthetic division
-    to strip multiplicities.
+    to strip multiplicities.  A monic part has only integer rational roots,
+    the divisors of its constant term, which are tried on integers alone.
     """
     if p.is_zero:
         raise ValueError("rational_roots of the zero polynomial")
@@ -213,8 +214,18 @@ def rational_roots(p: IntPoly) -> list[Fraction]:
         work = IntPoly(work.coeffs[1:])
     if work.degree <= 0:
         return sorted(roots)
-    candidates = set()
     a0, an = abs(work.coeffs[0]), abs(work.leading)
+    if an == 1:
+        coeffs = work.coeffs
+        for cand in sorted({s * d for d in _divisors(a0) for s in (1, -1)}):
+            while len(coeffs) > 1:
+                quot, rem = _divide_by_linear(coeffs, cand)
+                if rem:
+                    break
+                roots.append(Fraction(cand))
+                coeffs = quot
+        return sorted(roots)
+    candidates = set()
     for num in _divisors(a0):
         for den in _divisors(an):
             candidates.add(Fraction(num, den))
@@ -235,6 +246,18 @@ def _divisors(n: int) -> list[int]:
             out.append(n // d)
         d += 1
     return out
+
+
+def _divide_by_linear(coeffs: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
+    """(quotient, remainder) of an integer polynomial by x - r, by synthetic
+    division; the remainder is p(r)."""
+    acc = 0
+    quot = []
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        quot.append(acc)
+    rem = quot.pop()
+    return tuple(reversed(quot)), rem
 
 
 def _deflate(p: IntPoly, root: Fraction) -> IntPoly:

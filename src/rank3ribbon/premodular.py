@@ -15,10 +15,17 @@ cyclotomic field has degree phi(n) > EXACT_PHI_CAP cannot be certified, and
 search instead of dropping the candidate.  Exact entries live in
 Q(zeta_n)[x]/(minimal polynomial of the character generator) as ExtNum
 polynomials whose coefficients are CycloNum integer vectors over one
-denominator, so building and checking a matrix runs on Python ints.  A
-nonzero representative is tested for vanishing with the gcd and division of
-`exactnum.qpoly`, run over CycloNum coefficients against the modulus lifted
-to Q(zeta_n) once per context (see `ExactContext._is_zero`).
+denominator, so building and checking a matrix runs on Python ints, and each
+product of the matrix, row and Frobenius-Schur checks is formed once per
+context.  A nonzero representative is a nonzero value when gcd(deg modulus,
+phi(n)) = 1 (the tensor ring is then a field); otherwise it is divided by a
+factor of the lifted modulus that the context learns with the gcd and
+division of `exactnum.qpoly`, run over CycloNum coefficients (see
+`ExactContext._is_zero`).  A scan survivor gets only the checks that can
+change its verdict: when its dimensions fail the symmetric rule and
+degenerate data are not requested, the Frobenius-Schur indicators run first
+and reject it before its S-matrix is built; otherwise symmetry, unit row and
+rows run, then the structure class and its rule (`_certify_candidate`).
 The rendered `approx` S-matrix is a ball evaluation at SMATRIX_PRECISION_BITS.
 The scan does not visit the whole
 twist grid: setting S[1][2] = d_1 * chi(2) for a character chi gives the
@@ -43,8 +50,10 @@ structure class passes the corresponding consistency rule:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,7 +61,7 @@ import numpy as np
 from .characters import Character, CharacterSystem, solve_characters
 from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, root_of_unity_value, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
-from .exactnum.qpoly import QPoly, qdivmod, qgcd, qnormalize, qtrim
+from .exactnum.qpoly import QPoly, qdivmod, qgcd, qnormalize
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
@@ -332,15 +341,12 @@ class ExactContext:
         self.ring = ring
         self.dims = dims
         self.twists = twists
-        self.theta = [
-            ExtNum.from_cyclo(n, modulus, CycloNum.from_root(t, n)) for t in twists.theta
-        ]
-        self.theta_inv = [
-            ExtNum.from_cyclo(n, modulus, CycloNum.from_root(t.inverse(), n))
-            for t in twists.theta
-        ]
         self.d = [self._dim_value(j) for j in range(3)]
-        self.entries = self._build_entries()
+        # A monic factor of cyclo_modulus that has alpha as a root; zero tests
+        # shrink it towards alpha's minimal polynomial over Q(zeta_n).
+        self.alpha_factor = self.cyclo_modulus
+        # The field-degree rule of `_is_zero`: Q(zeta_n)[x]/(modulus) is a field.
+        self.tensor_is_field = modulus is None or math.gcd(len(modulus) - 1, self.phi_degree) == 1
 
     def _dim_value(self, j: int) -> ExtNum:
         if j == 0:
@@ -353,19 +359,43 @@ class ExactContext:
             return ExtNum.from_rational(self.n, self.modulus, qnormalize(rep)[0] if rep else 0)
         return ExtNum.from_gen_poly(self.n, self.modulus, rep)
 
-    def _build_entries(self):
-        dual = self.ring.dual
+    def _times_root(self, x: ExtNum, r: RootOfUnity) -> ExtNum:
+        """x * r for a root of unity r, with no product when r = 1."""
+        if r.is_one:
+            return x
+        return x * ExtNum.from_cyclo(self.n, self.modulus, CycloNum.from_root(r, self.n))
+
+    @cached_property
+    def entries(self) -> list[list[ExtNum]]:
+        """The exact S-matrix, built on first use: a candidate rejected by its
+        Frobenius-Schur indicators never needs it.
+
+        theta_i^-1 theta_j^-1 = (theta_i theta_j)^-1 is one root of unity, so
+        an entry takes one product (none when that root is 1), and each
+        theta_k d_k is formed once."""
+        N, dual = self.ring.N, self.ring.dual
+        theta = self.twists.theta
+        td = [self._times_root(self.d[k], theta[k]) for k in range(3)]
         out = []
         for i in range(3):
             row = []
             for j in range(3):
                 acc = ExtNum.from_rational(self.n, self.modulus, 0)
                 for k in range(3):
-                    coef = self.ring.N[dual[i]][j][k]
+                    coef = N[dual[i]][j][k]
                     if coef:
-                        acc = acc + (self.theta[k] * self.d[k]).scale(coef)
-                row.append(self.theta_inv[i] * self.theta_inv[j] * acc)
+                        acc = acc + td[k].scale(coef)
+                row.append(self._times_root(acc, (theta[i] * theta[j]).inverse()))
             out.append(row)
+        return out
+
+    @cached_property
+    def dim_products(self) -> list[list[ExtNum]]:
+        """d_i * d_j, each product formed once (d_0 = 1 adds none)."""
+        d = self.d
+        out = [list(d), [d[1], None, None], [d[2], None, None]]
+        for i, j in ((1, 1), (1, 2), (2, 2)):
+            out[i][j] = out[j][i] = d[i] * d[j]
         return out
 
     # -- faithful zero test --------------------------------------------------
@@ -373,36 +403,49 @@ class ExactContext:
     def _is_zero(self, elem: ExtNum) -> bool:
         """Whether the represented value vanishes in the actual number field.
 
-        The tensor representation Q(zeta_n)[x]/(modulus) can be larger than
-        the field Q(zeta_n, alpha) when the character field meets the
-        cyclotomic one, so a nonzero representative is re-tested: the value is
-        g(alpha) for g over Q(zeta_n); it vanishes iff alpha is a root of
-        gcd(g, modulus), which is decided by certified enclosures of the two
-        complementary factors (alpha is a simple root of the modulus, so
-        exactly one factor separates from zero).
+        The value is g(alpha) for the representative g over Q(zeta_n), where
+        alpha is the character generator, a simple root of the modulus m of
+        degree d.  A representative that is zero in Q(zeta_n)[x]/(m) is a zero
+        value.  A nonzero one may still vanish when the character field K =
+        Q(alpha) meets the cyclotomic one (sqrt(2) lies in Q(zeta_8)), and is
+        tested in two steps.
+
+        Field-degree rule: Q(zeta_n) is Galois over Q, so [K(zeta_n) :
+        Q(zeta_n)] = [K : K meet Q(zeta_n)], and the degree of K meet Q(zeta_n)
+        divides both d and phi(n).  When gcd(d, phi(n)) = 1 the intersection
+        is Q, m stays irreducible over Q(zeta_n), the tensor ring is a field,
+        and a nonzero representative is a nonzero value: no gcd is needed.
+
+        Learned factor: otherwise the context keeps `alpha_factor`, a monic
+        factor f of m over Q(zeta_n) with f(alpha) = 0, starting at m.  With
+        r = g mod f, g(alpha) = r(alpha): r = 0 means zero and a nonzero
+        constant r means nonzero.  Else alpha is a root of exactly one of h =
+        gcd(r, f) and f/h (f divides the squarefree m), and certified
+        enclosures of the two factors at alpha decide which: exactly one
+        separates from zero.  The factor that vanishes at alpha replaces f.
+        f only shrinks, so after a few splits it is alpha's minimal polynomial
+        over Q(zeta_n) and each test is one division.
         """
         if elem.is_zero_in_tensor_ring:
             return True
-        if self.modulus is None:
+        if self.tensor_is_field:
             return False
-        g = qtrim(elem.coeffs)
-        if len(g) == 1:
-            return False
-        m = self.cyclo_modulus
-        h = qgcd(g, m)
+        f = self.alpha_factor
+        _, r = qdivmod(elem.coeffs, f)
+        if len(r) <= 1:
+            return not r
+        h = qgcd(r, f)
         if len(h) <= 1:
             return False
-        if len(h) == len(m):
-            return True
-        h2, rem = qdivmod(m, h)
-        assert not rem, "the gcd must divide the modulus"
+        h2, rem = qdivmod(f, h)
+        assert not rem, "the gcd must divide the factor"
         prec = 96
         while prec <= PRECISION_CAP_BITS:
-            bh = self._eval_ball_at_gen(h, prec)
-            if bh.definitely_nonzero():
+            if self._eval_ball_at_gen(h, prec).definitely_nonzero():
+                self.alpha_factor = h2
                 return False
-            bh2 = self._eval_ball_at_gen(h2, prec)
-            if bh2.definitely_nonzero():
+            if self._eval_ball_at_gen(h2, prec).definitely_nonzero():
+                self.alpha_factor = h
                 return True
             prec *= 2
         raise Undecidable("zero test did not separate at the precision cap")
@@ -428,19 +471,22 @@ class ExactContext:
 
     def rows_are_characters(self) -> bool:
         """Row i over d_i satisfies the defining relations of the ring,
-        verified after clearing denominators."""
+        verified after clearing denominators: e_a e_b = sum_k N[a][b][k] d_i e_k,
+        with d_i e_0 taken as d_i^2.  The products d_i^2, d_i e_1 and d_i e_2
+        are formed once per row."""
         N = self.ring.N
         for i in range(3):
             di = self.d[i]
             e = self.entries[i]
             if not self._is_zero(e[0] - di):
                 return False
+            basis = [self.dim_products[i][i]] + [di * e[k] if i else e[k] for k in (1, 2)]
             for a, b in ((1, 1), (1, 2), (2, 2)):
-                lhs = e[a] * e[b]
-                rhs = (di * di).scale(N[a][b][0])
-                rhs = rhs + (di * e[1]).scale(N[a][b][1])
-                rhs = rhs + (di * e[2]).scale(N[a][b][2])
-                if not self._is_zero(lhs - rhs):
+                rhs = ExtNum.from_rational(self.n, self.modulus, 0)
+                for k in range(3):
+                    if N[a][b][k]:
+                        rhs = rhs + basis[k].scale(N[a][b][k])
+                if not self._is_zero(e[a] * e[b] - rhs):
                     return False
         return True
 
@@ -479,28 +525,27 @@ class ExactContext:
     def global_dim_sq(self) -> ExtNum:
         acc = ExtNum.from_rational(self.n, self.modulus, 0)
         for j in range(3):
-            acc = acc + self.d[j] * self.d[j]
+            acc = acc + self.dim_products[j][j]
         return acc
 
     def fs_indicator_sums(self) -> list[ExtNum]:
         """A_k = sum_{i,j} N[i][j][k] d_i d_j (theta_i / theta_j)^2 for each k;
-        an admissible modular datum has A_k = nu_k * D^2 with nu_k in {0,+-1}."""
-        ratios = [[None] * 3 for _ in range(3)]
+        an admissible modular datum has A_k = nu_k * D^2 with nu_k in {0,+-1}.
+        Each term d_i d_j (theta_i / theta_j)^2 is formed once per (i, j) with
+        a nonzero N[i][j], and not multiplied out when the ratio is 1."""
+        theta = self.twists.theta
+        out = [ExtNum.from_rational(self.n, self.modulus, 0) for _ in range(3)]
         for i in range(3):
             for j in range(3):
-                r = (self.twists.theta[i] * self.twists.theta[j].inverse()) ** 2
-                ratios[i][j] = ExtNum.from_cyclo(
-                    self.n, self.modulus, CycloNum.from_root(r, self.n)
+                coefs = self.ring.N[i][j]
+                if not any(coefs):
+                    continue
+                term = self._times_root(
+                    self.dim_products[i][j], (theta[i] * theta[j].inverse()) ** 2
                 )
-        out = []
-        for k in range(3):
-            acc = ExtNum.from_rational(self.n, self.modulus, 0)
-            for i in range(3):
-                for j in range(3):
-                    coef = self.ring.N[i][j][k]
-                    if coef:
-                        acc = acc + (self.d[i] * self.d[j] * ratios[i][j]).scale(coef)
-            out.append(acc)
+                for k in range(3):
+                    if coefs[k]:
+                        out[k] = out[k] + term.scale(coefs[k])
         return out
 
     def fs_indicators(self) -> Optional[list[int]]:
@@ -755,20 +800,32 @@ def _float_mask(ring, d, chars, A, B, tol) -> np.ndarray:
 
 def _certify_candidate(ring, dims, dims_index, twists,
                        include_degenerate) -> Optional[PremodularDatum]:
-    """Exact verification and class-consistency rules for one scan survivor."""
+    """Exact verification and class-consistency rules for one scan survivor.
+
+    When the dimensions fail the symmetric rule and degenerate data are not
+    requested, only a Modular verdict can admit the candidate, and that needs
+    exact Frobenius-Schur indicators.  They read only d and the twists, so
+    they run first and reject the candidate before its S-matrix is built.
+    The verdict is the one the full check order gives."""
     ctx = ExactContext(ring, dims, twists)
+    sym_ok, sym_cert = _symmetric_admissible(dims, dims_index)
+    fs = None
+    if not (sym_ok or include_degenerate):
+        fs = ctx.fs_indicators()
+        if fs is None:
+            return None
     if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
         return None
     certificate: dict = {"verification": "exact"}
     sclass = ctx.structure_class()
 
     if sclass == StructureClass.SYMMETRIC:
-        ok, sym_cert = _symmetric_admissible(dims, dims_index)
         certificate["symmetric_rule"] = sym_cert
-        if not ok:
+        if not sym_ok:
             return None
     elif sclass == StructureClass.MODULAR:
-        fs = ctx.fs_indicators()
+        if fs is None:
+            fs = ctx.fs_indicators()
         if fs is None:
             return None
         certificate["fs_indicators"] = fs
@@ -933,8 +990,6 @@ def _match_two_cos(value) -> Optional[RootOfUnity]:
     phi(q) >= sqrt(q/2)), plus q in {1, 2} when deg = 1, can match; they are
     tried in ascending order.
     """
-    import math
-
     if value < Fraction(-2) or value > Fraction(2):
         return None
     deg = value.degree

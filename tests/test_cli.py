@@ -132,9 +132,13 @@ def test_json_output_deterministic(capsys):
         ["classify", "--bound", "10", "--witness-all", "--max-twist-order", "16"],
         "c83267ae33fa337e45c9663cb444c827526d900aebf549ccc4fb8eb01d637885",
     ),
+    (
+        ["search", "--params", "1,1,0,1", "--max-twist-order", "100"],
+        "9a7f6db3c020798a98576946aff06af5c5fd7c1398cb566fcc59fa228ff70b18",
+    ),
 ], ids=[
     "classify-b5-witness-all-o16", "search-k0100-o16", "classify-b30",
-    "classify-b10-witness-all-o16",
+    "classify-b10-witness-all-o16", "search-k1101-o100",
 ])
 def test_stdout_matches_golden_digest(capsys, argv, digest):
     """stdout is pinned byte for byte by its sha256: any change to a verdict,

@@ -63,6 +63,45 @@ def test_rational_roots_zero_poly_rejected():
         rational_roots(IntPoly(()))
 
 
+def _fraction_rational_roots(p):
+    """Reference: every candidate +-u/v (u | a_0, v | a_n) as a sorted set of
+    Fractions, tested and deflated in Fraction arithmetic."""
+    work = tuple(Fraction(c) for c in p.primitive().coeffs)
+    roots = []
+    while work[0] == 0:
+        roots.append(Fraction(0))
+        work = work[1:]
+    divisors = lambda m: [d for d in range(1, m + 1) if m % d == 0]
+    a0, an = int(abs(work[0])), int(abs(work[-1]))
+    candidates = {s * Fraction(u, v) for u in divisors(a0) for v in divisors(an) for s in (1, -1)}
+    for c in sorted(candidates):
+        while len(work) > 1 and qeval(work, c) == 0:
+            roots.append(c)
+            work = qdivmod(work, (-c, Fraction(1)))[0]
+    return sorted(roots)
+
+
+def test_rational_roots_matches_fraction_reference():
+    """The integer-divisor path for monic polynomials and the general path
+    agree with the Fraction reference on every char_poly_x up to bound 30
+    and on seeded random polynomials with planted rational roots."""
+    polys = [char_poly_x(p) for p in enumerate_star_solutions(30)]
+    assert all(p.is_monic for p in polys)
+    rng = random.Random(31)
+    for _ in range(300):
+        p = IntPoly((rng.choice((1, 1, 1, -1, 2, 6)),))
+        for _ in range(rng.randint(0, 4)):
+            p = p * IntPoly((-rng.randint(-12, 12), rng.choice((1, 1, 1, 2, 3))))
+        p = p * IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 2))] + [1])
+        polys.append(p)
+    assert any(p.primitive().is_monic for p in polys[-300:])
+    assert any(not p.primitive().is_monic for p in polys[-300:])
+    for p in polys:
+        got = rational_roots(p)
+        assert got == _fraction_rational_roots(p), p
+        assert all(isinstance(r, Fraction) for r in got)
+
+
 # ---------------------------------------------------------------------------
 # cubic discriminant
 # ---------------------------------------------------------------------------
@@ -586,6 +625,26 @@ def test_cyclonum_field_ops():
     assert (w * inv - one).is_zero
     mixed = CycloNum.from_root(RootOfUnity.make(1, 4), 12)
     assert (mixed * mixed + CycloNum.from_rational(12, 1)).is_zero
+
+
+def test_cyclonum_constructor_folds_powers_beyond_phi():
+    """zeta_4^2 = -1, so CycloNum(4, (0, 0, 1)) is the canonical -1.  On
+    seeded random vectors up to 2n + 3 long the constructor gives the
+    canonical form of their Fraction remainder modulo Phi_n."""
+    assert CycloNum(4, (0, 0, 1)) == CycloNum.from_rational(4, -1)
+    rng = random.Random(8)
+    for n in (1, 2, 3, 4, 7, 12, 15):
+        phi = tuple(Fraction(c) for c in cyclotomic_poly(n).coeffs)
+        for _ in range(20):
+            coeffs = [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6)))
+                for _ in range(rng.randint(1, 2 * n + 3))
+            ]
+            expected = _ref_mul_mod(_ref_trim(coeffs), (Fraction(1),), phi)
+            got = CycloNum(n, coeffs)
+            _assert_canonical(got)
+            assert got.coeffs == expected
+            assert got == CycloNum(n, expected) and hash(got) == hash(CycloNum(n, expected))
 
 
 def test_qdivmod_and_qgcd_over_cyclotomic_field():

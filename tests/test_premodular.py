@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rank3ribbon import premodular
 from rank3ribbon.characters import solve_characters
-from rank3ribbon.classify import enumerate_star_solutions
+from rank3ribbon.classify import classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity
 from rank3ribbon.exactnum.cyclotomic import (
     _fold_rows,
@@ -15,8 +16,10 @@ from rank3ribbon.exactnum.cyclotomic import (
     cyclotomic_poly,
     roots_of_unity_up_to,
 )
+from rank3ribbon.exactnum.qpoly import qdivmod, qgcd, qtrim
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
+    PRECISION_CAP_BITS,
     ExactContext,
     ExtNum,
     SMatrix,
@@ -472,3 +475,219 @@ def test_nonmodular_filter_large_n_fails():
     for n in (3, 5, 9):
         v = nonmodular_filter(Rank3Params(0, 1, 0, n))
         assert v.status == Verdict.FAIL
+
+
+# ---------------------------------------------------------------------------
+# exact certification: zero-test and check-order oracles
+# ---------------------------------------------------------------------------
+
+def _full_modulus_is_zero(ctx, elem):
+    """Reference zero test with no learned state: gcd of the representative
+    with the whole lifted modulus, then certified separation of the two
+    complementary factors at the generator."""
+    if elem.is_zero_in_tensor_ring:
+        return True
+    if ctx.modulus is None:
+        return False
+    g = qtrim(elem.coeffs)
+    if len(g) == 1:
+        return False
+    m = ctx.cyclo_modulus
+    h = qgcd(g, m)
+    if len(h) <= 1:
+        return False
+    if len(h) == len(m):
+        return True
+    h2, rem = qdivmod(m, h)
+    assert not rem
+    prec = 96
+    while prec <= PRECISION_CAP_BITS:
+        if ctx._eval_ball_at_gen(h, prec).definitely_nonzero():
+            return False
+        if ctx._eval_ball_at_gen(h2, prec).definitely_nonzero():
+            return True
+        prec *= 2
+    raise Undecidable("reference zero test did not separate")
+
+
+def test_zero_test_matches_full_modulus_reference(monkeypatch):
+    """Every zero test of a witness-all classification at bound 10 and of the
+    K(1,1,0,1) search at order 100 agrees with the full-modulus reference,
+    including tests decided by the field-degree rule or a learned factor."""
+    original = ExactContext._is_zero
+    calls = []
+
+    def checked(self, elem):
+        got = original(self, elem)
+        calls.append((got, _full_modulus_is_zero(self, elem), elem.is_zero_in_tensor_ring))
+        return got
+
+    monkeypatch.setattr(ExactContext, "_is_zero", checked)
+    classify_all(10, witness_all=True, max_twist_order=16)
+    search_ribbon_data(make_rank3_ring(Rank3Params(1, 1, 0, 1)), 100)
+    assert all(got == ref for got, ref, _ in calls)
+    # Not vacuous: some values vanish with a nonzero tensor representative.
+    assert any(got and not tensor_zero for got, _, tensor_zero in calls)
+
+
+def test_field_degree_rule_skips_the_gcd(monkeypatch):
+    """When gcd(deg modulus, phi(n)) = 1 the tensor ring is a field and no
+    zero test of such a context computes a polynomial gcd."""
+    original = ExactContext._is_zero
+    current, nontrivial, gcd_contexts = [], [], []
+
+    def tracking(self, elem):
+        if self.modulus is not None and len(qtrim(elem.coeffs)) > 1:
+            nontrivial.append(self)
+        current.append(self)
+        try:
+            return original(self, elem)
+        finally:
+            current.pop()
+
+    def counting_gcd(p, q):
+        gcd_contexts.append(current[-1])
+        return qgcd(p, q)
+
+    monkeypatch.setattr(ExactContext, "_is_zero", tracking)
+    monkeypatch.setattr(premodular, "qgcd", counting_gcd)
+    classify_all(10, witness_all=True, max_twist_order=16)
+    field = lambda ctx: math.gcd(len(ctx.modulus) - 1, ctx.phi_degree) == 1
+    assert any(field(ctx) for ctx in nontrivial)
+    assert gcd_contexts and not any(field(ctx) for ctx in gcd_contexts)
+
+
+def _factor_degrees_while_checking(ctx):
+    """Degree of the learned factor after each zero test of the full check
+    sequence of a modular candidate."""
+    original = ExactContext._is_zero
+    degrees = []
+
+    def recording(self, elem):
+        out = original(self, elem)
+        degrees.append(len(self.alpha_factor) - 1)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactContext, "_is_zero", recording)
+        assert ctx.fs_indicators() == [1, 1, 1]
+        assert ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()
+        assert ctx.structure_class() == StructureClass.MODULAR
+    return degrees
+
+
+def test_learned_factor_is_linear_after_first_split_on_the_cubic_ring():
+    """On K(1,1,0,1) the generator 2cos(pi/7) = -(zeta_7^3 + zeta_7^4) lies in
+    Q(zeta_7), where its cubic minimal polynomial splits into linear factors:
+    the first split already leaves x + zeta_7^3 + zeta_7^4, and every later
+    test is one division by it."""
+    ring = make_rank3_ring(Rank3Params(1, 1, 0, 1))
+    system = solve_characters(ring)
+    ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 7), RootOfUnity.make(5, 7)))
+    assert ctx.n == 7 and not ctx.tensor_is_field and ctx.alpha_factor == ctx.cyclo_modulus
+    degrees = _factor_degrees_while_checking(ctx)
+    first_split = next(i for i, deg in enumerate(degrees) if deg < 3)
+    assert degrees[first_split:] == [1] * (len(degrees) - first_split)
+    s = CycloNum.from_root(RootOfUnity.make(3, 7), 7) + CycloNum.from_root(RootOfUnity.make(4, 7), 7)
+    assert ctx.alpha_factor == (s, CycloNum.from_rational(7, 1))
+
+
+def test_ising_order16_still_needs_the_gcd(ising, monkeypatch):
+    """sqrt(2) lies in Q(zeta_8), inside Q(zeta_16): gcd(2, phi(16)) = 2, so
+    the field-degree rule does not apply, the gcd runs, and the learned
+    factor ends at x - sqrt(2)."""
+    ring, system = ising
+    ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 16)))
+    assert ctx.n == 16 and not ctx.tensor_is_field
+    gcds = []
+    monkeypatch.setattr(premodular, "qgcd", lambda p, q: gcds.append(1) or qgcd(p, q))
+    assert _factor_degrees_while_checking(ctx)[-1] == 1
+    assert gcds
+    sqrt2 = CycloNum.from_root(RootOfUnity.make(1, 8), 16) + CycloNum.from_root(RootOfUnity.make(7, 8), 16)
+    assert ctx.alpha_factor == (-sqrt2, CycloNum.from_rational(16, 1))
+
+
+def _full_order_certify(ring, dims, dims_index, twists, include_degenerate):
+    """Reference certification in the full check order: symmetry, unit row
+    and rows first, then the structure class and its rule."""
+    ctx = ExactContext(ring, dims, twists)
+    if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
+        return None
+    certificate = {"verification": "exact"}
+    sclass = ctx.structure_class()
+    if sclass == StructureClass.SYMMETRIC:
+        ok, sym_cert = premodular._symmetric_admissible(dims, dims_index)
+        certificate["symmetric_rule"] = sym_cert
+        if not ok:
+            return None
+    elif sclass == StructureClass.MODULAR:
+        fs = ctx.fs_indicators()
+        if fs is None:
+            return None
+        certificate["fs_indicators"] = fs
+    else:
+        if not include_degenerate:
+            return None
+        certificate["degenerate_rule"] = premodular._degenerate_certificate(ring, dims, twists)
+    return premodular.PremodularDatum(
+        ring=ring, dims=dims, dims_index=dims_index, twists=twists,
+        smatrix=build_s_matrix(ring, dims, twists), structure_class=sclass,
+        certificate=certificate,
+    )
+
+
+def test_certification_order_matches_full_order_reference(monkeypatch):
+    """On every scan survivor of a witness-all classification at bound 10 and
+    of the four search rings at order 60 (with and without degenerate data),
+    the certified datum, or None, is the one the full check order gives."""
+    original = premodular._certify_candidate
+    seen = []
+
+    def compared(*args):
+        got = original(*args)
+        ref = _full_order_certify(*args)
+        seen.append(got is not None)
+        assert (got and got.to_json()) == (ref and ref.to_json()), args[1:]
+        return got
+
+    monkeypatch.setattr(premodular, "_certify_candidate", compared)
+    classify_all(10, witness_all=True, max_twist_order=16)
+    for params in (Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1),
+                   Rank3Params(1, 1, 0, 1), Rank3Params(0, 1, 0, 2)):
+        for degenerate in (False, True):
+            search_ribbon_data(make_rank3_ring(params), 60, include_degenerate=degenerate)
+    assert any(seen) and not all(seen)
+
+
+def test_unit_twist_candidates_rejected_before_row_checks(monkeypatch):
+    """At bound 5, a candidate with both twists 1 whose dimensions fail the
+    symmetric rule reaches rows_are_characters only if its exact
+    Frobenius-Schur indicators pass.  With all twists 1 they are nu_k = d_k,
+    so only a +-1-valued character such as (1, 1, -1) gets there; every
+    other such candidate is rejected before its S-matrix is built."""
+    original_certify = premodular._certify_candidate
+    original_rows = ExactContext.rows_are_characters
+    current, unit_failing, reached = [], [], []
+
+    def certify(ring, dims, dims_index, twists, include_degenerate):
+        unit = all(t.is_one for t in twists.theta)
+        failing = unit and not premodular._symmetric_admissible(dims, dims_index)[0]
+        if failing:
+            unit_failing.append(dims)
+        current.append(dims if failing else None)
+        try:
+            return original_certify(ring, dims, dims_index, twists, include_degenerate)
+        finally:
+            current.pop()
+
+    def rows(self):
+        if current and current[-1] is not None:
+            reached.append(current[-1])
+        return original_rows(self)
+
+    monkeypatch.setattr(premodular, "_certify_candidate", certify)
+    monkeypatch.setattr(ExactContext, "rows_are_characters", rows)
+    classify_all(5, witness_all=True, max_twist_order=16)
+    assert 0 < len(reached) < len(unit_failing)
+    for dims in reached:
+        assert {dims.x.rational_value, dims.y.rational_value} <= {1, -1}
