@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (
-    ComplexBall,
     IntPoly,
     RealAlgebraic,
     RootOfUnity,
@@ -22,7 +21,6 @@ from .exactnum import (
     factor_into_irreducibles,
     is_perfect_square,
     rational_roots,
-    root_of_unity_value,
     roots_of_irreducible,
 )
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qmul, qnormalize, qscale, qsub, X
@@ -81,13 +79,6 @@ class Character:
             return RootOfUnity.one() if self.is_cyclotomic else RealAlgebraic.from_rational(1)
         return self.x if j == 1 else self.y
 
-    def value_ball(self, j: int, precision_bits: int = 128) -> ComplexBall:
-        v = self.value(j)
-        if isinstance(v, RootOfUnity):
-            return root_of_unity_value(v, precision_bits)
-        v.refine_to(Fraction(1, 2 ** (precision_bits + 1)))
-        return ComplexBall.from_real_interval(*v.interval())
-
     def value_complex(self, j: int) -> complex:
         v = self.value(j)
         if isinstance(v, RootOfUnity):
@@ -122,8 +113,9 @@ class Character:
             }
         out = {"kind": "real-algebraic"}
         for name, v in (("x", self.x), ("y", self.y)):
-            v.refine_to(Fraction(1, 10**18))
-            lo, hi = v.interval()
+            # The tree node, not the current interval: a value shared with a
+            # generator that zero tests refined deeper prints the same.
+            lo, hi = v.tree_interval(Fraction(1, 10**18))
             out[f"minpoly_{name}"] = list(v.minpoly.coeffs)
             out[f"interval_{name}"] = [str(lo), str(hi)]
             out[f"approx_{name}"] = v.approx_str(12)

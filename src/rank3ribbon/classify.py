@@ -48,6 +48,7 @@ from .fusion import (
 )
 from .premodular import (
     LANDAU_BOUND_3,
+    SCAN_TOL,
     ExactContext,
     FilterVerdict,
     PremodularDatum,
@@ -489,7 +490,7 @@ def classify_ring(params: Rank3Params) -> RingReport:
     return report
 
 
-def _z3_report(max_twist_order: int, tol: float) -> RingReport:
+def _z3_report(max_twist_order: int) -> RingReport:
     ring = make_z3_ring()
     system = solve_characters(ring)
     verdicts = {
@@ -520,11 +521,11 @@ def _z3_report(max_twist_order: int, tol: float) -> RingReport:
         verdicts=verdicts,
         modular_case="group-ring",
         admissible=True,
-        witnesses=search_ribbon_data(ring, max_twist_order, tol=tol, system=system),
+        witnesses=search_ribbon_data(ring, max_twist_order, system=system),
     )
 
 
-def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
+def classify_all(bound: int, max_twist_order: int = 60,
                  witness_all: bool = False) -> ClassificationReport:
     """Classify the Z/3 ring and every canonical parameter ring up to `bound`,
     attaching search witnesses to admissible rings (to all rings when
@@ -532,21 +533,19 @@ def classify_all(bound: int, max_twist_order: int = 60, tol: float = 1e-9,
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rings: list[RingReport] = []
-    rings.append(_z3_report(max_twist_order, tol))
+    rings.append(_z3_report(max_twist_order))
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
             system = report.system
             if system is None:  # an S3 ring, typed without solving
                 system = solve_characters(make_rank3_ring(report.params))
-            report.witnesses = search_ribbon_data(
-                system.ring, max_twist_order, tol=tol, system=system
-            )
+            report.witnesses = search_ribbon_data(system.ring, max_twist_order, system=system)
         rings.append(report)
     config = {
         "bound": bound,
         "max_twist_order": max_twist_order,
-        "tol": tol,
+        "tol": SCAN_TOL,
         "witness_all": witness_all,
     }
     return ClassificationReport(rings=rings, config=config)

@@ -37,7 +37,7 @@ from .fusion import (
     param_aliases,
     rank3_tensor,
 )
-from .premodular import search_ribbon_data
+from .premodular import SCAN_TOL, search_ribbon_data
 
 
 class UsageError(ValueError):
@@ -83,14 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="ribbon-data witness search")
     p_search.add_argument("--params", required=True)
     p_search.add_argument("--max-twist-order", type=int, default=60)
-    p_search.add_argument("--tol", type=float, default=1e-9)
     p_search.add_argument("--include-degenerate", action="store_true")
     common(p_search)
 
     p_classify = sub.add_parser("classify", help="full classification report")
     p_classify.add_argument("--bound", type=int, required=True)
     p_classify.add_argument("--max-twist-order", type=int, default=60)
-    p_classify.add_argument("--tol", type=float, default=1e-9)
     p_classify.add_argument("--witness-all", action="store_true")
     common(p_classify)
 
@@ -168,14 +166,13 @@ def _cmd_search(args) -> tuple[object, str | None]:
     witnesses = search_ribbon_data(
         ring,
         args.max_twist_order,
-        tol=args.tol,
         include_degenerate=args.include_degenerate,
     )
     payload = {
         "params": list(params.as_tuple()),
         "max_twist_order": args.max_twist_order,
         "completeness": f"complete up to twist order {args.max_twist_order}",
-        "tol": args.tol,
+        "tol": SCAN_TOL,
         "count": len(witnesses),
         "witnesses": [w.to_json() for w in witnesses],
     }
@@ -191,7 +188,6 @@ def _cmd_classify(args) -> tuple[object, str | None]:
     report = classify_all(
         args.bound,
         max_twist_order=args.max_twist_order,
-        tol=args.tol,
         witness_all=args.witness_all,
     )
     return report.to_json(), report.render_table()

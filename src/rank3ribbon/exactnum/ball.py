@@ -2,8 +2,9 @@
 
 Every operation is outward-rounded in the strong sense that the radius bound
 is computed with exact rational arithmetic, so the true value of an expression
-always lies inside the resulting ball.  Division never appears: callers invert
-roots of unity by conjugation and compare products instead of quotients.
+always lies inside the resulting ball.  There is no division: balls enclose
+the values of exact numbers for rendering and for the separation step of the
+exact zero test.
 """
 
 from __future__ import annotations
@@ -53,14 +54,7 @@ class ComplexBall:
         c = Fraction(c)
         return ComplexBall(self.re * c, self.im * c, self.rad * abs(c))
 
-    def conjugate(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.rad)
-
     # -- magnitude queries ---------------------------------------------------
-
-    def mag_upper(self) -> Fraction:
-        """Upper bound on |z| for any z in the ball (L1 overestimate)."""
-        return abs(self.re) + abs(self.im) + self.rad
 
     def definitely_nonzero(self) -> bool:
         """True only if every point of the ball is nonzero."""

@@ -157,13 +157,10 @@ def root_of_unity_value(r: RootOfUnity, precision_bits: int = 128) -> ComplexBal
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
     target = Fraction(1, 2 ** (precision_bits + 2))
-    re = two_cos(r.turn)
-    re.refine_to(target)
-    re_lo, re_hi = re.interval()
-    # sin(2*pi*t) = cos(2*pi*(t - 1/4))
-    im = two_cos(r.turn - Fraction(1, 4))
-    im.refine_to(target)
-    im_lo, im_hi = im.interval()
+    # Tree nodes, so the ball does not depend on earlier refinement of the
+    # shared cosine values.  sin(2*pi*t) = cos(2*pi*(t - 1/4)).
+    re_lo, re_hi = two_cos(r.turn).tree_interval(target)
+    im_lo, im_hi = two_cos(r.turn - Fraction(1, 4)).tree_interval(target)
     rad = (re_hi - re_lo) / 4 + (im_hi - im_lo) / 4
     assert rad <= Fraction(2) / 2**precision_bits
     return ComplexBall((re_lo + re_hi) / 4, (im_lo + im_hi) / 4, rad)

@@ -179,6 +179,25 @@ class RealAlgebraic:
         lo, hi, den = _halve_isolated(self.minpoly.coeffs, lo, hi, den, self._lo_sign, width)
         self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
 
+    def tree_interval(self, width) -> tuple[Fraction, Fraction]:
+        """The coarsest node of the bisection tree of (-B, B), B =
+        cauchy_bound(minpoly), that is at most `width` wide and holds the
+        value.  Isolation and refinement only visit nodes of this tree, so the
+        answer depends on the value and `width` alone, not on how far the
+        value has been refined: a shallower interval is refined down to the
+        node, a deeper one is coarsened up to its ancestor."""
+        if self._rational is not None:
+            return self._rational, self._rational
+        bound = cauchy_bound(self.minpoly)
+        depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
+        step = 2 * bound / 2**depth
+        self.refine_to(step)
+        while True:
+            lo = -bound + (self._lo + bound) // step * step
+            if self._hi <= lo + step:
+                return lo, lo + step
+            self.refine_once()
+
     def sign(self) -> int:
         if self._rational is not None:
             return _sign(self._rational)

@@ -26,13 +26,14 @@ change its verdict: when its dimensions fail the symmetric rule and
 degenerate data are not requested, the Frobenius-Schur indicators run first
 and reject it before its S-matrix is built; otherwise symmetry, unit row and
 rows run, then the structure class and its rule (`_certify_candidate`).
-The rendered `approx` S-matrix is a ball evaluation at SMATRIX_PRECISION_BITS.
-The scan does not visit the whole
-twist grid: setting S[1][2] = d_1 * chi(2) for a character chi gives the
-Moebius relation theta_2 * (T*theta_1 - c) = a + b*theta_1, which solves for
-theta_2 given theta_1 (see `_scan_twist_grid`), so its cost is near-linear in
-the number of roots of unity rather than quadratic.  A witness is admitted only if its
-structure class passes the corresponding consistency rule:
+The rendered `approx` S-matrix is that certified exact matrix, each entry
+enclosed in a ball by the evaluator the zero test uses (`build_s_matrix`).
+The scan does not visit the whole twist grid: setting S[1][2] = d_1 * chi(2)
+for a character chi gives the Moebius relation theta_2 * (T*theta_1 - c) =
+a + b*theta_1, which solves for theta_2 given theta_1 (see `_scan_twist_grid`),
+so its cost is near-linear in the number of roots of unity rather than
+quadratic.  A witness is admitted only if its structure class passes the
+corresponding consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
@@ -59,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .characters import Character, CharacterSystem, solve_characters
-from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, root_of_unity_value, two_cos
+from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
 from .exactnum.qpoly import QPoly, qdivmod, qgcd, qnormalize
 from .fusion import FusionRing, Rank3Params, canonicalize
@@ -124,12 +125,9 @@ class Twists:
 
 @dataclass
 class SMatrix:
-    """3x3 ball-arithmetic S-matrix plus the data that generated it."""
+    """3x3 ball rendering of an exact S-matrix (`build_s_matrix`)."""
 
     entries: tuple  # 3x3 tuple of ComplexBall
-    ring: FusionRing
-    dims: Character
-    twists: Twists
     precision_bits: int
 
     def entry(self, i: int, j: int) -> ComplexBall:
@@ -180,38 +178,6 @@ class PremodularDatum:
             "smatrix": self.smatrix.to_json(),
             "certificate": self.certificate,
         }
-
-
-# ---------------------------------------------------------------------------
-# Ball S-matrix
-# ---------------------------------------------------------------------------
-
-def build_s_matrix(ring: FusionRing, dims: Character, twists: Twists) -> SMatrix:
-    """Entrywise evaluation of the defining formula in ball arithmetic."""
-    if not dims.nonzero():
-        raise ZeroDimension("candidate dimensions contain an exact zero")
-    theta_balls = [root_of_unity_value(t, SMATRIX_PRECISION_BITS + 16) for t in twists.theta]
-    dim_balls = [dims.value_ball(j, SMATRIX_PRECISION_BITS + 16) for j in range(3)]
-    dual = ring.dual
-    entries = []
-    for i in range(3):
-        row = []
-        inv_i = theta_balls[i].conjugate()
-        for j in range(3):
-            inv_j = theta_balls[j].conjugate()
-            acc = ComplexBall.from_rational(0)
-            for k in range(3):
-                coef = ring.N[dual[i]][j][k]
-                if coef:
-                    term = theta_balls[k] * dim_balls[k]
-                    acc = acc + term.scale(coef)
-            row.append(inv_i * inv_j * acc)
-        entries.append(tuple(row))
-    sm = SMatrix(tuple(entries), ring, dims, twists, SMATRIX_PRECISION_BITS)
-    # Unit-row identity: entry (0, j) equals d_j up to the ball radius.
-    for j in range(3):
-        assert (sm.entry(0, j) - dim_balls[j]).mag_upper() < Fraction(1, 2**(SMATRIX_PRECISION_BITS // 2))
-    return sm
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +417,14 @@ class ExactContext:
         raise Undecidable("zero test did not separate at the precision cap")
 
     def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
-        self.gen.refine_to(Fraction(1, 2**prec))
-        ab = ComplexBall.from_real_interval(*self.gen.interval())
+        """Certified ball around poly(alpha) for CycloNum coefficients, each
+        enclosed at `prec` bits, and alpha enclosed by the node of its
+        bisection tree at width 2^-prec; with no generator, poly is one
+        coefficient.  The ball does not depend on how far alpha was refined
+        before."""
+        if self.gen is None:
+            return poly[0].ball(prec)
+        ab = ComplexBall.from_real_interval(*self.gen.tree_interval(Fraction(1, 2**prec)))
         acc = ComplexBall.from_rational(0)
         for c in reversed(poly):
             acc = acc * ab + c.ball(prec)
@@ -593,14 +565,25 @@ def ambient_cyclotomic_order(dims: Character, twists: Twists) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Rendering
 # ---------------------------------------------------------------------------
 
-def classify_s_matrix(s: SMatrix) -> StructureClass:
-    """Symmetric / ProperPremodular / Modular, decided exactly from the datum
-    behind the matrix.  Raises Undecidable when the cyclotomic degree exceeds
-    EXACT_PHI_CAP."""
-    return ExactContext(s.ring, s.dims, s.twists).structure_class()
+def build_s_matrix(ctx: ExactContext) -> SMatrix:
+    """The context's exact S-matrix rendered for output: each entry as a ball
+    of radius at most 2^-SMATRIX_PRECISION_BITS around its value, exactly 0
+    when its representative is zero."""
+    if not ctx.dims.nonzero():
+        raise ZeroDimension("candidate dimensions contain an exact zero")
+    limit = Fraction(1, 2**SMATRIX_PRECISION_BITS)
+
+    def ball(entry: ExtNum) -> ComplexBall:
+        prec = SMATRIX_PRECISION_BITS + 16
+        while (out := ctx._eval_ball_at_gen(entry.coeffs, prec)).rad > limit:
+            prec *= 2
+        return out
+
+    entries = tuple(tuple(ball(e) for e in row) for row in ctx.entries)
+    return SMatrix(entries, SMATRIX_PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +593,6 @@ def classify_s_matrix(s: SMatrix) -> StructureClass:
 def search_ribbon_data(
     ring: FusionRing,
     max_twist_order: int,
-    tol: float = 1e-9,
     include_degenerate: bool = False,
     system: CharacterSystem | None = None,
 ) -> list[PremodularDatum]:
@@ -618,7 +600,7 @@ def search_ribbon_data(
     up to `max_twist_order`, deterministically ordered.
 
     The scan accepts a pair when the S-matrix is symmetric and every row is a
-    character within `tol`; each candidate is then re-verified exactly and
+    character within SCAN_TOL; each candidate is then re-verified exactly and
     must pass its structure-class consistency rule (see module docstring).
     Degenerate (properly premodular) candidates are returned only when
     `include_degenerate` is set.  `system` is the ring's character system when
@@ -638,7 +620,7 @@ def search_ribbon_data(
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        pairs = _scan_twist_grid(ring, system, dims, root_values, root_turns, tol)
+        pairs = _scan_twist_grid(ring, system, dims, root_values, root_turns, SCAN_TOL)
         for a, b in pairs:
             datum = _certify_candidate(
                 ring, dims, dims_index, Twists.of(roots[a], roots[b]),
@@ -653,6 +635,7 @@ def search_ribbon_data(
 
 
 SCAN_CHUNK = 1 << 15  # candidate pairs per block of the float mask
+SCAN_TOL = 1e-9  # float tolerance of the scan; exact certification follows
 SCAN_SLACK = 1e-12  # relative widening of each solved window for float rounding
 
 
@@ -834,13 +817,12 @@ def _certify_candidate(ring, dims, dims_index, twists,
             return None
         certificate["degenerate_rule"] = _degenerate_certificate(ring, dims, twists)
 
-    sm = build_s_matrix(ring, dims, twists)
     return PremodularDatum(
         ring=ring,
         dims=dims,
         dims_index=dims_index,
         twists=twists,
-        smatrix=sm,
+        smatrix=build_s_matrix(ctx),
         structure_class=sclass,
         certificate=certificate,
     )
@@ -933,7 +915,7 @@ def symmetric_witness(ring: FusionRing, system: CharacterSystem) -> Optional[Pre
         dims=dims,
         dims_index=0,
         twists=twists,
-        smatrix=build_s_matrix(ring, dims, twists),
+        smatrix=build_s_matrix(ctx),
         structure_class=StructureClass.SYMMETRIC,
         certificate={"verification": "exact", "rank": 1},
     )

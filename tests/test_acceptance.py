@@ -42,11 +42,11 @@ from rank3ribbon.fusion import (
     rank3_tensor,
 )
 from rank3ribbon.premodular import (
+    ExactContext,
     StructureClass,
     Twists,
     Verdict,
     build_s_matrix,
-    classify_s_matrix,
     search_ribbon_data,
 )
 
@@ -66,7 +66,7 @@ def criterion(num: int, description: str):
 @pytest.fixture(scope="module")
 def bound20_report():
     start = time.monotonic()
-    report = classify_all(20, max_twist_order=60, tol=1e-9)
+    report = classify_all(20, max_twist_order=60)
     elapsed = time.monotonic() - start
     return report, elapsed
 
@@ -104,9 +104,7 @@ def test_criterion_3_excluded_ring():
         for verdict in report.verdicts.values():
             assert verdict.status in (Verdict.FAIL, Verdict.NOT_APPLICABLE)
         start = time.monotonic()
-        witnesses = search_ribbon_data(
-            make_rank3_ring(Rank3Params(0, 1, 0, 2)), 60, tol=1e-9
-        )
+        witnesses = search_ribbon_data(make_rank3_ring(Rank3Params(0, 1, 0, 2)), 60)
         elapsed = time.monotonic() - start
         assert witnesses == []
         assert elapsed < 30.0, f"search took {elapsed:.1f}s (limit 30s)"
@@ -115,7 +113,7 @@ def test_criterion_3_excluded_ring():
 def test_criterion_4_ising_witnesses():
     with criterion(4, "Ising-type witnesses: twist -1 on X, primitive 16th roots on Y, modular"):
         ring = make_rank3_ring(Rank3Params(0, 1, 0, 0))
-        witnesses = search_ribbon_data(ring, 16, tol=1e-9)
+        witnesses = search_ribbon_data(ring, 16)
         assert witnesses, "expected a nonempty witness list"
         for w in witnesses:
             assert w.twists.theta[1] == RootOfUnity.make(1, 2)
@@ -137,8 +135,9 @@ def test_criterion_5_symmetric_witness():
         system = solve_characters(ring)
         dims = system.chars[0]
         assert [float(dims.value(j)) for j in range(3)] == [1.0, 1.0, 2.0]
-        sm = build_s_matrix(ring, dims, Twists.of(RootOfUnity.one(), RootOfUnity.one()))
-        assert classify_s_matrix(sm) == StructureClass.SYMMETRIC
+        ctx = ExactContext(ring, dims, Twists.of(RootOfUnity.one(), RootOfUnity.one()))
+        assert ctx.structure_class() == StructureClass.SYMMETRIC
+        sm = build_s_matrix(ctx)
         c = [[sm.entry(i, j).center_complex() for j in range(3)] for i in range(3)]
         for r1, r2 in ((0, 1), (0, 2), (1, 2)):
             for c1, c2 in ((0, 1), (0, 2), (1, 2)):

@@ -1,6 +1,7 @@
 """Tests for character systems and Galois orbit types."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,3 +212,19 @@ def test_character_json():
     assert "approx_y" in data[0]
     z3 = solve_characters(make_z3_ring()).to_json()["characters"]
     assert z3[1] == {"kind": "cyclotomic", "turn_x": "1/3", "turn_y": "2/3"}
+
+
+@pytest.mark.parametrize("params", [
+    Rank3Params(0, 1, 0, 0), Rank3Params(1, 1, 0, 1),
+    Rank3Params(2, 3, 2, 3), Rank3Params(1, 2, 0, 4),
+], ids=lambda p: p.name())
+def test_character_json_does_not_depend_on_refinement(params):
+    """Values refined far below the printed width, as zero tests refine a
+    shared character generator, print the intervals of a fresh solve."""
+    ring = make_rank3_ring(params)
+    fresh = solve_characters(ring).to_json()
+    refined = solve_characters(ring)
+    for c in refined.chars:
+        for v in (c.x, c.y):
+            v.refine_to(Fraction(1, 2**300))
+    assert refined.to_json() == fresh

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,15 @@ def test_usage_errors(capsys):
     assert code2 == 2
     code3, _, _ = _capture(capsys, ["nonsense"])
     assert code3 == 2
+
+
+def test_tol_option_is_gone(capsys):
+    """The scan tolerance is the constant SCAN_TOL; a --tol value such as 0,
+    which made a search report no witnesses, is a usage error."""
+    for argv in (["search", "--params", "0,1,0,0", "--max-twist-order", "16"],
+                 ["classify", "--bound", "1"]):
+        code, out, err = _capture(capsys, argv + ["--tol", "0"])
+        assert code == 2 and not out and "--tol" in err
 
 
 def test_enumerate_command(capsys):
@@ -115,34 +125,15 @@ def test_json_output_deterministic(capsys):
     assert first == third
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (
-        ["classify", "--bound", "5", "--witness-all", "--max-twist-order", "16"],
-        "7ba5d5e3631333a0683d2239a78493a7a24c7482baf6ddf6a2de52d29ac2c443",
-    ),
-    (
-        ["search", "--params", "0,1,0,0", "--max-twist-order", "16"],
-        "53ae1921abf4b26120995b293daa95313cf387c26c06ebf52d337c3c990a5f51",
-    ),
-    (
-        ["classify", "--bound", "30"],
-        "325282a8d7d6a8cfdcff7c8b8dbb27a6054b24d07e56cb616bd7241f187781f1",
-    ),
-    (
-        ["classify", "--bound", "10", "--witness-all", "--max-twist-order", "16"],
-        "c83267ae33fa337e45c9663cb444c827526d900aebf549ccc4fb8eb01d637885",
-    ),
-    (
-        ["search", "--params", "1,1,0,1", "--max-twist-order", "100"],
-        "9a7f6db3c020798a98576946aff06af5c5fd7c1398cb566fcc59fa228ff70b18",
-    ),
-], ids=[
-    "classify-b5-witness-all-o16", "search-k0100-o16", "classify-b30",
-    "classify-b10-witness-all-o16", "search-k1101-o100",
-])
+GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+
+
+@pytest.mark.parametrize("argv, digest", [(g["argv"], g["sha256"]) for g in GOLDEN],
+                         ids=[g["id"] for g in GOLDEN])
 def test_stdout_matches_golden_digest(capsys, argv, digest):
     """stdout is pinned byte for byte by its sha256: any change to a verdict,
-    certificate, witness or rendering of these runs shows up here."""
+    certificate, witness or rendering of these runs shows up here.  CI checks
+    the same table through the installed console script."""
     code, out, err = _capture(capsys, argv)
     assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,8 +13,11 @@ from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity
 from rank3ribbon.exactnum.cyclotomic import (
     _fold_rows,
     _power_basis,
+    _zeta_ball,
     cyclotomic_poly,
+    root_of_unity_value,
     roots_of_unity_up_to,
+    two_cos,
 )
 from rank3ribbon.exactnum.qpoly import qdivmod, qgcd, qtrim
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
@@ -22,7 +25,6 @@ from rank3ribbon.premodular import (
     PRECISION_CAP_BITS,
     ExactContext,
     ExtNum,
-    SMatrix,
     StructureClass,
     Twists,
     Undecidable,
@@ -31,7 +33,6 @@ from rank3ribbon.premodular import (
     _scan_twist_grid,
     _solved_candidates,
     build_s_matrix,
-    classify_s_matrix,
     nonmodular_filter,
     search_ribbon_data,
     symmetric_witness,
@@ -54,30 +55,43 @@ def ising():
     return ring, solve_characters(ring)
 
 
+def _value_ball(v, bits):
+    """Certified ball around a character value: a root of unity or a real
+    algebraic number."""
+    if isinstance(v, RootOfUnity):
+        return root_of_unity_value(v, bits)
+    v.refine_to(Fraction(1, 2 ** (bits + 1)))
+    return ComplexBall.from_real_interval(*v.interval())
+
+
+def _mag_upper(ball):
+    return abs(ball.re) + abs(ball.im) + ball.rad
+
+
 def test_rep_s3_symmetric_matrix(rep_s3):
     ring, system = rep_s3
-    sm = build_s_matrix(ring, system.chars[0], Twists.of(RootOfUnity.one(), RootOfUnity.one()))
-    centers = _centers(sm)
+    ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.one(), RootOfUnity.one()))
+    centers = _centers(build_s_matrix(ctx))
     expected = [[1, 1, 2], [1, 1, 2], [2, 2, 4]]
     for i in range(3):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
-    assert classify_s_matrix(sm) == StructureClass.SYMMETRIC
-    assert ExactContext(ring, system.chars[0], sm.twists).rows_are_characters()
+    assert ctx.structure_class() == StructureClass.SYMMETRIC
+    assert ctx.rows_are_characters()
 
 
 def test_ising_modular_matrix(ising):
     ring, system = ising
     tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 16))
-    sm = build_s_matrix(ring, system.chars[0], tw)
-    centers = _centers(sm)
+    ctx = ExactContext(ring, system.chars[0], tw)
+    centers = _centers(build_s_matrix(ctx))
     y = math.sqrt(2)
     expected = [[1, 1, y], [1, 1, -y], [y, -y, 0]]
     for i in range(3):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
-    assert classify_s_matrix(sm) == StructureClass.MODULAR
-    assert ExactContext(ring, system.chars[0], tw).rows_are_characters()
+    assert ctx.structure_class() == StructureClass.MODULAR
+    assert ctx.rows_are_characters()
 
 
 def test_unit_row_identity(ising, rep_s3):
@@ -86,10 +100,12 @@ def test_unit_row_identity(ising, rep_s3):
         (rep_s3, (RootOfUnity.one(), RootOfUnity.make(1, 3))),
     ):
         dims = system.chars[0]
-        sm = build_s_matrix(ring, dims, Twists.of(*theta))
+        ctx = ExactContext(ring, dims, Twists.of(*theta))
+        assert ctx.unit_row_ok()
+        sm = build_s_matrix(ctx)
         for j in range(3):
-            expected = dims.value_ball(j, 160)
-            assert (sm.entry(0, j) - expected).mag_upper() < Fraction(1, 2**64)
+            expected = _value_ball(dims.value(j), 160)
+            assert _mag_upper(sm.entry(0, j) - expected) < Fraction(1, 2**64)
 
 
 def test_proper_premodular_matrix(rep_s3):
@@ -98,22 +114,92 @@ def test_proper_premodular_matrix(rep_s3):
     zero without being symmetric-class."""
     ring, system = rep_s3
     tw = Twists.of(RootOfUnity.one(), RootOfUnity.make(1, 3))
-    sm = build_s_matrix(ring, system.chars[0], tw)
-    centers = _centers(sm)
+    ctx = ExactContext(ring, system.chars[0], tw)
+    centers = _centers(build_s_matrix(ctx))
     expected = [[1, 1, 2], [1, 1, 2], [2, 2, -2]]
     for i in range(3):
         for j in range(3):
             assert centers[i][j] == pytest.approx(expected[i][j], abs=1e-25)
-    assert classify_s_matrix(sm) == StructureClass.PROPER_PREMODULAR
-    assert ExactContext(ring, system.chars[0], tw).rows_are_characters()
+    assert ctx.structure_class() == StructureClass.PROPER_PREMODULAR
+    assert ctx.rows_are_characters()
 
 
 def test_zero_dimension_rejected(ising):
     ring, system = ising
     # the character (-1, 0) has a vanishing value
     zero_char = next(c for c in system.chars if c.y.is_zero)
+    ctx = ExactContext(ring, zero_char, Twists.of(RootOfUnity.one(), RootOfUnity.one()))
     with pytest.raises(ZeroDimension):
-        build_s_matrix(ring, zero_char, Twists.of(RootOfUnity.one(), RootOfUnity.one()))
+        build_s_matrix(ctx)
+
+
+def test_rendering_does_not_depend_on_refinement():
+    """The rendered S-matrix is the same after the character generator and
+    the cosines of the twists were refined far below the rendering width."""
+    ring = make_rank3_ring(Rank3Params(1, 1, 0, 1))
+    dims = solve_characters(ring).chars[0]
+    tw = Twists.of(RootOfUnity.make(1, 7), RootOfUnity.make(5, 7))
+    first = build_s_matrix(ExactContext(ring, dims, tw)).to_json()
+    dims.gen.refine_to(Fraction(1, 2**400))
+    for p in range(7):
+        for turn in (Fraction(p, 7), Fraction(p, 7) - Fraction(1, 4)):
+            two_cos(turn).refine_to(Fraction(1, 2**400))
+    _zeta_ball.cache_clear()
+    assert build_s_matrix(ExactContext(ring, dims, tw)).to_json() == first
+
+
+def _reference_s_matrix(ring, dims, twists, bits=144):
+    """Reference rendering: the defining formula evaluated entrywise in ball
+    arithmetic, theta_i^-1 as the conjugate ball of theta_i."""
+    theta = [root_of_unity_value(t, bits) for t in twists.theta]
+    inv = [ComplexBall(b.re, -b.im, b.rad) for b in theta]
+    d = [_value_ball(dims.value(j), bits) for j in range(3)]
+    N, dual = ring.N, ring.dual
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = ComplexBall.from_rational(0)
+            for k in range(3):
+                if N[dual[i]][j][k]:
+                    acc = acc + (theta[k] * d[k]).scale(N[dual[i]][j][k])
+            row.append(inv[i] * inv[j] * acc)
+        out.append(row)
+    return out
+
+
+def _balls_meet(a, b):
+    dre, dim, r = a.re - b.re, a.im - b.im, a.rad + b.rad
+    return dre * dre + dim * dim <= r * r
+
+
+def test_rendered_entries_match_reference_ball_evaluation():
+    """Every witness of the K(0,1,0,0) search at order 16, the K(1,1,0,1)
+    search at order 100, the Z/3 search and a witness-all classification at
+    bound 10 renders each entry as a ball of radius at most 2^-128 that meets
+    the reference ball evaluation; an exactly zero entry prints "0"."""
+    witnesses = [
+        *search_ribbon_data(make_rank3_ring(Rank3Params(0, 1, 0, 0)), 16),
+        *search_ribbon_data(make_rank3_ring(Rank3Params(1, 1, 0, 1)), 100),
+        *search_ribbon_data(make_z3_ring(), 16),
+    ]
+    for report in classify_all(10, witness_all=True, max_twist_order=16).rings:
+        witnesses.extend(report.witnesses)
+    limit = Fraction(1, 2**premodular.SMATRIX_PRECISION_BITS)
+    zeros = 0
+    for w in witnesses:
+        ctx = ExactContext(w.ring, w.dims, w.twists)
+        reference = _reference_s_matrix(w.ring, w.dims, w.twists)
+        rendered = w.to_json()["smatrix"]["entries"]
+        for i in range(3):
+            for j in range(3):
+                ball = w.smatrix.entry(i, j)
+                assert ball.rad <= limit
+                assert _balls_meet(ball, reference[i][j]), (w.twists, i, j)
+                if ctx._is_zero(ctx.entries[i][j]):
+                    zeros += 1
+                    assert [rendered[i][j][key] for key in ("re", "im", "radius")] == ["0"] * 3
+    assert witnesses and zeros
 
 
 def test_corrupted_matrix_fails_row_check(ising):
@@ -155,25 +241,6 @@ def test_extnum_rejects_an_unreduced_representative(ising):
         ExtNum(8, None, (one, one))
 
 
-def _float_smatrix(ring, dims, twists):
-    """S-matrix with entries rounded from floats (radius 1e-9), for twists
-    whose certified root-of-unity balls are slow to build."""
-    d = [dims.value_complex(j) for j in range(3)]
-    th = [t.complex_approx() for t in twists.theta]
-    entries = tuple(
-        tuple(
-            ComplexBall(Fraction(z.real), Fraction(z.imag), Fraction(1, 10**9))
-            for z in (
-                (th[i] * th[j]).conjugate()
-                * sum(ring.N[ring.dual[i]][j][k] * th[k] * d[k] for k in range(3))
-                for j in range(3)
-            )
-        )
-        for i in range(3)
-    )
-    return SMatrix(entries, ring, dims, twists, 30)
-
-
 def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
     """Twists of orders 97 and 89 need Q(zeta_8633), of degree 8448 > the
     exact cap: the context raises Undecidable, naming the order and degree,
@@ -185,8 +252,6 @@ def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
     before = [t.cache_info() for t in tables]
     with pytest.raises(Undecidable, match="8633.*8448"):
         ExactContext(ring, system.chars[0], tw)
-    with pytest.raises(Undecidable):
-        classify_s_matrix(_float_smatrix(ring, system.chars[0], tw))
     assert [t.cache_info() for t in tables] == before
 
 
@@ -434,8 +499,8 @@ def test_exact_context_agrees_with_ball_classifier(ising, rep_s3):
     ring, system = ising
     tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(5, 16))
     ctx = ExactContext(ring, system.chars[0], tw)
-    sm = build_s_matrix(ring, system.chars[0], tw)
-    assert ctx.structure_class() == classify_s_matrix(sm) == StructureClass.MODULAR
+    sm = build_s_matrix(ctx)
+    assert ctx.structure_class() == StructureClass.MODULAR
     assert abs(np.linalg.det(np.array(_centers(sm)))) > 1e-6
 
 
@@ -631,7 +696,7 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate):
         certificate["degenerate_rule"] = premodular._degenerate_certificate(ring, dims, twists)
     return premodular.PremodularDatum(
         ring=ring, dims=dims, dims_index=dims_index, twists=twists,
-        smatrix=build_s_matrix(ring, dims, twists), structure_class=sclass,
+        smatrix=build_s_matrix(ctx), structure_class=sclass,
         certificate=certificate,
     )
 
