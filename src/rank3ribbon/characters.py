@@ -221,45 +221,12 @@ def _z3_characters(ring: FusionRing) -> CharacterSystem:
 def _selfdual_characters(params: Rank3Params) -> list[Character]:
     k, l, m, n = params.as_tuple()
     if k == 0:
-        # The star constraint forces l = 1, m = 0 here; the characters are
-        # (-1, 0) and (1, y) for the two roots of y^2 = 2 + n y.
-        assert l == 1 and m == 0, "star constraint violated in k = 0 family"
-        chars = [
-            Character(
-                x=RealAlgebraic.from_rational(-1),
-                y=RealAlgebraic.from_rational(0),
-                gen=None,
-                x_rep=qconst(-1),
-                y_rep=qconst(0),
-            )
+        # The star constraint forces l = 1 here, so the swapped ring has a
+        # nonzero pairing coefficient: solve it and swap X and Y back.
+        return [
+            Character(x=c.y, y=c.x, gen=c.gen, x_rep=c.y_rep, y_rep=c.x_rep)
+            for c in _selfdual_characters(params.swapped())
         ]
-        ypoly = IntPoly((-2, -n, 1))
-        for factor, mult in factor_into_irreducibles(ypoly):
-            assert mult == 1
-            for root in roots_of_irreducible(factor, ROOT_WIDTH):
-                if root.is_rational:
-                    chars.append(
-                        Character(
-                            x=RealAlgebraic.from_rational(1),
-                            y=root,
-                            gen=None,
-                            x_rep=qconst(1),
-                            y_rep=qconst(root.rational_value),
-                        )
-                    )
-                else:
-                    chars.append(
-                        Character(
-                            x=RealAlgebraic.from_rational(1),
-                            y=root,
-                            gen=root,
-                            x_rep=qconst(1),
-                            y_rep=X,
-                        )
-                    )
-        if len(chars) != 3:
-            raise DegenerateSystem("expected three characters in the k = 0 family")
-        return chars
     xpoly = char_poly_x(params)
     # With k != 0 the first defining relation determines y = (x^2 - m x - 1)/k.
     y_expr: QPoly = qscale(qnormalize((Fraction(-1), Fraction(-m), Fraction(1))), Fraction(1, k))
@@ -282,14 +249,15 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
                     )
                 )
             else:
-                _verify_relations_modular(params, root.minpoly, X, y_expr)
+                y_rep = qmod(y_expr, root.minpoly.to_q())
+                _verify_relations_modular(params, root.minpoly, X, y_rep)
                 chars.append(
                     Character(
                         x=root,
                         y=from_poly_expr(root, y_expr),
                         gen=root,
                         x_rep=X,
-                        y_rep=qmod(y_expr, root.minpoly.to_q()),
+                        y_rep=y_rep,
                     )
                 )
     if len(chars) != 3:

@@ -6,6 +6,8 @@ admissibility branches:
 
 - symmetric: rank-1 data exist only on finite-group character rings
   (integer dimensions, total squared dimension within the Landau bound);
+  `premodular.landau_rule` decides this on the dimension character, and the
+  rational-spectrum modular case returns the same verdict;
 - nonmodular: degenerate non-symmetric data force the (0,1,0,n) shape and an
   exact twist relation that bounds n;
 - modular: one of four exact Diophantine filters, dispatched on the Galois
@@ -37,7 +39,7 @@ from .characters import (
     integer_galois_type,
     solve_characters,
 )
-from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots
+from .exactnum import IntPoly, RootOfUnity, isolate_real_roots
 from .fusion import (
     FusionRing,
     Rank3Params,
@@ -47,7 +49,6 @@ from .fusion import (
     param_aliases,
 )
 from .premodular import (
-    LANDAU_BOUND_3,
     SCAN_TOL,
     ExactContext,
     FilterVerdict,
@@ -55,10 +56,10 @@ from .premodular import (
     StructureClass,
     Twists,
     Verdict,
-    landau_admissible,
+    _nonintegral_dimension,
+    landau_rule,
     nonmodular_filter,
     search_ribbon_data,
-    symmetric_witness,
 )
 
 LIMITATION_NOTE = (
@@ -134,59 +135,21 @@ def _unit_fraction_solutions(remaining: Fraction, parts: int, min_c: int):
 # ---------------------------------------------------------------------------
 
 def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict:
-    """Admissibility of rank-1 (symmetric) data on this ring.
+    """Admissibility of rank-1 (symmetric) data on this ring: `landau_rule`
+    on the dimension character.
 
-    Passes for the Z/3 group ring, and otherwise only when the dimension
-    character is integral with total squared dimension within landau_bound(3)
-    and the all-twists-1 datum verifies as an exactly rank-1 matrix.
-    """
-    if ring.is_z3:
-        return FilterVerdict(Verdict.PASS, {"group": "Z/3", "global_dim": "3"})
-    fp = system.chars[0]
-    ok, total = landau_admissible(fp)
-    if total is None:
-        return _nonintegral_dimension(fp.x if not fp.x.is_integer else fp.y)
-    cert: dict = {}
-    cert["dims"] = ["1", str(fp.x.rational_value), str(fp.y.rational_value)]
-    cert["global_dim"] = str(total)
-    cert["landau_bound"] = LANDAU_BOUND_3
-    if not ok:
-        cert["failed"] = f"global dimension {total} exceeds the Landau bound {LANDAU_BOUND_3}"
-        return FilterVerdict(Verdict.FAIL, cert)
-    witness = symmetric_witness(ring, system)
-    if witness is None:
-        cert["failed"] = "all-twists-1 datum is not rank 1"
-        return FilterVerdict(Verdict.FAIL, cert)
-    cert["witness"] = "rank-1 matrix on the dimension character with unit twists"
-    return FilterVerdict(Verdict.PASS, cert)
-
-
-def _nonintegral_dimension(value: RealAlgebraic) -> FilterVerdict:
-    """Symmetric-branch Fail for a dimension character with a non-integer
-    value, certified by that value's minimal polynomial."""
-    return FilterVerdict(Verdict.FAIL, {
-        "failed": "dimension character is not integral",
-        "nonintegral_value": {
-            "minpoly": list(value.minpoly.coeffs),
-            "approx": value.approx_str(12),
-        },
-    })
+    No datum needs checking.  With every twist 1, S[i][j] = sum_k
+    N[i*][j][k] d_k = d_i* d_j for any character d, so the dimension
+    character with unit twists is always a symmetric rank-1 datum whose rows
+    are characters, and the rule alone decides."""
+    return landau_rule(system.chars[0])
 
 
 def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
-    """Rational-spectrum branch: integer dimensions force a global dimension
-    of at most 6, and the certificate records the dimension vector."""
-    fp = system.chars[0]
-    ok, total = landau_admissible(fp)
-    assert total is not None, (
-        "rational character values of a monic characteristic polynomial must be integers"
-    )
-    dx, dy = fp.x.rational_value, fp.y.rational_value
-    cert = {"dims": ["1", str(dx), str(dy)], "global_dim": str(total), "bound": LANDAU_BOUND_3}
-    if ok:
-        return FilterVerdict(Verdict.PASS, cert)
-    cert["failed"] = f"global dimension {total} > {LANDAU_BOUND_3}"
-    return FilterVerdict(Verdict.FAIL, cert)
+    """Rational-spectrum branch: the values are rational roots of monic
+    integer cubics, hence integers, and `landau_rule` bounds the global
+    dimension by 6."""
+    return landau_rule(system.chars[0])
 
 
 def case2_rule(params: Rank3Params) -> FilterVerdict:

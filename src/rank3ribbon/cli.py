@@ -31,7 +31,6 @@ from .fusion import (
     StarViolation,
     check_based_axioms,
     enumerate_rank3_based_rings,
-    fp_dimensions,
     global_fp_dim,
     make_rank3_ring,
     param_aliases,
@@ -119,8 +118,8 @@ def _ring_payload(params: Rank3Params) -> dict:
     ring = make_rank3_ring(params)
     system = solve_characters(ring)
     info = galois_type(system)
-    dims = fp_dimensions(ring)
-    gdim = global_fp_dim(ring)
+    fp = system.chars[0]
+    gdim = global_fp_dim(fp)
     report = ring.axiom_report()
     return {
         "params": list(params.as_tuple()),
@@ -134,7 +133,7 @@ def _ring_payload(params: Rank3Params) -> dict:
         },
         "characters": system.to_json()["characters"],
         "galois": info.to_json(),
-        "fp_dimensions": [d.approx_str(12) for d in dims],
+        "fp_dimensions": [fp.value(j).approx_str(12) for j in range(3)],
         "fp_dimensions_note": "approx; exact values in characters[0]",
         "global_fp_dim": {
             "exact_minpoly": list(gdim.minpoly.coeffs),

@@ -19,7 +19,6 @@ from .intpoly import (
     is_perfect_square,
     rational_roots,
 )
-from .qpoly import charpoly
 from .realalg import (
     IsolatedRoot,
     RealAlgebraic,
@@ -36,7 +35,6 @@ __all__ = [
     "IsolatedRoot",
     "RealAlgebraic",
     "RootOfUnity",
-    "charpoly",
     "cos_minimal_poly",
     "cubic_discriminant",
     "cyclotomic_poly",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 
 class ComplexBall:
     """Disk { z : |z - (re + i*im)| <= rad } with rational data."""
@@ -24,22 +26,30 @@ class ComplexBall:
         if self.rad < 0:
             raise ValueError("radius must be nonnegative")
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction, rad: Fraction) -> "ComplexBall":
+        """A ball from the Fractions of an arithmetic result, whose radius is
+        nonnegative by construction: no coercion and no check."""
+        out = object.__new__(cls)
+        out.re, out.im, out.rad = re, im, rad
+        return out
+
     @staticmethod
     def from_rational(value) -> "ComplexBall":
-        return ComplexBall(Fraction(value), 0, 0)
+        return ComplexBall._of(Fraction(value), _ZERO, _ZERO)
 
     @staticmethod
     def from_real_interval(lo: Fraction, hi: Fraction) -> "ComplexBall":
         return ComplexBall((lo + hi) / 2, 0, (hi - lo) / 2)
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re + other.re, self.im + other.im, self.rad + other.rad)
+        return ComplexBall._of(self.re + other.re, self.im + other.im, self.rad + other.rad)
 
     def __sub__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re - other.re, self.im - other.im, self.rad + other.rad)
+        return ComplexBall._of(self.re - other.re, self.im - other.im, self.rad + other.rad)
 
     def __neg__(self) -> "ComplexBall":
-        return ComplexBall(-self.re, -self.im, self.rad)
+        return ComplexBall._of(-self.re, -self.im, self.rad)
 
     def __mul__(self, other: "ComplexBall") -> "ComplexBall":
         re = self.re * other.re - self.im * other.im
@@ -48,11 +58,11 @@ class ComplexBall:
         mag1 = abs(self.re) + abs(self.im)
         mag2 = abs(other.re) + abs(other.im)
         rad = mag1 * other.rad + mag2 * self.rad + self.rad * other.rad
-        return ComplexBall(re, im, rad)
+        return ComplexBall._of(re, im, rad)
 
     def scale(self, c) -> "ComplexBall":
         c = Fraction(c)
-        return ComplexBall(self.re * c, self.im * c, self.rad * abs(c))
+        return ComplexBall._of(self.re * c, self.im * c, self.rad * abs(c))
 
     # -- magnitude queries ---------------------------------------------------
 

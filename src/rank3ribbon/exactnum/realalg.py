@@ -100,7 +100,7 @@ class RealAlgebraic:
     never changes which root is denoted.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational", "_lo_sign")
+    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational", "_lo_sign", "_tree")
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction,
                  root_index: int, rational: Fraction | None):
@@ -112,6 +112,9 @@ class RealAlgebraic:
         # Sign of minpoly at _lo; it holds on all of (_lo, root), so it stays
         # valid as refinement moves _lo towards the root.
         self._lo_sign = None
+        # (cauchy_bound(minpoly), {width: node width}) of tree_interval,
+        # computed on its first call.
+        self._tree = None
 
     # -- construction -----------------------------------------------------
 
@@ -185,12 +188,17 @@ class RealAlgebraic:
         value.  Isolation and refinement only visit nodes of this tree, so the
         answer depends on the value and `width` alone, not on how far the
         value has been refined: a shallower interval is refined down to the
-        node, a deeper one is coarsened up to its ancestor."""
+        node, a deeper one is coarsened up to its ancestor.  The bound and the
+        node width of each `width` are computed once per value."""
         if self._rational is not None:
             return self._rational, self._rational
-        bound = cauchy_bound(self.minpoly)
-        depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
-        step = 2 * bound / 2**depth
+        if self._tree is None:
+            self._tree = (cauchy_bound(self.minpoly), {})
+        bound, steps = self._tree
+        step = steps.get(width)
+        if step is None:
+            depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
+            step = steps[width] = 2 * bound / 2**depth
         self.refine_to(step)
         while True:
             lo = -bound + (self._lo + bound) // step * step

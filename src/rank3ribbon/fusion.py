@@ -1,5 +1,5 @@
 """Rank-3 based rings: construction, axioms, canonical forms, enumeration,
-and Frobenius-Perron dimensions.
+and the global Frobenius-Perron dimension of a solved dimension character.
 
 The self-dual family is parametrized by nonnegative integers (k, l, m, n)
 with multiplication
@@ -13,10 +13,9 @@ holds.  The only other based ring of rank 3 is the group ring of Z/3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .exactnum import IntPoly, RealAlgebraic, charpoly, isolate_real_roots
+from .exactnum import RealAlgebraic
 from .exactnum.realalg import from_poly_expr
 
 
@@ -275,32 +274,14 @@ def _relabel_canonical_key(tensor, dual) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius-Perron dimensions
+# Global Frobenius-Perron dimension
 # ---------------------------------------------------------------------------
 
-def fp_dimensions(ring: FusionRing) -> tuple[RealAlgebraic, ...]:
-    """Per-basis Frobenius-Perron dimension: the largest real eigenvalue of
-    each multiplication matrix.  Always >= 1 for a based ring."""
-    dims = []
-    for i in range(ring.rank):
-        poly = IntPoly(charpoly(ring.mult_matrix(i)))
-        roots = isolate_real_roots(poly, Fraction(1, 1 << 20))
-        if not roots:
-            raise ValueError("multiplication matrix has no real eigenvalue")
-        dims.append(roots[-1].value)
-    for d in dims:
-        assert d >= 1
-    return tuple(dims)
-
-
-def global_fp_dim(ring: FusionRing) -> RealAlgebraic:
-    """Sum of squares of the Frobenius-Perron dimensions, exactly."""
-    from .characters import solve_characters  # local import to avoid a cycle
-
-    if ring.is_z3:
+def global_fp_dim(fp) -> RealAlgebraic:
+    """Sum of squares of the Frobenius-Perron dimensions, exactly, from the
+    solved dimension character `fp` (characters[0] of `solve_characters`)."""
+    if fp.is_cyclotomic:  # the Z/3 group ring: every dimension is 1
         return RealAlgebraic.from_rational(3)
-    system = solve_characters(ring)
-    fp = system.chars[0]
     if fp.gen is None:
         x = fp.x.rational_value
         y = fp.y.rational_value

@@ -22,8 +22,9 @@ phi(n)) = 1 (the tensor ring is then a field); otherwise it is divided by a
 factor of the lifted modulus that the context learns with the gcd and
 division of `exactnum.qpoly`, run over CycloNum coefficients (see
 `ExactContext._is_zero`).  A scan survivor gets only the checks that can
-change its verdict: when its dimensions fail the symmetric rule and
-degenerate data are not requested, the Frobenius-Schur indicators run first
+change its verdict: when its dimensions fail the symmetric rule, a candidate
+with both twists 1 is rejected before any exact context is built, and when
+degenerate data are not requested the Frobenius-Schur indicators run first
 and reject it before its S-matrix is built; otherwise symmetry, unit row and
 rows run, then the structure class and its rule (`_certify_candidate`).
 The rendered `approx` S-matrix is that certified exact matrix, each entry
@@ -38,7 +39,10 @@ corresponding consistency rule:
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
   three classes, since a symmetric structure forces the ring to be the
-  character ring of a finite group.
+  character ring of a finite group (`landau_rule`, which also decides the
+  symmetric filter and the rational-spectrum case of `classify`).  With every
+  twist 1, S[i][j] = d_i* d_j for any character d, so such a datum is
+  symmetric if it is anything, and the rule alone decides it.
 - Modular (nonzero determinant): the second Frobenius-Schur indicators
   computed exactly from (N, d, theta) must be +-1 on self-dual elements and 0
   otherwise; this is the standard admissibility test for modular data and is
@@ -785,13 +789,22 @@ def _certify_candidate(ring, dims, dims_index, twists,
                        include_degenerate) -> Optional[PremodularDatum]:
     """Exact verification and class-consistency rules for one scan survivor.
 
-    When the dimensions fail the symmetric rule and degenerate data are not
-    requested, only a Modular verdict can admit the candidate, and that needs
-    exact Frobenius-Schur indicators.  They read only d and the twists, so
-    they run first and reject the candidate before its S-matrix is built.
+    The symmetric rule holds when the dimensions are the dimension character
+    (index 0) and `landau_rule` passes on them.  When it fails:
+
+    - with every twist 1, S[i][j] = d_i* d_j, so the datum is Symmetric if
+      it is anything and the rule rejects it: no exact context is built;
+    - when degenerate data are not requested, only a Modular verdict can
+      admit the candidate, and that needs exact Frobenius-Schur indicators.
+      They read only d and the twists, so they run first and reject the
+      candidate before its S-matrix is built.
+
     The verdict is the one the full check order gives."""
+    landau = landau_rule(dims) if dims_index == 0 else None
+    sym_ok = landau is not None and landau.passed
+    if not sym_ok and all(t.is_one for t in twists.theta):
+        return None
     ctx = ExactContext(ring, dims, twists)
-    sym_ok, sym_cert = _symmetric_admissible(dims, dims_index)
     fs = None
     if not (sym_ok or include_degenerate):
         fs = ctx.fs_indicators()
@@ -803,9 +816,9 @@ def _certify_candidate(ring, dims, dims_index, twists,
     sclass = ctx.structure_class()
 
     if sclass == StructureClass.SYMMETRIC:
-        certificate["symmetric_rule"] = sym_cert
         if not sym_ok:
             return None
+        certificate["symmetric_rule"] = landau.certificate
     elif sclass == StructureClass.MODULAR:
         if fs is None:
             fs = ctx.fs_indicators()
@@ -828,41 +841,46 @@ def _certify_candidate(ring, dims, dims_index, twists,
     )
 
 
-def landau_admissible(dims: Character) -> tuple[bool, Optional[Fraction]]:
-    """The finite-group test on a real dimension character: both values are
-    integers and the total squared dimension 1 + d_X^2 + d_Y^2 is at most
-    LANDAU_BOUND_3.  Returns (passed, total), with total None when a value is
-    not an integer."""
-    if not (dims.x.is_integer and dims.y.is_integer):
-        return False, None
-    dx, dy = dims.x.rational_value, dims.y.rational_value
-    total = 1 + dx * dx + dy * dy
-    return total <= LANDAU_BOUND_3, total
+def landau_rule(dims: Character) -> FilterVerdict:
+    """The finite-group rule on a dimension character, the one test behind
+    the symmetric filter, the rational-spectrum case and symmetric witnesses.
 
-
-def _symmetric_admissible(dims, dims_index) -> tuple[bool, dict]:
-    """Rank-1 data must look like a finite-group character ring: dimension
-    character positive with integer values and total squared dimension at
-    most 6 (the Landau bound for three classes)."""
-    cert: dict = {}
+    Rank-1 (symmetric) data live on the character ring of a finite group, so
+    the dimensions must be integers with total squared dimension 1 + d_X^2 +
+    d_Y^2 at most LANDAU_BOUND_3, the order bound for three classes.  A
+    non-integer value fails with its minimal polynomial as certificate.  The
+    dimension character of the Z/3 group ring is trivial, all values 1."""
     if dims.is_cyclotomic:
-        ok = dims_index == 0
-        cert["dims_integer"] = ok
-        cert["global_dim"] = 3
-        return ok, cert
-    if dims_index != 0 or not dims.is_positive:
-        cert["dims_positive"] = False
-        return False, cert
-    ok, total = landau_admissible(dims)
-    if total is None:
-        cert["dims_integer"] = False
-        cert["nonintegral_value"] = dims.y.approx_str(12) if not dims.y.is_integer else dims.x.approx_str(12)
-        return False, cert
-    cert["dims_integer"] = True
-    cert["global_dim"] = str(total)
-    if not ok:
-        cert["landau_bound"] = LANDAU_BOUND_3
-    return ok, cert
+        if not dims.is_positive:
+            raise ValueError("a nontrivial Z/3 character is not a dimension character")
+        dx = dy = Fraction(1)
+    else:
+        for value in (dims.x, dims.y):
+            if not value.is_integer:
+                return _nonintegral_dimension(value)
+        dx, dy = dims.x.rational_value, dims.y.rational_value
+    total = 1 + dx * dx + dy * dy
+    cert: dict = {
+        "dims": ["1", str(dx), str(dy)],
+        "global_dim": str(total),
+        "landau_bound": LANDAU_BOUND_3,
+    }
+    if total > LANDAU_BOUND_3:
+        cert["failed"] = f"global dimension {total} exceeds the Landau bound {LANDAU_BOUND_3}"
+        return FilterVerdict(Verdict.FAIL, cert)
+    return FilterVerdict(Verdict.PASS, cert)
+
+
+def _nonintegral_dimension(value) -> FilterVerdict:
+    """Landau-rule Fail for a dimension character with the non-integer real
+    algebraic value `value`, certified by its minimal polynomial."""
+    return FilterVerdict(Verdict.FAIL, {
+        "failed": "dimension character is not integral",
+        "nonintegral_value": {
+            "minpoly": list(value.minpoly.coeffs),
+            "approx": value.approx_str(12),
+        },
+    })
 
 
 def _degenerate_certificate(ring, dims, twists) -> dict:
@@ -898,27 +916,6 @@ def _scaled_value(v, c: Fraction):
 
         return RealAlgebraic.from_rational(v.rational_value * c)
     return from_poly_expr(v, qscale(X, c))
-
-
-def symmetric_witness(ring: FusionRing, system: CharacterSystem) -> Optional[PremodularDatum]:
-    """The all-twists-1 datum on the dimension character, if it verifies as a
-    rank-1 (symmetric-class) matrix; exact certificate included."""
-    dims = system.chars[0]
-    if not dims.nonzero():
-        return None
-    twists = Twists.of(RootOfUnity.one(), RootOfUnity.one())
-    ctx = ExactContext(ring, dims, twists)
-    if not (ctx.is_symmetric() and ctx.rows_are_characters() and ctx.rank_is_one()):
-        return None
-    return PremodularDatum(
-        ring=ring,
-        dims=dims,
-        dims_index=0,
-        twists=twists,
-        smatrix=build_s_matrix(ctx),
-        structure_class=StructureClass.SYMMETRIC,
-        certificate={"verification": "exact", "rank": 1},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,7 @@ def test_case1():
     report = classify_ring(Rank3Params(0, 1, 0, 1))
     assert report.modular_case == "case1"
     assert report.verdicts["modular"].status == Verdict.PASS
+    assert report.verdicts["modular"] == report.verdicts["symmetric"]
     assert classify_ring(Rank3Params(1, 1, 0, 1)).modular_case != "case1"
 
 

@@ -4,13 +4,13 @@ from itertools import product
 
 import pytest
 
+from rank3ribbon.characters import solve_characters
 from rank3ribbon.fusion import (
     Rank3Params,
     StarViolation,
     canonicalize,
     check_based_axioms,
     enumerate_rank3_based_rings,
-    fp_dimensions,
     global_fp_dim,
     make_rank3_ring,
     make_z3_ring,
@@ -138,14 +138,18 @@ def test_enumerate_rejects_large_bound():
         enumerate_rank3_based_rings(4)
 
 
+def _dimension_character(ring):
+    return solve_characters(ring).chars[0]
+
+
 def test_fp_dimensions():
-    dims = fp_dimensions(make_rank3_ring(Rank3Params(0, 1, 0, 1)))
-    assert [d.rational_value for d in dims] == [1, 1, 2]
-    dims2 = fp_dimensions(make_rank3_ring(Rank3Params(0, 1, 0, 0)))
-    assert dims2[0].rational_value == 1 and dims2[1].rational_value == 1
-    assert dims2[2].minpoly.coeffs == (-2, 0, 1)
-    dims3 = fp_dimensions(make_z3_ring())
-    assert [d.rational_value for d in dims3] == [1, 1, 1]
+    dims = _dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 1)))
+    assert [dims.value(j).rational_value for j in range(3)] == [1, 1, 2]
+    dims2 = _dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 0)))
+    assert dims2.value(0).rational_value == 1 and dims2.x.rational_value == 1
+    assert dims2.y.minpoly.coeffs == (-2, 0, 1)
+    dims3 = _dimension_character(make_z3_ring())
+    assert all(dims3.value(j).is_one for j in range(3))
 
 
 def test_fp_dimensions_at_least_one():
@@ -153,14 +157,15 @@ def test_fp_dimensions_at_least_one():
         p = Rank3Params(k, l, m, n)
         if not p.satisfies_star:
             continue
-        for d in fp_dimensions(make_rank3_ring(p)):
-            assert d >= 1
+        dims = _dimension_character(make_rank3_ring(p))
+        for j in range(3):
+            assert dims.value(j) >= 1
 
 
 def test_global_fp_dim():
-    assert global_fp_dim(make_rank3_ring(Rank3Params(0, 1, 0, 1))) == 6
-    assert global_fp_dim(make_z3_ring()) == 3
-    assert global_fp_dim(make_rank3_ring(Rank3Params(0, 1, 0, 0))) == 4
+    assert global_fp_dim(_dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 1)))) == 6
+    assert global_fp_dim(_dimension_character(make_z3_ring())) == 3
+    assert global_fp_dim(_dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 0)))) == 4
 
 
 def test_ring_json_roundtrip_shape():

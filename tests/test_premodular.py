@@ -35,7 +35,6 @@ from rank3ribbon.premodular import (
     build_s_matrix,
     nonmodular_filter,
     search_ribbon_data,
-    symmetric_witness,
 )
 
 
@@ -471,15 +470,18 @@ def test_solved_scan_matches_grid_z3_pinned_theta_2():
     assert all(3 % t2.q == 0 for _, t2 in pairs)
 
 
-def test_symmetric_witness_is_rank_one_product(rep_s3):
-    """A rational symmetric witness with unit twists has entries d_i * d_j."""
-    ring, system = rep_s3
-    w = symmetric_witness(ring, system)
-    assert w is not None
-    d = [1, 1, 2]
-    for i in range(3):
-        for j in range(3):
-            assert w.smatrix.entry(i, j).center_complex() == pytest.approx(d[i] * d[j], abs=1e-25)
+def test_unit_twists_on_the_dimension_character_give_rank_one_character_data():
+    """The identity the Landau rule's users rest on: with every twist 1,
+    S[i][j] = sum_k N[i*][j][k] d_k = d_i* d_j, so on the dimension character
+    the datum is exactly symmetric, its unit row is d, its rows are
+    characters and it has rank 1.  Checked on Z/3 and every ring up to bound
+    20."""
+    unit = Twists.of(RootOfUnity.one(), RootOfUnity.one())
+    rings = [make_z3_ring()] + [make_rank3_ring(p) for p in enumerate_star_solutions(20)]
+    for ring in rings:
+        ctx = ExactContext(ring, solve_characters(ring).chars[0], unit)
+        assert ctx.is_symmetric() and ctx.unit_row_ok(), ring
+        assert ctx.rows_are_characters() and ctx.rank_is_one(), ring
 
 
 def test_modular_rows_pair_opposite_y(ising):
@@ -681,10 +683,10 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate):
     certificate = {"verification": "exact"}
     sclass = ctx.structure_class()
     if sclass == StructureClass.SYMMETRIC:
-        ok, sym_cert = premodular._symmetric_admissible(dims, dims_index)
-        certificate["symmetric_rule"] = sym_cert
-        if not ok:
+        rule = premodular.landau_rule(dims) if dims_index == 0 else None
+        if rule is None or not rule.passed:
             return None
+        certificate["symmetric_rule"] = rule.certificate
     elif sclass == StructureClass.MODULAR:
         fs = ctx.fs_indicators()
         if fs is None:
@@ -724,35 +726,38 @@ def test_certification_order_matches_full_order_reference(monkeypatch):
     assert any(seen) and not all(seen)
 
 
-def test_unit_twist_candidates_rejected_before_row_checks(monkeypatch):
-    """At bound 5, a candidate with both twists 1 whose dimensions fail the
-    symmetric rule reaches rows_are_characters only if its exact
-    Frobenius-Schur indicators pass.  With all twists 1 they are nu_k = d_k,
-    so only a +-1-valued character such as (1, 1, -1) gets there; every
-    other such candidate is rejected before its S-matrix is built."""
+def test_unit_twist_candidates_failing_the_rule_build_no_context(monkeypatch):
+    """A scan survivor with both twists 1 is Symmetric if anything (S[i][j] =
+    d_i* d_j), so when its dimensions fail the Landau rule the rule alone
+    rejects it: no ExactContext is built for it, with or without degenerate
+    data.  Such candidates include +-1-valued characters like (1, 1, -1),
+    whose Frobenius-Schur indicators nu_k = d_k pass."""
     original_certify = premodular._certify_candidate
-    original_rows = ExactContext.rows_are_characters
-    current, unit_failing, reached = [], [], []
+    original_init = ExactContext.__init__
+    current, unit_failing, built = [], [], []
 
     def certify(ring, dims, dims_index, twists, include_degenerate):
         unit = all(t.is_one for t in twists.theta)
-        failing = unit and not premodular._symmetric_admissible(dims, dims_index)[0]
+        failing = unit and not (dims_index == 0 and premodular.landau_rule(dims).passed)
         if failing:
             unit_failing.append(dims)
-        current.append(dims if failing else None)
+        current.append(failing)
         try:
             return original_certify(ring, dims, dims_index, twists, include_degenerate)
         finally:
             current.pop()
 
-    def rows(self):
-        if current and current[-1] is not None:
-            reached.append(current[-1])
-        return original_rows(self)
+    def init(self, *args):
+        if current and current[-1]:
+            built.append(args)
+        original_init(self, *args)
 
     monkeypatch.setattr(premodular, "_certify_candidate", certify)
-    monkeypatch.setattr(ExactContext, "rows_are_characters", rows)
+    monkeypatch.setattr(ExactContext, "__init__", init)
     classify_all(5, witness_all=True, max_twist_order=16)
-    assert 0 < len(reached) < len(unit_failing)
-    for dims in reached:
-        assert {dims.x.rational_value, dims.y.rational_value} <= {1, -1}
+    for params in (Rank3Params(0, 1, 0, 1), Rank3Params(1, 1, 0, 1)):
+        search_ribbon_data(make_rank3_ring(params), 16, include_degenerate=True)
+    assert any(
+        {d.x.rational_value, d.y.rational_value} == {1, -1} for d in unit_failing
+    )
+    assert not built
