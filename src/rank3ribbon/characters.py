@@ -28,10 +28,6 @@ from .exactnum.realalg import from_poly_expr
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring, rank3_tensor
 
 
-# Width to which every character value is first isolated.
-ROOT_WIDTH = Fraction(1, 1 << 20)
-
-
 class DegenerateSystem(ValueError):
     """Fewer than three distinct characters: the input is not a valid ring."""
 
@@ -228,13 +224,15 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
             for c in _selfdual_characters(params.swapped())
         ]
     xpoly = char_poly_x(params)
-    # With k != 0 the first defining relation determines y = (x^2 - m x - 1)/k.
+    ypoly = char_poly_y(params)
+    # With k != 0 the first defining relation determines y = (x^2 - m x - 1)/k,
+    # a root of char_poly_y.
     y_expr: QPoly = qscale(qnormalize((Fraction(-1), Fraction(-m), Fraction(1))), Fraction(1, k))
     chars = []
     for factor, mult in factor_into_irreducibles(xpoly):
         if mult > 1:
             raise DegenerateSystem("repeated eigenvalue with k != 0")
-        for root in roots_of_irreducible(factor, ROOT_WIDTH):
+        for root in roots_of_irreducible(factor):
             if root.is_rational:
                 xv = root.rational_value
                 yv = qeval(y_expr, xv)
@@ -254,7 +252,7 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
                 chars.append(
                     Character(
                         x=root,
-                        y=from_poly_expr(root, y_expr),
+                        y=from_poly_expr(root, y_expr, ypoly),
                         gen=root,
                         x_rep=X,
                         y_rep=y_rep,
@@ -343,7 +341,7 @@ def dimension_x_value(params: Rank3Params) -> RealAlgebraic:
     its largest root, the Perron-Frobenius eigenvalue of N_X.  It is isolated
     like every solved value, so it refines and renders exactly as
     solve_characters(...).chars[0].x does."""
-    return roots_of_irreducible(char_poly_x(params), ROOT_WIDTH)[-1]
+    return roots_of_irreducible(char_poly_x(params))[-1]
 
 
 def _cubic_galois_info(cubic: IntPoly) -> GaloisInfo:

@@ -154,20 +154,22 @@ def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
 
 def case2_rule(params: Rank3Params) -> FilterVerdict:
     """Cyclic-cubic branch: a positive rational lambda with lambda^3 = l*k
-    must satisfy the two symmetric-function identities below."""
+    must satisfy the two symmetric-function identities below.
+
+    Precondition: k, l >= 1, which every C3 ring meets.  If k = 0, the star
+    equation l^2 = lm + 1 gives l = 1 and m = 0, so char_poly_x = x^3 - x^2 -
+    x + 1 = (x - 1)^2 (x + 1): every x-value is rational, every y-value is
+    then quadratic at most, and the Galois image is not C3.  If l = 0 the
+    swapped ring has k = 0, and the Galois type does not depend on the
+    orientation.  (Equally: a canonical ring with l = 0 has k = 0, since
+    (0, k, n, m) precedes (k, 0, m, n).)  So m + l and n + k are nonzero on
+    every C3 ring; they vanish only on K(0,1,0,0) = K(1,0,0,0), which is
+    C2-moving.
+    """
     k, l, m, n = params.as_tuple()
-    if m + l == 0 or n + k == 0:
-        return FilterVerdict(
-            Verdict.PASS,
-            {
-                "exception": "x-trace (or y-trace) vanishes; rationality of lambda is not forced",
-                "canonical": canonicalize(params).as_tuple(),
-            },
-        )
+    if k < 1 or l < 1:
+        raise ValueError(f"case 2 needs k, l >= 1, as every C3 ring has; got {params.name()}")
     cert: dict = {"lk": l * k}
-    if k == 0 or l == 0:
-        cert["failed"] = "lambda^3 = l*k = 0 contradicts lambda > 0"
-        return FilterVerdict(Verdict.FAIL, cert)
     lam = _integer_cube_root(l * k)
     if lam is None:
         cert["failed"] = f"lambda = (l*k)^(1/3) = {l*k}^(1/3) is irrational"

@@ -119,7 +119,7 @@ def _ring_payload(params: Rank3Params) -> dict:
     system = solve_characters(ring)
     info = galois_type(system)
     fp = system.chars[0]
-    gdim = global_fp_dim(fp)
+    gdim = global_fp_dim(system)
     report = ring.axiom_report()
     return {
         "params": list(params.as_tuple()),

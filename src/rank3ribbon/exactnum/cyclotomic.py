@@ -73,7 +73,7 @@ def cos_minimal_poly(q: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _cos_roots(q: int) -> tuple[RealAlgebraic, ...]:
-    return tuple(roots_of_irreducible(cos_minimal_poly(q), Fraction(1, 1 << 16)))
+    return tuple(roots_of_irreducible(cos_minimal_poly(q)))
 
 
 def two_cos(turn: Fraction) -> RealAlgebraic:

@@ -3,8 +3,9 @@
 Polynomials are tuples of coefficients, lowest degree first, with no trailing
 zeros (the zero polynomial is the empty tuple).  The ring operations
 (`qnormalize`, `qadd`, `qmul`, `qscale`, ...) coerce their coefficients to
-Fraction and serve polynomial algebra over Q: character expressions and the
-characteristic polynomials of `realalg.from_poly_expr`.  Division, gcd and
+Fraction and serve polynomial algebra over Q: character expressions, and
+`charpoly` of the integer Casimir matrix of `fusion.global_fp_dim`, whose
+cubic locates the global dimension.  Division, gcd and
 `qmonic` work unchanged on any field whose elements support +, -, *,
 truthiness and `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)); run
 over CycloNum coefficients they decide the zero test of S-matrix entries.

@@ -1,12 +1,24 @@
 """Exact real algebraic numbers via minimal polynomial + isolating interval.
 
-Root isolation uses Sturm sequences with rational interval endpoints.  Every
-sign is decided by integer evaluation at a rational point (homogeneous Horner,
-`intpoly.sign_at`), so every comparison and refinement is exact and no
-fraction is formed while bisecting.  A value is canonically identified by its
-(irreducible, primitive, positive-leading) minimal polynomial together with
-its rank among that polynomial's real roots; two values are equal iff those
-agree, which makes equality decidable without separation bounds.
+A value is canonically identified by its (irreducible, primitive,
+positive-leading) minimal polynomial together with its rank among that
+polynomial's real roots; two values are equal iff those agree, which makes
+equality decidable without separation bounds.
+
+Every irrational value is located one way.  Its minimal polynomial is an
+irreducible factor of an integer polynomial the caller already holds: a
+characteristic cubic, the Casimir polynomial of `fusion.global_fp_dim`, a
+scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
+takes that polynomial rather than building one.  Root isolation uses integer
+Sturm chains and stops as soon as the roots are separated; a caller that needs
+a narrow interval asks for it (`refine_to`, `tree_interval`, `approx_str`,
+`__float__`).  There is one bisection, `RealAlgebraic.refine_to`: it halves on
+integer numerators over a common denominator by the sign of the minimal
+polynomial (integer Horner, `intpoly.sign_at`), and comparisons, signs and
+the root matching of `from_poly_expr` all halve through it.  So every
+interval of an irrational value, from isolation onwards, is a node of the
+bisection tree of (-B, B), B = cauchy_bound(minpoly), and no fraction is
+formed while bisecting.
 """
 
 from __future__ import annotations
@@ -16,9 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import qpoly
-from .intpoly import IntPoly, factor_into_irreducibles, from_q, sign_at
-
-_DEFAULT_WIDTH = Fraction(1, 64)
+from .intpoly import IntPoly, factor_into_irreducibles, sign_at
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +120,7 @@ class RealAlgebraic:
         self.root_index = root_index
         self._rational = rational
         # Sign of minpoly at _lo; it holds on all of (_lo, root), so it stays
-        # valid as refinement moves _lo towards the root.
+        # valid as refinement moves _lo towards the root.  Set by refine_to.
         self._lo_sign = None
         # (cauchy_bound(minpoly), {width: node width}) of tree_interval,
         # computed on its first call.
@@ -123,14 +133,6 @@ class RealAlgebraic:
         r = Fraction(r)
         mp = IntPoly((-r.numerator, r.denominator)).primitive()
         return cls(mp, r, r, 0, r)
-
-    @classmethod
-    def _from_isolated(cls, minpoly: IntPoly, lo: Fraction, hi: Fraction,
-                       root_index: int) -> "RealAlgebraic":
-        if minpoly.degree == 1:
-            b, a = minpoly.coeffs[1], minpoly.coeffs[0]
-            return cls.from_rational(Fraction(-a, b))
-        return cls(minpoly, lo, hi, root_index, None)
 
     # -- inspection ---------------------------------------------------------
 
@@ -155,31 +157,31 @@ class RealAlgebraic:
 
     # -- refinement ---------------------------------------------------------
 
-    def refine_once(self) -> None:
-        if self._rational is not None:
-            return
-        mid = (self._lo + self._hi) / 2
-        # The minimal polynomial is irreducible of degree >= 2, so it cannot
-        # vanish at a rational midpoint.
-        if self._lo_sign is None:
-            self._lo_sign = self.minpoly.sign_at(self._lo)
-        if self.minpoly.sign_at(mid) != self._lo_sign:
-            self._hi = mid
-        else:
-            self._lo = mid
-
-    def refine_to(self, width: Fraction) -> None:
-        """Halve until the interval is at most `width` wide, on integer
-        numerators; the midpoints are those of refine_once."""
+    def refine_to(self, width) -> None:
+        """Halve until the interval is at most `width` wide.  This is the
+        value's only bisection: each step keeps the half where the minimal
+        polynomial changes sign, with the endpoints as integer numerators over
+        a common denominator that doubles per step.  The minimal polynomial
+        is irreducible of degree >= 2, so it has no rational root and never
+        vanishes at a midpoint."""
         width = Fraction(width)
         if self._rational is not None or self._hi - self._lo <= width:
             return
+        coeffs = self.minpoly.coeffs
         den = math.lcm(self._lo.denominator, self._hi.denominator)
         lo = self._lo.numerator * (den // self._lo.denominator)
         hi = self._hi.numerator * (den // self._hi.denominator)
         if self._lo_sign is None:
-            self._lo_sign = sign_at(self.minpoly.coeffs, lo, den)
-        lo, hi, den = _halve_isolated(self.minpoly.coeffs, lo, hi, den, self._lo_sign, width)
+            self._lo_sign = sign_at(coeffs, lo, den)
+        wnum, wden = width.numerator, width.denominator
+        while (hi - lo) * wden > wnum * den:
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            mid_sign = sign_at(coeffs, mid, den)
+            assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
+            if mid_sign != self._lo_sign:
+                hi = mid
+            else:
+                lo = mid
         self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
 
     def tree_interval(self, width) -> tuple[Fraction, Fraction]:
@@ -189,7 +191,9 @@ class RealAlgebraic:
         answer depends on the value and `width` alone, not on how far the
         value has been refined: a shallower interval is refined down to the
         node, a deeper one is coarsened up to its ancestor.  The bound and the
-        node width of each `width` are computed once per value."""
+        node width of each `width` are computed once per value.  Every
+        interval of the value is already a node of this tree, so after
+        refine_to the interval lies inside the node."""
         if self._rational is not None:
             return self._rational, self._rational
         if self._tree is None:
@@ -200,17 +204,15 @@ class RealAlgebraic:
             depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
             step = steps[width] = 2 * bound / 2**depth
         self.refine_to(step)
-        while True:
-            lo = -bound + (self._lo + bound) // step * step
-            if self._hi <= lo + step:
-                return lo, lo + step
-            self.refine_once()
+        lo = -bound + (self._lo + bound) // step * step
+        assert self._hi <= lo + step, "the interval is not a node of the bisection tree"
+        return lo, lo + step
 
     def sign(self) -> int:
         if self._rational is not None:
             return _sign(self._rational)
         while self._lo < 0 < self._hi:
-            self.refine_once()
+            _halve(self)
         return 1 if self._lo >= 0 else -1
 
     @property
@@ -252,8 +254,8 @@ class RealAlgebraic:
                 return -1 if self._rational <= other._lo else 1
             if other._rational is not None and not (self._lo < other._rational < self._hi):
                 return 1 if other._rational <= self._lo else -1
-            self.refine_once()
-            other.refine_once()
+            _halve(self)
+            _halve(other)
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -290,6 +292,11 @@ class RealAlgebraic:
         if self._rational is not None:
             return f"RealAlgebraic({self._rational})"
         return f"RealAlgebraic({self.minpoly}, ~{self.approx_str(8)})"
+
+
+def _halve(x: RealAlgebraic) -> None:
+    """One bisection step of an irrational value (none for a rational)."""
+    x.refine_to((x._hi - x._lo) / 2)
 
 
 def _coerce(x) -> RealAlgebraic:
@@ -349,18 +356,16 @@ class IsolatedRoot(NamedTuple):
     multiplicity: int
 
 
-def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals, no wider than `width`, for all real roots
-    of p, ascending.
+def _isolate_squarefree(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint isolating intervals for all real roots of p, ascending: the
+    first nodes of the bisection tree of (-B, B), B = cauchy_bound(p), that
+    hold one root each.
 
     p must be irreducible of degree >= 2 (as `roots_of_irreducible` ensures):
-    then it has no rational root, so no cut point is a root of p.  Intervals
-    are halved at their midpoints.  While an interval holds several roots the
-    Sturm chain is evaluated once per cut point, the variations at the ends
-    being carried down from the parent; once it holds one root it is halved
-    by the sign of p alone, which picks the same half as the Sturm count.
-    Endpoints are integer numerators over a common denominator that doubles
-    with each halving.
+    then it has no rational root, so no cut point is a root of p.  Each cut
+    point evaluates the Sturm chain once, the variations at the ends being
+    carried down from the parent.  Endpoints are integer numerators over a
+    common denominator that doubles with each halving.
     """
     chain = sturm_chain(p)
     coeffs = p.coeffs
@@ -373,7 +378,6 @@ def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fra
         if nroots == 0:
             return
         if nroots == 1:
-            lo, hi, den = _halve_isolated(coeffs, lo, hi, den, sign_at(coeffs, lo, den), width)
             out.append((Fraction(lo, den), Fraction(hi, den)))
             return
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
@@ -387,84 +391,37 @@ def _isolate_squarefree(p: IntPoly, width: Fraction) -> list[tuple[Fraction, Fra
     return out
 
 
-def _halve_isolated(coeffs: tuple[int, ...], lo: int, hi: int, den: int, lo_sign: int,
-                    width: Fraction) -> tuple[int, int, int]:
-    """Halve (lo/den, hi/den), which holds exactly one root of the irreducible
-    p of degree >= 2 with these coefficients, until it is at most `width`
-    wide.  lo_sign is the sign of p at lo/den; the root lies in the half
-    where the sign changes.  Returns the new (lo, hi, den)."""
-    wnum, wden = width.numerator, width.denominator
-    while (hi - lo) * wden > wnum * den:
-        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-        mid_sign = sign_at(coeffs, mid, den)
-        assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
-        if mid_sign != lo_sign:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, den
-
-
-def isolate_real_roots(p: IntPoly, width=_DEFAULT_WIDTH) -> list[IsolatedRoot]:
+def isolate_real_roots(p: IntPoly) -> list[IsolatedRoot]:
     """All real roots of p as RealAlgebraic values, ascending, with multiplicity.
 
     Each root carries its true minimal polynomial (an irreducible factor of p)
-    and an isolating interval no wider than `width`.
+    and an interval that separates it from the other roots of that factor.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    found: list[IsolatedRoot] = []
-    for factor, mult in factor_into_irreducibles(p):
-        if factor.degree == 0:
-            continue
-        for val in roots_of_irreducible(factor, width):
-            found.append(IsolatedRoot(val, mult))
-    return sorted(found, key=_RootSortKey)
+    found = [
+        IsolatedRoot(val, mult)
+        for factor, mult in factor_into_irreducibles(p)
+        for val in roots_of_irreducible(factor)
+    ]
+    return sorted(found, key=lambda root: root.value)
 
 
-class _RootSortKey:
-    """Exact comparison adapter for sorting IsolatedRoot entries."""
-
-    def __init__(self, item: IsolatedRoot):
-        self.value = item.value
-
-    def __lt__(self, other: "_RootSortKey") -> bool:
-        return self.value < other.value
-
-
-def roots_of_irreducible(p: IntPoly, width=_DEFAULT_WIDTH) -> list[RealAlgebraic]:
-    """Real roots of an irreducible primitive polynomial, ascending."""
+def roots_of_irreducible(p: IntPoly) -> list[RealAlgebraic]:
+    """Real roots of an irreducible polynomial, ascending, each with p made
+    primitive as its minimal polynomial."""
     p = p.primitive()
     if p.degree == 1:
         return [RealAlgebraic.from_rational(Fraction(-p.coeffs[0], p.coeffs[1]))]
-    intervals = _isolate_squarefree(p, Fraction(width))
     return [
-        RealAlgebraic._from_isolated(p, lo, hi, idx)
-        for idx, (lo, hi) in enumerate(intervals)
+        RealAlgebraic(p, lo, hi, idx, None)
+        for idx, (lo, hi) in enumerate(_isolate_squarefree(p))
     ]
 
 
 # ---------------------------------------------------------------------------
 # Values defined by polynomial expressions in a known algebraic number
 # ---------------------------------------------------------------------------
-
-def _charpoly_of_multiplication(minpoly: IntPoly, expr: qpoly.QPoly) -> qpoly.QPoly:
-    """Characteristic polynomial of multiplication by expr(x) on Q[x]/minpoly.
-
-    The minimal polynomial of expr(alpha) divides this.
-    """
-    d = minpoly.degree
-    m = minpoly.to_q()
-    # cols[i][j] = coefficient of x^j in expr * x^i mod m.
-    cols = []
-    for i in range(d):
-        col = qpoly.qmod(qpoly.qmul(expr, qpoly.qnormalize([0] * i + [1])), m)
-        cols.append([col[j] if j < len(col) else Fraction(0) for j in range(d)])
-    return qpoly.charpoly([[cols[i][j] for i in range(d)] for j in range(d)])
-
 
 def _interval_eval(expr: qpoly.QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval extension of expr over [lo, hi] via interval Horner."""
@@ -475,42 +432,32 @@ def _interval_eval(expr: qpoly.QPoly, lo: Fraction, hi: Fraction) -> tuple[Fract
     return acc_lo, acc_hi
 
 
-def from_poly_expr(alpha: RealAlgebraic, expr) -> RealAlgebraic:
-    """The real algebraic number expr(alpha), for rational-coefficient expr."""
+def from_poly_expr(alpha: RealAlgebraic, expr, poly: IntPoly) -> RealAlgebraic:
+    """The real algebraic number expr(alpha), for rational-coefficient expr,
+    given a nonzero integer polynomial `poly` that has it as a root.
+
+    The roots of `poly` are isolated, and the value is the one whose interval
+    meets the interval image of expr over alpha's interval.  Interval Horner
+    is inclusion-monotone, so while several roots meet the image, alpha and
+    those roots are halved and the others are dropped.
+    """
     expr = qpoly.qnormalize(expr)
     if alpha.is_rational:
         return RealAlgebraic.from_rational(qpoly.qeval(expr, alpha.rational_value))
     reduced = qpoly.qmod(expr, alpha.minpoly.to_q())
     if qpoly.qdegree(reduced) <= 0:
         return RealAlgebraic.from_rational(reduced[0] if reduced else Fraction(0))
-    charpoly = from_q(_charpoly_of_multiplication(alpha.minpoly, reduced))
-    candidates: list[RealAlgebraic] = []
-    for factor, _mult in factor_into_irreducibles(charpoly):
-        if factor.degree >= 1:
-            candidates.extend(roots_of_irreducible(factor))
-    width = Fraction(1, 64)
+    candidates = [
+        root for factor, _mult in factor_into_irreducibles(poly)
+        for root in roots_of_irreducible(factor)
+    ]
     while True:
         lo, hi = _interval_eval(reduced, *alpha.interval())
-        hits = [c for c in candidates if _overlaps((lo, hi), _refined(c, width))]
-        if len(hits) == 1:
-            hit = hits[0]
-            if hit.is_rational:
-                return hit
-            # Tighten the stored interval to the expression's own bounds so
-            # later refinement stays cheap.
-            return RealAlgebraic._from_isolated(
-                hit.minpoly, *_refined(hit, width), hit.root_index
-            )
-        alpha.refine_once()
-        width /= 2
+        candidates = [c for c in candidates if c._lo <= hi and lo <= c._hi]
+        if len(candidates) == 1:
+            return candidates[0]
+        if not candidates:
+            raise ValueError("expr(alpha) is not a root of the given polynomial")
+        _halve(alpha)
         for c in candidates:
-            c.refine_to(width)
-
-
-def _refined(x: RealAlgebraic, width: Fraction) -> tuple[Fraction, Fraction]:
-    x.refine_to(width)
-    return x.interval()
-
-
-def _overlaps(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
+            _halve(c)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .exactnum import RealAlgebraic
+from .exactnum import IntPoly, RealAlgebraic
+from .exactnum.qpoly import charpoly, qadd, qconst, qmul
 from .exactnum.realalg import from_poly_expr
 
 
@@ -277,15 +278,27 @@ def _relabel_canonical_key(tensor, dual) -> tuple:
 # Global Frobenius-Perron dimension
 # ---------------------------------------------------------------------------
 
-def global_fp_dim(fp) -> RealAlgebraic:
+def global_fp_dim(system) -> RealAlgebraic:
     """Sum of squares of the Frobenius-Perron dimensions, exactly, from the
-    solved dimension character `fp` (characters[0] of `solve_characters`)."""
+    solved character system (`solve_characters`).
+
+    1 + d_X^2 + d_Y^2 = 3 + (m+l) d_X + (k+n) d_Y is the value of the
+    Casimir element 1 + X^2 + Y^2 = 3 + (m+l)X + (k+n)Y at the dimension
+    character, so it is the Perron-Frobenius root of the integer matrix
+    3I + (m+l)N_X + (k+n)N_Y (Ostrik, arXiv:0810.3242), a root of that
+    matrix's characteristic cubic."""
+    fp = system.chars[0]
     if fp.is_cyclotomic:  # the Z/3 group ring: every dimension is 1
         return RealAlgebraic.from_rational(3)
-    if fp.gen is None:
+    if fp.all_rational:
         x = fp.x.rational_value
         y = fp.y.rational_value
         return RealAlgebraic.from_rational(1 + x * x + y * y)
-    from .exactnum.qpoly import qadd, qconst, qmul
+    k, l, m, n = system.params.as_tuple()
+    N = system.ring.N
+    casimir = [
+        [3 * (r == c) + (m + l) * N[1][c][r] + (k + n) * N[2][c][r] for c in range(3)]
+        for r in range(3)
+    ]
     expr = qadd(qconst(1), qadd(qmul(fp.x_rep, fp.x_rep), qmul(fp.y_rep, fp.y_rep)))
-    return from_poly_expr(fp.gen, expr)
+    return from_poly_expr(fp.gen, expr, IntPoly(charpoly(casimir)))

@@ -64,9 +64,9 @@ from typing import Optional
 import numpy as np
 
 from .characters import Character, CharacterSystem, solve_characters
-from .exactnum import ComplexBall, CycloNum, RootOfUnity, lcm, two_cos
+from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
-from .exactnum.qpoly import QPoly, qdivmod, qgcd, qnormalize
+from .exactnum.qpoly import QPoly, qdivmod, qgcd
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
@@ -191,17 +191,18 @@ class PremodularDatum:
 class ExtNum:
     """Element of Q(zeta_n)[x]/(modulus), the exact house for S-matrix entries.
 
-    `modulus` is the (monic) minimal polynomial of the character generator, or
-    None when the character values are rational/cyclotomic.  `coeffs` holds
-    exactly deg(modulus) CycloNum coefficients (one without a modulus).
+    `modulus` is the (monic) minimal polynomial of the character generator:
+    x for the generator 0 of rational and Z/3 dimensions, since
+    Q(zeta_n)[x]/(x) = Q(zeta_n).  `coeffs` holds exactly deg(modulus)
+    CycloNum coefficients.
     """
 
     __slots__ = ("n", "modulus", "coeffs")
 
-    def __init__(self, n: int, modulus: Optional[QPoly], coeffs: tuple[CycloNum, ...]):
+    def __init__(self, n: int, modulus: QPoly, coeffs: tuple[CycloNum, ...]):
         self.n = n
         self.modulus = modulus
-        deg = 1 if modulus is None else len(modulus) - 1
+        deg = len(modulus) - 1
         if len(coeffs) > deg:
             if any(coeffs[deg:]):
                 raise ValueError(
@@ -214,15 +215,15 @@ class ExtNum:
         self.coeffs = tuple(coeffs)
 
     @staticmethod
-    def from_cyclo(n: int, modulus: Optional[QPoly], c: CycloNum) -> "ExtNum":
+    def from_cyclo(n: int, modulus: QPoly, c: CycloNum) -> "ExtNum":
         return ExtNum(n, modulus, (c,))
 
     @staticmethod
-    def from_rational(n: int, modulus: Optional[QPoly], value) -> "ExtNum":
+    def from_rational(n: int, modulus: QPoly, value) -> "ExtNum":
         return ExtNum(n, modulus, (CycloNum.from_rational(n, value),))
 
     @staticmethod
-    def from_gen_poly(n: int, modulus: Optional[QPoly], rep: QPoly) -> "ExtNum":
+    def from_gen_poly(n: int, modulus: QPoly, rep: QPoly) -> "ExtNum":
         return ExtNum(
             n, modulus, tuple(CycloNum.from_rational(n, c) for c in rep)
         )
@@ -246,8 +247,6 @@ class ExtNum:
         return self._with(a.scale(r) for a in self.coeffs)
 
     def __mul__(self, other: "ExtNum") -> "ExtNum":
-        if self.modulus is None:
-            return self._with((self.coeffs[0] * other.coeffs[0],))
         deg = len(self.modulus) - 1
         prod: list = [None] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
@@ -297,17 +296,13 @@ class ExactContext:
                 f"cyclotomic order {n} has degree phi = {self.phi_degree}, "
                 f"beyond the exact cap {EXACT_PHI_CAP}"
             )
-        modulus: Optional[QPoly] = None
-        if dims.gen is not None:
-            modulus = tuple(
-                Fraction(c, dims.gen.minpoly.leading) for c in dims.gen.minpoly.coeffs
-            )
-        self.modulus = modulus
+        # Rational and Z/3 dimensions have no generator of their own: they take
+        # 0, whose monic minimal polynomial x is the modulus.
+        gen = dims.gen or RealAlgebraic.from_rational(0)
+        self.gen = gen
+        self.modulus = tuple(Fraction(c, gen.minpoly.leading) for c in gen.minpoly.coeffs)
         # The modulus over Q(zeta_n), for the gcd of the zero test.
-        self.cyclo_modulus: Optional[tuple[CycloNum, ...]] = None if modulus is None else tuple(
-            CycloNum.from_rational(n, c) for c in modulus
-        )
-        self.gen = dims.gen
+        self.cyclo_modulus = tuple(CycloNum.from_rational(n, c) for c in self.modulus)
         self.ring = ring
         self.dims = dims
         self.twists = twists
@@ -316,7 +311,7 @@ class ExactContext:
         # shrink it towards alpha's minimal polynomial over Q(zeta_n).
         self.alpha_factor = self.cyclo_modulus
         # The field-degree rule of `_is_zero`: Q(zeta_n)[x]/(modulus) is a field.
-        self.tensor_is_field = modulus is None or math.gcd(len(modulus) - 1, self.phi_degree) == 1
+        self.tensor_is_field = math.gcd(len(self.modulus) - 1, self.phi_degree) == 1
 
     def _dim_value(self, j: int) -> ExtNum:
         if j == 0:
@@ -325,8 +320,6 @@ class ExactContext:
             root = self.dims.x if j == 1 else self.dims.y
             return ExtNum.from_cyclo(self.n, self.modulus, CycloNum.from_root(root, self.n))
         rep = self.dims.x_rep if j == 1 else self.dims.y_rep
-        if self.dims.gen is None:
-            return ExtNum.from_rational(self.n, self.modulus, qnormalize(rep)[0] if rep else 0)
         return ExtNum.from_gen_poly(self.n, self.modulus, rep)
 
     def _times_root(self, x: ExtNum, r: RootOfUnity) -> ExtNum:
@@ -423,11 +416,9 @@ class ExactContext:
     def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
         """Certified ball around poly(alpha) for CycloNum coefficients, each
         enclosed at `prec` bits, and alpha enclosed by the node of its
-        bisection tree at width 2^-prec; with no generator, poly is one
-        coefficient.  The ball does not depend on how far alpha was refined
-        before."""
-        if self.gen is None:
-            return poly[0].ball(prec)
+        bisection tree at width 2^-prec; at the generator 0, poly is one
+        coefficient and the ball is exactly its own.  The ball does not depend
+        on how far alpha was refined before."""
         ab = ComplexBall.from_real_interval(*self.gen.tree_interval(Fraction(1, 2**prec)))
         acc = ComplexBall.from_rational(0)
         for c in reversed(poly):
@@ -907,15 +898,17 @@ def _degenerate_certificate(ring, dims, twists) -> dict:
     return cert
 
 
-def _scaled_value(v, c: Fraction):
+def _scaled_value(v: RealAlgebraic, c: Fraction) -> RealAlgebraic:
+    """c*v, a root of v's minimal polynomial p scaled by c: with c = a/b,
+    sum p_i a^(d-i) b^i x^i = a^d p(b x / a) (for c = 0 this is p_d x^d,
+    and from_poly_expr gives 0 without it)."""
     from .exactnum.qpoly import X, qscale
     from .exactnum.realalg import from_poly_expr
 
-    if v.is_rational:
-        from .exactnum import RealAlgebraic
-
-        return RealAlgebraic.from_rational(v.rational_value * c)
-    return from_poly_expr(v, qscale(X, c))
+    a, b = c.numerator, c.denominator
+    d = v.minpoly.degree
+    scaled = IntPoly(p * a ** (d - i) * b**i for i, p in enumerate(v.minpoly.coeffs))
+    return from_poly_expr(v, qscale(X, c), scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -935,10 +928,10 @@ def nonmodular_filter(params: Rank3Params) -> FilterVerdict:
     if (canon.k, canon.l, canon.m) != (0, 1, 0):
         return FilterVerdict(Verdict.NOT_APPLICABLE, {"reason": "ring has no two-object symmetric subring shape"})
     n = canon.n
-    from .exactnum import IntPoly, isolate_real_roots
+    from .exactnum import isolate_real_roots
 
     ypoly = IntPoly((-2, -n, 1))
-    yroots = [r.value for r in isolate_real_roots(ypoly, Fraction(1, 1 << 20))]
+    yroots = [r.value for r in isolate_real_roots(ypoly)]
     y_plus = yroots[-1]
     cert: dict = {"n": n, "y_plus": y_plus.approx_str(12)}
     if n > 0 and not (y_plus <= Fraction(4, n)):

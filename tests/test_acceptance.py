@@ -161,8 +161,8 @@ def test_criterion_6_case2_certificate():
 def test_criterion_7_landau():
     with criterion(7, "Landau bound 6 for three classes; K(0,1,0,1) saturates it"):
         assert landau_bound(3) == 6
-        dims = solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 1))).chars[0]
-        assert global_fp_dim(dims) == 6
+        system = solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 1)))
+        assert global_fp_dim(system) == 6
 
 
 def test_criterion_8_property_suites(bound20_report):

@@ -23,7 +23,19 @@ from rank3ribbon.exactnum import (
     is_perfect_square,
     rational_roots,
 )
-from rank3ribbon.fusion import Rank3Params, StarViolation, make_rank3_ring, make_z3_ring
+from rank3ribbon.exactnum import cos_minimal_poly, isolate_real_roots, roots_of_irreducible
+from rank3ribbon.exactnum.intpoly import from_q
+from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize
+from rank3ribbon.exactnum.realalg import cauchy_bound
+from rank3ribbon.fusion import (
+    Rank3Params,
+    StarViolation,
+    canonicalize,
+    global_fp_dim,
+    make_rank3_ring,
+    make_z3_ring,
+)
+from rank3ribbon.premodular import _scaled_value
 
 
 def test_char_polys():
@@ -228,3 +240,133 @@ def test_character_json_does_not_depend_on_refinement(params):
         for v in (c.x, c.y):
             v.refine_to(Fraction(1, 2**300))
     assert refined.to_json() == fresh
+
+
+# ---------------------------------------------------------------------------
+# Where real algebraic values are located
+# ---------------------------------------------------------------------------
+
+def _systems_up_to(bound):
+    return [solve_characters(make_rank3_ring(p)) for p in enumerate_star_solutions(bound)]
+
+
+def _assert_tree_node(v):
+    """The interval of an irrational value is a node of the bisection tree
+    of (-B, B), B = cauchy_bound(minpoly), and isolates the value."""
+    lo, hi = v.interval()
+    if v.is_rational:
+        assert lo == hi == v.rational_value
+        return
+    bound = cauchy_bound(v.minpoly)
+    halvings = 2 * bound / (hi - lo)
+    assert halvings.denominator == 1 and halvings.numerator & (halvings.numerator - 1) == 0
+    assert ((lo + bound) / (hi - lo)).denominator == 1
+    assert v.minpoly.sign_at(lo) == -v.minpoly.sign_at(hi) != 0
+
+
+def _assert_tree_nodes_through_refinement(v):
+    _assert_tree_node(v)
+    for width in (Fraction(1, 2**20), Fraction(1, 10**7)):
+        v.refine_to(width)
+        _assert_tree_node(v)
+    v.tree_interval(Fraction(1, 10**18))
+    _assert_tree_node(v)
+
+
+def test_every_value_interval_is_a_bisection_tree_node():
+    """Isolation, from_poly_expr's root matching, refine_to and
+    tree_interval keep every interval a node of the value's bisection tree:
+    every character value and global FP dimension up to bound 30, and every
+    root of cos_minimal_poly(q) for q <= 40."""
+    for system in _systems_up_to(30):
+        # Fresh from the solve: isolation and the matching of from_poly_expr.
+        for c in system.chars:
+            _assert_tree_node(c.x)
+            _assert_tree_node(c.y)
+        values = [c.x for c in system.chars] + [c.y for c in system.chars]
+        for v in values + [global_fp_dim(system)]:
+            _assert_tree_nodes_through_refinement(v)
+    for q in range(1, 41):
+        for v in roots_of_irreducible(cos_minimal_poly(q)):
+            _assert_tree_nodes_through_refinement(v)
+
+
+def _charpoly_of_multiplication(minpoly, expr):
+    """Characteristic polynomial of multiplication by expr(x) on
+    Q[x]/minpoly; the minimal polynomial of expr(alpha) divides it."""
+    d = minpoly.degree
+    m = minpoly.to_q()
+    # cols[i][j] = coefficient of x^j in expr * x^i mod m.
+    cols = []
+    for i in range(d):
+        col = qmod(qmul(expr, qnormalize([0] * i + [1])), m)
+        cols.append([col[j] if j < len(col) else Fraction(0) for j in range(d)])
+    return charpoly([[cols[i][j] for i in range(d)] for j in range(d)])
+
+
+def _reference_value(alpha, expr):
+    """expr(alpha) located among the roots of the characteristic polynomial
+    of multiplication by expr, refining a fresh copy of alpha and the roots
+    to a common width until exactly one root meets the interval image."""
+    reduced = qmod(qnormalize(expr), alpha.minpoly.to_q())
+    if len(reduced) <= 1:
+        return RealAlgebraic.from_rational(reduced[0] if reduced else 0)
+    poly = from_q(_charpoly_of_multiplication(alpha.minpoly, reduced))
+    candidates = [root.value for root in isolate_real_roots(poly)]
+    a = roots_of_irreducible(alpha.minpoly)[alpha.root_index]
+    width = Fraction(1, 64)
+    while True:
+        a.refine_to(width)
+        lo = hi = Fraction(0)
+        for c in reversed(reduced):  # interval Horner over a's interval
+            ends = [e * t for e in (lo, hi) for t in a.interval()]
+            lo, hi = min(ends) + c, max(ends) + c
+        hits = []
+        for c in candidates:
+            c.refine_to(width)
+            if c.interval()[0] <= hi and lo <= c.interval()[1]:
+                hits.append(c)
+        if len(hits) == 1:
+            return hits[0]
+        width /= 2
+
+
+def _assert_same_value(value, reference):
+    assert value == reference
+    assert value.minpoly == reference.minpoly and value.root_index == reference.root_index
+
+
+def test_values_from_given_polynomials_match_the_charpoly_route():
+    """Every y-value (x-value for k = 0 rings) located among the roots of
+    char_poly_y, every global FP dimension located among the roots of the
+    Casimir cubic, and every scaled value located among the roots of its
+    scaled minimal polynomial is the root that the characteristic
+    polynomial of multiplication gives, up to bound 30."""
+    checked = 0
+    for system in _systems_up_to(30):
+        for c in system.chars:
+            if c.gen is None:
+                continue
+            for value, rep in ((c.x, c.x_rep), (c.y, c.y_rep)):
+                if rep != X:
+                    _assert_same_value(value, _reference_value(c.gen, rep))
+                    checked += 1
+        fp = system.chars[0]
+        if fp.gen is not None:
+            expr = qadd(qconst(1), qadd(qmul(fp.x_rep, fp.x_rep), qmul(fp.y_rep, fp.y_rep)))
+            _assert_same_value(global_fp_dim(system), _reference_value(fp.gen, expr))
+            checked += 1
+        # The inputs of _scaled_value: the roots of y^2 - n y - 2 (the
+        # nonmodular filter) and the character values (the degenerate
+        # certificate) of each (0, 1, 0, n) ring, scaled by n, -n/2 and 0.
+        canon = canonicalize(system.params)
+        if (canon.k, canon.l, canon.m) != (0, 1, 0):
+            continue
+        n = canon.n
+        values = [r.value for r in isolate_real_roots(IntPoly((-2, -n, 1)))]
+        values += [v for c in system.chars for v in (c.x, c.y)]
+        for v in values:
+            for scale in (Fraction(n), Fraction(-n, 2), Fraction(0)):
+                _assert_same_value(_scaled_value(v, scale), _reference_value(v, (0, scale)))
+                checked += 1
+    assert checked > 1000

@@ -159,9 +159,13 @@ def test_case2_rule_rational_lambda_of_large_cube():
 
 
 def test_case2_rule_exception_branch():
-    v = case2_rule(Rank3Params(1, 0, 0, 0))
-    assert v.status == Verdict.PASS
-    assert v.certificate["canonical"] == (0, 1, 0, 0)
+    """m + l = 0 only on K(1,0,0,0) = K(0,1,0,0), which is C2-moving: it is
+    dispatched to case 3b, and case 2 refuses it (its precondition k, l >= 1
+    holds on every C3 ring)."""
+    report = classify_ring(Rank3Params(1, 0, 0, 0))
+    assert report.galois.tag == GaloisType.C2_MOVING_FP and report.modular_case == "case3b"
+    with pytest.raises(ValueError, match="k, l >= 1"):
+        case2_rule(Rank3Params(1, 0, 0, 0))
 
 
 def test_case2_filter_dispatch():

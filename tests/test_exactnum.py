@@ -136,9 +136,11 @@ def test_perfect_square():
 # ---------------------------------------------------------------------------
 
 def test_isolate_sqrt2_family():
-    roots = isolate_real_roots(IntPoly((0, -2, 0, 1)), Fraction(1, 100))
+    roots = isolate_real_roots(IntPoly((0, -2, 0, 1)))
     assert len(roots) == 3
     values = [r.value for r in roots]
+    for v in values:
+        v.refine_to(Fraction(1, 100))
     assert values[0].minpoly == IntPoly((-2, 0, 1))
     assert values[1].rational_value == 0
     assert values[2].minpoly == IntPoly((-2, 0, 1))
@@ -148,13 +150,16 @@ def test_isolate_sqrt2_family():
 
 
 def test_isolate_quadratic():
-    roots = isolate_real_roots(IntPoly((-2, -2, 1)), Fraction(1, 100))
+    roots = isolate_real_roots(IntPoly((-2, -2, 1)))
+    for r in roots:
+        r.value.refine_to(Fraction(1, 100))
     approx = [float(r.value) for r in roots]
     assert approx == pytest.approx([1 - math.sqrt(3), 1 + math.sqrt(3)], abs=1e-6)
 
 
 def test_isolate_linear_any_width():
-    roots = isolate_real_roots(IntPoly((-1, 1)), Fraction(10))
+    roots = isolate_real_roots(IntPoly((-1, 1)))
+    roots[0].value.refine_to(Fraction(10))
     assert len(roots) == 1 and roots[0].value.rational_value == 1
 
 
@@ -252,14 +257,18 @@ def _reference_isolation(p: IntPoly, width: Fraction):
     return out, multi_root_cuts
 
 
-def _reference_refine(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
+def _reference_halve(p: IntPoly, lo: Fraction, hi: Fraction):
+    """One Fraction bisection step of an interval isolating a root of p."""
     q = p.to_q()
+    mid = (lo + hi) / 2
+    if _fraction_sign(qeval(q, lo)) != _fraction_sign(qeval(q, mid)):
+        return lo, mid
+    return mid, hi
+
+
+def _reference_refine(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
     while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _fraction_sign(qeval(q, lo)) != _fraction_sign(qeval(q, mid)):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = _reference_halve(p, lo, hi)
     return lo, hi
 
 
@@ -272,7 +281,14 @@ def _character_factors(bound: int) -> list[IntPoly]:
 
 
 def _assert_matches_reference(p: IntPoly, width: Fraction) -> None:
-    roots = roots_of_irreducible(p, width)
+    """Isolation stops at the first nodes that separate the roots (the
+    reference run with a width above the whole Cauchy interval), and
+    refine_to(width) then lands on the reference's intervals at `width`."""
+    roots = roots_of_irreducible(p)
+    separated, _ = _reference_isolation(p, 2 * realalg.cauchy_bound(p))
+    assert [r.interval() for r in roots] == separated
+    for root in roots:
+        root.refine_to(width)
     expected, _ = _reference_isolation(p, width)
     assert [r.interval() for r in roots] == expected
     target = Fraction(1, 10**18)
@@ -285,13 +301,11 @@ def test_isolation_matches_fraction_reference_on_character_polys():
     factors = _character_factors(10)
     assert any(f.degree == 2 for f in factors) and any(f.degree == 3 for f in factors)
     for p in factors:
-        # The width solve_characters isolates to.
         _assert_matches_reference(p, Fraction(1, 1 << 20))
 
 
 @pytest.mark.parametrize("q", [q for q in range(1, 41) if cos_minimal_poly(q).degree >= 2])
 def test_isolation_matches_fraction_reference_on_cos_minimal_polys(q):
-    # The width two_cos isolates to.
     _assert_matches_reference(cos_minimal_poly(q), Fraction(1, 1 << 16))
 
 
@@ -308,23 +322,23 @@ def test_isolation_matches_fraction_reference_off_dyadic_points(coeffs):
 @pytest.mark.parametrize("coeffs", [(-2, 0, 3), (-1, -1, 0, 5), (1, -2, -1, 1)])
 def test_refine_to_continues_the_refine_once_chain(coeffs):
     """refine_to bisects on integer numerators, yet from any point of the
-    bisection chain it lands on the interval that repeated refine_once and
-    the Fraction reference give, non-dyadic endpoints included."""
+    bisection chain it lands on the interval that repeated one-step Fraction
+    halvings (`_reference_halve`) give, non-dyadic endpoints included."""
     p = IntPoly(coeffs)
-    roots = roots_of_irreducible(p, Fraction(1, 64))
-    twins = roots_of_irreducible(p, Fraction(1, 64))
-    for steps, (root, twin) in enumerate(zip(roots, twins)):
-        for _ in range(steps):
-            root.refine_once()
-            twin.refine_once()
+    for steps, root in enumerate(roots_of_irreducible(p)):
+        root.refine_to(Fraction(1, 64))
         lo, hi = root.interval()
+        for _ in range(steps):
+            lo, hi = _reference_halve(p, lo, hi)
+        root.refine_to(hi - lo)
+        assert root.interval() == (lo, hi)
         # (hi - lo) / 2^20 is met exactly: refine_to stops there, not after.
         for width in (Fraction(1, 10**6), (hi - lo) / 2**20, Fraction(1, 2**129)):
             start = root.interval()
             root.refine_to(width)
-            while twin.interval()[1] - twin.interval()[0] > width:
-                twin.refine_once()
-            assert root.interval() == twin.interval()
+            while hi - lo > width:
+                lo, hi = _reference_halve(p, lo, hi)
+            assert root.interval() == (lo, hi)
             assert root.interval() == _reference_refine(p, *start, width)
 
 
@@ -358,18 +372,19 @@ def test_sturm_chain_evaluated_only_before_isolation(monkeypatch):
     monkeypatch.setattr(realalg, "variations_at", counting)
     p = IntPoly((1, -2, -1, 1))  # three real roots
     _, multi_root_cuts = _reference_isolation(p, Fraction(1, 64))
-    for width in (Fraction(1, 64), Fraction(1, 1 << 20), Fraction(1, 1 << 60)):
-        calls = 0
-        roots = roots_of_irreducible(p, width)
-        assert len(roots) == 3
-        assert calls <= 2 + multi_root_cuts
-        roots[0].refine_to(Fraction(1, 10**30))
+    roots = roots_of_irreducible(p)
+    assert len(roots) == 3
+    assert calls <= 2 + multi_root_cuts
+    for width in (Fraction(1, 64), Fraction(1, 1 << 20), Fraction(1, 1 << 60), Fraction(1, 10**30)):
+        for root in roots:
+            root.refine_to(width)
         assert calls <= 2 + multi_root_cuts
 
 
 def test_equality_stable_under_refinement():
     a = roots_of_irreducible(IntPoly((-2, 0, 1)))[1]
-    b = roots_of_irreducible(IntPoly((-2, 0, 1)), Fraction(1, 10**9))[1]
+    b = roots_of_irreducible(IntPoly((-2, 0, 1)))[1]
+    b.refine_to(Fraction(1, 10**9))
     assert a == b
     a.refine_to(Fraction(1, 10**30))
     assert a == b
@@ -388,11 +403,17 @@ def test_real_algebraic_ordering():
 
 def test_from_poly_expr():
     sqrt2 = roots_of_irreducible(IntPoly((-2, 0, 1)))[1]
-    square = from_poly_expr(sqrt2, (Fraction(0), Fraction(0), Fraction(1)))
+    square = from_poly_expr(sqrt2, (Fraction(0), Fraction(0), Fraction(1)), IntPoly((4, -4, 1)))
     assert square.rational_value == 2
-    shifted = from_poly_expr(sqrt2, (Fraction(1), Fraction(1)))
-    assert shifted.minpoly == IntPoly((-1, -2, 1))
+    # 1 + sqrt(2) against both roots of its minimal polynomial and the
+    # rational root 3 of a multiple of it.
+    poly = IntPoly((-1, -2, 1)) * IntPoly((-3, 1))
+    shifted = from_poly_expr(sqrt2, (Fraction(1), Fraction(1)), poly)
+    assert shifted.minpoly == IntPoly((-1, -2, 1)) and shifted.root_index == 1
     assert float(shifted) == pytest.approx(1 + math.sqrt(2))
+    # No root of (x - 5)(x - 7) meets the image of 1 + x over sqrt(2)'s interval.
+    with pytest.raises(ValueError, match="not a root"):
+        from_poly_expr(sqrt2, (Fraction(1), Fraction(1)), IntPoly((35, -12, 1)))
 
 
 def test_factor_into_irreducibles():

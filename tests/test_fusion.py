@@ -163,9 +163,9 @@ def test_fp_dimensions_at_least_one():
 
 
 def test_global_fp_dim():
-    assert global_fp_dim(_dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 1)))) == 6
-    assert global_fp_dim(_dimension_character(make_z3_ring())) == 3
-    assert global_fp_dim(_dimension_character(make_rank3_ring(Rank3Params(0, 1, 0, 0)))) == 4
+    assert global_fp_dim(solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 1)))) == 6
+    assert global_fp_dim(solve_characters(make_z3_ring())) == 3
+    assert global_fp_dim(solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 0)))) == 4
 
 
 def test_ring_json_roundtrip_shape():

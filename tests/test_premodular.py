@@ -226,7 +226,7 @@ def test_is_zero_sees_through_the_tensor_ring(ising):
     assert not ctx._is_zero(ExtNum(8, ctx.modulus, (s, one)))
 
 
-def test_extnum_rejects_an_unreduced_representative(ising):
+def test_extnum_rejects_an_unreduced_representative(ising, rep_s3):
     """Coefficients beyond the modulus degree must be zero: a nonzero one
     would be dropped silently, changing the value."""
     ring, system = ising
@@ -236,8 +236,18 @@ def test_extnum_rejects_an_unreduced_representative(ising):
     assert ExtNum(8, ctx.modulus, (one,)).coeffs == (one, zero)
     with pytest.raises(ValueError, match="not reduced"):
         ExtNum(8, ctx.modulus, (one, zero, one))
-    with pytest.raises(ValueError, match="not reduced"):
-        ExtNum(8, None, (one, one))
+    # Rational and Z/3 dimensions have the generator 0 and the degree-1
+    # modulus x; their balls are those of the single coefficient.
+    s3_ring, s3_system = rep_s3
+    z3 = make_z3_ring()
+    for ring, dims in ((s3_ring, s3_system.chars[0]), (z3, solve_characters(z3).chars[0])):
+        rational = ExactContext(ring, dims, Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8)))
+        assert rational.modulus == (0, 1) and rational.gen == 0 and rational.tensor_is_field
+        for c in (rational.d[1].coeffs[0], CycloNum.from_root(RootOfUnity.make(1, rational.n), rational.n)):
+            ball, expected = rational._eval_ball_at_gen((c,), 96), c.ball(96)
+            assert (ball.re, ball.im, ball.rad) == (expected.re, expected.im, expected.rad)
+        with pytest.raises(ValueError, match="not reduced"):
+            ExtNum(rational.n, rational.modulus, (c, c))
 
 
 def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
@@ -554,8 +564,6 @@ def _full_modulus_is_zero(ctx, elem):
     complementary factors at the generator."""
     if elem.is_zero_in_tensor_ring:
         return True
-    if ctx.modulus is None:
-        return False
     g = qtrim(elem.coeffs)
     if len(g) == 1:
         return False
@@ -604,7 +612,7 @@ def test_field_degree_rule_skips_the_gcd(monkeypatch):
     current, nontrivial, gcd_contexts = [], [], []
 
     def tracking(self, elem):
-        if self.modulus is not None and len(qtrim(elem.coeffs)) > 1:
+        if len(qtrim(elem.coeffs)) > 1:
             nontrivial.append(self)
         current.append(self)
         try:
