@@ -1,10 +1,14 @@
 """Ring homomorphisms of rank-3 based rings and their Galois orbit types.
 
 For the self-dual family the multiplication matrices are symmetric, so all
-three characters are real.  Each character is stored with an exact generator
-of the field it lives in, plus polynomial expressions for its two values in
-that generator; this makes every downstream identity check a matter of
-polynomial reduction over Q.
+three characters are real.  They are read off the integer cubics: the
+x-values are the roots of char_poly_x, found by factoring it on integers
+(`factor_into_irreducibles`), and each y-value is (x^2 - m x - 1)/k, located
+as a root of char_poly_y.  `_selfdual_characters` proves that these pairs
+satisfy the ring relations, so none is re-checked at run time.  Each
+character is stored with an exact generator of the field it lives in, plus
+polynomial expressions for its two values in that generator; this makes every
+downstream identity check a matter of polynomial reduction over Q.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .exactnum import (
     rational_roots,
     roots_of_irreducible,
 )
-from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qmul, qnormalize, qscale, qsub, X
+from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
 from .exactnum.realalg import from_poly_expr
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring, rank3_tensor
 
@@ -215,6 +219,21 @@ def _z3_characters(ring: FusionRing) -> CharacterSystem:
 
 
 def _selfdual_characters(params: Rank3Params) -> list[Character]:
+    """The characters of K(k,l,m,n), one per root x of char_poly_x, with
+    y = (x^2 - m x - 1)/k.
+
+    The ring relations X^2 = 1 + mX + kY, Y^2 = 1 + lX + nY and
+    XY = kX + lY hold for every such pair by construction, so nothing is
+    re-checked at run time:
+    - with k >= 1 the first relation gives Y = (X^2 - mX - 1)/k, so X
+      generates the 3-dimensional ring;
+    - by Cayley-Hamilton that ring is then Q[t]/(char_poly_x), t -> X;
+    - so every root x of char_poly_x is a ring homomorphism, and its value on
+      Y is (x^2 - m x - 1)/k; the other two relations hold because they hold
+      in the ring.
+    A repeated root raises DegenerateSystem.  A k = 0 ring is solved through its swap, which has
+    k = 1.
+    """
     k, l, m, n = params.as_tuple()
     if k == 0:
         # The star constraint forces l = 1 here, so the swapped ring has a
@@ -236,7 +255,6 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
             if root.is_rational:
                 xv = root.rational_value
                 yv = qeval(y_expr, xv)
-                _verify_relations_rational(params, xv, yv)
                 chars.append(
                     Character(
                         x=root,
@@ -248,7 +266,6 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
                 )
             else:
                 y_rep = qmod(y_expr, root.minpoly.to_q())
-                _verify_relations_modular(params, root.minpoly, X, y_rep)
                 chars.append(
                     Character(
                         x=root,
@@ -261,24 +278,6 @@ def _selfdual_characters(params: Rank3Params) -> list[Character]:
     if len(chars) != 3:
         raise DegenerateSystem(f"expected 3 characters, found {len(chars)}")
     return chars
-
-
-def _verify_relations_rational(params: Rank3Params, x: Fraction, y: Fraction) -> None:
-    k, l, m, n = params.as_tuple()
-    assert x * x == 1 + m * x + k * y
-    assert y * y == 1 + l * x + n * y
-    assert x * y == k * x + l * y
-
-
-def _verify_relations_modular(params: Rank3Params, minpoly: IntPoly, xr: QPoly, yr: QPoly) -> None:
-    k, l, m, n = params.as_tuple()
-    mq = minpoly.to_q()
-    # y^2 - n y - l x - 1 == 0 (mod minpoly)
-    lhs2 = qsub(qsub(qsub(qmul(yr, yr), qscale(yr, n)), qscale(xr, l)), qconst(1))
-    assert not qmod(lhs2, mq), "second defining relation failed"
-    # x y - k x - l y == 0 (mod minpoly)
-    lhs3 = qsub(qsub(qmul(xr, yr), qscale(xr, k)), qscale(yr, l))
-    assert not qmod(lhs3, mq), "third defining relation failed"
 
 
 def fp_character(system: CharacterSystem) -> int:
@@ -347,15 +346,9 @@ def dimension_x_value(params: Rank3Params) -> RealAlgebraic:
 def _cubic_galois_info(cubic: IntPoly) -> GaloisInfo:
     """An irreducible cubic gives one 3-cycle orbit; the image is cyclic iff
     the discriminant is a perfect square, otherwise the full symmetric group."""
-    disc = cubic_discriminant(_monicize(cubic))
+    disc = cubic_discriminant(cubic)
     tag = GaloisType.C3 if is_perfect_square(disc) else GaloisType.S3
     return GaloisInfo(tag, ((0, 1, 2),))
-
-
-def _monicize(p: IntPoly) -> IntPoly:
-    if p.is_monic:
-        return p
-    raise ValueError("expected a monic minimal polynomial")
 
 
 def vieta_products(system: CharacterSystem) -> tuple[Fraction, Fraction]:

@@ -195,6 +195,8 @@ def _cmd_classify(args) -> tuple[object, str | None]:
 def _cmd_audit(args) -> tuple[object, str | None]:
     if args.audit_command == "star-assoc":
         bound = args.bound
+        if bound < 0:
+            raise ValueError("bound must be nonnegative")
         mismatches = []
         for k in range(bound + 1):
             for l in range(bound + 1):

@@ -1,10 +1,20 @@
-"""Integer polynomials with exact evaluation, factorization helpers, and the
+"""Integer polynomials with exact evaluation, factorization, and the
 rational-root and discriminant primitives used throughout the package.
 
-Coefficients are arbitrary-precision ints, lowest degree first.  Degrees stay
-small here (the callers never exceed cubics except for the cosine minimal
-polynomials, which arrive already irreducible), so the algorithms favour
-clarity over asymptotics.
+Coefficients are arbitrary-precision ints, lowest degree first.
+
+Factorization works on integers only.  `rational_roots` tries every
+candidate +-u/v (u | a_0, v | a_n) by exact integer division by v*x - u: by
+Gauss's lemma the quotient of a primitive polynomial is integral exactly when
+u/v is a root, so a candidate that is not a root leaves a non-integral step
+or a nonzero remainder.  `factor_into_irreducibles` returns those linear
+factors with their multiplicities plus the quotient.  The package factors
+only polynomials of degree at most 3 (the characteristic and Casimir cubics,
+scaled minimal polynomials of their roots, the quadratics of the filters), so
+the quotient has degree at most 3 and no rational root.  A quadratic or cubic
+with no rational root has no factor of degree 1, so it is irreducible over Q,
+and an irreducible polynomial over Q is squarefree.  A quotient of degree
+above 3 is rejected rather than factored.
 """
 
 from __future__ import annotations
@@ -12,8 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable
-
-from . import qpoly
 
 
 class IntPoly:
@@ -46,10 +54,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
-
-    def sign_at(self, x: Fraction) -> int:
-        """Sign of p(x) at a rational x, in integer arithmetic."""
-        return sign_at(self.coeffs, x.numerator, x.denominator)
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
@@ -102,7 +106,7 @@ class IntPoly:
             raise ValueError("division is not exact")
         return IntPoly(quot)
 
-    # -- content and squarefree structure ---------------------------------
+    # -- content ---------------------------------------------------------
 
     @property
     def content(self) -> int:
@@ -119,30 +123,7 @@ class IntPoly:
         sign = 1 if self.leading > 0 else -1
         return IntPoly((c * sign) // g for c in self.coeffs)
 
-    def gcd(self, other: "IntPoly") -> "IntPoly":
-        g = qpoly.qgcd(self.to_q(), other.to_q())
-        return from_q(g).primitive()
-
-    def squarefree_decomposition(self) -> list[tuple["IntPoly", int]]:
-        """Yun decomposition: list of (squarefree factor, multiplicity)."""
-        p = self.primitive()
-        if p.degree <= 0:
-            return []
-        out = []
-        g = p.gcd(p.derivative())
-        w = p.exact_div(g)
-        mult = 1
-        while w.degree > 0:
-            y = w.gcd(g)
-            factor = w.exact_div(y)
-            if factor.degree > 0:
-                out.append((factor.primitive(), mult))
-            w = y
-            g = g.exact_div(y)
-            mult += 1
-        return out
-
-    def to_q(self) -> qpoly.QPoly:
+    def to_q(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c) for c in self.coeffs)
 
     # -- dunder plumbing ---------------------------------------------------
@@ -187,54 +168,41 @@ def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def from_q(p: qpoly.QPoly) -> IntPoly:
-    """Clear denominators of a rational polynomial (up to a positive scalar)."""
-    if not p:
-        return IntPoly(())
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return IntPoly(int(c * denom) for c in p)
-
-
 def rational_roots(p: IntPoly) -> list[Fraction]:
-    """All rational roots of p, once per multiplicity, sorted ascending.
+    """All rational roots of p, once per multiplicity, sorted ascending."""
+    roots, _rest = _split_rational_roots(p)
+    return sorted(Fraction(u, v) for u, v in roots)
 
-    Uses the rational-root test on the primitive part, then synthetic division
-    to strip multiplicities.  A monic part has only integer rational roots,
-    the divisors of its constant term, which are tried on integers alone.
+
+def _split_rational_roots(p: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
+    """The rational roots u/v of p (lowest terms, v > 0), once per
+    multiplicity, and the quotient of p's primitive part by their linear
+    factors v*x - u.
+
+    The quotient of a primitive polynomial by v*x - u stays primitive, so its
+    a_0 and a_n divide those of p and the candidates are fixed up front.
     """
     if p.is_zero:
-        raise ValueError("rational_roots of the zero polynomial")
+        raise ValueError("the zero polynomial has no finite set of roots or factors")
     work = p.primitive()
-    roots: list[Fraction] = []
+    roots: list[tuple[int, int]] = []
     # Zero roots come from trailing zero coefficients.
-    while work.coeffs and work.coeffs[0] == 0:
-        roots.append(Fraction(0))
+    while work.coeffs[0] == 0:
+        roots.append((0, 1))
         work = IntPoly(work.coeffs[1:])
-    if work.degree <= 0:
-        return sorted(roots)
-    a0, an = abs(work.coeffs[0]), abs(work.leading)
-    if an == 1:
-        coeffs = work.coeffs
-        for cand in sorted({s * d for d in _divisors(a0) for s in (1, -1)}):
-            while len(coeffs) > 1:
-                quot, rem = _divide_by_linear(coeffs, cand)
-                if rem:
-                    break
-                roots.append(Fraction(cand))
-                coeffs = quot
-        return sorted(roots)
-    candidates = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        while work.degree > 0 and work.sign_at(cand) == 0:
-            roots.append(cand)
-            work = _deflate(work, cand)
-    return sorted(roots)
+    a0, an = abs(work.coeffs[0]), work.leading
+    for v in _divisors(an):
+        for u in _divisors(a0):
+            if math.gcd(u, v) != 1:
+                continue
+            for cand in (u, -u):
+                while work.degree > 0:
+                    try:
+                        work = work.exact_div(IntPoly((-cand, v)))
+                    except ValueError:
+                        break
+                    roots.append((cand, v))
+    return roots, work
 
 
 def _divisors(n: int) -> list[int]:
@@ -243,27 +211,10 @@ def _divisors(n: int) -> list[int]:
     while d * d <= n:
         if n % d == 0:
             out.append(d)
-            out.append(n // d)
+            if d * d != n:
+                out.append(n // d)
         d += 1
     return out
-
-
-def _divide_by_linear(coeffs: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
-    """(quotient, remainder) of an integer polynomial by x - r, by synthetic
-    division; the remainder is p(r)."""
-    acc = 0
-    quot = []
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        quot.append(acc)
-    rem = quot.pop()
-    return tuple(reversed(quot)), rem
-
-
-def _deflate(p: IntPoly, root: Fraction) -> IntPoly:
-    quot, rem = qpoly.qdivmod(p.to_q(), (-root, Fraction(1)))
-    assert not rem
-    return from_q(quot)
 
 
 def cubic_discriminant(p: IntPoly) -> int:
@@ -288,23 +239,17 @@ def is_perfect_square(n: int) -> bool:
 def factor_into_irreducibles(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Factor into irreducible primitive factors with multiplicities.
 
-    Strips rational roots, then relies on the fact that a quadratic or cubic
-    with no rational root is irreducible over Q.  Inputs whose non-linear part
-    exceeds degree 3 are out of scope and rejected.
+    The linear factors are those of the rational roots; the quotient left
+    after stripping them has no rational root, so it is irreducible when its
+    degree is at most 3.  A larger quotient is out of scope and rejected.
     """
-    if p.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
+    roots, rest = _split_rational_roots(p)
+    if rest.degree > 3:
+        raise ValueError("factorization beyond degree 3 is not supported")
     out: dict[IntPoly, int] = {}
-    for sqf, mult in p.squarefree_decomposition():
-        work = sqf
-        for root in sorted(set(rational_roots(work) if work.degree > 0 else [])):
-            while work.degree > 0 and work.sign_at(root) == 0:
-                lin = IntPoly((-root.numerator, root.denominator)).primitive()
-                out[lin] = out.get(lin, 0) + mult
-                work = _deflate(work, root)
-        if work.degree > 3:
-            raise ValueError("factorization beyond degree 3 is not supported")
-        if work.degree > 0:
-            work = work.primitive()
-            out[work] = out.get(work, 0) + mult
+    for u, v in roots:
+        lin = IntPoly((-u, v))
+        out[lin] = out.get(lin, 0) + 1
+    if rest.degree > 0:
+        out[rest] = 1
     return sorted(out.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))

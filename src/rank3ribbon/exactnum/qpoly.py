@@ -55,14 +55,6 @@ def qadd(p: QPoly, q: QPoly) -> QPoly:
     )
 
 
-def qneg(p: QPoly) -> QPoly:
-    return tuple(-c for c in p)
-
-
-def qsub(p: QPoly, q: QPoly) -> QPoly:
-    return qadd(p, qneg(q))
-
-
 def qscale(p: QPoly, c) -> QPoly:
     c = Fraction(c)
     if c == 0:

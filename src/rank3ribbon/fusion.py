@@ -231,6 +231,8 @@ def enumerate_rank3_based_rings(coeff_bound: int) -> list[FusionRing]:
     non-unit elements (dual(0) = 0 forces this).  The unit and duality rows
     are determined, leaving eight free entries per involution.
     """
+    if coeff_bound < 0:
+        raise ValueError("coeff_bound must be nonnegative")
     if coeff_bound > 3:
         raise ValueError("coeff_bound above 3 makes the search space unreasonable")
     rings: dict[tuple, FusionRing] = {}

@@ -24,7 +24,7 @@ from rank3ribbon.exactnum import (
     rational_roots,
 )
 from rank3ribbon.exactnum import cos_minimal_poly, isolate_real_roots, roots_of_irreducible
-from rank3ribbon.exactnum.intpoly import from_q
+from rank3ribbon.exactnum.intpoly import sign_at
 from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize
 from rank3ribbon.exactnum.realalg import cauchy_bound
 from rank3ribbon.fusion import (
@@ -157,22 +157,73 @@ def test_character_oracle_equivalence_bound_10():
             assert ya == pytest.approx(yb, abs=1e-9)
 
 
-def test_character_count_and_exact_relations_bound_10():
-    """Every valid ring up to bound 10 has exactly 3 distinct characters and
-    they satisfy the defining relations exactly (verified by the solver's
-    internal modular reduction; re-checked here numerically as well)."""
-    for params in enumerate_star_solutions(10):
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_rem(p, modulus):
+    """Remainder of the rational polynomial p on division by a monic integer
+    modulus, lowest degree first."""
+    rem = [Fraction(c) for c in p]
+    d = len(modulus) - 1
+    while len(rem) > d:
+        top = rem.pop()
+        for i in range(d):
+            rem[len(rem) - d + i] -= top * modulus[i]
+    return rem
+
+
+def _poly_combination(*terms):
+    """sum of c * p over (c, p) pairs of a rational and a polynomial."""
+    out = [Fraction(0)] * max(len(p) for _c, p in terms)
+    for c, p in terms:
+        for i, a in enumerate(p):
+            out[i] += c * a
+    return out
+
+
+def test_character_count_and_exact_relations_bound_50():
+    """Every valid ring up to bound 50 has exactly 3 distinct characters and
+    each satisfies the three defining relations: numerically in its values,
+    and exactly for rational characters directly, for the others by reducing
+    each relation in the character's x_rep and y_rep modulo the minimal
+    polynomial of its generator.  The solver
+    does not re-check them; its proof rests on char_poly_x being the
+    characteristic polynomial of multiplication by X, which is checked for
+    every ring as well."""
+    for params in enumerate_star_solutions(50):
         k, l, m, n = params.as_tuple()
-        system = solve_characters(make_rank3_ring(params))
+        ring = make_rank3_ring(params)
+        assert char_poly_x(params) == IntPoly(charpoly(ring.mult_matrix(1)))
+        system = solve_characters(ring)
         assert len(system.chars) == 3
-        seen = set()
+        assert len({(c.x, c.y) for c in system.chars}) == 3
         for c in system.chars:
-            x, y = complex(float(c.x)), complex(float(c.y))
-            seen.add((round(x.real, 9), round(y.real, 9)))
+            # The values themselves, not only their representations.
+            x, y = float(c.x), float(c.y)
             assert x * x == pytest.approx(1 + m * x + k * y, abs=1e-9)
             assert y * y == pytest.approx(1 + l * x + n * y, abs=1e-9)
             assert x * y == pytest.approx(k * x + l * y, abs=1e-9)
-        assert len(seen) == 3
+            if c.gen is None:
+                x, y = c.x.rational_value, c.y.rational_value
+                assert x * x == 1 + m * x + k * y
+                assert y * y == 1 + l * x + n * y
+                assert x * y == k * x + l * y
+                continue
+            assert c.gen.minpoly.is_monic
+            assert c.gen == (c.x if c.x_rep == X else c.y)
+            xr, yr, one = list(c.x_rep), list(c.y_rep), [Fraction(1)]
+            relations = (
+                _poly_combination((1, _poly_mul(xr, xr)), (-1, one), (-m, xr), (-k, yr)),
+                _poly_combination((1, _poly_mul(yr, yr)), (-1, one), (-l, xr), (-n, yr)),
+                _poly_combination((1, _poly_mul(xr, yr)), (-k, xr), (-l, yr)),
+            )
+            for relation in relations:
+                assert not any(_poly_rem(relation, c.gen.minpoly.coeffs)), (params, c)
 
 
 def test_vieta_products():
@@ -261,7 +312,8 @@ def _assert_tree_node(v):
     halvings = 2 * bound / (hi - lo)
     assert halvings.denominator == 1 and halvings.numerator & (halvings.numerator - 1) == 0
     assert ((lo + bound) / (hi - lo)).denominator == 1
-    assert v.minpoly.sign_at(lo) == -v.minpoly.sign_at(hi) != 0
+    coeffs = v.minpoly.coeffs
+    assert sign_at(coeffs, lo.numerator, lo.denominator) == -sign_at(coeffs, hi.numerator, hi.denominator) != 0
 
 
 def _assert_tree_nodes_through_refinement(v):
@@ -304,6 +356,13 @@ def _charpoly_of_multiplication(minpoly, expr):
     return charpoly([[cols[i][j] for i in range(d)] for j in range(d)])
 
 
+def _from_q(p):
+    """The integer polynomial den * p for the least common denominator den
+    of the rational polynomial p."""
+    den = math.lcm(*(c.denominator for c in p))
+    return IntPoly(int(c * den) for c in p)
+
+
 def _reference_value(alpha, expr):
     """expr(alpha) located among the roots of the characteristic polynomial
     of multiplication by expr, refining a fresh copy of alpha and the roots
@@ -311,7 +370,7 @@ def _reference_value(alpha, expr):
     reduced = qmod(qnormalize(expr), alpha.minpoly.to_q())
     if len(reduced) <= 1:
         return RealAlgebraic.from_rational(reduced[0] if reduced else 0)
-    poly = from_q(_charpoly_of_multiplication(alpha.minpoly, reduced))
+    poly = _from_q(_charpoly_of_multiplication(alpha.minpoly, reduced))
     candidates = [root.value for root in isolate_real_roots(poly)]
     a = roots_of_irreducible(alpha.minpoly)[alpha.root_index]
     width = Fraction(1, 64)

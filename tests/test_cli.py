@@ -114,6 +114,18 @@ def test_audit_commands(capsys):
     assert code == 0 and json.loads(out)["count"] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "star-assoc", "--bound", "-1"],
+    ["audit", "rank3-rings", "--coeff-bound", "-1"],
+], ids=["star-assoc", "rank3-rings"])
+def test_audit_rejects_negative_bounds(capsys, argv):
+    """A negative bound is an error, not an audit over an empty range."""
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError" and "nonnegative" in error["detail"]
+
+
 def test_json_output_deterministic(capsys):
     _, first, _ = _capture(capsys, ["search", "--params", "0,1,0,1", "--max-twist-order", "6"])
     _, second, _ = _capture(capsys, ["search", "--params", "0,1,0,1", "--max-twist-order", "6"])

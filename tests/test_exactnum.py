@@ -30,7 +30,7 @@ from rank3ribbon.characters import char_poly_x, char_poly_y
 from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.exactnum import realalg
 from rank3ribbon.exactnum.intpoly import sign_at
-from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qgcd, qmod, qneg
+from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qgcd, qmod
 from rank3ribbon.exactnum.realalg import from_poly_expr
 
 
@@ -82,8 +82,8 @@ def _fraction_rational_roots(p):
 
 
 def test_rational_roots_matches_fraction_reference():
-    """The integer-divisor path for monic polynomials and the general path
-    agree with the Fraction reference on every char_poly_x up to bound 30
+    """The integer candidate test, one path for monic and non-monic inputs,
+    agrees with the Fraction reference on every char_poly_x up to bound 30
     and on seeded random polynomials with planted rational roots."""
     polys = [char_poly_x(p) for p in enumerate_star_solutions(30)]
     assert all(p.is_monic for p in polys)
@@ -183,6 +183,11 @@ def test_rational_roots_subset_of_isolated():
         assert sorted(rr) == sorted(rational_isolated)
 
 
+def _general_cubic_discriminant(d, c, b, a):
+    """Discriminant of a x^3 + b x^2 + c x + d; zero iff a root repeats."""
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+
 def test_isolation_against_companion_matrix_oracle():
     """Count and sign pattern of real roots vs a floating eigenvalue oracle,
     over 1000 random integer cubics."""
@@ -192,10 +197,9 @@ def test_isolation_against_companion_matrix_oracle():
         coeffs = [rng.randint(-9, 9) for _ in range(3)] + [rng.choice([-9, -5, -2, -1, 1, 2, 5, 9])]
         p = IntPoly(coeffs)
         monic = [Fraction(c, coeffs[3]) for c in coeffs[:3]]
-        disc_poly = IntPoly([c * 1 for c in coeffs])
         # Skip the measure-zero repeated-root cases; the oracle cannot
         # distinguish multiplicities reliably there.
-        if disc_poly.gcd(disc_poly.derivative()).degree > 0:
+        if _general_cubic_discriminant(*coeffs) == 0:
             continue
         companion = np.array(
             [[0, 0, -float(monic[0])], [1, 0, -float(monic[1])], [0, 1, -float(monic[2])]]
@@ -229,7 +233,7 @@ def _reference_isolation(p: IntPoly, width: Fraction):
     """
     chain = [p.to_q(), p.derivative().to_q()]
     while chain[-1]:
-        chain.append(qneg(qmod(chain[-2], chain[-1])))
+        chain.append(tuple(-c for c in qmod(chain[-2], chain[-1])))
     chain.pop()
 
     def variations(x):
@@ -351,9 +355,9 @@ def test_integer_sign_matches_fraction_evaluation():
         scale = rng.randint(1, 50)
         expected = _fraction_sign(qeval(p.to_q(), Fraction(num, den)))
         assert sign_at(p.coeffs, num * scale, den * scale) == expected
-        assert p.sign_at(Fraction(num, den)) == expected
-    assert IntPoly((-2, 0, 3)).sign_at(Fraction(0)) == -1
-    assert IntPoly((-4, 0, 9)).sign_at(Fraction(2, 3)) == 0
+        assert sign_at(p.coeffs, num, den) == expected
+    assert sign_at((-2, 0, 3), 0, 1) == -1
+    assert sign_at((-4, 0, 9), 2, 3) == 0
 
 
 def test_sturm_chain_evaluated_only_before_isolation(monkeypatch):
@@ -423,6 +427,106 @@ def test_factor_into_irreducibles():
     assert factors[IntPoly((-1, 1))] == 2
     assert factors[IntPoly((1, 1))] == 1
     assert factors[IntPoly((-2, 0, 1))] == 1
+
+
+def _clear_denominators(p):
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the rational polynomial p."""
+    den = math.lcm(*(c.denominator for c in p))
+    return IntPoly(int(c * den) for c in p).primitive()
+
+
+def _divisors(m):
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return set(small) | {m // d for d in small}
+
+
+def _yun_factor_into_irreducibles(p):
+    """Reference: Yun's squarefree decomposition with Fraction gcds, then the
+    rational roots of each squarefree part found by the sign of the part at
+    every candidate u/v and stripped by Fraction deflation; a part left with
+    degree above 3 is rejected."""
+    def gcd(a, b):
+        return _clear_denominators(qgcd(a.to_q(), b.to_q()))
+
+    p = p.primitive()
+    parts = []
+    if p.degree > 0:
+        g = gcd(p, p.derivative())
+        w = p.exact_div(g)
+        mult = 1
+        while w.degree > 0:
+            y = gcd(w, g)
+            factor = w.exact_div(y)
+            if factor.degree > 0:
+                parts.append((factor.primitive(), mult))
+            w = y
+            g = g.exact_div(y)
+            mult += 1
+    out = {}
+    for sqf, mult in parts:
+        work = sqf.to_q()
+        # A squarefree part has at most a simple root at 0, so the numerators
+        # of its other rational roots divide its lowest nonzero coefficient.
+        low = next(abs(c) for c in sqf.coeffs if c)
+        candidates = {Fraction(0)} | {
+            Fraction(s * u, v) for u in _divisors(low) for v in _divisors(sqf.leading) for s in (1, -1)
+        }
+        for root in sorted(candidates):
+            if sign_at(sqf.coeffs, root.numerator, root.denominator) == 0:
+                lin = IntPoly((-root.numerator, root.denominator))
+                out[lin] = out.get(lin, 0) + mult
+                work = qdivmod(work, (-root, Fraction(1)))[0]
+        rest = _clear_denominators(work)
+        if rest.degree > 3:
+            raise ValueError("factorization beyond degree 3 is not supported")
+        if rest.degree > 0:
+            out[rest] = out.get(rest, 0) + mult
+    return sorted(out.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def test_factor_into_irreducibles_matches_yun_reference():
+    """The rational-root factorization gives the factors and multiplicities
+    of the Yun-based reference on every char_poly_x and char_poly_y up to
+    bound 100, and on seeded non-monic products of planted roots u/v, each
+    possibly repeated, with an irreducible factor of degree at most 3."""
+    for params in enumerate_star_solutions(100):
+        for poly in (char_poly_x(params), char_poly_y(params)):
+            assert factor_into_irreducibles(poly) == _yun_factor_into_irreducibles(poly), poly
+    rng = random.Random(53)
+    planted = []
+    while len(planted) < 400:
+        degree = rng.randint(0, 3)
+        core = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 4)])
+        if _fraction_rational_roots(core):
+            continue
+        p = core * IntPoly((rng.choice((1, -1, 2, -3)),))
+        for _ in range(rng.randint(1, 4)):
+            u, v = rng.randint(-12, 12), rng.randint(1, 6)
+            p = p * IntPoly((-u, v))
+            if rng.random() < 0.3:
+                p = p * IntPoly((-u, v))
+        expected = _yun_factor_into_irreducibles(p)
+        assert factor_into_irreducibles(p) == expected, p
+        planted.append((p, expected))
+    assert any(not p.primitive().is_monic for p, _ in planted)
+    assert any(m > 1 for _, expected in planted for _f, m in expected)
+    assert any(f.degree == 3 for _, expected in planted for f, _m in expected)
+
+
+def test_factor_into_irreducibles_rejects_a_quartic_remainder():
+    """A remainder of degree 4 with no rational root raises, whether it is
+    a square, a product of quadratics or irreducible, and so does the zero
+    polynomial; a cubic remainder under repeated linear factors does not."""
+    sqrt2 = IntPoly((-2, 0, 1))
+    for quartic in (sqrt2 * sqrt2, sqrt2 * IntPoly((-3, 0, 1)), IntPoly((-2, 0, 0, 0, 1))):
+        with pytest.raises(ValueError, match="beyond degree 3"):
+            factor_into_irreducibles(quartic * IntPoly((-1, 2)))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        factor_into_irreducibles(IntPoly(()))
+    cube_root = IntPoly((-2, 0, 0, 1))
+    p = cube_root * IntPoly((-1, 1)) * IntPoly((-1, 1)) * IntPoly((-1, 1))
+    assert factor_into_irreducibles(p) == [(IntPoly((-1, 1)), 3), (cube_root, 1)]
 
 
 # ---------------------------------------------------------------------------
