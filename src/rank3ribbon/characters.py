@@ -9,6 +9,8 @@ satisfy the ring relations, so none is re-checked at run time.  Each
 character is stored with an exact generator of the field it lives in, plus
 polynomial expressions for its two values in that generator; this makes every
 downstream identity check a matter of polynomial reduction over Q.
+`galois_type` reads the orbit type off the factorization of char_poly_x
+alone, without solving.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .exactnum import (
     cubic_discriminant,
     factor_into_irreducibles,
     is_perfect_square,
-    rational_roots,
     roots_of_irreducible,
 )
+from .exactnum.intpoly import split_rational_roots
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
 from .exactnum.realalg import from_poly_expr
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring, rank3_tensor
@@ -140,6 +142,10 @@ class GaloisType(enum.Enum):
 class GaloisInfo:
     tag: GaloisType
     orbits: tuple[tuple[int, ...], ...]
+    # The factorization of char_poly_x it is read from: the integer roots,
+    # ascending, and the irreducible rest.  Not compared, not in the payload.
+    x_roots: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    x_rest: IntPoly = field(default=IntPoly((1,)), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"tag": self.tag.value, "orbits": [list(o) for o in self.orbits]}
@@ -152,12 +158,6 @@ class CharacterSystem:
     ring: FusionRing
     chars: tuple[Character, ...]
     params: Rank3Params | None
-    x_poly: IntPoly | None
-    y_poly: IntPoly | None
-
-    @property
-    def is_cyclotomic(self) -> bool:
-        return self.chars[0].is_cyclotomic
 
     def to_json(self) -> dict:
         return {"characters": [c.to_json() for c in self.chars]}
@@ -185,13 +185,7 @@ def solve_characters(ring: FusionRing) -> CharacterSystem:
     )
     if len({(c.x, c.y) for c in ordered}) < 3:
         raise DegenerateSystem("characters are not pairwise distinct")
-    return CharacterSystem(
-        ring=ring,
-        chars=tuple(ordered),
-        params=params,
-        x_poly=char_poly_x(params),
-        y_poly=char_poly_y(params),
-    )
+    return CharacterSystem(ring=ring, chars=tuple(ordered), params=params)
 
 
 def _extract_params(ring: FusionRing) -> Rank3Params | None:
@@ -215,7 +209,7 @@ def _z3_characters(ring: FusionRing) -> CharacterSystem:
         Character(x=w, y=w2),
         Character(x=w2, y=w),
     )
-    return CharacterSystem(ring=ring, chars=chars, params=None, x_poly=None, y_poly=None)
+    return CharacterSystem(ring=ring, chars=chars, params=None)
 
 
 def _selfdual_characters(params: Rank3Params) -> list[Character]:
@@ -288,74 +282,50 @@ def fp_character(system: CharacterSystem) -> int:
     return hits[0]
 
 
-def galois_type(system: CharacterSystem) -> GaloisInfo:
-    """Image of the rational Galois action permuting the three characters.
+def galois_type(params: Rank3Params) -> GaloisInfo:
+    """Image of the rational Galois action on the characters of K(k,l,m,n),
+    with orbits indexed as `solve_characters` orders them, read off one
+    integer factorization of char_poly_x; no character is solved.
 
-    Determined from the factorizations of the two characteristic cubics: an
-    irreducible cubic contributes a 3-cycle (cyclic iff its discriminant is a
-    perfect square, otherwise the full symmetric group); otherwise the values
-    generate at most a quadratic extension.
+    With k >= 1, y = (x^2 - m x - 1)/k, so the action is the one on the
+    roots of char_poly_x.  N_X is symmetric tridiagonal with off-diagonal
+    entries 1 and k, so they are simple and the largest is the dimension.
+    - No rational root: one orbit, C3 iff the discriminant is a square.
+    - Three rational roots: Trivial.
+    - One rational root r and quadratic rest q: C2-fixing if r is the largest
+      root.  Otherwise C2-moving, and of the other two characters, sorted by
+      x, the conjugate comes first iff r lies between the roots: q(r) < 0.
+    With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
+    (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
+    only for n = 1, which is Trivial, and every other n is C2-moving.
     """
-    if system.params is None:
-        raise ValueError("galois_type applies to the self-dual family")
-    chars = system.chars
-    degrees = [max(c.x.degree, c.y.degree) for c in chars]
-    maxdeg = max(degrees)
-    if maxdeg == 1:
-        return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)))
-    if maxdeg == 3:
-        cubic = next(
-            c.x.minpoly if c.x.degree == 3 else c.y.minpoly for c in chars if max(c.x.degree, c.y.degree) == 3
-        )
-        return _cubic_galois_info(cubic)
-    # Quadratic case: the two conjugate characters form one orbit.
-    irrational = tuple(i for i, c in enumerate(chars) if not c.all_rational)
-    rational = tuple(i for i, c in enumerate(chars) if c.all_rational)
-    assert len(irrational) == 2 and len(rational) == 1
-    if 0 in rational:
-        return GaloisInfo(GaloisType.C2_FIXING_FP, (rational, irrational))
-    return GaloisInfo(GaloisType.C2_MOVING_FP, (irrational, rational))
-
-
-def integer_galois_type(params: Rank3Params) -> GaloisInfo | None:
-    """The Galois type where the integers of char_poly_x decide it, before
-    any character is solved.
-
-    With k != 0 each y-value is a polynomial in its x-value, so the values
-    have degree 3 exactly when char_poly_x has no rational root; the orbit is
-    then one 3-cycle and the discriminant picks C3 or S3, as in galois_type.
-    Returns None when every value has degree at most 2 (k = 0, or a rational
-    x-value): telling those types apart needs the solved characters.
-    """
+    xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:
-        return None
-    xpoly = char_poly_x(params)
-    if rational_roots(xpoly):
-        return None
-    return _cubic_galois_info(xpoly)
-
-
-def dimension_x_value(params: Rank3Params) -> RealAlgebraic:
-    """x-value of the dimension character when char_poly_x is irreducible:
-    its largest root, the Perron-Frobenius eigenvalue of N_X.  It is isolated
-    like every solved value, so it refines and renders exactly as
-    solve_characters(...).chars[0].x does."""
-    return roots_of_irreducible(char_poly_x(params))[-1]
-
-
-def _cubic_galois_info(cubic: IntPoly) -> GaloisInfo:
-    """An irreducible cubic gives one 3-cycle orbit; the image is cyclic iff
-    the discriminant is a perfect square, otherwise the full symmetric group."""
-    disc = cubic_discriminant(cubic)
-    tag = GaloisType.C3 if is_perfect_square(disc) else GaloisType.S3
-    return GaloisInfo(tag, ((0, 1, 2),))
+        # char_poly_x = (x - 1)^2 (x + 1), in closed form.
+        if params.n == 1:
+            return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), (-1, 1, 1), IntPoly((1,)))
+        return GaloisInfo(GaloisType.C2_MOVING_FP, ((0, 2), (1,)), (-1, 1, 1), IntPoly((1,)))
+    roots, rest = split_rational_roots(xpoly)
+    xs = tuple(sorted(u for u, _v in roots))  # monic, so every root is an integer
+    if not xs:
+        tag = GaloisType.C3 if is_perfect_square(cubic_discriminant(rest)) else GaloisType.S3
+        return GaloisInfo(tag, ((0, 1, 2),), xs, rest)
+    if len(xs) == 3:
+        return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), xs, rest)
+    (r,) = xs
+    q0, q1, _ = rest.coeffs
+    q_at_r = r * r + q1 * r + q0
+    if q_at_r > 0 and 2 * r > -q1:  # above both roots of q
+        return GaloisInfo(GaloisType.C2_FIXING_FP, ((0,), (1, 2)), xs, rest)
+    orbits = ((0, 1), (2,)) if q_at_r < 0 else ((0, 2), (1,))
+    return GaloisInfo(GaloisType.C2_MOVING_FP, orbits, xs, rest)
 
 
 def vieta_products(system: CharacterSystem) -> tuple[Fraction, Fraction]:
-    """Exact products of all x-values and all y-values, from the factored
+    """Exact products of all x-values and all y-values, from the
     characteristic polynomials (product of roots of a monic cubic = -c0)."""
-    if system.x_poly is None:
+    if system.params is None:
         raise ValueError("vieta_products applies to the self-dual family")
-    px = -Fraction(system.x_poly.coeffs[0])
-    py = -Fraction(system.y_poly.coeffs[0])
-    return px, py
+    px = char_poly_x(system.params).coeffs[0]
+    py = char_poly_y(system.params).coeffs[0]
+    return -Fraction(px), -Fraction(py)

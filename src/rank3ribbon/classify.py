@@ -15,10 +15,10 @@ admissibility branches:
   dimension character); a full symmetric-group Galois image fails the branch
   outright since the relevant Galois action is abelian.
 
-An S3 ring is recognised from the integers of its characteristic
-polynomial, and its three verdicts need only the Perron-Frobenius root, so
-its character system is solved only when a witness search asks for it.  Every
-other ring is solved once, and the search reuses that system.
+Every verdict is read off one integer factorization of char_poly_x
+(`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
+where they are rational, the dimension y-value and case 3b's character.
+Characters are solved only for the rings whose witnesses are searched.
 
 Every verdict carries a machine-checkable certificate with the exact
 intermediate quantities.
@@ -31,15 +31,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import (
+    Character,
     CharacterSystem,
     GaloisInfo,
     GaloisType,
-    dimension_x_value,
     galois_type,
-    integer_galois_type,
     solve_characters,
 )
-from .exactnum import IntPoly, RootOfUnity, isolate_real_roots
+from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots, roots_of_irreducible
 from .fusion import (
     FusionRing,
     Rank3Params,
@@ -68,10 +67,6 @@ LIMITATION_NOTE = (
     "beyond ring and data computations, and the reproducible target is the "
     "four-ring list together with data-level witnesses."
 )
-
-
-class NonIntegralFixedCharacter(ValueError):
-    """The Galois-fixed character failed integrality: invalid input or bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +100,12 @@ def enumerate_star_solutions(bound: int) -> list[Rank3Params]:
 def landau_bound(num_classes: int) -> int:
     """Largest part over all solutions of 1 = 1/c_1 + ... + 1/c_r in positive
     integers: the classical bound on the order of a finite group with r
-    conjugacy classes."""
+    conjugacy classes.  The number of solutions grows doubly exponentially
+    with the class count, so counts above 6 are rejected."""
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
+    if num_classes > 6:
+        raise ValueError("num_classes above 6 makes the unit-fraction enumeration unreasonable")
     best = 0
     for sol in _unit_fraction_solutions(Fraction(1), num_classes, 1):
         best = max(best, max(sol))
@@ -142,13 +140,6 @@ def symmetric_filter(ring: FusionRing, system: CharacterSystem) -> FilterVerdict
     N[i*][j][k] d_k = d_i* d_j for any character d, so the dimension
     character with unit twists is always a symmetric rank-1 datum whose rows
     are characters, and the rule alone decides."""
-    return landau_rule(system.chars[0])
-
-
-def case1_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
-    """Rational-spectrum branch: the values are rational roots of monic
-    integer cubics, hence integers, and `landau_rule` bounds the global
-    dimension by 6."""
     return landau_rule(system.chars[0])
 
 
@@ -237,18 +228,18 @@ def case3a_rule(params: Rank3Params) -> FilterVerdict:
     return FilterVerdict(Verdict.FAIL, cert)
 
 
-def case3b_rule(params: Rank3Params, system: CharacterSystem) -> FilterVerdict:
+def case3b_rule(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
     """Order-two-moving branch: the fixed character has integer values (t, s),
     and the three exhaustive branches (grid impossibility; t = -1 family;
-    s = 0 family) leave only the canonical ring (0,1,0,0)."""
-    fixed = next((c for c in system.chars if c.all_rational), None)
-    if fixed is None:
-        raise NonIntegralFixedCharacter("no rational character in an order-two orbit")
-    t = fixed.x.rational_value
-    s = fixed.y.rational_value
-    if t.denominator != 1 or s.denominator != 1:
-        raise NonIntegralFixedCharacter(f"fixed character ({t}, {s}) is not integral")
-    t, s = int(t), int(s)
+    s = 0 family) leave only the canonical ring (0,1,0,0).
+
+    `info` is `galois_type(params)`: t is the rational root of char_poly_x
+    and s = (t^2 - m t - 1)/k, or (t, s) = (-1, 0) on K(0,1,0,n); both are
+    integers, as rational roots of the monic char_poly_x and char_poly_y."""
+    if info.tag != GaloisType.C2_MOVING_FP:
+        raise ValueError(f"case 3b applies to C2-moving rings; {params.name()} is {info.tag.value}")
+    t = info.x_roots[0]  # -1 on K(0,1,0,n), whose x-roots are -1, 1, 1
+    s = (t * t - params.m * t - 1) // params.k if params.k else 0
     canon = canonicalize(params)
     cert: dict = {"t": t, "s": s, "canonical": canon.as_tuple()}
     passed = canon.as_tuple() == (0, 1, 0, 0)
@@ -337,10 +328,6 @@ class RingReport:
     admissible: bool
     witnesses: list[PremodularDatum] | None = None
     notes: list[str] = field(default_factory=list)
-    # The ring's solved characters, handed on to the witness search; None
-    # for an S3 ring, which is typed without solving.  Not part of the
-    # report payload.
-    system: CharacterSystem | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -399,43 +386,32 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-_MODULAR_DISPATCH = {
-    GaloisType.TRIVIAL: ("case1", case1_rule),
-    GaloisType.C3: ("case2", lambda params, system: case2_rule(params)),
-    GaloisType.C2_FIXING_FP: ("case3a", lambda params, system: case3a_rule(params)),
-    GaloisType.C2_MOVING_FP: ("case3b", case3b_rule),
-}
-
-
 def classify_ring(params: Rank3Params) -> RingReport:
     """Run all three branches on one parameter ring.  The modular branch runs
     the one case rule that the ring's Galois type selects.
 
-    An S3 ring is typed from the integers of char_poly_x and fails the
-    symmetric branch on the dimension character's x-value alone, so its
-    characters are not solved (report.system stays None)."""
+    Every verdict is read off the factorization of char_poly_x that
+    `galois_type` holds; no character is solved."""
     canon = canonicalize(params)
-    info = integer_galois_type(canon)
-    if info is not None and info.tag == GaloisType.S3:
-        system = None
-        symmetric = _nonintegral_dimension(dimension_x_value(canon))
-    else:
-        system = solve_characters(make_rank3_ring(canon))
-        info = galois_type(system)
-        symmetric = symmetric_filter(system.ring, system)
+    info = galois_type(canon)
     verdicts = {
-        "symmetric": symmetric,
+        "symmetric": _dimension_verdict(canon, info),
         "nonmodular": nonmodular_filter(canon),
     }
-    if info.tag == GaloisType.S3:
+    if info.tag == GaloisType.TRIVIAL:  # integer values: the Landau rule decides
+        case_name, verdicts["modular"] = "case1", verdicts["symmetric"]
+    elif info.tag == GaloisType.C3:
+        case_name, verdicts["modular"] = "case2", case2_rule(canon)
+    elif info.tag == GaloisType.C2_FIXING_FP:
+        case_name, verdicts["modular"] = "case3a", case3a_rule(canon)
+    elif info.tag == GaloisType.C2_MOVING_FP:
+        case_name, verdicts["modular"] = "case3b", case3b_rule(canon, info)
+    else:
         case_name = "none"
         verdicts["modular"] = FilterVerdict(
             Verdict.FAIL,
             {"failed": "Galois image is the full symmetric group; the Galois action on modular data is abelian"},
         )
-    else:
-        case_name, case_fn = _MODULAR_DISPATCH[info.tag]
-        verdicts["modular"] = case_fn(canon, system)
     admissible = any(v.passed for v in verdicts.values())
     report = RingReport(
         label=canon.name(),
@@ -445,7 +421,6 @@ def classify_ring(params: Rank3Params) -> RingReport:
         verdicts=verdicts,
         modular_case=case_name,
         admissible=admissible,
-        system=system,
     )
     if verdicts["nonmodular"].passed:
         report.notes.append(
@@ -453,6 +428,24 @@ def classify_ring(params: Rank3Params) -> RingReport:
             "degenerate braidings (two-object symmetric subring)"
         )
     return report
+
+
+def _dimension_verdict(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
+    """`landau_rule` on the dimension character, read off `info`: x is the
+    top root of char_poly_x, rational for the Trivial and C2-fixing types
+    with y = (x^2 - m x - 1)/k, otherwise irrational, which fails the rule
+    alone.  On K(0,1,0,n), x = 1 and y is the top root of y^2 - n y - 2."""
+    k, _l, m, n = params.as_tuple()
+    if k == 0:
+        x = RealAlgebraic.from_rational(1)
+        y = isolate_real_roots(IntPoly((-2, -n, 1)))[-1].value
+    elif info.tag in (GaloisType.TRIVIAL, GaloisType.C2_FIXING_FP):
+        r = info.x_roots[-1]
+        x = RealAlgebraic.from_rational(r)
+        y = RealAlgebraic.from_rational((r * r - m * r - 1) // k)
+    else:
+        return _nonintegral_dimension(roots_of_irreducible(info.x_rest)[-1])
+    return landau_rule(Character(x=x, y=y))
 
 
 def _z3_report(max_twist_order: int) -> RingReport:
@@ -502,10 +495,7 @@ def classify_all(bound: int, max_twist_order: int = 60,
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
-            system = report.system
-            if system is None:  # an S3 ring, typed without solving
-                system = solve_characters(make_rank3_ring(report.params))
-            report.witnesses = search_ribbon_data(system.ring, max_twist_order, system=system)
+            report.witnesses = search_ribbon_data(make_rank3_ring(report.params), max_twist_order)
         rings.append(report)
     config = {
         "bound": bound,

@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _ring_payload(params: Rank3Params) -> dict:
     ring = make_rank3_ring(params)
     system = solve_characters(ring)
-    info = galois_type(system)
+    info = galois_type(params)
     fp = system.chars[0]
     gdim = global_fp_dim(system)
     report = ring.axiom_report()

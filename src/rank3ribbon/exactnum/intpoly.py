@@ -3,11 +3,11 @@ rational-root and discriminant primitives used throughout the package.
 
 Coefficients are arbitrary-precision ints, lowest degree first.
 
-Factorization works on integers only.  `rational_roots` tries every
-candidate +-u/v (u | a_0, v | a_n) by exact integer division by v*x - u: by
-Gauss's lemma the quotient of a primitive polynomial is integral exactly when
-u/v is a root, so a candidate that is not a root leaves a non-integral step
-or a nonzero remainder.  `factor_into_irreducibles` returns those linear
+Factorization works on integers only.  `split_rational_roots` finds each
+rational root u/v (v | a_n) as an integer zero of v^d p(x/v), by bisection
+on the pieces where that polynomial is monotone, so the work grows with the
+bit size of the coefficients, not with a_0.  It divides by v*x - u exactly,
+once per multiplicity.  `factor_into_irreducibles` returns those linear
 factors with their multiplicities plus the quotient.  The package factors
 only polynomials of degree at most 3 (the characteristic and Casimir cubics,
 scaled minimal polynomials of their roots, the quadratics of the filters), so
@@ -170,17 +170,18 @@ def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
 
 def rational_roots(p: IntPoly) -> list[Fraction]:
     """All rational roots of p, once per multiplicity, sorted ascending."""
-    roots, _rest = _split_rational_roots(p)
+    roots, _rest = split_rational_roots(p)
     return sorted(Fraction(u, v) for u, v in roots)
 
 
-def _split_rational_roots(p: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
+def split_rational_roots(p: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
     """The rational roots u/v of p (lowest terms, v > 0), once per
     multiplicity, and the quotient of p's primitive part by their linear
     factors v*x - u.
 
-    The quotient of a primitive polynomial by v*x - u stays primitive, so its
-    a_0 and a_n divide those of p and the candidates are fixed up front.
+    For each v | a_n the numerators u are the integer zeros of v^d p(u/v)
+    (`_zero_brackets`).  By Gauss's lemma the quotient of a primitive
+    polynomial by v*x - u is integral and primitive.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no finite set of roots or factors")
@@ -190,18 +191,22 @@ def _split_rational_roots(p: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
     while work.coeffs[0] == 0:
         roots.append((0, 1))
         work = IntPoly(work.coeffs[1:])
-    a0, an = abs(work.coeffs[0]), work.leading
-    for v in _divisors(an):
-        for u in _divisors(a0):
-            if math.gcd(u, v) != 1:
+    for v in _divisors(work.leading):
+        if work.degree == 0:
+            break
+        cs, an = work.coeffs, work.leading
+        q = tuple(c * v ** (len(cs) - 1 - i) for i, c in enumerate(cs))
+        # u | a_0, and |u/v| < 1 + max|a_i|/a_n (Cauchy).
+        reach = min(abs(cs[0]), (v * (an + max(map(abs, cs[:-1]))) - 1) // an)
+        for u in _zero_brackets(q, -reach, reach):
+            if math.gcd(u, v) != 1 or sign_at(q, u, 1):
                 continue
-            for cand in (u, -u):
-                while work.degree > 0:
-                    try:
-                        work = work.exact_div(IntPoly((-cand, v)))
-                    except ValueError:
-                        break
-                    roots.append((cand, v))
+            while work.degree > 0:
+                try:
+                    work = work.exact_div(IntPoly((-u, v)))
+                except ValueError:
+                    break
+                roots.append((u, v))
     return roots, work
 
 
@@ -215,6 +220,35 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return out
+
+
+def _zero_brackets(q: tuple[int, ...], lo: int, hi: int) -> list[int]:
+    """Sorted integers from lo to hi among which lie all integer zeros of q
+    in [lo, hi]: lo, hi, the points of q' (found recursively), and the two
+    integers around each sign change of q between them.
+
+    q is monotone between consecutive points of q', so each such piece holds
+    at most one sign change, found by bisection.  A zero where q keeps its
+    sign is a sign change of q', so it is one of the points of q'."""
+    if len(q) == 2:
+        # A line changes sign once, at -q_0/q_1.
+        cut = -q[0] // q[1]
+        return sorted({lo, hi} | {c for c in (cut, cut + 1) if lo < c < hi})
+    outer = _zero_brackets(tuple(i * q[i] for i in range(1, len(q))), lo, hi)
+    points = set(outer)
+    for a, b in zip(outer, outer[1:]):
+        if b - a < 2:
+            continue
+        sa = sign_at(q, a, 1)
+        if sa * sign_at(q, b, 1) < 0:
+            while b - a > 1:
+                mid = (a + b) // 2
+                if sign_at(q, mid, 1) == sa:
+                    a = mid
+                else:
+                    b = mid
+            points.update((a, b))
+    return sorted(points)
 
 
 def cubic_discriminant(p: IntPoly) -> int:
@@ -243,7 +277,7 @@ def factor_into_irreducibles(p: IntPoly) -> list[tuple[IntPoly, int]]:
     after stripping them has no rational root, so it is irreducible when its
     degree is at most 3.  A larger quotient is out of scope and rejected.
     """
-    roots, rest = _split_rational_roots(p)
+    roots, rest = split_rational_roots(p)
     if rest.degree > 3:
         raise ValueError("factorization beyond degree 3 is not supported")
     out: dict[IntPoly, int] = {}

@@ -11,8 +11,8 @@ characteristic cubic, the Casimir polynomial of `fusion.global_fp_dim`, a
 scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
 takes that polynomial rather than building one.  Root isolation uses integer
 Sturm chains and stops as soon as the roots are separated; a caller that needs
-a narrow interval asks for it (`refine_to`, `tree_interval`, `approx_str`,
-`__float__`).  There is one bisection, `RealAlgebraic.refine_to`: it halves on
+a narrow interval asks for it (`refine_to`, `tree_interval`), and
+`approx_str` and `__float__` render the midpoint of a `tree_interval` node.  There is one bisection, `RealAlgebraic.refine_to`: it halves on
 integer numerators over a common denominator by the sign of the minimal
 polynomial (integer Horner, `intpoly.sign_at`), and comparisons, signs and
 the root matching of `from_poly_expr` all halve through it.  So every
@@ -204,6 +204,8 @@ class RealAlgebraic:
             depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
             step = steps[width] = 2 * bound / 2**depth
         self.refine_to(step)
+        if self._hi - self._lo == step:  # refined to the node, not below it
+            return self._lo, self._hi
         lo = -bound + (self._lo + bound) // step * step
         assert self._hi <= lo + step, "the interval is not a node of the bisection tree"
         return lo, lo + step
@@ -275,18 +277,16 @@ class RealAlgebraic:
 
     # -- rendering -------------------------------------------------------------
 
-    def __float__(self) -> float:
-        if self._rational is not None:
-            return float(self._rational)
-        self.refine_to(Fraction(1, 10**18))
-        return float((self._lo + self._hi) / 2)
+    # Both read the midpoint of a tree node, not of the current interval, so
+    # the digits do not depend on how far earlier work refined the value.
 
-    def approx_fraction(self, width=Fraction(1, 10**15)) -> Fraction:
-        self.refine_to(width)
-        return (self._lo + self._hi) / 2
+    def __float__(self) -> float:
+        lo, hi = self.tree_interval(Fraction(1, 10**18))
+        return float(lo + hi) / 2
 
     def approx_str(self, sig: int = 12) -> str:
-        return decimal_str(self.approx_fraction(Fraction(1, 10**(sig + 6))), sig)
+        lo, hi = self.tree_interval(Fraction(1, 10**(sig + 6)))
+        return decimal_str((lo + hi) / 2, sig)
 
     def __repr__(self) -> str:
         if self._rational is not None:

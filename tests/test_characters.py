@@ -98,18 +98,26 @@ def test_characters_ordered_by_exact_comparison(monkeypatch, params):
 
 
 def test_galois_types():
-    assert galois_type(solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 1)))).tag == GaloisType.TRIVIAL
-    info = galois_type(solve_characters(make_rank3_ring(Rank3Params(1, 1, 1, 0))))
+    assert galois_type(Rank3Params(0, 1, 0, 1)).tag == GaloisType.TRIVIAL
+    info = galois_type(Rank3Params(1, 1, 1, 0))
     assert info.tag == GaloisType.C3
     assert cubic_discriminant(char_poly_x(Rank3Params(1, 1, 1, 0))) == 49
-    info2 = galois_type(solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 0))))
+    info2 = galois_type(Rank3Params(0, 1, 0, 0))
     assert info2.tag == GaloisType.C2_MOVING_FP
     # the fixed character is the rational one, in its own orbit
     assert info2.orbits == ((0, 2), (1,))
+    # the swap K(1,0,0,0): x-values sqrt2, -sqrt2, 0, so the conjugate of
+    # the dimension character comes before the rational one
+    assert galois_type(Rank3Params(1, 0, 0, 0)).orbits == ((0, 1), (2,))
+    # K(1,2,1,2): char_poly_x = (x - 1)(x^2 - 2x - 2), and 1 lies between
+    # the roots 1 -+ sqrt3 of the quadratic rest
+    info3 = galois_type(Rank3Params(1, 2, 1, 2))
+    assert info3.tag == GaloisType.C2_MOVING_FP and info3.x_roots == (1,)
+    assert info3.orbits == ((0, 1), (2,))
 
 
 def test_s3_type_exists():
-    info = galois_type(solve_characters(make_rank3_ring(Rank3Params(1, 2, 2, 0))))
+    info = galois_type(Rank3Params(1, 2, 2, 0))
     assert info.tag == GaloisType.S3
 
 
@@ -254,8 +262,7 @@ def test_galois_type_consistency_bound_10():
     """Trivial iff both cubics split rationally; C3 implies both cubic
     discriminants are perfect squares."""
     for params in enumerate_star_solutions(10):
-        system = solve_characters(make_rank3_ring(params))
-        tag = galois_type(system).tag
+        tag = galois_type(params).tag
         px, py = char_poly_x(params), char_poly_y(params)
         fully_rational = (
             len(rational_roots(px)) == 3 and len(rational_roots(py)) == 3
@@ -265,6 +272,47 @@ def test_galois_type_consistency_bound_10():
             for poly in (px, py):
                 if not rational_roots(poly):
                     assert is_perfect_square(cubic_discriminant(poly))
+
+
+def _degree_reading_galois_type(system):
+    """Reference: the Galois type read from the degrees of the solved values.
+    Degree 1 everywhere is Trivial; a cubic value gives one 3-cycle, cyclic
+    iff the discriminant of its minimal polynomial is a square; otherwise
+    the two characters with an irrational value form one orbit, and the type
+    is C2-fixing iff the rational character is the dimension character."""
+    chars = system.chars
+    degrees = [max(c.x.degree, c.y.degree) for c in chars]
+    if max(degrees) == 1:
+        return GaloisType.TRIVIAL, ((0,), (1,), (2,))
+    if max(degrees) == 3:
+        c = chars[degrees.index(3)]
+        cubic = c.x.minpoly if c.x.degree == 3 else c.y.minpoly
+        square = is_perfect_square(cubic_discriminant(cubic))
+        return (GaloisType.C3 if square else GaloisType.S3), ((0, 1, 2),)
+    irrational = tuple(i for i, c in enumerate(chars) if not c.all_rational)
+    rational = tuple(i for i, c in enumerate(chars) if c.all_rational)
+    assert len(irrational) == 2 and len(rational) == 1
+    if rational == (0,):
+        return GaloisType.C2_FIXING_FP, (rational, irrational)
+    return GaloisType.C2_MOVING_FP, (irrational, rational)
+
+
+def test_galois_type_matches_degree_reading_bound_100():
+    """The integer typing gives the tag and orbits that the degrees of the
+    solved characters give, on every ring up to bound 100 in both
+    orientations."""
+    seen = set()
+    for canon in enumerate_star_solutions(100):
+        for params in (canon, canon.swapped()):
+            info = galois_type(params)
+            system = solve_characters(make_rank3_ring(params))
+            assert (info.tag, info.orbits) == _degree_reading_galois_type(system), params
+            seen.add((info.tag, info.orbits))
+    # every type occurs except C2-fixing, which no ring up to bound 100 has
+    assert {tag for tag, _ in seen} == set(GaloisType) - {GaloisType.C2_FIXING_FP}
+    assert {orbits for tag, orbits in seen if tag == GaloisType.C2_MOVING_FP} == {
+        ((0, 1), (2,)), ((0, 2), (1,))
+    }
 
 
 def test_character_json():

@@ -5,12 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank3ribbon.characters import (
-    GaloisType,
-    galois_type,
-    integer_galois_type,
-    solve_characters,
-)
+from rank3ribbon.characters import GaloisType, galois_type, solve_characters
 from rank3ribbon.classify import (
     LIMITATION_NOTE,
     _integer_cube_root,
@@ -26,11 +21,12 @@ from rank3ribbon.classify import (
     symmetric_filter,
 )
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
-from rank3ribbon.premodular import LANDAU_BOUND_3, Verdict
+from rank3ribbon.premodular import LANDAU_BOUND_3, Verdict, landau_rule
 
 
-def _system(*params):
-    return solve_characters(make_rank3_ring(Rank3Params(*params)))
+def _case3b(*params):
+    p = Rank3Params(*params)
+    return case3b_rule(p, galois_type(p))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +109,7 @@ def test_case1():
 def test_no_trivial_ring_beyond_rep_s3_at_bound_20():
     trivial = [
         p for p in enumerate_star_solutions(20)
-        if galois_type(solve_characters(make_rank3_ring(p))).tag == GaloisType.TRIVIAL
+        if galois_type(p).tag == GaloisType.TRIVIAL
     ]
     assert [p.as_tuple() for p in trivial] == [(0, 1, 0, 1)]
 
@@ -197,35 +193,41 @@ def test_case3a_filter_not_applicable():
     # never fires; the rule-level checks above cover its logic
     fixing = [
         p for p in enumerate_star_solutions(20)
-        if galois_type(solve_characters(make_rank3_ring(p))).tag == GaloisType.C2_FIXING_FP
+        if galois_type(p).tag == GaloisType.C2_FIXING_FP
     ]
     assert fixing == []
 
 
 def test_case3b_rule_pass():
-    v = case3b_rule(Rank3Params(0, 1, 0, 0), _system(0, 1, 0, 0))
+    v = _case3b(0, 1, 0, 0)
     assert v.status == Verdict.PASS
     assert (v.certificate["t"], v.certificate["s"]) == (-1, 0)
     assert v.certificate["branch"] == "s_zero"
 
 
 def test_case3b_rule_fails_n2():
-    v = case3b_rule(Rank3Params(0, 1, 0, 2), _system(0, 1, 0, 2))
+    v = _case3b(0, 1, 0, 2)
     assert v.status == Verdict.FAIL
     assert v.certificate["branch"] == "s_zero"
     assert "n = 2" in v.certificate["detail"]
 
 
 def test_case3b_rule_t_minus_one_family():
-    v = case3b_rule(Rank3Params(2, 1, 2, 1), _system(2, 1, 2, 1))
+    v = _case3b(2, 1, 2, 1)
     assert v.status == Verdict.FAIL
     assert (v.certificate["t"], v.certificate["s"]) == (-1, 1)
     assert v.certificate["branch"] == "t_minus_one"
     assert v.certificate.get("family_match") is True
     # canonical orientation routes through the swap
-    v2 = case3b_rule(Rank3Params(1, 2, 1, 2), _system(1, 2, 1, 2))
+    v2 = _case3b(1, 2, 1, 2)
     assert v2.status == Verdict.FAIL
     assert v2.certificate["branch"] == "t_minus_one"
+
+
+def test_case3b_rule_needs_c2_moving_type():
+    p = Rank3Params(1, 1, 0, 1)
+    with pytest.raises(ValueError, match="C2-moving"):
+        case3b_rule(p, galois_type(p))
 
 
 def test_case3b_filter_dispatch():
@@ -318,18 +320,17 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def test_classify_all_solves_no_s3_ring(monkeypatch):
-    """Without a witness search an S3 ring is typed from integers and never
-    solved; every other ring is solved exactly once."""
-    expected = {
-        make_rank3_ring(p) for p in enumerate_star_solutions(5)
-        if galois_type(solve_characters(make_rank3_ring(p))).tag != GaloisType.S3
-    } | {make_z3_ring()}
+def test_classify_all_solves_only_searched_rings(monkeypatch):
+    """Triage reads every verdict from integers: without --witness-all only
+    Z/3 and the three admissible rings, whose witnesses are searched, have
+    their characters solved, once each."""
     calls = _count_solves(monkeypatch)
-    report = classify_all(5, max_twist_order=16)
-    assert any(r.galois is not None and r.galois.tag == GaloisType.S3 for r in report.rings)
-    assert set(calls) == expected
-    assert set(calls.values()) == {1}
+    report = classify_all(30, max_twist_order=16)
+    assert len(report.rings) == 490
+    assert set(calls) == {make_z3_ring()} | {
+        make_rank3_ring(r.params) for r in report.rings if r.admissible and r.params
+    }
+    assert len(calls) == 4 and set(calls.values()) == {1}
 
 
 def test_classify_all_solves_each_ring_once(monkeypatch):
@@ -344,27 +345,21 @@ def test_classify_all_solves_each_ring_once(monkeypatch):
 
 
 def test_integer_galois_type_matches_solved_system_bound_30():
-    """Oracle for the S3 fast path: the integer Galois type agrees with the
-    type of the solved characters on every ring up to bound 30, and an S3
-    ring's symmetric certificate is the one the solved system gives."""
-    s3 = 0
+    """Oracle for triage from integers: on every ring up to bound 30 the
+    verdicts read off char_poly_x equal the ones the solved characters give.
+    The symmetric verdict is the filter on the solved dimension character,
+    and so is case 1's; case 3b's (t, s) is the solved rational character."""
     for params in enumerate_star_solutions(30):
         system = solve_characters(make_rank3_ring(params))
-        solved = galois_type(system)
-        fast = integer_galois_type(params)
-        if fast is None:
-            assert solved.tag not in (GaloisType.C3, GaloisType.S3), params
-        else:
-            assert fast == solved, params
-        if solved.tag == GaloisType.S3:
-            s3 += 1
-            report = classify_ring(params)
-            assert report.system is None and report.galois == solved
-            assert (
-                report.verdicts["symmetric"].to_json()
-                == symmetric_filter(system.ring, system).to_json()
-            ), params
-    assert s3 == 413
+        report = classify_ring(params)
+        symmetric = symmetric_filter(system.ring, system).to_json()
+        assert report.verdicts["symmetric"].to_json() == symmetric, params
+        modular = report.verdicts["modular"].certificate
+        if report.galois.tag == GaloisType.TRIVIAL:
+            assert modular == landau_rule(system.chars[0]).certificate, params
+        if report.galois.tag == GaloisType.C2_MOVING_FP:
+            (fixed,) = [c for c in system.chars if c.all_rational]
+            assert (modular["t"], modular["s"]) == (fixed.x, fixed.y), params
 
 
 def test_classify_bound_50_admits_exactly_the_four_rings():

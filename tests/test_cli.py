@@ -126,6 +126,15 @@ def test_audit_rejects_negative_bounds(capsys, argv):
     assert error["kind"] == "ValueError" and "nonnegative" in error["detail"]
 
 
+def test_audit_landau_rejects_more_than_six_classes(capsys):
+    """The unit-fraction enumeration grows doubly exponentially with the
+    class count: 7 classes is refused at once, not run for minutes."""
+    code, out, err = _capture(capsys, ["audit", "landau", "--classes", "7"])
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError" and "above 6" in error["detail"]
+
+
 def test_json_output_deterministic(capsys):
     _, first, _ = _capture(capsys, ["search", "--params", "0,1,0,1", "--max-twist-order", "6"])
     _, second, _ = _capture(capsys, ["search", "--params", "0,1,0,1", "--max-twist-order", "6"])

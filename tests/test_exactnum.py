@@ -28,8 +28,9 @@ from rank3ribbon.exactnum import (
 )
 from rank3ribbon.characters import char_poly_x, char_poly_y
 from rank3ribbon.classify import enumerate_star_solutions
+from rank3ribbon.fusion import Rank3Params, rank3_tensor
 from rank3ribbon.exactnum import realalg
-from rank3ribbon.exactnum.intpoly import sign_at
+from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
 from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qgcd, qmod
 from rank3ribbon.exactnum.realalg import from_poly_expr
 
@@ -529,6 +530,74 @@ def test_factor_into_irreducibles_rejects_a_quartic_remainder():
     assert factor_into_irreducibles(p) == [(IntPoly((-1, 1)), 3), (cube_root, 1)]
 
 
+def _divisor_split_rational_roots(p):
+    """Reference: the divisor route.  Every candidate +-u/v with u | a_0 and
+    v | a_n in lowest terms, the divisors found by trial division, is tried by
+    exact integer division by v*x - u, repeated for multiplicity."""
+    work = p.primitive()
+    roots = []
+    while work.coeffs[0] == 0:
+        roots.append((0, 1))
+        work = IntPoly(work.coeffs[1:])
+    for v in sorted(_divisors(work.leading)):
+        for u in sorted(_divisors(abs(work.coeffs[0]))):
+            if math.gcd(u, v) != 1:
+                continue
+            for cand in (u, -u):
+                while work.degree > 0:
+                    try:
+                        work = work.exact_div(IntPoly((-cand, v)))
+                    except ValueError:
+                        break
+                    roots.append((cand, v))
+    return sorted(roots), work
+
+
+def test_split_rational_roots_matches_divisor_reference():
+    """The real-root search finds the roots, multiplicities and quotient of
+    the divisor route on every char_poly_x and char_poly_y up to bound 100
+    and on seeded products of planted roots u/v, up to degree 10."""
+    polys = []
+    for params in enumerate_star_solutions(100):
+        polys += [char_poly_x(params), char_poly_y(params)]
+    rng = random.Random(61)
+    planted = 0
+    while planted < 2000:
+        p = IntPoly((rng.choice((1, -1, 2, -3, 6)),))
+        for _ in range(rng.randint(0, 6)):
+            p = p * IntPoly((-rng.randint(-30, 30), rng.randint(1, 6)))
+        p = p * IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 5)])
+        if p.degree <= 10:
+            polys.append(p)
+            planted += 1
+    assert max(p.degree for p in polys) == 10
+    for p in polys:
+        roots, rest = split_rational_roots(p)
+        assert (sorted(roots), rest) == _divisor_split_rational_roots(p), p
+
+
+def test_split_rational_roots_of_a_huge_constant_term():
+    """The search bisects over the real line, so a constant term far beyond
+    trial division costs a few hundred evaluations: the Casimir cubic of
+    K(1,10000,10000,0) (constant term about 4e16, where trial division took
+    half a minute) and a planted product with constant term above 10^60."""
+    k, l, m, n = 1, 10000, 10000, 0
+    N = rank3_tensor(Rank3Params(k, l, m, n))
+    casimir = IntPoly(charpoly([
+        [3 * (r == c) + (m + l) * N[1][c][r] + (k + n) * N[2][c][r] for c in range(3)]
+        for r in range(3)
+    ]))
+    assert casimir.coeffs[0] == -40000001300000032
+    # An S3 ring: its global dimension is a cubic irrationality.
+    assert split_rational_roots(casimir) == ([], casimir)
+    big = [(10**20 + 39, 1), (-(10**21) - 117, 1), (3 * 10**22 + 1, 2)]
+    p = IntPoly((-2, 0, 1))
+    for u, v in big:
+        p = p * IntPoly((-u, v))
+    roots, rest = split_rational_roots(p)
+    assert sorted(roots) == sorted(big) and rest == IntPoly((-2, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # roots of unity and cyclotomic values
 # ---------------------------------------------------------------------------
@@ -843,3 +912,19 @@ def test_decimal_str():
     assert decimal_str(Fraction(0), 12) == "0"
     assert decimal_str(Fraction(-6), 12) == "-6"
     assert decimal_str(Fraction(1, 3), 5) == "0.33333"
+
+
+def test_renderings_do_not_depend_on_refinement():
+    """approx_str and float() read the bisection-tree node of the rendered
+    width, so a value first refined far below that width renders the same.
+    Both values sit within 1e-24 above a rounding boundary, where the
+    midpoint of a deeper interval and that of the node round apart:
+    sqrt(a^2 + 1)/10^12 just above the 12-digit boundary a/10^12, and
+    sqrt(b^2 + 1)/2^53 just above b/2^53, midway between two doubles."""
+    a, b = 1000000000005, 2**53 + 1
+    for poly in (IntPoly((-(a * a + 1), 0, 10**24)), IntPoly((-(b * b + 1), 0, 2**106))):
+        fresh = roots_of_irreducible(poly)[-1]
+        deep = roots_of_irreducible(poly)[-1]
+        deep.refine_to(Fraction(1, 2**200))
+        assert fresh.approx_str(12) == deep.approx_str(12)
+        assert float(fresh) == float(deep)
