@@ -168,12 +168,9 @@ def root_of_unity_value(r: RootOfUnity, precision_bits: int = 128) -> ComplexBal
 
 def roots_of_unity_up_to(max_order: int) -> list[RootOfUnity]:
     """All roots of unity of order <= max_order, sorted by (order, turn)."""
-    out = []
-    for q in range(1, max_order + 1):
-        for p in range(q):
-            if math.gcd(p, q) == 1 or (p == 0 and q == 1):
-                out.append(RootOfUnity(p, q))
-    return out
+    return [
+        RootOfUnity(p, q) for q in range(1, max_order + 1) for p in range(q) if math.gcd(p, q) == 1
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -191,18 +191,20 @@ class RealAlgebraic:
         answer depends on the value and `width` alone, not on how far the
         value has been refined: a shallower interval is refined down to the
         node, a deeper one is coarsened up to its ancestor.  The bound and the
-        node width of each `width` are computed once per value.  Every
-        interval of the value is already a node of this tree, so after
-        refine_to the interval lies inside the node."""
+        node width of each `width` (keyed by its integers: a Fraction hash
+        is slow) are computed once per value.  Every interval of the value
+        is already a node of this tree, so after refine_to the interval lies
+        inside the node."""
         if self._rational is not None:
             return self._rational, self._rational
         if self._tree is None:
             self._tree = (cauchy_bound(self.minpoly), {})
         bound, steps = self._tree
-        step = steps.get(width)
+        key = (width.numerator, width.denominator)
+        step = steps.get(key)
         if step is None:
             depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
-            step = steps[width] = 2 * bound / 2**depth
+            step = steps[key] = 2 * bound / 2**depth
         self.refine_to(step)
         if self._hi - self._lo == step:  # refined to the node, not below it
             return self._lo, self._hi

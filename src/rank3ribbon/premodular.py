@@ -7,34 +7,24 @@ matrix is
 
     S[i][j] = theta_i^-1 theta_j^-1 * sum_k N[i*][j][k] theta_k d_k.
 
-Numerics are two-tier: a vectorized floating scan proposes twist pairs, and
-every candidate is then re-verified with exact cyclotomic arithmetic over the
-character field.  There is no approximate fallback: a candidate whose
-cyclotomic field has degree phi(n) > EXACT_PHI_CAP cannot be certified, and
-`ExactContext` raises Undecidable before building any table, which stops the
-search instead of dropping the candidate.  Exact entries live in
-Q(zeta_n)[x]/(minimal polynomial of the character generator) as ExtNum
-polynomials whose coefficients are CycloNum integer vectors over one
-denominator, so building and checking a matrix runs on Python ints, and each
-product of the matrix, row and Frobenius-Schur checks is formed once per
-context.  A nonzero representative is a nonzero value when gcd(deg modulus,
-phi(n)) = 1 (the tensor ring is then a field); otherwise it is divided by a
-factor of the lifted modulus that the context learns with the gcd and
-division of `exactnum.qpoly`, run over CycloNum coefficients (see
-`ExactContext._is_zero`).  A scan survivor gets only the checks that can
-change its verdict: when its dimensions fail the symmetric rule, a candidate
-with both twists 1 is rejected before any exact context is built, and when
-degenerate data are not requested the Frobenius-Schur indicators run first
-and reject it before its S-matrix is built; otherwise symmetry, unit row and
-rows run, then the structure class and its rule (`_certify_candidate`).
-The rendered `approx` S-matrix is that certified exact matrix, each entry
-enclosed in a ball by the evaluator the zero test uses (`build_s_matrix`).
-The scan does not visit the whole twist grid: setting S[1][2] = d_1 * chi(2)
-for a character chi gives the Moebius relation theta_2 * (T*theta_1 - c) =
-a + b*theta_1, which solves for theta_2 given theta_1 (see `_scan_twist_grid`),
-so its cost is near-linear in the number of roots of unity rather than
-quadratic.  A witness is admitted only if its structure class passes the
-corresponding consistency rule:
+The twists of an admissible datum have orders q with phi(q) <= 12
+(`twist_table`), so the search scans one fixed table of at most 180 roots of
+unity.  A floating screen proposes twist pairs from it, visiting only the
+pairs that solve S[1][2] = d_1 * chi(2) for a character chi
+(`_arc_candidates`), and each candidate gets the exact checks that can change
+its verdict (`_certify_candidate`); there is no approximate fallback.  Exact
+entries live in Q(zeta_n)[x]/(minimal polynomial of the character generator)
+as ExtNum polynomials whose coefficients are CycloNum integer vectors over
+one denominator, so building and checking a matrix runs on Python ints, and
+each product of the matrix, row and Frobenius-Schur checks is formed once
+per context.  A nonzero representative is a nonzero value when gcd(deg
+modulus, phi(n)) = 1 (the tensor ring is then a field); otherwise it is
+divided by a factor of the lifted modulus that the context learns with the
+gcd and division of `exactnum.qpoly`, run over CycloNum coefficients (see
+`ExactContext._is_zero`).  The rendered `approx` S-matrix is that certified
+exact matrix, each entry enclosed in a ball by the evaluator the zero test
+uses (`build_s_matrix`).  A witness is admitted only if its structure class
+passes the corresponding consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
@@ -54,14 +44,14 @@ corresponding consistency rule:
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .characters import Character, CharacterSystem, solve_characters
 from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
@@ -594,13 +584,15 @@ def search_ribbon_data(
     """All admissible (dimension character, twist pair) data with twist orders
     up to `max_twist_order`, deterministically ordered.
 
-    The scan accepts a pair when the S-matrix is symmetric and every row is a
-    character within SCAN_TOL; each candidate is then re-verified exactly and
-    must pass its structure-class consistency rule (see module docstring).
-    Degenerate (properly premodular) candidates are returned only when
-    `include_degenerate` is set.  `system` is the ring's character system when
-    the caller has already solved it; it is solved here otherwise.  A
-    candidate beyond the exact cap raises Undecidable.
+    The twists range over `twist_table(max_twist_order)`, which holds every
+    twist of every admissible datum from order 42 on.  The scan accepts a
+    pair when the S-matrix is symmetric and every row is a character within
+    SCAN_TOL (`_scan_twist_grid`); each candidate is then re-verified exactly
+    and must pass its structure-class consistency rule (see module
+    docstring).  Degenerate (properly premodular) candidates are returned
+    only when `include_degenerate` is set.  `system` is the ring's character
+    system when the caller has already solved it; it is solved here
+    otherwise.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
@@ -608,17 +600,16 @@ def search_ribbon_data(
         system = solve_characters(ring)
     elif system.ring != ring:
         raise ValueError("the character system belongs to a different ring")
-    roots = roots_of_unity_up_to(max_twist_order)
-    root_values = np.array([r.complex_approx() for r in roots])
-    root_turns = np.array([r.p / r.q for r in roots])
+    table = twist_table(max_twist_order)
+    values = [r.complex_approx() for r in table]
+    chars = [[c.value_complex(j) for j in range(3)] for c in system.chars]
     witnesses: list[PremodularDatum] = []
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        pairs = _scan_twist_grid(ring, system, dims, root_values, root_turns, SCAN_TOL)
-        for a, b in pairs:
+        for a, b in _scan_twist_grid(ring, chars[dims_index], chars, table, values, SCAN_TOL):
             datum = _certify_candidate(
-                ring, dims, dims_index, Twists.of(roots[a], roots[b]),
+                ring, dims, dims_index, Twists.of(table[a], table[b]),
                 include_degenerate,
             )
             if datum is not None:
@@ -629,151 +620,153 @@ def search_ribbon_data(
     return witnesses
 
 
-SCAN_CHUNK = 1 << 15  # candidate pairs per block of the float mask
+TWIST_PHI_BOUND = 12  # phi(q) of every twist order q of an admissible datum
+TWIST_ORDER_BOUND = 42  # the largest q with phi(q) <= TWIST_PHI_BOUND
 SCAN_TOL = 1e-9  # float tolerance of the scan; exact certification follows
 SCAN_SLACK = 1e-12  # relative widening of each solved window for float rounding
 
 
-def _scan_twist_grid(ring, system, dims, root_values, root_turns,
-                     tol) -> list[tuple[int, int]]:
-    """Floating filter over the twist grid that visits only solved candidates.
+def twist_table(max_twist_order: int) -> list[RootOfUnity]:
+    """The roots of unity of order q <= max_twist_order with phi(q) <= 12,
+    sorted by (order, turn): at most 180 roots of 26 orders, all q <= 42.
 
-    Returns the (theta_1, theta_2) index pairs, in row-major order, that look
-    symmetric and row-characterlike within tol and either look degenerate
-    (det ~ 0) or pass the floating Frobenius-Schur screen; exact verification
-    later redoes everything rigorously.
+    Theorem: every twist of a datum that `_certify_candidate` admits has such
+    an order.  On a self-dual ring the character values span a real field F,
+    the splitting field of char_poly_x (of char_poly_y when k = 0), so [F:Q]
+    <= 6.  The rows of a certified datum are d_i * chi_i for characters
+    chi_i, with every d_i nonzero.  With u = theta_1^-1 and w = theta_2^-1,
+    S[1][2] = l d_2 u + k d_1 w = gamma := d_1 chi_1(2), and l d_2, k d_1 and
+    gamma lie in F.
 
-    A kept pair has row 1 within tol of d_1 * chi for some character chi, so
-    |S[1][2] - T| <= tol with T = d_1 * chi(2).  Multiplying by the unit
-    theta_1 * theta_2 turns that entry into the Moebius relation
+    (a) k, l, gamma nonzero.  |gamma - l d_2 u| = |k d_1| puts 2 Re u =
+        (gamma^2 + l^2 d_2^2 - k^2 d_1^2) / (l d_2 gamma) in F, and 2 Re w
+        likewise.  2cos(2 pi p/q) has degree phi(q)/2, so phi(q) <= 12.
+    (b) gamma = 0, k, l nonzero.  Then w = +-u, and S[1][1] = d_1 chi_1(1)
+        makes theta_1 a root of d_1 chi_1(1) x^2 - (m d_1 +- k d_2) x - 1,
+        nonzero of degree <= 2 over F; theta_2 = +-theta_1.
+    (c) k = 0.  The star equation gives l = 1, m = 0, so gamma = d_2 u makes
+        theta_1 = +-1, and S[2][2] = d_2 chi_2(2) makes theta_2 a root of
+        d_2 chi_2(2) x^2 - n d_2 x - (1 + d_1 theta_1).  That vanishes
+        identically only if n = 0 and d_1 theta_1 = -1.  On that ring,
+        K(0,1,0,0), S does not depend on theta_2 and det S = -4 d_2^2, so the
+        datum is Modular; with d_1 = 1 and d_2 = +-sqrt(2), its
+        Frobenius-Schur sum A_2 = d_2 (1 + d_1)(theta_2^2 + theta_2^-2) =
+        +-D^2 = +-4 gives theta_2^2 + theta_2^-2 = +-sqrt(2): theta_2 has
+        order 16.  l = 0 is the swap of this case.
+    (d) Z/3.  S[1][2] = theta_2^-1 d_1 and S[1][1] = theta_1^-2 are cube
+        roots of unity, so theta_2^3 = theta_1^6 = 1.
+
+    So a pair of the table has phi(lcm(q_1, q_2)) <= phi(q_1) phi(q_2) <= 144
+    < EXACT_PHI_CAP, and orders above 42 add no root.
+    """
+    order = min(max_twist_order, TWIST_ORDER_BOUND)
+    return [r for r in roots_of_unity_up_to(order) if euler_phi(r.q) <= TWIST_PHI_BOUND]
+
+
+def _scan_twist_grid(ring, d, chars, table, values, tol) -> list[tuple[int, int]]:
+    """The table's (theta_1, theta_2) index pairs, row-major, that pass
+    `_looks_admissible`; `d`, `chars` and `values` are the float values of
+    the dimensions, of every character and of the table."""
+    rows = [[[d[i] * c[j] for j in range(3)] for c in chars] for i in range(3)]
+    found = _arc_candidates(ring, d, chars, table, values, tol)
+    return [
+        (a, b) for (a, b), index in sorted(found.items())
+        if _looks_admissible(ring, d, rows, index, values[a], values[b], tol)
+    ]
+
+
+def _arc_candidates(ring, d, chars, table, values, tol) -> dict:
+    """Every table pair (a, b) with |S[1][2] - d_1 * chi(2)| <= tol for some
+    character chi (plus a few more inside the rounding slack), mapped to the
+    index of the first such chi.
+
+    Multiplying that entry by the unit theta_1 * theta_2 turns it into the
+    Moebius relation
 
         theta_2 * (T*theta_1 - c) = a + b*theta_1,
         a = N[1*][2][0],  b = N[1*][2][1] * d_1,  c = N[1*][2][2] * d_2,
 
-    that is |theta_2 * D - A| <= tol with D = T*theta_1 - c, A = a + b*theta_1.
-    Since |theta_2| = 1 this needs ||A| - |D|| <= tol, and for |D| > tol it
-    puts theta_2 within r = tol/|D| < 1 of A/D.  A point of the unit circle at
-    angle delta from the ray through A/D is at least sin(delta) away from it
-    (at least 1 once delta >= pi/2), so theta_2 lies on the arc of half-angle
-    arcsin(r) around arg(A/D).  When |D| <= tol (theta_1 pinned, as on k = 0
-    rings) every theta_2 is a candidate; when a = c = 0 (Z/3) the solved
-    theta_2 = b/T does not depend on theta_1.  Both bounds are widened by
-    SCAN_SLACK, relative to the size of the coefficients, against float
-    rounding; the roots inside each arc are found by binary search over the
-    sorted turns.  The candidates of the three characters are deduplicated
-    and run through the unchanged per-pair float mask in blocks of
-    SCAN_CHUNK, so the scan keeps exactly the pairs the full grid would, in
-    O(R log R + candidates) time and O(R + candidates) memory.
-    """
-    size = len(root_values)
-    d = np.array([dims.value_complex(j) for j in range(3)])
-    chars = [
-        np.array([c.value_complex(j) for j in range(3)]) for c in system.chars
-    ]
-    keys = _solved_candidates(ring, d, chars, root_values, root_turns, tol)
-    out: list[tuple[int, int]] = []
-    for start in range(0, len(keys), SCAN_CHUNK):
-        first, second = np.divmod(keys[start:start + SCAN_CHUNK], size)
-        keep = _float_mask(ring, d, chars, root_values[first], root_values[second], tol)
-        out.extend(zip(first[keep].tolist(), second[keep].tolist()))
-    return out
-
-
-def _solved_candidates(ring, d, chars, root_values, root_turns, tol) -> np.ndarray:
-    """Sorted, distinct keys first * R + second of every twist pair with
-    |S[1][2] - d_1 * chi(2)| <= tol for some chi in `chars` (plus a few more
-    inside the rounding slack); see `_scan_twist_grid`."""
-    size = len(root_values)
+    with T = d_1 * chi(2), that is |theta_2 * D - A| <= tol with D =
+    T*theta_1 - c, A = a + b*theta_1.  Since |theta_2| = 1 this needs ||A| -
+    |D|| <= tol, and for |D| > tol it puts theta_2 within r = tol/|D| < 1 of
+    A/D.  A point of the unit circle at angle delta from the ray through A/D
+    is at least sin(delta) away from it (at least 1 once delta >= pi/2), so
+    theta_2 lies on the arc of half-angle arcsin(r) around arg(A/D), found by
+    binary search over the sorted turns.  When |D| <= tol (theta_1 pinned, as
+    on k = 0 rings) every theta_2 is a candidate; when a = c = 0 (Z/3) the
+    solved theta_2 = b/T does not depend on theta_1.  Both bounds are widened
+    by SCAN_SLACK, relative to the size of the coefficients, against float
+    rounding."""
     n12 = ring.N[ring.dual[1]][2]
     a, b, c = n12[0], n12[1] * d[1], n12[2] * d[2]
-    order = np.argsort(root_turns, kind="stable")
-    # Sorted turns shifted by -1, 0, +1: an arc of width < 1 around a center
-    # in [0, 1) is one contiguous run of this array.
-    ext_turns = np.concatenate(
-        (root_turns[order] - 1, root_turns[order], root_turns[order] + 1)
-    )
-    ext_index = np.tile(order, 3)
-    rows = np.arange(size)
-    blocks = []
-    for chi in chars:
+    # The turns in increasing order, shifted by -1, 0 and +1: an arc of width
+    # < 1 around a center in [0, 1) is one contiguous run of this list.
+    order = sorted(range(len(table)), key=lambda i: table[i].p / table[i].q)
+    turns = [table[i].p / table[i].q + shift for shift in (-1, 0, 1) for i in order]
+    found: dict = {}
+    for index, chi in enumerate(chars):
         T = d[1] * chi[2]
         bound = tol + SCAN_SLACK * (1 + abs(a) + abs(b) + abs(c) + abs(T))
-        den = T * root_values - c
-        num = a + b * root_values
-        den_abs = np.abs(den)
-        feasible = np.abs(np.abs(num) - den_abs) <= bound
-        full = feasible & (den_abs <= bound)
-        arc = feasible & ~full
-        pinned = rows[full]
-        blocks.append(np.repeat(pinned, size) * size + np.tile(rows, len(pinned)))
-        center = np.angle(num[arc] / den[arc]) / (2 * np.pi) % 1.0
-        half = np.arcsin(bound / den_abs[arc]) / (2 * np.pi) + SCAN_SLACK
-        lo = np.searchsorted(ext_turns, center - half, side="left")
-        hi = np.searchsorted(ext_turns, center + half, side="right")
-        counts = hi - lo
-        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        blocks.append(
-            np.repeat(rows[arc], counts) * size
-            + ext_index[np.repeat(lo, counts) + offsets]
-        )
-    keys = np.sort(np.concatenate(blocks))
-    return keys[np.diff(keys, prepend=-1) != 0]
+        for first, t1 in enumerate(values):
+            den, num = T * t1 - c, a + b * t1
+            if abs(abs(num) - abs(den)) > bound:
+                continue
+            if abs(den) <= bound:
+                seconds = range(len(table))
+            else:
+                center = cmath.phase(num / den) / (2 * math.pi) % 1.0
+                half = math.asin(bound / abs(den)) / (2 * math.pi) + SCAN_SLACK
+                lo = bisect.bisect_left(turns, center - half)
+                hi = bisect.bisect_right(turns, center + half)
+                seconds = [order[i % len(order)] for i in range(lo, hi)]
+            for second in seconds:
+                found.setdefault((first, second), index)
+    return found
 
 
-def _float_mask(ring, d, chars, A, B, tol) -> np.ndarray:
-    """Per-pair floating screen for twists theta_1 = A, theta_2 = B (arrays
-    of equal shape): symmetric, rows within tol of characters, and either
-    degenerate or passing the Frobenius-Schur indicator test."""
-    dual = ring.dual
-    nt = ring.N
-    d2_scalar = complex((d * d).sum())
-    fs_allowed = [
-        [1] if k == 0 else ([1, -1] if dual[k] == k else [0]) for k in range(3)
-    ]
-    one = np.ones_like(A)
-    t = [one, A * d[1], B * d[2]]
-    inv = [one, np.conj(A), np.conj(B)]
-    S = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = 0
-            for k in range(3):
-                coef = nt[dual[i]][j][k]
-                if coef:
-                    acc = acc + coef * t[k]
-            S[i][j] = inv[i] * inv[j] * acc
-    mask = np.ones(A.shape, dtype=bool)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            mask &= np.abs(S[i][j] - S[j][i]) <= tol
-    for i in (1, 2):
-        best = None
-        for c in chars:
-            err = np.abs(S[i][0] - d[i] * c[0])
-            err = np.maximum(err, np.abs(S[i][1] - d[i] * c[1]))
-            err = np.maximum(err, np.abs(S[i][2] - d[i] * c[2]))
-            best = err if best is None else np.minimum(best, err)
-        mask &= best <= tol
+def _looks_admissible(ring, d, rows, index, t1, t2, tol) -> bool:
+    """Floating screen of the twists theta_1 = t1, theta_2 = t2: symmetric,
+    row i within tol of some rows[i][c] = d_i * (character c), and either
+    degenerate (|det| <= 1e-6) or passing the Frobenius-Schur indicator test.
+    Row 1 is tested first against character `index`, which proposed the
+    pair: most candidates fail there."""
+    N, dual = ring.N, ring.dual
+    theta = (1, t1, t2)
+    t = (1, t1 * d[1], t2 * d[2])
+    inv = (1, t1.conjugate(), t2.conjugate())
+
+    def row(i):
+        return [inv[i] * inv[j] * (n[0] + n[1] * t[1] + n[2] * t[2])
+                for j, n in enumerate(N[dual[i]])]
+
+    def near(r, x):
+        return abs(r[1] - x[1]) <= tol and abs(r[2] - x[2]) <= tol and abs(r[0] - x[0]) <= tol
+
+    S = [None, row(1), None]
+    if not (near(S[1], rows[1][index]) or any(near(S[1], r) for r in rows[1])):
+        return False
+    S[0], S[2] = row(0), row(2)
+    if any(abs(S[i][j] - S[j][i]) > tol for i, j in ((0, 1), (0, 2), (1, 2))):
+        return False
+    if not any(near(S[2], r) for r in rows[2]):
+        return False
     det = (
         S[0][0] * (S[1][1] * S[2][2] - S[1][2] * S[2][1])
         - S[0][1] * (S[1][0] * S[2][2] - S[1][2] * S[2][0])
         + S[0][2] * (S[1][0] * S[2][1] - S[1][1] * S[2][0])
     )
-    degenerate = np.abs(det) <= 1e-6
-    th = [one, A, B]
-    fs_ok = np.ones_like(mask)
+    if abs(det) <= 1e-6:
+        return True
+    d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
     for k in range(3):
-        acc = 0
-        for i in range(3):
-            for j in range(3):
-                coef = nt[i][j][k]
-                if coef:
-                    acc = acc + coef * (d[i] * d[j]) * (th[i] * np.conj(th[j])) ** 2
-        k_ok = np.zeros_like(mask)
-        for nu in fs_allowed[k]:
-            k_ok |= np.abs(acc - nu * d2_scalar) <= 1e-6 * max(1.0, abs(d2_scalar))
-        fs_ok &= k_ok
-    return mask & (degenerate | fs_ok)
+        acc = sum(
+            N[i][j][k] * (d[i] * d[j]) * (theta[i] * theta[j].conjugate()) ** 2
+            for i in range(3) for j in range(3) if N[i][j][k]
+        )
+        allowed = [1] if k == 0 else ([1, -1] if dual[k] == k else [0])
+        if all(abs(acc - nu * d2) > 1e-6 * max(1.0, abs(d2)) for nu in allowed):
+            return False
+    return True
 
 
 def _certify_candidate(ring, dims, dims_index, twists,

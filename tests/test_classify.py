@@ -404,10 +404,14 @@ def test_cross_validation_witnesses_bound_5():
             assert witnesses == [], params
 
 
-def test_cross_validation_witnesses_bound_10():
+def test_cross_validation_witnesses_bound_20():
+    """The classification verdict agrees with witness existence on every
+    ring up to bound 20.  Twist order 60 holds every twist order an
+    admissible datum can have (`premodular.twist_table`), so a failing ring
+    has no witness at any order."""
     from rank3ribbon.premodular import search_ribbon_data
 
-    for params in enumerate_star_solutions(10):
+    for params in enumerate_star_solutions(20):
         report = classify_ring(params)
         witnesses = search_ribbon_data(make_rank3_ring(params), 60)
         assert bool(witnesses) == report.admissible, params

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,28 @@ def test_search_command(capsys):
     assert all(w["structure_class"] == "Modular" for w in payload["witnesses"])
     assert all(w["twists"][1] == {"p": 1, "q": 2} for w in payload["witnesses"])
     assert all(w["twists"][2]["q"] == 16 for w in payload["witnesses"])
+
+
+def test_search_order_beyond_the_twist_table(capsys):
+    """Twist orders are bounded by the character field, so an order of a
+    million searches the same fixed table as order 60, in the same time and
+    memory, and finds the same witnesses."""
+    argv = ["search", "--params", "0,1,0,0", "--max-twist-order"]
+    code, out, err = _capture(capsys, argv + ["1000000"])
+    assert code == 0 and not err
+    _, at60, _ = _capture(capsys, argv + ["60"])
+    payload = json.loads(out)
+    assert payload["max_twist_order"] == 1000000 and payload["count"] == 16
+    assert payload["witnesses"] == json.loads(at60)["witnesses"]
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is a test dependency only: importing the CLI does not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, rank3ribbon.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_search_command_empty(capsys):

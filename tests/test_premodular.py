@@ -30,11 +30,13 @@ from rank3ribbon.premodular import (
     Undecidable,
     Verdict,
     ZeroDimension,
+    _arc_candidates,
     _scan_twist_grid,
-    _solved_candidates,
     build_s_matrix,
+    euler_phi,
     nonmodular_filter,
     search_ribbon_data,
+    twist_table,
 )
 
 
@@ -406,18 +408,24 @@ def _grid_survivors(ring, system, dims, values, tol=1e-9, chunk=64):
     return sorted(found)
 
 
+def _float_chars(system):
+    return [[c.value_complex(j) for j in range(3)] for c in system.chars]
+
+
 def _assert_scan_matches_grid(ring, order):
+    """The scan keeps exactly the grid survivors among the pairs of the
+    twist table."""
     system = solve_characters(ring)
-    roots = roots_of_unity_up_to(order)
-    values = np.array([r.complex_approx() for r in roots])
-    turns = np.array([r.p / r.q for r in roots])
+    table = twist_table(order)
+    values = [r.complex_approx() for r in table]
+    chars = _float_chars(system)
     survivors = []
-    for dims in system.chars:
+    for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        expected = _grid_survivors(ring, system, dims, values)
-        assert _scan_twist_grid(ring, system, dims, values, turns, 1e-9) == expected
-        survivors.extend((roots[a], roots[b]) for a, b in expected)
+        expected = _grid_survivors(ring, system, dims, np.array(values))
+        assert _scan_twist_grid(ring, chars[index], chars, table, values, 1e-9) == expected
+        survivors.extend((table[a], table[b]) for a, b in expected)
     return survivors
 
 
@@ -440,28 +448,26 @@ def test_solved_scan_matches_grid_order60(params):
 ], ids=lambda r: r.params.name() if r.params else "Z3")
 @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.4])
 def test_solved_candidates_cover_s12_window(ring, tol):
-    """Every grid pair with |S[1][2] - d_1*chi(2)| <= tol for some character
+    """Every table pair with |S[1][2] - d_1*chi(2)| <= tol for some character
     chi is a candidate; loose tolerances put many pairs near the arc edges."""
     system = solve_characters(ring)
-    roots = roots_of_unity_up_to(30)
-    values = np.array([r.complex_approx() for r in roots])
-    turns = np.array([r.p / r.q for r in roots])
+    table = twist_table(30)
+    values = [r.complex_approx() for r in table]
     t1, t2 = np.meshgrid(values, values, indexing="ij")
     theta = [np.ones_like(t1), t1, t2]
     n12 = ring.N[ring.dual[1]][2]
-    for dims in system.chars:
+    chars = _float_chars(system)
+    for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        d = np.array([dims.value_complex(j) for j in range(3)])
-        chars = [np.array([c.value_complex(j) for j in range(3)]) for c in system.chars]
+        d = chars[index]
         s12 = np.conj(t1 * t2) * sum(n12[k] * d[k] * theta[k] for k in range(3))
         near = np.zeros(t1.shape, dtype=bool)
         for chi in chars:
             near |= np.abs(s12 - d[1] * chi[2]) <= tol
-        rows, cols = np.nonzero(near)
-        keys = _solved_candidates(ring, d, chars, values, turns, tol)
-        assert np.isin(rows * len(values) + cols, keys).all()
-        assert list(keys) == sorted(set(keys.tolist()))
+        found = _arc_candidates(ring, d, chars, table, values, tol)
+        assert set(zip(*(axis.tolist() for axis in np.nonzero(near)))) <= set(found)
+        assert set(found.values()) <= set(range(len(chars)))
 
 
 def test_solved_scan_covers_pinned_theta_1():
@@ -478,6 +484,52 @@ def test_solved_scan_matches_grid_z3_pinned_theta_2():
     pairs = _assert_scan_matches_grid(make_z3_ring(), 24)
     assert pairs
     assert all(3 % t2.q == 0 for _, t2 in pairs)
+
+
+def test_twist_table_is_the_phi_at_most_12_roots():
+    """The full table has the 180 roots of the 26 orders q with phi(q) <=
+    12, all q <= 42 (phi(q) >= sqrt(q/2), so no q above 288 qualifies);
+    lower orders trim it, higher ones change nothing."""
+    full = twist_table(42)
+    orders = [q for q in range(1, 289) if euler_phi(q) <= premodular.TWIST_PHI_BOUND]
+    assert sorted({r.q for r in full}) == orders and max(orders) == premodular.TWIST_ORDER_BOUND
+    assert len(orders) == 26 and len(full) == 180
+    assert full == [r for r in roots_of_unity_up_to(42) if r.q in orders]
+    assert twist_table(10**9) == full
+    assert twist_table(16) == roots_of_unity_up_to(16)
+
+
+def _theorem_rings():
+    rings = [make_z3_ring()]
+    for params in enumerate_star_solutions(6):
+        rings.append(make_rank3_ring(params))
+        if params.swapped() != params:
+            rings.append(make_rank3_ring(params.swapped()))
+    return rings
+
+
+@pytest.mark.parametrize("ring", _theorem_rings(), ids=lambda r: r.params.name() if r.params else "Z3")
+def test_full_grid_certifies_nothing_outside_the_twist_table(ring):
+    """The theorem of `twist_table`, checked: certifying every survivor of
+    the full order-30 grid, which holds the orders 17, 19, 23, 25, 27 and 29
+    of phi > 12, admits exactly the data the table search finds."""
+    system = solve_characters(ring)
+    roots = roots_of_unity_up_to(30)
+    assert {17, 19, 23, 25, 27, 29} <= {r.q for r in roots}
+    values = np.array([r.complex_approx() for r in roots])
+    certified = []
+    for index, dims in enumerate(system.chars):
+        if not dims.nonzero():
+            continue
+        for a, b in _grid_survivors(ring, system, dims, values):
+            datum = premodular._certify_candidate(
+                ring, dims, index, Twists.of(roots[a], roots[b]), True
+            )
+            if datum is not None:
+                certified.append(datum)
+    certified.sort(key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn))
+    found = search_ribbon_data(ring, 30, include_degenerate=True, system=system)
+    assert [w.to_json() for w in certified] == [w.to_json() for w in found]
 
 
 def test_unit_twists_on_the_dimension_character_give_rank_one_character_data():
