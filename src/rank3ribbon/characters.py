@@ -1,16 +1,18 @@
 """Ring homomorphisms of rank-3 based rings and their Galois orbit types.
 
 For the self-dual family the multiplication matrices are symmetric, so all
-three characters are real.  They are read off the integer cubics: the
-x-values are the roots of char_poly_x, found by factoring it on integers
-(`factor_into_irreducibles`), and each y-value is (x^2 - m x - 1)/k, located
-as a root of char_poly_y.  `_selfdual_characters` proves that these pairs
-satisfy the ring relations, so none is re-checked at run time.  Each
-character is stored with an exact generator of the field it lives in, plus
-polynomial expressions for its two values in that generator; this makes every
+three characters are real.  They are read off the integer cubics in one
+pass: `galois_type` factors char_poly_x on integers, reads the orbit type
+off the factorization, and isolates its roots in the order of the
+characters, placing them by integer tests.  `solve_characters` builds the
+characters from those roots: each y-value is (x^2 - m x - 1)/k, located as a
+root of char_poly_y, and K(0,1,0,n) has the closed form (1, y+), (-1, 0),
+(1, y-).  `_selfdual_characters` proves that these pairs satisfy the ring
+relations, are three and distinct, and that only the first is everywhere
+positive, so none of this is re-checked at run time.  Each character is
+stored with an exact generator of the field it lives in, plus polynomial
+expressions for its two values in that generator; this makes every
 downstream identity check a matter of polynomial reduction over Q.
-`galois_type` reads the orbit type off the factorization of char_poly_x
-alone, without solving.
 """
 
 from __future__ import annotations
@@ -24,22 +26,17 @@ from .exactnum import (
     RealAlgebraic,
     RootOfUnity,
     cubic_discriminant,
-    factor_into_irreducibles,
     is_perfect_square,
     roots_of_irreducible,
 )
 from .exactnum.intpoly import split_rational_roots
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
 from .exactnum.realalg import from_poly_expr
-from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring, rank3_tensor
+from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring
 
 
 class DegenerateSystem(ValueError):
-    """Fewer than three distinct characters: the input is not a valid ring."""
-
-
-class NoPositiveCharacter(ValueError):
-    """No everywhere-positive character exists: the input is not a valid ring."""
+    """A ring this module does not solve: neither Z/3 nor a parameter ring."""
 
 
 def char_poly_x(params: Rank3Params) -> IntPoly:
@@ -142,10 +139,11 @@ class GaloisType(enum.Enum):
 class GaloisInfo:
     tag: GaloisType
     orbits: tuple[tuple[int, ...], ...]
-    # The factorization of char_poly_x it is read from: the integer roots,
-    # ascending, and the irreducible rest.  Not compared, not in the payload.
+    # What it is read from, not compared and not in the payload: the integer
+    # roots of char_poly_x, ascending, and the isolated roots of char_poly_x
+    # (of char_poly_y when k = 0) in the order of the characters they give.
     x_roots: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    x_rest: IntPoly = field(default=IntPoly((1,)), compare=False, repr=False)
+    roots: tuple[RealAlgebraic, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"tag": self.tag.value, "orbits": [list(o) for o in self.orbits]}
@@ -157,47 +155,29 @@ class CharacterSystem:
 
     ring: FusionRing
     chars: tuple[Character, ...]
-    params: Rank3Params | None
 
     def to_json(self) -> dict:
         return {"characters": [c.to_json() for c in self.chars]}
 
 
-def solve_characters(ring: FusionRing) -> CharacterSystem:
+def solve_characters(ring: FusionRing, info: GaloisInfo | None = None) -> CharacterSystem:
     """All ring homomorphisms to the complex numbers; exactly three for a
-    valid rank-3 based ring, ordered with the dimension character first."""
+    valid rank-3 based ring, ordered with the dimension character first.
+
+    A parameter ring is solved from `info`, the `galois_type` of
+    `ring.params`, computed here unless the caller already holds it; the
+    characters come in the order of `info.roots`, which its orbits index."""
     if ring.rank != 3:
         raise ValueError("only rank-3 rings are supported")
     if ring.dual == (0, 2, 1):
         if ring.N != make_z3_ring().N:
             raise DegenerateSystem("unrecognized ring with nontrivial duality")
         return _z3_characters(ring)
-    params = _extract_params(ring)
-    if params is None:
-        raise DegenerateSystem("tensor is not of the self-dual rank-3 form")
-    chars = _selfdual_characters(params)
-    fp = [i for i, c in enumerate(chars) if c.is_positive]
-    if len(fp) != 1:
-        raise NoPositiveCharacter(f"{len(fp)} everywhere-positive characters found")
-    # Exact RealAlgebraic comparison; float() would refine each value to 1e-18.
-    ordered = [chars[fp[0]]] + sorted(
-        (c for i, c in enumerate(chars) if i != fp[0]), key=lambda c: (c.x, c.y)
-    )
-    if len({(c.x, c.y) for c in ordered}) < 3:
-        raise DegenerateSystem("characters are not pairwise distinct")
-    return CharacterSystem(ring=ring, chars=tuple(ordered), params=params)
-
-
-def _extract_params(ring: FusionRing) -> Rank3Params | None:
-    n_tensor = ring.N
-    params = Rank3Params(
-        k=n_tensor[1][1][2], l=n_tensor[2][2][1], m=n_tensor[1][1][1], n=n_tensor[2][2][2]
-    )
-    if not params.satisfies_star:
-        return None
-    if n_tensor != rank3_tensor(params):
-        return None
-    return params
+    if ring.params is None:
+        raise DegenerateSystem("a self-dual ring is solved from its parameters")
+    if info is None:
+        info = galois_type(ring.params)
+    return CharacterSystem(ring=ring, chars=_selfdual_characters(ring.params, info))
 
 
 def _z3_characters(ring: FusionRing) -> CharacterSystem:
@@ -209,123 +189,125 @@ def _z3_characters(ring: FusionRing) -> CharacterSystem:
         Character(x=w, y=w2),
         Character(x=w2, y=w),
     )
-    return CharacterSystem(ring=ring, chars=chars, params=None)
+    return CharacterSystem(ring=ring, chars=chars)
 
 
-def _selfdual_characters(params: Rank3Params) -> list[Character]:
-    """The characters of K(k,l,m,n), one per root x of char_poly_x, with
-    y = (x^2 - m x - 1)/k.
+def _selfdual_characters(params: Rank3Params, info: GaloisInfo) -> tuple[Character, ...]:
+    """The characters of K(k,l,m,n), one per root in `info.roots` and in
+    their order.
 
-    The ring relations X^2 = 1 + mX + kY, Y^2 = 1 + lX + nY and
-    XY = kX + lY hold for every such pair by construction, so nothing is
-    re-checked at run time:
-    - with k >= 1 the first relation gives Y = (X^2 - mX - 1)/k, so X
-      generates the 3-dimensional ring;
+    With k >= 1 the root is x, and y = (x^2 - m x - 1)/k.  The ring relations
+    X^2 = 1 + mX + kY, Y^2 = 1 + lX + nY and XY = kX + lY hold for every such
+    pair by construction, so nothing is re-checked at run time:
+    - the first relation gives Y = (X^2 - mX - 1)/k, so X generates the
+      3-dimensional ring;
     - by Cayley-Hamilton that ring is then Q[t]/(char_poly_x), t -> X;
     - so every root x of char_poly_x is a ring homomorphism, and its value on
       Y is (x^2 - m x - 1)/k; the other two relations hold because they hold
       in the ring.
-    A repeated root raises DegenerateSystem.  A k = 0 ring is solved through its swap, which has
-    k = 1.
+    There are exactly three, pairwise distinct, and only the first is
+    everywhere positive.  N_X = [[0,1,0],[1,m,k],[0,k,l]] is a Jacobi matrix:
+    symmetric tridiagonal with nonzero off-diagonal entries 1 and k.  So its
+    roots are real and simple, and as N_X is irreducible and nonnegative, its
+    largest root has a positive eigenvector (Perron-Frobenius).  Each
+    character (1, x, y) is an eigenvector of the symmetric N_X, so that one is
+    the dimension character, and every other is orthogonal to it and has an
+    entry <= 0.
+    With k = 0 the star equation forces K(0,1,0,n), whose N_X has the double
+    root 1.  Its roots are the y-values y+, 0, y- of the characters
+    (1, y+), (-1, 0), (1, y-): the second relation, with l = 1, gives
+    X = Y^2 - nY - 1, which is 1 where y^2 - n y - 2 = 0 and -1 at y = 0.
     """
-    k, l, m, n = params.as_tuple()
+    k, _l, m, _n = params.as_tuple()
     if k == 0:
-        # The star constraint forces l = 1 here, so the swapped ring has a
-        # nonzero pairing coefficient: solve it and swap X and Y back.
-        return [
-            Character(x=c.y, y=c.x, gen=c.gen, x_rep=c.y_rep, y_rep=c.x_rep)
-            for c in _selfdual_characters(params.swapped())
-        ]
-    xpoly = char_poly_x(params)
+        return tuple(
+            _rational_character(Fraction(x), y.rational_value) if y.is_rational
+            else Character(x=RealAlgebraic.from_rational(x), y=y, gen=y, x_rep=qconst(x), y_rep=X)
+            for x, y in zip((1, -1, 1), info.roots)
+        )
     ypoly = char_poly_y(params)
-    # With k != 0 the first defining relation determines y = (x^2 - m x - 1)/k,
-    # a root of char_poly_y.
     y_expr: QPoly = qscale(qnormalize((Fraction(-1), Fraction(-m), Fraction(1))), Fraction(1, k))
-    chars = []
-    for factor, mult in factor_into_irreducibles(xpoly):
-        if mult > 1:
-            raise DegenerateSystem("repeated eigenvalue with k != 0")
-        for root in roots_of_irreducible(factor):
-            if root.is_rational:
-                xv = root.rational_value
-                yv = qeval(y_expr, xv)
-                chars.append(
-                    Character(
-                        x=root,
-                        y=RealAlgebraic.from_rational(yv),
-                        gen=None,
-                        x_rep=qconst(xv),
-                        y_rep=qconst(yv),
-                    )
-                )
-            else:
-                y_rep = qmod(y_expr, root.minpoly.to_q())
-                chars.append(
-                    Character(
-                        x=root,
-                        y=from_poly_expr(root, y_expr, ypoly),
-                        gen=root,
-                        x_rep=X,
-                        y_rep=y_rep,
-                    )
-                )
-    if len(chars) != 3:
-        raise DegenerateSystem(f"expected 3 characters, found {len(chars)}")
-    return chars
+    return tuple(
+        _rational_character(x.rational_value, qeval(y_expr, x.rational_value)) if x.is_rational
+        else Character(
+            x=x,
+            y=from_poly_expr(x, y_expr, ypoly),
+            gen=x,
+            x_rep=X,
+            y_rep=qmod(y_expr, x.minpoly.to_q()),
+        )
+        for x in info.roots
+    )
 
 
-def fp_character(system: CharacterSystem) -> int:
-    """Index of the everywhere-positive (dimension) character."""
-    hits = [i for i, c in enumerate(system.chars) if c.is_positive]
-    if len(hits) != 1:
-        raise NoPositiveCharacter(f"{len(hits)} positive characters")
-    return hits[0]
+def _rational_character(x: Fraction, y: Fraction) -> Character:
+    return Character(
+        x=RealAlgebraic.from_rational(x),
+        y=RealAlgebraic.from_rational(y),
+        x_rep=qconst(x),
+        y_rep=qconst(y),
+    )
 
 
 def galois_type(params: Rank3Params) -> GaloisInfo:
     """Image of the rational Galois action on the characters of K(k,l,m,n),
-    with orbits indexed as `solve_characters` orders them, read off one
-    integer factorization of char_poly_x; no character is solved.
+    read off one integer factorization of char_poly_x, with the roots that
+    `solve_characters` builds the characters from.
 
-    With k >= 1, y = (x^2 - m x - 1)/k, so the action is the one on the
-    roots of char_poly_x.  N_X is symmetric tridiagonal with off-diagonal
-    entries 1 and k, so they are simple and the largest is the dimension.
+    The roots come in solve order: the dimension character first, then the
+    other two by x-value (by (x, y) when k = 0).  Integer tests place them,
+    so no two roots are compared.  With k >= 1, y = (x^2 - m x - 1)/k, so
+    the action is the one on the roots of char_poly_x, which are simple with
+    the largest the dimension (see `_selfdual_characters`).
     - No rational root: one orbit, C3 iff the discriminant is a square.
     - Three rational roots: Trivial.
-    - One rational root r and quadratic rest q: C2-fixing if r is the largest
-      root.  Otherwise C2-moving, and of the other two characters, sorted by
-      x, the conjugate comes first iff r lies between the roots: q(r) < 0.
+    - One rational root r and quadratic rest q: C2-fixing if r lies above
+      both roots of q, that is q(r) > 0 and 2r > -q_1.  Otherwise C2-moving:
+      r lies between the roots of q if q(r) < 0, and below both if not.
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
     only for n = 1, which is Trivial, and every other n is C2-moving.
     """
     xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:
-        # char_poly_x = (x - 1)^2 (x + 1), in closed form.
+        # char_poly_x = (x - 1)^2 (x + 1) and char_poly_y = y (y^2 - n y - 2).
         if params.n == 1:
-            return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), (-1, 1, 1), IntPoly((1,)))
-        return GaloisInfo(GaloisType.C2_MOVING_FP, ((0, 2), (1,)), (-1, 1, 1), IntPoly((1,)))
+            tag, orbits = GaloisType.TRIVIAL, ((0,), (1,), (2,))
+            low, high = RealAlgebraic.from_rational(-1), RealAlgebraic.from_rational(2)
+        else:
+            tag, orbits = GaloisType.C2_MOVING_FP, ((0, 2), (1,))
+            low, high = roots_of_irreducible(IntPoly((-2, -params.n, 1)))
+        return GaloisInfo(tag, orbits, (-1, 1, 1), (high, RealAlgebraic.from_rational(0), low))
     roots, rest = split_rational_roots(xpoly)
     xs = tuple(sorted(u for u, _v in roots))  # monic, so every root is an integer
     if not xs:
         tag = GaloisType.C3 if is_perfect_square(cubic_discriminant(rest)) else GaloisType.S3
-        return GaloisInfo(tag, ((0, 1, 2),), xs, rest)
-    if len(xs) == 3:
-        return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), xs, rest)
-    (r,) = xs
-    q0, q1, _ = rest.coeffs
-    q_at_r = r * r + q1 * r + q0
-    if q_at_r > 0 and 2 * r > -q1:  # above both roots of q
-        return GaloisInfo(GaloisType.C2_FIXING_FP, ((0,), (1, 2)), xs, rest)
-    orbits = ((0, 1), (2,)) if q_at_r < 0 else ((0, 2), (1,))
-    return GaloisInfo(GaloisType.C2_MOVING_FP, orbits, xs, rest)
+        orbits = ((0, 1, 2),)
+        ascending = roots_of_irreducible(rest)
+    elif len(xs) == 3:
+        tag, orbits = GaloisType.TRIVIAL, ((0,), (1,), (2,))
+        ascending = [RealAlgebraic.from_rational(x) for x in xs]
+    else:
+        (r,) = xs
+        q0, q1, _ = rest.coeffs
+        q_at_r = r * r + q1 * r + q0
+        if q_at_r > 0 and 2 * r > -q1:  # above both roots of q
+            tag, orbits, place = GaloisType.C2_FIXING_FP, ((0,), (1, 2)), 2
+        elif q_at_r < 0:  # between them: the conjugate of the dimension comes first
+            tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 1), (2,)), 1
+        else:  # below both
+            tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 2), (1,)), 0
+        ascending = roots_of_irreducible(rest)
+        ascending.insert(place, RealAlgebraic.from_rational(r))
+    return GaloisInfo(tag, orbits, xs, (ascending[-1], *ascending[:-1]))
 
 
 def vieta_products(system: CharacterSystem) -> tuple[Fraction, Fraction]:
     """Exact products of all x-values and all y-values, from the
     characteristic polynomials (product of roots of a monic cubic = -c0)."""
-    if system.params is None:
+    params = system.ring.params
+    if params is None:
         raise ValueError("vieta_products applies to the self-dual family")
-    px = char_poly_x(system.params).coeffs[0]
-    py = char_poly_y(system.params).coeffs[0]
+    px = char_poly_x(params).coeffs[0]
+    py = char_poly_y(params).coeffs[0]
     return -Fraction(px), -Fraction(py)

@@ -18,7 +18,8 @@ admissibility branches:
 Every verdict is read off one integer factorization of char_poly_x
 (`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
 where they are rational, the dimension y-value and case 3b's character.
-Characters are solved only for the rings whose witnesses are searched.
+Characters are solved only for the rings whose witnesses are searched, from
+the roots that typing isolated, so each ring is factored and isolated once.
 
 Every verdict carries a machine-checkable certificate with the exact
 intermediate quantities.
@@ -38,7 +39,7 @@ from .characters import (
     galois_type,
     solve_characters,
 )
-from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots, roots_of_irreducible
+from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots
 from .fusion import (
     FusionRing,
     Rank3Params,
@@ -431,21 +432,18 @@ def classify_ring(params: Rank3Params) -> RingReport:
 
 
 def _dimension_verdict(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
-    """`landau_rule` on the dimension character, read off `info`: x is the
-    top root of char_poly_x, rational for the Trivial and C2-fixing types
-    with y = (x^2 - m x - 1)/k, otherwise irrational, which fails the rule
-    alone.  On K(0,1,0,n), x = 1 and y is the top root of y^2 - n y - 2."""
-    k, _l, m, n = params.as_tuple()
+    """`landau_rule` on the dimension character, read off its root
+    `info.roots[0]`: the top root x of char_poly_x, with y = (x^2 - m x - 1)/k
+    when x is rational; an irrational x fails the rule alone.  On
+    K(0,1,0,n) the dimension character is (1, y) for that root y."""
+    k, _l, m, _n = params.as_tuple()
+    top = info.roots[0]
     if k == 0:
-        x = RealAlgebraic.from_rational(1)
-        y = isolate_real_roots(IntPoly((-2, -n, 1)))[-1].value
-    elif info.tag in (GaloisType.TRIVIAL, GaloisType.C2_FIXING_FP):
-        r = info.x_roots[-1]
-        x = RealAlgebraic.from_rational(r)
-        y = RealAlgebraic.from_rational((r * r - m * r - 1) // k)
-    else:
-        return _nonintegral_dimension(roots_of_irreducible(info.x_rest)[-1])
-    return landau_rule(Character(x=x, y=y))
+        return landau_rule(Character(x=RealAlgebraic.from_rational(1), y=top))
+    if not top.is_rational:
+        return _nonintegral_dimension(top)
+    r = top.rational_value
+    return landau_rule(Character(x=top, y=RealAlgebraic.from_rational((r * r - m * r - 1) / k)))
 
 
 def _z3_report(max_twist_order: int) -> RingReport:
@@ -495,7 +493,9 @@ def classify_all(bound: int, max_twist_order: int = 60,
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
-            report.witnesses = search_ribbon_data(make_rank3_ring(report.params), max_twist_order)
+            ring = make_rank3_ring(report.params)
+            system = solve_characters(ring, report.galois)
+            report.witnesses = search_ribbon_data(ring, max_twist_order, system=system)
         rings.append(report)
     config = {
         "bound": bound,

@@ -56,6 +56,12 @@ def _parse_params(text: str) -> Rank3Params:
     return Rank3Params(*values)
 
 
+def _check_twist_order(order: int) -> int:
+    if order < 1:
+        raise UsageError(f"--max-twist-order must be >= 1 (got {order})")
+    return order
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rank3ribbon",
@@ -116,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _ring_payload(params: Rank3Params) -> dict:
     ring = make_rank3_ring(params)
-    system = solve_characters(ring)
     info = galois_type(params)
+    system = solve_characters(ring, info)
     fp = system.chars[0]
     gdim = global_fp_dim(system)
     report = ring.axiom_report()
@@ -161,10 +167,11 @@ def _cmd_enumerate(args) -> tuple[object, str | None]:
 
 def _cmd_search(args) -> tuple[object, str | None]:
     params = _parse_params(args.params)
+    order = _check_twist_order(args.max_twist_order)
     ring = make_rank3_ring(params)
     witnesses = search_ribbon_data(
         ring,
-        args.max_twist_order,
+        order,
         include_degenerate=args.include_degenerate,
     )
     payload = {
@@ -186,7 +193,7 @@ def _cmd_search(args) -> tuple[object, str | None]:
 def _cmd_classify(args) -> tuple[object, str | None]:
     report = classify_all(
         args.bound,
-        max_twist_order=args.max_twist_order,
+        max_twist_order=_check_twist_order(args.max_twist_order),
         witness_all=args.witness_all,
     )
     return report.to_json(), report.render_table()
@@ -265,7 +272,7 @@ def run(argv: list[str]) -> int:
     if args.format == "table" and table is not None:
         text = table
     else:
-        text = json.dumps(payload, indent=2, default=_json_default)
+        text = json.dumps(payload, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -280,16 +287,6 @@ def run(argv: list[str]) -> int:
     else:
         print(text)
     return 0
-
-
-def _json_default(obj):
-    from fractions import Fraction
-
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def main() -> None:

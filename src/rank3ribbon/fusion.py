@@ -296,7 +296,7 @@ def global_fp_dim(system) -> RealAlgebraic:
         x = fp.x.rational_value
         y = fp.y.rational_value
         return RealAlgebraic.from_rational(1 + x * x + y * y)
-    k, l, m, n = system.params.as_tuple()
+    k, l, m, n = system.ring.params.as_tuple()
     N = system.ring.N
     casimir = [
         [3 * (r == c) + (m + l) * N[1][c][r] + (k + n) * N[2][c][r] for c in range(3)]

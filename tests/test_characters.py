@@ -10,7 +10,6 @@ from rank3ribbon.characters import (
     GaloisType,
     char_poly_x,
     char_poly_y,
-    fp_character,
     galois_type,
     solve_characters,
     vieta_products,
@@ -78,8 +77,8 @@ def test_characters_z3():
 
 @pytest.mark.parametrize("params", [(1, 1, 0, 1), (0, 1, 0, 3)])
 def test_characters_ordered_by_exact_comparison(monkeypatch, params):
-    """The non-dimension characters are sorted and told apart exactly:
-    solving renders no value through float() or repr()."""
+    """The non-dimension characters are placed by integer tests and come
+    out sorted: solving renders no value through float() or repr()."""
     ring = make_rank3_ring(Rank3Params(*params))
     calls = []
     for name in ("__float__", "__repr__"):
@@ -121,24 +120,33 @@ def test_s3_type_exists():
     assert info.tag == GaloisType.S3
 
 
-def test_fp_character():
-    system = solve_characters(make_rank3_ring(Rank3Params(0, 1, 0, 2)))
-    idx = fp_character(system)
-    fp = system.chars[idx]
+@pytest.fixture(scope="module")
+def systems_bound_50():
+    return [solve_characters(make_rank3_ring(p)) for p in enumerate_star_solutions(50)]
+
+
+def test_fp_character(systems_bound_50):
+    """On every ring up to bound 50, chars[0] is the only everywhere-positive
+    character and the three characters are pairwise distinct: the Jacobi
+    matrix argument of `_selfdual_characters`, which the solver does not
+    re-check at run time."""
+    for system in systems_bound_50:
+        assert [c.is_positive for c in system.chars] == [True, False, False], system.ring
+        assert len({(c.x, c.y) for c in system.chars}) == 3, system.ring
+    by_params = {s.ring.params.as_tuple(): s.chars[0] for s in systems_bound_50}
+    fp = by_params[(0, 1, 0, 2)]
     assert fp.x.rational_value == 1
     assert fp.y.minpoly == IntPoly((-2, -2, 1))
     assert float(fp.y) == pytest.approx(1 + math.sqrt(3))
-
-    system2 = solve_characters(make_rank3_ring(Rank3Params(2, 1, 2, 1)))
-    fp2 = system2.chars[fp_character(system2)]
+    fp2 = solve_characters(make_rank3_ring(Rank3Params(2, 1, 2, 1))).chars[0]
     assert float(fp2.x) == pytest.approx(2 + math.sqrt(3))
     assert float(fp2.y) == pytest.approx(1 + math.sqrt(3))
-
-    z3 = solve_characters(make_z3_ring())
-    assert fp_character(z3) == 0
+    assert solve_characters(make_z3_ring()).chars[0].is_positive
 
 
 def _numpy_characters(ring):
+    """The characters by floating simultaneous diagonalization, in solve
+    order: the everywhere-positive one first, then the rest by (x, y)."""
     m1 = np.array(ring.mult_matrix(1), dtype=float)
     m2 = np.array(ring.mult_matrix(2), dtype=float)
     _vals, vecs = np.linalg.eig(m1 + math.pi * m2)
@@ -149,20 +157,34 @@ def _numpy_characters(ring):
         x = (m1 @ v)[i0] / v[i0]
         y = (m2 @ v)[i0] / v[i0]
         out.append((x.real, y.real))
-    return sorted(out)
+    positive = [c for c in out if c[0] > 1e-9 and c[1] > 1e-9]
+    assert len(positive) == 1
+    return positive + sorted(c for c in out if c is not positive[0])
 
 
-def test_character_oracle_equivalence_bound_10():
+def test_character_oracle_equivalence_bound_30():
     """Exact characters match a floating simultaneous-diagonalization oracle
-    to 1e-9 on every canonical parameter ring up to bound 10."""
-    for params in enumerate_star_solutions(10):
+    to 1e-9, in solve order, on every canonical parameter ring up to bound
+    30 and its swap.  The oracle shares no code with `galois_type`, whose
+    orbits index that order."""
+    for canon in enumerate_star_solutions(30):
+        for params in (canon, canon.swapped()):
+            ring = make_rank3_ring(params)
+            system = solve_characters(ring)
+            exact = [(float(c.x), float(c.y)) for c in system.chars]
+            oracle = _numpy_characters(ring)
+            for (xa, ya), (xb, yb) in zip(exact, oracle):
+                assert xa == pytest.approx(xb, abs=1e-9), params
+                assert ya == pytest.approx(yb, abs=1e-9), params
+
+
+def test_solve_from_a_given_typing_bound_20():
+    """Passing the ring's `galois_type` only hands over work already done:
+    the solve gives the same characters as one that types the ring itself."""
+    for params in enumerate_star_solutions(20):
         ring = make_rank3_ring(params)
-        system = solve_characters(ring)
-        exact = sorted((float(c.x), float(c.y)) for c in system.chars)
-        oracle = _numpy_characters(ring)
-        for (xa, ya), (xb, yb) in zip(exact, oracle):
-            assert xa == pytest.approx(xb, abs=1e-9)
-            assert ya == pytest.approx(yb, abs=1e-9)
+        given = solve_characters(ring, galois_type(params))
+        assert given.to_json() == solve_characters(ring).to_json(), params
 
 
 def _poly_mul(p, q):
@@ -194,7 +216,7 @@ def _poly_combination(*terms):
     return out
 
 
-def test_character_count_and_exact_relations_bound_50():
+def test_character_count_and_exact_relations_bound_50(systems_bound_50):
     """Every valid ring up to bound 50 has exactly 3 distinct characters and
     each satisfies the three defining relations: numerically in its values,
     and exactly for rational characters directly, for the others by reducing
@@ -203,11 +225,10 @@ def test_character_count_and_exact_relations_bound_50():
     does not re-check them; its proof rests on char_poly_x being the
     characteristic polynomial of multiplication by X, which is checked for
     every ring as well."""
-    for params in enumerate_star_solutions(50):
+    for system in systems_bound_50:
+        params, ring = system.ring.params, system.ring
         k, l, m, n = params.as_tuple()
-        ring = make_rank3_ring(params)
         assert char_poly_x(params) == IntPoly(charpoly(ring.mult_matrix(1)))
-        system = solve_characters(ring)
         assert len(system.chars) == 3
         assert len({(c.x, c.y) for c in system.chars}) == 3
         for c in system.chars:
@@ -466,7 +487,7 @@ def test_values_from_given_polynomials_match_the_charpoly_route():
         # The inputs of _scaled_value: the roots of y^2 - n y - 2 (the
         # nonmodular filter) and the character values (the degenerate
         # certificate) of each (0, 1, 0, n) ring, scaled by n, -n/2 and 0.
-        canon = canonicalize(system.params)
+        canon = canonicalize(system.ring.params)
         if (canon.k, canon.l, canon.m) != (0, 1, 0):
             continue
         n = canon.n

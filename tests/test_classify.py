@@ -311,9 +311,9 @@ def _count_solves(monkeypatch):
 
     calls = Counter()
 
-    def counting_solve(ring):
+    def counting_solve(ring, info=None):
         calls[ring] += 1
-        return solve_characters(ring)
+        return solve_characters(ring, info)
 
     monkeypatch.setattr(classify, "solve_characters", counting_solve)
     monkeypatch.setattr(premodular, "solve_characters", counting_solve)
@@ -334,14 +334,64 @@ def test_classify_all_solves_only_searched_rings(monkeypatch):
 
 
 def test_classify_all_solves_each_ring_once(monkeypatch):
-    """With witnesses on every ring, the search reuses the system the
-    filters solved and an S3 ring is solved for its search only: one
-    character solve per ring."""
+    """With witnesses on every ring, each ring's characters are solved once,
+    from the typing its triage made, and handed to its search."""
     calls = _count_solves(monkeypatch)
     report = classify_all(5, max_twist_order=16, witness_all=True)
     assert all(r.witnesses is not None for r in report.rings)
     assert len(calls) == len(report.rings)
     assert set(calls.values()) == {1}
+
+
+def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
+    """Triage and search share one integer factorization of char_poly_x and
+    one isolation of its irreducible rest, both made by `galois_type`.
+    Calls are counted through every name a module binds them to.  The
+    char_poly_x of K(0,1,0,n) is (x - 1)^2 (x + 1) in closed form and is
+    not factored."""
+    import sys
+    from collections import Counter
+
+    from rank3ribbon import classify
+    from rank3ribbon.characters import char_poly_x
+    from rank3ribbon.exactnum import roots_of_irreducible
+    from rank3ribbon.exactnum.intpoly import split_rational_roots
+
+    current = [None]  # the ring being classified, and then searched
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(p, *args):
+            calls[name, current[0], p.primitive()] += 1
+            return original(p, *args)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rank3ribbon") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counted("split_rational_roots", split_rational_roots)
+    counted("roots_of_irreducible", roots_of_irreducible)
+    original_ring = classify.classify_ring
+
+    def on_ring(params):
+        current[0] = params
+        return original_ring(params)
+
+    monkeypatch.setattr(classify, "classify_ring", on_ring)
+    report = classify_all(10, max_twist_order=16, witness_all=True)
+    rings = [r for r in report.rings if r.params is not None]
+    assert len(rings) == 67 and all(r.witnesses is not None for r in rings)
+    monkeypatch.undo()
+    rests = 0
+    for r in rings:
+        params = r.params
+        xpoly = char_poly_x(params)
+        assert calls["split_rational_roots", params, xpoly] == min(params.k, 1), params
+        _roots, rest = split_rational_roots(xpoly)
+        if rest.degree < 2:
+            continue
+        assert calls["roots_of_irreducible", params, rest.primitive()] == 1, params
+        rests += 1
+    assert rests == 56
 
 
 def test_integer_galois_type_matches_solved_system_bound_30():

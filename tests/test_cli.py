@@ -53,6 +53,16 @@ def test_tol_option_is_gone(capsys):
         assert code == 2 and not out and "--tol" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["search", "--params", "0,1,0,0"], ["classify", "--bound", "2"]],
+                         ids=["search", "classify"])
+def test_max_twist_order_below_one_is_a_usage_error(capsys, argv, order):
+    """A twist order below 1 is rejected before any computation, like bad
+    --params, instead of surfacing as the search's ValueError (exit 1)."""
+    code, out, err = _capture(capsys, argv + ["--max-twist-order", order])
+    assert code == 2 and not out and "usage error" in err
+
+
 def test_enumerate_command(capsys):
     code, out, _ = _capture(capsys, ["enumerate", "--bound", "1"])
     assert code == 0
