@@ -300,14 +300,3 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
         ascending = roots_of_irreducible(rest)
         ascending.insert(place, RealAlgebraic.from_rational(r))
     return GaloisInfo(tag, orbits, xs, (ascending[-1], *ascending[:-1]))
-
-
-def vieta_products(system: CharacterSystem) -> tuple[Fraction, Fraction]:
-    """Exact products of all x-values and all y-values, from the
-    characteristic polynomials (product of roots of a monic cubic = -c0)."""
-    params = system.ring.params
-    if params is None:
-        raise ValueError("vieta_products applies to the self-dual family")
-    px = char_poly_x(params).coeffs[0]
-    py = char_poly_y(params).coeffs[0]
-    return -Fraction(px), -Fraction(py)

@@ -397,7 +397,7 @@ def classify_ring(params: Rank3Params) -> RingReport:
     info = galois_type(canon)
     verdicts = {
         "symmetric": _dimension_verdict(canon, info),
-        "nonmodular": nonmodular_filter(canon),
+        "nonmodular": nonmodular_filter(canon, info),
     }
     if info.tag == GaloisType.TRIVIAL:  # integer values: the Landau rule decides
         case_name, verdicts["modular"] = "case1", verdicts["symmetric"]

@@ -17,7 +17,6 @@ from .intpoly import (
     cubic_discriminant,
     factor_into_irreducibles,
     is_perfect_square,
-    rational_roots,
 )
 from .realalg import (
     IsolatedRoot,
@@ -44,7 +43,6 @@ __all__ = [
     "is_perfect_square",
     "isolate_real_roots",
     "lcm",
-    "rational_roots",
     "root_of_unity_value",
     "roots_of_irreducible",
     "roots_of_unity_up_to",

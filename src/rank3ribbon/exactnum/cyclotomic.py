@@ -12,8 +12,8 @@ coefficients, so the whole layer runs on Python ints: `cyclotomic_poly` by
 integer long division, an element as integer numerators over one common
 denominator, a product as an integer convolution folded back by a cached
 integer table of x^e mod Phi_n, and an inverse as an extended Euclid on
-integer vectors.  Fractions appear only in the `coeffs` view that rendering
-and ball enclosures read.
+integer vectors.  Ball enclosures (`CycloNum.ball`) sum the integer
+numerators against cached integer balls of the powers of zeta.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ def root_of_unity_value(r: RootOfUnity, precision_bits: int = 128) -> ComplexBal
     target = Fraction(1, 2 ** (precision_bits + 2))
     # Tree nodes, so the ball does not depend on earlier refinement of the
     # shared cosine values.  sin(2*pi*t) = cos(2*pi*(t - 1/4)).
-    re_lo, re_hi = two_cos(r.turn).tree_interval(target)
-    im_lo, im_hi = two_cos(r.turn - Fraction(1, 4)).tree_interval(target)
-    rad = (re_hi - re_lo) / 4 + (im_hi - im_lo) / 4
-    assert rad <= Fraction(2) / 2**precision_bits
-    return ComplexBall((re_lo + re_hi) / 4, (im_lo + im_hi) / 4, rad)
+    re = ComplexBall.from_real_interval(*two_cos(r.turn).tree_interval(target))
+    im = ComplexBall.from_real_interval(*two_cos(r.turn - Fraction(1, 4)).tree_interval(target))
+    ball = (re + im * _I).scale(Fraction(1, 2))
+    assert ball.rad <= Fraction(2, 2**precision_bits)
+    return ball
 
 
 def roots_of_unity_up_to(max_order: int) -> list[RootOfUnity]:
@@ -340,13 +340,13 @@ class CycloNum:
         return self.inverse().scale(other)
 
     def ball(self, precision_bits: int = 96) -> ComplexBall:
-        """Certified enclosure of the complex value."""
-        acc = ComplexBall.from_rational(0)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            acc = acc + _zeta_ball(self.n, i, precision_bits).scale(c)
-        return acc
+        """Certified enclosure of the complex value: the integer numerators
+        summed against the cached balls of zeta^i, divided by den once."""
+        acc = _ZERO_BALL
+        for i, c in enumerate(self.num):
+            if c:
+                acc = acc + _zeta_ball(self.n, i, precision_bits).scale(c)
+        return acc if self.den == 1 else acc.scale(Fraction(1, self.den))
 
     def __eq__(self, other) -> bool:
         return (
@@ -413,6 +413,9 @@ def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
         if g != 1:
             return tuple(c // g for c in num), den // g
     return tuple(num), den
+
+
+_ZERO_BALL, _I = ComplexBall(0, 0), ComplexBall(0, 1)
 
 
 @lru_cache(maxsize=None)

@@ -168,12 +168,6 @@ def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def rational_roots(p: IntPoly) -> list[Fraction]:
-    """All rational roots of p, once per multiplicity, sorted ascending."""
-    roots, _rest = split_rational_roots(p)
-    return sorted(Fraction(u, v) for u, v in roots)
-
-
 def split_rational_roots(p: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
     """The rational roots u/v of p (lowest terms, v > 0), once per
     multiplicity, and the quotient of p's primitive part by their linear

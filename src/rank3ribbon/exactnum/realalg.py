@@ -12,13 +12,16 @@ scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
 takes that polynomial rather than building one.  Root isolation uses integer
 Sturm chains and stops as soon as the roots are separated; a caller that needs
 a narrow interval asks for it (`refine_to`, `tree_interval`), and
-`approx_str` and `__float__` render the midpoint of a `tree_interval` node.  There is one bisection, `RealAlgebraic.refine_to`: it halves on
-integer numerators over a common denominator by the sign of the minimal
-polynomial (integer Horner, `intpoly.sign_at`), and comparisons, signs and
-the root matching of `from_poly_expr` all halve through it.  So every
-interval of an irrational value, from isolation onwards, is a node of the
-bisection tree of (-B, B), B = cauchy_bound(minpoly), and no fraction is
-formed while bisecting.
+`approx_str` and `__float__` render the midpoint of a `tree_interval` node,
+`approx_str` through the integer digit rounding of `decimal_str`.  There is
+one bisection, `RealAlgebraic.refine_to`: it halves on integer numerators
+over a common denominator by the sign of the minimal polynomial (integer
+Horner, `intpoly.sign_at`), and comparisons, signs and the root matching
+of `from_poly_expr` all halve through it.  So every interval of an
+irrational value, from isolation onwards, is a node of the bisection tree of
+(-B, B), B = cauchy_bound(minpoly), and no fraction is formed while
+bisecting, nor inside the interval Horner (`_interval_eval`) that matches
+the roots of `from_poly_expr`.
 """
 
 from __future__ import annotations
@@ -308,45 +311,39 @@ def _coerce(x) -> RealAlgebraic:
 
 
 def decimal_str(value: Fraction, sig: int = 12) -> str:
-    """Deterministic decimal rendering with `sig` significant digits."""
-    if value == 0:
+    """Deterministic decimal rendering with `sig` significant digits, rounded
+    half up: plain between 1e-4 and 10^sig, scientific outside.  All on
+    integers: the decimal exponent comes from the digit counts of numerator
+    and denominator, and the digits from one rounding division."""
+    num, den = value.numerator, value.denominator
+    if num == 0:
         return "0"
-    negative = value < 0
-    v = -value if negative else value
-    exp = 0
-    while v >= 10:
-        v /= 10
-        exp += 1
-    while v < 1:
-        v *= 10
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # 10^(exp-1) < num/den < 10^(exp+1) for exp the difference of digit
+    # counts; one comparison puts 10^exp <= num/den < 10^(exp+1).
+    exp = len(str(num)) - len(str(den))
+    if num * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
         exp -= 1
-    scaled = v * 10 ** (sig - 1)
-    digits = int(scaled + Fraction(1, 2))
+    # digits = floor(num/den * 10^shift + 1/2), a sig-digit integer unless
+    # the rounding carries to 10^sig.
+    shift = sig - 1 - exp
+    up, down = 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    digits = (2 * num * up + den * down) // (2 * den * down)
     if digits >= 10**sig:
         digits //= 10
         exp += 1
     text = str(digits)
-    mantissa = text[0] + "." + text[1:]
-    mantissa = mantissa.rstrip("0").rstrip(".")
-    sign = "-" if negative else ""
     if -4 <= exp < sig:
-        plain = Fraction(digits, 10 ** (sig - 1 - exp)) if exp < sig - 1 else Fraction(digits * 10 ** (exp - sig + 1))
-        s = _plain_decimal(plain)
-        return sign + s
+        # The value is text with the point after digit exp + 1.
+        if exp < 0:
+            whole, frac = "0", "0" * (-exp - 1) + text
+        else:
+            whole, frac = text[:exp + 1], text[exp + 1:]
+        frac = frac.rstrip("0")
+        return sign + whole + ("." + frac if frac else "")
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
     return f"{sign}{mantissa}e{exp:+d}"
-
-
-def _plain_decimal(v: Fraction) -> str:
-    num, den = v.numerator, v.denominator
-    whole, rem = divmod(num, den)
-    if rem == 0:
-        return str(whole)
-    digits = []
-    while rem != 0 and len(digits) < 40:
-        rem *= 10
-        d, rem = divmod(rem, den)
-        digits.append(str(d))
-    return f"{whole}." + "".join(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +423,23 @@ def roots_of_irreducible(p: IntPoly) -> list[RealAlgebraic]:
 # ---------------------------------------------------------------------------
 
 def _interval_eval(expr: qpoly.QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval extension of expr over [lo, hi] via interval Horner."""
-    acc_lo, acc_hi = Fraction(0), Fraction(0)
-    for c in reversed(expr):
-        products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(products) + c, max(products) + c
-    return acc_lo, acc_hi
+    """Interval extension of expr over [lo, hi] via interval Horner, on
+    integers: L * expr has integer coefficients for L the lcm of their
+    denominators, both endpoints are numerators over one denominator D, and
+    after k steps the accumulator's endpoints are numerators over L * D^k.
+    That denominator is positive, so the min and max of the numerators are
+    those of the values."""
+    scale = math.lcm(*(c.denominator for c in expr))
+    coeffs = [c.numerator * (scale // c.denominator) for c in expr]
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_n, hi_n = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    acc_lo = acc_hi = 0
+    power = 1
+    for c in reversed(coeffs):
+        power *= den
+        products = (acc_lo * lo_n, acc_lo * hi_n, acc_hi * lo_n, acc_hi * hi_n)
+        acc_lo, acc_hi = min(products) + c * power, max(products) + c * power
+    return Fraction(acc_lo, scale * power), Fraction(acc_hi, scale * power)
 
 
 def from_poly_expr(alpha: RealAlgebraic, expr, poly: IntPoly) -> RealAlgebraic:

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .characters import Character, CharacterSystem, solve_characters
+from .characters import Character, CharacterSystem, GaloisInfo, galois_type, solve_characters
 from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
 from .exactnum.cyclotomic import roots_of_unity_up_to
 from .exactnum.qpoly import QPoly, qdivmod, qgcd
@@ -908,7 +908,7 @@ def _scaled_value(v: RealAlgebraic, c: Fraction) -> RealAlgebraic:
 # Non-modular, non-symmetric filter
 # ---------------------------------------------------------------------------
 
-def nonmodular_filter(params: Rank3Params) -> FilterVerdict:
+def nonmodular_filter(params: Rank3Params, info: GaloisInfo | None = None) -> FilterVerdict:
     """Necessary conditions for a degenerate, non-symmetric structure.
 
     Applies only to rings whose canonical form is (0, 1, 0, n) -- the shape
@@ -916,24 +916,23 @@ def nonmodular_filter(params: Rank3Params) -> FilterVerdict:
     the positive root y_+ of y^2 = 2 + n*y, together with a root of unity
     theta satisfying n*d_Y = -2*(theta + theta^-1) for some root d_Y; both
     checks are exact (minimal-polynomial comparison for the 2cos values).
+    The roots y_+ and y_- are the y-values of the first and last characters
+    in `info`, the `galois_type` of the canonical form, computed here unless
+    the caller already holds it.
     """
     canon = canonicalize(params)
     if (canon.k, canon.l, canon.m) != (0, 1, 0):
         return FilterVerdict(Verdict.NOT_APPLICABLE, {"reason": "ring has no two-object symmetric subring shape"})
     n = canon.n
-    from .exactnum import isolate_real_roots
-
-    ypoly = IntPoly((-2, -n, 1))
-    yroots = [r.value for r in isolate_real_roots(ypoly)]
-    y_plus = yroots[-1]
+    if info is None:
+        info = galois_type(canon)
+    y_plus, _zero, y_minus = info.roots
     cert: dict = {"n": n, "y_plus": y_plus.approx_str(12)}
     if n > 0 and not (y_plus <= Fraction(4, n)):
         cert["violated"] = f"n*y_+ = {_scaled_value(y_plus, Fraction(n)).approx_str(12)} > 4"
         return FilterVerdict(Verdict.FAIL, cert)
     witness = None
-    for d_y in yroots:
-        if d_y.is_zero:
-            continue
+    for d_y in (y_minus, y_plus):  # both nonzero: y_+ * y_- = -2
         target = _scaled_value(d_y, Fraction(-n, 2))
         hit = _match_two_cos(target)
         if hit is not None:

@@ -15,9 +15,9 @@ import pytest
 from rank3ribbon.characters import (
     GaloisType,
     char_poly_x,
+    char_poly_y,
     galois_type,
     solve_characters,
-    vieta_products,
 )
 from rank3ribbon.classify import (
     LIMITATION_NOTE,
@@ -190,7 +190,7 @@ def test_criterion_8_property_suites(bound20_report):
                 assert abs(xa - xb) < 1e-9 and abs(ya - yb) < 1e-9
 
             # (c) Vieta products, exactly
-            px, py = vieta_products(system)
+            px, py = -char_poly_x(params).coeffs[0], -char_poly_y(params).coeffs[0]
             assert px == -params.l and py == -params.k
 
         # (d) grid audit

@@ -12,7 +12,6 @@ from rank3ribbon.characters import (
     char_poly_y,
     galois_type,
     solve_characters,
-    vieta_products,
 )
 from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.exactnum import (
@@ -20,10 +19,9 @@ from rank3ribbon.exactnum import (
     RealAlgebraic,
     cubic_discriminant,
     is_perfect_square,
-    rational_roots,
 )
 from rank3ribbon.exactnum import cos_minimal_poly, isolate_real_roots, roots_of_irreducible
-from rank3ribbon.exactnum.intpoly import sign_at
+from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
 from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize
 from rank3ribbon.exactnum.realalg import cauchy_bound
 from rank3ribbon.fusion import (
@@ -256,9 +254,11 @@ def test_character_count_and_exact_relations_bound_50(systems_bound_50):
 
 
 def test_vieta_products():
+    """The products of all x-values and of all y-values are minus the
+    constant terms of the monic characteristic cubics."""
     for params in enumerate_star_solutions(10):
         system = solve_characters(make_rank3_ring(params))
-        px, py = vieta_products(system)
+        px, py = -char_poly_x(params).coeffs[0], -char_poly_y(params).coeffs[0]
         assert px == -params.l
         assert py == -params.k
         # numeric cross-check from the solved characters
@@ -286,12 +286,12 @@ def test_galois_type_consistency_bound_10():
         tag = galois_type(params).tag
         px, py = char_poly_x(params), char_poly_y(params)
         fully_rational = (
-            len(rational_roots(px)) == 3 and len(rational_roots(py)) == 3
+            len(split_rational_roots(px)[0]) == 3 and len(split_rational_roots(py)[0]) == 3
         )
         assert (tag == GaloisType.TRIVIAL) == fully_rational
         if tag == GaloisType.C3:
             for poly in (px, py):
-                if not rational_roots(poly):
+                if not split_rational_roots(poly)[0]:
                     assert is_perfect_square(cubic_discriminant(poly))
 
 

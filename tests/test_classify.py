@@ -348,13 +348,14 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     one isolation of its irreducible rest, both made by `galois_type`.
     Calls are counted through every name a module binds them to.  The
     char_poly_x of K(0,1,0,n) is (x - 1)^2 (x + 1) in closed form and is
-    not factored."""
+    not factored; its y-values, the roots of y^2 - n y - 2, are isolated
+    once for the typing, the nonmodular filter and the search together."""
     import sys
     from collections import Counter
 
     from rank3ribbon import classify
     from rank3ribbon.characters import char_poly_x
-    from rank3ribbon.exactnum import roots_of_irreducible
+    from rank3ribbon.exactnum import IntPoly, roots_of_irreducible, two_cos
     from rank3ribbon.exactnum.intpoly import split_rational_roots
 
     current = [None]  # the ring being classified, and then searched
@@ -368,6 +369,9 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
             if module.__name__.startswith("rank3ribbon") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, wrapper)
 
+    # y^2 - 2 is also the minimal polynomial of 2cos(pi/4), whose roots the
+    # search isolates once per process; isolate them before counting.
+    two_cos(Fraction(1, 8))
     counted("split_rational_roots", split_rational_roots)
     counted("roots_of_irreducible", roots_of_irreducible)
     original_ring = classify.classify_ring
@@ -381,17 +385,20 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     rings = [r for r in report.rings if r.params is not None]
     assert len(rings) == 67 and all(r.witnesses is not None for r in rings)
     monkeypatch.undo()
-    rests = 0
+    rests = ypolys = 0
     for r in rings:
         params = r.params
         xpoly = char_poly_x(params)
         assert calls["split_rational_roots", params, xpoly] == min(params.k, 1), params
+        if params.k == 0 and params.n != 1:
+            assert calls["roots_of_irreducible", params, IntPoly((-2, -params.n, 1))] == 1, params
+            ypolys += 1
         _roots, rest = split_rational_roots(xpoly)
         if rest.degree < 2:
             continue
         assert calls["roots_of_irreducible", params, rest.primitive()] == 1, params
         rests += 1
-    assert rests == 56
+    assert rests == 56 and ypolys == 10
 
 
 def test_integer_galois_type_matches_solved_system_bound_30():

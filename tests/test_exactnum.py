@@ -21,7 +21,6 @@ from rank3ribbon.exactnum import (
     factor_into_irreducibles,
     is_perfect_square,
     isolate_real_roots,
-    rational_roots,
     root_of_unity_value,
     roots_of_irreducible,
     two_cos,
@@ -36,8 +35,15 @@ from rank3ribbon.exactnum.realalg import from_poly_expr
 
 
 # ---------------------------------------------------------------------------
-# rational_roots
+# rational roots (split_rational_roots)
 # ---------------------------------------------------------------------------
+
+def rational_roots(p):
+    """The rational roots that split_rational_roots finds, as Fractions,
+    once per multiplicity, ascending."""
+    roots, _rest = split_rational_roots(p)
+    return sorted(Fraction(u, v) for u, v in roots)
+
 
 def test_rational_roots_with_multiplicity():
     # x^3 - x^2 - x + 1 = (x-1)^2 (x+1), by synthetic division
@@ -912,6 +918,213 @@ def test_decimal_str():
     assert decimal_str(Fraction(0), 12) == "0"
     assert decimal_str(Fraction(-6), 12) == "-6"
     assert decimal_str(Fraction(1, 3), 5) == "0.33333"
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against their Fraction references
+# ---------------------------------------------------------------------------
+
+def _fraction_decimal_str(value, sig=12):
+    """Reference: the Fraction rendering, scaled by tens to [1, 10), rounded
+    half up, and its plain form expanded digit by digit."""
+    if value == 0:
+        return "0"
+    negative = value < 0
+    v = -value if negative else value
+    exp = 0
+    while v >= 10:
+        v /= 10
+        exp += 1
+    while v < 1:
+        v *= 10
+        exp -= 1
+    digits = int(v * 10 ** (sig - 1) + Fraction(1, 2))
+    if digits >= 10**sig:
+        digits //= 10
+        exp += 1
+    text = str(digits)
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    sign = "-" if negative else ""
+    if -4 <= exp < sig:
+        if exp < sig - 1:
+            plain = Fraction(digits, 10 ** (sig - 1 - exp))
+        else:
+            plain = Fraction(digits * 10 ** (exp - sig + 1))
+        whole, rem = divmod(plain.numerator, plain.denominator)
+        out = []
+        while rem != 0 and len(out) < 40:
+            d, rem = divmod(rem * 10, plain.denominator)
+            out.append(str(d))
+        return sign + (f"{whole}." + "".join(out) if out else str(whole))
+    return f"{sign}{mantissa}e{exp:+d}"
+
+
+def _decimal_cases():
+    """Seeded random values from 1e-30 to 1e30, both signs, and the edge
+    cases: a rounding carry to 10^sig (also across the plain/scientific
+    switch), exponents -5, -4, sig - 1 and sig, exact halves, integers."""
+    rng = random.Random(161)
+    cases = []
+    for _ in range(600):
+        sig = rng.choice((1, 2, 5, 8, 12, 12, 12, 17))
+        num = rng.randint(1, 10 ** rng.randint(1, 40))
+        den = rng.randint(1, 10 ** rng.randint(0, 40))
+        value = Fraction(num, den) * Fraction(10) ** rng.randint(-30, 30)
+        cases.append((rng.choice((1, -1)) * value, sig))
+    for sig in (1, 2, 5, 12):
+        for exp in (-6, -5, -4, -3, 0, 1, sig - 2, sig - 1, sig, sig + 1):
+            top = Fraction(10) ** exp
+            half_ulp = top / 10 ** (sig - 1) / 2
+            for value in (top, 10 * top - half_ulp, 10 * top - half_ulp / 2, 10 * top - 3 * half_ulp,
+                          top + half_ulp, top + 3 * half_ulp, top + half_ulp / 3, 7 * top / 3):
+                cases += [(value, sig), (-value, sig)]
+        for _ in range(40):  # exact halves between two sig-digit values
+            digits = rng.randint(10 ** (sig - 1), 10**sig - 1)
+            cases.append((Fraction(2 * digits + 1, 2) * Fraction(10) ** rng.randint(-8, 8 - sig), sig))
+    cases += [(Fraction(99999999999996, 10**13), 12), (Fraction(-99999999999996, 10**13), 12),
+              (Fraction(99999999999996, 10**18), 12), (Fraction(9999999999996, 10), 12),
+              (Fraction(5, 2), 1), (Fraction(-25, 2), 2), (Fraction(0), 12), (7, 12), (-10**20, 12)]
+    return cases
+
+
+def test_decimal_str_matches_fraction_reference():
+    """decimal_str on integers renders every value exactly as the Fraction
+    reference does, ties included."""
+    for value, sig in _decimal_cases():
+        assert decimal_str(value, sig) == _fraction_decimal_str(value, sig), (value, sig)
+    assert decimal_str(Fraction(99999999999996, 10**13), 12) == "10"
+    assert decimal_str(Fraction(99999999999996, 10**18), 12) == "0.0001"
+    assert decimal_str(Fraction(9999999999996, 10), 12) == "1e+12"
+    assert decimal_str(Fraction(5, 2), 1) == "3" and decimal_str(Fraction(-25, 2), 2) == "-13"
+
+
+class _FractionBall:
+    """Reference: ComplexBall arithmetic on Fraction center and radius."""
+
+    def __init__(self, re, im, rad):
+        self.re, self.im, self.rad = Fraction(re), Fraction(im), Fraction(rad)
+
+    def __add__(self, other):
+        return _FractionBall(self.re + other.re, self.im + other.im, self.rad + other.rad)
+
+    def __sub__(self, other):
+        return _FractionBall(self.re - other.re, self.im - other.im, self.rad + other.rad)
+
+    def __mul__(self, other):
+        mag1, mag2 = abs(self.re) + abs(self.im), abs(other.re) + abs(other.im)
+        return _FractionBall(self.re * other.re - self.im * other.im,
+                             self.re * other.im + self.im * other.re,
+                             mag1 * other.rad + mag2 * self.rad + self.rad * other.rad)
+
+    def scale(self, c):
+        return _FractionBall(self.re * c, self.im * c, self.rad * abs(c))
+
+    def definitely_nonzero(self):
+        return max(abs(self.re), abs(self.im)) > self.rad
+
+
+def _same_ball(ball, ref):
+    return ((ball.re, ball.im, ball.rad) == (ref.re, ref.im, ref.rad)
+            and ball.definitely_nonzero() == ref.definitely_nonzero()
+            and ball.center_complex() == complex(float(ref.re), float(ref.im)))
+
+
+def test_ball_arithmetic_matches_fraction_reference():
+    """Integer balls give the reference's exact centers, radii and nonzero
+    verdicts: on seeded random expressions over balls with radius 0, with
+    dyadic tree-node data (from_real_interval), and with numerators and
+    denominators sharing factors, and on Horner loops of the
+    _eval_ball_at_gen shape."""
+    rng = random.Random(162)
+
+    def rational():
+        den = rng.choice((1, 3, 12, 2 ** rng.randint(0, 90), 6 * 2 ** rng.randint(0, 60)))
+        return Fraction(rng.randint(-10**12, 10**12), den)
+
+    def pair():
+        kind = rng.randrange(3)
+        if kind == 0:  # radius 0
+            re, im = rational(), rational()
+            return ComplexBall(re, im), _FractionBall(re, im, 0)
+        if kind == 1:  # a tree node
+            den = 2 ** rng.randint(0, 100) * rng.choice((1, 3))
+            lo = rng.randint(-10**30, 10**30)
+            lo, hi = Fraction(lo, den), Fraction(lo + rng.randint(0, 4) * 2, den)
+            return ComplexBall.from_real_interval(lo, hi), _FractionBall((lo + hi) / 2, 0, (hi - lo) / 2)
+        re, im, rad = rational(), rational(), abs(rational())
+        return ComplexBall(re, im, rad), _FractionBall(re, im, rad)
+
+    for _ in range(300):
+        (a, ra), (b, rb), (c, rc) = pair(), pair(), pair()
+        k = rational()
+        for ball, ref in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                          (a * b - c, ra * rb - rc), (a.scale(k), ra.scale(k)),
+                          (a.scale(7), ra.scale(7)), (-a, ra.scale(-1))):
+            assert _same_ball(ball, ref)
+        x, rx = pair()
+        acc, racc = ComplexBall.from_rational(0), _FractionBall(0, 0, 0)
+        for _ in range(rng.randint(1, 5)):
+            c, rc = pair()
+            acc, racc = acc * x + c, racc * rx + rc
+        assert _same_ball(acc, racc)
+    with pytest.raises(ValueError):
+        ComplexBall(0, 0, Fraction(-1, 3))
+
+
+def test_root_and_cyclonum_balls_match_fraction_reference():
+    """root_of_unity_value and CycloNum.ball enclose the same exact balls as
+    the Fraction forms: the tree-node midpoints of 2cos, and the sum of the
+    Fraction coefficients times the zeta^i balls."""
+    rng = random.Random(163)
+    for q in (1, 2, 3, 4, 5, 7, 8, 12, 16, 60):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            r = RootOfUnity(p, q)
+            for bits in (32, 96, 144):
+                target = Fraction(1, 2 ** (bits + 2))
+                re_lo, re_hi = two_cos(r.turn).tree_interval(target)
+                im_lo, im_hi = two_cos(r.turn - Fraction(1, 4)).tree_interval(target)
+                ref = _FractionBall((re_lo + re_hi) / 4, (im_lo + im_hi) / 4,
+                                    (re_hi - re_lo) / 4 + (im_hi - im_lo) / 4)
+                assert _same_ball(root_of_unity_value(r, bits), ref)
+    for n in (3, 5, 8, 16, 48):
+        deg = cyclotomic_poly(n).degree
+        for _ in range(20):
+            coeffs = [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 6, 35))) if rng.random() < 0.7 else 0
+                      for _ in range(deg)]
+            z = CycloNum(n, coeffs)
+            ref = _FractionBall(0, 0, 0)
+            for i, c in enumerate(z.coeffs):
+                if c:
+                    zeta = root_of_unity_value(RootOfUnity.make(i, n), 96)
+                    ref = ref + _FractionBall(zeta.re, zeta.im, zeta.rad).scale(c)
+            assert _same_ball(z.ball(96), ref), (n, coeffs)
+
+
+def _fraction_interval_eval(expr, lo, hi):
+    """Reference: interval Horner in Fractions."""
+    acc_lo, acc_hi = Fraction(0), Fraction(0)
+    for c in reversed(expr):
+        products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(products) + c, max(products) + c
+    return acc_lo, acc_hi
+
+
+def test_interval_eval_matches_fraction_reference():
+    """The integer interval Horner returns the reference's exact endpoints,
+    on seeded random expressions and intervals: both signs, a point interval,
+    endpoints over unrelated denominators and over powers of two."""
+    rng = random.Random(164)
+    for _ in range(500):
+        expr = tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 9, 10, 35)))
+                     for _ in range(rng.randint(1, 6)))
+        den = rng.choice((1, 7, 2 ** rng.randint(0, 80), 3 * 2 ** rng.randint(0, 40)))
+        lo = Fraction(rng.randint(-10**20, 10**20), den)
+        hi = lo + rng.choice((0, Fraction(1, den), Fraction(rng.randint(1, 9), rng.choice((2, 5, 2**30)))))
+        got = realalg._interval_eval(expr, lo, hi)
+        assert got == _fraction_interval_eval(expr, lo, hi), (expr, lo, hi)
+        assert all(type(e) is Fraction for e in got)
 
 
 def test_renderings_do_not_depend_on_refinement():
