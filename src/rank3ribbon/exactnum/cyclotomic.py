@@ -359,10 +359,6 @@ class CycloNum:
     def __hash__(self) -> int:
         return hash((self.n, self.num, self.den))
 
-    def complex_approx(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(complex(c) * z**i for i, c in enumerate(self.coeffs))
-
     def __repr__(self) -> str:
         return f"CycloNum(n={self.n}, {list(self.coeffs)})"
 

@@ -9,10 +9,10 @@ matrix is
 
 The twists of an admissible datum have orders q with phi(q) <= 12
 (`twist_table`), so the search scans one fixed table of at most 180 roots of
-unity.  A floating screen proposes twist pairs from it, visiting only the
-pairs that solve S[1][2] = d_1 * chi(2) for a character chi
-(`_arc_candidates`), and each candidate gets the exact checks that can change
-its verdict (`_certify_candidate`); there is no approximate fallback.  Exact
+unity.  A floating screen proposes twist pairs from it: row i of S must be
+d_i times a character, so one row names the other twist (`_arc_candidates`),
+and each candidate gets the exact checks that can change its verdict
+(`_certify_candidate`); there is no approximate fallback.  Exact
 entries live in Q(zeta_n)[x]/(minimal polynomial of the character generator)
 as ExtNum polynomials whose coefficients are CycloNum integer vectors over
 one denominator, so building and checking a matrix runs on Python ints, and
@@ -585,10 +585,11 @@ def search_ribbon_data(
     up to `max_twist_order`, deterministically ordered.
 
     The twists range over `twist_table(max_twist_order)`, which holds every
-    twist of every admissible datum from order 42 on.  The scan accepts a
-    pair when the S-matrix is symmetric and every row is a character within
-    SCAN_TOL (`_scan_twist_grid`); each candidate is then re-verified exactly
-    and must pass its structure-class consistency rule (see module
+    twist of every admissible datum from order 42 on.  One row of S names
+    the other twist of each (`_arc_candidates`), and the scan accepts a
+    pair when S is symmetric and every row is a character within SCAN_TOL
+    (`_scan_twist_grid`); each candidate is then re-verified exactly and
+    must pass its structure-class consistency rule (see module
     docstring).  Degenerate (properly premodular) candidates are returned
     only when `include_degenerate` is set.  `system` is the ring's character
     system when the caller has already solved it; it is solved here
@@ -623,7 +624,6 @@ def search_ribbon_data(
 TWIST_PHI_BOUND = 12  # phi(q) of every twist order q of an admissible datum
 TWIST_ORDER_BOUND = 42  # the largest q with phi(q) <= TWIST_PHI_BOUND
 SCAN_TOL = 1e-9  # float tolerance of the scan; exact certification follows
-SCAN_SLACK = 1e-12  # relative widening of each solved window for float rounding
 
 
 def twist_table(max_twist_order: int) -> list[RootOfUnity]:
@@ -676,51 +676,52 @@ def _scan_twist_grid(ring, d, chars, table, values, tol) -> list[tuple[int, int]
 
 
 def _arc_candidates(ring, d, chars, table, values, tol) -> dict:
-    """Every table pair (a, b) with |S[1][2] - d_1 * chi(2)| <= tol for some
-    character chi (plus a few more inside the rounding slack), mapped to the
-    index of the first such chi.
+    """Every table pair (a, b) whose pinning row i is within tol of d_i * chi
+    at both non-unit entries for some character chi, mapped to the first
+    such chi: a necessary part of `_looks_admissible`'s row test.
 
-    Multiplying that entry by the unit theta_1 * theta_2 turns it into the
-    Moebius relation
+    Times the unit theta_i theta_e, entry e of row i is the balancing sum
+    sum_k N[i*][e][k] theta_k d_k, so its test reads |k_e theta_o - r_e| <=
+    tol (o the other twist).  A self-dual ring has N[1][1][2] = k or
+    N[2][2][1] = l nonzero (star equation), and that row's diagonal entry
+    has the constant coefficient k d_2 or l d_1.  On Z/3 both vanish, and S[1][2]
+    = theta_2^-1 d_1 pins theta_2.  Then ||r| - |k|| <= tol, and theta_o is
+    within tol/|k| of r/k, so at an angle at most pi * min(tol/|k|, 1) from
+    it (sin x >= 2x/pi up to pi/2; beyond, every point is 1 away): one run
+    of the sorted turns, whose points are kept when both entries pass."""
+    N, dual = ring.N, ring.dual
+    i = 1 if N[dual[1]][1][2] or not N[dual[2]][2][1] else 2
+    o = 3 - i
+    pin = i if N[dual[i]][i][o] else o
 
-        theta_2 * (T*theta_1 - c) = a + b*theta_1,
-        a = N[1*][2][0],  b = N[1*][2][1] * d_1,  c = N[1*][2][2] * d_2,
+    def entry(e, chi):  # (a, b, c, f, g): k_e = a + b t, r_e = (c t + f) t + g
+        n, target = N[dual[i]][e], d[i] * chi[e]
+        return (n[o] * d[o], -target if e == o else 0,
+                target if e == i else 0, -n[i] * d[i], -n[0])
 
-    with T = d_1 * chi(2), that is |theta_2 * D - A| <= tol with D =
-    T*theta_1 - c, A = a + b*theta_1.  Since |theta_2| = 1 this needs ||A| -
-    |D|| <= tol, and for |D| > tol it puts theta_2 within r = tol/|D| < 1 of
-    A/D.  A point of the unit circle at angle delta from the ray through A/D
-    is at least sin(delta) away from it (at least 1 once delta >= pi/2), so
-    theta_2 lies on the arc of half-angle arcsin(r) around arg(A/D), found by
-    binary search over the sorted turns.  When |D| <= tol (theta_1 pinned, as
-    on k = 0 rings) every theta_2 is a candidate; when a = c = 0 (Z/3) the
-    solved theta_2 = b/T does not depend on theta_1.  Both bounds are widened
-    by SCAN_SLACK, relative to the size of the coefficients, against float
-    rounding."""
-    n12 = ring.N[ring.dual[1]][2]
-    a, b, c = n12[0], n12[1] * d[1], n12[2] * d[2]
-    # The turns in increasing order, shifted by -1, 0 and +1: an arc of width
-    # < 1 around a center in [0, 1) is one contiguous run of this list.
-    order = sorted(range(len(table)), key=lambda i: table[i].p / table[i].q)
-    turns = [table[i].p / table[i].q + shift for shift in (-1, 0, 1) for i in order]
+    # The table by turn, three times over with turns shifted by -1, 0 and +1:
+    # an arc of width <= 1 around a center in [0, 1] is one run of each list.
+    order = sorted(range(len(table)), key=lambda j: table[j].p / table[j].q) * 3
+    turns = [table[j].p / table[j].q + n // len(table) - 1 for n, j in enumerate(order)]
     found: dict = {}
     for index, chi in enumerate(chars):
-        T = d[1] * chi[2]
-        bound = tol + SCAN_SLACK * (1 + abs(a) + abs(b) + abs(c) + abs(T))
-        for first, t1 in enumerate(values):
-            den, num = T * t1 - c, a + b * t1
-            if abs(abs(num) - abs(den)) > bound:
+        k, b, c, f, g = entry(pin, chi)
+        if pin == o:  # Z/3: k_2 = b theta_1 and r_2 = f theta_1
+            k, f, g = b, 0, f
+        size, turn = abs(k), cmath.phase(k) / (2 * math.pi)
+        half = min(tol / size, 1.0) / 2
+        k2, b2, c2, f2, g2 = entry(3 - pin, chi)
+        for first, t in enumerate(values):
+            r = (c * t + f) * t + g
+            if abs(abs(r) - size) > tol:
                 continue
-            if abs(den) <= bound:
-                seconds = range(len(table))
-            else:
-                center = cmath.phase(num / den) / (2 * math.pi) % 1.0
-                half = math.asin(bound / abs(den)) / (2 * math.pi) + SCAN_SLACK
-                lo = bisect.bisect_left(turns, center - half)
-                hi = bisect.bisect_right(turns, center + half)
-                seconds = [order[i % len(order)] for i in range(lo, hi)]
-            for second in seconds:
-                found.setdefault((first, second), index)
+            center = (cmath.phase(r) / (2 * math.pi) - turn) % 1.0
+            other_k, other_r = k2 + b2 * t, (c2 * t + f2) * t + g2
+            for second in order[bisect.bisect_left(turns, center - half):
+                                bisect.bisect_right(turns, center + half)]:
+                s = values[second]
+                if abs(k * s - r) <= tol and abs(other_k * s - other_r) <= tol:
+                    found.setdefault((first, second) if i == 1 else (second, first), index)
     return found
 
 
@@ -729,7 +730,7 @@ def _looks_admissible(ring, d, rows, index, t1, t2, tol) -> bool:
     row i within tol of some rows[i][c] = d_i * (character c), and either
     degenerate (|det| <= 1e-6) or passing the Frobenius-Schur indicator test.
     Row 1 is tested first against character `index`, which proposed the
-    pair: most candidates fail there."""
+    pair through the pinning row (row 2 on k = 0 rings)."""
     N, dual = ring.N, ring.dual
     theta = (1, t1, t2)
     t = (1, t1 * d[1], t2 * d[2])

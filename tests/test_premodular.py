@@ -442,45 +442,53 @@ def test_solved_scan_matches_grid_order60(params):
     _assert_scan_matches_grid(make_rank3_ring(params), 60)
 
 
-@pytest.mark.parametrize("ring", [
-    make_z3_ring(), make_rank3_ring(Rank3Params(0, 1, 0, 0)),
-    make_rank3_ring(Rank3Params(1, 1, 0, 1)), make_rank3_ring(Rank3Params(1, 2, 0, 4)),
-], ids=lambda r: r.params.name() if r.params else "Z3")
+@pytest.mark.parametrize("ring, row", [
+    pytest.param(make_z3_ring(), 1, id="Z3"),
+    *(pytest.param(make_rank3_ring(Rank3Params(*p)), row, id=Rank3Params(*p).name())
+      for p, row in (((0, 1, 0, 0), 2), ((1, 1, 0, 1), 1), ((1, 2, 0, 4), 1))),
+])
 @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.4])
-def test_solved_candidates_cover_s12_window(ring, tol):
-    """Every table pair with |S[1][2] - d_1*chi(2)| <= tol for some character
-    chi is a candidate; loose tolerances put many pairs near the arc edges."""
+def test_solved_candidates_cover_s12_window(ring, row, tol):
+    """The candidates are exactly the table pairs whose pinning row is
+    within tol of d_row * chi at both non-unit entries for some character
+    chi, each mapped to the first such chi: row 1 on Z/3 and when k != 0,
+    row 2 on k = 0 rings.  Loose tolerances put many pairs near the arc
+    edges."""
     system = solve_characters(ring)
     table = twist_table(30)
     values = [r.complex_approx() for r in table]
     t1, t2 = np.meshgrid(values, values, indexing="ij")
     theta = [np.ones_like(t1), t1, t2]
-    n12 = ring.N[ring.dual[1]][2]
+    N, dual = ring.N, ring.dual
     chars = _float_chars(system)
     for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
         d = chars[index]
-        s12 = np.conj(t1 * t2) * sum(n12[k] * d[k] * theta[k] for k in range(3))
-        near = np.zeros(t1.shape, dtype=bool)
-        for chi in chars:
-            near |= np.abs(s12 - d[1] * chi[2]) <= tol
-        found = _arc_candidates(ring, d, chars, table, values, tol)
-        assert set(zip(*(axis.tolist() for axis in np.nonzero(near)))) <= set(found)
-        assert set(found.values()) <= set(range(len(chars)))
+        S = [
+            np.conj(theta[row] * theta[j])
+            * sum(N[dual[row]][j][k] * d[k] * theta[k] for k in range(3))
+            for j in range(3)
+        ]
+        first = {}
+        for c, chi in enumerate(chars):
+            near = (np.abs(S[1] - d[row] * chi[1]) <= tol) & (np.abs(S[2] - d[row] * chi[2]) <= tol)
+            for pair in zip(*(axis.tolist() for axis in np.nonzero(near))):
+                first.setdefault(pair, c)
+        assert _arc_candidates(ring, d, chars, table, values, tol) == first
 
 
 def test_solved_scan_covers_pinned_theta_1():
-    """On K(0,1,0,0) (k = 0) the relation pins theta_1 and leaves theta_2
-    free: the grid keeps theta_1 = -1 with every primitive 16th root."""
+    """On K(0,1,0,0) (k = 0) row 2 pins theta_1 and leaves theta_2 free:
+    the grid keeps theta_1 = -1 with every primitive 16th root."""
     pairs = _assert_scan_matches_grid(make_rank3_ring(Rank3Params(0, 1, 0, 0)), 60)
     free = {t2 for t1, t2 in pairs if t1 == RootOfUnity.make(1, 2)}
     assert {t for t in free if t.q == 16} == {RootOfUnity.make(p, 16) for p in range(1, 16, 2)}
 
 
 def test_solved_scan_matches_grid_z3_pinned_theta_2():
-    """On Z/3 (a = c = 0) the relation pins theta_2 to a cube root of unity
-    whatever theta_1 is."""
+    """On Z/3 S[1][2] = theta_2^-1 d_1 pins theta_2 to a cube root of
+    unity whatever theta_1 is."""
     pairs = _assert_scan_matches_grid(make_z3_ring(), 24)
     assert pairs
     assert all(3 % t2.q == 0 for _, t2 in pairs)
@@ -530,6 +538,14 @@ def test_full_grid_certifies_nothing_outside_the_twist_table(ring):
     certified.sort(key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn))
     found = search_ribbon_data(ring, 30, include_degenerate=True, system=system)
     assert [w.to_json() for w in certified] == [w.to_json() for w in found]
+
+
+@pytest.mark.parametrize("ring", _theorem_rings(), ids=lambda r: r.params.name() if r.params else "Z3")
+def test_solved_scan_matches_grid_both_orientations_order24(ring):
+    """Both orientations of every ring up to bound 6, and Z/3, at screen
+    level: where k or l is 0, the swapped ring pins with the other row, and
+    the scan still keeps exactly the grid survivors."""
+    _assert_scan_matches_grid(ring, 24)
 
 
 def test_unit_twists_on_the_dimension_character_give_rank_one_character_data():
