@@ -5,14 +5,18 @@ three characters are real.  They are read off the integer cubics in one
 pass: `galois_type` factors char_poly_x on integers, reads the orbit type
 off the factorization, and isolates its roots in the order of the
 characters, placing them by integer tests.  `solve_characters` builds the
-characters from those roots: each y-value is (x^2 - m x - 1)/k, located as a
-root of char_poly_y, and K(0,1,0,n) has the closed form (1, y+), (-1, 0),
-(1, y-).  `_selfdual_characters` proves that these pairs satisfy the ring
-relations, are three and distinct, and that only the first is everywhere
-positive, so none of this is re-checked at run time.  Each character is
-stored with an exact generator of the field it lives in, plus polynomial
-expressions for its two values in that generator; this makes every
-downstream identity check a matter of polynomial reduction over Q.
+characters from those roots: each y-value is (x^2 - m x - 1)/k, and
+K(0,1,0,n) has the closed form (1, y+), (-1, 0), (1, y-).
+`_selfdual_characters` proves that these pairs satisfy the ring relations,
+are three and distinct, and that only the first is everywhere positive, so
+none of this is re-checked at run time.  Each character is stored with an
+exact generator of the field it lives in, plus polynomial expressions for
+its two values in that generator; this makes every downstream identity check
+a matter of polynomial reduction over Q, and the float screen a polynomial
+evaluated at float(generator).  So an irrational y-value with k >= 1 is
+located as a root of char_poly_y only on its first exact read (a rendered
+witness, `ring`'s characters), and solving the characters of a ring whose x
+is irrational factors and isolates nothing.
 """
 
 from __future__ import annotations
@@ -54,19 +58,35 @@ def char_poly_y(params: Rank3Params) -> IntPoly:
     return char_poly_x(params.swapped())
 
 
-@dataclass(frozen=True)
 class Character:
     """One ring homomorphism, given by its values on the two non-unit basis
     elements.  Real-family values are RealAlgebraic; Z/3 values are roots of
     unity.  `gen` generates the field of the values; `x_rep`/`y_rep` express
     the values as polynomials in `gen` (identically the values when rational).
+
+    A real character built with `y_poly` instead of `y` locates its y-value
+    on the first read of `y`, as the root of `y_poly` that y_rep(gen) is, and
+    keeps it.  The float screen (`value_complex`), the zero test (`nonzero`)
+    and exact certification read only `gen` and the reps, so a ring that
+    yields no witness never locates its irrational y-values.
     """
 
-    x: object
-    y: object
-    gen: RealAlgebraic | None = None
-    x_rep: QPoly = field(default=())
-    y_rep: QPoly = field(default=())
+    __slots__ = ("x", "_y", "gen", "x_rep", "y_rep", "_y_poly")
+
+    def __init__(self, x, y=None, gen: RealAlgebraic | None = None,
+                 x_rep: QPoly = (), y_rep: QPoly = (), y_poly: IntPoly | None = None):
+        self.x = x
+        self._y = y
+        self.gen = gen
+        self.x_rep = x_rep
+        self.y_rep = y_rep
+        self._y_poly = y_poly
+
+    @property
+    def y(self):
+        if self._y is None:
+            self._y = from_poly_expr(self.gen, self.y_rep, self._y_poly)
+        return self._y
 
     @property
     def is_cyclotomic(self) -> bool:
@@ -79,10 +99,18 @@ class Character:
         return self.x if j == 1 else self.y
 
     def value_complex(self, j: int) -> complex:
-        v = self.value(j)
-        if isinstance(v, RootOfUnity):
-            return v.complex_approx()
-        return complex(float(v))
+        """Float value on basis element j: a real value is its rep evaluated
+        at float(gen), which a constant rep does not read."""
+        if self.is_cyclotomic:
+            return self.value(j).complex_approx()
+        if j == 0:
+            return 1 + 0j
+        rep = self.x_rep if j == 1 else self.y_rep
+        t = float(self.gen) if len(rep) > 1 else 0.0
+        acc = 0.0
+        for c in reversed(rep):
+            acc = acc * t + float(c)
+        return complex(acc)
 
     @property
     def all_rational(self) -> bool:
@@ -99,9 +127,11 @@ class Character:
         return self.x.sign() > 0 and self.y.sign() > 0
 
     def nonzero(self) -> bool:
+        """No value is zero, read off the reps: a nonzero rep of degree below
+        the generator's cannot vanish at it."""
         if self.is_cyclotomic:
             return True
-        return not (self.x.is_zero or self.y.is_zero)
+        return bool(self.x_rep) and bool(self.y_rep)
 
     def to_json(self) -> dict:
         if self.is_cyclotomic:
@@ -177,7 +207,7 @@ def solve_characters(ring: FusionRing, info: GaloisInfo | None = None) -> Charac
         raise DegenerateSystem("a self-dual ring is solved from its parameters")
     if info is None:
         info = galois_type(ring.params)
-    return CharacterSystem(ring=ring, chars=_selfdual_characters(ring.params, info))
+    return CharacterSystem(ring=ring, chars=_selfdual_characters(ring.params, info.roots))
 
 
 def _z3_characters(ring: FusionRing) -> CharacterSystem:
@@ -192,9 +222,9 @@ def _z3_characters(ring: FusionRing) -> CharacterSystem:
     return CharacterSystem(ring=ring, chars=chars)
 
 
-def _selfdual_characters(params: Rank3Params, info: GaloisInfo) -> tuple[Character, ...]:
-    """The characters of K(k,l,m,n), one per root in `info.roots` and in
-    their order.
+def _selfdual_characters(params: Rank3Params, roots) -> tuple[Character, ...]:
+    """The characters of K(k,l,m,n), one per root in `roots`, in their
+    order: the `roots` of its `galois_type`, or a prefix of them.
 
     With k >= 1 the root is x, and y = (x^2 - m x - 1)/k.  The ring relations
     X^2 = 1 + mX + kY, Y^2 = 1 + lX + nY and XY = kX + lY hold for every such
@@ -223,20 +253,14 @@ def _selfdual_characters(params: Rank3Params, info: GaloisInfo) -> tuple[Charact
         return tuple(
             _rational_character(Fraction(x), y.rational_value) if y.is_rational
             else Character(x=RealAlgebraic.from_rational(x), y=y, gen=y, x_rep=qconst(x), y_rep=X)
-            for x, y in zip((1, -1, 1), info.roots)
+            for x, y in zip((1, -1, 1), roots)
         )
     ypoly = char_poly_y(params)
     y_expr: QPoly = qscale(qnormalize((Fraction(-1), Fraction(-m), Fraction(1))), Fraction(1, k))
     return tuple(
         _rational_character(x.rational_value, qeval(y_expr, x.rational_value)) if x.is_rational
-        else Character(
-            x=x,
-            y=from_poly_expr(x, y_expr, ypoly),
-            gen=x,
-            x_rep=X,
-            y_rep=qmod(y_expr, x.minpoly.to_q()),
-        )
-        for x in info.roots
+        else Character(x=x, gen=x, x_rep=X, y_rep=qmod(y_expr, x.minpoly.to_q()), y_poly=ypoly)
+        for x in roots
     )
 
 

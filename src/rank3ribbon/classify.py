@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import (
-    Character,
     CharacterSystem,
     GaloisInfo,
     GaloisType,
+    _selfdual_characters,
     galois_type,
     solve_characters,
 )
-from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots
+from .exactnum import IntPoly, RootOfUnity, isolate_real_roots
 from .fusion import (
     FusionRing,
     Rank3Params,
@@ -432,18 +432,14 @@ def classify_ring(params: Rank3Params) -> RingReport:
 
 
 def _dimension_verdict(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
-    """`landau_rule` on the dimension character, read off its root
-    `info.roots[0]`: the top root x of char_poly_x, with y = (x^2 - m x - 1)/k
-    when x is rational; an irrational x fails the rule alone.  On
-    K(0,1,0,n) the dimension character is (1, y) for that root y."""
-    k, _l, m, _n = params.as_tuple()
+    """`landau_rule` on the dimension character, built alone from its root
+    `info.roots[0]`; when k >= 1 and that root x of char_poly_x is
+    irrational, x fails the rule alone."""
     top = info.roots[0]
-    if k == 0:
-        return landau_rule(Character(x=RealAlgebraic.from_rational(1), y=top))
-    if not top.is_rational:
+    if params.k and not top.is_rational:
         return _nonintegral_dimension(top)
-    r = top.rational_value
-    return landau_rule(Character(x=top, y=RealAlgebraic.from_rational((r * r - m * r - 1) / k)))
+    (dims,) = _selfdual_characters(params, info.roots[:1])
+    return landau_rule(dims)
 
 
 def _z3_report(max_twist_order: int) -> RingReport:

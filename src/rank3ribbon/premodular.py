@@ -50,8 +50,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 from .characters import Character, CharacterSystem, GaloisInfo, galois_type, solve_characters
 from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
@@ -585,15 +585,17 @@ def search_ribbon_data(
     up to `max_twist_order`, deterministically ordered.
 
     The twists range over `twist_table(max_twist_order)`, which holds every
-    twist of every admissible datum from order 42 on.  One row of S names
-    the other twist of each (`_arc_candidates`), and the scan accepts a
-    pair when S is symmetric and every row is a character within SCAN_TOL
-    (`_scan_twist_grid`); each candidate is then re-verified exactly and
-    must pass its structure-class consistency rule (see module
-    docstring).  Degenerate (properly premodular) candidates are returned
-    only when `include_degenerate` is set.  `system` is the ring's character
-    system when the caller has already solved it; it is solved here
-    otherwise.
+    twist of every admissible datum from order 42 on; it and its float
+    screen data are built once per capped order (`_twist_screen`).  One row
+    of S names the other twist of each (`_arc_candidates`), and the scan
+    accepts a pair when S is symmetric and every row is a character within
+    SCAN_TOL (`_scan_twist_grid`).  The scan reads the characters' floats,
+    their reps at float(gen), so it locates no y-value.  Each candidate is
+    then re-verified exactly from the reps and must pass its
+    structure-class consistency rule (see module docstring).  Degenerate
+    (properly premodular) candidates are returned only when
+    `include_degenerate` is set.  `system` is the ring's character system
+    when the caller has already solved it; it is solved here otherwise.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
@@ -601,14 +603,14 @@ def search_ribbon_data(
         system = solve_characters(ring)
     elif system.ring != ring:
         raise ValueError("the character system belongs to a different ring")
-    table = twist_table(max_twist_order)
-    values = [r.complex_approx() for r in table]
+    screen = _twist_screen(min(max_twist_order, TWIST_ORDER_BOUND))
+    table = screen.table
     chars = [[c.value_complex(j) for j in range(3)] for c in system.chars]
     witnesses: list[PremodularDatum] = []
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        for a, b in _scan_twist_grid(ring, chars[dims_index], chars, table, values, SCAN_TOL):
+        for a, b in _scan_twist_grid(ring, chars[dims_index], chars, screen, SCAN_TOL):
             datum = _certify_candidate(
                 ring, dims, dims_index, Twists.of(table[a], table[b]),
                 include_degenerate,
@@ -659,26 +661,53 @@ def twist_table(max_twist_order: int) -> list[RootOfUnity]:
     So a pair of the table has phi(lcm(q_1, q_2)) <= phi(q_1) phi(q_2) <= 144
     < EXACT_PHI_CAP, and orders above 42 add no root.
     """
-    order = min(max_twist_order, TWIST_ORDER_BOUND)
-    return [r for r in roots_of_unity_up_to(order) if euler_phi(r.q) <= TWIST_PHI_BOUND]
+    return list(_twist_screen(min(max_twist_order, TWIST_ORDER_BOUND)).table)
 
 
-def _scan_twist_grid(ring, d, chars, table, values, tol) -> list[tuple[int, int]]:
-    """The table's (theta_1, theta_2) index pairs, row-major, that pass
-    `_looks_admissible`; `d`, `chars` and `values` are the float values of
-    the dimensions, of every character and of the table."""
+class _TwistScreen(NamedTuple):
+    """A twist table with the float data the scan reads: the value of each
+    root, and the table by turn three times over (`by_turn`), with turns
+    shifted by -1, 0 and +1 (`turns`), so that an arc of width <= 1 around
+    a center in [0, 1] is one run of each list."""
+
+    table: tuple[RootOfUnity, ...]
+    values: tuple[complex, ...]
+    by_turn: tuple[int, ...]
+    turns: tuple[float, ...]
+
+
+@lru_cache(maxsize=None)
+def _twist_screen(order: int) -> _TwistScreen:
+    """The twist table of orders up to `order` <= TWIST_ORDER_BOUND and its
+    screen data, built on first use, once per order."""
+    table = tuple(r for r in roots_of_unity_up_to(order) if euler_phi(r.q) <= TWIST_PHI_BOUND)
+    by_turn = sorted(range(len(table)), key=lambda j: table[j].p / table[j].q) * 3
+    return _TwistScreen(
+        table,
+        tuple(r.complex_approx() for r in table),
+        tuple(by_turn),
+        tuple(table[j].p / table[j].q + n // len(table) - 1 for n, j in enumerate(by_turn)),
+    )
+
+
+def _scan_twist_grid(ring, d, chars, screen, tol) -> list[tuple[int, int]]:
+    """The index pairs (theta_1, theta_2) of `screen`'s table, row-major,
+    that pass `_looks_admissible`; `d` and `chars` are the float values of
+    the dimensions and of every character."""
+    values = screen.values
     rows = [[[d[i] * c[j] for j in range(3)] for c in chars] for i in range(3)]
-    found = _arc_candidates(ring, d, chars, table, values, tol)
+    found = _arc_candidates(ring, d, chars, screen, tol)
     return [
         (a, b) for (a, b), index in sorted(found.items())
         if _looks_admissible(ring, d, rows, index, values[a], values[b], tol)
     ]
 
 
-def _arc_candidates(ring, d, chars, table, values, tol) -> dict:
-    """Every table pair (a, b) whose pinning row i is within tol of d_i * chi
-    at both non-unit entries for some character chi, mapped to the first
-    such chi: a necessary part of `_looks_admissible`'s row test.
+def _arc_candidates(ring, d, chars, screen, tol) -> dict:
+    """Every pair (a, b) of `screen`'s table whose pinning row i is within
+    tol of d_i * chi at both non-unit entries for some character chi, mapped
+    to the first such chi: a necessary part of `_looks_admissible`'s row
+    test.
 
     Times the unit theta_i theta_e, entry e of row i is the balancing sum
     sum_k N[i*][e][k] theta_k d_k, so its test reads |k_e theta_o - r_e| <=
@@ -699,10 +728,7 @@ def _arc_candidates(ring, d, chars, table, values, tol) -> dict:
         return (n[o] * d[o], -target if e == o else 0,
                 target if e == i else 0, -n[i] * d[i], -n[0])
 
-    # The table by turn, three times over with turns shifted by -1, 0 and +1:
-    # an arc of width <= 1 around a center in [0, 1] is one run of each list.
-    order = sorted(range(len(table)), key=lambda j: table[j].p / table[j].q) * 3
-    turns = [table[j].p / table[j].q + n // len(table) - 1 for n, j in enumerate(order)]
+    values, by_turn, turns = screen.values, screen.by_turn, screen.turns
     found: dict = {}
     for index, chi in enumerate(chars):
         k, b, c, f, g = entry(pin, chi)
@@ -717,8 +743,8 @@ def _arc_candidates(ring, d, chars, table, values, tol) -> dict:
                 continue
             center = (cmath.phase(r) / (2 * math.pi) - turn) % 1.0
             other_k, other_r = k2 + b2 * t, (c2 * t + f2) * t + g2
-            for second in order[bisect.bisect_left(turns, center - half):
-                                bisect.bisect_right(turns, center + half)]:
+            for second in by_turn[bisect.bisect_left(turns, center - half):
+                                  bisect.bisect_right(turns, center + half)]:
                 s = values[second]
                 if abs(k * s - r) <= tol and abs(other_k * s - other_r) <= tol:
                     found.setdefault((first, second) if i == 1 else (second, first), index)
@@ -840,7 +866,8 @@ def landau_rule(dims: Character) -> FilterVerdict:
             raise ValueError("a nontrivial Z/3 character is not a dimension character")
         dx = dy = Fraction(1)
     else:
-        for value in (dims.x, dims.y):
+        for j in (1, 2):  # x first: an irrational x fails without locating y
+            value = dims.value(j)
             if not value.is_integer:
                 return _nonintegral_dimension(value)
         dx, dy = dims.x.rational_value, dims.y.rational_value

@@ -22,8 +22,8 @@ from rank3ribbon.exactnum import (
 )
 from rank3ribbon.exactnum import cos_minimal_poly, isolate_real_roots, roots_of_irreducible
 from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
-from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize
-from rank3ribbon.exactnum.realalg import cauchy_bound
+from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize, qscale
+from rank3ribbon.exactnum.realalg import cauchy_bound, from_poly_expr
 from rank3ribbon.fusion import (
     Rank3Params,
     StarViolation,
@@ -32,7 +32,13 @@ from rank3ribbon.fusion import (
     make_rank3_ring,
     make_z3_ring,
 )
-from rank3ribbon.premodular import _scaled_value
+from rank3ribbon.premodular import (
+    SCAN_TOL,
+    TWIST_ORDER_BOUND,
+    _scaled_value,
+    _scan_twist_grid,
+    _twist_screen,
+)
 
 
 def test_char_polys():
@@ -498,3 +504,89 @@ def test_values_from_given_polynomials_match_the_charpoly_route():
                 _assert_same_value(_scaled_value(v, scale), _reference_value(v, (0, scale)))
                 checked += 1
     assert checked > 1000
+
+
+def _exact_floats(params, c):
+    """The float values of character c on 1, X and Y, each the float of an
+    exact value.  With k >= 1 and x irrational, y = (x^2 - m x - 1)/k is
+    located here among the roots of char_poly_y, not read through `c.y`."""
+    if c.is_cyclotomic:
+        return [c.value(j).complex_approx() for j in range(3)]
+    k, _l, m, _n = params.as_tuple()
+    values = [c.value(0), c.x]
+    if k == 0 or c.x.is_rational:
+        values.append(c.y)
+    else:
+        y_expr = qscale((Fraction(-1), Fraction(-m), Fraction(1)), Fraction(1, k))
+        values.append(from_poly_expr(c.x, y_expr, char_poly_y(params)))
+    return [complex(float(v)) for v in values]
+
+
+def test_rep_floats_match_the_exact_values_bound_30():
+    """`value_complex` evaluates a rep at float(gen); on every character of
+    every ring up to bound 30, in both orientations, that is within
+    1e-12 * max(1, |v|) of the float of the exact value v."""
+    for canon in enumerate_star_solutions(30):
+        for params in (canon, canon.swapped()):
+            for c in solve_characters(make_rank3_ring(params)).chars:
+                for j, v in enumerate(_exact_floats(params, c)):
+                    assert abs(c.value_complex(j) - v) <= 1e-12 * max(1.0, abs(v)), (params, j)
+
+
+def test_scan_sees_no_difference_between_rep_and_exact_floats():
+    """On Z/3 and on every ring up to bound 10 in both orientations, the
+    scan keeps the same twist pairs at orders 16 and 60 whether it reads
+    the rep floats or the floats of the exact values."""
+    rings = [(make_z3_ring(), None)]
+    for canon in enumerate_star_solutions(10):
+        rings += [(make_rank3_ring(p), p) for p in (canon, canon.swapped())]
+    kept = 0
+    for ring, params in rings:
+        system = solve_characters(ring)
+        reps = [[c.value_complex(j) for j in range(3)] for c in system.chars]
+        exact = [_exact_floats(params, c) for c in system.chars]
+        for order in (16, 60):
+            screen = _twist_screen(min(order, TWIST_ORDER_BOUND))
+            for index, dims in enumerate(system.chars):
+                if not dims.nonzero():
+                    continue
+                pairs = _scan_twist_grid(ring, reps[index], reps, screen, SCAN_TOL)
+                assert pairs == _scan_twist_grid(ring, exact[index], exact, screen, SCAN_TOL), ring
+                kept += len(pairs)
+    assert kept > 0
+
+
+@pytest.mark.parametrize("params, tag", [
+    ((1, 2, 0, 4), GaloisType.S3),
+    ((1, 2, 1, 2), GaloisType.C2_MOVING_FP),
+])
+def test_solving_locates_no_y_value_until_it_is_read(monkeypatch, params, tag):
+    """Solving a ring with irrational x factors and isolates nothing on
+    char_poly_y; the first read of each irrational y-value locates it once,
+    and later reads keep it.  Calls are counted through every name a module
+    binds them to."""
+    import sys
+    from collections import Counter
+
+    params = Rank3Params(*params)
+    info = galois_type(params)
+    assert info.tag == tag
+    ypoly = char_poly_y(params)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name, args[-1]] += 1
+            return original(*args)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rank3ribbon") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counted("split_rational_roots", split_rational_roots)
+    counted("from_poly_expr", from_poly_expr)
+    system = solve_characters(make_rank3_ring(params), info)
+    assert [c.nonzero() for c in system.chars] == [True] * 3
+    assert calls["split_rational_roots", ypoly] == calls["from_poly_expr", ypoly] == 0
+    irrational = [c for c in system.chars if not c.x.is_rational]
+    assert [c.y for c in irrational] == [c.y for c in irrational]
+    assert calls["from_poly_expr", ypoly] == len(irrational) > 0

@@ -401,6 +401,45 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     assert rests == 56 and ypolys == 10
 
 
+def test_classify_all_locates_a_y_value_only_where_it_is_read(monkeypatch):
+    """An irrational y-value of a ring with k >= 1 is located as a root of
+    char_poly_y only on its first exact read.  Searching every ring up to
+    bound 10 at order 16 locates none: the screen reads floats of the
+    generator through the reps, and exact certification reads the reps.
+    Rendering the report reads the three characters of K(1,1,0,1), each the
+    dimensions of a witness, and locates each once however often it is
+    rendered.  Calls are counted through every name a module binds
+    `from_poly_expr` to."""
+    import sys
+    from collections import Counter
+
+    from rank3ribbon.characters import char_poly_y
+    from rank3ribbon.exactnum.realalg import from_poly_expr
+
+    calls = Counter()
+
+    def wrapper(alpha, expr, poly):
+        calls[poly] += 1
+        return from_poly_expr(alpha, expr, poly)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rank3ribbon") and vars(module).get("from_poly_expr") is from_poly_expr:
+            monkeypatch.setattr(module, "from_poly_expr", wrapper)
+    report = classify_all(10, max_twist_order=16, witness_all=True)
+    ypolys = {char_poly_y(r.params): r.params for r in report.rings if r.params is not None}
+
+    def located():
+        return Counter({ypolys[p]: n for p, n in calls.items() if p in ypolys})
+
+    assert located() == Counter()
+    rendered = json.dumps(report.to_json())
+    assert json.dumps(report.to_json()) == rendered
+    target = Rank3Params(1, 1, 0, 1)
+    (ring,) = [r for r in report.rings if r.params == target]
+    assert {w.dims_index for w in ring.witnesses} == {0, 1, 2}
+    assert located() == Counter({target: 3})
+
+
 def test_integer_galois_type_matches_solved_system_bound_30():
     """Oracle for triage from integers: on every ring up to bound 30 the
     verdicts read off char_poly_x equal the ones the solved characters give.

@@ -206,3 +206,19 @@ def test_every_number_exact_or_approx_labeled(capsys):
     witness = json.loads(out2)["witnesses"][0]
     assert witness["smatrix"]["entries"][0][0]["note"] == "approx"
     assert witness["twists"][2] == {"p": witness["twists"][2]["p"], "q": 16}
+
+
+def test_cli_import_does_no_exact_work():
+    """Importing the CLI builds no twist table and fills none of the
+    cyclotomic caches: each is built on first use."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import rank3ribbon.cli\n"
+        "from rank3ribbon import premodular\n"
+        "from rank3ribbon.exactnum import cyclotomic as c\n"
+        "caches = (premodular._twist_screen, c.cyclotomic_poly, c._cos_roots, c._power_basis, c._zeta_ball)\n"
+        "print([f.cache_info().currsize for f in caches])"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[0, 0, 0, 0, 0]"

@@ -32,6 +32,7 @@ from rank3ribbon.premodular import (
     ZeroDimension,
     _arc_candidates,
     _scan_twist_grid,
+    _twist_screen,
     build_s_matrix,
     euler_phi,
     nonmodular_filter,
@@ -416,15 +417,16 @@ def _assert_scan_matches_grid(ring, order):
     """The scan keeps exactly the grid survivors among the pairs of the
     twist table."""
     system = solve_characters(ring)
-    table = twist_table(order)
-    values = [r.complex_approx() for r in table]
+    screen = _twist_screen(min(order, premodular.TWIST_ORDER_BOUND))
+    table = screen.table
+    assert list(table) == twist_table(order)
     chars = _float_chars(system)
     survivors = []
     for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        expected = _grid_survivors(ring, system, dims, np.array(values))
-        assert _scan_twist_grid(ring, chars[index], chars, table, values, 1e-9) == expected
+        expected = _grid_survivors(ring, system, dims, np.array(screen.values))
+        assert _scan_twist_grid(ring, chars[index], chars, screen, 1e-9) == expected
         survivors.extend((table[a], table[b]) for a, b in expected)
     return survivors
 
@@ -455,8 +457,8 @@ def test_solved_candidates_cover_s12_window(ring, row, tol):
     row 2 on k = 0 rings.  Loose tolerances put many pairs near the arc
     edges."""
     system = solve_characters(ring)
-    table = twist_table(30)
-    values = [r.complex_approx() for r in table]
+    screen = _twist_screen(30)
+    values = screen.values
     t1, t2 = np.meshgrid(values, values, indexing="ij")
     theta = [np.ones_like(t1), t1, t2]
     N, dual = ring.N, ring.dual
@@ -475,7 +477,7 @@ def test_solved_candidates_cover_s12_window(ring, row, tol):
             near = (np.abs(S[1] - d[row] * chi[1]) <= tol) & (np.abs(S[2] - d[row] * chi[2]) <= tol)
             for pair in zip(*(axis.tolist() for axis in np.nonzero(near))):
                 first.setdefault(pair, c)
-        assert _arc_candidates(ring, d, chars, table, values, tol) == first
+        assert _arc_candidates(ring, d, chars, screen, tol) == first
 
 
 def test_solved_scan_covers_pinned_theta_1():
@@ -505,6 +507,33 @@ def test_twist_table_is_the_phi_at_most_12_roots():
     assert full == [r for r in roots_of_unity_up_to(42) if r.q in orders]
     assert twist_table(10**9) == full
     assert twist_table(16) == roots_of_unity_up_to(16)
+
+
+def test_one_twist_table_per_capped_order(monkeypatch):
+    """The table and its screen data are built once per capped order
+    min(N, 42), on first use: orders 60, 100 and 10**6 share one build,
+    orders 16 and 60 take two.  Calls are counted through every name a
+    module binds `roots_of_unity_up_to` to, from a cleared cache."""
+    import sys
+
+    calls = []
+
+    def wrapper(max_order):
+        calls.append(max_order)
+        return roots_of_unity_up_to(max_order)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rank3ribbon") and vars(module).get("roots_of_unity_up_to") is roots_of_unity_up_to:
+            monkeypatch.setattr(module, "roots_of_unity_up_to", wrapper)
+    ring = make_rank3_ring(Rank3Params(1, 1, 0, 1))
+    system = solve_characters(ring)
+    for orders, built in (((60, 100, 10**6), [42]), ((16, 60, 16), [16, 42])):
+        _twist_screen.cache_clear()
+        calls.clear()
+        for order in orders:
+            search_ribbon_data(ring, order, system=system)
+        assert calls == built
+    _twist_screen.cache_clear()
 
 
 def _theorem_rings():
