@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .characters import galois_type, solve_characters
 from .classify import (
@@ -62,7 +63,10 @@ def _check_twist_order(order: int) -> int:
     return order
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `run` of the process and
+    reused: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="rank3ribbon",
         description="Exact classification of rank-3 fusion rings with premodular data",
@@ -196,7 +200,7 @@ def _cmd_classify(args) -> tuple[object, str | None]:
         max_twist_order=_check_twist_order(args.max_twist_order),
         witness_all=args.witness_all,
     )
-    return report.to_json(), report.render_table()
+    return report.to_json(), report.render_table() if args.format == "table" else None
 
 
 def _cmd_audit(args) -> tuple[object, str | None]:

@@ -14,6 +14,11 @@ denominator, a product as an integer convolution folded back by a cached
 integer table of x^e mod Phi_n, and an inverse as an extended Euclid on
 integer vectors.  Ball enclosures (`CycloNum.ball`) sum the integer
 numerators against cached integer balls of the powers of zeta.
+
+`embed_real_algebraic` decides whether a real algebraic integer of degree
+at most 3 lies in Q(zeta_n), and if so names it as a CycloNum, once per
+(minimal polynomial, n): through the Gaussian periods of the real subfields
+of prime degree, with an exact check of every answer.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations, product
 
 from . import qpoly
 from .ball import ComplexBall
-from .intpoly import IntPoly
+from .intpoly import IntPoly, cubic_discriminant, is_perfect_square
 from .realalg import RealAlgebraic, roots_of_irreducible
 
 
@@ -411,7 +417,7 @@ def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
-_ZERO_BALL, _I = ComplexBall(0, 0), ComplexBall(0, 1)
+_ZERO_BALL, _ONE_BALL, _I = ComplexBall(0, 0), ComplexBall(1, 0), ComplexBall(0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -424,3 +430,198 @@ def lcm(*values: int) -> int:
     for v in values:
         out = out * v // math.gcd(out, v)
     return out
+
+
+def euler_phi(n: int) -> int:
+    """The degree phi(n) of Q(zeta_n), by trial division of n."""
+    out = n
+    p = 2
+    m = n
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Real algebraic numbers inside Q(zeta_n)
+# ---------------------------------------------------------------------------
+
+def embed_real_algebraic(alpha: RealAlgebraic, n: int) -> CycloNum | None:
+    """alpha as an element of Q(zeta_n), or None when the field does not
+    hold it; alpha is an algebraic integer of degree at most 3 with minimal
+    polynomial m.
+
+    So the minimal polynomial f of alpha over Q(zeta_n) is x - beta for an
+    answer beta, and m for None: a polynomial of degree <= 3 with no root in
+    a field is irreducible over it.  The answer is taken once per (m, n),
+    for every root of m at once (`_roots_in_cyclotomic_field`)."""
+    if alpha.is_rational:
+        return CycloNum.from_rational(n, alpha.rational_value)
+    roots = _roots_in_cyclotomic_field(alpha.minpoly, n)
+    return None if roots is None else roots[alpha.root_index]
+
+
+@lru_cache(maxsize=None)
+def _roots_in_cyclotomic_field(m: IntPoly, n: int) -> tuple[CycloNum, ...] | None:
+    """The real roots of the monic irreducible m of degree d in {2, 3} as
+    elements of Q(zeta_n), ascending, or None when Q(zeta_n) holds none.
+
+    K = Q(alpha) meets Q(zeta_n) in a field whose degree divides d and
+    phi(n), so K is outside it when gcd(d, phi(n)) = 1.  An S3 cubic (non-
+    square discriminant) is never inside: every subfield of Q(zeta_n) is
+    abelian.  Otherwise a real K of prime degree d inside Q(zeta_n) is the
+    fixed field of a subgroup H of index d of (Z/n)^x with -1 in H, and K =
+    Q(eta) for each irrational period eta of H (`_real_subfield_periods`).
+    With P the minimal polynomial of eta, disc(P) O_K lies in Z[eta], so
+    alpha = r(eta) for r in Q[x] of degree < d with integer coefficients
+    over disc(P) (`_integer_interpolant`).  Such an r is accepted only when
+    m(r(eta)) = 0 holds exactly; its values at the conjugates of eta are
+    then all the roots of m, put in order by certified balls.  Trying every
+    H is complete, so None is a proof that no root of m lies in Q(zeta_n).
+    """
+    d = m.degree
+    assert m.is_monic and d in (2, 3), "a monic generator of degree 2 or 3"
+    if math.gcd(d, euler_phi(n)) == 1:
+        return None
+    if d == 3 and not is_perfect_square(cubic_discriminant(m)):
+        return None
+    roots = roots_of_irreducible(m)  # all real: a C3 cubic or a real quadratic
+    for etas in _real_subfield_periods(n, d):
+        vandermonde = _product(a - b for a, b in combinations(etas, 2))
+        disc = (vandermonde * vandermonde).num[0]  # disc(P), an integer
+        for conjugates in permutations(roots):
+            ks = _integer_interpolant(etas, conjugates, disc)
+            if ks is None:
+                continue
+            betas = [_horner(ks, eta).scale(Fraction(1, disc)) for eta in etas]
+            if not _horner(m.coeffs, betas[0]):
+                return _ascending(betas)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _real_subfield_periods(n: int, d: int) -> tuple[tuple[CycloNum, ...], ...]:
+    """For each subgroup H of prime index d of (Z/n)^x with -1 in H: the d
+    conjugates eta_g = sum_{a in H} zeta_n^(a b g), one per coset gH (the
+    coset H first), of the first period with b = 1, 2, ... that is
+    irrational.  Periods are the traces of the zeta_n^b down to the fixed
+    field of H, so they span it and some b < phi(n) gives one; the field has
+    prime degree, so that period generates it.
+
+    Such an H contains M = <G^d, -1> for G = (Z/n)^x, and is a hyperplane of
+    the F_d-space G/M: each element of G gets its coordinates in G/M on a
+    basis of representatives, and each hyperplane is the kernel of one
+    functional, taken with leading coefficient 1."""
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    coords = {pow(a, d, n): () for a in units}
+    coords.update({n - a: () for a in list(coords)})
+    for g in units:
+        if g not in coords:
+            coords = {
+                a * pow(g, k, n) % n: c + (k,) for k in range(d) for a, c in coords.items()
+            }
+    rank = len(coords[1])
+    out = []
+    for f in product(range(d), repeat=rank):
+        if next((v for v in f if v), 0) != 1:
+            continue
+        level = {a: sum(x * y for x, y in zip(f, c)) % d for a, c in coords.items()}
+        subgroup = [a for a, v in level.items() if v == 0]
+        cosets = [min(a for a, v in level.items() if v == j) for j in range(d)]
+        for b in range(1, n):
+            etas = tuple(_period(n, subgroup, b * g) for g in cosets)
+            if len(etas[0].num) > 1:
+                out.append(etas)
+                break
+        else:
+            raise AssertionError("the periods span the fixed field of H")
+    return tuple(out)
+
+
+def _period(n: int, subgroup: list[int], b: int) -> CycloNum:
+    coeffs = [0] * n
+    for a in subgroup:
+        coeffs[a * b % n] += 1
+    return CycloNum(n, coeffs)
+
+
+def _horner(coeffs, x: CycloNum) -> CycloNum:
+    """The rational polynomial `coeffs` (lowest degree first) at x."""
+    acc = CycloNum.from_rational(x.n, 0)
+    for c in reversed(coeffs):
+        acc = acc * x + CycloNum.from_rational(x.n, c)
+    return acc
+
+
+def _product(values) -> CycloNum:
+    out = None
+    for v in values:
+        out = v if out is None else out * v
+    return out
+
+
+def _integer_interpolant(etas, conjugates, disc: int) -> list[int] | None:
+    """The integer coefficients of disc * r, for the r of degree < d with
+    r(eta_g) = conjugates[g], or None when one is not an integer.
+
+    disc * r(x) = sum_g conjugates[g] D_g W_g^2 prod_{h != g} (x - eta_h),
+    with D_g = prod_{h != g} (eta_g - eta_h) and W_g the Vandermonde product
+    of the other periods (disc = D_g^2 W_g^2), so the coefficients take no
+    division.  They are enclosed in balls at doubling precision until every
+    radius is below 1/4; then a coefficient is an integer only if its ball
+    holds the integer nearest its center."""
+    d = len(etas)
+    quarter = Fraction(1, 4)
+    prec = 96
+    while True:
+        eb = [e.ball(prec) for e in etas]
+        rb = [
+            ComplexBall.from_real_interval(*r.tree_interval(Fraction(1, 2**prec)))
+            for r in conjugates
+        ]
+        coeffs = [_ZERO_BALL] * d
+        for g in range(d):
+            others = [h for h in range(d) if h != g]
+            w = rb[g]
+            for h in others:
+                w = w * (eb[g] - eb[h])
+            for h1, h2 in combinations(others, 2):
+                diff = eb[h1] - eb[h2]
+                w = w * diff * diff
+            basis = [_ONE_BALL]
+            for h in others:  # times (x - eta_h)
+                shifted = [_ZERO_BALL, *basis]
+                scaled = [eb[h] * c for c in basis] + [_ZERO_BALL]
+                basis = [a - b for a, b in zip(shifted, scaled)]
+            for i, c in enumerate(basis):
+                coeffs[i] = coeffs[i] + w * c
+        if all(c.rad < quarter for c in coeffs):
+            break
+        prec *= 2
+    out = []
+    for c in coeffs:
+        k = round(c.re)
+        if abs(c.re - k) > c.rad:
+            return None
+        out.append(k)
+    return out
+
+
+def _ascending(values: list[CycloNum]) -> tuple[CycloNum, ...]:
+    """Distinct real values of Q(zeta_n) in ascending order, sorted once
+    their balls have pairwise disjoint real intervals."""
+    prec = 96
+    while True:
+        spans = sorted(
+            ((b.re - b.rad, b.re + b.rad), i)
+            for i, b in ((i, v.ball(prec)) for i, v in enumerate(values))
+        )
+        if all(a[0][1] < b[0][0] for a, b in zip(spans, spans[1:])):
+            return tuple(values[i] for _, i in spans)
+        prec *= 2

@@ -7,8 +7,7 @@ Fraction and serve polynomial algebra over Q: character expressions, and
 `charpoly` of the integer Casimir matrix of `fusion.global_fp_dim`, whose
 cubic locates the global dimension.  Division, gcd and
 `qmonic` work unchanged on any field whose elements support +, -, *,
-truthiness and `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)); run
-over CycloNum coefficients they decide the zero test of S-matrix entries.
+truthiness and `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)).
 Arithmetic inside Q(zeta_n) itself does not come here: CycloNum works on
 integer vectors (`cyclotomic.py`), and root isolation on integer polynomials
 (`realalg.sturm_chain`).

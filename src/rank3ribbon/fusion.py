@@ -197,16 +197,19 @@ def rank3_tensor(params: Rank3Params):
 
 
 def make_rank3_ring(params: Rank3Params) -> FusionRing:
-    """Self-dual rank-3 ring with basis {1, X, Y}; refuses star violations."""
+    """Self-dual rank-3 ring with basis {1, X, Y}; refuses star violations.
+
+    Every star solution satisfies the based-ring axioms: each associativity
+    defect of `rank3_tensor` is a fixed multiple in {0, +-1} of k^2 + l^2 -
+    lm - kn - 1, a polynomial identity that tests/test_fusion.py proves on
+    a grid of three points per parameter; unit, duality and involution hold
+    for every parameter tuple.  So nothing is checked at run time."""
     if not params.satisfies_star:
         raise StarViolation(
             f"{params.name()}: k^2+l^2 = {params.k**2 + params.l**2} != "
             f"lm+kn+1 = {params.l * params.m + params.k * params.n + 1}"
         )
-    ring = FusionRing(("1", "X", "Y"), (0, 1, 2), rank3_tensor(params), params)
-    report = ring.axiom_report()
-    assert report.all_ok, f"axiom failure for {params.name()}: {report.first_violation}"
-    return ring
+    return FusionRing(("1", "X", "Y"), (0, 1, 2), rank3_tensor(params), params)
 
 
 def make_z3_ring() -> FusionRing:

@@ -12,18 +12,20 @@ The twists of an admissible datum have orders q with phi(q) <= 12
 unity.  A floating screen proposes twist pairs from it: row i of S must be
 d_i times a character, so one row names the other twist (`_arc_candidates`),
 and each candidate gets the exact checks that can change its verdict
-(`_certify_candidate`); there is no approximate fallback.  Exact
-entries live in Q(zeta_n)[x]/(minimal polynomial of the character generator)
-as ExtNum polynomials whose coefficients are CycloNum integer vectors over
-one denominator, so building and checking a matrix runs on Python ints, and
-each product of the matrix, row and Frobenius-Schur checks is formed once
-per context.  A nonzero representative is a nonzero value when gcd(deg
-modulus, phi(n)) = 1 (the tensor ring is then a field); otherwise it is
-divided by a factor of the lifted modulus that the context learns with the
-gcd and division of `exactnum.qpoly`, run over CycloNum coefficients (see
-`ExactContext._is_zero`).  The rendered `approx` S-matrix is that certified
-exact matrix, each entry enclosed in a ball by the evaluator the zero test
-uses (`build_s_matrix`).  A witness is admitted only if its structure class
+(`_certify_candidate`); there is no approximate fallback.  Each candidate
+is checked in one field, Q(zeta_n)[x]/(f) with f the minimal polynomial of
+the character generator alpha over Q(zeta_n), decided once per (minimal
+polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`: f = x - beta
+when alpha = beta lies in Q(zeta_n), and every element is then one CycloNum
+(integer numerators over one denominator); f is alpha's minimal polynomial
+over Q otherwise, and elements are ExtNum polynomials with CycloNum
+coefficients.  Either way the ring is a field, so a zero test reads the
+representative (`ExactContext._is_zero`), building and checking a matrix
+runs on Python ints, and each product of the matrix, row and
+Frobenius-Schur checks is formed once per context.  The rendered `approx`
+S-matrix encloses each certified entry from its coefficients over alpha's
+minimal polynomial, sums of scaled roots of unity, by Horner's rule on balls
+(`build_s_matrix`).  A witness is admitted only if its structure class
 passes the corresponding consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
@@ -55,13 +57,12 @@ from typing import NamedTuple, Optional
 
 from .characters import Character, CharacterSystem, GaloisInfo, galois_type, solve_characters
 from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
-from .exactnum.cyclotomic import roots_of_unity_up_to
-from .exactnum.qpoly import QPoly, qdivmod, qgcd
+from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to
+from .exactnum.qpoly import QPoly, qconst
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
 SMATRIX_PRECISION_BITS = 128  # radius bound 2^-bits of the rendered approx S-matrix
-PRECISION_CAP_BITS = 4096  # ball precision cap before declaring Undecidable
 LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
 
 
@@ -70,8 +71,7 @@ class ZeroDimension(ValueError):
 
 
 class Undecidable(RuntimeError):
-    """No exact certificate within the caps: the cyclotomic field is too large
-    or a zero test did not separate at the precision cap."""
+    """No exact certificate within the cap: the cyclotomic field is too large."""
 
 
 class StructureClass(enum.Enum):
@@ -175,17 +175,14 @@ class PremodularDatum:
 
 
 # ---------------------------------------------------------------------------
-# Exact entries over Q(zeta_N) extended by the character field
+# Exact entries in one field: Q(zeta_n), or Q(zeta_n)[x]/(m)
 # ---------------------------------------------------------------------------
 
 class ExtNum:
-    """Element of Q(zeta_n)[x]/(modulus), the exact house for S-matrix entries.
-
-    `modulus` is the (monic) minimal polynomial of the character generator:
-    x for the generator 0 of rational and Z/3 dimensions, since
-    Q(zeta_n)[x]/(x) = Q(zeta_n).  `coeffs` holds exactly deg(modulus)
-    CycloNum coefficients.
-    """
+    """Element of Q(zeta_n)[x]/(modulus) for a generator whose minimal
+    polynomial `modulus` (monic, of degree >= 2) stays irreducible over
+    Q(zeta_n), so that the ring is a field.  `coeffs` holds exactly
+    deg(modulus) CycloNum coefficients."""
 
     __slots__ = ("n", "modulus", "coeffs")
 
@@ -203,20 +200,6 @@ class ExtNum:
         elif len(coeffs) < deg:
             coeffs = tuple(coeffs) + (CycloNum.from_rational(n, 0),) * (deg - len(coeffs))
         self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def from_cyclo(n: int, modulus: QPoly, c: CycloNum) -> "ExtNum":
-        return ExtNum(n, modulus, (c,))
-
-    @staticmethod
-    def from_rational(n: int, modulus: QPoly, value) -> "ExtNum":
-        return ExtNum(n, modulus, (CycloNum.from_rational(n, value),))
-
-    @staticmethod
-    def from_gen_poly(n: int, modulus: QPoly, rep: QPoly) -> "ExtNum":
-        return ExtNum(
-            n, modulus, tuple(CycloNum.from_rational(n, c) for c in rep)
-        )
 
     def _with(self, coeffs) -> "ExtNum":
         """A sibling with the same field and `coeffs` already of full length."""
@@ -236,7 +219,10 @@ class ExtNum:
     def scale(self, r) -> "ExtNum":
         return self._with(a.scale(r) for a in self.coeffs)
 
-    def __mul__(self, other: "ExtNum") -> "ExtNum":
+    def __mul__(self, other) -> "ExtNum":
+        """The product with an ExtNum, or with a CycloNum coefficient-wise."""
+        if isinstance(other, CycloNum):
+            return self._with(a * other for a in self.coeffs)
         deg = len(self.modulus) - 1
         prod: list = [None] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
@@ -258,20 +244,25 @@ class ExtNum:
         zero = CycloNum.from_rational(self.n, 0)
         return self._with(zero if c is None else c for c in prod[:deg])
 
-    @property
-    def is_zero_in_tensor_ring(self) -> bool:
-        """Zero on the nose in Q(zeta_n)[x]/(modulus).  Sufficient but not
-        necessary for the value to vanish: the character field may meet the
-        cyclotomic field (e.g. sqrt(2) lies in the 8th cyclotomic field), so a
-        vanishing value can have a nonzero tensor representative."""
-        return all(c.is_zero for c in self.coeffs)
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def __hash__(self):
         raise TypeError("ExtNum is unhashable")
 
 
 class ExactContext:
-    """Exact S-matrix entries for one (ring, dims, twists) datum.
+    """Exact S-matrix entries for one (ring, dims, twists) datum, in one
+    field F = Q(zeta_n)[x]/(f), f the minimal polynomial of the character
+    generator alpha over Q(zeta_n) (`embed_real_algebraic`):
+
+    - f = x - beta when alpha = beta lies in Q(zeta_n).  Then F = Q(zeta_n)
+      and every element is one CycloNum: so for rational and Z/3 dimensions
+      (generator 0), sqrt(2) = zeta_8 + zeta_8^-1 at n = 16 and 2cos(pi/7) =
+      -(zeta_7^3 + zeta_7^4) at n = 7.
+    - f = m, the minimal polynomial over Q, otherwise; elements are ExtNum.
+    Either way F is a field and a value is zero exactly when its
+    representative is (`_is_zero`).
 
     Raises Undecidable, before any arithmetic table is built, when the
     ambient cyclotomic degree phi(n) exceeds EXACT_PHI_CAP.
@@ -287,39 +278,45 @@ class ExactContext:
                 f"beyond the exact cap {EXACT_PHI_CAP}"
             )
         # Rational and Z/3 dimensions have no generator of their own: they take
-        # 0, whose monic minimal polynomial x is the modulus.
+        # 0, whose minimal polynomial x is the modulus.  Every generator is a
+        # root of a monic integer cubic, so its minimal polynomial is monic.
         gen = dims.gen or RealAlgebraic.from_rational(0)
         self.gen = gen
-        self.modulus = tuple(Fraction(c, gen.minpoly.leading) for c in gen.minpoly.coeffs)
-        # The modulus over Q(zeta_n), for the gcd of the zero test.
-        self.cyclo_modulus = tuple(CycloNum.from_rational(n, c) for c in self.modulus)
+        self.modulus = tuple(Fraction(c) for c in gen.minpoly.coeffs)
+        self.beta = embed_real_algebraic(gen, n)
         self.ring = ring
         self.dims = dims
         self.twists = twists
+        # d_j = rep_j(alpha) * root_j: the reps over the modulus, and a root
+        # of unity that is not 1 only for Z/3 dimensions.
+        one = RootOfUnity.one()
+        if dims.is_cyclotomic:
+            self._dim_terms = ((qconst(1), one), (qconst(1), dims.x), (qconst(1), dims.y))
+        else:
+            self._dim_terms = ((qconst(1), one), (dims.x_rep, one), (dims.y_rep, one))
+        zero = CycloNum.from_rational(n, 0)
+        self.zero = zero if self.beta is not None else ExtNum(n, self.modulus, (zero,))
         self.d = [self._dim_value(j) for j in range(3)]
-        # A monic factor of cyclo_modulus that has alpha as a root; zero tests
-        # shrink it towards alpha's minimal polynomial over Q(zeta_n).
-        self.alpha_factor = self.cyclo_modulus
-        # The field-degree rule of `_is_zero`: Q(zeta_n)[x]/(modulus) is a field.
-        self.tensor_is_field = math.gcd(len(self.modulus) - 1, self.phi_degree) == 1
+        self._gen_balls: dict[int, ComplexBall] = {}
 
-    def _dim_value(self, j: int) -> ExtNum:
-        if j == 0:
-            return ExtNum.from_rational(self.n, self.modulus, 1)
-        if self.dims.is_cyclotomic:
-            root = self.dims.x if j == 1 else self.dims.y
-            return ExtNum.from_cyclo(self.n, self.modulus, CycloNum.from_root(root, self.n))
-        rep = self.dims.x_rep if j == 1 else self.dims.y_rep
-        return ExtNum.from_gen_poly(self.n, self.modulus, rep)
+    def _dim_value(self, j: int):
+        rep, root = self._dim_terms[j]
+        z = CycloNum.from_root(root, self.n)
+        if self.beta is None:
+            return ExtNum(self.n, self.modulus, tuple(z.scale(c) for c in rep))
+        acc = CycloNum.from_rational(self.n, 0)
+        for c in reversed(rep):
+            acc = acc * self.beta + z.scale(c)
+        return acc
 
-    def _times_root(self, x: ExtNum, r: RootOfUnity) -> ExtNum:
+    def _times_root(self, x, r: RootOfUnity):
         """x * r for a root of unity r, with no product when r = 1."""
         if r.is_one:
             return x
-        return x * ExtNum.from_cyclo(self.n, self.modulus, CycloNum.from_root(r, self.n))
+        return x * CycloNum.from_root(r, self.n)
 
     @cached_property
-    def entries(self) -> list[list[ExtNum]]:
+    def entries(self) -> list[list]:
         """The exact S-matrix, built on first use: a candidate rejected by its
         Frobenius-Schur indicators never needs it.
 
@@ -333,7 +330,7 @@ class ExactContext:
         for i in range(3):
             row = []
             for j in range(3):
-                acc = ExtNum.from_rational(self.n, self.modulus, 0)
+                acc = self.zero
                 for k in range(3):
                     coef = N[dual[i]][j][k]
                     if coef:
@@ -343,7 +340,7 @@ class ExactContext:
         return out
 
     @cached_property
-    def dim_products(self) -> list[list[ExtNum]]:
+    def dim_products(self) -> list[list]:
         """d_i * d_j, each product formed once (d_0 = 1 adds none)."""
         d = self.d
         out = [list(d), [d[1], None, None], [d[2], None, None]]
@@ -351,65 +348,42 @@ class ExactContext:
             out[i][j] = out[j][i] = d[i] * d[j]
         return out
 
-    # -- faithful zero test --------------------------------------------------
+    def _is_zero(self, elem) -> bool:
+        """Whether the value vanishes: the context's ring is a field, so this
+        is whether the representative is zero."""
+        return not elem
 
-    def _is_zero(self, elem: ExtNum) -> bool:
-        """Whether the represented value vanishes in the actual number field.
+    # -- rendering ----------------------------------------------------------
 
-        The value is g(alpha) for the representative g over Q(zeta_n), where
-        alpha is the character generator, a simple root of the modulus m of
-        degree d.  A representative that is zero in Q(zeta_n)[x]/(m) is a zero
-        value.  A nonzero one may still vanish when the character field K =
-        Q(alpha) meets the cyclotomic one (sqrt(2) lies in Q(zeta_8)), and is
-        tested in two steps.
-
-        Field-degree rule: Q(zeta_n) is Galois over Q, so [K(zeta_n) :
-        Q(zeta_n)] = [K : K meet Q(zeta_n)], and the degree of K meet Q(zeta_n)
-        divides both d and phi(n).  When gcd(d, phi(n)) = 1 the intersection
-        is Q, m stays irreducible over Q(zeta_n), the tensor ring is a field,
-        and a nonzero representative is a nonzero value: no gcd is needed.
-
-        Learned factor: otherwise the context keeps `alpha_factor`, a monic
-        factor f of m over Q(zeta_n) with f(alpha) = 0, starting at m.  With
-        r = g mod f, g(alpha) = r(alpha): r = 0 means zero and a nonzero
-        constant r means nonzero.  Else alpha is a root of exactly one of h =
-        gcd(r, f) and f/h (f divides the squarefree m), and certified
-        enclosures of the two factors at alpha decide which: exactly one
-        separates from zero.  The factor that vanishes at alpha replaces f.
-        f only shrinks, so after a few splits it is alpha's minimal polynomial
-        over Q(zeta_n) and each test is one division.
-        """
-        if elem.is_zero_in_tensor_ring:
-            return True
-        if self.tensor_is_field:
-            return False
-        f = self.alpha_factor
-        _, r = qdivmod(elem.coeffs, f)
-        if len(r) <= 1:
-            return not r
-        h = qgcd(r, f)
-        if len(h) <= 1:
-            return False
-        h2, rem = qdivmod(f, h)
-        assert not rem, "the gcd must divide the factor"
-        prec = 96
-        while prec <= PRECISION_CAP_BITS:
-            if self._eval_ball_at_gen(h, prec).definitely_nonzero():
-                self.alpha_factor = h2
-                return False
-            if self._eval_ball_at_gen(h2, prec).definitely_nonzero():
-                self.alpha_factor = h
-                return True
-            prec *= 2
-        raise Undecidable("zero test did not separate at the precision cap")
+    def entry_coeffs(self, i: int, j: int) -> tuple[CycloNum, ...]:
+        """The coefficients of S[i][j] over the modulus in alpha:
+        sum_k N[i*][j][k] rep_k[t] root_k theta_k (theta_i theta_j)^-1 for
+        t < deg(modulus), each a sum of scaled roots of unity, so no product
+        is formed."""
+        n, N, dual = self.n, self.ring.N, self.ring.dual
+        theta = self.twists.theta
+        shift = (theta[i] * theta[j]).inverse()
+        out = [CycloNum.from_rational(n, 0)] * (len(self.modulus) - 1)
+        for k, (rep, root) in enumerate(self._dim_terms):
+            coef = N[dual[i]][j][k]
+            if coef:
+                z = CycloNum.from_root(root * theta[k] * shift, n)
+                for t, c in enumerate(rep):
+                    if c:
+                        out[t] = out[t] + z.scale(coef * c)
+        return tuple(out)
 
     def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
         """Certified ball around poly(alpha) for CycloNum coefficients, each
         enclosed at `prec` bits, and alpha enclosed by the node of its
-        bisection tree at width 2^-prec; at the generator 0, poly is one
-        coefficient and the ball is exactly its own.  The ball does not depend
-        on how far alpha was refined before."""
-        ab = ComplexBall.from_real_interval(*self.gen.tree_interval(Fraction(1, 2**prec)))
+        bisection tree at width 2^-prec, formed once per precision; at the
+        generator 0, poly is one coefficient and the ball is exactly its own.
+        The ball does not depend on how far alpha was refined before."""
+        ab = self._gen_balls.get(prec)
+        if ab is None:
+            ab = self._gen_balls[prec] = ComplexBall.from_real_interval(
+                *self.gen.tree_interval(Fraction(1, 2**prec))
+            )
         acc = ComplexBall.from_rational(0)
         for c in reversed(poly):
             acc = acc * ab + c.ball(prec)
@@ -439,7 +413,7 @@ class ExactContext:
                 return False
             basis = [self.dim_products[i][i]] + [di * e[k] if i else e[k] for k in (1, 2)]
             for a, b in ((1, 1), (1, 2), (2, 2)):
-                rhs = ExtNum.from_rational(self.n, self.modulus, 0)
+                rhs = self.zero
                 for k in range(3):
                     if N[a][b][k]:
                         rhs = rhs + basis[k].scale(N[a][b][k])
@@ -447,7 +421,7 @@ class ExactContext:
                     return False
         return True
 
-    def det(self) -> ExtNum:
+    def det(self):
         e = self.entries
 
         def minor(r1, r2, c1, c2):
@@ -479,19 +453,19 @@ class ExactContext:
 
     # -- second Frobenius-Schur indicators ---------------------------------
 
-    def global_dim_sq(self) -> ExtNum:
-        acc = ExtNum.from_rational(self.n, self.modulus, 0)
+    def global_dim_sq(self):
+        acc = self.zero
         for j in range(3):
             acc = acc + self.dim_products[j][j]
         return acc
 
-    def fs_indicator_sums(self) -> list[ExtNum]:
+    def fs_indicator_sums(self) -> list:
         """A_k = sum_{i,j} N[i][j][k] d_i d_j (theta_i / theta_j)^2 for each k;
         an admissible modular datum has A_k = nu_k * D^2 with nu_k in {0,+-1}.
         Each term d_i d_j (theta_i / theta_j)^2 is formed once per (i, j) with
         a nonzero N[i][j], and not multiplied out when the ratio is 1."""
         theta = self.twists.theta
-        out = [ExtNum.from_rational(self.n, self.modulus, 0) for _ in range(3)]
+        out = [self.zero] * 3
         for i in range(3):
             for j in range(3):
                 coefs = self.ring.N[i][j]
@@ -527,21 +501,6 @@ class ExactContext:
         return out
 
 
-def euler_phi(n: int) -> int:
-    out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 def ambient_cyclotomic_order(dims: Character, twists: Twists) -> int:
     n = lcm(*(t.q for t in twists.theta))
     if dims.is_cyclotomic:
@@ -555,19 +514,21 @@ def ambient_cyclotomic_order(dims: Character, twists: Twists) -> int:
 
 def build_s_matrix(ctx: ExactContext) -> SMatrix:
     """The context's exact S-matrix rendered for output: each entry as a ball
-    of radius at most 2^-SMATRIX_PRECISION_BITS around its value, exactly 0
-    when its representative is zero."""
+    of radius at most 2^-SMATRIX_PRECISION_BITS around its value, from its
+    coefficients over the modulus in alpha (`ExactContext.entry_coeffs`) by
+    Horner's rule on balls; exactly 0 when those coefficients are zero."""
     if not ctx.dims.nonzero():
         raise ZeroDimension("candidate dimensions contain an exact zero")
     limit = Fraction(1, 2**SMATRIX_PRECISION_BITS)
 
-    def ball(entry: ExtNum) -> ComplexBall:
+    def ball(i: int, j: int) -> ComplexBall:
+        coeffs = ctx.entry_coeffs(i, j)
         prec = SMATRIX_PRECISION_BITS + 16
-        while (out := ctx._eval_ball_at_gen(entry.coeffs, prec)).rad > limit:
+        while (out := ctx._eval_ball_at_gen(coeffs, prec)).rad > limit:
             prec *= 2
         return out
 
-    entries = tuple(tuple(ball(e) for e in row) for row in ctx.entries)
+    entries = tuple(tuple(ball(i, j) for j in range(3)) for i in range(3))
     return SMatrix(entries, SMATRIX_PRECISION_BITS)
 
 
@@ -610,10 +571,12 @@ def search_ribbon_data(
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        for a, b in _scan_twist_grid(ring, chars[dims_index], chars, screen, SCAN_TOL):
+        pairs = _scan_twist_grid(ring, chars[dims_index], chars, screen, SCAN_TOL)
+        landau = landau_rule(dims) if dims_index == 0 and pairs else None
+        for a, b in pairs:
             datum = _certify_candidate(
                 ring, dims, dims_index, Twists.of(table[a], table[b]),
-                include_degenerate,
+                include_degenerate, landau,
             )
             if datum is not None:
                 witnesses.append(datum)
@@ -796,12 +759,13 @@ def _looks_admissible(ring, d, rows, index, t1, t2, tol) -> bool:
     return True
 
 
-def _certify_candidate(ring, dims, dims_index, twists,
-                       include_degenerate) -> Optional[PremodularDatum]:
+def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
+                       landau: FilterVerdict | None) -> Optional[PremodularDatum]:
     """Exact verification and class-consistency rules for one scan survivor.
 
-    The symmetric rule holds when the dimensions are the dimension character
-    (index 0) and `landau_rule` passes on them.  When it fails:
+    `landau` is `landau_rule(dims)` when the dimensions are the dimension
+    character (index 0), taken once per search, and None otherwise.  The
+    symmetric rule holds when it passes.  When it does not:
 
     - with every twist 1, S[i][j] = d_i* d_j, so the datum is Symmetric if
       it is anything and the rule rejects it: no exact context is built;
@@ -811,7 +775,6 @@ def _certify_candidate(ring, dims, dims_index, twists,
       candidate before its S-matrix is built.
 
     The verdict is the one the full check order gives."""
-    landau = landau_rule(dims) if dims_index == 0 else None
     sym_ok = landau is not None and landau.passed
     if not sym_ok and all(t.is_one for t in twists.theta):
         return None

@@ -72,6 +72,38 @@ def test_check_axioms_duality_failure():
     assert not report.duality_ok
 
 
+def test_rank3_tensor_satisfies_the_axioms_for_every_star_solution():
+    """The proof that `make_rank3_ring` needs no run-time axiom check.
+
+    Every entry of `rank3_tensor` has degree <= 1 in each of k, l, m, n, so
+    an associativity defect sum_t N[i][j][t] N[t][k][s] - sum_t N[j][k][t]
+    N[i][t][s] has degree <= 2 in each, as does star = k^2 + l^2 - lm - kn
+    - 1.  Two such polynomials that agree on the grid {0,1,2}^4, three
+    points per variable, are equal.  On the grid each defect is c * star
+    for one c in {0, +-1} per index tuple, so that identity holds for all
+    parameters, and every star solution is associative.  Unit, duality and
+    involution compare entries of degree <= 1 with constants or with each
+    other, so holding on the grid they hold for every parameter tuple."""
+    grid = list(product(range(3), repeat=4))
+    factors: dict = {}
+    for k, l, m, n in grid:
+        N = rank3_tensor(Rank3Params(k, l, m, n))
+        report = check_based_axioms(N, (0, 1, 2))
+        assert report.unit_ok and report.duality_ok and report.involution_ok
+        star = k * k + l * l - l * m - k * n - 1
+        for i, j, a, s in product(range(3), repeat=4):
+            lhs = sum(N[i][j][t] * N[t][a][s] for t in range(3))
+            rhs = sum(N[j][a][t] * N[i][t][s] for t in range(3))
+            if star:
+                assert (lhs - rhs) % star == 0
+                factors.setdefault((i, j, a, s), set()).add((lhs - rhs) // star)
+            else:
+                assert lhs == rhs
+    assert len(factors) == 3**4
+    assert all(len(c) == 1 and c <= {0, 1, -1} for c in factors.values())
+    assert {c for cs in factors.values() for c in cs} == {0, 1, -1}
+
+
 def test_star_iff_associativity_exhaustive():
     """For all parameters <= 10 the multiplication table is associative
     exactly when the star constraint holds."""

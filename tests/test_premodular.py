@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 
 from rank3ribbon import premodular
-from rank3ribbon.characters import solve_characters
+from rank3ribbon.characters import char_poly_x, solve_characters
 from rank3ribbon.classify import classify_all, enumerate_star_solutions
-from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity
+from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity, cubic_discriminant
+from rank3ribbon.exactnum import cyclotomic
 from rank3ribbon.exactnum.cyclotomic import (
     _fold_rows,
     _power_basis,
     _zeta_ball,
     cyclotomic_poly,
+    embed_real_algebraic,
     root_of_unity_value,
     roots_of_unity_up_to,
     two_cos,
 )
 from rank3ribbon.exactnum.qpoly import qdivmod, qgcd, qtrim
+from rank3ribbon.exactnum.realalg import roots_of_irreducible
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
-    PRECISION_CAP_BITS,
     ExactContext,
     ExtNum,
     StructureClass,
@@ -215,38 +217,40 @@ def test_corrupted_matrix_fails_row_check(ising):
 
 def test_is_zero_sees_through_the_tensor_ring(ising):
     """sqrt(2) = zeta_8 + zeta_8^-1 lies in Q(zeta_8), so x - (zeta_8 +
-    zeta_8^-1) is nonzero in Q(zeta_8)[x]/(x^2 - 2) but vanishes at the
-    generator x = sqrt(2); x + (zeta_8 + zeta_8^-1) is 2*sqrt(2) there."""
+    zeta_8^-1) would be nonzero in Q(zeta_8)[x]/(x^2 - 2) but vanishes at the
+    generator x = sqrt(2).  The context computes in Q(zeta_8) itself, with
+    d_2 = zeta_8 + zeta_8^-1, so that value is the zero element; d_2 +
+    zeta_8 + zeta_8^-1 = 2 sqrt(2) is not."""
     ring, system = ising
     tw = Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8))
     ctx = ExactContext(ring, system.chars[0], tw)
     assert ctx.n == 8 and ctx.gen.minpoly == IntPoly((-2, 0, 1)) and ctx.gen > 0
     s = CycloNum.from_root(RootOfUnity.make(1, 8), 8) + CycloNum.from_root(RootOfUnity.make(7, 8), 8)
-    one = CycloNum.from_rational(8, 1)
-    vanishing = ExtNum(8, ctx.modulus, (-s, one))
-    assert not vanishing.is_zero_in_tensor_ring
-    assert ctx._is_zero(vanishing)
-    assert not ctx._is_zero(ExtNum(8, ctx.modulus, (s, one)))
+    assert ctx.beta == s and ctx.d[2] == s
+    assert ctx._is_zero(ctx.d[2] - s)
+    assert not ctx._is_zero(ctx.d[2] + s)
 
 
-def test_extnum_rejects_an_unreduced_representative(ising, rep_s3):
+def test_extnum_rejects_an_unreduced_representative(rep_s3):
     """Coefficients beyond the modulus degree must be zero: a nonzero one
     would be dropped silently, changing the value."""
-    ring, system = ising
-    ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8)))
+    modulus = (Fraction(-2), Fraction(0), Fraction(1))
     zero, one = CycloNum.from_rational(8, 0), CycloNum.from_rational(8, 1)
-    assert ExtNum(8, ctx.modulus, (one, one, zero)).coeffs == (one, one)
-    assert ExtNum(8, ctx.modulus, (one,)).coeffs == (one, zero)
+    assert ExtNum(8, modulus, (one, one, zero)).coeffs == (one, one)
+    assert ExtNum(8, modulus, (one,)).coeffs == (one, zero)
     with pytest.raises(ValueError, match="not reduced"):
-        ExtNum(8, ctx.modulus, (one, zero, one))
+        ExtNum(8, modulus, (one, zero, one))
     # Rational and Z/3 dimensions have the generator 0 and the degree-1
-    # modulus x; their balls are those of the single coefficient.
+    # modulus x, so the context computes in Q(zeta_n); their balls are those
+    # of the single coefficient.
     s3_ring, s3_system = rep_s3
     z3 = make_z3_ring()
     for ring, dims in ((s3_ring, s3_system.chars[0]), (z3, solve_characters(z3).chars[0])):
         rational = ExactContext(ring, dims, Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8)))
-        assert rational.modulus == (0, 1) and rational.gen == 0 and rational.tensor_is_field
-        for c in (rational.d[1].coeffs[0], CycloNum.from_root(RootOfUnity.make(1, rational.n), rational.n)):
+        assert rational.modulus == (0, 1) and rational.gen == 0
+        assert rational.beta == CycloNum.from_rational(rational.n, 0)
+        assert all(isinstance(d, CycloNum) for d in rational.d)
+        for c in (rational.d[1], CycloNum.from_root(RootOfUnity.make(1, rational.n), rational.n)):
             ball, expected = rational._eval_ball_at_gen((c,), 96), c.ball(96)
             assert (ball.re, ball.im, ball.rad) == (expected.re, expected.im, expected.rad)
         with pytest.raises(ValueError, match="not reduced"):
@@ -560,7 +564,8 @@ def test_full_grid_certifies_nothing_outside_the_twist_table(ring):
             continue
         for a, b in _grid_survivors(ring, system, dims, values):
             datum = premodular._certify_candidate(
-                ring, dims, index, Twists.of(roots[a], roots[b]), True
+                ring, dims, index, Twists.of(roots[a], roots[b]), True,
+                premodular.landau_rule(dims) if index == 0 else None,
             )
             if datum is not None:
                 certified.append(datum)
@@ -655,16 +660,21 @@ def test_nonmodular_filter_large_n_fails():
 # exact certification: zero-test and check-order oracles
 # ---------------------------------------------------------------------------
 
+ORACLE_PRECISION_CAP = 4096  # the reference zero test gives up beyond this
+
+
 def _full_modulus_is_zero(ctx, elem):
-    """Reference zero test with no learned state: gcd of the representative
-    with the whole lifted modulus, then certified separation of the two
-    complementary factors at the generator."""
-    if elem.is_zero_in_tensor_ring:
+    """Reference zero test in Q(zeta_n)[x]/(m), with no learned state: gcd of
+    the representative with the whole lifted modulus m, then certified
+    separation of the two complementary factors at the generator."""
+    if not isinstance(elem, ExtNum):  # the generator is rational
+        return not elem
+    if not elem:
         return True
     g = qtrim(elem.coeffs)
     if len(g) == 1:
         return False
-    m = ctx.cyclo_modulus
+    m = tuple(CycloNum.from_rational(ctx.n, c) for c in ctx.modulus)
     h = qgcd(g, m)
     if len(h) <= 1:
         return False
@@ -673,7 +683,7 @@ def _full_modulus_is_zero(ctx, elem):
     h2, rem = qdivmod(m, h)
     assert not rem
     prec = 96
-    while prec <= PRECISION_CAP_BITS:
+    while prec <= ORACLE_PRECISION_CAP:
         if ctx._eval_ball_at_gen(h, prec).definitely_nonzero():
             return False
         if ctx._eval_ball_at_gen(h2, prec).definitely_nonzero():
@@ -682,113 +692,188 @@ def _full_modulus_is_zero(ctx, elem):
     raise Undecidable("reference zero test did not separate")
 
 
+def _tensor_ring_context(ring, dims, twists):
+    """The context with its generator left out of Q(zeta_n): it computes in
+    Q(zeta_n)[x]/(m), where a nonzero representative can be a zero value."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(premodular, "embed_real_algebraic", lambda alpha, n: (
+            CycloNum.from_rational(n, alpha.rational_value) if alpha.is_rational else None
+        ))
+        return ExactContext(ring, dims, twists)
+
+
+ZERO_TESTING_CHECKS = (
+    "fs_indicators", "is_symmetric", "unit_row_ok", "rows_are_characters", "structure_class",
+)
+
+
 def test_zero_test_matches_full_modulus_reference(monkeypatch):
-    """Every zero test of a witness-all classification at bound 10 and of the
-    K(1,1,0,1) search at order 100 agrees with the full-modulus reference,
-    including tests decided by the field-degree rule or a learned factor."""
-    original = ExactContext._is_zero
-    calls = []
+    """Every check of a witness-all classification at bound 10 and of the
+    K(0,1,0,0) and K(1,1,0,1) searches at orders 100 and 240 gives the
+    verdict, zero test by zero test, that the same check gives in the tensor
+    ring Q(zeta_n)[x]/(m) under the gcd+ball reference zero test."""
+    outcomes = []
 
-    def checked(self, elem):
-        got = original(self, elem)
-        calls.append((got, _full_modulus_is_zero(self, elem), elem.is_zero_in_tensor_ring))
-        return got
+    def logged(log, value):
+        log.append(value)
+        return value
 
-    monkeypatch.setattr(ExactContext, "_is_zero", checked)
+    def wrap(name):
+        original = getattr(ExactContext, name)
+
+        def checked(self):
+            shadow = _tensor_ring_context(self.ring, self.dims, self.twists)
+            got_log, ref_log, representatives = [], [], []
+            is_zero = self._is_zero
+
+            def reference(elem):
+                representatives.append(bool(elem))
+                return logged(ref_log, _full_modulus_is_zero(shadow, elem))
+
+            self._is_zero = lambda elem: logged(got_log, is_zero(elem))
+            shadow._is_zero = reference
+            try:
+                got = original(self)
+            finally:
+                del self._is_zero
+            assert original(shadow) == got and got_log == ref_log, (name, self.n, self.twists)
+            outcomes.extend(zip(got_log, representatives))
+            return got
+
+        monkeypatch.setattr(ExactContext, name, checked)
+
+    for name in ZERO_TESTING_CHECKS:
+        wrap(name)
     classify_all(10, witness_all=True, max_twist_order=16)
-    search_ribbon_data(make_rank3_ring(Rank3Params(1, 1, 0, 1)), 100)
-    assert all(got == ref for got, ref, _ in calls)
+    for params in (Rank3Params(0, 1, 0, 0), Rank3Params(1, 1, 0, 1)):
+        for order in (100, 240):
+            search_ribbon_data(make_rank3_ring(params), order, include_degenerate=True)
     # Not vacuous: some values vanish with a nonzero tensor representative.
-    assert any(got and not tensor_zero for got, _, tensor_zero in calls)
+    assert any(zero and nonzero for zero, nonzero in outcomes)
+    assert any(not zero for zero, _ in outcomes)
 
 
-def test_field_degree_rule_skips_the_gcd(monkeypatch):
-    """When gcd(deg modulus, phi(n)) = 1 the tensor ring is a field and no
-    zero test of such a context computes a polynomial gcd."""
-    original = ExactContext._is_zero
-    current, nontrivial, gcd_contexts = [], [], []
+def test_field_degree_rule_skips_the_period_search(monkeypatch):
+    """When gcd(deg m, phi(n)) = 1 no root of m lies in Q(zeta_n), and the
+    decision takes no Gaussian period: over a witness-all classification
+    at bound 10 every period search is at an (n, d) with gcd(d, phi(n)) > 1,
+    and the rule decides some context with an irrational generator."""
+    cyclotomic._roots_in_cyclotomic_field.cache_clear()
+    searched, ruled = [], []
+    original = cyclotomic._real_subfield_periods
 
-    def tracking(self, elem):
-        if len(qtrim(elem.coeffs)) > 1:
-            nontrivial.append(self)
-        current.append(self)
-        try:
-            return original(self, elem)
-        finally:
-            current.pop()
+    def periods(n, d):
+        searched.append(math.gcd(d, euler_phi(n)))
+        return original(n, d)
 
-    def counting_gcd(p, q):
-        gcd_contexts.append(current[-1])
-        return qgcd(p, q)
-
-    monkeypatch.setattr(ExactContext, "_is_zero", tracking)
-    monkeypatch.setattr(premodular, "qgcd", counting_gcd)
-    classify_all(10, witness_all=True, max_twist_order=16)
-    field = lambda ctx: math.gcd(len(ctx.modulus) - 1, ctx.phi_degree) == 1
-    assert any(field(ctx) for ctx in nontrivial)
-    assert gcd_contexts and not any(field(ctx) for ctx in gcd_contexts)
-
-
-def _factor_degrees_while_checking(ctx):
-    """Degree of the learned factor after each zero test of the full check
-    sequence of a modular candidate."""
-    original = ExactContext._is_zero
-    degrees = []
-
-    def recording(self, elem):
-        out = original(self, elem)
-        degrees.append(len(self.alpha_factor) - 1)
+    def embed(alpha, n):
+        out = embed_real_algebraic(alpha, n)
+        if alpha.degree > 1 and math.gcd(alpha.degree, euler_phi(n)) == 1:
+            ruled.append(out)
         return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExactContext, "_is_zero", recording)
-        assert ctx.fs_indicators() == [1, 1, 1]
-        assert ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()
-        assert ctx.structure_class() == StructureClass.MODULAR
-    return degrees
+    monkeypatch.setattr(cyclotomic, "_real_subfield_periods", periods)
+    monkeypatch.setattr(premodular, "embed_real_algebraic", embed)
+    classify_all(10, witness_all=True, max_twist_order=16)
+    cyclotomic._roots_in_cyclotomic_field.cache_clear()
+    assert searched and 1 not in searched
+    assert ruled and all(out is None for out in ruled)
 
 
-def test_learned_factor_is_linear_after_first_split_on_the_cubic_ring():
-    """On K(1,1,0,1) the generator 2cos(pi/7) = -(zeta_7^3 + zeta_7^4) lies in
-    Q(zeta_7), where its cubic minimal polynomial splits into linear factors:
-    the first split already leaves x + zeta_7^3 + zeta_7^4, and every later
-    test is one division by it."""
+def _check_sequence(ctx):
+    """The full check sequence of a modular candidate."""
+    assert ctx.fs_indicators() == [1, 1, 1]
+    assert ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()
+    assert ctx.structure_class() == StructureClass.MODULAR
+
+
+def test_cubic_generator_lies_in_q_zeta7():
+    """On K(1,1,0,1) the generator 2cos(pi/7) = -(zeta_7^3 + zeta_7^4) lies
+    in Q(zeta_7): the context computes in Q(zeta_7), every dimension is one
+    CycloNum, and the modular checks pass there."""
     ring = make_rank3_ring(Rank3Params(1, 1, 0, 1))
     system = solve_characters(ring)
     ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 7), RootOfUnity.make(5, 7)))
-    assert ctx.n == 7 and not ctx.tensor_is_field and ctx.alpha_factor == ctx.cyclo_modulus
-    degrees = _factor_degrees_while_checking(ctx)
-    first_split = next(i for i, deg in enumerate(degrees) if deg < 3)
-    assert degrees[first_split:] == [1] * (len(degrees) - first_split)
     s = CycloNum.from_root(RootOfUnity.make(3, 7), 7) + CycloNum.from_root(RootOfUnity.make(4, 7), 7)
-    assert ctx.alpha_factor == (s, CycloNum.from_rational(7, 1))
+    assert ctx.n == 7 and ctx.beta == -s and ctx.d[1] == -s
+    assert all(isinstance(d, CycloNum) for d in ctx.d)
+    _check_sequence(ctx)
 
 
-def test_ising_order16_still_needs_the_gcd(ising, monkeypatch):
-    """sqrt(2) lies in Q(zeta_8), inside Q(zeta_16): gcd(2, phi(16)) = 2, so
-    the field-degree rule does not apply, the gcd runs, and the learned
-    factor ends at x - sqrt(2)."""
+def test_ising_order16_places_sqrt2_in_the_cyclotomic_field(ising):
+    """sqrt(2) = zeta_8 + zeta_8^7 lies in Q(zeta_16): gcd(2, phi(16)) = 2,
+    and the period search finds it, so the context computes in Q(zeta_16).
+    At n = 4 there is no root of x^2 - 2 and the context computes in
+    Q(zeta_4)[x]/(x^2 - 2), a field."""
     ring, system = ising
     ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 16)))
-    assert ctx.n == 16 and not ctx.tensor_is_field
-    gcds = []
-    monkeypatch.setattr(premodular, "qgcd", lambda p, q: gcds.append(1) or qgcd(p, q))
-    assert _factor_degrees_while_checking(ctx)[-1] == 1
-    assert gcds
     sqrt2 = CycloNum.from_root(RootOfUnity.make(1, 8), 16) + CycloNum.from_root(RootOfUnity.make(7, 8), 16)
-    assert ctx.alpha_factor == (-sqrt2, CycloNum.from_rational(16, 1))
+    assert ctx.n == 16 and ctx.beta == sqrt2
+    assert all(isinstance(d, CycloNum) for d in ctx.d)
+    _check_sequence(ctx)
+    at4 = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 4)))
+    assert at4.n == 4 and at4.beta is None
+    assert all(isinstance(d, ExtNum) for d in at4.d)
+    assert embed_real_algebraic(system.chars[0].gen, 4) is None
 
 
-def _full_order_certify(ring, dims, dims_index, twists, include_degenerate):
+def _assert_roots_placed(m, n):
+    """Every root of m placed in Q(zeta_n) is a root of m whose ball meets
+    the root's own isolating interval."""
+    for alpha in roots_of_irreducible(m):
+        beta = embed_real_algebraic(alpha, n)
+        value = CycloNum.from_rational(n, 0)
+        for c in reversed(m.coeffs):
+            value = value * beta + CycloNum.from_rational(n, c)
+        assert not value
+        ball = beta.ball(128)
+        lo, hi = alpha.tree_interval(Fraction(1, 2**128))
+        assert lo - ball.rad <= ball.re <= hi + ball.rad and abs(ball.im) <= ball.rad
+
+
+def test_s3_generator_is_never_placed():
+    """No abelian field holds a root of an S3 cubic: K(1,2,0,4) has one, and
+    its roots stay outside Q(zeta_n) even where 3 divides phi(n)."""
+    m = char_poly_x(Rank3Params(1, 2, 0, 4))
+    assert solve_characters(make_rank3_ring(Rank3Params(1, 2, 0, 4))).chars[0].gen.minpoly == m
+    for alpha in roots_of_irreducible(m):
+        for n in (7, 9, 21, 63):
+            assert embed_real_algebraic(alpha, n) is None
+
+
+def test_cyclic_cubic_of_conductor_63_is_placed_only_at_multiples_of_63():
+    """K(1,8,1,56) has the cyclic cubic x^3 - 9x^2 + 6x + 8 of discriminant
+    126^2, whose field has conductor 63: its roots lie in Q(zeta_63) and
+    Q(zeta_126), but not in Q(zeta_7) or Q(zeta_9), although 3 divides
+    phi(7) = phi(9) = 6.  The roots of x^2 - 2 lie in Q(zeta_8) and
+    Q(zeta_16) but not Q(zeta_4) or Q(zeta_12); those of 2cos(2 pi/7)'s cubic
+    in Q(zeta_7) and Q(zeta_14) but not Q(zeta_9)."""
+    m = char_poly_x(Rank3Params(1, 8, 1, 56))
+    assert m == IntPoly((8, 6, -9, 1)) and cubic_discriminant(m) == 126**2
+    cubic7 = char_poly_x(Rank3Params(1, 1, 0, 1))
+    for poly, inside, outside in (
+        (m, (63, 126), (7, 9, 21)),
+        (IntPoly((-2, 0, 1)), (8, 16, 24), (4, 12)),
+        (cubic7, (7, 14), (9,)),
+    ):
+        for n in inside:
+            _assert_roots_placed(poly, n)
+        for n in outside:
+            assert all(embed_real_algebraic(a, n) is None for a in roots_of_irreducible(poly))
+
+
+def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, landau):
     """Reference certification in the full check order: symmetry, unit row
-    and rows first, then the structure class and its rule."""
+    and rows first, then the structure class and its rule, taken here; the
+    search's `landau` must be that rule's verdict."""
+    rule = premodular.landau_rule(dims) if dims_index == 0 else None
+    assert (landau and landau.to_json()) == (rule and rule.to_json())
     ctx = ExactContext(ring, dims, twists)
     if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
         return None
     certificate = {"verification": "exact"}
     sclass = ctx.structure_class()
     if sclass == StructureClass.SYMMETRIC:
-        rule = premodular.landau_rule(dims) if dims_index == 0 else None
         if rule is None or not rule.passed:
             return None
         certificate["symmetric_rule"] = rule.certificate
@@ -841,14 +926,14 @@ def test_unit_twist_candidates_failing_the_rule_build_no_context(monkeypatch):
     original_init = ExactContext.__init__
     current, unit_failing, built = [], [], []
 
-    def certify(ring, dims, dims_index, twists, include_degenerate):
+    def certify(ring, dims, dims_index, twists, include_degenerate, landau):
         unit = all(t.is_one for t in twists.theta)
         failing = unit and not (dims_index == 0 and premodular.landau_rule(dims).passed)
         if failing:
             unit_failing.append(dims)
         current.append(failing)
         try:
-            return original_certify(ring, dims, dims_index, twists, include_degenerate)
+            return original_certify(ring, dims, dims_index, twists, include_degenerate, landau)
         finally:
             current.pop()
 
