@@ -3,8 +3,10 @@
 For the self-dual family the multiplication matrices are symmetric, so all
 three characters are real.  They are read off the integer cubics in one
 pass: `galois_type` factors char_poly_x on integers, reads the orbit type
-off the factorization, and isolates its roots in the order of the
-characters, placing them by integer tests.  `solve_characters` builds the
+off the factorization, and takes its roots in the order of the characters,
+placing them by integer tests.  It locates the dimension root alone; the
+other two are isolated on first use (`GaloisInfo.roots`), which only the
+rings whose characters are solved make.  `solve_characters` builds the
 characters from those roots: each y-value is (x^2 - m x - 1)/k, and
 K(0,1,0,n) has the closed form (1, y+), (-1, 0), (1, y-).
 `_selfdual_characters` proves that these pairs satisfy the ring relations,
@@ -16,7 +18,7 @@ a matter of polynomial reduction over Q, and the float screen a polynomial
 evaluated at float(generator).  So an irrational y-value with k >= 1 is
 located as a root of char_poly_y only on its first exact read (a rendered
 witness, `ring`'s characters), and solving the characters of a ring whose x
-is irrational factors and isolates nothing.
+is irrational factors nothing on char_poly_y and isolates none of its roots.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .exactnum import (
     IntPoly,
@@ -35,7 +39,7 @@ from .exactnum import (
 )
 from .exactnum.intpoly import split_rational_roots
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
-from .exactnum.realalg import from_poly_expr
+from .exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring
 
 
@@ -144,7 +148,7 @@ class Character:
         for name, v in (("x", self.x), ("y", self.y)):
             # The tree node, not the current interval: a value shared with a
             # generator that zero tests refined deeper prints the same.
-            lo, hi = v.tree_interval(Fraction(1, 10**18))
+            lo, hi = v.tree_interval(RENDER_WIDTH)
             out[f"minpoly_{name}"] = list(v.minpoly.coeffs)
             out[f"interval_{name}"] = [str(lo), str(hi)]
             out[f"approx_{name}"] = v.approx_str(12)
@@ -170,10 +174,19 @@ class GaloisInfo:
     tag: GaloisType
     orbits: tuple[tuple[int, ...], ...]
     # What it is read from, not compared and not in the payload: the integer
-    # roots of char_poly_x, ascending, and the isolated roots of char_poly_x
-    # (of char_poly_y when k = 0) in the order of the characters they give.
+    # roots of char_poly_x, ascending; the root of char_poly_x (of
+    # char_poly_y when k = 0) that gives the dimension character; and what
+    # gives the other two roots, in the order of their characters.
     x_roots: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    roots: tuple[RealAlgebraic, ...] = field(default=(), compare=False, repr=False)
+    top: RealAlgebraic | None = field(default=None, compare=False, repr=False)
+    lower: Callable[[], Sequence[RealAlgebraic]] | None = field(
+        default=None, compare=False, repr=False)
+
+    @cached_property
+    def roots(self) -> tuple[RealAlgebraic, ...]:
+        """The three roots in the order of the characters; the two below
+        the dimension root are located on this first read."""
+        return (self.top, *self.lower())
 
     def to_json(self) -> dict:
         return {"tag": self.tag.value, "orbits": [list(o) for o in self.orbits]}
@@ -196,7 +209,8 @@ def solve_characters(ring: FusionRing, info: GaloisInfo | None = None) -> Charac
 
     A parameter ring is solved from `info`, the `galois_type` of
     `ring.params`, computed here unless the caller already holds it; the
-    characters come in the order of `info.roots`, which its orbits index."""
+    characters come in the order of `info.roots`, which its orbits index,
+    and reading them isolates the two roots below the dimension root."""
     if ring.rank != 3:
         raise ValueError("only rank-3 rings are supported")
     if ring.dual == (0, 2, 1):
@@ -275,22 +289,28 @@ def _rational_character(x: Fraction, y: Fraction) -> Character:
 
 def galois_type(params: Rank3Params) -> GaloisInfo:
     """Image of the rational Galois action on the characters of K(k,l,m,n),
-    read off one integer factorization of char_poly_x, with the roots that
-    `solve_characters` builds the characters from.
+    read off one integer factorization of char_poly_x, with the root of the
+    dimension character and, located on first use (`GaloisInfo.roots`), the
+    two roots that `solve_characters` builds the other characters from.
 
     The roots come in solve order: the dimension character first, then the
     other two by x-value (by (x, y) when k = 0).  Integer tests place them,
     so no two roots are compared.  With k >= 1, y = (x^2 - m x - 1)/k, so
-    the action is the one on the roots of char_poly_x, which are simple with
-    the largest the dimension (see `_selfdual_characters`).
+    the action is the one on the roots of char_poly_x, which are simple and
+    real with the largest the dimension (see `_selfdual_characters`).
     - No rational root: one orbit, C3 iff the discriminant is a square.
     - Three rational roots: Trivial.
     - One rational root r and quadratic rest q: C2-fixing if r lies above
       both roots of q, that is q(r) > 0 and 2r > -q_1.  Otherwise C2-moving:
       r lies between the roots of q if q(r) < 0, and below both if not.
+    An irrational dimension root (S3, C3, C2-moving) is placed alone on its
+    node of width RENDER_WIDTH (`largest_root`), which is where its
+    renderings read it; only if that placement is not certified are all the
+    roots of the irreducible rest isolated here.
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
-    only for n = 1, which is Trivial, and every other n is C2-moving.
+    only for n = 1, which is Trivial, and every other n is C2-moving.  Both
+    y-roots are isolated: the nonmodular filter reads them.
     """
     xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:
@@ -301,16 +321,17 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
         else:
             tag, orbits = GaloisType.C2_MOVING_FP, ((0, 2), (1,))
             low, high = roots_of_irreducible(IntPoly((-2, -params.n, 1)))
-        return GaloisInfo(tag, orbits, (-1, 1, 1), (high, RealAlgebraic.from_rational(0), low))
+        lower = (RealAlgebraic.from_rational(0), low)
+        return GaloisInfo(tag, orbits, (-1, 1, 1), high, lambda: lower)
     roots, rest = split_rational_roots(xpoly)
     xs = tuple(sorted(u for u, _v in roots))  # monic, so every root is an integer
+    if len(xs) == 3:
+        ascending = [RealAlgebraic.from_rational(x) for x in xs]
+        return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), xs, ascending[-1],
+                          lambda: ascending[:-1])
     if not xs:
         tag = GaloisType.C3 if is_perfect_square(cubic_discriminant(rest)) else GaloisType.S3
-        orbits = ((0, 1, 2),)
-        ascending = roots_of_irreducible(rest)
-    elif len(xs) == 3:
-        tag, orbits = GaloisType.TRIVIAL, ((0,), (1,), (2,))
-        ascending = [RealAlgebraic.from_rational(x) for x in xs]
+        orbits, place = ((0, 1, 2),), None
     else:
         (r,) = xs
         q0, q1, _ = rest.coeffs
@@ -321,6 +342,19 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
             tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 1), (2,)), 1
         else:  # below both
             tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 2), (1,)), 0
-        ascending = roots_of_irreducible(rest)
-        ascending.insert(place, RealAlgebraic.from_rational(r))
-    return GaloisInfo(tag, orbits, xs, (ascending[-1], *ascending[:-1]))
+
+    def lower(isolated: list[RealAlgebraic]) -> list[RealAlgebraic]:
+        """All but the largest root, ascending, from the isolated rest."""
+        if xs:
+            isolated.insert(place, RealAlgebraic.from_rational(xs[0]))
+        return isolated[:-1]
+
+    if place == 2:
+        top = RealAlgebraic.from_rational(xs[0])
+    else:
+        top = largest_root(rest, RENDER_WIDTH)
+    if top is None:  # not certified: isolate, and keep the lower roots too
+        isolated = roots_of_irreducible(rest)
+        top, known = isolated[-1], lower(isolated)
+        return GaloisInfo(tag, orbits, xs, top, lambda: known)
+    return GaloisInfo(tag, orbits, xs, top, lambda: lower(roots_of_irreducible(rest)))

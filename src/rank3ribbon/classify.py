@@ -18,8 +18,9 @@ admissibility branches:
 Every verdict is read off one integer factorization of char_poly_x
 (`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
 where they are rational, the dimension y-value and case 3b's character.
-Characters are solved only for the rings whose witnesses are searched, from
-the roots that typing isolated, so each ring is factored and isolated once.
+Typing locates only the dimension root.  Characters are solved only for the
+rings whose witnesses are searched, and only they isolate the other two
+roots, so each ring is factored once and isolated at most once.
 
 Every verdict carries a machine-checkable certificate with the exact
 intermediate quantities.
@@ -433,12 +434,12 @@ def classify_ring(params: Rank3Params) -> RingReport:
 
 def _dimension_verdict(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
     """`landau_rule` on the dimension character, built alone from its root
-    `info.roots[0]`; when k >= 1 and that root x of char_poly_x is
-    irrational, x fails the rule alone."""
-    top = info.roots[0]
+    `info.top`; when k >= 1 and that root x of char_poly_x is irrational,
+    x fails the rule alone."""
+    top = info.top
     if params.k and not top.is_rational:
         return _nonintegral_dimension(top)
-    (dims,) = _selfdual_characters(params, info.roots[:1])
+    (dims,) = _selfdual_characters(params, (top,))
     return landau_rule(dims)
 
 
@@ -473,7 +474,8 @@ def _z3_report(max_twist_order: int) -> RingReport:
         verdicts=verdicts,
         modular_case="group-ring",
         admissible=True,
-        witnesses=search_ribbon_data(ring, max_twist_order, system=system),
+        witnesses=search_ribbon_data(
+            ring, max_twist_order, system=system, landau=verdicts["symmetric"]),
     )
 
 
@@ -491,7 +493,8 @@ def classify_all(bound: int, max_twist_order: int = 60,
         if report.admissible or witness_all:
             ring = make_rank3_ring(report.params)
             system = solve_characters(ring, report.galois)
-            report.witnesses = search_ribbon_data(ring, max_twist_order, system=system)
+            report.witnesses = search_ribbon_data(
+                ring, max_twist_order, system=system, landau=report.verdicts["symmetric"])
         rings.append(report)
     config = {
         "bound": bound,

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .characters import galois_type, solve_characters
 from .classify import (
@@ -276,7 +278,7 @@ def run(argv: list[str]) -> int:
     if args.format == "table" and table is not None:
         text = table
     else:
-        text = json.dumps(payload, indent=2)
+        text = json_text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -291,6 +293,69 @@ def run(argv: list[str]) -> int:
     else:
         print(text)
     return 0
+
+
+def json_text(obj) -> str:
+    """The bytes of `json.dumps(obj, indent=2)`, written by a direct
+    recursive writer: `indent` turns json's C encoder off, and the
+    pure-Python encoder that runs instead is slower than this.  Same rules:
+    ASCII-escaped strings, tuples as lists, json's int and float reprs
+    (NaN and Infinity included), "," and ": " separators.  Keys must be
+    str; anything else raises TypeError."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def main() -> None:

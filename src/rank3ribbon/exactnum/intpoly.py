@@ -153,18 +153,24 @@ class IntPoly:
         return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
-def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """Sign of p(num/den) for integer coefficients and den > 0.
+def scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den^n * p(num/den) for integer coefficients, n = len(coeffs) - 1.
 
-    Homogeneous Horner: den^n * p(num/den) = sum c_i * num^i * den^(n-i) is an
-    integer with the sign of p(num/den), so no fraction is ever formed and the
-    point need not be in lowest terms.
+    Homogeneous Horner: the value is sum c_i * num^i * den^(n-i), an integer,
+    so no fraction is ever formed and the point need not be in lowest terms.
     """
     acc = 0
     scale = 1
     for c in reversed(coeffs):
         acc = acc * num + c * scale
         scale *= den
+    return acc
+
+
+def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of p(num/den) for integer coefficients and den > 0: the sign of
+    `scaled_value`."""
+    acc = scaled_value(coeffs, num, den)
     return (acc > 0) - (acc < 0)
 
 

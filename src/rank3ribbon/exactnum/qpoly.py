@@ -5,9 +5,9 @@ zeros (the zero polynomial is the empty tuple).  The ring operations
 (`qnormalize`, `qadd`, `qmul`, `qscale`, ...) coerce their coefficients to
 Fraction and serve polynomial algebra over Q: character expressions, and
 `charpoly` of the integer Casimir matrix of `fusion.global_fp_dim`, whose
-cubic locates the global dimension.  Division, gcd and
-`qmonic` work unchanged on any field whose elements support +, -, *,
-truthiness and `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)).
+cubic locates the global dimension.  Division (`qdivmod`, `qmod`) works
+unchanged on any field whose elements support +, -, *, truthiness and
+`Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)).
 Arithmetic inside Q(zeta_n) itself does not come here: CycloNum works on
 integer vectors (`cyclotomic.py`), and root isolation on integer polynomials
 (`realalg.sturm_chain`).
@@ -104,20 +104,6 @@ def qeval(p: QPoly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def qmonic(p: QPoly) -> QPoly:
-    if not p:
-        return ZERO
-    inv = Fraction(1) / p[-1]
-    return tuple(c * inv for c in p)
-
-
-def qgcd(p: QPoly, q: QPoly) -> QPoly:
-    a, b = qtrim(p), qtrim(q)
-    while b:
-        a, b = b, qmod(a, b)
-    return qmonic(a)
 
 
 def charpoly(matrix) -> tuple:

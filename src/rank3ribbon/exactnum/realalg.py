@@ -10,18 +10,26 @@ irreducible factor of an integer polynomial the caller already holds: a
 characteristic cubic, the Casimir polynomial of `fusion.global_fp_dim`, a
 scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
 takes that polynomial rather than building one.  Root isolation uses integer
-Sturm chains and stops as soon as the roots are separated; a caller that needs
-a narrow interval asks for it (`refine_to`, `tree_interval`), and
-`approx_str` and `__float__` render the midpoint of a `tree_interval` node,
-`approx_str` through the integer digit rounding of `decimal_str`.  There is
-one bisection, `RealAlgebraic.refine_to`: it halves on integer numerators
-over a common denominator by the sign of the minimal polynomial (integer
-Horner, `intpoly.sign_at`), and comparisons, signs and the root matching
-of `from_poly_expr` all halve through it.  So every interval of an
-irrational value, from isolation onwards, is a node of the bisection tree of
-(-B, B), B = cauchy_bound(minpoly), and no fraction is formed while
-bisecting, nor inside the interval Horner (`_interval_eval`) that matches
-the roots of `from_poly_expr`.
+Sturm chains and stops as soon as the roots are separated; `largest_root`
+places the top root of a real-rooted quadratic or cubic without isolating
+the others.  Either way the value is a node of the bisection tree of (-B, B),
+B = cauchy_bound(minpoly), held as integers: index j at depth d.
+
+A caller that needs a narrow interval asks for it (`refine_to`,
+`tree_interval`), and `approx_str` and `__float__` render the midpoint of a
+`tree_interval` node from its integers, `approx_str` through the integer
+digit rounding of `decimal_str`.  There is one refinement,
+`RealAlgebraic.refine_to`.  With NEWTON_LEVELS or more levels to go it
+jumps to the target depth: a float Newton estimate inside the node, then
+integer Newton on the target depth's grid, accepted only when the exact signs
+of the minimal polynomial at the two ends of the target node differ.  The
+current node holds exactly one root, so that is the node bisection reaches.
+Otherwise it bisects by the sign of the minimal polynomial at each midpoint
+(integer Horner, `intpoly.sign_at`).  Comparisons, signs and the root matching
+of `from_poly_expr` halve through the same bisection.  No fraction is formed
+while refining or rendering, nor inside the interval Horner
+(`_interval_eval`) that matches the roots of `from_poly_expr`; `interval` and
+`tree_interval` hand reduced Fractions to the callers that read endpoints.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import qpoly
-from .intpoly import IntPoly, factor_into_irreducibles, sign_at
+from .intpoly import IntPoly, factor_into_irreducibles, scaled_value, sign_at
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +104,25 @@ def variations_at(chain: list[tuple[int, ...]], num: int, den: int) -> int:
 
 def cauchy_bound(p: IntPoly) -> Fraction:
     """All real roots lie in (-B, B)."""
-    lead = abs(p.leading)
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
-    return Fraction(m, lead) + 1
+    return Fraction(*_bound_pair(p.coeffs))
+
+
+def _bound_pair(coeffs: tuple[int, ...]) -> tuple[int, int]:
+    """cauchy_bound as integers (bn, bd), B = bn/bd = 1 + max|c_i|/|c_n|,
+    not reduced: the tree depends on the value of B alone."""
+    lead = abs(coeffs[-1])
+    return max(map(abs, coeffs[:-1]), default=0) + lead, lead
+
+
+# Width of the node that `__float__` and a 12-digit `approx_str` read.
+RENDER_WIDTH = Fraction(1, 10**18)
+
+# Levels below which refine_to bisects rather than try a Newton jump: on the
+# character cubics a jump costs about as much as 20 bisection steps.
+NEWTON_LEVELS = 20
+
+# Bits of the Newton grid below the target node width.
+_GUARD = 16
 
 
 # ---------------------------------------------------------------------------
@@ -108,26 +132,27 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 class RealAlgebraic:
     """A real algebraic number.
 
-    Rationals are stored exactly with a degree-1 minimal polynomial.  For
-    irrational values the isolating interval is refined in place; refinement
-    never changes which root is denoted.
+    Rationals are stored exactly with a degree-1 minimal polynomial.  An
+    irrational value is held as a node of the bisection tree of (-B, B),
+    B = bn/bd = cauchy_bound(minpoly): node j at depth d is the interval
+    [B(2j/2^d - 1), B(2(j+1)/2^d - 1)], and it holds no other root of the
+    minimal polynomial.  Refinement moves the node down the tree and never
+    changes which root is denoted.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "root_index", "_rational", "_lo_sign", "_tree")
+    __slots__ = ("minpoly", "root_index", "_rational", "_bound", "_j", "_depth", "_lo_sign")
 
-    def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction,
-                 root_index: int, rational: Fraction | None):
+    def __init__(self, minpoly: IntPoly, root_index: int, rational: Fraction | None,
+                 bound: tuple[int, int] | None = None, node: tuple[int, int] = (0, 0),
+                 lo_sign: int | None = None):
         self.minpoly = minpoly
-        self._lo = lo
-        self._hi = hi
         self.root_index = root_index
         self._rational = rational
-        # Sign of minpoly at _lo; it holds on all of (_lo, root), so it stays
-        # valid as refinement moves _lo towards the root.  Set by refine_to.
-        self._lo_sign = None
-        # (cauchy_bound(minpoly), {width: node width}) of tree_interval,
-        # computed on its first call.
-        self._tree = None
+        self._bound = bound
+        self._j, self._depth = node
+        # Sign of minpoly at the node's low end; it holds on all of
+        # (low end, root), so it stays valid as the node moves down.
+        self._lo_sign = lo_sign
 
     # -- construction -----------------------------------------------------
 
@@ -135,7 +160,7 @@ class RealAlgebraic:
     def from_rational(cls, r) -> "RealAlgebraic":
         r = Fraction(r)
         mp = IntPoly((-r.numerator, r.denominator)).primitive()
-        return cls(mp, r, r, 0, r)
+        return cls(mp, 0, r)
 
     # -- inspection ---------------------------------------------------------
 
@@ -155,72 +180,118 @@ class RealAlgebraic:
     def is_integer(self) -> bool:
         return self._rational is not None and self._rational.denominator == 1
 
+    def _cut(self, i: int, depth: int) -> tuple[int, int]:
+        """Numerator and denominator of the tree's i-th cut point at
+        `depth`, B(2i/2^depth - 1): node j spans cuts j and j + 1."""
+        bn, bd = self._bound
+        return bn * (2 * i - (1 << depth)), bd << depth
+
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        if self._rational is not None:
+            return self._rational, self._rational
+        j, d = self._j, self._depth
+        return Fraction(*self._cut(j, d)), Fraction(*self._cut(j + 1, d))
 
     # -- refinement ---------------------------------------------------------
 
+    def _depth_for(self, width: Fraction) -> int:
+        """Depth of the tree's nodes at most `width` wide: the least d with
+        2B/2^d <= width."""
+        bn, bd = self._bound
+        halvings = -(-2 * bn * width.denominator // (bd * width.numerator))
+        return (halvings - 1).bit_length()
+
     def refine_to(self, width) -> None:
-        """Halve until the interval is at most `width` wide.  This is the
-        value's only bisection: each step keeps the half where the minimal
-        polynomial changes sign, with the endpoints as integer numerators over
-        a common denominator that doubles per step.  The minimal polynomial
-        is irreducible of degree >= 2, so it has no rational root and never
-        vanishes at a midpoint."""
-        width = Fraction(width)
-        if self._rational is not None or self._hi - self._lo <= width:
+        """Descend to the first node at most `width` wide.  This is the
+        value's only refinement.  When at least NEWTON_LEVELS levels remain
+        it tries a Newton jump (`_newton_index`); otherwise, or when the jump
+        is not confirmed, it bisects: each step keeps the half where the
+        minimal polynomial changes sign, with the cut points as integer
+        numerators over a denominator that doubles per step.  Both land on
+        the same node: the one at that depth that holds the value.  The
+        minimal polynomial is irreducible of degree >= 2, so it has no
+        rational root and never vanishes at a cut point."""
+        if self._rational is not None:
+            return
+        self._descend(self._depth_for(Fraction(width)))
+
+    def _descend(self, depth: int) -> None:
+        j, d = self._j, self._depth
+        if depth <= d:
             return
         coeffs = self.minpoly.coeffs
-        den = math.lcm(self._lo.denominator, self._hi.denominator)
-        lo = self._lo.numerator * (den // self._lo.denominator)
-        hi = self._hi.numerator * (den // self._hi.denominator)
         if self._lo_sign is None:
-            self._lo_sign = sign_at(coeffs, lo, den)
-        wnum, wden = width.numerator, width.denominator
-        while (hi - lo) * wden > wnum * den:
-            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-            mid_sign = sign_at(coeffs, mid, den)
+            self._lo_sign = sign_at(coeffs, *self._cut(j, d))
+        if depth - d >= NEWTON_LEVELS:
+            jump = self._newton_index(depth)
+            if jump is not None:
+                self._j, self._depth = jump, depth
+                return
+        lo_sign = self._lo_sign
+        bn, bd = self._bound
+        while d < depth:
+            # The midpoint of node j at depth d is cut 2j + 1 at depth d + 1.
+            mid_sign = sign_at(coeffs, bn * (2 * j + 1 - (1 << d)), bd << d)
             assert mid_sign, "an irreducible p of degree >= 2 has no rational root"
-            if mid_sign != self._lo_sign:
-                hi = mid
-            else:
-                lo = mid
-        self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
+            j = 2 * j + (mid_sign == lo_sign)
+            d += 1
+        self._j, self._depth = j, d
+
+    def _newton_index(self, depth: int) -> int | None:
+        """The index of the node at `depth` that holds the value, from a
+        Newton estimate (`_float_root`, then `_newton_node`), or None.
+
+        The estimate is accepted only if the minimal polynomial takes
+        opposite signs at the two ends of its node, computed exactly.  That
+        node lies inside the current one, which holds no other root, so it
+        is the node that bisection reaches.  Anything else, float overflow
+        on huge coefficients included, returns None."""
+        coeffs = self.minpoly.coeffs
+        j, d = self._j, self._depth
+        lo, hi = self._cut(j, d), self._cut(j + 1, d)
+        try:
+            x = _float_root(coeffs, lo[0] / lo[1], hi[0] / hi[1], self._lo_sign)
+            index = _newton_node(coeffs, self._bound, depth, x)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return None
+        if index is None:
+            return None
+        shift = depth - d
+        first = j << shift
+        index = min(max(index, first), first + (1 << shift) - 1)
+        lo_sign = sign_at(coeffs, *self._cut(index, depth))
+        if lo_sign != self._lo_sign or sign_at(coeffs, *self._cut(index + 1, depth)) != -lo_sign:
+            return None
+        return index
+
+    def _node_at(self, width: Fraction) -> tuple[int, int]:
+        """(index, depth) of the coarsest tree node at most `width` wide that
+        holds the value: the current node is refined down to it, or, when
+        deeper, coarsened up to its ancestor."""
+        depth = self._depth_for(width)
+        if depth > self._depth:
+            self.refine_to(width)
+        return self._j >> (self._depth - depth), depth
 
     def tree_interval(self, width) -> tuple[Fraction, Fraction]:
         """The coarsest node of the bisection tree of (-B, B), B =
         cauchy_bound(minpoly), that is at most `width` wide and holds the
-        value.  Isolation and refinement only visit nodes of this tree, so the
+        value.  Every interval of the value is a node of this tree, so the
         answer depends on the value and `width` alone, not on how far the
-        value has been refined: a shallower interval is refined down to the
-        node, a deeper one is coarsened up to its ancestor.  The bound and the
-        node width of each `width` (keyed by its integers: a Fraction hash
-        is slow) are computed once per value.  Every interval of the value
-        is already a node of this tree, so after refine_to the interval lies
+        value has been refined, and after refine_to(width) the interval lies
         inside the node."""
         if self._rational is not None:
             return self._rational, self._rational
-        if self._tree is None:
-            self._tree = (cauchy_bound(self.minpoly), {})
-        bound, steps = self._tree
-        key = (width.numerator, width.denominator)
-        step = steps.get(key)
-        if step is None:
-            depth = (math.ceil(2 * bound / Fraction(width)) - 1).bit_length()
-            step = steps[key] = 2 * bound / 2**depth
-        self.refine_to(step)
-        if self._hi - self._lo == step:  # refined to the node, not below it
-            return self._lo, self._hi
-        lo = -bound + (self._lo + bound) // step * step
-        assert self._hi <= lo + step, "the interval is not a node of the bisection tree"
-        return lo, lo + step
+        j, depth = self._node_at(Fraction(width))
+        return Fraction(*self._cut(j, depth)), Fraction(*self._cut(j + 1, depth))
 
     def sign(self) -> int:
+        """The root is never the cut point 0, and from depth 1 on no node
+        holds 0 inside, so the node's low end has the value's sign."""
         if self._rational is not None:
             return _sign(self._rational)
-        while self._lo < 0 < self._hi:
-            _halve(self)
-        return 1 if self._lo >= 0 else -1
+        self._descend(1)
+        return 1 if 2 * self._j >= 1 << self._depth else -1
 
     @property
     def is_zero(self) -> bool:
@@ -252,15 +323,16 @@ class RealAlgebraic:
             return -1 if self._rational < other._rational else 1
         # Distinct values: refine until the isolating intervals separate.
         while True:
-            if self._hi < other._lo:
+            (s_lo, s_hi), (o_lo, o_hi) = self.interval(), other.interval()
+            if s_hi < o_lo:
                 return -1
-            if other._hi < self._lo:
+            if o_hi < s_lo:
                 return 1
             # Rational endpoints of the other value can split an interval.
-            if self._rational is not None and not (other._lo < self._rational < other._hi):
-                return -1 if self._rational <= other._lo else 1
-            if other._rational is not None and not (self._lo < other._rational < self._hi):
-                return 1 if other._rational <= self._lo else -1
+            if self._rational is not None and not (o_lo < self._rational < o_hi):
+                return -1 if self._rational <= o_lo else 1
+            if other._rational is not None and not (s_lo < other._rational < s_hi):
+                return 1 if other._rational <= s_lo else -1
             _halve(self)
             _halve(other)
 
@@ -284,14 +356,21 @@ class RealAlgebraic:
 
     # Both read the midpoint of a tree node, not of the current interval, so
     # the digits do not depend on how far earlier work refined the value.
+    # The midpoint of node j at depth d is cut 2j + 1 at depth d + 1.
 
     def __float__(self) -> float:
-        lo, hi = self.tree_interval(Fraction(1, 10**18))
-        return float(lo + hi) / 2
+        if self._rational is not None:
+            return float(self._rational)
+        j, depth = self._node_at(RENDER_WIDTH)
+        num, den = self._cut(2 * j + 1, depth + 1)
+        return num / den
 
     def approx_str(self, sig: int = 12) -> str:
-        lo, hi = self.tree_interval(Fraction(1, 10**(sig + 6)))
-        return decimal_str((lo + hi) / 2, sig)
+        if self._rational is not None:
+            return decimal_str(self._rational, sig)
+        j, depth = self._node_at(Fraction(1, 10**(sig + 6)))
+        num, den = self._cut(2 * j + 1, depth + 1)
+        return decimal_str(num, sig, den)
 
     def __repr__(self) -> str:
         if self._rational is not None:
@@ -301,7 +380,8 @@ class RealAlgebraic:
 
 def _halve(x: RealAlgebraic) -> None:
     """One bisection step of an irrational value (none for a rational)."""
-    x.refine_to((x._hi - x._lo) / 2)
+    if x._rational is None:
+        x._descend(x._depth + 1)
 
 
 def _coerce(x) -> RealAlgebraic:
@@ -310,12 +390,14 @@ def _coerce(x) -> RealAlgebraic:
     return RealAlgebraic.from_rational(x)
 
 
-def decimal_str(value: Fraction, sig: int = 12) -> str:
-    """Deterministic decimal rendering with `sig` significant digits, rounded
-    half up: plain between 1e-4 and 10^sig, scientific outside.  All on
+def decimal_str(value, sig: int = 12, den: int = 1) -> str:
+    """Deterministic decimal rendering of value/den with `sig` significant
+    digits, rounded half up, for `value` an int or Fraction and den a
+    positive int: plain between 1e-4 and 10^sig, scientific outside.  All on
     integers: the decimal exponent comes from the digit counts of numerator
-    and denominator, and the digits from one rounding division."""
-    num, den = value.numerator, value.denominator
+    and denominator, and the digits from one rounding division, so the
+    fraction need not be in lowest terms."""
+    num, den = value.numerator, value.denominator * den
     if num == 0:
         return "0"
     sign = "-" if num < 0 else ""
@@ -347,6 +429,124 @@ def decimal_str(value: Fraction, sig: int = 12) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Newton estimates
+# ---------------------------------------------------------------------------
+
+def _float_root(coeffs: tuple[int, ...], lo: float, hi: float, lo_sign: int) -> float:
+    """A float estimate of the one root of p in (lo, hi), where p has the
+    sign lo_sign just above lo: Newton steps, each kept inside the bracket
+    that the float signs of p narrow, and a bisection where a step leaves
+    it.  Float signs near the root may be wrong; that only blurs the
+    estimate, which exact signs confirm later."""
+    c = [float(a) for a in coeffs]
+    dc = [i * c[i] for i in range(1, len(c))]
+    x = (lo + hi) / 2
+    for _ in range(64):
+        f = df = 0.0
+        for a in reversed(c):
+            f = f * x + a
+        if f == 0.0:
+            break
+        if (f > 0.0) == (lo_sign > 0):
+            lo = x
+        else:
+            hi = x
+        for a in reversed(dc):
+            df = df * x + a
+        step = f / df if df else math.inf
+        if abs(step) <= 1e-13 * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+    return x
+
+
+def _newton_node(coeffs: tuple[int, ...], bound: tuple[int, int], depth: int,
+                 x: float) -> int | None:
+    """Index of the node at `depth` of the bisection tree of (-B, B) that
+    holds the Newton limit started from the float x, or None if Newton does
+    not settle.
+
+    Newton runs on integers on the grid that splits each node at `depth`
+    into 2^_GUARD cells: the point of cell U is B(2U/2^F - 1), F = depth +
+    _GUARD, and a Newton step x - p(x)/p'(x) moves U by
+    -scaled_value(p)/(2 bn scaled_value(p')) there.  Each step doubles the
+    correct bits of the float estimate, and the node index is U >> _GUARD."""
+    bn, bd = bound
+    scale = depth + _GUARD
+    den = bd << scale
+    num, xden = x.as_integer_ratio()  # raises on inf and nan
+    # U = floor((x/B + 1)/2 * 2^F) for the float x = num/xden.
+    cell = ((num * bd + bn * xden) << scale) // (2 * bn * xden)
+    dcoeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
+    for _ in range(scale.bit_length() + 4):
+        point = bn * (2 * cell - (1 << scale))
+        slope = scaled_value(dcoeffs, point, den)
+        if not slope:
+            return None
+        step = scaled_value(coeffs, point, den) // (2 * bn * slope)
+        cell -= step
+        if -1 <= step <= 1:
+            return cell >> _GUARD
+    return None
+
+
+def largest_root(p: IntPoly, width: Fraction) -> RealAlgebraic | None:
+    """The largest root of p, placed straight on its node of the bisection
+    tree at most `width` wide, or None when the placement is not certified.
+
+    p must be irreducible of degree 2 or 3 with only real roots, as the
+    factors of a Jacobi matrix's characteristic polynomial are.  A closed
+    form gives a float estimate and `_newton_node` the node [a, b].  It is
+    certified exactly by two facts:
+    - p(a) < 0 < p(b), so the node holds a root;
+    - p^(i)(a) > 0 for every i >= 1, so by Fourier-Budan p has at most one
+      root above a.
+    So the node holds the largest root and no other, and as every root is
+    real, its index is deg p - 1."""
+    p = p.primitive()
+    coeffs = p.coeffs
+    value = RealAlgebraic(p, p.degree - 1, None, _bound_pair(coeffs))
+    depth = value._depth_for(width)
+    try:
+        index = _newton_node(coeffs, value._bound, depth, _largest_float_root(coeffs))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    if index is None or not 0 <= index < 1 << depth:
+        return None
+    a = value._cut(index, depth)
+    if sign_at(coeffs, *a) >= 0 or sign_at(coeffs, *value._cut(index + 1, depth)) <= 0:
+        return None
+    derivative = p.derivative()
+    while derivative.degree > 0:
+        if sign_at(derivative.coeffs, *a) <= 0:
+            return None
+        derivative = derivative.derivative()
+    value._j, value._depth, value._lo_sign = index, depth, -1
+    return value
+
+
+def _largest_float_root(coeffs: tuple[int, ...]) -> float:
+    """Float estimate of the largest root of a quadratic or cubic whose roots
+    are all real: the quadratic formula, or the trigonometric form of the
+    depressed cubic."""
+    lead = coeffs[-1]
+    if len(coeffs) == 3:
+        b, c = coeffs[1] / lead, coeffs[0] / lead
+        return (-b + math.sqrt(max(b * b - 4 * c, 0.0))) / 2
+    if len(coeffs) != 4:
+        raise ValueError("a quadratic or a cubic")
+    a, b, c = coeffs[2] / lead, coeffs[1] / lead, coeffs[0] / lead
+    # x = t - a/3 gives t^3 + p t + q with p < 0 when the three roots are real.
+    p = b - a * a / 3
+    q = 2 * a * a * a / 27 - a * b / 3 + c
+    r = math.sqrt(-p / 3)
+    cos3 = max(-1.0, min(1.0, 3 * q / (2 * p * r)))
+    return 2 * r * math.cos(math.acos(cos3) / 3) - a / 3
+
+
+# ---------------------------------------------------------------------------
 # Isolation
 # ---------------------------------------------------------------------------
 
@@ -355,38 +555,37 @@ class IsolatedRoot(NamedTuple):
     multiplicity: int
 
 
-def _isolate_squarefree(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for all real roots of p, ascending: the
-    first nodes of the bisection tree of (-B, B), B = cauchy_bound(p), that
+def _isolate_squarefree(p: IntPoly, bound: tuple[int, int]) -> list[tuple[int, int]]:
+    """Isolating nodes (index, depth) for all real roots of p, ascending: the
+    first nodes of the bisection tree of (-B, B), B = bn/bd = `bound`, that
     hold one root each.
 
     p must be irreducible of degree >= 2 (as `roots_of_irreducible` ensures):
     then it has no rational root, so no cut point is a root of p.  Each cut
     point evaluates the Sturm chain once, the variations at the ends being
-    carried down from the parent.  Endpoints are integer numerators over a
-    common denominator that doubles with each halving.
+    carried down from the parent.  Cut i at depth d is the integer numerator
+    bn(2i - 2^d) over bd 2^d.
     """
     chain = sturm_chain(p)
     coeffs = p.coeffs
-    bound = cauchy_bound(p)
-    out: list[tuple[Fraction, Fraction]] = []
+    bn, bd = bound
+    out: list[tuple[int, int]] = []
 
-    def split(lo: int, hi: int, den: int, v_lo: int, v_hi: int) -> None:
-        # (lo/den, hi/den] holds v_lo - v_hi roots.
+    def split(j: int, d: int, v_lo: int, v_hi: int) -> None:
+        # Node j at depth d, (cut j, cut j + 1], holds v_lo - v_hi roots.
         nroots = v_lo - v_hi
         if nroots == 0:
             return
         if nroots == 1:
-            out.append((Fraction(lo, den), Fraction(hi, den)))
+            out.append((j, d))
             return
-        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        mid, den = bn * (2 * j + 1 - (1 << d)), bd << d
         assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
         v_mid = variations_at(chain, mid, den)
-        split(lo, mid, den, v_lo, v_mid)
-        split(mid, hi, den, v_mid, v_hi)
+        split(2 * j, d + 1, v_lo, v_mid)
+        split(2 * j + 1, d + 1, v_mid, v_hi)
 
-    num, den = bound.numerator, bound.denominator
-    split(-num, num, den, variations_at(chain, -num, den), variations_at(chain, num, den))
+    split(0, 0, variations_at(chain, -bn, bd), variations_at(chain, bn, bd))
     return out
 
 
@@ -412,9 +611,10 @@ def roots_of_irreducible(p: IntPoly) -> list[RealAlgebraic]:
     p = p.primitive()
     if p.degree == 1:
         return [RealAlgebraic.from_rational(Fraction(-p.coeffs[0], p.coeffs[1]))]
+    bound = _bound_pair(p.coeffs)
     return [
-        RealAlgebraic(p, lo, hi, idx, None)
-        for idx, (lo, hi) in enumerate(_isolate_squarefree(p))
+        RealAlgebraic(p, idx, None, bound, node)
+        for idx, node in enumerate(_isolate_squarefree(p, bound))
     ]
 
 
@@ -463,7 +663,12 @@ def from_poly_expr(alpha: RealAlgebraic, expr, poly: IntPoly) -> RealAlgebraic:
     ]
     while True:
         lo, hi = _interval_eval(reduced, *alpha.interval())
-        candidates = [c for c in candidates if c._lo <= hi and lo <= c._hi]
+        meeting = []
+        for c in candidates:
+            c_lo, c_hi = c.interval()
+            if c_lo <= hi and lo <= c_hi:
+                meeting.append(c)
+        candidates = meeting
         if len(candidates) == 1:
             return candidates[0]
         if not candidates:

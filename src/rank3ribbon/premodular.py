@@ -541,6 +541,7 @@ def search_ribbon_data(
     max_twist_order: int,
     include_degenerate: bool = False,
     system: CharacterSystem | None = None,
+    landau: FilterVerdict | None = None,
 ) -> list[PremodularDatum]:
     """All admissible (dimension character, twist pair) data with twist orders
     up to `max_twist_order`, deterministically ordered.
@@ -557,6 +558,9 @@ def search_ribbon_data(
     (properly premodular) candidates are returned only when
     `include_degenerate` is set.  `system` is the ring's character system
     when the caller has already solved it; it is solved here otherwise.
+    `landau` is `landau_rule` on its dimension character when the caller
+    already holds that verdict; it is taken here otherwise, once and only
+    if the scan keeps a pair for the dimension character.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
@@ -572,11 +576,13 @@ def search_ribbon_data(
         if not dims.nonzero():
             continue
         pairs = _scan_twist_grid(ring, chars[dims_index], chars, screen, SCAN_TOL)
-        landau = landau_rule(dims) if dims_index == 0 and pairs else None
+        verdict = None
+        if dims_index == 0 and pairs:
+            verdict = landau if landau is not None else landau_rule(dims)
         for a, b in pairs:
             datum = _certify_candidate(
                 ring, dims, dims_index, Twists.of(table[a], table[b]),
-                include_degenerate, landau,
+                include_degenerate, verdict,
             )
             if datum is not None:
                 witnesses.append(datum)

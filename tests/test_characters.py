@@ -590,3 +590,73 @@ def test_solving_locates_no_y_value_until_it_is_read(monkeypatch, params, tag):
     irrational = [c for c in system.chars if not c.x.is_rational]
     assert [c.y for c in irrational] == [c.y for c in irrational]
     assert calls["from_poly_expr", ypoly] == len(irrational) > 0
+
+
+# ---------------------------------------------------------------------------
+# The dimension root, placed alone at typing
+# ---------------------------------------------------------------------------
+
+def test_dimension_root_is_the_top_isolated_root_bound_100():
+    """Where the dimension root is irrational (S3, C3, C2-moving with k >= 1),
+    typing places it alone on its RENDER_WIDTH node, certified by signs and
+    Fourier-Budan; it is the largest isolated root of the irreducible rest of
+    char_poly_x: the same minimal polynomial, root index and node.  Every
+    ring up to bound 100, in both orientations, and no placement declined."""
+    from rank3ribbon.exactnum.realalg import RENDER_WIDTH, largest_root
+
+    placed = 0
+    for canon in enumerate_star_solutions(100):
+        for params in {canon, canon.swapped()}:
+            if params.k == 0:
+                continue
+            _roots, rest = split_rational_roots(char_poly_x(params))
+            top = galois_type(params).top
+            if top.is_rational:
+                continue
+            assert largest_root(rest, RENDER_WIDTH) is not None, params
+            ref = roots_of_irreducible(rest)[-1]
+            assert top.minpoly == ref.minpoly and top.root_index == ref.root_index, params
+            assert top.interval() == ref.tree_interval(RENDER_WIDTH), params
+            placed += 1
+    assert placed > 9000
+
+
+def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
+    """`classify_all(30)` types every ring from its dimension root alone: the
+    other two roots of an irrational rest are isolated only for the rings
+    it searches, once each.  K(0,1,0,n) isolates both y-roots at typing, as
+    its nonmodular filter reads them."""
+    from collections import Counter
+
+    from rank3ribbon import characters, classify
+    from rank3ribbon.classify import classify_all
+
+    current = [None]
+    calls = Counter()
+    original_isolate = characters.roots_of_irreducible
+    original_ring = classify.classify_ring
+
+    def isolate(p):
+        calls[current[0]] += 1
+        return original_isolate(p)
+
+    def on_ring(params):
+        current[0] = params
+        return original_ring(params)
+
+    monkeypatch.setattr(characters, "roots_of_irreducible", isolate)
+    monkeypatch.setattr(classify, "classify_ring", on_ring)
+    report = classify_all(30)
+    monkeypatch.undo()
+    searched = {r.params for r in report.rings if r.params is not None and r.witnesses is not None}
+    assert {p.as_tuple() for p in searched} == {(0, 1, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1)}
+    for r in report.rings:
+        params = r.params
+        if params is None:
+            continue
+        if params.k == 0:
+            expected = params.n != 1
+        else:
+            _roots, rest = split_rational_roots(char_poly_x(params))
+            expected = params in searched and rest.degree >= 2
+        assert calls[params] == expected, params

@@ -222,3 +222,45 @@ def test_cli_import_does_no_exact_work():
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[0, 0, 0, 0, 0]"
+
+
+@pytest.fixture(scope="module")
+def golden_payloads():
+    from rank3ribbon import cli
+
+    payloads = []
+    for g in GOLDEN:
+        args = cli._build_parser().parse_args(g["argv"])
+        payloads.append(cli._COMMANDS[args.command](args)[0])
+    return payloads
+
+
+def test_json_writer_matches_json_dumps_on_golden_payloads(golden_payloads):
+    """The direct writer emits exactly the bytes of json.dumps(obj, indent=2)
+    on the payload of every golden command."""
+    from rank3ribbon.cli import json_text
+
+    assert len(golden_payloads) == len(GOLDEN)
+    for payload in golden_payloads:
+        assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": [{}], "d": {"e": [[], {}]}},
+    (1, (2, [3, ()])), "plain", "café ☃ \U0001d11e", "tab\there\nquote\" back\\slash \x00\x1f\x7f",
+    {"é": "é", "": ""}, [True, False, 1, 0, None], {"t": True, "one": 1},
+    1e-09, -1e-09, 0.1, -0.0, 1e300, 12345678901234567890.0, -10**40, 10**40,
+    float("nan"), float("inf"), float("-inf"), [float("nan"), {"x": float("-inf")}],
+])
+def test_json_writer_matches_json_dumps(obj):
+    from rank3ribbon.cli import json_text
+
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {"x": {1.5}}, object()])
+def test_json_writer_rejects_what_it_cannot_write(obj):
+    from rank3ribbon.cli import json_text
+
+    with pytest.raises(TypeError):
+        json_text(obj)

@@ -30,8 +30,21 @@ from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.fusion import Rank3Params, rank3_tensor
 from rank3ribbon.exactnum import realalg
 from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
-from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qgcd, qmod
-from rank3ribbon.exactnum.realalg import from_poly_expr
+from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qmod, qtrim
+from rank3ribbon.exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root
+
+
+def _qgcd(p, q):
+    """Monic gcd of two polynomials over a field, by the Euclidean
+    algorithm on `qmod`: over Q, or over Q(zeta_n) with CycloNum
+    coefficients."""
+    a, b = qtrim(p), qtrim(q)
+    while b:
+        a, b = b, qmod(a, b)
+    if not a:
+        return ()
+    inv = Fraction(1) / a[-1]
+    return tuple(c * inv for c in a)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +467,7 @@ def _yun_factor_into_irreducibles(p):
     every candidate u/v and stripped by Fraction deflation; a part left with
     degree above 3 is rejected."""
     def gcd(a, b):
-        return _clear_denominators(qgcd(a.to_q(), b.to_q()))
+        return _clear_denominators(_qgcd(a.to_q(), b.to_q()))
 
     p = p.primitive()
     parts = []
@@ -854,7 +867,7 @@ def test_qdivmod_and_qgcd_over_cyclotomic_field():
     s = CycloNum.from_root(RootOfUnity.make(1, 8), n) + CycloNum.from_root(RootOfUnity.make(7, 8), n)
     zero, one = CycloNum.from_rational(n, 0), CycloNum.from_rational(n, 1)
     modulus = (CycloNum.from_rational(n, -2), zero, one)
-    g = qgcd(modulus, (-s - s, one + one))
+    g = _qgcd(modulus, (-s - s, one + one))
     assert g == (-s, one)
     quot, rem = qdivmod(modulus, g)
     assert rem == ()
@@ -1141,3 +1154,106 @@ def test_renderings_do_not_depend_on_refinement():
         deep.refine_to(Fraction(1, 2**200))
         assert fresh.approx_str(12) == deep.approx_str(12)
         assert float(fresh) == float(deep)
+
+
+# ---------------------------------------------------------------------------
+# Newton jumps and the placed largest root
+# ---------------------------------------------------------------------------
+
+def _bisection_interval(root, width):
+    """Test-local pure bisection: halve the isolating interval of a fresh
+    copy of `root` by the sign of its minimal polynomial at each midpoint,
+    on integer numerators over a common denominator, until it is at most
+    `width` wide."""
+    fresh = roots_of_irreducible(root.minpoly)[root.root_index]
+    lo, hi = fresh.interval()
+    coeffs = root.minpoly.coeffs
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_n, hi_n = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    lo_sign = sign_at(coeffs, lo_n, den)
+    while (hi_n - lo_n) * width.denominator > width.numerator * den:
+        mid, lo_n, hi_n, den = lo_n + hi_n, 2 * lo_n, 2 * hi_n, 2 * den
+        if sign_at(coeffs, mid, den) == lo_sign:
+            lo_n = mid
+        else:
+            hi_n = mid
+    return Fraction(lo_n, den), Fraction(hi_n, den)
+
+
+def _assert_newton_matches_bisection(poly, widths):
+    for root in roots_of_irreducible(poly):
+        for width in widths:
+            root.refine_to(width)
+            assert root.interval() == _bisection_interval(root, width), (poly, width)
+
+
+def test_newton_refinement_matches_bisection_on_character_polys():
+    """refine_to jumps by Newton wherever several levels remain, yet lands on
+    the node that bisection reaches, for every root of every irreducible
+    factor of char_poly_x and char_poly_y up to bound 50, at the rendering
+    width and at the 2^-130 of the cosine and generator balls."""
+    factors = _character_factors(50)
+    assert len(factors) > 1000
+    for poly in factors:
+        _assert_newton_matches_bisection(poly, (RENDER_WIDTH, Fraction(1, 2**130)))
+
+
+def test_newton_refinement_matches_bisection_on_cos_minimal_polys():
+    polys = [cos_minimal_poly(q) for q in range(1, 61)]
+    assert max(p.degree for p in polys) == 29
+    for poly in polys:
+        if poly.degree >= 2:
+            _assert_newton_matches_bisection(poly, (Fraction(1, 2**130),))
+
+
+@pytest.mark.parametrize("offset", [-1, 1, -(2**40), 2**200],
+                         ids=["one-below", "one-above", "far-below", "far-above"])
+def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypatch, offset):
+    """A Newton estimate one node beside the root, or far from it, fails the
+    exact sign check at the node's ends, and refine_to bisects instead;
+    largest_root declines to place the root."""
+    original = realalg._newton_node
+
+    def off(coeffs, bound, depth, x):
+        index = original(coeffs, bound, depth, x)
+        return None if index is None else index + offset
+
+    monkeypatch.setattr(realalg, "_newton_node", off)
+    for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 5))):
+        for width in (RENDER_WIDTH, Fraction(1, 2**130)):
+            _assert_newton_matches_bisection(poly, (width,))
+        if poly.coeffs[-1] == 1:
+            assert largest_root(poly, RENDER_WIDTH) is None
+
+
+def test_largest_root_is_not_placed_on_a_lower_root(monkeypatch):
+    """At the smallest root of a cubic the signs of p bracket a root, as at
+    the largest; only the Fourier-Budan check (p'' < 0 there) refuses it."""
+    poly = IntPoly((1, -2, -1, 1))  # three real roots
+    smallest = roots_of_irreducible(poly)[0]
+    index, depth = smallest._node_at(RENDER_WIDTH)
+    monkeypatch.setattr(realalg, "_newton_node", lambda coeffs, bound, d, x: index)
+    assert largest_root(poly, RENDER_WIDTH) is None
+
+
+def test_largest_root_matches_isolation():
+    for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -6, -1, 1))):
+        top = largest_root(poly, RENDER_WIDTH)
+        ref = roots_of_irreducible(poly)[-1]
+        assert top is not None and top == ref
+        assert top.minpoly == ref.minpoly and top.root_index == ref.root_index
+        assert top.interval() == ref.tree_interval(RENDER_WIDTH)
+        assert top.approx_str(12) == ref.approx_str(12) and float(top) == float(ref)
+
+
+def test_coefficients_beyond_float_range_fall_back_to_bisection():
+    """10^400 x^2 - (2*10^400 + 1) has coefficients no float holds: the
+    Newton jump gives up without an OverflowError and bisection places the
+    root; largest_root places it or declines, never wrongly."""
+    big = 10**400
+    poly = IntPoly((-(2 * big + 1), 0, big))
+    _assert_newton_matches_bisection(poly, (RENDER_WIDTH, Fraction(1, 2**130)))
+    root = roots_of_irreducible(poly)[1]
+    assert root.approx_str(12) == "1.41421356237" and float(root) == math.sqrt(2)
+    top = largest_root(poly, RENDER_WIDTH)
+    assert top is None or top.interval() == root.tree_interval(RENDER_WIDTH)

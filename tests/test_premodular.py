@@ -21,7 +21,7 @@ from rank3ribbon.exactnum.cyclotomic import (
     roots_of_unity_up_to,
     two_cos,
 )
-from rank3ribbon.exactnum.qpoly import qdivmod, qgcd, qtrim
+from rank3ribbon.exactnum.qpoly import qdivmod, qmod, qtrim
 from rank3ribbon.exactnum.realalg import roots_of_irreducible
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
@@ -663,6 +663,16 @@ def test_nonmodular_filter_large_n_fails():
 ORACLE_PRECISION_CAP = 4096  # the reference zero test gives up beyond this
 
 
+def _qgcd(p, q):
+    """Monic gcd over Q(zeta_n) of two polynomials with CycloNum
+    coefficients, by the Euclidean algorithm on `qmod`."""
+    a, b = qtrim(p), qtrim(q)
+    while b:
+        a, b = b, qmod(a, b)
+    inv = Fraction(1) / a[-1]
+    return tuple(c * inv for c in a)
+
+
 def _full_modulus_is_zero(ctx, elem):
     """Reference zero test in Q(zeta_n)[x]/(m), with no learned state: gcd of
     the representative with the whole lifted modulus m, then certified
@@ -675,7 +685,7 @@ def _full_modulus_is_zero(ctx, elem):
     if len(g) == 1:
         return False
     m = tuple(CycloNum.from_rational(ctx.n, c) for c in ctx.modulus)
-    h = qgcd(g, m)
+    h = _qgcd(g, m)
     if len(h) <= 1:
         return False
     if len(h) == len(m):
