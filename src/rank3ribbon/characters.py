@@ -14,8 +14,9 @@ are three and distinct, and that only the first is everywhere positive, so
 none of this is re-checked at run time.  Each character is stored with an
 exact generator of the field it lives in, plus polynomial expressions for
 its two values in that generator; this makes every downstream identity check
-a matter of polynomial reduction over Q, and the float screen a polynomial
-evaluated at float(generator).  So an irrational y-value with k >= 1 is
+a matter of polynomial reduction over Q, and the floats that the twist
+search screens its pinning row with a polynomial evaluated at
+float(generator).  So an irrational y-value with k >= 1 is
 located as a root of char_poly_y only on its first exact read (a rendered
 witness, `ring`'s characters), and solving the characters of a ring whose x
 is irrational factors nothing on char_poly_y and isolates none of its roots.
@@ -70,9 +71,10 @@ class Character:
 
     A real character built with `y_poly` instead of `y` locates its y-value
     on the first read of `y`, as the root of `y_poly` that y_rep(gen) is, and
-    keeps it.  The float screen (`value_complex`), the zero test (`nonzero`)
-    and exact certification read only `gen` and the reps, so a ring that
-    yields no witness never locates its irrational y-values.
+    keeps it.  The twist search's floats (`value_complex`), its zero tests
+    (`nonzero`, and an empty rep for a value that is exactly 0) and exact
+    certification read only `gen` and the reps, so a ring that yields no
+    witness never locates its irrational y-values.
     """
 
     __slots__ = ("x", "_y", "gen", "x_rep", "y_rep", "_y_poly")

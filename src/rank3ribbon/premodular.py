@@ -9,14 +9,14 @@ matrix is
 
 The twists of an admissible datum have orders q with phi(q) <= 12
 (`twist_table`), so the search scans one fixed table of at most 180 roots of
-unity.  A floating screen proposes twist pairs from it: row i of S must be
-d_i times a character, so one row names the other twist (`_arc_candidates`),
-and each candidate gets the exact checks that can change its verdict
-(`_certify_candidate`); there is no approximate fallback.  Each candidate
-is checked in one field, Q(zeta_n)[x]/(f) with f the minimal polynomial of
-the character generator alpha over Q(zeta_n), decided once per (minimal
-polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`: f = x - beta
-when alpha = beta lies in Q(zeta_n), and every element is then one CycloNum
+unity.  One float screen proposes twist pairs from it: row i of S must be
+d_i times a character, so one row names the other twist (`_arc_candidates`).
+The exact checks of `_certify_candidate` alone decide each candidate, and
+there is no approximate fallback.  Each candidate is checked in one field,
+Q(zeta_n)[x]/(f) with f the minimal polynomial of the character generator
+alpha over Q(zeta_n), decided once per (minimal polynomial, n) by
+`exactnum.cyclotomic.embed_real_algebraic`: f = x - beta when alpha = beta
+lies in Q(zeta_n), and every element is then one CycloNum
 (integer numerators over one denominator); f is alpha's minimal polynomial
 over Q otherwise, and elements are ExtNum polynomials with CycloNum
 coefficients.  Either way the ring is a field, so a zero test reads the
@@ -548,19 +548,18 @@ def search_ribbon_data(
 
     The twists range over `twist_table(max_twist_order)`, which holds every
     twist of every admissible datum from order 42 on; it and its float
-    screen data are built once per capped order (`_twist_screen`).  One row
-    of S names the other twist of each (`_arc_candidates`), and the scan
-    accepts a pair when S is symmetric and every row is a character within
-    SCAN_TOL (`_scan_twist_grid`).  The scan reads the characters' floats,
-    their reps at float(gen), so it locates no y-value.  Each candidate is
-    then re-verified exactly from the reps and must pass its
-    structure-class consistency rule (see module docstring).  Degenerate
+    screen data are built once per capped order (`_twist_screen`).  The one
+    float screen is the pinning row: it names the other twist of each
+    (`_arc_candidates`), reading the characters' floats, their reps at
+    float(gen), so it locates no y-value.  Each candidate is then verified
+    exactly from the reps, and the exact checks alone decide: it must pass
+    its structure-class consistency rule (see module docstring).  Degenerate
     (properly premodular) candidates are returned only when
     `include_degenerate` is set.  `system` is the ring's character system
     when the caller has already solved it; it is solved here otherwise.
     `landau` is `landau_rule` on its dimension character when the caller
     already holds that verdict; it is taken here otherwise, once and only
-    if the scan keeps a pair for the dimension character.
+    if the screen proposes a pair for the dimension character.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
@@ -575,7 +574,7 @@ def search_ribbon_data(
     for dims_index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        pairs = _scan_twist_grid(ring, chars[dims_index], chars, screen, SCAN_TOL)
+        pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
         verdict = None
         if dims_index == 0 and pairs:
             verdict = landau if landau is not None else landau_rule(dims)
@@ -594,7 +593,7 @@ def search_ribbon_data(
 
 TWIST_PHI_BOUND = 12  # phi(q) of every twist order q of an admissible datum
 TWIST_ORDER_BOUND = 42  # the largest q with phi(q) <= TWIST_PHI_BOUND
-SCAN_TOL = 1e-9  # float tolerance of the scan; exact certification follows
+SCAN_TOL = 1e-9  # float tolerance of the pinning-row screen; exact checks decide
 
 
 def twist_table(max_twist_order: int) -> list[RootOfUnity]:
@@ -659,24 +658,12 @@ def _twist_screen(order: int) -> _TwistScreen:
     )
 
 
-def _scan_twist_grid(ring, d, chars, screen, tol) -> list[tuple[int, int]]:
+def _arc_candidates(ring, d, chars, characters, screen, tol) -> list[tuple[int, int]]:
     """The index pairs (theta_1, theta_2) of `screen`'s table, row-major,
-    that pass `_looks_admissible`; `d` and `chars` are the float values of
-    the dimensions and of every character."""
-    values = screen.values
-    rows = [[[d[i] * c[j] for j in range(3)] for c in chars] for i in range(3)]
-    found = _arc_candidates(ring, d, chars, screen, tol)
-    return [
-        (a, b) for (a, b), index in sorted(found.items())
-        if _looks_admissible(ring, d, rows, index, values[a], values[b], tol)
-    ]
-
-
-def _arc_candidates(ring, d, chars, screen, tol) -> dict:
-    """Every pair (a, b) of `screen`'s table whose pinning row i is within
-    tol of d_i * chi at both non-unit entries for some character chi, mapped
-    to the first such chi: a necessary part of `_looks_admissible`'s row
-    test.
+    whose pinning row i is within tol of d_i * chi at both non-unit entries
+    for some character chi.  `d` and `chars` are the float values of the
+    dimensions and of every character, `characters` the characters
+    themselves, read only for an exact zero.
 
     Times the unit theta_i theta_e, entry e of row i is the balancing sum
     sum_k N[i*][e][k] theta_k d_k, so its test reads |k_e theta_o - r_e| <=
@@ -686,7 +673,13 @@ def _arc_candidates(ring, d, chars, screen, tol) -> dict:
     = theta_2^-1 d_1 pins theta_2.  Then ||r| - |k|| <= tol, and theta_o is
     within tol/|k| of r/k, so at an angle at most pi * min(tol/|k|, 1) from
     it (sin x >= 2x/pi up to pi/2; beyond, every point is 1 away): one run
-    of the sorted turns, whose points are kept when both entries pass."""
+    of the sorted turns, whose points are kept when both entries pass.
+
+    The diagonal entry reads theta_i only through chi_i and N[i*][i][i].
+    When both are exactly 0, theta_o is pinned and theta_i is free: by case
+    (c) of `twist_table` the ring is K(0,1,0,0) in one orientation and chi
+    is (-1, 0), every such datum is Modular, and its Frobenius-Schur sum
+    gives theta_i order 16, so only the table roots of order 16 are tried."""
     N, dual = ring.N, ring.dual
     i = 1 if N[dual[1]][1][2] or not N[dual[2]][2][1] else 2
     o = 3 - i
@@ -698,15 +691,21 @@ def _arc_candidates(ring, d, chars, screen, tol) -> dict:
                 target if e == i else 0, -n[i] * d[i], -n[0])
 
     values, by_turn, turns = screen.values, screen.by_turn, screen.turns
-    found: dict = {}
-    for index, chi in enumerate(chars):
+    found: set = set()
+    for chi, character in zip(chars, characters):
         k, b, c, f, g = entry(pin, chi)
         if pin == o:  # Z/3: k_2 = b theta_1 and r_2 = f theta_1
             k, f, g = b, 0, f
+        # pin == i only on self-dual rings, where an empty rep is exactly 0.
+        if pin == i and not N[dual[i]][i][i] and not (character.x_rep, character.y_rep)[i - 1]:
+            firsts = [j for j, root in enumerate(screen.table) if root.q == 16]
+        else:
+            firsts = range(len(values))
         size, turn = abs(k), cmath.phase(k) / (2 * math.pi)
         half = min(tol / size, 1.0) / 2
         k2, b2, c2, f2, g2 = entry(3 - pin, chi)
-        for first, t in enumerate(values):
+        for first in firsts:
+            t = values[first]
             r = (c * t + f) * t + g
             if abs(abs(r) - size) > tol:
                 continue
@@ -716,58 +715,13 @@ def _arc_candidates(ring, d, chars, screen, tol) -> dict:
                                   bisect.bisect_right(turns, center + half)]:
                 s = values[second]
                 if abs(k * s - r) <= tol and abs(other_k * s - other_r) <= tol:
-                    found.setdefault((first, second) if i == 1 else (second, first), index)
-    return found
-
-
-def _looks_admissible(ring, d, rows, index, t1, t2, tol) -> bool:
-    """Floating screen of the twists theta_1 = t1, theta_2 = t2: symmetric,
-    row i within tol of some rows[i][c] = d_i * (character c), and either
-    degenerate (|det| <= 1e-6) or passing the Frobenius-Schur indicator test.
-    Row 1 is tested first against character `index`, which proposed the
-    pair through the pinning row (row 2 on k = 0 rings)."""
-    N, dual = ring.N, ring.dual
-    theta = (1, t1, t2)
-    t = (1, t1 * d[1], t2 * d[2])
-    inv = (1, t1.conjugate(), t2.conjugate())
-
-    def row(i):
-        return [inv[i] * inv[j] * (n[0] + n[1] * t[1] + n[2] * t[2])
-                for j, n in enumerate(N[dual[i]])]
-
-    def near(r, x):
-        return abs(r[1] - x[1]) <= tol and abs(r[2] - x[2]) <= tol and abs(r[0] - x[0]) <= tol
-
-    S = [None, row(1), None]
-    if not (near(S[1], rows[1][index]) or any(near(S[1], r) for r in rows[1])):
-        return False
-    S[0], S[2] = row(0), row(2)
-    if any(abs(S[i][j] - S[j][i]) > tol for i, j in ((0, 1), (0, 2), (1, 2))):
-        return False
-    if not any(near(S[2], r) for r in rows[2]):
-        return False
-    det = (
-        S[0][0] * (S[1][1] * S[2][2] - S[1][2] * S[2][1])
-        - S[0][1] * (S[1][0] * S[2][2] - S[1][2] * S[2][0])
-        + S[0][2] * (S[1][0] * S[2][1] - S[1][1] * S[2][0])
-    )
-    if abs(det) <= 1e-6:
-        return True
-    d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    for k in range(3):
-        acc = sum(
-            N[i][j][k] * (d[i] * d[j]) * (theta[i] * theta[j].conjugate()) ** 2
-            for i in range(3) for j in range(3) if N[i][j][k]
-        )
-        allowed = [1] if k == 0 else ([1, -1] if dual[k] == k else [0])
-        if all(abs(acc - nu * d2) > 1e-6 * max(1.0, abs(d2)) for nu in allowed):
-            return False
-    return True
+                    found.add((first, second) if i == 1 else (second, first))
+    return sorted(found)
 
 
 def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
                        landau: FilterVerdict | None) -> Optional[PremodularDatum]:
-    """Exact verification and class-consistency rules for one scan survivor.
+    """Exact verification and class-consistency rules for one candidate.
 
     `landau` is `landau_rule(dims)` when the dimensions are the dimension
     character (index 0), taken once per search, and None otherwise.  The

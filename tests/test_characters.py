@@ -35,8 +35,8 @@ from rank3ribbon.fusion import (
 from rank3ribbon.premodular import (
     SCAN_TOL,
     TWIST_ORDER_BOUND,
+    _arc_candidates,
     _scaled_value,
-    _scan_twist_grid,
     _twist_screen,
 )
 
@@ -535,8 +535,8 @@ def test_rep_floats_match_the_exact_values_bound_30():
 
 def test_scan_sees_no_difference_between_rep_and_exact_floats():
     """On Z/3 and on every ring up to bound 10 in both orientations, the
-    scan keeps the same twist pairs at orders 16 and 60 whether it reads
-    the rep floats or the floats of the exact values."""
+    pinning-row screen proposes the same twist pairs at orders 16 and 60
+    whether it reads the rep floats or the floats of the exact values."""
     rings = [(make_z3_ring(), None)]
     for canon in enumerate_star_solutions(10):
         rings += [(make_rank3_ring(p), p) for p in (canon, canon.swapped())]
@@ -550,8 +550,9 @@ def test_scan_sees_no_difference_between_rep_and_exact_floats():
             for index, dims in enumerate(system.chars):
                 if not dims.nonzero():
                     continue
-                pairs = _scan_twist_grid(ring, reps[index], reps, screen, SCAN_TOL)
-                assert pairs == _scan_twist_grid(ring, exact[index], exact, screen, SCAN_TOL), ring
+                pairs = _arc_candidates(ring, reps[index], reps, system.chars, screen, SCAN_TOL)
+                assert pairs == _arc_candidates(
+                    ring, exact[index], exact, system.chars, screen, SCAN_TOL), ring
                 kept += len(pairs)
     assert kept > 0
 

@@ -511,3 +511,35 @@ def test_cross_validation_witnesses_bound_20():
         report = classify_ring(params)
         witnesses = search_ribbon_data(make_rank3_ring(params), 60)
         assert bool(witnesses) == report.admissible, params
+
+
+def test_cross_validation_witnesses_bound_100():
+    """Admissible iff at least one witness, on all 4,914 reports of the
+    bound-100 classification with every ring searched at twist order 60,
+    which holds every twist order an admissible datum can have."""
+    report = classify_all(100, 60, witness_all=True)
+    assert len(report.rings) == 4914
+    for r in report.rings:
+        assert bool(r.witnesses) == r.admissible, r.label
+
+
+@pytest.mark.parametrize("order", [16, 60, 240])
+def test_witnesses_are_galois_invariant_bound_20(order):
+    """Two invariants of the Galois action, on every ring up to bound 20.
+    Complex conjugation conjugates S, so each witness set is closed under
+    (theta_1, theta_2) -> (conj theta_1, conj theta_2) on the same dimension
+    character, which is real (on Z/3 only the trivial character carries
+    witnesses).  An automorphism that moves one character to another maps
+    the data of the first to data of the second, so the characters of one
+    `galois.orbits` orbit carry equally many witnesses."""
+    from collections import Counter
+
+    total = 0
+    for r in classify_all(20, order, witness_all=True).rings:
+        data = {(w.dims_index, w.twists.theta[1], w.twists.theta[2]) for w in r.witnesses}
+        assert {(i, t1.inverse(), t2.inverse()) for i, t1, t2 in data} == data, r.label
+        counts = Counter(i for i, _, _ in data)
+        for orbit in r.galois.orbits if r.galois else ():
+            assert len({counts[i] for i in orbit}) == 1, r.label
+        total += len(data)
+    assert total == 26

@@ -33,7 +33,6 @@ from rank3ribbon.premodular import (
     Verdict,
     ZeroDimension,
     _arc_candidates,
-    _scan_twist_grid,
     _twist_screen,
     build_s_matrix,
     euler_phi,
@@ -417,9 +416,22 @@ def _float_chars(system):
     return [[c.value_complex(j) for j in range(3)] for c in system.chars]
 
 
+def _certify_pairs(ring, index, dims, roots, pairs):
+    """The data exact certification admits, degenerate ones included, among
+    the index `pairs` into `roots`, for the dimension character `index`."""
+    landau = premodular.landau_rule(dims) if index == 0 else None
+    out = []
+    for a, b in pairs:
+        datum = premodular._certify_candidate(
+            ring, dims, index, Twists.of(roots[a], roots[b]), True, landau)
+        if datum is not None:
+            out.append(datum)
+    return out
+
+
 def _assert_scan_matches_grid(ring, order):
-    """The scan keeps exactly the grid survivors among the pairs of the
-    twist table."""
+    """The candidates contain every grid survivor among the pairs of the
+    twist table, and exact certification admits the same data from both."""
     system = solve_characters(ring)
     screen = _twist_screen(min(order, premodular.TWIST_ORDER_BOUND))
     table = screen.table
@@ -430,7 +442,12 @@ def _assert_scan_matches_grid(ring, order):
         if not dims.nonzero():
             continue
         expected = _grid_survivors(ring, system, dims, np.array(screen.values))
-        assert _scan_twist_grid(ring, chars[index], chars, screen, 1e-9) == expected
+        pairs = _arc_candidates(ring, chars[index], chars, system.chars, screen, 1e-9)
+        assert set(expected) <= set(pairs)
+        from_pairs, from_grid = (
+            [w.to_json() for w in _certify_pairs(ring, index, dims, table, p)]
+            for p in (pairs, expected))
+        assert from_pairs == from_grid
         survivors.extend((table[a], table[b]) for a, b in expected)
     return survivors
 
@@ -457,14 +474,17 @@ def test_solved_scan_matches_grid_order60(params):
 def test_solved_candidates_cover_s12_window(ring, row, tol):
     """The candidates are exactly the table pairs whose pinning row is
     within tol of d_row * chi at both non-unit entries for some character
-    chi, each mapped to the first such chi: row 1 on Z/3 and when k != 0,
-    row 2 on k = 0 rings.  Loose tolerances put many pairs near the arc
+    chi: row 1 on Z/3 and when k != 0, row 2 on k = 0 rings.  Where the
+    pinning row ignores its own twist (the character (-1, 0) of K(0,1,0,0),
+    whose value and N[2][2][2] are exactly 0), that twist's window is
+    restricted to order 16.  Loose tolerances put many pairs near the arc
     edges."""
     system = solve_characters(ring)
     screen = _twist_screen(30)
     values = screen.values
     t1, t2 = np.meshgrid(values, values, indexing="ij")
     theta = [np.ones_like(t1), t1, t2]
+    order_16 = np.array([r.q == 16 for r in screen.table])
     N, dual = ring.N, ring.dual
     chars = _float_chars(system)
     for index, dims in enumerate(system.chars):
@@ -476,12 +496,13 @@ def test_solved_candidates_cover_s12_window(ring, row, tol):
             * sum(N[dual[row]][j][k] * d[k] * theta[k] for k in range(3))
             for j in range(3)
         ]
-        first = {}
-        for c, chi in enumerate(chars):
+        window = set()
+        for chi, character in zip(chars, system.chars):
             near = (np.abs(S[1] - d[row] * chi[1]) <= tol) & (np.abs(S[2] - d[row] * chi[2]) <= tol)
-            for pair in zip(*(axis.tolist() for axis in np.nonzero(near))):
-                first.setdefault(pair, c)
-        assert _arc_candidates(ring, d, chars, screen, tol) == first
+            if row == 2 and not N[2][2][2] and character.y == 0:
+                near &= order_16[None, :]
+            window.update(zip(*(axis.tolist() for axis in np.nonzero(near))))
+        assert _arc_candidates(ring, d, chars, system.chars, screen, tol) == sorted(window)
 
 
 def test_solved_scan_covers_pinned_theta_1():
@@ -490,6 +511,32 @@ def test_solved_scan_covers_pinned_theta_1():
     pairs = _assert_scan_matches_grid(make_rank3_ring(Rank3Params(0, 1, 0, 0)), 60)
     free = {t2 for t1, t2 in pairs if t1 == RootOfUnity.make(1, 2)}
     assert {t for t in free if t.q == 16} == {RootOfUnity.make(p, 16) for p in range(1, 16, 2)}
+
+
+@pytest.mark.parametrize("params", [(0, 1, 0, 0), (1, 0, 0, 0)], ids=str)
+def test_free_twist_is_tried_at_order_16_only(params):
+    """On K(0,1,0,0), in both orientations, the character (-1, 0) leaves the
+    twist of the pinning row free: only its 8 roots of order 16 are
+    proposed, each with theta_o = -1, on both dimension characters (1, 1,
+    +-sqrt(2)).  With the 8 pairs pinned in full, that is 24 candidates at
+    orders 60 and 100, 16 of them witnesses, and 8 candidates with no
+    witness at order 10, whose table has no root of order 16.  Trying every
+    root of the table for the free twist would give 368 candidates."""
+    ring = make_rank3_ring(Rank3Params(*params))
+    system = solve_characters(ring)
+    chars = _float_chars(system)
+    free = 1 if params[0] else 2
+    for order, count, witnesses in ((10, 8, 0), (60, 24, 16), (100, 24, 16)):
+        screen = _twist_screen(min(order, premodular.TWIST_ORDER_BOUND))
+        pairs = [
+            (index, screen.table[a], screen.table[b])
+            for index, dims in enumerate(system.chars) if dims.nonzero()
+            for a, b in _arc_candidates(ring, chars[index], chars, system.chars, screen, 1e-9)
+        ]
+        assert len(pairs) == count
+        assert sum(p[free].q == 16 for p in pairs) == count - 8
+        assert {p[3 - free] for p in pairs if p[free].q == 16} <= {RootOfUnity.make(1, 2)}
+        assert len(search_ribbon_data(ring, order, system=system)) == witnesses
 
 
 def test_solved_scan_matches_grid_z3_pinned_theta_2():
@@ -562,13 +609,8 @@ def test_full_grid_certifies_nothing_outside_the_twist_table(ring):
     for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        for a, b in _grid_survivors(ring, system, dims, values):
-            datum = premodular._certify_candidate(
-                ring, dims, index, Twists.of(roots[a], roots[b]), True,
-                premodular.landau_rule(dims) if index == 0 else None,
-            )
-            if datum is not None:
-                certified.append(datum)
+        survivors = _grid_survivors(ring, system, dims, values)
+        certified += _certify_pairs(ring, index, dims, roots, survivors)
     certified.sort(key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn))
     found = search_ribbon_data(ring, 30, include_degenerate=True, system=system)
     assert [w.to_json() for w in certified] == [w.to_json() for w in found]
