@@ -458,7 +458,7 @@ def _z3_report(max_twist_order: int) -> RingReport:
     w = RootOfUnity.make(1, 3)
     ctx = ExactContext(ring, system.chars[0], Twists.of(w, w))
     fs = ctx.fs_indicators()
-    assert ctx.structure_class() == StructureClass.MODULAR and fs is not None
+    assert ctx.is_symmetric() and ctx.structure_class() == StructureClass.MODULAR and fs is not None
     verdicts["modular"] = FilterVerdict(
         Verdict.PASS,
         {

@@ -57,7 +57,26 @@ class ComplexBall:
         hi_n = hi.numerator * (den // hi.denominator)
         return ComplexBall._of(lo_n + hi_n, 0, hi_n - lo_n, 2 * den)
 
+    @staticmethod
+    def dot(pairs, den: int = 1) -> "ComplexBall":
+        """sum c * ball over the (c, ball) pairs, integer c, divided by the
+        positive integer den: one sum on integers over the lcm of the balls'
+        denominators, the same exact ball as adding the scaled balls."""
+        common = math.lcm(*(b._den for _, b in pairs))
+        re = im = rad = 0
+        for c, b in pairs:
+            m = c * (common // b._den)
+            re += m * b._re
+            im += m * b._im
+            rad += abs(m) * b._rad
+        return ComplexBall._of(re, im, rad, common * den)
+
     # -- exact views ----------------------------------------------------------
+
+    @property
+    def integers(self) -> tuple[int, int, int, int]:
+        """(re, im, rad, den): the center and radius numerators over den."""
+        return self._re, self._im, self._rad, self._den
 
     @property
     def re(self) -> Fraction:

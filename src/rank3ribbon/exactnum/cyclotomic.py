@@ -12,8 +12,10 @@ coefficients, so the whole layer runs on Python ints: `cyclotomic_poly` by
 integer long division, an element as integer numerators over one common
 denominator, a product as an integer convolution folded back by a cached
 integer table of x^e mod Phi_n, and an inverse as an extended Euclid on
-integer vectors.  Ball enclosures (`CycloNum.ball`) sum the integer
-numerators against cached integer balls of the powers of zeta.
+integer vectors.  A combination sum c * zeta^e * v (`rotated_sum`) is a
+sum of cyclic shifts in Z[x]/(x^n - 1), folded and reduced once.  Ball
+enclosures (`CycloNum.ball`) are one integer dot product of the numerators
+with cached integer balls of the powers of zeta.
 
 `embed_real_algebraic` decides whether a real algebraic integer of degree
 at most 3 lies in Q(zeta_n), and if so names it as a CycloNum, once per
@@ -204,13 +206,14 @@ def _power_basis(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 @lru_cache(maxsize=None)
 def _fold_rows(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """(phi(n), rows): row e - phi(n) is x^e mod Phi_n for e in
-    [phi(n), 2*phi(n) - 1) as sparse (index, coefficient) pairs, which folds
-    the high half of a product back onto the power basis."""
+    [phi(n), max(n, 2*phi(n) - 1)) as sparse (index, coefficient) pairs,
+    which folds the high half of a product, or a vector of Z[x]/(x^n - 1),
+    back onto the power basis."""
     phi, table = _power_basis(n)
     deg = len(phi) - 1
     return deg, tuple(
         tuple((k, c) for k, c in enumerate(table[e % n]) if c)  # x^n = 1
-        for e in range(deg, 2 * deg - 1)
+        for e in range(deg, max(n, 2 * deg - 1))
     )
 
 
@@ -346,13 +349,13 @@ class CycloNum:
         return self.inverse().scale(other)
 
     def ball(self, precision_bits: int = 96) -> ComplexBall:
-        """Certified enclosure of the complex value: the integer numerators
-        summed against the cached balls of zeta^i, divided by den once."""
-        acc = _ZERO_BALL
-        for i, c in enumerate(self.num):
-            if c:
-                acc = acc + _zeta_ball(self.n, i, precision_bits).scale(c)
-        return acc if self.den == 1 else acc.scale(Fraction(1, self.den))
+        """Certified enclosure of the complex value: one integer dot product
+        of the numerators with the cached balls of zeta^i, for the exponents
+        that occur, over den."""
+        return ComplexBall.dot(
+            [(c, _zeta_ball(self.n, i, precision_bits)) for i, c in enumerate(self.num) if c],
+            self.den,
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -367,6 +370,41 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(n={self.n}, {list(self.coeffs)})"
+
+
+def rotated_sum(n: int, terms) -> CycloNum:
+    """sum c * zeta_n^e * v over the terms (c, e, v): c an int or Fraction,
+    e any integer, v a CycloNum of order n.
+
+    Each term rotates v's integer numerators by e in Z[x]/(x^n - 1), where
+    multiplying by zeta^e is a cyclic shift, over one common denominator.
+    The sum is folded onto the power basis once (x^e mod Phi_n for e >=
+    phi(n)) and reduced once, so it forms no product and no intermediate
+    CycloNum."""
+    parts = []
+    den = 1
+    for c, e, v in terms:
+        if v.n != n:
+            raise ValueError("mixed cyclotomic orders")
+        if c and v.num:
+            parts.append((c, e % n, v))
+            den = lcm(den, c.denominator * v.den)
+    acc = [0] * n
+    for c, e, v in parts:
+        m = c.numerator * (den // (c.denominator * v.den))
+        split = n - e  # numerator i lands on i + e, or on i + e - n past the end
+        for j, x in enumerate(v.num[:split], e):
+            acc[j] += m * x
+        for j, x in enumerate(v.num[split:]):
+            acc[j] += m * x
+    deg, rows = _fold_rows(n)
+    out = acc[:deg]
+    for e in range(deg, n):
+        c = acc[e]
+        if c:
+            for k, t in rows[e - deg]:
+                out[k] += c * t
+    return CycloNum._make(n, out, den)
 
 
 def _integer_inverse(num: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int], int]:

@@ -169,8 +169,13 @@ def scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
 
 def sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     """Sign of p(num/den) for integer coefficients and den > 0: the sign of
-    `scaled_value`."""
-    acc = scaled_value(coeffs, num, den)
+    `scaled_value`, whose Horner loop is repeated here to save a call on the
+    package's hottest function."""
+    acc = 0
+    scale = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 

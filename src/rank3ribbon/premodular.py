@@ -20,13 +20,18 @@ lies in Q(zeta_n), and every element is then one CycloNum
 (integer numerators over one denominator); f is alpha's minimal polynomial
 over Q otherwise, and elements are ExtNum polynomials with CycloNum
 coefficients.  Either way the ring is a field, so a zero test reads the
-representative (`ExactContext._is_zero`), building and checking a matrix
-runs on Python ints, and each product of the matrix, row and
-Frobenius-Schur checks is formed once per context.  The rendered `approx`
-S-matrix encloses each certified entry from its coefficients over alpha's
-minimal polynomial, sums of scaled roots of unity, by Horner's rule on balls
-(`build_s_matrix`).  A witness is admitted only if its structure class
-passes the corresponding consistency rule:
+representative (`ExactContext._is_zero`), and building and checking a
+matrix runs on Python ints.  Only three entries of S depend on the twists:
+row 0 is d by the unit axiom, and on a ring whose elements are self-dual
+with N[i][j] = N[j][i] S is symmetric term by term.  Each of S11, S12 and
+S22, and each Frobenius-Schur sum, is one rotated combination
+sum c * zeta^e * v of field elements shared by the whole search
+(`exactnum.cyclotomic.rotated_sum`), so only the row and determinant checks
+form products.  The rendered `approx` S-matrix encloses the three free
+entries from their coefficients over alpha's minimal polynomial by Horner's
+rule on balls, and the dimension row once per field (`build_s_matrix`).  A
+witness is admitted only if its structure class passes the corresponding
+consistency rule:
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
@@ -56,9 +61,11 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .characters import Character, CharacterSystem, GaloisInfo, galois_type, solve_characters
-from .exactnum import ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, lcm, two_cos
-from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to
-from .exactnum.qpoly import QPoly, qconst
+from .exactnum import (
+    ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, decimal_str, lcm, two_cos,
+)
+from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to, rotated_sum
+from .exactnum.qpoly import QPoly
 from .fusion import FusionRing, Rank3Params, canonicalize
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
@@ -119,7 +126,8 @@ class Twists:
 
 @dataclass
 class SMatrix:
-    """3x3 ball rendering of an exact S-matrix (`build_s_matrix`)."""
+    """3x3 ball rendering of an exact S-matrix (`build_s_matrix`).  The
+    matrix is symmetric, and a mirrored entry is the same ball object."""
 
     entries: tuple  # 3x3 tuple of ComplexBall
     precision_bits: int
@@ -128,27 +136,22 @@ class SMatrix:
         return self.entries[i][j]
 
     def to_json(self) -> dict:
-        return {
-            "entries": [
-                [
-                    {
-                        "re": _dec(self.entries[i][j].re),
-                        "im": _dec(self.entries[i][j].im),
-                        "radius": _dec(self.entries[i][j].rad),
-                        "note": "approx",
-                    }
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ],
-            "precision_bits": self.precision_bits,
-        }
-
-
-def _dec(x: Fraction) -> str:
-    from .exactnum.realalg import decimal_str
-
-    return decimal_str(x, 12) if x != 0 else "0"
+        """Each distinct ball is rendered once, from its integers."""
+        rows: list[list] = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                ball = self.entries[i][j]
+                if j < i and ball is self.entries[j][i]:
+                    rows[i][j] = rows[j][i]
+                    continue
+                re, im, rad, den = ball.integers
+                rows[i][j] = {
+                    "re": decimal_str(re, 12, den),
+                    "im": decimal_str(im, 12, den),
+                    "radius": decimal_str(rad, 12, den),
+                    "note": "approx",
+                }
+        return {"entries": rows, "precision_bits": self.precision_bits}
 
 
 @dataclass
@@ -207,22 +210,13 @@ class ExtNum:
         out.n, out.modulus, out.coeffs = self.n, self.modulus, tuple(coeffs)
         return out
 
-    def __add__(self, other: "ExtNum") -> "ExtNum":
-        return self._with(a + b for a, b in zip(self.coeffs, other.coeffs))
-
     def __sub__(self, other: "ExtNum") -> "ExtNum":
         return self._with(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "ExtNum":
-        return self._with(-a for a in self.coeffs)
 
     def scale(self, r) -> "ExtNum":
         return self._with(a.scale(r) for a in self.coeffs)
 
-    def __mul__(self, other) -> "ExtNum":
-        """The product with an ExtNum, or with a CycloNum coefficient-wise."""
-        if isinstance(other, CycloNum):
-            return self._with(a * other for a in self.coeffs)
+    def __mul__(self, other: "ExtNum") -> "ExtNum":
         deg = len(self.modulus) - 1
         prod: list = [None] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
@@ -251,6 +245,120 @@ class ExtNum:
         raise TypeError("ExtNum is unhashable")
 
 
+FREE_ENTRIES = ((1, 1), (1, 2), (2, 2))  # the entries of S that depend on the twists
+_UNIT_REP = (Fraction(1),)
+
+
+def _ring_premises(ring: FusionRing) -> tuple[bool, bool]:
+    """The two facts about N that fix six of the nine entries of S for any
+    twists, S[i][j] = theta_i^-1 theta_j^-1 sum_k N[i*][j][k] theta_k d_k:
+
+    - unit: N[0*][j][k] = [j = k] (the unit axiom), so S[0][j] =
+      theta_j^-1 theta_j d_j = d_j;
+    - symmetric: every element is self-dual and N[i][j] = N[j][i], so the
+      sums of S[i][j] and S[j][i] agree term by term.
+
+    With both, S = [[1, d_1, d_2], [d_1, S11, S12], [d_2, S12, S22]], and
+    only S11, S12 and S22 depend on the twists.  Every self-dual ring of
+    the package has both; Z/3 is not self-dual."""
+    N, dual = ring.N, ring.dual
+    unit = all(N[dual[0]][j][k] == (j == k) for j in range(3) for k in range(3))
+    symmetric = dual == (0, 1, 2) and all(N[i][j] == N[j][i] for i in range(3) for j in range(i))
+    return unit, symmetric
+
+
+class _Field:
+    """What the exact contexts of one dimension character over one field
+    share: the d_j, their coefficients over the modulus in alpha (`lifts`),
+    the products d_i d_j, D^2 = sum_j d_j^2, the balls of alpha and the
+    rendered dimension row, each formed once, on first use."""
+
+    def __init__(self, n: int, gen: RealAlgebraic, beta, dim_terms):
+        self.n, self.gen, self.beta = n, gen, beta
+        # Every generator is a root of a monic integer cubic, so its minimal
+        # polynomial is monic.
+        self.modulus = tuple(Fraction(c) for c in gen.minpoly.coeffs)
+        self.deg = len(self.modulus) - 1
+        zero = CycloNum.from_rational(n, 0)
+        self.zero = zero if beta is not None else ExtNum(n, self.modulus, (zero,))
+        # d_j = rep_j(alpha) * root_j, root_j a root of unity (not 1 only for
+        # Z/3 dimensions).
+        self.lifts = []
+        for rep, root in dim_terms:
+            z = CycloNum.from_root(root, n)
+            self.lifts.append(tuple(z.scale(c) for c in rep) + (zero,) * (self.deg - len(rep)))
+        self.d = [self._at_generator(lift) for lift in self.lifts]
+        self._gen_balls: dict[int, ComplexBall] = {}
+        self.dim_row: Optional[tuple[ComplexBall, ...]] = None  # set by build_s_matrix
+
+    def _at_generator(self, coeffs: tuple[CycloNum, ...]):
+        """The element with these coefficients over the modulus in alpha."""
+        if self.beta is None:
+            return ExtNum(self.n, self.modulus, coeffs)
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * self.beta + c
+        return acc
+
+    def combine(self, terms, values):
+        """sum c * zeta_n^e * values[k] over the terms (c, e, k), for values
+        in the field: one rotated combination (`rotated_sum`), taken
+        coefficientwise when the field is an extension of Q(zeta_n)."""
+        if self.beta is not None:
+            return rotated_sum(self.n, [(c, e, values[k]) for c, e, k in terms])
+        return ExtNum(self.n, self.modulus, self.coefficients(terms, [v.coeffs for v in values]))
+
+    def coefficients(self, terms, vectors) -> tuple[CycloNum, ...]:
+        """The coefficients of sum c * zeta_n^e * vectors[k] over the terms
+        (c, e, k), for coefficient vectors over the modulus."""
+        return tuple(
+            rotated_sum(self.n, [(c, e, vectors[k][t]) for c, e, k in terms])
+            for t in range(self.deg)
+        )
+
+    @cached_property
+    def dim_products(self) -> list[list]:
+        """d_i * d_j, each product formed once (d_0 = 1 adds none)."""
+        d = self.d
+        out = [list(d), [d[1], None, None], [d[2], None, None]]
+        for i, j in FREE_ENTRIES:
+            out[i][j] = out[j][i] = d[i] * d[j]
+        return out
+
+    @cached_property
+    def global_dim_sq(self):
+        squares = [self.dim_products[j][j] for j in range(3)]
+        return self.combine([(1, 0, j) for j in range(3)], squares)
+
+    def gen_ball(self, prec: int) -> ComplexBall:
+        """alpha enclosed by the node of its bisection tree at width
+        2^-prec, formed once per precision."""
+        ab = self._gen_balls.get(prec)
+        if ab is None:
+            ab = self._gen_balls[prec] = ComplexBall.from_real_interval(
+                *self.gen.tree_interval(Fraction(1, 2**prec))
+            )
+        return ab
+
+
+class _SearchScope:
+    """What the exact contexts of one search share, dropped when the search
+    returns: the ring's premises (`_ring_premises`), taken once, and one
+    `_Field` per (generator, dimension terms, n, beta).  beta is part of the
+    key because it decides the field: the same character and order can be
+    certified in Q(zeta_n) or, with beta None, in Q(zeta_n)[x]/(m)."""
+
+    __slots__ = ("ring", "premises", "fields")
+
+    def __init__(self, ring: FusionRing):
+        self.ring = ring
+        self.premises = _ring_premises(ring)
+        self.fields: dict = {}
+
+
+_scope: Optional[_SearchScope] = None  # set while search_ribbon_data runs
+
+
 class ExactContext:
     """Exact S-matrix entries for one (ring, dims, twists) datum, in one
     field F = Q(zeta_n)[x]/(f), f the minimal polynomial of the character
@@ -263,6 +371,15 @@ class ExactContext:
     - f = m, the minimal polynomial over Q, otherwise; elements are ExtNum.
     Either way F is a field and a value is zero exactly when its
     representative is (`_is_zero`).
+
+    Only the free entries S11, S12 and S22 are formed (`_ring_premises`),
+    each once, as one rotated combination of the field's d_k
+    (`rotated_sum`).  The checks read the symmetric matrix they span
+    (`entries`), which is S wherever `is_symmetric` and `unit_row_ok` hold:
+    on every self-dual ring by the premises, and on Z/3 once `is_symmetric`
+    has compared the entries, as the search and the Z/3 report do first.
+    The d_j, d_i d_j, D^2 and the generator's balls are field data shared
+    by the contexts of one search (`_SearchScope`).
 
     Raises Undecidable, before any arithmetic table is built, when the
     ambient cyclotomic degree phi(n) exceeds EXACT_PHI_CAP.
@@ -278,75 +395,48 @@ class ExactContext:
                 f"beyond the exact cap {EXACT_PHI_CAP}"
             )
         # Rational and Z/3 dimensions have no generator of their own: they take
-        # 0, whose minimal polynomial x is the modulus.  Every generator is a
-        # root of a monic integer cubic, so its minimal polynomial is monic.
+        # 0, whose minimal polynomial x is the modulus.
         gen = dims.gen or RealAlgebraic.from_rational(0)
         self.gen = gen
-        self.modulus = tuple(Fraction(c) for c in gen.minpoly.coeffs)
         self.beta = embed_real_algebraic(gen, n)
         self.ring = ring
         self.dims = dims
         self.twists = twists
-        # d_j = rep_j(alpha) * root_j: the reps over the modulus, and a root
-        # of unity that is not 1 only for Z/3 dimensions.
         one = RootOfUnity.one()
         if dims.is_cyclotomic:
-            self._dim_terms = ((qconst(1), one), (qconst(1), dims.x), (qconst(1), dims.y))
+            dim_terms = ((_UNIT_REP, one), (_UNIT_REP, dims.x), (_UNIT_REP, dims.y))
         else:
-            self._dim_terms = ((qconst(1), one), (dims.x_rep, one), (dims.y_rep, one))
-        zero = CycloNum.from_rational(n, 0)
-        self.zero = zero if self.beta is not None else ExtNum(n, self.modulus, (zero,))
-        self.d = [self._dim_value(j) for j in range(3)]
-        self._gen_balls: dict[int, ComplexBall] = {}
+            dim_terms = ((_UNIT_REP, one), (dims.x_rep, one), (dims.y_rep, one))
+        scope = _scope if _scope is not None and _scope.ring is ring else None
+        self.premises = scope.premises if scope else _ring_premises(ring)
+        key = (gen, dim_terms, n, self.beta)
+        field = scope.fields.get(key) if scope else None
+        if field is None:
+            field = _Field(n, gen, self.beta, dim_terms)
+            if scope:
+                scope.fields[key] = field
+        self.field = field
+        self.modulus, self.zero, self.d = field.modulus, field.zero, field.d
+        self._exps = [t.p * (n // t.q) for t in twists.theta]  # theta_k = zeta^e_k
 
-    def _dim_value(self, j: int):
-        rep, root = self._dim_terms[j]
-        z = CycloNum.from_root(root, self.n)
-        if self.beta is None:
-            return ExtNum(self.n, self.modulus, tuple(z.scale(c) for c in rep))
-        acc = CycloNum.from_rational(self.n, 0)
-        for c in reversed(rep):
-            acc = acc * self.beta + z.scale(c)
-        return acc
+    def _terms(self, i: int, j: int) -> list[tuple[int, int, int]]:
+        """S[i][j] = sum_k N[i*][j][k] theta_k (theta_i theta_j)^-1 d_k as
+        rotated-combination terms (N[i*][j][k], e_k - e_i - e_j, k)."""
+        coefs = self.ring.N[self.ring.dual[i]][j]
+        e = self._exps
+        return [(coefs[k], e[k] - e[i] - e[j], k) for k in range(3) if coefs[k]]
 
-    def _times_root(self, x, r: RootOfUnity):
-        """x * r for a root of unity r, with no product when r = 1."""
-        if r.is_one:
-            return x
-        return x * CycloNum.from_root(r, self.n)
+    def _entry(self, i: int, j: int):
+        return self.field.combine(self._terms(i, j), self.d)
 
     @cached_property
     def entries(self) -> list[list]:
-        """The exact S-matrix, built on first use: a candidate rejected by its
-        Frobenius-Schur indicators never needs it.
-
-        theta_i^-1 theta_j^-1 = (theta_i theta_j)^-1 is one root of unity, so
-        an entry takes one product (none when that root is 1), and each
-        theta_k d_k is formed once."""
-        N, dual = self.ring.N, self.ring.dual
-        theta = self.twists.theta
-        td = [self._times_root(self.d[k], theta[k]) for k in range(3)]
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = self.zero
-                for k in range(3):
-                    coef = N[dual[i]][j][k]
-                    if coef:
-                        acc = acc + td[k].scale(coef)
-                row.append(self._times_root(acc, (theta[i] * theta[j]).inverse()))
-            out.append(row)
-        return out
-
-    @cached_property
-    def dim_products(self) -> list[list]:
-        """d_i * d_j, each product formed once (d_0 = 1 adds none)."""
+        """The symmetric matrix [[1, d_1, d_2], [d_1, S11, S12], [d_2, S12,
+        S22]], built on first use: a candidate rejected by its
+        Frobenius-Schur indicators never needs it."""
         d = self.d
-        out = [list(d), [d[1], None, None], [d[2], None, None]]
-        for i, j in ((1, 1), (1, 2), (2, 2)):
-            out[i][j] = out[j][i] = d[i] * d[j]
-        return out
+        s11, s12, s22 = (self._entry(i, j) for i, j in FREE_ENTRIES)
+        return [list(d), [d[1], s11, s12], [d[2], s12, s22]]
 
     def _is_zero(self, elem) -> bool:
         """Whether the value vanishes: the context's ring is a field, so this
@@ -355,94 +445,91 @@ class ExactContext:
 
     # -- rendering ----------------------------------------------------------
 
-    def entry_coeffs(self, i: int, j: int) -> tuple[CycloNum, ...]:
-        """The coefficients of S[i][j] over the modulus in alpha:
-        sum_k N[i*][j][k] rep_k[t] root_k theta_k (theta_i theta_j)^-1 for
-        t < deg(modulus), each a sum of scaled roots of unity, so no product
-        is formed."""
-        n, N, dual = self.n, self.ring.N, self.ring.dual
-        theta = self.twists.theta
-        shift = (theta[i] * theta[j]).inverse()
-        out = [CycloNum.from_rational(n, 0)] * (len(self.modulus) - 1)
-        for k, (rep, root) in enumerate(self._dim_terms):
-            coef = N[dual[i]][j][k]
-            if coef:
-                z = CycloNum.from_root(root * theta[k] * shift, n)
-                for t, c in enumerate(rep):
-                    if c:
-                        out[t] = out[t] + z.scale(coef * c)
-        return tuple(out)
+    def _coefficients(self, i: int, j: int) -> tuple[CycloNum, ...]:
+        """The coefficients over the modulus in alpha of the free entry
+        S[i][j]: in an extension field and at degree 1 the entry itself, and
+        otherwise its rotated combination taken over the coefficients of the
+        d_k."""
+        value = self.entries[i][j]
+        if self.beta is None:
+            return value.coeffs
+        if self.field.deg == 1:
+            return (value,)
+        return self.field.coefficients(self._terms(i, j), self.field.lifts)
 
     def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
         """Certified ball around poly(alpha) for CycloNum coefficients, each
         enclosed at `prec` bits, and alpha enclosed by the node of its
-        bisection tree at width 2^-prec, formed once per precision; at the
-        generator 0, poly is one coefficient and the ball is exactly its own.
-        The ball does not depend on how far alpha was refined before."""
-        ab = self._gen_balls.get(prec)
-        if ab is None:
-            ab = self._gen_balls[prec] = ComplexBall.from_real_interval(
-                *self.gen.tree_interval(Fraction(1, 2**prec))
-            )
-        acc = ComplexBall.from_rational(0)
-        for c in reversed(poly):
-            acc = acc * ab + c.ball(prec)
+        bisection tree at width 2^-prec (`_Field.gen_ball`), by Horner's rule
+        from the top coefficient; for one coefficient the ball is exactly its
+        own.  The ball does not depend on how far alpha was refined before."""
+        acc = poly[-1].ball(prec)
+        if len(poly) > 1:
+            ab = self.field.gen_ball(prec)
+            for c in reversed(poly[:-1]):
+                acc = acc * ab + c.ball(prec)
         return acc
 
     # -- exact checks -----------------------------------------------------
 
     def is_symmetric(self) -> bool:
+        """S[j][i] = S[i][j].  Under the ring's symmetry premise the two sums
+        agree term by term, so nothing is formed; otherwise (Z/3) the three
+        entries below the diagonal are formed and compared exactly."""
+        if self.premises[1]:
+            return True
         e = self.entries
         return all(
-            self._is_zero(e[i][j] - e[j][i]) for i in range(3) for j in range(i + 1, 3)
+            self._is_zero(self._entry(j, i) - e[i][j]) for i in range(3) for j in range(i + 1, 3)
         )
 
     def unit_row_ok(self) -> bool:
-        return all(self._is_zero(self.entries[0][j] - self.d[j]) for j in range(3))
+        """S[0][j] = d_j, which the unit axiom of the ring proves for any
+        twists (`_ring_premises`); a ring without it fails."""
+        return self.premises[0]
 
     def rows_are_characters(self) -> bool:
-        """Row i over d_i satisfies the defining relations of the ring,
-        verified after clearing denominators: e_a e_b = sum_k N[a][b][k] d_i e_k,
-        with d_i e_0 taken as d_i^2.  The products d_i^2, d_i e_1 and d_i e_2
-        are formed once per row."""
-        N = self.ring.N
-        for i in range(3):
-            di = self.d[i]
-            e = self.entries[i]
-            if not self._is_zero(e[0] - di):
-                return False
-            basis = [self.dim_products[i][i]] + [di * e[k] if i else e[k] for k in (1, 2)]
+        """Rows 1 and 2 over d_i satisfy the defining relations of the ring,
+        verified after clearing denominators: e_a e_b = sum_k N[a][b][k] d_i
+        e_k, with d_i e_0 taken as d_i^2 and e_0 = S[i][0] = d_i.  Row 0 is
+        d (unit axiom), a character of the ring by construction, so it is
+        not re-checked.  Both rows are read from the entries on and above
+        the diagonal, and each product, S12^2 included, is formed once."""
+        N, e, dp = self.ring.N, self.entries, self.field.dim_products
+        products: dict = {}
+
+        def product(p, q):  # of the entries at upper-triangle positions p, q
+            key = (p, q) if p <= q else (q, p)
+            if key not in products:
+                products[key] = e[p[0]][p[1]] * e[q[0]][q[1]]
+            return products[key]
+
+        for i in (1, 2):
+            at = [(0, i), (min(i, 1), max(i, 1)), (i, 2)]  # row i, column k
+            basis = [dp[i][i], product((0, i), at[1]), product((0, i), at[2])]
             for a, b in ((1, 1), (1, 2), (2, 2)):
-                rhs = self.zero
-                for k in range(3):
-                    if N[a][b][k]:
-                        rhs = rhs + basis[k].scale(N[a][b][k])
-                if not self._is_zero(e[a] * e[b] - rhs):
+                terms = [(N[a][b][k], 0, k) for k in range(3)] + [(-1, 0, 3)]
+                if not self._is_zero(self.field.combine(terms, [*basis, product(at[a], at[b])])):
                     return False
         return True
 
     def det(self):
-        e = self.entries
-
-        def minor(r1, r2, c1, c2):
-            return e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]
-
-        return (
-            e[0][0] * minor(1, 2, 1, 2)
-            - e[0][1] * minor(1, 2, 0, 2)
-            + e[0][2] * minor(1, 2, 0, 1)
+        """det S expanded along row 0 = (1, d_1, d_2): S11 S22 - S12^2 -
+        d_1^2 S22 + 2 d_1 d_2 S12 - d_2^2 S11, one rotated combination of
+        five products."""
+        e, dp = self.entries, self.field.dim_products
+        s11, s12, s22 = e[1][1], e[1][2], e[2][2]
+        products = [s11 * s22, s12 * s12, dp[1][1] * s22, dp[1][2] * s12, dp[2][2] * s11]
+        return self.field.combine(
+            [(1, 0, 0), (-1, 0, 1), (-1, 0, 2), (2, 0, 3), (-1, 0, 4)], products
         )
 
     def rank_is_one(self) -> bool:
-        e = self.entries
-        for r1 in range(3):
-            for r2 in range(r1 + 1, 3):
-                for c1 in range(3):
-                    for c2 in range(c1 + 1, 3):
-                        m = e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]
-                        if not self._is_zero(m):
-                            return False
-        return True
+        """Every 2x2 minor vanishes.  Row 0 = d starts with 1 and S[i][0] =
+        d_i, so that holds exactly when each row i is d_i times row 0, that
+        is when S_ij = d_i d_j on the three free entries."""
+        e, dp = self.entries, self.field.dim_products
+        return all(self._is_zero(e[i][j] - dp[i][j]) for i, j in FREE_ENTRIES)
 
     def structure_class(self) -> StructureClass:
         if not self._is_zero(self.det()):
@@ -454,30 +541,23 @@ class ExactContext:
     # -- second Frobenius-Schur indicators ---------------------------------
 
     def global_dim_sq(self):
-        acc = self.zero
-        for j in range(3):
-            acc = acc + self.dim_products[j][j]
-        return acc
+        return self.field.global_dim_sq
 
     def fs_indicator_sums(self) -> list:
         """A_k = sum_{i,j} N[i][j][k] d_i d_j (theta_i / theta_j)^2 for each k;
         an admissible modular datum has A_k = nu_k * D^2 with nu_k in {0,+-1}.
-        Each term d_i d_j (theta_i / theta_j)^2 is formed once per (i, j) with
-        a nonzero N[i][j], and not multiplied out when the ratio is 1."""
-        theta = self.twists.theta
-        out = [self.zero] * 3
-        for i in range(3):
-            for j in range(3):
-                coefs = self.ring.N[i][j]
-                if not any(coefs):
-                    continue
-                term = self._times_root(
-                    self.dim_products[i][j], (theta[i] * theta[j].inverse()) ** 2
-                )
-                for k in range(3):
-                    if coefs[k]:
-                        out[k] = out[k] + term.scale(coefs[k])
-        return out
+        Each A_k is one rotated combination of the field's products d_i d_j,
+        so no product is formed here."""
+        N, e, dp = self.ring.N, self._exps, self.field.dim_products
+        values = [dp[i][j] for i in range(3) for j in range(3)]
+        return [
+            self.field.combine(
+                [(N[i][j][k], 2 * (e[i] - e[j]), 3 * i + j)
+                 for i in range(3) for j in range(3) if N[i][j][k]],
+                values,
+            )
+            for k in range(3)
+        ]
 
     def fs_indicators(self) -> Optional[list[int]]:
         """Exact indicators [nu_0, nu_1, nu_2] if each A_k is 0 or +-D^2 with
@@ -515,21 +595,38 @@ def ambient_cyclotomic_order(dims: Character, twists: Twists) -> int:
 def build_s_matrix(ctx: ExactContext) -> SMatrix:
     """The context's exact S-matrix rendered for output: each entry as a ball
     of radius at most 2^-SMATRIX_PRECISION_BITS around its value, from its
-    coefficients over the modulus in alpha (`ExactContext.entry_coeffs`) by
-    Horner's rule on balls; exactly 0 when those coefficients are zero."""
+    coefficients over the modulus in alpha by Horner's rule on balls
+    (`ExactContext._eval_ball_at_gen`); exactly 0 when those coefficients
+    are zero.
+
+    Only the three free entries are rendered per datum.  Row 0 is d by the
+    unit axiom, rendered once per field, and the entries below the diagonal
+    are the same balls as those above it.  That is S for a symmetric datum,
+    so a matrix that is not symmetric (a Z/3 datum the checks reject) is
+    refused."""
     if not ctx.dims.nonzero():
         raise ZeroDimension("candidate dimensions contain an exact zero")
-    limit = Fraction(1, 2**SMATRIX_PRECISION_BITS)
+    if not (ctx.is_symmetric() and ctx.unit_row_ok()):
+        raise ValueError("the S-matrix is not symmetric with unit row d")
+    field = ctx.field
+    if field.dim_row is None:
+        field.dim_row = tuple(_render_ball(ctx, lift) for lift in field.lifts)
+    r0, r1, r2 = field.dim_row
+    s11, s12, s22 = (_render_ball(ctx, ctx._coefficients(i, j)) for i, j in FREE_ENTRIES)
+    return SMatrix(((r0, r1, r2), (r1, s11, s12), (r2, s12, s22)), SMATRIX_PRECISION_BITS)
 
-    def ball(i: int, j: int) -> ComplexBall:
-        coeffs = ctx.entry_coeffs(i, j)
-        prec = SMATRIX_PRECISION_BITS + 16
-        while (out := ctx._eval_ball_at_gen(coeffs, prec)).rad > limit:
-            prec *= 2
-        return out
 
-    entries = tuple(tuple(ball(i, j) for j in range(3)) for i in range(3))
-    return SMatrix(entries, SMATRIX_PRECISION_BITS)
+def _render_ball(ctx: ExactContext, coeffs) -> ComplexBall:
+    """The ball of the value with these coefficients over the modulus, at
+    doubling precision from SMATRIX_PRECISION_BITS + 16 bits until its
+    radius is at most 2^-SMATRIX_PRECISION_BITS."""
+    prec = SMATRIX_PRECISION_BITS + 16
+    while True:
+        out = ctx._eval_ball_at_gen(coeffs, prec)
+        _, _, rad, den = out.integers
+        if rad << SMATRIX_PRECISION_BITS <= den:
+            return out
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +668,25 @@ def search_ribbon_data(
     table = screen.table
     chars = [[c.value_complex(j) for j in range(3)] for c in system.chars]
     witnesses: list[PremodularDatum] = []
-    for dims_index, dims in enumerate(system.chars):
-        if not dims.nonzero():
-            continue
-        pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
-        verdict = None
-        if dims_index == 0 and pairs:
-            verdict = landau if landau is not None else landau_rule(dims)
-        for a, b in pairs:
-            datum = _certify_candidate(
-                ring, dims, dims_index, Twists.of(table[a], table[b]),
-                include_degenerate, verdict,
-            )
-            if datum is not None:
-                witnesses.append(datum)
+    global _scope
+    outer, _scope = _scope, _SearchScope(ring)
+    try:
+        for dims_index, dims in enumerate(system.chars):
+            if not dims.nonzero():
+                continue
+            pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
+            verdict = None
+            if dims_index == 0 and pairs:
+                verdict = landau if landau is not None else landau_rule(dims)
+            for a, b in pairs:
+                datum = _certify_candidate(
+                    ring, dims, dims_index, Twists.of(table[a], table[b]),
+                    include_degenerate, verdict,
+                )
+                if datum is not None:
+                    witnesses.append(datum)
+    finally:
+        _scope = outer
     witnesses.sort(
         key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn)
     )

@@ -29,6 +29,7 @@ from rank3ribbon.characters import char_poly_x, char_poly_y
 from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.fusion import Rank3Params, rank3_tensor
 from rank3ribbon.exactnum import realalg
+from rank3ribbon.exactnum.cyclotomic import _zeta_ball, rotated_sum
 from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
 from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qmod, qtrim
 from rank3ribbon.exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root
@@ -1084,10 +1085,23 @@ def test_ball_arithmetic_matches_fraction_reference():
         ComplexBall(0, 0, Fraction(-1, 3))
 
 
+def _sequential_zeta_ball_sum(z, bits):
+    """CycloNum.ball as a chain of ball sums: each cached zeta^i ball scaled
+    by its numerator and added in turn, then divided by den."""
+    acc = ComplexBall(0, 0)
+    for i, c in enumerate(z.num):
+        if c:
+            acc = acc + _zeta_ball(z.n, i, bits).scale(c)
+    return acc if z.den == 1 else acc.scale(Fraction(1, z.den))
+
+
 def test_root_and_cyclonum_balls_match_fraction_reference():
     """root_of_unity_value and CycloNum.ball enclose the same exact balls as
     the Fraction forms: the tree-node midpoints of 2cos, and the sum of the
-    Fraction coefficients times the zeta^i balls."""
+    Fraction coefficients times the zeta^i balls.  CycloNum.ball, one
+    integer dot product over the common denominator of the zeta^i balls,
+    also gives the same rational re, im and rad as the chain of scaled ball
+    sums, at every precision the package reads."""
     rng = random.Random(163)
     for q in (1, 2, 3, 4, 5, 7, 8, 12, 16, 60):
         for p in range(q):
@@ -1101,7 +1115,7 @@ def test_root_and_cyclonum_balls_match_fraction_reference():
                 ref = _FractionBall((re_lo + re_hi) / 4, (im_lo + im_hi) / 4,
                                     (re_hi - re_lo) / 4 + (im_hi - im_lo) / 4)
                 assert _same_ball(root_of_unity_value(r, bits), ref)
-    for n in (3, 5, 8, 16, 48):
+    for n in (1, 2, 3, 5, 7, 8, 12, 16, 48, 80):
         deg = cyclotomic_poly(n).degree
         for _ in range(20):
             coeffs = [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 6, 35))) if rng.random() < 0.7 else 0
@@ -1113,6 +1127,43 @@ def test_root_and_cyclonum_balls_match_fraction_reference():
                     zeta = root_of_unity_value(RootOfUnity.make(i, n), 96)
                     ref = ref + _FractionBall(zeta.re, zeta.im, zeta.rad).scale(c)
             assert _same_ball(z.ball(96), ref), (n, coeffs)
+            for bits in (96, 144, 288):
+                ball, chain = z.ball(bits), _sequential_zeta_ball_sum(z, bits)
+                assert (ball.re, ball.im, ball.rad) == (chain.re, chain.im, chain.rad), (n, coeffs)
+    zero = CycloNum.from_rational(16, 0).ball(144)
+    assert (zero.re, zero.im, zero.rad) == (0, 0, 0)
+
+
+def test_rotated_sum_matches_products_of_roots():
+    """rotated_sum(n, terms) equals sum c * from_root(zeta_n^e) * v formed by
+    products and sums, on seeded random terms: exponents negative and >= n,
+    int and Fraction coefficients, zero coefficients and zero elements, and
+    term lists that cancel to zero (each term with its negation at an
+    exponent shifted by a multiple of n)."""
+    rng = random.Random(2025)
+    zeros = 0
+    for n in (1, 2, 3, 7, 12, 16, 48, 80):
+        deg = cyclotomic_poly(n).degree
+
+        def element():
+            return CycloNum(n, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10)))
+                                if rng.random() < 0.6 else 0 for _ in range(deg)])
+
+        for _ in range(40):
+            terms = []
+            for _ in range(rng.randint(0, 5)):
+                c = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-7, 7), rng.randint(1, 6))))
+                terms.append((c, rng.randint(-3 * n, 3 * n), element()))
+            if terms and rng.random() < 0.3:
+                terms += [(-c, e + n * rng.randint(-2, 2), v) for c, e, v in terms]
+            ref = CycloNum.from_rational(n, 0)
+            for c, e, v in terms:
+                ref = ref + CycloNum.from_root(RootOfUnity.make(e, n), n) * v.scale(c)
+            got = rotated_sum(n, terms)
+            assert got == ref, (n, terms)
+            zeros += not ref
+    assert zeros >= 10
+    assert rotated_sum(5, []) == CycloNum.from_rational(5, 0)
 
 
 def _fraction_interval_eval(expr, lo, hi):

@@ -1,12 +1,15 @@
 """Tests for S-matrix construction, classification, and the witness search."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rank3ribbon import premodular
+from rank3ribbon import cli, premodular
 from rank3ribbon.characters import char_poly_x, solve_characters
 from rank3ribbon.classify import classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity, cubic_discriminant
@@ -203,6 +206,166 @@ def test_rendered_entries_match_reference_ball_evaluation():
                     zeros += 1
                     assert [rendered[i][j][key] for key in ("re", "im", "radius")] == ["0"] * 3
     assert witnesses and zeros
+
+
+def _nine_entry_ball(ctx, i, j):
+    """Reference rendering of S[i][j] on its own, the route every one of
+    the nine entries once took: its coefficients over the modulus formed
+    from the defining formula, sum_k N[i*][j][k] rep_k[t] root_k theta_k
+    (theta_i theta_j)^-1 for t < deg(modulus), then enclosed by Horner's
+    rule from the zero ball at a fresh ball of alpha, at doubling precision
+    from SMATRIX_PRECISION_BITS + 16."""
+    n, N, dual, theta, dims = ctx.n, ctx.ring.N, ctx.ring.dual, ctx.twists.theta, ctx.dims
+    one = RootOfUnity.one()
+    if dims.is_cyclotomic:
+        dim_terms = (((1,), one), ((1,), dims.x), ((1,), dims.y))
+    else:
+        dim_terms = (((1,), one), (dims.x_rep, one), (dims.y_rep, one))
+    shift = (theta[i] * theta[j]).inverse()
+    coeffs = [CycloNum.from_rational(n, 0)] * (len(ctx.modulus) - 1)
+    for k, (rep, root) in enumerate(dim_terms):
+        coef = N[dual[i]][j][k]
+        if coef:
+            z = CycloNum.from_root(root * theta[k] * shift, n)
+            for t, c in enumerate(rep):
+                if c:
+                    coeffs[t] = coeffs[t] + z.scale(coef * c)
+    limit = Fraction(1, 2**premodular.SMATRIX_PRECISION_BITS)
+    prec = premodular.SMATRIX_PRECISION_BITS + 16
+    while True:
+        ab = ComplexBall.from_real_interval(*ctx.gen.tree_interval(Fraction(1, 2**prec)))
+        acc = ComplexBall.from_rational(0)
+        for c in reversed(coeffs):
+            acc = acc * ab + c.ball(prec)
+        if acc.rad <= limit:
+            return acc
+        prec *= 2
+
+
+SEARCH_RINGS = (Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1),
+                Rank3Params(1, 1, 0, 1), Rank3Params(0, 1, 0, 2))
+
+
+def test_rendering_matches_the_nine_entry_route(monkeypatch):
+    """Every S-matrix rendered by a witness-all classification at bound 20
+    (order 60), by the four search rings at orders 100 and 240, and by the
+    degenerate searches of K(0,1,0,1), K(1,0,1,0) and K(1,0,0,0) equals,
+    ball for ball, the nine entries rendered one by one from their own
+    coefficients: the dimension row shared by a field and the mirrored
+    entries are the exact balls of the entries they stand for."""
+    rendered = []
+    original = premodular.build_s_matrix
+
+    def recording(ctx):
+        sm = original(ctx)
+        rendered.append((ctx, sm))
+        return sm
+
+    monkeypatch.setattr(premodular, "build_s_matrix", recording)
+    classify_all(20, 60, witness_all=True)
+    for params in SEARCH_RINGS:
+        for order in (100, 240):
+            search_ribbon_data(make_rank3_ring(params), order)
+    for params in (Rank3Params(0, 1, 0, 1), Rank3Params(1, 0, 1, 0), Rank3Params(1, 0, 0, 0)):
+        search_ribbon_data(make_rank3_ring(params), 60, include_degenerate=True)
+    kinds = set()
+    for ctx, sm in rendered:
+        kinds.add((ctx.ring.dual, ctx.beta is None, len(ctx.modulus) - 1))
+        for i in range(3):
+            for j in range(3):
+                got, ref = sm.entry(i, j), _nine_entry_ball(ctx, i, j)
+                assert (got.re, got.im, got.rad) == (ref.re, ref.im, ref.rad), (ctx.twists, i, j)
+    # Z/3, rational dimensions, generators inside and outside Q(zeta_n).
+    assert {(0, 2, 1), (0, 1, 2)} == {dual for dual, _, _ in kinds}
+    assert {(False, 1), (False, 2), (False, 3), (True, 2)} <= {k[1:] for k in kinds}
+
+
+def test_search_renders_three_fresh_entries_per_witness(monkeypatch):
+    """`search --params 0,1,0,0 --max-twist-order 100` encloses at most
+    three fresh entries per witness (S11, S12 and S22) plus one dimension
+    row of three entries per field (dimension character, ambient order n),
+    counted as calls of the ball routine at the first rendering precision.
+    Rendering all nine entries of each witness would take nine per
+    witness."""
+    calls = []
+    original = ExactContext._eval_ball_at_gen
+
+    def counted(self, poly, prec):
+        if prec == premodular.SMATRIX_PRECISION_BITS + 16:
+            calls.append(prec)
+        return original(self, poly, prec)
+
+    monkeypatch.setattr(ExactContext, "_eval_ball_at_gen", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["search", "--params", "0,1,0,0", "--max-twist-order", "100"]) == 0
+    witnesses = json.loads(out.getvalue())["witnesses"]
+    fields = {(w["dims_index"], math.lcm(*(t["q"] for t in w["twists"]))) for w in witnesses}
+    assert witnesses and len(fields) < len(witnesses)
+    assert len(calls) <= 3 * len(witnesses) + 3 * len(fields), (len(calls), len(witnesses), len(fields))
+
+
+def test_self_dual_rings_have_symmetric_structure_tensors():
+    """The premises behind the three free entries: every ring up to bound
+    20, in both orientations, is self-dual with N[i][j] = N[j][i] and has
+    the unit axiom, so S is symmetric term by term with row 0 = d; Z/3 has
+    the unit axiom but is not self-dual, so is_symmetric compares its
+    entries."""
+    for params in enumerate_star_solutions(20):
+        for p in (params, Rank3Params(params.l, params.k, params.n, params.m)):
+            ring = make_rank3_ring(p)
+            assert ring.dual == (0, 1, 2)
+            assert all(ring.N[i][j] == ring.N[j][i] for i in range(3) for j in range(3)), p
+            assert premodular._ring_premises(ring) == (True, True), p
+    assert premodular._ring_premises(make_z3_ring()) == (True, False)
+
+
+def _defining_formula(ring, dims, twists, n):
+    """All nine entries of S from the defining formula, by CycloNum
+    products; dims is a Z/3 character, so every d_k is a root of unity."""
+    theta = [CycloNum.from_root(t, n) for t in twists.theta]
+    inv = [CycloNum.from_root(t.inverse(), n) for t in twists.theta]
+    d = [CycloNum.from_root(dims.value(k), n) for k in range(3)]
+    N, dual = ring.N, ring.dual
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            acc = CycloNum.from_rational(n, 0)
+            for k in range(3):
+                acc = acc + (theta[k] * d[k]).scale(N[dual[i]][j][k])
+            row.append(inv[i] * inv[j] * acc)
+        out.append(row)
+    return out
+
+
+def test_z3_symmetry_is_decided_exactly():
+    """Z/3 is not self-dual, so is_symmetric forms the entries below the
+    diagonal: for each character and every twist pair of order dividing 6
+    its verdict is whether the nine entries of the defining formula form a
+    symmetric matrix.  On the dimension character a datum with theta_1 !=
+    theta_2 is rejected, and its S-matrix is not rendered."""
+    ring = make_z3_ring()
+    system = solve_characters(ring)
+    roots = roots_of_unity_up_to(6)
+    verdicts = set()
+    for dims in system.chars:
+        for t1 in roots:
+            for t2 in roots:
+                tw = Twists.of(t1, t2)
+                ctx = ExactContext(ring, dims, tw)
+                s = _defining_formula(ring, dims, tw, ctx.n)
+                expected = all(s[i][j] == s[j][i] for i in range(3) for j in range(i))
+                assert ctx.is_symmetric() == expected, (dims.to_json(), tw)
+                if dims is system.chars[0]:
+                    assert expected == (t1 == t2)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+    w = RootOfUnity.make(1, 3)
+    bad = ExactContext(ring, system.chars[0], Twists.of(w, w.inverse()))
+    assert not bad.is_symmetric()
+    with pytest.raises(ValueError, match="not symmetric"):
+        build_s_matrix(bad)
 
 
 def test_corrupted_matrix_fails_row_check(ising):
