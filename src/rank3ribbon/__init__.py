@@ -8,10 +8,14 @@ Subpackages and modules:
   Frobenius-Perron dimensions.
 - ``characters``: the three ring homomorphisms of a rank-3 ring and their
   Galois orbit structure.
-- ``premodular``: S-matrices from (dimension, twist) data, structure
-  classification, and the ribbon-witness search.
-- ``classify``: the case-by-case admissibility filters and the full
-  classification driver with machine-checkable certificates.
+- ``rules``: the branch rules of the case analysis (symmetric, nonmodular,
+  and the modular case rules by Galois type) with their certificates.
+- ``premodular``: datum types, exact S-matrices from (dimension, twist)
+  data, structure classification, and the ribbon-witness search.
+- ``classify``: parameter enumeration, ring reports and the full
+  classification driver.
+
+Each module imports only those listed above it.
 - ``cli``: command-line interface.
 """
 

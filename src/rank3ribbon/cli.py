@@ -23,12 +23,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .characters import galois_type, solve_characters
-from .classify import (
-    audit_case3b_grid,
-    classify_all,
-    enumerate_star_solutions,
-    landau_bound,
-)
+from .classify import classify_all, enumerate_star_solutions
 from .fusion import (
     Rank3Params,
     StarViolation,
@@ -40,6 +35,7 @@ from .fusion import (
     rank3_tensor,
 )
 from .premodular import SCAN_TOL, search_ribbon_data
+from .rules import audit_case3b_grid, landau_bound
 
 
 class UsageError(ValueError):

@@ -1,5 +1,5 @@
-"""S-matrices from candidate (dimension, twist) data, their structure
-classification, and the search for ribbon-data witnesses.
+"""The datum types, the exact field of a candidate's S-matrix, and the
+search for ribbon-data witnesses.
 
 Given a rank-3 ring with structure tensor N and duality *, a character d used
 as candidate dimensions, and twists theta (roots of unity, unit twist 1), the
@@ -27,17 +27,18 @@ with N[i][j] = N[j][i] S is symmetric term by term.  Each of S11, S12 and
 S22, and each Frobenius-Schur sum, is one rotated combination
 sum c * zeta^e * v of field elements shared by the whole search
 (`exactnum.cyclotomic.rotated_sum`), so only the row and determinant checks
-form products.  The rendered `approx` S-matrix encloses the three free
-entries from their coefficients over alpha's minimal polynomial by Horner's
-rule on balls, and the dimension row once per field (`build_s_matrix`).  A
-witness is admitted only if its structure class passes the corresponding
-consistency rule:
+form products; the field data (`_Field`) live in a dict that one search
+holds.  The rendered `approx` S-matrix encloses the three free entries from
+their coefficients over alpha's minimal polynomial by Horner's rule on
+balls, and the dimension row once per field (`build_s_matrix`).  A witness
+is admitted only if its structure class passes the corresponding rule
+(`rules`):
 
 - Symmetric (rank 1): the dimensions must be the everywhere-positive character
   with integer values and total squared dimension within the Landau bound for
   three classes, since a symmetric structure forces the ring to be the
   character ring of a finite group (`landau_rule`, which also decides the
-  symmetric filter and the rational-spectrum case of `classify`).  With every
+  symmetric filter and the rational-spectrum case).  With every
   twist 1, S[i][j] = d_i* d_j for any character d, so such a datum is
   symmetric if it is anything, and the rule alone decides it.
 - Modular (nonzero determinant): the second Frobenius-Schur indicators
@@ -46,7 +47,7 @@ consistency rule:
   what pins the twists beyond the S-matrix itself.
 - Properly premodular (degenerate, rank 2): such data cannot be certified at
   this level and are reported only when `include_degenerate` is set; the
-  dedicated non-modular ring filter covers that regime.
+  non-modular ring filter (`nonmodular_filter`) covers that regime.
 """
 
 from __future__ import annotations
@@ -60,17 +61,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
-from .characters import Character, CharacterSystem, GaloisInfo, galois_type, solve_characters
-from .exactnum import (
-    ComplexBall, CycloNum, IntPoly, RealAlgebraic, RootOfUnity, decimal_str, lcm, two_cos,
-)
+from .characters import Character, CharacterSystem, solve_characters
+from .exactnum import ComplexBall, CycloNum, RealAlgebraic, RootOfUnity, decimal_str, lcm
 from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to, rotated_sum
 from .exactnum.qpoly import QPoly
-from .fusion import FusionRing, Rank3Params, canonicalize
+from .fusion import FusionRing
+from .rules import FilterVerdict, _degenerate_certificate, landau_rule
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
 SMATRIX_PRECISION_BITS = 128  # radius bound 2^-bits of the rendered approx S-matrix
-LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
 
 
 class ZeroDimension(ValueError):
@@ -85,25 +84,6 @@ class StructureClass(enum.Enum):
     SYMMETRIC = "Symmetric"
     PROPER_PREMODULAR = "ProperPremodular"
     MODULAR = "Modular"
-
-
-class Verdict(enum.Enum):
-    PASS = "Pass"
-    FAIL = "Fail"
-    NOT_APPLICABLE = "NotApplicable"
-
-
-@dataclass(frozen=True)
-class FilterVerdict:
-    status: Verdict
-    certificate: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.status == Verdict.PASS
-
-    def to_json(self) -> dict:
-        return {"status": self.status.value, "certificate": self.certificate}
 
 
 @dataclass(frozen=True)
@@ -280,7 +260,6 @@ class _Field:
         self.modulus = tuple(Fraction(c) for c in gen.minpoly.coeffs)
         self.deg = len(self.modulus) - 1
         zero = CycloNum.from_rational(n, 0)
-        self.zero = zero if beta is not None else ExtNum(n, self.modulus, (zero,))
         # d_j = rep_j(alpha) * root_j, root_j a root of unity (not 1 only for
         # Z/3 dimensions).
         self.lifts = []
@@ -341,24 +320,6 @@ class _Field:
         return ab
 
 
-class _SearchScope:
-    """What the exact contexts of one search share, dropped when the search
-    returns: the ring's premises (`_ring_premises`), taken once, and one
-    `_Field` per (generator, dimension terms, n, beta).  beta is part of the
-    key because it decides the field: the same character and order can be
-    certified in Q(zeta_n) or, with beta None, in Q(zeta_n)[x]/(m)."""
-
-    __slots__ = ("ring", "premises", "fields")
-
-    def __init__(self, ring: FusionRing):
-        self.ring = ring
-        self.premises = _ring_premises(ring)
-        self.fields: dict = {}
-
-
-_scope: Optional[_SearchScope] = None  # set while search_ribbon_data runs
-
-
 class ExactContext:
     """Exact S-matrix entries for one (ring, dims, twists) datum, in one
     field F = Q(zeta_n)[x]/(f), f the minimal polynomial of the character
@@ -378,14 +339,17 @@ class ExactContext:
     (`entries`), which is S wherever `is_symmetric` and `unit_row_ok` hold:
     on every self-dual ring by the premises, and on Z/3 once `is_symmetric`
     has compared the entries, as the search and the Z/3 report do first.
-    The d_j, d_i d_j, D^2 and the generator's balls are field data shared
-    by the contexts of one search (`_SearchScope`).
+    The d_j, d_i d_j, D^2 and the generator's balls are field data
+    (`_Field`), looked up in `fields`, a dict the caller keeps for as long as
+    it wants them shared: the search keeps one per search.  A context built
+    without one gets a field of its own.
 
     Raises Undecidable, before any arithmetic table is built, when the
     ambient cyclotomic degree phi(n) exceeds EXACT_PHI_CAP.
     """
 
-    def __init__(self, ring: FusionRing, dims: Character, twists: Twists):
+    def __init__(self, ring: FusionRing, dims: Character, twists: Twists,
+                 fields: Optional[dict] = None):
         n = ambient_cyclotomic_order(dims, twists)
         self.n = n
         self.phi_degree = euler_phi(n)
@@ -407,16 +371,16 @@ class ExactContext:
             dim_terms = ((_UNIT_REP, one), (_UNIT_REP, dims.x), (_UNIT_REP, dims.y))
         else:
             dim_terms = ((_UNIT_REP, one), (dims.x_rep, one), (dims.y_rep, one))
-        scope = _scope if _scope is not None and _scope.ring is ring else None
-        self.premises = scope.premises if scope else _ring_premises(ring)
+        self.premises = _ring_premises(ring)
+        # beta is in the key because it decides the field: the same character
+        # and order can be certified in Q(zeta_n) or in Q(zeta_n)[x]/(m).
         key = (gen, dim_terms, n, self.beta)
-        field = scope.fields.get(key) if scope else None
-        if field is None:
-            field = _Field(n, gen, self.beta, dim_terms)
-            if scope:
-                scope.fields[key] = field
-        self.field = field
-        self.modulus, self.zero, self.d = field.modulus, field.zero, field.d
+        if fields is None:
+            fields = {}
+        if key not in fields:
+            fields[key] = _Field(n, gen, self.beta, dim_terms)
+        field = self.field = fields[key]
+        self.modulus, self.d = field.modulus, field.d
         self._exps = [t.p * (n // t.q) for t in twists.theta]  # theta_k = zeta^e_k
 
     def _terms(self, i: int, j: int) -> list[tuple[int, int, int]]:
@@ -668,25 +632,21 @@ def search_ribbon_data(
     table = screen.table
     chars = [[c.value_complex(j) for j in range(3)] for c in system.chars]
     witnesses: list[PremodularDatum] = []
-    global _scope
-    outer, _scope = _scope, _SearchScope(ring)
-    try:
-        for dims_index, dims in enumerate(system.chars):
-            if not dims.nonzero():
-                continue
-            pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
-            verdict = None
-            if dims_index == 0 and pairs:
-                verdict = landau if landau is not None else landau_rule(dims)
-            for a, b in pairs:
-                datum = _certify_candidate(
-                    ring, dims, dims_index, Twists.of(table[a], table[b]),
-                    include_degenerate, verdict,
-                )
-                if datum is not None:
-                    witnesses.append(datum)
-    finally:
-        _scope = outer
+    fields: dict = {}  # the field data this search's contexts share
+    for dims_index, dims in enumerate(system.chars):
+        if not dims.nonzero():
+            continue
+        pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
+        verdict = None
+        if dims_index == 0 and pairs:
+            verdict = landau if landau is not None else landau_rule(dims)
+        for a, b in pairs:
+            datum = _certify_candidate(
+                ring, dims, dims_index, Twists.of(table[a], table[b]),
+                include_degenerate, verdict, fields,
+            )
+            if datum is not None:
+                witnesses.append(datum)
     witnesses.sort(
         key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn)
     )
@@ -822,8 +782,10 @@ def _arc_candidates(ring, d, chars, characters, screen, tol) -> list[tuple[int, 
 
 
 def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
-                       landau: FilterVerdict | None) -> Optional[PremodularDatum]:
-    """Exact verification and class-consistency rules for one candidate.
+                       landau: FilterVerdict | None,
+                       fields: Optional[dict] = None) -> Optional[PremodularDatum]:
+    """Exact verification and class-consistency rules for one candidate,
+    on field data shared through `fields` (`ExactContext`).
 
     `landau` is `landau_rule(dims)` when the dimensions are the dimension
     character (index 0), taken once per search, and None otherwise.  The
@@ -840,7 +802,7 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
     sym_ok = landau is not None and landau.passed
     if not sym_ok and all(t.is_one for t in twists.theta):
         return None
-    ctx = ExactContext(ring, dims, twists)
+    ctx = ExactContext(ring, dims, twists, fields)
     fs = None
     if not (sym_ok or include_degenerate):
         fs = ctx.fs_indicators()
@@ -875,145 +837,3 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
         structure_class=sclass,
         certificate=certificate,
     )
-
-
-def landau_rule(dims: Character) -> FilterVerdict:
-    """The finite-group rule on a dimension character, the one test behind
-    the symmetric filter, the rational-spectrum case and symmetric witnesses.
-
-    Rank-1 (symmetric) data live on the character ring of a finite group, so
-    the dimensions must be integers with total squared dimension 1 + d_X^2 +
-    d_Y^2 at most LANDAU_BOUND_3, the order bound for three classes.  A
-    non-integer value fails with its minimal polynomial as certificate.  The
-    dimension character of the Z/3 group ring is trivial, all values 1."""
-    if dims.is_cyclotomic:
-        if not dims.is_positive:
-            raise ValueError("a nontrivial Z/3 character is not a dimension character")
-        dx = dy = Fraction(1)
-    else:
-        for j in (1, 2):  # x first: an irrational x fails without locating y
-            value = dims.value(j)
-            if not value.is_integer:
-                return _nonintegral_dimension(value)
-        dx, dy = dims.x.rational_value, dims.y.rational_value
-    total = 1 + dx * dx + dy * dy
-    cert: dict = {
-        "dims": ["1", str(dx), str(dy)],
-        "global_dim": str(total),
-        "landau_bound": LANDAU_BOUND_3,
-    }
-    if total > LANDAU_BOUND_3:
-        cert["failed"] = f"global dimension {total} exceeds the Landau bound {LANDAU_BOUND_3}"
-        return FilterVerdict(Verdict.FAIL, cert)
-    return FilterVerdict(Verdict.PASS, cert)
-
-
-def _nonintegral_dimension(value) -> FilterVerdict:
-    """Landau-rule Fail for a dimension character with the non-integer real
-    algebraic value `value`, certified by its minimal polynomial."""
-    return FilterVerdict(Verdict.FAIL, {
-        "failed": "dimension character is not integral",
-        "nonintegral_value": {
-            "minpoly": list(value.minpoly.coeffs),
-            "approx": value.approx_str(12),
-        },
-    })
-
-
-def _degenerate_certificate(ring, dims, twists) -> dict:
-    """For rings of canonical shape (0,1,0,n), record whether the degenerate
-    datum satisfies the exact twist relation n*d_Y = -2*(theta_Y+theta_Y^-1),
-    where Y is the element outside the two-object symmetric subring."""
-    cert: dict = {"checked": False}
-    params = ring.params
-    if params is None:
-        return cert
-    canon = canonicalize(params)
-    if (canon.k, canon.l, canon.m) != (0, 1, 0):
-        return cert
-    n = canon.n
-    if params.k == 0:
-        d_val, theta = dims.y, twists.theta[2]
-    else:  # swapped orientation (1, 0, n, 0)
-        d_val, theta = dims.x, twists.theta[1]
-    target = theta.real_two_cos()  # theta + theta^-1
-    lhs_needed = _scaled_value(d_val, Fraction(-n, 2))
-    cert["checked"] = True
-    cert["relation_holds"] = bool(lhs_needed == target)
-    cert["theta_turn"] = str(theta.turn)
-    return cert
-
-
-def _scaled_value(v: RealAlgebraic, c: Fraction) -> RealAlgebraic:
-    """c*v, a root of v's minimal polynomial p scaled by c: with c = a/b,
-    sum p_i a^(d-i) b^i x^i = a^d p(b x / a) (for c = 0 this is p_d x^d,
-    and from_poly_expr gives 0 without it)."""
-    from .exactnum.qpoly import X, qscale
-    from .exactnum.realalg import from_poly_expr
-
-    a, b = c.numerator, c.denominator
-    d = v.minpoly.degree
-    scaled = IntPoly(p * a ** (d - i) * b**i for i, p in enumerate(v.minpoly.coeffs))
-    return from_poly_expr(v, qscale(X, c), scaled)
-
-
-# ---------------------------------------------------------------------------
-# Non-modular, non-symmetric filter
-# ---------------------------------------------------------------------------
-
-def nonmodular_filter(params: Rank3Params, info: GaloisInfo | None = None) -> FilterVerdict:
-    """Necessary conditions for a degenerate, non-symmetric structure.
-
-    Applies only to rings whose canonical form is (0, 1, 0, n) -- the shape
-    forced by a two-object symmetric subring.  Passing requires n*y_+ <= 4 for
-    the positive root y_+ of y^2 = 2 + n*y, together with a root of unity
-    theta satisfying n*d_Y = -2*(theta + theta^-1) for some root d_Y; both
-    checks are exact (minimal-polynomial comparison for the 2cos values).
-    The roots y_+ and y_- are the y-values of the first and last characters
-    in `info`, the `galois_type` of the canonical form, computed here unless
-    the caller already holds it.
-    """
-    canon = canonicalize(params)
-    if (canon.k, canon.l, canon.m) != (0, 1, 0):
-        return FilterVerdict(Verdict.NOT_APPLICABLE, {"reason": "ring has no two-object symmetric subring shape"})
-    n = canon.n
-    if info is None:
-        info = galois_type(canon)
-    y_plus, _zero, y_minus = info.roots
-    cert: dict = {"n": n, "y_plus": y_plus.approx_str(12)}
-    if n > 0 and not (y_plus <= Fraction(4, n)):
-        cert["violated"] = f"n*y_+ = {_scaled_value(y_plus, Fraction(n)).approx_str(12)} > 4"
-        return FilterVerdict(Verdict.FAIL, cert)
-    witness = None
-    for d_y in (y_minus, y_plus):  # both nonzero: y_+ * y_- = -2
-        target = _scaled_value(d_y, Fraction(-n, 2))
-        hit = _match_two_cos(target)
-        if hit is not None:
-            witness = {"d_Y": d_y.approx_str(12), "theta_turn": str(hit.turn)}
-            break
-    if witness is None:
-        cert["violated"] = "no root of unity satisfies n*d_Y = -2*(theta+theta^-1)"
-        return FilterVerdict(Verdict.FAIL, cert)
-    cert["witness"] = witness
-    return FilterVerdict(Verdict.PASS, cert)
-
-
-def _match_two_cos(value) -> Optional[RootOfUnity]:
-    """Exact search for a reduced turn p/q with 2cos(2*pi*p/q) equal to the
-    given real algebraic number.
-
-    2cos(2*pi*p/q) has degree phi(q)/2 for q > 2 and 1 for q in {1, 2}, so
-    only the finitely many q with phi(q) = 2*deg (all q <= 8*deg^2, since
-    phi(q) >= sqrt(q/2)), plus q in {1, 2} when deg = 1, can match; they are
-    tried in ascending order.
-    """
-    if value < Fraction(-2) or value > Fraction(2):
-        return None
-    deg = value.degree
-    for q in range(1, 8 * deg * deg + 1):
-        if euler_phi(q) != 2 * deg and not (deg == 1 and q <= 2):
-            continue
-        for p in range(q // 2 + 1):
-            if math.gcd(p, q) == 1 and two_cos(Fraction(p, q)) == value:
-                return RootOfUnity(p, q)
-    return None

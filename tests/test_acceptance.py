@@ -19,14 +19,7 @@ from rank3ribbon.characters import (
     galois_type,
     solve_characters,
 )
-from rank3ribbon.classify import (
-    LIMITATION_NOTE,
-    audit_case3b_grid,
-    case2_rule,
-    classify_all,
-    enumerate_star_solutions,
-    landau_bound,
-)
+from rank3ribbon.classify import LIMITATION_NOTE, classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import (
     RootOfUnity,
     cubic_discriminant,
@@ -45,10 +38,10 @@ from rank3ribbon.premodular import (
     ExactContext,
     StructureClass,
     Twists,
-    Verdict,
     build_s_matrix,
     search_ribbon_data,
 )
+from rank3ribbon.rules import Verdict, audit_case3b_grid, case2_rule, landau_bound
 
 EXPECTED_ADMISSIBLE = ["Z/3", "K(0,1,0,0)", "K(0,1,0,1)", "K(1,1,0,1)"]
 

@@ -36,9 +36,9 @@ from rank3ribbon.premodular import (
     SCAN_TOL,
     TWIST_ORDER_BOUND,
     _arc_candidates,
-    _scaled_value,
     _twist_screen,
 )
+from rank3ribbon.rules import _scaled_value
 
 
 def test_char_polys():

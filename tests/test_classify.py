@@ -8,20 +8,24 @@ import pytest
 from rank3ribbon.characters import GaloisType, galois_type, solve_characters
 from rank3ribbon.classify import (
     LIMITATION_NOTE,
+    classify_all,
+    classify_ring,
+    enumerate_star_solutions,
+)
+from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
+from rank3ribbon.rules import (
+    LANDAU_BOUND_3,
+    Verdict,
     _integer_cube_root,
     audit_case3b_grid,
     audit_t_minus_one_family,
     case2_rule,
     case3a_rule,
     case3b_rule,
-    classify_all,
-    classify_ring,
-    enumerate_star_solutions,
     landau_bound,
+    landau_rule,
     symmetric_filter,
 )
-from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
-from rank3ribbon.premodular import LANDAU_BOUND_3, Verdict, landau_rule
 
 
 def _case3b(*params):
@@ -75,21 +79,28 @@ def test_landau_bound():
 # ---------------------------------------------------------------------------
 
 def test_symmetric_filter_z3():
+    """Z/3 has no parameters: its symmetric verdict is the Landau rule on
+    its solved dimension character, which the classification reports."""
     z3 = make_z3_ring()
-    assert symmetric_filter(z3, solve_characters(z3)).status == Verdict.PASS
+    v = landau_rule(solve_characters(z3).chars[0])
+    assert v.status == Verdict.PASS
+    assert classify_all(1, max_twist_order=3).rings[0].verdicts["symmetric"] == v
+
+
+def _symmetric(*params):
+    p = Rank3Params(*params)
+    return symmetric_filter(p, galois_type(p))
 
 
 def test_symmetric_filter_rep_s3():
-    ring = make_rank3_ring(Rank3Params(0, 1, 0, 1))
-    v = symmetric_filter(ring, solve_characters(ring))
+    v = _symmetric(0, 1, 0, 1)
     assert v.status == Verdict.PASS
     assert v.certificate["dims"] == ["1", "1", "2"]
     assert v.certificate["global_dim"] == "6"
 
 
 def test_symmetric_filter_ising_fails_on_irrationality():
-    ring = make_rank3_ring(Rank3Params(0, 1, 0, 0))
-    v = symmetric_filter(ring, solve_characters(ring))
+    v = _symmetric(0, 1, 0, 0)
     assert v.status == Verdict.FAIL
     assert v.certificate["nonintegral_value"]["minpoly"] == [-2, 0, 1]
 
@@ -443,12 +454,13 @@ def test_classify_all_locates_a_y_value_only_where_it_is_read(monkeypatch):
 def test_integer_galois_type_matches_solved_system_bound_30():
     """Oracle for triage from integers: on every ring up to bound 30 the
     verdicts read off char_poly_x equal the ones the solved characters give.
-    The symmetric verdict is the filter on the solved dimension character,
-    and so is case 1's; case 3b's (t, s) is the solved rational character."""
+    The symmetric verdict is the Landau rule on the solved dimension
+    character, and so is case 1's; case 3b's (t, s) is the solved rational
+    character."""
     for params in enumerate_star_solutions(30):
         system = solve_characters(make_rank3_ring(params))
         report = classify_ring(params)
-        symmetric = symmetric_filter(system.ring, system).to_json()
+        symmetric = landau_rule(system.chars[0]).to_json()
         assert report.verdicts["symmetric"].to_json() == symmetric, params
         modular = report.verdicts["modular"].certificate
         if report.galois.tag == GaloisType.TRIVIAL:

@@ -209,19 +209,47 @@ def test_every_number_exact_or_approx_labeled(capsys):
 
 
 def test_cli_import_does_no_exact_work():
-    """Importing the CLI builds no twist table and fills none of the
-    cyclotomic caches: each is built on first use."""
+    """Importing the CLI, or the branch rules alone, builds no twist table
+    and fills none of the cyclotomic caches: each is built on first use."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = (
-        "import rank3ribbon.cli\n"
-        "from rank3ribbon import premodular\n"
-        "from rank3ribbon.exactnum import cyclotomic as c\n"
-        "caches = (premodular._twist_screen, c.cyclotomic_poly, c._cos_roots, c._power_basis, c._zeta_ball)\n"
-        "print([f.cache_info().currsize for f in caches])"
-    )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[0, 0, 0, 0, 0]"
+    for module in ("rules", "cli"):
+        probe = (
+            f"import rank3ribbon.{module}\n"
+            "from rank3ribbon import premodular\n"
+            "from rank3ribbon.exactnum import cyclotomic as c\n"
+            "caches = (premodular._twist_screen, c.cyclotomic_poly, c._cos_roots, c._power_basis, c._zeta_ball)\n"
+            "print([f.cache_info().currsize for f in caches])"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "[0, 0, 0, 0, 0]", module
+
+
+LAYER_ORDER = ("fusion", "characters", "rules", "premodular", "classify", "cli")
+
+
+def test_each_module_imports_alone_in_layer_order(tmp_path):
+    """Each module of LAYER_ORDER imports alone in a fresh interpreter with
+    warnings as errors, compiled afresh (so a SyntaxWarning in a docstring
+    fails), and loads no module that comes after it: `rules` loads neither
+    `premodular` nor `classify`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONPYCACHEPREFIX": str(tmp_path),
+    }
+    for index, module in enumerate(LAYER_ORDER):
+        probe = (
+            f"import sys, rank3ribbon.{module}\n"
+            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules if m.startswith('rank3ribbon.')})))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", probe], capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split()) - {"exactnum"}
+        assert module in loaded and loaded <= set(LAYER_ORDER[:index + 1]), (module, loaded)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rank3ribbon import cli, premodular
+from rank3ribbon import cli, premodular, rules
 from rank3ribbon.characters import char_poly_x, solve_characters
 from rank3ribbon.classify import classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity, cubic_discriminant
@@ -33,16 +33,15 @@ from rank3ribbon.premodular import (
     StructureClass,
     Twists,
     Undecidable,
-    Verdict,
     ZeroDimension,
     _arc_candidates,
     _twist_screen,
     build_s_matrix,
     euler_phi,
-    nonmodular_filter,
     search_ribbon_data,
     twist_table,
 )
+from rank3ribbon.rules import Verdict, nonmodular_filter
 
 
 def _centers(sm):
@@ -303,6 +302,70 @@ def test_search_renders_three_fresh_entries_per_witness(monkeypatch):
     fields = {(w["dims_index"], math.lcm(*(t["q"] for t in w["twists"]))) for w in witnesses}
     assert witnesses and len(fields) < len(witnesses)
     assert len(calls) <= 3 * len(witnesses) + 3 * len(fields), (len(calls), len(witnesses), len(fields))
+
+
+def test_overlapping_searches_keep_their_own_field_sharing(monkeypatch):
+    """Two searches running at once, K(0,1,0,0) and K(1,1,0,1) at order 60
+    in two threads, each build as many `_Field`s as they do alone (6 and 3)
+    and find the same witnesses.  The overlap is forced: the first search
+    waits at its first candidate until the second has started, and the
+    second waits at its first candidate until the first has returned."""
+    import threading
+    from collections import Counter
+
+    rings = {"a": make_rank3_ring(Rank3Params(0, 1, 0, 0)),
+             "b": make_rank3_ring(Rank3Params(1, 1, 0, 1))}
+    built: Counter = Counter()
+    original_init = premodular._Field.__init__
+
+    def counting_init(self, *args):
+        built[threading.current_thread().name] += 1
+        original_init(self, *args)
+
+    monkeypatch.setattr(premodular._Field, "__init__", counting_init)
+    serial, alone = {}, {}
+    for name, ring in rings.items():
+        built.clear()
+        serial[name] = [w.to_json() for w in search_ribbon_data(ring, 60)]
+        alone[name] = sum(built.values())
+    built.clear()
+
+    a_started, b_started, a_done = threading.Event(), threading.Event(), threading.Event()
+    gates = {"a": (a_started, b_started), "b": (b_started, a_done)}
+    original_certify = premodular._certify_candidate
+
+    def certify(*args, **kwargs):
+        name = threading.current_thread().name
+        gate = gates.pop(name, None)
+        if gate is not None:
+            gate[0].set()
+            assert gate[1].wait(60)
+        return original_certify(*args, **kwargs)
+
+    monkeypatch.setattr(premodular, "_certify_candidate", certify)
+    found, errors = {}, []
+
+    def run(name):
+        try:
+            if name == "b":
+                assert a_started.wait(60)
+            found[name] = [w.to_json() for w in search_ribbon_data(rings[name], 60)]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            if name == "a":
+                a_done.set()
+
+    threads = [threading.Thread(target=run, args=(name,), name=name) for name in rings]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not gates, (errors, gates)
+    assert alone == {"a": 6, "b": 3}
+    assert dict(built) == alone
+    assert found == serial
 
 
 def test_self_dual_rings_have_symmetric_structure_tensors():
@@ -582,7 +645,7 @@ def _float_chars(system):
 def _certify_pairs(ring, index, dims, roots, pairs):
     """The data exact certification admits, degenerate ones included, among
     the index `pairs` into `roots`, for the dimension character `index`."""
-    landau = premodular.landau_rule(dims) if index == 0 else None
+    landau = rules.landau_rule(dims) if index == 0 else None
     out = []
     for a, b in pairs:
         datum = premodular._certify_candidate(
@@ -1081,7 +1144,7 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, land
     """Reference certification in the full check order: symmetry, unit row
     and rows first, then the structure class and its rule, taken here; the
     search's `landau` must be that rule's verdict."""
-    rule = premodular.landau_rule(dims) if dims_index == 0 else None
+    rule = rules.landau_rule(dims) if dims_index == 0 else None
     assert (landau and landau.to_json()) == (rule and rule.to_json())
     ctx = ExactContext(ring, dims, twists)
     if not (ctx.is_symmetric() and ctx.unit_row_ok() and ctx.rows_are_characters()):
@@ -1100,7 +1163,7 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, land
     else:
         if not include_degenerate:
             return None
-        certificate["degenerate_rule"] = premodular._degenerate_certificate(ring, dims, twists)
+        certificate["degenerate_rule"] = rules._degenerate_certificate(ring, dims, twists)
     return premodular.PremodularDatum(
         ring=ring, dims=dims, dims_index=dims_index, twists=twists,
         smatrix=build_s_matrix(ctx), structure_class=sclass,
@@ -1111,13 +1174,14 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, land
 def test_certification_order_matches_full_order_reference(monkeypatch):
     """On every scan survivor of a witness-all classification at bound 10 and
     of the four search rings at order 60 (with and without degenerate data),
-    the certified datum, or None, is the one the full check order gives."""
+    the certified datum, or None, is the one the full check order gives.
+    The reference builds its context without the search's shared fields."""
     original = premodular._certify_candidate
     seen = []
 
     def compared(*args):
         got = original(*args)
-        ref = _full_order_certify(*args)
+        ref = _full_order_certify(*args[:6])
         seen.append(got is not None)
         assert (got and got.to_json()) == (ref and ref.to_json()), args[1:]
         return got
@@ -1141,14 +1205,15 @@ def test_unit_twist_candidates_failing_the_rule_build_no_context(monkeypatch):
     original_init = ExactContext.__init__
     current, unit_failing, built = [], [], []
 
-    def certify(ring, dims, dims_index, twists, include_degenerate, landau):
+    def certify(ring, dims, dims_index, twists, include_degenerate, landau, fields=None):
         unit = all(t.is_one for t in twists.theta)
-        failing = unit and not (dims_index == 0 and premodular.landau_rule(dims).passed)
+        failing = unit and not (dims_index == 0 and rules.landau_rule(dims).passed)
         if failing:
             unit_failing.append(dims)
         current.append(failing)
         try:
-            return original_certify(ring, dims, dims_index, twists, include_degenerate, landau)
+            return original_certify(
+                ring, dims, dims_index, twists, include_degenerate, landau, fields)
         finally:
             current.pop()
 
