@@ -77,7 +77,7 @@ class Character:
     witness never locates its irrational y-values.
     """
 
-    __slots__ = ("x", "_y", "gen", "x_rep", "y_rep", "_y_poly")
+    __slots__ = ("x", "_y", "gen", "x_rep", "y_rep", "_y_poly", "_json")
 
     def __init__(self, x, y=None, gen: RealAlgebraic | None = None,
                  x_rep: QPoly = (), y_rep: QPoly = (), y_poly: IntPoly | None = None):
@@ -87,6 +87,7 @@ class Character:
         self.x_rep = x_rep
         self.y_rep = y_rep
         self._y_poly = y_poly
+        self._json = None
 
     @property
     def y(self):
@@ -140,6 +141,13 @@ class Character:
         return bool(self.x_rep) and bool(self.y_rep)
 
     def to_json(self) -> dict:
+        """Rendered on the first call; later calls share that dict, so every
+        witness on this character prints it without rendering it again."""
+        if self._json is None:
+            self._json = self._render()
+        return self._json
+
+    def _render(self) -> dict:
         if self.is_cyclotomic:
             return {
                 "kind": "cyclotomic",

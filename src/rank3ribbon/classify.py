@@ -1,11 +1,13 @@
 """Parameter enumeration, ring reports and the classification driver.
 
-`classify_all` enumerates the parameter family up to a bound, determines
+`classify_stream` enumerates the parameter family up to a bound, determines
 the Galois orbit type of each ring, and runs the three independent
 admissibility branches of `rules`: symmetric (`symmetric_filter`),
 nonmodular (`nonmodular_filter`) and modular (the case rule that
 `modular_branch` picks by Galois type).  A ring is admissible when one of
-them passes.
+them passes.  It yields each ring's report as soon as it is decided, so a
+caller that writes and drops them runs in constant memory; `classify_all`
+keeps them all.
 
 Every verdict is read off one integer factorization of char_poly_x
 (`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
@@ -44,28 +46,34 @@ LIMITATION_NOTE = (
 # Parameter enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_star_solutions(bound: int) -> list[Rank3Params]:
-    """All canonical (k,l,m,n) in [0,bound]^4 with k^2+l^2 = lm+kn+1."""
+def enumerate_star_solutions(bound: int):
+    """Yield the canonical (k,l,m,n) in [0,bound]^4 with k^2+l^2 = lm+kn+1,
+    in increasing order.
+
+    Canonical means (k,l,m,n) <= (l,k,n,m), so k <= l.  k = 0 forces l = 1
+    and m = 0 with n free.  For k >= 1 the equation lm + kn = k^2+l^2-1 is
+    linear in (m, n); gcd(k, l) divides lm + kn and k^2+l^2, so a solution
+    needs l invertible mod k, and then m runs over one residue class mod k
+    with n following.  That costs O(bound^2 log bound) plus the output, and
+    each ring is met once, in order, so nothing is collected."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    seen = set()
-    for k in range(bound + 1):
-        for l in range(bound + 1):
-            target = k * k + l * l - 1
-            if target < 0:
+    if bound >= 1:
+        for n in range(bound + 1):
+            yield Rank3Params(0, 1, 0, n)
+    for k in range(1, bound + 1):
+        for l in range(k, bound + 1):
+            try:
+                inverse = pow(l, -1, k)
+            except ValueError:  # gcd(k, l) > 1
                 continue
-            for m in range(bound + 1):
-                rem = target - l * m
-                if rem < 0:
-                    continue
-                if k == 0:
-                    if rem == 0:
-                        for n in range(bound + 1):
-                            seen.add(canonicalize(Rank3Params(k, l, m, n)))
-                    continue
-                if rem % k == 0 and rem // k <= bound:
-                    seen.add(canonicalize(Rank3Params(k, l, m, rem // k)))
-    return sorted(seen)
+            target = k * k + l * l - 1
+            residue = target * inverse % k
+            low = max(0, -((k * bound - target) // l))  # n <= bound
+            for m in range(low + (residue - low) % k, min(bound, target // l) + 1, k):
+                n = (target - l * m) // k
+                if k < l or m <= n:
+                    yield Rank3Params(k, l, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +110,25 @@ class RingReport:
             out["notes"] = self.notes
         return out
 
+    def table_row(self) -> str:
+        wit = "-" if self.witnesses is None else str(len(self.witnesses))
+        gal = self.galois.tag.value if self.galois else "-"
+        return (
+            f"{self.label:<14} {gal:<12} "
+            f"{self.verdicts['symmetric'].status.value:<11} "
+            f"{self.verdicts['nonmodular'].status.value:<12} "
+            f"{self.verdicts['modular'].status.value + ' (' + self.modular_case + ')':<16} "
+            f"{str(self.admissible):<10} {wit}"
+        )
+
+
+_TABLE_HEADER = (
+    f"{'ring':<14} {'galois':<12} {'symmetric':<11} {'nonmodular':<12} "
+    f"{'modular':<16} {'admissible':<10} witnesses"
+)
+# The table format: these lines, then one `RingReport.table_row` per ring.
+TABLE_HEAD = "\n".join([LIMITATION_NOTE, "", _TABLE_HEADER, "-" * len(_TABLE_HEADER)])
+
 
 @dataclass
 class ClassificationReport:
@@ -124,21 +151,7 @@ class ClassificationReport:
         }
 
     def render_table(self) -> str:
-        lines = [LIMITATION_NOTE, ""]
-        header = f"{'ring':<14} {'galois':<12} {'symmetric':<11} {'nonmodular':<12} {'modular':<16} {'admissible':<10} witnesses"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for r in self.rings:
-            wit = "-" if r.witnesses is None else str(len(r.witnesses))
-            gal = r.galois.tag.value if r.galois else "-"
-            lines.append(
-                f"{r.label:<14} {gal:<12} "
-                f"{r.verdicts['symmetric'].status.value:<11} "
-                f"{r.verdicts['nonmodular'].status.value:<12} "
-                f"{r.verdicts['modular'].status.value + ' (' + r.modular_case + ')':<16} "
-                f"{str(r.admissible):<10} {wit}"
-            )
-        return "\n".join(lines)
+        return "\n".join([TABLE_HEAD, *(r.table_row() for r in self.rings)])
 
 
 def classify_ring(params: Rank3Params) -> RingReport:
@@ -208,15 +221,26 @@ def _z3_report(max_twist_order: int) -> RingReport:
     )
 
 
-def classify_all(bound: int, max_twist_order: int = 60,
-                 witness_all: bool = False) -> ClassificationReport:
-    """Classify the Z/3 ring and every canonical parameter ring up to `bound`,
-    attaching search witnesses to admissible rings (to all rings when
-    `witness_all` is set)."""
+def classify_stream(bound: int, max_twist_order: int = 60,
+                    witness_all: bool = False) -> tuple:
+    """The run's config, checked at once, and a generator of its ring
+    reports: the Z/3 ring, then every canonical parameter ring up to `bound`
+    in order, each yielded as soon as it is decided, with search witnesses
+    attached to admissible rings (to all rings when `witness_all` is set).
+    The generator keeps no report it has yielded."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    rings: list[RingReport] = []
-    rings.append(_z3_report(max_twist_order))
+    config = {
+        "bound": bound,
+        "max_twist_order": max_twist_order,
+        "tol": SCAN_TOL,
+        "witness_all": witness_all,
+    }
+    return config, _ring_reports(bound, max_twist_order, witness_all)
+
+
+def _ring_reports(bound: int, max_twist_order: int, witness_all: bool):
+    yield _z3_report(max_twist_order)
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
@@ -224,11 +248,11 @@ def classify_all(bound: int, max_twist_order: int = 60,
             system = solve_characters(ring, report.galois)
             report.witnesses = search_ribbon_data(
                 ring, max_twist_order, system=system, landau=report.verdicts["symmetric"])
-        rings.append(report)
-    config = {
-        "bound": bound,
-        "max_twist_order": max_twist_order,
-        "tol": SCAN_TOL,
-        "witness_all": witness_all,
-    }
-    return ClassificationReport(rings=rings, config=config)
+        yield report
+
+
+def classify_all(bound: int, max_twist_order: int = 60,
+                 witness_all: bool = False) -> ClassificationReport:
+    """Every report of `classify_stream`, kept."""
+    config, reports = classify_stream(bound, max_twist_order, witness_all)
+    return ClassificationReport(rings=list(reports), config=config)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .characters import galois_type, solve_characters
-from .classify import classify_all, enumerate_star_solutions
+from .classify import LIMITATION_NOTE, TABLE_HEAD, classify_stream, enumerate_star_solutions
 from .fusion import (
     Rank3Params,
     StarViolation,
@@ -156,7 +156,7 @@ def _cmd_ring(args) -> tuple[object, str | None]:
 
 
 def _cmd_enumerate(args) -> tuple[object, str | None]:
-    sols = enumerate_star_solutions(args.bound)
+    sols = list(enumerate_star_solutions(args.bound))
     payload = {
         "bound": args.bound,
         "count": len(sols),
@@ -192,13 +192,43 @@ def _cmd_search(args) -> tuple[object, str | None]:
     return payload, "\n".join(lines) if lines else "no witnesses"
 
 
-def _cmd_classify(args) -> tuple[object, str | None]:
-    report = classify_all(
+def _cmd_classify(args):
+    """classify's output in pieces: the head, then one piece per ring, drawn
+    as each ring is decided, then the trailer.  The arguments are checked
+    here, before the first piece; a ring's report is dropped once it is
+    rendered, and only the admissible labels are kept for the trailer."""
+    config, reports = classify_stream(
         args.bound,
         max_twist_order=_check_twist_order(args.max_twist_order),
         witness_all=args.witness_all,
     )
-    return report.to_json(), report.render_table() if args.format == "table" else None
+    if args.format == "table":
+        return _table_pieces(reports)
+    return _json_pieces(config, reports)
+
+
+def _table_pieces(reports):
+    yield TABLE_HEAD
+    for report in reports:
+        yield "\n" + report.table_row()
+
+
+def _json_pieces(config: dict, reports):
+    """The text of `json.dumps(ClassificationReport.to_json(), indent=2)`,
+    with each ring written at the depth it has inside the list."""
+    yield (
+        '{\n  "limitation": ' + json_text(LIMITATION_NOTE)
+        + ',\n  "config": ' + json_text(config, "\n  ")
+        + ',\n  "rings": ['
+    )
+    admissible = []
+    sep = "\n    "
+    for report in reports:
+        if report.admissible:
+            admissible.append(report.label)
+        yield sep + json_text(report.to_json(), "\n    ")
+        sep = ",\n    "
+    yield '\n  ],\n  "admissible": ' + json_text(admissible, "\n  ") + "\n}"
 
 
 def _cmd_audit(args) -> tuple[object, str | None]:
@@ -251,55 +281,86 @@ _COMMANDS = {
     "ring": _cmd_ring,
     "enumerate": _cmd_enumerate,
     "search": _cmd_search,
-    "classify": _cmd_classify,
     "audit": _cmd_audit,
 }
 
 
+def _output_pieces(args):
+    """The command's output text, without the final newline.  Every command
+    but classify is computed here; classify's rings are computed as its
+    pieces are drawn."""
+    if args.command == "classify":
+        return _cmd_classify(args)
+    payload, table = _COMMANDS[args.command](args)
+    return (table if args.format == "table" and table is not None else json_text(payload),)
+
+
+def _write_file(path: str, pieces) -> None:
+    """Write the pieces to `path` + ".partial" and move that file to `path`
+    once all are written, so that a run that fails leaves no file at `path`."""
+    partial = path + ".partial"
+    fh = open(partial, "w", encoding="utf-8")
+    try:
+        with fh:
+            for piece in pieces:
+                fh.write(piece)
+            fh.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        try:
+            os.remove(partial)
+        except OSError:
+            pass
+        raise
+
+
+def _error(kind: str, detail: str) -> int:
+    print(json.dumps({"error": {"kind": kind, "detail": detail}}), file=sys.stderr)
+    return 1
+
+
 def run(argv: list[str]) -> int:
+    """Run one command.  The arguments, and that --out can be opened, are
+    checked before anything is written.  classify writes each ring as it is
+    decided: if it fails after that, stdout holds a truncated report, and an
+    --out file never reaches its path."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        payload, table = _COMMANDS[args.command](args)
+        pieces = _output_pieces(args)
+        if args.out:
+            try:
+                _write_file(args.out, pieces)
+            except OSError as exc:
+                return _error("OutputError", str(exc))
+            print(f"wrote {args.out}")
+        else:
+            write = sys.stdout.write
+            for piece in pieces:
+                write(piece)
+            write("\n")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (StarViolation, ValueError, RuntimeError) as exc:
-        error = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
-        return 1
-    if args.format == "table" and table is not None:
-        text = table
-    else:
-        text = json_text(payload)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(
-                json.dumps({"error": {"kind": "OutputError", "detail": str(exc)}}),
-                file=sys.stderr,
-            )
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+        return _error(type(exc).__name__, str(exc))
     return 0
 
 
-def json_text(obj) -> str:
+def json_text(obj, newline: str = "\n") -> str:
     """The bytes of `json.dumps(obj, indent=2)`, written by a direct
     recursive writer: `indent` turns json's C encoder off, and the
     pure-Python encoder that runs instead is slower than this.  Same rules:
     ASCII-escaped strings, tuples as lists, json's int and float reprs
     (NaN and Infinity included), "," and ": " separators.  Keys must be
-    str; anything else raises TypeError."""
+    str; anything else raises TypeError.  `newline` starts every line after
+    the first: a line break, then two spaces per enclosing level when the
+    value sits inside a larger document."""
     out: list[str] = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, newline)
     return "".join(out)
 
 
@@ -355,7 +416,15 @@ def _json_float(x: float) -> str:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (`| head`): stop.  stdout goes to devnull so that
+        # the interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from rank3ribbon.classify import (
     classify_ring,
     enumerate_star_solutions,
 )
-from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
+from rank3ribbon.fusion import Rank3Params, canonicalize, make_rank3_ring, make_z3_ring
 from rank3ribbon.rules import (
     LANDAU_BOUND_3,
     Verdict,
@@ -55,7 +55,7 @@ def test_enumerate_star_raw_bound_one():
 
 
 def test_enumerate_star_bound_zero_empty():
-    assert enumerate_star_solutions(0) == []
+    assert list(enumerate_star_solutions(0)) == []
 
 
 def test_enumerate_star_bound_two():
@@ -65,6 +65,55 @@ def test_enumerate_star_bound_two():
     assert (1, 2, 1, 2) in sols
     assert (2, 1, 2, 1) not in sols
     assert len(sols) == 6
+
+
+def _cubic_star_solutions(bound):
+    """The loop over all (k, l, m) in [0, bound]^3 that enumerated the star
+    solutions before the linear solve: canonicalize every solution in the
+    box, then sort the set."""
+    seen = set()
+    for k in range(bound + 1):
+        for l in range(bound + 1):
+            target = k * k + l * l - 1
+            if target < 0:
+                continue
+            for m in range(bound + 1):
+                rem = target - l * m
+                if rem < 0:
+                    continue
+                if k == 0:
+                    if rem == 0:
+                        for n in range(bound + 1):
+                            seen.add(canonicalize(Rank3Params(k, l, m, n)))
+                    continue
+                if rem % k == 0 and rem // k <= bound:
+                    seen.add(canonicalize(Rank3Params(k, l, m, rem // k)))
+    return sorted(seen)
+
+
+def test_enumeration_equals_the_cubic_loop_up_to_bound_60():
+    """The linear solve yields exactly the cubic loop's canonical rings, in
+    strictly increasing order, at every bound 0..60; and every star solution
+    in [0, B]^4, in either orientation, canonicalizes into its output."""
+    raw = []  # every star solution in [0, 60]^4, both orientations
+    for k in range(61):
+        for l in range(61):
+            for m in range(61):
+                rest = k * k + l * l - l * m - 1
+                if k == 0:
+                    raw += [(0, l, m, n) for n in range(61)] if rest == 0 else []
+                elif rest >= 0 and rest % k == 0 and rest // k <= 60:
+                    raw.append((k, l, m, rest // k))
+    for bound in range(61):
+        sols = list(enumerate_star_solutions(bound))
+        assert sols == _cubic_star_solutions(bound), bound
+        tuples = [p.as_tuple() for p in sols]
+        assert all(a < b for a, b in zip(tuples, tuples[1:])), bound
+        found = set(sols)
+        for p in raw:
+            if max(p) <= bound:
+                params = Rank3Params(*p)
+                assert canonicalize(params) in found and canonicalize(params.swapped()) in found
 
 
 def test_landau_bound():

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,124 @@ def test_classify_command_and_out_file(capsys, tmp_path):
     payload = json.loads(target.read_text())
     assert payload["admissible"] == ["Z/3", "K(0,1,0,0)", "K(0,1,0,1)", "K(1,1,0,1)"]
     assert "exactly 7" in payload["limitation"]
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing of what is written to it."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+def _classify_peak(bound):
+    """tracemalloc's peak, over the memory held before the call, of
+    `classify --bound <bound>` with stdout discarded."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    with contextlib.redirect_stdout(_Discard()):
+        assert run(["classify", "--bound", str(bound)]) == 0
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_classify_runs_in_constant_memory():
+    """Each ring's report is written as soon as it is decided and then
+    dropped: tripling the bound (231 to 1,832 rings) leaves the peak of a
+    run within 1.5 times its value at bound 20."""
+    with contextlib.redirect_stdout(_Discard()):
+        run(["classify", "--bound", "2"])  # builds the caches every run shares
+    tracemalloc.start()
+    try:
+        at20 = _classify_peak(20)
+        at60 = _classify_peak(60)
+    finally:
+        tracemalloc.stop()
+    assert at60 <= 1.5 * at20, (at20, at60)
+
+
+def test_classify_checks_its_arguments_and_output_before_writing(capsys, monkeypatch, tmp_path):
+    """A bad bound, twist order or --out path is reported before any ring is
+    classified and before a byte is written."""
+    from rank3ribbon import classify
+
+    def no_ring(params):
+        raise AssertionError("a ring was classified")
+
+    monkeypatch.setattr(classify, "classify_ring", no_ring)
+    code, out, err = _capture(capsys, ["classify", "--bound", "0"])
+    assert code == 1 and not out and json.loads(err)["error"]["kind"] == "ValueError"
+    code, out, err = _capture(capsys, ["classify", "--bound", "2", "--max-twist-order", "0"])
+    assert code == 2 and not out and "usage error" in err
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _capture(capsys, ["classify", "--bound", "2", "--out", str(target)])
+    assert code == 1 and not out and json.loads(err)["error"]["kind"] == "OutputError"
+    assert not target.parent.exists()
+
+
+def _fail_on_fifth_ring(monkeypatch):
+    from rank3ribbon import classify
+
+    original = classify.classify_ring
+    calls = []
+
+    def failing(params):
+        calls.append(params)
+        if len(calls) == 5:
+            raise RuntimeError("fifth ring")
+        return original(params)
+
+    monkeypatch.setattr(classify, "classify_ring", failing)
+    return calls
+
+
+def test_failure_after_streaming_began(capsys, monkeypatch, tmp_path):
+    """A failure once rings have been written exits 1 with the structured
+    error on stderr.  stdout then holds a truncated report; an --out file is
+    written under a sibling name and never reaches its target."""
+    calls = _fail_on_fifth_ring(monkeypatch)
+    code, out, err = _capture(capsys, ["classify", "--bound", "3", "--max-twist-order", "16"])
+    assert code == 1 and json.loads(err) == {"error": {"kind": "RuntimeError", "detail": "fifth ring"}}
+    assert out.startswith('{\n  "limitation": ') and out.count('"label": ') == 5  # Z/3 and 4 rings
+    target = tmp_path / "report.json"
+    calls.clear()
+    code, out, err = _capture(
+        capsys, ["classify", "--bound", "3", "--max-twist-order", "16", "--out", str(target)])
+    assert code == 1 and not out and json.loads(err)["error"]["detail"] == "fifth ring"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_replaces_its_target_only_on_success(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    argv = ["classify", "--bound", "2", "--max-twist-order", "16"]
+    _, out, _ = _capture(capsys, argv)
+    code, msg, _ = _capture(capsys, argv + ["--out", str(target)])
+    assert code == 0 and msg == f"wrote {target}\n"
+    assert target.read_text() == out and list(tmp_path.iterdir()) == [target]
+
+
+def test_closed_pipe_stops_the_run():
+    """`classify --bound 300 | head -c 100` ends at once, without a
+    traceback: the first write after the reader is gone stops the run."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from rank3ribbon.cli import main; main()",
+         "classify", "--bound", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert head.startswith(b'{\n  "limitation": ') and len(head) == 100
+    assert proc.returncode == 1 and "Traceback" not in err, err
 
 
 def test_classify_table_format(capsys):
@@ -254,12 +375,14 @@ def test_each_module_imports_alone_in_layer_order(tmp_path):
 
 @pytest.fixture(scope="module")
 def golden_payloads():
+    """The payload of every golden command but classify, which streams."""
     from rank3ribbon import cli
 
     payloads = []
     for g in GOLDEN:
         args = cli._build_parser().parse_args(g["argv"])
-        payloads.append(cli._COMMANDS[args.command](args)[0])
+        if args.command != "classify":
+            payloads.append(cli._COMMANDS[args.command](args)[0])
     return payloads
 
 
@@ -268,9 +391,23 @@ def test_json_writer_matches_json_dumps_on_golden_payloads(golden_payloads):
     on the payload of every golden command."""
     from rank3ribbon.cli import json_text
 
-    assert len(golden_payloads) == len(GOLDEN)
+    assert len(golden_payloads) == sum(g["argv"][0] != "classify" for g in GOLDEN)
     for payload in golden_payloads:
         assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [g["argv"] for g in GOLDEN if g["argv"][0] == "classify"],
+                         ids=[g["id"] for g in GOLDEN if g["argv"][0] == "classify"])
+def test_streamed_classify_matches_json_dumps_of_the_kept_report(capsys, argv):
+    """classify's streamed stdout is exactly json.dumps(report, indent=2) of
+    the report that `classify_all` keeps, on every golden classify command."""
+    from rank3ribbon import cli
+    from rank3ribbon.classify import classify_all
+
+    args = cli._build_parser().parse_args(argv)
+    code, out, _ = _capture(capsys, argv)
+    report = classify_all(args.bound, args.max_twist_order, args.witness_all)
+    assert code == 0 and out == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [
