@@ -2,25 +2,26 @@
 
 For the self-dual family the multiplication matrices are symmetric, so all
 three characters are real.  They are read off the integer cubics in one
-pass: `galois_type` factors char_poly_x on integers, reads the orbit type
-off the factorization, and takes its roots in the order of the characters,
-placing them by integer tests.  It locates the dimension root alone; the
-other two are isolated on first use (`GaloisInfo.roots`), which only the
-rings whose characters are solved make.  `solve_characters` builds the
-characters from those roots: each y-value is (x^2 - m x - 1)/k, and
-K(0,1,0,n) has the closed form (1, y+), (-1, 0), (1, y-).
-`_selfdual_characters` proves that these pairs satisfy the ring relations,
-are three and distinct, and that only the first is everywhere positive, so
-none of this is re-checked at run time.  Each character is stored with an
-exact generator of the field it lives in, plus polynomial expressions for
-its two values in that generator; this makes every downstream identity check
-a matter of polynomial reduction over Q, and the floats that the twist
-search screens its pinning row with a polynomial evaluated at
-float(generator).  So an irrational y-value with k >= 1 is
-located as a root of char_poly_y only on its first exact read (a rendered
-witness, `ring`'s characters), and solving the characters of a ring whose x
-is irrational factors nothing on char_poly_y and isolates none of its roots.
-"""
+pass: `galois_type` finds the integer roots of char_poly_x from one float
+estimate of its three roots, reads the orbit type off them, and takes its
+roots in the order of the characters, placing them by integer tests.  It
+places the dimension root alone on its rendering node; the other two are
+placed on theirs on first use (`GaloisInfo.roots`), which only the searched
+rings make.  The twist search reads the characters' floats straight off
+those placed roots (`float_characters`), and the exact zeros off the
+integer data.  `solve_characters` builds the characters from the same
+roots, for the rings where a candidate reaches exact certification: each
+y-value is (x^2 - m x - 1)/k, and K(0,1,0,n) has the closed form (1, y+),
+(-1, 0), (1, y-).  `_selfdual_characters` proves that these pairs satisfy
+the ring relations, are three and distinct, and that only the first is
+everywhere positive, so none of this is re-checked at run time.  Each
+character is stored with an exact generator of the field it lives in, plus
+polynomial expressions for its two values in that generator; this makes
+every downstream identity check a matter of polynomial reduction over Q.
+So an irrational y-value with k >= 1 is located as a root of char_poly_y
+only on its first exact read (a rendered witness, `ring`'s characters), and
+solving the characters of a ring whose x is irrational factors nothing on
+char_poly_y and isolates none of its roots."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exactnum import (
     IntPoly,
@@ -38,9 +39,11 @@ from .exactnum import (
     is_perfect_square,
     roots_of_irreducible,
 )
-from .exactnum.intpoly import split_rational_roots
+from .exactnum.intpoly import sign_at, split_rational_roots
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
-from .exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root
+from .exactnum.realalg import (
+    RENDER_WIDTH, from_poly_expr, largest_root, lower_roots, real_root_estimates,
+)
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring
 
 
@@ -71,10 +74,10 @@ class Character:
 
     A real character built with `y_poly` instead of `y` locates its y-value
     on the first read of `y`, as the root of `y_poly` that y_rep(gen) is, and
-    keeps it.  The twist search's floats (`value_complex`), its zero tests
-    (`nonzero`, and an empty rep for a value that is exactly 0) and exact
-    certification read only `gen` and the reps, so a ring that yields no
-    witness never locates its irrational y-values.
+    keeps it.  Its zero tests (`nonzero`, and an empty rep for a value that
+    is exactly 0), its floats (`value_complex`) and exact certification read
+    only `gen` and the reps, so a ring that yields no witness never locates
+    its irrational y-values.
     """
 
     __slots__ = ("x", "_y", "gen", "x_rep", "y_rep", "_y_poly", "_json")
@@ -107,7 +110,10 @@ class Character:
 
     def value_complex(self, j: int) -> complex:
         """Float value on basis element j: a real value is its rep evaluated
-        at float(gen), which a constant rep does not read."""
+        at float(gen), which a constant rep does not read.  The twist search
+        reads this only on Z/3; on a parameter ring it reads the same floats
+        off the placed roots (`float_characters`), before any character is
+        built."""
         if self.is_cyclotomic:
             return self.value(j).complex_approx()
         if j == 0:
@@ -186,7 +192,7 @@ class GaloisInfo:
     # What it is read from, not compared and not in the payload: the integer
     # roots of char_poly_x, ascending; the root of char_poly_x (of
     # char_poly_y when k = 0) that gives the dimension character; and what
-    # gives the other two roots, in the order of their characters.
+    # places the other two roots, in the order of their characters.
     x_roots: tuple[int, ...] = field(default=(), compare=False, repr=False)
     top: RealAlgebraic | None = field(default=None, compare=False, repr=False)
     lower: Callable[[], Sequence[RealAlgebraic]] | None = field(
@@ -195,7 +201,7 @@ class GaloisInfo:
     @cached_property
     def roots(self) -> tuple[RealAlgebraic, ...]:
         """The three roots in the order of the characters; the two below
-        the dimension root are located on this first read."""
+        the dimension root are placed on this first read."""
         return (self.top, *self.lower())
 
     def to_json(self) -> dict:
@@ -220,7 +226,7 @@ def solve_characters(ring: FusionRing, info: GaloisInfo | None = None) -> Charac
     A parameter ring is solved from `info`, the `galois_type` of
     `ring.params`, computed here unless the caller already holds it; the
     characters come in the order of `info.roots`, which its orbits index,
-    and reading them isolates the two roots below the dimension root."""
+    and reading them places the two roots below the dimension root."""
     if ring.rank != 3:
         raise ValueError("only rank-3 rings are supported")
     if ring.dual == (0, 2, 1):
@@ -288,6 +294,35 @@ def _selfdual_characters(params: Rank3Params, roots) -> tuple[Character, ...]:
     )
 
 
+class FloatCharacter(NamedTuple):
+    """A character's values at the unit, X and Y as floats, and which of
+    them are exactly zero."""
+
+    values: tuple[complex, complex, complex]
+    zero: tuple[bool, bool, bool]
+
+
+def float_characters(params: Rank3Params, roots) -> list[FloatCharacter]:
+    """The characters that `_selfdual_characters(params, roots)` builds, as
+    floats: each root is read off its node (`float`), and y = (x^2 - m x -
+    1)/k for k >= 1.  A value is exactly zero only where the root giving it
+    is the rational 0: x = 0 on a ring with l = 0, and the y-value of (-1,
+    0) on K(0,1,0,n); y = 0 is no root of char_poly_y when k >= 1, whose
+    constant term is k."""
+    k, _l, m, _n = params.as_tuple()
+    out = []
+    for j, root in enumerate(roots):
+        value = float(root)
+        if k == 0:
+            out.append(FloatCharacter(
+                (1.0, (1.0, -1.0, 1.0)[j], value), (False, False, root.is_zero)))
+            continue
+        x = root.rational_value
+        y = ((value - m) * value - 1) / k if x is None else float((x * x - m * x - 1) / k)
+        out.append(FloatCharacter((1.0, value, y), (False, root.is_zero, False)))
+    return out
+
+
 def _rational_character(x: Fraction, y: Fraction) -> Character:
     return Character(
         x=RealAlgebraic.from_rational(x),
@@ -299,7 +334,7 @@ def _rational_character(x: Fraction, y: Fraction) -> Character:
 
 def galois_type(params: Rank3Params) -> GaloisInfo:
     """Image of the rational Galois action on the characters of K(k,l,m,n),
-    read off one integer factorization of char_poly_x, with the root of the
+    read off the integer roots of char_poly_x, with the root of the
     dimension character and, located on first use (`GaloisInfo.roots`), the
     two roots that `solve_characters` builds the other characters from.
 
@@ -313,14 +348,18 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
     - One rational root r and quadratic rest q: C2-fixing if r lies above
       both roots of q, that is q(r) > 0 and 2r > -q_1.  Otherwise C2-moving:
       r lies between the roots of q if q(r) < 0, and below both if not.
-    An irrational dimension root (S3, C3, C2-moving) is placed alone on its
+    Every root is located from one float estimate of the three
+    (`realalg.real_root_estimates`): the estimates name the integer roots
+    (`_integer_roots`), an irrational dimension root is placed alone on its
     node of width RENDER_WIDTH (`largest_root`), which is where its
-    renderings read it; only if that placement is not certified are all the
-    roots of the irreducible rest isolated here.
+    renderings read it, and the two lower roots are placed on theirs on
+    first use (`_rest_roots`).  Only where a placement is not certified are
+    the rational roots split off by `split_rational_roots` or all the roots
+    of the irreducible rest isolated.
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
     only for n = 1, which is Trivial, and every other n is C2-moving.  Both
-    y-roots are isolated: the nonmodular filter reads them.
+    y-roots are placed here: the nonmodular filter reads them.
     """
     xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:
@@ -330,11 +369,11 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
             low, high = RealAlgebraic.from_rational(-1), RealAlgebraic.from_rational(2)
         else:
             tag, orbits = GaloisType.C2_MOVING_FP, ((0, 2), (1,))
-            low, high = roots_of_irreducible(IntPoly((-2, -params.n, 1)))
+            ypoly = IntPoly((-2, -params.n, 1))
+            low, high = _rest_roots(ypoly, real_root_estimates(ypoly.coeffs))
         lower = (RealAlgebraic.from_rational(0), low)
         return GaloisInfo(tag, orbits, (-1, 1, 1), high, lambda: lower)
-    roots, rest = split_rational_roots(xpoly)
-    xs = tuple(sorted(u for u, _v in roots))  # monic, so every root is an integer
+    xs, rest, estimates = _integer_roots(xpoly)
     if len(xs) == 3:
         ascending = [RealAlgebraic.from_rational(x) for x in xs]
         return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), xs, ascending[-1],
@@ -353,18 +392,68 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
         else:  # below both
             tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 2), (1,)), 0
 
-    def lower(isolated: list[RealAlgebraic]) -> list[RealAlgebraic]:
-        """All but the largest root, ascending, from the isolated rest."""
+    def lower(located: list[RealAlgebraic]) -> list[RealAlgebraic]:
+        """All but the largest root, ascending, from the located rest."""
         if xs:
-            isolated.insert(place, RealAlgebraic.from_rational(xs[0]))
-        return isolated[:-1]
+            located.insert(place, RealAlgebraic.from_rational(xs[0]))
+        return located[:-1]
 
     if place == 2:
         top = RealAlgebraic.from_rational(xs[0])
-    else:
-        top = largest_root(rest, RENDER_WIDTH)
+        return GaloisInfo(tag, orbits, xs, top, lambda: lower(_rest_roots(rest, estimates)))
+    top = largest_root(rest, RENDER_WIDTH, estimates[-1]) if estimates else None
     if top is None:  # not certified: isolate, and keep the lower roots too
         isolated = roots_of_irreducible(rest)
         top, known = isolated[-1], lower(isolated)
         return GaloisInfo(tag, orbits, xs, top, lambda: known)
-    return GaloisInfo(tag, orbits, xs, top, lambda: lower(roots_of_irreducible(rest)))
+    return GaloisInfo(tag, orbits, xs, top, lambda: lower(_rest_roots(rest, estimates, top)))
+
+
+def _integer_roots(xpoly: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[float]]:
+    """The integer roots of the monic cubic xpoly, ascending, the quotient
+    rest of xpoly by their linear factors, and float estimates of the roots
+    of rest, ascending (none when floats cannot give them).
+
+    xpoly is monic, so its rational roots are integers.  The integers
+    nearest the float estimates of its roots are tested exactly and divided
+    out, and the rest is certified to have no rational root: a quadratic
+    rest when its discriminant is no square; a cubic one when the estimates
+    name three distinct integers u, each with xpoly of opposite signs at u -
+    1/2 and u + 1/2, as those intervals then hold the three roots, one each,
+    and their integers u are no roots.  Otherwise `split_rational_roots`
+    finds the rational roots."""
+    estimates = real_root_estimates(xpoly.coeffs)
+    nearest = {round(e) for e in estimates}
+    xs = [u for u in sorted(nearest) if not sign_at(xpoly.coeffs, u, 1)]
+    rest = xpoly
+    for u in xs:
+        rest = rest.exact_div(IntPoly((-u, 1)))
+    if rest.degree == 3:
+        certified = len(nearest) == 3 and all(
+            sign_at(rest.coeffs, 2 * u - 1, 2) * sign_at(rest.coeffs, 2 * u + 1, 2) < 0
+            for u in nearest)
+    elif rest.degree == 2:
+        c, b, _ = rest.coeffs
+        certified = not is_perfect_square(b * b - 4 * c)
+    else:
+        certified = rest.degree == 0
+    if not certified:
+        roots, rest = split_rational_roots(xpoly)
+        xs = sorted(u for u, _v in roots)
+    if rest.degree == 2:
+        estimates = real_root_estimates(rest.coeffs)
+    return tuple(xs), rest, estimates if rest.degree > 1 else []
+
+
+def _rest_roots(rest: IntPoly, estimates: list[float],
+                top: RealAlgebraic | None = None) -> list[RealAlgebraic]:
+    """The roots of the irreducible quadratic or cubic `rest`, ascending,
+    placed on their nodes of width RENDER_WIDTH from their float estimates
+    (`largest_root` for the top one unless `top` is already placed, then
+    `lower_roots`), or isolated where a placement is not certified."""
+    if top is None and estimates:
+        top = largest_root(rest, RENDER_WIDTH, estimates[-1])
+    below = None if top is None else lower_roots(top, estimates[:-1], RENDER_WIDTH)
+    if below is None:
+        return roots_of_irreducible(rest)
+    return [*below, top]

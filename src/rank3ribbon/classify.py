@@ -9,12 +9,12 @@ them passes.  It yields each ring's report as soon as it is decided, so a
 caller that writes and drops them runs in constant memory; `classify_all`
 keeps them all.
 
-Every verdict is read off one integer factorization of char_poly_x
+Every verdict is read off the integer roots of char_poly_x
 (`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
 where they are rational, the dimension y-value and case 3b's character.
-Typing locates only the dimension root.  Characters are solved only for the
-rings whose witnesses are searched, and only they isolate the other two
-roots, so each ring is factored once and isolated at most once.
+Typing places only the dimension root.  Only the rings whose witnesses are
+searched place the other two, once, and the search solves their characters
+only when a candidate reaches exact certification.
 
 Every verdict carries a machine-checkable certificate with the exact
 intermediate quantities.
@@ -244,10 +244,9 @@ def _ring_reports(bound: int, max_twist_order: int, witness_all: bool):
     for params in enumerate_star_solutions(bound):
         report = classify_ring(params)
         if report.admissible or witness_all:
-            ring = make_rank3_ring(report.params)
-            system = solve_characters(ring, report.galois)
             report.witnesses = search_ribbon_data(
-                ring, max_twist_order, system=system, landau=report.verdicts["symmetric"])
+                make_rank3_ring(report.params), max_twist_order,
+                landau=report.verdicts["symmetric"], info=report.galois)
         yield report
 
 

@@ -155,16 +155,38 @@ def _cmd_ring(args) -> tuple[object, str | None]:
     return payload, None
 
 
-def _cmd_enumerate(args) -> tuple[object, str | None]:
-    sols = list(enumerate_star_solutions(args.bound))
-    payload = {
-        "bound": args.bound,
-        "count": len(sols),
-        "solutions": [list(p.as_tuple()) for p in sols],
-        "aliases": {p.name(): param_aliases(p) for p in sols},
-    }
-    table = "\n".join(p.name() for p in sols)
-    return payload, table
+def _cmd_enumerate(args):
+    """enumerate's output in pieces, each row written as it is drawn from
+    `enumerate_star_solutions`, which is drawn anew for each part of the
+    payload, so no list of the rings is held.  A bad bound raises on the
+    first draw, before the first piece."""
+    if args.format == "table":
+        return _lines(p.name() for p in enumerate_star_solutions(args.bound))
+    return _enumerate_json_pieces(args.bound)
+
+
+def _lines(lines):
+    """The lines joined by line breaks, one piece per line, each drawn as it
+    is written."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+
+
+def _enumerate_json_pieces(bound: int):
+    """The text of `json_text` of {"bound", "count", "solutions",
+    "aliases"}: the rings are drawn once to count them, then once for each
+    list."""
+    count = sum(1 for _ in enumerate_star_solutions(bound))
+    yield '{\n  "bound": ' + json_text(bound) + ',\n  "count": ' + json_text(count)
+    yield ',\n  "solutions": '
+    yield from _container_pieces(
+        (list(p.as_tuple()) for p in enumerate_star_solutions(bound)), "\n  ")
+    yield ',\n  "aliases": '
+    yield from _container_pieces(
+        ((p.name(), param_aliases(p)) for p in enumerate_star_solutions(bound)), "\n  ", "{}")
+    yield "\n}"
 
 
 def _cmd_search(args) -> tuple[object, str | None]:
@@ -219,16 +241,35 @@ def _json_pieces(config: dict, reports):
     yield (
         '{\n  "limitation": ' + json_text(LIMITATION_NOTE)
         + ',\n  "config": ' + json_text(config, "\n  ")
-        + ',\n  "rings": ['
+        + ',\n  "rings": '
     )
     admissible = []
-    sep = "\n    "
-    for report in reports:
-        if report.admissible:
-            admissible.append(report.label)
-        yield sep + json_text(report.to_json(), "\n    ")
-        sep = ",\n    "
-    yield '\n  ],\n  "admissible": ' + json_text(admissible, "\n  ") + "\n}"
+
+    def rings():
+        for report in reports:
+            if report.admissible:
+                admissible.append(report.label)
+            yield report.to_json()
+
+    yield from _container_pieces(rings(), "\n  ")
+    yield ',\n  "admissible": ' + json_text(admissible, "\n  ") + "\n}"
+
+
+def _container_pieces(items, newline: str, brackets: str = "[]"):
+    """The text of `json_text` of a list of the values `items`, or with
+    brackets "{}" of a dict of the (key, value) pairs `items`, at the depth
+    that `newline` starts: one piece per item, each drawn as it is
+    written."""
+    inner = newline + "  "
+    opened = False
+    for item in items:
+        head = ("," if opened else brackets[0]) + inner
+        if brackets == "{}":
+            key, item = item
+            head += encode_basestring_ascii(key) + ": "
+        yield head + json_text(item, inner)
+        opened = True
+    yield newline + brackets[1] if opened else brackets
 
 
 def _cmd_audit(args) -> tuple[object, str | None]:
@@ -279,7 +320,6 @@ def _cmd_audit(args) -> tuple[object, str | None]:
 
 _COMMANDS = {
     "ring": _cmd_ring,
-    "enumerate": _cmd_enumerate,
     "search": _cmd_search,
     "audit": _cmd_audit,
 }
@@ -287,10 +327,12 @@ _COMMANDS = {
 
 def _output_pieces(args):
     """The command's output text, without the final newline.  Every command
-    but classify is computed here; classify's rings are computed as its
-    pieces are drawn."""
+    but classify and enumerate is computed here; the rings of those two are
+    computed as their pieces are drawn."""
     if args.command == "classify":
         return _cmd_classify(args)
+    if args.command == "enumerate":
+        return _cmd_enumerate(args)
     payload, table = _COMMANDS[args.command](args)
     return (table if args.format == "table" and table is not None else json_text(payload),)
 

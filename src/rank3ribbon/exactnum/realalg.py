@@ -10,9 +10,12 @@ irreducible factor of an integer polynomial the caller already holds: a
 characteristic cubic, the Casimir polynomial of `fusion.global_fp_dim`, a
 scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
 takes that polynomial rather than building one.  Root isolation uses integer
-Sturm chains and stops as soon as the roots are separated; `largest_root`
-places the top root of a real-rooted quadratic or cubic without isolating
-the others.  Either way the value is a node of the bisection tree of (-B, B),
+Sturm chains and stops as soon as the roots are separated.  The roots of a
+real-rooted quadratic or cubic are instead placed straight on their nodes
+from one float estimate of all of them (`real_root_estimates`):
+`largest_root` places the top one, certified by Fourier-Budan, and
+`lower_roots` the others, certified by sign changes on distinct nodes.
+Either way the value is a node of the bisection tree of (-B, B),
 B = cauchy_bound(minpoly), held as integers: index j at depth d.
 
 A caller that needs a narrow interval asks for it (`refine_to`,
@@ -492,14 +495,16 @@ def _newton_node(coeffs: tuple[int, ...], bound: tuple[int, int], depth: int,
     return None
 
 
-def largest_root(p: IntPoly, width: Fraction) -> RealAlgebraic | None:
+def largest_root(p: IntPoly, width: Fraction,
+                 estimate: float | None = None) -> RealAlgebraic | None:
     """The largest root of p, placed straight on its node of the bisection
     tree at most `width` wide, or None when the placement is not certified.
 
     p must be irreducible of degree 2 or 3 with only real roots, as the
-    factors of a Jacobi matrix's characteristic polynomial are.  A closed
-    form gives a float estimate and `_newton_node` the node [a, b].  It is
-    certified exactly by two facts:
+    factors of a Jacobi matrix's characteristic polynomial are.  The float
+    `estimate` of the root (by default the top one of `real_root_estimates`)
+    goes to the node [a, b] by `_newton_node`.  It is certified exactly by
+    two facts:
     - p(a) < 0 < p(b), so the node holds a root;
     - p^(i)(a) > 0 for every i >= 1, so by Fourier-Budan p has at most one
       root above a.
@@ -509,8 +514,10 @@ def largest_root(p: IntPoly, width: Fraction) -> RealAlgebraic | None:
     coeffs = p.coeffs
     value = RealAlgebraic(p, p.degree - 1, None, _bound_pair(coeffs))
     depth = value._depth_for(width)
+    if estimate is None:
+        estimate = (real_root_estimates(coeffs) or [math.nan])[-1]
     try:
-        index = _newton_node(coeffs, value._bound, depth, _largest_float_root(coeffs))
+        index = _newton_node(coeffs, value._bound, depth, estimate)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
     if index is None or not 0 <= index < 1 << depth:
@@ -527,23 +534,67 @@ def largest_root(p: IntPoly, width: Fraction) -> RealAlgebraic | None:
     return value
 
 
-def _largest_float_root(coeffs: tuple[int, ...]) -> float:
-    """Float estimate of the largest root of a quadratic or cubic whose roots
-    are all real: the quadratic formula, or the trigonometric form of the
-    depressed cubic."""
-    lead = coeffs[-1]
-    if len(coeffs) == 3:
-        b, c = coeffs[1] / lead, coeffs[0] / lead
-        return (-b + math.sqrt(max(b * b - 4 * c, 0.0))) / 2
-    if len(coeffs) != 4:
-        raise ValueError("a quadratic or a cubic")
-    a, b, c = coeffs[2] / lead, coeffs[1] / lead, coeffs[0] / lead
-    # x = t - a/3 gives t^3 + p t + q with p < 0 when the three roots are real.
-    p = b - a * a / 3
-    q = 2 * a * a * a / 27 - a * b / 3 + c
-    r = math.sqrt(-p / 3)
-    cos3 = max(-1.0, min(1.0, 3 * q / (2 * p * r)))
-    return 2 * r * math.cos(math.acos(cos3) / 3) - a / 3
+def lower_roots(top: RealAlgebraic, estimates, width: Fraction) -> list[RealAlgebraic] | None:
+    """The roots of top's minimal polynomial p below `top`, ascending, each
+    placed on its node of the bisection tree at most `width` wide from its
+    float estimate in `estimates` (ascending), or None when the placement is
+    not certified.
+
+    `top` is the largest root of p, as `largest_root` certifies it, and p has
+    deg p real roots.  Each estimate goes to a node by `_newton_node`, at
+    the depth of top's node at `width`.  Certificate: the nodes are distinct
+    and below top's, and p takes opposite signs at the two ends of each.
+    Distinct nodes of one depth meet only at their ends, where p does not
+    vanish (it has no rational root), so each of these deg p nodes holds an
+    odd number of roots; p has deg p roots, so each holds exactly one, and
+    their order is the order of the roots."""
+    p, bound = top.minpoly, top._bound
+    coeffs = p.coeffs
+    top_index, depth = top._node_at(Fraction(width))
+    if len(estimates) != p.degree - 1:
+        return None
+    out: list[RealAlgebraic] = []
+    previous = -1
+    for root_index, estimate in enumerate(estimates):
+        value = RealAlgebraic(p, root_index, None, bound)
+        try:
+            index = _newton_node(coeffs, bound, depth, estimate)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return None
+        if index is None or not previous < index < top_index:
+            return None
+        lo_sign = sign_at(coeffs, *value._cut(index, depth))
+        if not lo_sign or sign_at(coeffs, *value._cut(index + 1, depth)) != -lo_sign:
+            return None
+        value._j, value._depth, value._lo_sign = index, depth, lo_sign
+        out.append(value)
+        previous = index
+    return out
+
+
+def real_root_estimates(coeffs: tuple[int, ...]) -> list[float]:
+    """Float estimates of the roots of a quadratic or cubic whose roots are
+    all real, ascending: the quadratic formula, or the trigonometric form of
+    the depressed cubic.  None where floats cannot give them: coefficients
+    beyond float range, or a cubic that is not of that shape."""
+    try:
+        lead = coeffs[-1]
+        if len(coeffs) == 3:
+            b, c = coeffs[1] / lead, coeffs[0] / lead
+            root = math.sqrt(max(b * b - 4 * c, 0.0))
+            out = [(-b - root) / 2, (-b + root) / 2]
+        else:
+            a, b, c = coeffs[2] / lead, coeffs[1] / lead, coeffs[0] / lead
+            # x = t - a/3 gives t^3 + p t + q with p < 0 when the three roots
+            # are real; then t = 2 r cos((acos(3q / (2pr)) - 2 pi j) / 3).
+            p = b - a * a / 3
+            q = 2 * a * a * a / 27 - a * b / 3 + c
+            r = math.sqrt(-p / 3)
+            angle = math.acos(max(-1.0, min(1.0, 3 * q / (2 * p * r))))
+            out = [2 * r * math.cos((angle - 2 * math.pi * j) / 3) - a / 3 for j in (2, 1, 0)]
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return []
+    return out if all(map(math.isfinite, out)) else []
 
 
 # ---------------------------------------------------------------------------

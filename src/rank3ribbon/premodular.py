@@ -8,15 +8,16 @@ matrix is
     S[i][j] = theta_i^-1 theta_j^-1 * sum_k N[i*][j][k] theta_k d_k.
 
 The twists of an admissible datum have orders q with phi(q) <= 12
-(`twist_table`), so the search scans one fixed table of at most 180 roots of
-unity.  One float screen proposes twist pairs from it: row i of S must be
-d_i times a character, so one row names the other twist (`_arc_candidates`).
-The exact checks of `_certify_candidate` alone decide each candidate, and
-there is no approximate fallback.  Each candidate is checked in one field,
-Q(zeta_n)[x]/(f) with f the minimal polynomial of the character generator
-alpha over Q(zeta_n), decided once per (minimal polynomial, n) by
-`exactnum.cyclotomic.embed_real_algebraic`: f = x - beta when alpha = beta
-lies in Q(zeta_n), and every element is then one CycloNum
+(`twist_table`), so the search draws them from one fixed table of at most
+180 roots of unity.  Row i of S must be d_i times a character, so for each
+pair of characters one row pins both twists, through one quadratic over the
+character field, solved in floats and looked up in the table
+(`_pinned_pairs`).  The exact checks of `_certify_candidate` alone decide
+each candidate, and there is no approximate fallback.  Each candidate is
+checked in one field, Q(zeta_n)[x]/(f) with f the minimal polynomial of the
+character generator alpha over Q(zeta_n), decided once per (minimal
+polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`: f = x - beta
+when alpha = beta lies in Q(zeta_n), and every element is then one CycloNum
 (integer numerators over one denominator); f is alpha's minimal polynomial
 over Q otherwise, and elements are ExtNum polynomials with CycloNum
 coefficients.  Either way the ring is a field, so a zero test reads the
@@ -61,12 +62,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
-from .characters import Character, CharacterSystem, solve_characters
+from .characters import (
+    Character, CharacterSystem, FloatCharacter, GaloisInfo, float_characters, galois_type,
+    solve_characters,
+)
 from .exactnum import ComplexBall, CycloNum, RealAlgebraic, RootOfUnity, decimal_str, lcm
 from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to, rotated_sum
 from .exactnum.qpoly import QPoly
 from .fusion import FusionRing
-from .rules import FilterVerdict, _degenerate_certificate, landau_rule
+from .rules import FilterVerdict, _degenerate_certificate, landau_rule, symmetric_filter
 
 EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
 SMATRIX_PRECISION_BITS = 128  # radius bound 2^-bits of the rendered approx S-matrix
@@ -603,47 +607,67 @@ def search_ribbon_data(
     include_degenerate: bool = False,
     system: CharacterSystem | None = None,
     landau: FilterVerdict | None = None,
+    info: GaloisInfo | None = None,
 ) -> list[PremodularDatum]:
     """All admissible (dimension character, twist pair) data with twist orders
     up to `max_twist_order`, deterministically ordered.
 
     The twists range over `twist_table(max_twist_order)`, which holds every
-    twist of every admissible datum from order 42 on; it and its float
-    screen data are built once per capped order (`_twist_screen`).  The one
-    float screen is the pinning row: it names the other twist of each
-    (`_arc_candidates`), reading the characters' floats, their reps at
-    float(gen), so it locates no y-value.  Each candidate is then verified
-    exactly from the reps, and the exact checks alone decide: it must pass
-    its structure-class consistency rule (see module docstring).  Degenerate
+    twist of every admissible datum from order 42 on; it is built once per
+    capped order (`_twist_index`).  Candidates are the solutions of the
+    pinning row (`_pinned_pairs`), solved in closed form from the floats of
+    the characters: read off the roots of `info`, the `galois_type` of a
+    parameter ring (taken here unless the caller holds it), which places
+    them, with the exact zeros taken from the integer data
+    (`characters.float_characters`).  Each candidate is then verified
+    exactly, and the exact checks alone decide: it must pass its
+    structure-class consistency rule (see module docstring).  Degenerate
     (properly premodular) candidates are returned only when
-    `include_degenerate` is set.  `system` is the ring's character system
-    when the caller has already solved it; it is solved here otherwise.
-    `landau` is `landau_rule` on its dimension character when the caller
-    already holds that verdict; it is taken here otherwise, once and only
-    if the screen proposes a pair for the dimension character.
+    `include_degenerate` is set.
+
+    The characters are solved only for a candidate that builds an exact
+    context, once per search: `system` when the caller has solved them, and
+    `solve_characters(ring, info)` otherwise.  `landau` is the symmetric
+    rule's verdict on the dimension character when the caller holds it; it
+    is taken here otherwise (`symmetric_filter`, which reads the dimension
+    root alone), once and only if a pair is proposed for the dimension
+    character.  With every twist 1, S[i][j] = d_i* d_j, so such a datum is
+    Symmetric if it is anything: when that verdict fails, the unit pair is
+    rejected without a context, and so without solving anything.
     """
     if max_twist_order < 1:
         raise ValueError("max_twist_order must be >= 1")
-    if system is None:
-        system = solve_characters(ring)
-    elif system.ring != ring:
+    if system is not None and system.ring != ring:
         raise ValueError("the character system belongs to a different ring")
-    screen = _twist_screen(min(max_twist_order, TWIST_ORDER_BOUND))
-    table = screen.table
-    chars = [[c.value_complex(j) for j in range(3)] for c in system.chars]
+    if ring.params is None:  # Z/3, whose characters are roots of unity
+        system = system or solve_characters(ring)
+        chars = [FloatCharacter(tuple(c.value_complex(j) for j in range(3)), (False,) * 3)
+                 for c in system.chars]
+    else:
+        info = info or galois_type(ring.params)
+        chars = float_characters(ring.params, info.roots)
+    twists = _twist_index(min(max_twist_order, TWIST_ORDER_BOUND))
+    table = twists.table
     witnesses: list[PremodularDatum] = []
     fields: dict = {}  # the field data this search's contexts share
-    for dims_index, dims in enumerate(system.chars):
-        if not dims.nonzero():
+    for dims_index, dims in enumerate(chars):
+        if any(dims.zero):
             continue
-        pairs = _arc_candidates(ring, chars[dims_index], chars, system.chars, screen, SCAN_TOL)
-        verdict = None
+        pairs = _pinned_pairs(ring, dims, chars, twists)
+        sym_ok = False
         if dims_index == 0 and pairs:
-            verdict = landau if landau is not None else landau_rule(dims)
+            if landau is None:
+                landau = (symmetric_filter(ring.params, info) if ring.params is not None
+                          else landau_rule(system.chars[0]))
+            sym_ok = landau.passed
         for a, b in pairs:
+            if not sym_ok and table[a].is_one and table[b].is_one:
+                continue
+            if system is None:
+                system = solve_characters(ring, info)
             datum = _certify_candidate(
-                ring, dims, dims_index, Twists.of(table[a], table[b]),
-                include_degenerate, verdict, fields,
+                ring, system.chars[dims_index], dims_index, Twists.of(table[a], table[b]),
+                include_degenerate, landau if dims_index == 0 else None, fields,
             )
             if datum is not None:
                 witnesses.append(datum)
@@ -655,7 +679,7 @@ def search_ribbon_data(
 
 TWIST_PHI_BOUND = 12  # phi(q) of every twist order q of an admissible datum
 TWIST_ORDER_BOUND = 42  # the largest q with phi(q) <= TWIST_PHI_BOUND
-SCAN_TOL = 1e-9  # float tolerance of the pinning-row screen; exact checks decide
+SCAN_TOL = 1e-9  # float tolerance of the pinning-row test; exact checks decide
 
 
 def twist_table(max_twist_order: int) -> list[RootOfUnity]:
@@ -689,95 +713,108 @@ def twist_table(max_twist_order: int) -> list[RootOfUnity]:
         roots of unity, so theta_2^3 = theta_1^6 = 1.
 
     So a pair of the table has phi(lcm(q_1, q_2)) <= phi(q_1) phi(q_2) <= 144
-    < EXACT_PHI_CAP, and orders above 42 add no root.
+    < EXACT_PHI_CAP, and orders above 42 add no root.  The search runs this
+    proof per pair of characters (`_pinned_pairs`).
     """
-    return list(_twist_screen(min(max_twist_order, TWIST_ORDER_BOUND)).table)
+    return list(_twist_index(min(max_twist_order, TWIST_ORDER_BOUND)).table)
 
 
-class _TwistScreen(NamedTuple):
-    """A twist table with the float data the scan reads: the value of each
-    root, and the table by turn three times over (`by_turn`), with turns
-    shifted by -1, 0 and +1 (`turns`), so that an arc of width <= 1 around
-    a center in [0, 1] is one run of each list."""
+class _TwistIndex(NamedTuple):
+    """A twist table with what the pinning-row solve reads: the value of
+    each root, the table's indices sorted by turn (`by_turn`) with their
+    turns (`turns`), both closed by the first root again at turn 1, and the
+    indices of the roots of order 16 (`order_16`)."""
 
     table: tuple[RootOfUnity, ...]
     values: tuple[complex, ...]
     by_turn: tuple[int, ...]
     turns: tuple[float, ...]
+    order_16: tuple[int, ...]
+
+    def nearest(self, z: complex) -> int:
+        """The index of the root of the table nearest to z by turn.  The
+        table holds 1, at turn 0, so the turn of z, in [0, 1], lies between
+        two listed turns."""
+        turns = self.turns
+        turn = cmath.phase(z) / (2 * math.pi) % 1.0
+        pos = min(bisect.bisect(turns, turn), len(turns) - 1)
+        return self.by_turn[pos if turns[pos] - turn < turn - turns[pos - 1] else pos - 1]
 
 
 @lru_cache(maxsize=None)
-def _twist_screen(order: int) -> _TwistScreen:
+def _twist_index(order: int) -> _TwistIndex:
     """The twist table of orders up to `order` <= TWIST_ORDER_BOUND and its
-    screen data, built on first use, once per order."""
+    lookup data, built on first use, once per order."""
     table = tuple(r for r in roots_of_unity_up_to(order) if euler_phi(r.q) <= TWIST_PHI_BOUND)
-    by_turn = sorted(range(len(table)), key=lambda j: table[j].p / table[j].q) * 3
-    return _TwistScreen(
+    by_turn = sorted(range(len(table)), key=lambda j: table[j].turn)
+    return _TwistIndex(
         table,
         tuple(r.complex_approx() for r in table),
-        tuple(by_turn),
-        tuple(table[j].p / table[j].q + n // len(table) - 1 for n, j in enumerate(by_turn)),
+        (*by_turn, by_turn[0]),
+        (*(float(table[j].turn) for j in by_turn), 1.0),
+        tuple(j for j, r in enumerate(table) if r.q == 16),
     )
 
 
-def _arc_candidates(ring, d, chars, characters, screen, tol) -> list[tuple[int, int]]:
-    """The index pairs (theta_1, theta_2) of `screen`'s table, row-major,
-    whose pinning row i is within tol of d_i * chi at both non-unit entries
-    for some character chi.  `d` and `chars` are the float values of the
-    dimensions and of every character, `characters` the characters
-    themselves, read only for an exact zero.
+def _pinned_pairs(ring, dims: FloatCharacter, chars, twists: _TwistIndex) -> list[tuple[int, int]]:
+    """The index pairs (theta_1, theta_2) of the twist table, row-major,
+    whose pinning row i is within SCAN_TOL of d_i * chi at both non-unit
+    entries for some character chi, solved per chi in closed form: the
+    proof of `twist_table`, run in floats.
 
-    Times the unit theta_i theta_e, entry e of row i is the balancing sum
-    sum_k N[i*][e][k] theta_k d_k, so its test reads |k_e theta_o - r_e| <=
-    tol (o the other twist).  A self-dual ring has N[1][1][2] = k or
-    N[2][2][1] = l nonzero (star equation), and that row's diagonal entry
-    has the constant coefficient k d_2 or l d_1.  On Z/3 both vanish, and S[1][2]
-    = theta_2^-1 d_1 pins theta_2.  Then ||r| - |k|| <= tol, and theta_o is
-    within tol/|k| of r/k, so at an angle at most pi * min(tol/|k|, 1) from
-    it (sin x >= 2x/pi up to pi/2; beyond, every point is 1 away): one run
-    of the sorted turns, whose points are kept when both entries pass.
-
-    The diagonal entry reads theta_i only through chi_i and N[i*][i][i].
-    When both are exactly 0, theta_o is pinned and theta_i is free: by case
-    (c) of `twist_table` the ring is K(0,1,0,0) in one orientation and chi
-    is (-1, 0), every such datum is Modular, and its Frobenius-Schur sum
-    gives theta_i order 16, so only the table roots of order 16 are tried."""
+    Times theta_i theta_e, entry e of row i reads (a_e + b_e t) s = (c_e t
+    + f_e) t + g_e in t = theta_i and s = theta_o (o the other index), with
+    a_e = N[i*][e][o] d_o, b_e = -d_i chi(o) if e = o, c_e = d_i chi(i) if
+    e = i, f_e = -N[i*][e][i] d_i and g_e = -N[i*][e][0].  A self-dual ring
+    has N[1][1][2] = k or N[2][2][1] = l nonzero (star equation), and row i
+    is one with it, so a_i != 0; on Z/3 row 1 pins, with a_i = 0.  Entry o
+    gives s:
+    - a_o = 0 (k = 0, l = 0 or Z/3): b_o t s = f_o t, so s = f_o / b_o,
+      and no pair when chi(o) = 0 exactly;
+    - a_o != 0: the ring is self-dual and every coefficient real, so
+      conjugating entry o divided by t s gives the line a_o t + b_o = f_o s
+      on the unit circle.
+    So s = s_0 + s_1 t, and entry i turns into Q(t) = c_i t^2 + (f_i - a_i
+    s_1) t + g_i - a_i s_0 = 0: cases (a)-(d) of `twist_table` in one
+    quadratic.  Each root of Q, and then s, is looked up in the table by
+    its turn (`_TwistIndex.nearest`), and the pair is kept when both entries
+    are within SCAN_TOL, the test the exact checks then decide on.  c_i = 0
+    exactly only where chi(i) = 0, which forces a_o = 0 (x = 0 needs l = 0,
+    and row 2 pins only when k = 0), so Q is then f_i t + g_i - a_i s_0,
+    linear unless N[i*][i][i] = 0.  Then Q is constant, theta_i is free,
+    and case (c) of `twist_table` tries the roots of order 16 alone."""
     N, dual = ring.N, ring.dual
     i = 1 if N[dual[1]][1][2] or not N[dual[2]][2][1] else 2
     o = 3 - i
-    pin = i if N[dual[i]][i][o] else o
-
-    def entry(e, chi):  # (a, b, c, f, g): k_e = a + b t, r_e = (c t + f) t + g
-        n, target = N[dual[i]][e], d[i] * chi[e]
-        return (n[o] * d[o], -target if e == o else 0,
-                target if e == i else 0, -n[i] * d[i], -n[0])
-
-    values, by_turn, turns = screen.values, screen.by_turn, screen.turns
+    n_i, n_o = N[dual[i]][i], N[dual[i]][o]
+    d = dims.values
+    a_i, f_i, g_i = n_i[o] * d[o], -n_i[i] * d[i], -n_i[0]
+    a_o, f_o, g_o = n_o[o] * d[o], -n_o[i] * d[i], -n_o[0]
+    values, nearest = twists.values, twists.nearest
     found: set = set()
-    for chi, character in zip(chars, characters):
-        k, b, c, f, g = entry(pin, chi)
-        if pin == o:  # Z/3: k_2 = b theta_1 and r_2 = f theta_1
-            k, f, g = b, 0, f
-        # pin == i only on self-dual rings, where an empty rep is exactly 0.
-        if pin == i and not N[dual[i]][i][i] and not (character.x_rep, character.y_rep)[i - 1]:
-            firsts = [j for j, root in enumerate(screen.table) if root.q == 16]
+    for chi in chars:
+        c_i, b_o = d[i] * chi.values[i], -d[i] * chi.values[o]
+        if n_o[o]:
+            s_0, s_1 = b_o / f_o, a_o / f_o
+        elif chi.zero[o]:
+            continue
         else:
-            firsts = range(len(values))
-        size, turn = abs(k), cmath.phase(k) / (2 * math.pi)
-        half = min(tol / size, 1.0) / 2
-        k2, b2, c2, f2, g2 = entry(3 - pin, chi)
+            s_0, s_1 = f_o / b_o, 0
+        q1, q0 = f_i - a_i * s_1, g_i - a_i * s_0
+        if not chi.zero[i]:
+            root = cmath.sqrt(q1 * q1 - 4 * c_i * q0)
+            firsts = {nearest((-q1 + root) / (2 * c_i)), nearest((-q1 - root) / (2 * c_i))}
+        elif n_i[i]:
+            firsts = (nearest(-q0 / q1),)
+        else:
+            firsts = twists.order_16
         for first in firsts:
             t = values[first]
-            r = (c * t + f) * t + g
-            if abs(abs(r) - size) > tol:
-                continue
-            center = (cmath.phase(r) / (2 * math.pi) - turn) % 1.0
-            other_k, other_r = k2 + b2 * t, (c2 * t + f2) * t + g2
-            for second in by_turn[bisect.bisect_left(turns, center - half):
-                                  bisect.bisect_right(turns, center + half)]:
-                s = values[second]
-                if abs(k * s - r) <= tol and abs(other_k * s - other_r) <= tol:
-                    found.add((first, second) if i == 1 else (second, first))
+            second = nearest(s_0 + s_1 * t)
+            s = values[second]
+            if (abs(a_i * s - (c_i * t + f_i) * t - g_i) <= SCAN_TOL
+                    and abs((a_o + b_o * t) * s - f_o * t - g_o) <= SCAN_TOL):
+                found.add((first, second) if i == 1 else (second, first))
     return sorted(found)
 
 
@@ -787,21 +824,16 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
     """Exact verification and class-consistency rules for one candidate,
     on field data shared through `fields` (`ExactContext`).
 
-    `landau` is `landau_rule(dims)` when the dimensions are the dimension
-    character (index 0), taken once per search, and None otherwise.  The
-    symmetric rule holds when it passes.  When it does not:
-
-    - with every twist 1, S[i][j] = d_i* d_j, so the datum is Symmetric if
-      it is anything and the rule rejects it: no exact context is built;
-    - when degenerate data are not requested, only a Modular verdict can
-      admit the candidate, and that needs exact Frobenius-Schur indicators.
-      They read only d and the twists, so they run first and reject the
-      candidate before its S-matrix is built.
+    `landau` is the symmetric rule's verdict on the dimensions when they are
+    the dimension character (index 0), taken once per search, and None
+    otherwise.  The symmetric rule holds when it passes.  When it does not
+    and degenerate data are not requested, only a Modular verdict can admit
+    the candidate, and that needs exact Frobenius-Schur indicators.  They
+    read only d and the twists, so they run first and reject the candidate
+    before its S-matrix is built.
 
     The verdict is the one the full check order gives."""
     sym_ok = landau is not None and landau.passed
-    if not sym_ok and all(t.is_one for t in twists.theta):
-        return None
     ctx = ExactContext(ring, dims, twists, fields)
     fs = None
     if not (sym_ok or include_degenerate):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from rank3ribbon.characters import (
+    FloatCharacter,
     GaloisType,
     char_poly_x,
     char_poly_y,
+    float_characters,
     galois_type,
     solve_characters,
 )
@@ -33,10 +35,9 @@ from rank3ribbon.fusion import (
     make_z3_ring,
 )
 from rank3ribbon.premodular import (
-    SCAN_TOL,
     TWIST_ORDER_BOUND,
-    _arc_candidates,
-    _twist_screen,
+    _pinned_pairs,
+    _twist_index,
 )
 from rank3ribbon.rules import _scaled_value
 
@@ -535,24 +536,35 @@ def test_rep_floats_match_the_exact_values_bound_30():
 
 def test_scan_sees_no_difference_between_rep_and_exact_floats():
     """On Z/3 and on every ring up to bound 10 in both orientations, the
-    pinning-row screen proposes the same twist pairs at orders 16 and 60
-    whether it reads the rep floats or the floats of the exact values."""
+    pinning-row solve proposes the same twist pairs at orders 16 and 60
+    whether it reads the floats of the placed roots (`float_characters`, as
+    the search does), the rep floats or the floats of the exact values, with
+    the exact zeros of the reps; and the placed-root floats are within
+    1e-12 * max(1, |v|) of the exact values v."""
     rings = [(make_z3_ring(), None)]
     for canon in enumerate_star_solutions(10):
         rings += [(make_rank3_ring(p), p) for p in (canon, canon.swapped())]
     kept = 0
     for ring, params in rings:
         system = solve_characters(ring)
-        reps = [[c.value_complex(j) for j in range(3)] for c in system.chars]
-        exact = [_exact_floats(params, c) for c in system.chars]
+        zeros = [(False, not c.is_cyclotomic and not c.x_rep, not c.is_cyclotomic and not c.y_rep)
+                 for c in system.chars]
+        reps = [FloatCharacter(tuple(c.value_complex(j) for j in range(3)), z)
+                for c, z in zip(system.chars, zeros)]
+        exact = [FloatCharacter(tuple(_exact_floats(params, c)), z)
+                 for c, z in zip(system.chars, zeros)]
+        placed = reps if params is None else float_characters(params, galois_type(params).roots)
+        for p, e in zip(placed, exact):
+            assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(p.values, e.values))
+        assert [p.zero for p in placed] == zeros
         for order in (16, 60):
-            screen = _twist_screen(min(order, TWIST_ORDER_BOUND))
+            twists = _twist_index(min(order, TWIST_ORDER_BOUND))
             for index, dims in enumerate(system.chars):
                 if not dims.nonzero():
                     continue
-                pairs = _arc_candidates(ring, reps[index], reps, system.chars, screen, SCAN_TOL)
-                assert pairs == _arc_candidates(
-                    ring, exact[index], exact, system.chars, screen, SCAN_TOL), ring
+                pairs = _pinned_pairs(ring, placed[index], placed, twists)
+                assert pairs == _pinned_pairs(ring, reps[index], reps, twists), ring
+                assert pairs == _pinned_pairs(ring, exact[index], exact, twists), ring
                 kept += len(pairs)
     assert kept > 0
 
@@ -622,11 +634,115 @@ def test_dimension_root_is_the_top_isolated_root_bound_100():
     assert placed > 9000
 
 
+def _assert_placed_like_isolation(located, poly, placed=True):
+    """`located` are the roots of the irreducible `poly`, ascending, as
+    isolation and then refine_to(RENDER_WIDTH) give them: the same minimal
+    polynomial, root index and node of width RENDER_WIDTH, on which each
+    root already is when `placed`."""
+    from rank3ribbon.exactnum.realalg import RENDER_WIDTH
+
+    reference = roots_of_irreducible(poly)
+    assert len(located) == len(reference), poly
+    for value, ref in zip(located, reference):
+        ref.refine_to(RENDER_WIDTH)
+        assert value.minpoly == ref.minpoly and value.root_index == ref.root_index, poly
+        node = value.interval() if placed else value.tree_interval(RENDER_WIDTH)
+        assert node == ref.interval(), poly
+
+
+def test_placed_roots_match_isolation_bound_100(monkeypatch):
+    """Every root that typing locates, on every ring up to bound 100 in both
+    orientations: the integer roots of char_poly_x are those of
+    `split_rational_roots`, and each irrational root, the dimension root at
+    typing and the two lower ones on first read, is the root that isolation
+    and refine_to(RENDER_WIDTH) give, on the same node.  No placement is
+    declined, so nothing is isolated."""
+    from rank3ribbon import characters
+
+    isolated = []
+    original = characters.roots_of_irreducible
+    monkeypatch.setattr(characters, "roots_of_irreducible",
+                        lambda p: isolated.append(p) or original(p))
+    placed = 0
+    for canon in enumerate_star_solutions(100):
+        for params in {canon, canon.swapped()}:
+            info = galois_type(params)
+            roots = info.roots
+            if params.k == 0:
+                poly = IntPoly((-2, -params.n, 1))
+            else:
+                integer, poly = split_rational_roots(char_poly_x(params))
+                assert info.x_roots == tuple(sorted(u for u, _v in integer)), params
+            irrational = sorted((r for r in roots if not r.is_rational), key=lambda r: r.root_index)
+            if irrational:
+                _assert_placed_like_isolation(irrational, poly)
+                placed += len(irrational)
+    assert isolated == [] and placed > 25000
+
+
+def test_root_location_falls_back_on_close_roots(monkeypatch):
+    """Monic cubics whose roots are closer than 1e-12, seeded: Mignotte's
+    x^3 - 2(ax - 1)^2, two of whose roots lie within sqrt(2) a^(-5/2) of
+    1/a, and (x - u)(x^2 - (u + M)x + uM - 1), whose root near u lies within
+    1/(M - u) of it.  Where the float estimates cannot certify, the
+    integer roots come from `split_rational_roots` and the irrational ones
+    from isolation, and either way they are the right roots on the right
+    nodes."""
+    import random
+
+    from rank3ribbon import characters
+
+    fallbacks = []
+    for name in ("split_rational_roots", "roots_of_irreducible"):
+        original = getattr(characters, name)
+        monkeypatch.setattr(characters, name,
+                            lambda p, _o=original, _n=name: fallbacks.append(_n) or _o(p))
+    rng = random.Random(2029)
+    cubics = []
+    for _ in range(6):
+        a = rng.randrange(10**5, 10**6)
+        cubics.append(IntPoly((-2, 4 * a, -2 * a * a, 1)))
+        u, big = rng.randrange(-50, 50), rng.randrange(10**12, 10**13)
+        cubics.append(IntPoly((-u, 1)) * IntPoly((u * big - 1, -(u + big), 1)))
+    for cubic in cubics:
+        xs, rest, estimates = characters._integer_roots(cubic)
+        integer, reference_rest = split_rational_roots(cubic)
+        assert xs == tuple(sorted(u for u, _v in integer)) and rest == reference_rest, cubic
+        _assert_placed_like_isolation(characters._rest_roots(rest, estimates), rest, placed=False)
+    assert {"split_rational_roots", "roots_of_irreducible"} <= set(fallbacks)
+
+
+@pytest.mark.parametrize("shift", [-0.6, 0.3, 0.6, 1.5])
+def test_integer_roots_are_certified_whatever_the_estimates(monkeypatch, shift):
+    """The float estimates only name candidates: with every estimate moved by
+    `shift`, the integer roots and the rest of every char_poly_x up to bound
+    20, in both orientations, are still those of `split_rational_roots`, and
+    the roots of the rest are still the ones isolation gives."""
+    from rank3ribbon import characters
+
+    original = characters.real_root_estimates
+    monkeypatch.setattr(characters, "real_root_estimates",
+                        lambda coeffs: [e + shift for e in original(coeffs)])
+    for canon in enumerate_star_solutions(20):
+        for params in {canon, canon.swapped()}:
+            if params.k == 0:
+                continue
+            xpoly = char_poly_x(params)
+            xs, rest, _estimates = characters._integer_roots(xpoly)
+            integer, reference_rest = split_rational_roots(xpoly)
+            assert xs == tuple(sorted(u for u, _v in integer)) and rest == reference_rest, params
+            if rest.degree > 1:
+                estimates = [e + shift for e in original(rest.coeffs)]
+                _assert_placed_like_isolation(characters._rest_roots(rest, estimates), rest,
+                                              placed=False)
+
+
 def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
     """`classify_all(30)` types every ring from its dimension root alone: the
-    other two roots of an irrational rest are isolated only for the rings
-    it searches, once each.  K(0,1,0,n) isolates both y-roots at typing, as
-    its nonmodular filter reads them."""
+    other two roots of an irrational rest are located (placed on their
+    nodes by `_rest_roots`, or isolated) only for the rings it searches,
+    once each.  K(0,1,0,n) locates both y-roots at typing, as its
+    nonmodular filter reads them."""
     from collections import Counter
 
     from rank3ribbon import characters, classify
@@ -634,18 +750,20 @@ def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
 
     current = [None]
     calls = Counter()
-    original_isolate = characters.roots_of_irreducible
     original_ring = classify.classify_ring
 
-    def isolate(p):
-        calls[current[0]] += 1
-        return original_isolate(p)
+    def located(original):
+        def locate(p, *args):
+            calls[current[0]] += 1
+            return original(p, *args)
+        return locate
 
     def on_ring(params):
         current[0] = params
         return original_ring(params)
 
-    monkeypatch.setattr(characters, "roots_of_irreducible", isolate)
+    monkeypatch.setattr(characters, "roots_of_irreducible", located(characters.roots_of_irreducible))
+    monkeypatch.setattr(characters, "_rest_roots", located(characters._rest_roots))
     monkeypatch.setattr(classify, "classify_ring", on_ring)
     report = classify_all(30)
     monkeypatch.undo()

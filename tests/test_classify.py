@@ -393,27 +393,20 @@ def test_classify_all_solves_only_searched_rings(monkeypatch):
     assert len(calls) == 4 and set(calls.values()) == {1}
 
 
-def test_classify_all_solves_each_ring_once(monkeypatch):
-    """With witnesses on every ring, each ring's characters are solved once,
-    from the typing its triage made, and handed to its search."""
-    calls = _count_solves(monkeypatch)
-    report = classify_all(5, max_twist_order=16, witness_all=True)
-    assert all(r.witnesses is not None for r in report.rings)
-    assert len(calls) == len(report.rings)
-    assert set(calls.values()) == {1}
-
-
 def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
-    """Triage and search share one integer factorization of char_poly_x and
-    one isolation of its irreducible rest, both made by `galois_type`.
-    Calls are counted through every name a module binds them to.  The
-    char_poly_x of K(0,1,0,n) is (x - 1)^2 (x + 1) in closed form and is
-    not factored; its y-values, the roots of y^2 - n y - 2, are isolated
-    once for the typing, the nonmodular filter and the search together."""
+    """Triage and search share one reading of the integer roots of
+    char_poly_x (`_integer_roots`) and one location of its irreducible rest,
+    both made by `galois_type`: the rest's roots are placed on their nodes
+    (`_rest_roots`), and none is isolated, nor is `split_rational_roots`
+    needed, on these rings.  Calls are counted through every name a module
+    binds them to.  The char_poly_x of K(0,1,0,n) is (x - 1)^2 (x + 1) in
+    closed form and is not factored; its y-values, the roots of y^2 - n y -
+    2, are located once for the typing, the nonmodular filter and the search
+    together."""
     import sys
     from collections import Counter
 
-    from rank3ribbon import classify
+    from rank3ribbon import characters, classify
     from rank3ribbon.characters import char_poly_x
     from rank3ribbon.exactnum import IntPoly, roots_of_irreducible, two_cos
     from rank3ribbon.exactnum.intpoly import split_rational_roots
@@ -432,6 +425,8 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     # y^2 - 2 is also the minimal polynomial of 2cos(pi/4), whose roots the
     # search isolates once per process; isolate them before counting.
     two_cos(Fraction(1, 8))
+    counted("_integer_roots", characters._integer_roots)
+    counted("_rest_roots", characters._rest_roots)
     counted("split_rational_roots", split_rational_roots)
     counted("roots_of_irreducible", roots_of_irreducible)
     original_ring = classify.classify_ring
@@ -449,14 +444,18 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     for r in rings:
         params = r.params
         xpoly = char_poly_x(params)
-        assert calls["split_rational_roots", params, xpoly] == min(params.k, 1), params
+        assert calls["_integer_roots", params, xpoly] == min(params.k, 1), params
+        assert calls["split_rational_roots", params, xpoly] == 0, params
         if params.k == 0 and params.n != 1:
-            assert calls["roots_of_irreducible", params, IntPoly((-2, -params.n, 1))] == 1, params
+            ypoly = IntPoly((-2, -params.n, 1))
+            assert calls["_rest_roots", params, ypoly] == 1, params
+            assert calls["roots_of_irreducible", params, ypoly] == 0, params
             ypolys += 1
         _roots, rest = split_rational_roots(xpoly)
         if rest.degree < 2:
             continue
-        assert calls["roots_of_irreducible", params, rest.primitive()] == 1, params
+        assert calls["_rest_roots", params, rest.primitive()] == 1, params
+        assert calls["roots_of_irreducible", params, rest.primitive()] == 0, params
         rests += 1
     assert rests == 56 and ypolys == 10
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rank3ribbon.classify import enumerate_star_solutions
 from rank3ribbon.cli import run
 
 
@@ -48,8 +49,9 @@ def test_usage_errors(capsys):
 
 
 def test_tol_option_is_gone(capsys):
-    """The scan tolerance is the constant SCAN_TOL; a --tol value such as 0,
-    which made a search report no witnesses, is a usage error."""
+    """The tolerance of the pinning-row test is the constant SCAN_TOL; a
+    --tol value such as 0, which made a search report no witnesses, is a
+    usage error."""
     for argv in (["search", "--params", "0,1,0,0", "--max-twist-order", "16"],
                  ["classify", "--bound", "1"]):
         code, out, err = _capture(capsys, argv + ["--tol", "0"])
@@ -158,6 +160,32 @@ def test_classify_runs_in_constant_memory():
     try:
         at20 = _classify_peak(20)
         at60 = _classify_peak(60)
+    finally:
+        tracemalloc.stop()
+    assert at60 <= 1.5 * at20, (at20, at60)
+
+
+def _enumerate_peak(bound, fmt):
+    """tracemalloc's peak, over the memory held before the call, of
+    `enumerate --bound <bound> --format <fmt>` with stdout discarded."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    with contextlib.redirect_stdout(_Discard()):
+        assert run(["enumerate", "--bound", str(bound), "--format", fmt]) == 0
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_enumerate_runs_in_constant_memory(fmt):
+    """enumerate writes each solution and each alias entry as it is drawn
+    and holds no list of them: tripling the bound (230 to 1,832 rings)
+    leaves the peak of a run within 1.5 times its value at bound 20."""
+    with contextlib.redirect_stdout(_Discard()):
+        run(["enumerate", "--bound", "2", "--format", fmt])
+    tracemalloc.start()
+    try:
+        at20 = _enumerate_peak(20, fmt)
+        at60 = _enumerate_peak(60, fmt)
     finally:
         tracemalloc.stop()
     assert at60 <= 1.5 * at20, (at20, at60)
@@ -339,7 +367,7 @@ def test_cli_import_does_no_exact_work():
             f"import rank3ribbon.{module}\n"
             "from rank3ribbon import premodular\n"
             "from rank3ribbon.exactnum import cyclotomic as c\n"
-            "caches = (premodular._twist_screen, c.cyclotomic_poly, c._cos_roots, c._power_basis, c._zeta_ball)\n"
+            "caches = (premodular._twist_index, c.cyclotomic_poly, c._cos_roots, c._power_basis, c._zeta_ball)\n"
             "print([f.cache_info().currsize for f in caches])"
         )
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
@@ -375,13 +403,14 @@ def test_each_module_imports_alone_in_layer_order(tmp_path):
 
 @pytest.fixture(scope="module")
 def golden_payloads():
-    """The payload of every golden command but classify, which streams."""
+    """The payload of every golden command but classify and enumerate, which
+    stream."""
     from rank3ribbon import cli
 
     payloads = []
     for g in GOLDEN:
         args = cli._build_parser().parse_args(g["argv"])
-        if args.command != "classify":
+        if args.command not in ("classify", "enumerate"):
             payloads.append(cli._COMMANDS[args.command](args)[0])
     return payloads
 
@@ -391,7 +420,7 @@ def test_json_writer_matches_json_dumps_on_golden_payloads(golden_payloads):
     on the payload of every golden command."""
     from rank3ribbon.cli import json_text
 
-    assert len(golden_payloads) == sum(g["argv"][0] != "classify" for g in GOLDEN)
+    assert len(golden_payloads) == sum(g["argv"][0] not in ("classify", "enumerate") for g in GOLDEN)
     for payload in golden_payloads:
         assert json_text(payload) == json.dumps(payload, indent=2)
 
@@ -408,6 +437,27 @@ def test_streamed_classify_matches_json_dumps_of_the_kept_report(capsys, argv):
     code, out, _ = _capture(capsys, argv)
     report = classify_all(args.bound, args.max_twist_order, args.witness_all)
     assert code == 0 and out == json.dumps(report.to_json(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bound", [0, 1, 20])
+def test_streamed_enumerate_matches_json_dumps_of_the_payload(capsys, bound):
+    """enumerate's streamed stdout is exactly json.dumps(payload, indent=2) of
+    the payload built from the list of its rings, and its table is their
+    names, one a line: at bound 0 both sections are empty."""
+    from rank3ribbon.fusion import param_aliases
+
+    rings = list(enumerate_star_solutions(bound))
+    payload = {
+        "bound": bound,
+        "count": len(rings),
+        "solutions": [list(p.as_tuple()) for p in rings],
+        "aliases": {p.name(): param_aliases(p) for p in rings},
+    }
+    argv = ["enumerate", "--bound", str(bound)]
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+    code, out, _ = _capture(capsys, argv + ["--format", "table"])
+    assert code == 0 and out == "".join(p.name() + "\n" for p in rings) + ("\n" if not rings else "")
 
 
 @pytest.mark.parametrize("obj", [

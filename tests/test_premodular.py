@@ -1,16 +1,21 @@
 """Tests for S-matrix construction, classification, and the witness search."""
 
+import bisect
+import cmath
 import contextlib
 import io
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from rank3ribbon import cli, premodular, rules
-from rank3ribbon.characters import char_poly_x, solve_characters
+from rank3ribbon.characters import (
+    FloatCharacter, char_poly_x, float_characters, galois_type, solve_characters,
+)
 from rank3ribbon.classify import classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity, cubic_discriminant
 from rank3ribbon.exactnum import cyclotomic
@@ -34,8 +39,8 @@ from rank3ribbon.premodular import (
     Twists,
     Undecidable,
     ZeroDimension,
-    _arc_candidates,
-    _twist_screen,
+    _pinned_pairs,
+    _twist_index,
     build_s_matrix,
     euler_phi,
     search_ribbon_data,
@@ -642,6 +647,88 @@ def _float_chars(system):
     return [[c.value_complex(j) for j in range(3)] for c in system.chars]
 
 
+def _solver_chars(ring):
+    """The float characters the search solves the pinning row from: read off
+    the roots that typing places, or the Z/3 roots of unity."""
+    if ring.params is None:
+        return [FloatCharacter(tuple(v), (False,) * 3) for v in _float_chars(solve_characters(ring))]
+    return float_characters(ring.params, galois_type(ring.params).roots)
+
+
+# The float screen the closed-form solve replaced, kept as its reference: the
+# pinning row scanned over the whole twist table.
+
+
+class _TwistScreen(NamedTuple):
+    """A twist table with the float data the scan reads: the value of each
+    root, and the table by turn three times over (`by_turn`), with turns
+    shifted by -1, 0 and +1 (`turns`), so that an arc of width <= 1 around
+    a center in [0, 1] is one run of each list."""
+
+    table: tuple
+    values: tuple
+    by_turn: tuple
+    turns: tuple
+
+
+def _twist_screen(order):
+    table = tuple(twist_table(order))
+    by_turn = sorted(range(len(table)), key=lambda j: table[j].p / table[j].q) * 3
+    return _TwistScreen(
+        table,
+        tuple(r.complex_approx() for r in table),
+        tuple(by_turn),
+        tuple(table[j].p / table[j].q + n // len(table) - 1 for n, j in enumerate(by_turn)),
+    )
+
+
+def _arc_candidates(ring, d, chars, characters, screen, tol):
+    """The index pairs (theta_1, theta_2) of `screen`'s table, row-major,
+    whose pinning row i is within tol of d_i * chi at both non-unit entries
+    for some character chi, found by scanning the table for theta_i and an
+    arc of it for the other twist theta_o.  `d` and `chars` are the float
+    values of the dimensions and of every character, `characters` the
+    characters themselves, read only for an exact zero.  Where the diagonal
+    entry ignores theta_i (chi_i and N[i*][i][i] exactly 0), only the roots
+    of order 16 are tried for it (case (c) of `twist_table`)."""
+    N, dual = ring.N, ring.dual
+    i = 1 if N[dual[1]][1][2] or not N[dual[2]][2][1] else 2
+    o = 3 - i
+    pin = i if N[dual[i]][i][o] else o
+
+    def entry(e, chi):  # (a, b, c, f, g): k_e = a + b t, r_e = (c t + f) t + g
+        n, target = N[dual[i]][e], d[i] * chi[e]
+        return (n[o] * d[o], -target if e == o else 0,
+                target if e == i else 0, -n[i] * d[i], -n[0])
+
+    values, by_turn, turns = screen.values, screen.by_turn, screen.turns
+    found = set()
+    for chi, character in zip(chars, characters):
+        k, b, c, f, g = entry(pin, chi)
+        if pin == o:  # Z/3: k_2 = b theta_1 and r_2 = f theta_1
+            k, f, g = b, 0, f
+        if pin == i and not N[dual[i]][i][i] and not (character.x_rep, character.y_rep)[i - 1]:
+            firsts = [j for j, root in enumerate(screen.table) if root.q == 16]
+        else:
+            firsts = range(len(values))
+        size, turn = abs(k), cmath.phase(k) / (2 * math.pi)
+        half = min(tol / size, 1.0) / 2
+        k2, b2, c2, f2, g2 = entry(3 - pin, chi)
+        for first in firsts:
+            t = values[first]
+            r = (c * t + f) * t + g
+            if abs(abs(r) - size) > tol:
+                continue
+            center = (cmath.phase(r) / (2 * math.pi) - turn) % 1.0
+            other_k, other_r = k2 + b2 * t, (c2 * t + f2) * t + g2
+            for second in by_turn[bisect.bisect_left(turns, center - half):
+                                  bisect.bisect_right(turns, center + half)]:
+                s = values[second]
+                if abs(k * s - r) <= tol and abs(other_k * s - other_r) <= tol:
+                    found.add((first, second) if i == 1 else (second, first))
+    return sorted(found)
+
+
 def _certify_pairs(ring, index, dims, roots, pairs):
     """The data exact certification admits, degenerate ones included, among
     the index `pairs` into `roots`, for the dimension character `index`."""
@@ -656,19 +743,20 @@ def _certify_pairs(ring, index, dims, roots, pairs):
 
 
 def _assert_scan_matches_grid(ring, order):
-    """The candidates contain every grid survivor among the pairs of the
-    twist table, and exact certification admits the same data from both."""
+    """The pinning-row solve proposes every grid survivor among the pairs of
+    the twist table, and exact certification admits the same data from
+    both."""
     system = solve_characters(ring)
-    screen = _twist_screen(min(order, premodular.TWIST_ORDER_BOUND))
-    table = screen.table
+    twists = _twist_index(min(order, premodular.TWIST_ORDER_BOUND))
+    table = twists.table
     assert list(table) == twist_table(order)
-    chars = _float_chars(system)
+    chars = _solver_chars(ring)
     survivors = []
     for index, dims in enumerate(system.chars):
         if not dims.nonzero():
             continue
-        expected = _grid_survivors(ring, system, dims, np.array(screen.values))
-        pairs = _arc_candidates(ring, chars[index], chars, system.chars, screen, 1e-9)
+        expected = _grid_survivors(ring, system, dims, np.array(twists.values))
+        pairs = _pinned_pairs(ring, chars[index], chars, twists)
         assert set(expected) <= set(pairs)
         from_pairs, from_grid = (
             [w.to_json() for w in _certify_pairs(ring, index, dims, table, p)]
@@ -698,9 +786,10 @@ def test_solved_scan_matches_grid_order60(params):
 ])
 @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.4])
 def test_solved_candidates_cover_s12_window(ring, row, tol):
-    """The candidates are exactly the table pairs whose pinning row is
-    within tol of d_row * chi at both non-unit entries for some character
-    chi: row 1 on Z/3 and when k != 0, row 2 on k = 0 rings.  Where the
+    """The reference scan (`_arc_candidates`), which the solver is checked
+    against, proposes exactly the table pairs whose pinning row is within
+    tol of d_row * chi at both non-unit entries for some character chi: row
+    1 on Z/3 and when k != 0, row 2 on k = 0 rings.  Where the
     pinning row ignores its own twist (the character (-1, 0) of K(0,1,0,0),
     whose value and N[2][2][2] are exactly 0), that twist's window is
     restricted to order 16.  Loose tolerances put many pairs near the arc
@@ -731,6 +820,46 @@ def test_solved_candidates_cover_s12_window(ring, row, tol):
         assert _arc_candidates(ring, d, chars, system.chars, screen, tol) == sorted(window)
 
 
+def _solver_oracle_rings():
+    """Z/3 and every ring up to bound 10 in both orientations, which hold the
+    four search rings K(0,1,0,0), K(0,1,0,1), K(1,1,0,1) and K(0,1,0,2)."""
+    rings = [make_z3_ring()]
+    for params in enumerate_star_solutions(10):
+        rings += [make_rank3_ring(p) for p in {params, params.swapped()}]
+    return rings
+
+
+@pytest.mark.parametrize("order", [16, 60, 240])
+def test_pinned_pairs_match_the_reference_scan(order):
+    """The closed-form solve against the float scan it replaced
+    (`_arc_candidates`, test-local): on Z/3 and every ring up to bound 10 in
+    both orientations, every pair the scan proposes and exact certification
+    admits, with or without degenerate data, is proposed, and a pair only
+    one of them proposes is rejected by certification either way.  The scan
+    reads the rep floats of the solved characters, the solve the floats of
+    the roots that typing places."""
+    proposed = 0
+    for ring in _solver_oracle_rings():
+        system = solve_characters(ring)
+        screen = _twist_screen(order)
+        twists = _twist_index(min(order, premodular.TWIST_ORDER_BOUND))
+        assert screen.table == twists.table
+        reps, chars = _float_chars(system), _solver_chars(ring)
+        for index, dims in enumerate(system.chars):
+            if not dims.nonzero():
+                continue
+            scanned = set(_arc_candidates(ring, reps[index], reps, system.chars, screen, 1e-9))
+            solved = set(_pinned_pairs(ring, chars[index], chars, twists))
+            landau = rules.landau_rule(dims) if index == 0 else None
+            for a, b in scanned ^ solved:
+                for degenerate in (False, True):
+                    assert premodular._certify_candidate(
+                        ring, dims, index, Twists.of(twists.table[a], twists.table[b]),
+                        degenerate, landau) is None, (ring.params, index, a, b)
+            proposed += len(solved)
+    assert proposed > 0
+
+
 def test_solved_scan_covers_pinned_theta_1():
     """On K(0,1,0,0) (k = 0) row 2 pins theta_1 and leaves theta_2 free:
     the grid keeps theta_1 = -1 with every primitive 16th root."""
@@ -750,14 +879,14 @@ def test_free_twist_is_tried_at_order_16_only(params):
     root of the table for the free twist would give 368 candidates."""
     ring = make_rank3_ring(Rank3Params(*params))
     system = solve_characters(ring)
-    chars = _float_chars(system)
+    chars = _solver_chars(ring)
     free = 1 if params[0] else 2
     for order, count, witnesses in ((10, 8, 0), (60, 24, 16), (100, 24, 16)):
-        screen = _twist_screen(min(order, premodular.TWIST_ORDER_BOUND))
+        twists = _twist_index(min(order, premodular.TWIST_ORDER_BOUND))
         pairs = [
-            (index, screen.table[a], screen.table[b])
-            for index, dims in enumerate(system.chars) if dims.nonzero()
-            for a, b in _arc_candidates(ring, chars[index], chars, system.chars, screen, 1e-9)
+            (index, twists.table[a], twists.table[b])
+            for index, dims in enumerate(chars) if not any(dims.zero)
+            for a, b in _pinned_pairs(ring, dims, chars, twists)
         ]
         assert len(pairs) == count
         assert sum(p[free].q == 16 for p in pairs) == count - 8
@@ -805,12 +934,12 @@ def test_one_twist_table_per_capped_order(monkeypatch):
     ring = make_rank3_ring(Rank3Params(1, 1, 0, 1))
     system = solve_characters(ring)
     for orders, built in (((60, 100, 10**6), [42]), ((16, 60, 16), [16, 42])):
-        _twist_screen.cache_clear()
+        _twist_index.cache_clear()
         calls.clear()
         for order in orders:
             search_ribbon_data(ring, order, system=system)
         assert calls == built
-    _twist_screen.cache_clear()
+    _twist_index.cache_clear()
 
 
 def _theorem_rings():
@@ -1172,7 +1301,7 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, land
 
 
 def test_certification_order_matches_full_order_reference(monkeypatch):
-    """On every scan survivor of a witness-all classification at bound 10 and
+    """On every candidate of a witness-all classification at bound 10 and
     of the four search rings at order 60 (with and without degenerate data),
     the certified datum, or None, is the one the full check order gives.
     The reference builds its context without the search's shared fields."""
@@ -1196,38 +1325,111 @@ def test_certification_order_matches_full_order_reference(monkeypatch):
 
 
 def test_unit_twist_candidates_failing_the_rule_build_no_context(monkeypatch):
-    """A scan survivor with both twists 1 is Symmetric if anything (S[i][j] =
-    d_i* d_j), so when its dimensions fail the Landau rule the rule alone
-    rejects it: no ExactContext is built for it, with or without degenerate
-    data.  Such candidates include +-1-valued characters like (1, 1, -1),
-    whose Frobenius-Schur indicators nu_k = d_k pass."""
-    original_certify = premodular._certify_candidate
+    """A proposed pair with both twists 1 is Symmetric if anything (S[i][j] =
+    d_i* d_j), so when its dimensions are not the dimension character or
+    fail the Landau rule, the rule alone rejects it: the search builds no
+    ExactContext for it, with or without degenerate data.  Such candidates
+    include +-1-valued characters like (1, 1, -1), whose Frobenius-Schur
+    indicators nu_k = d_k pass.  A dimension character is the everywhere
+    positive one."""
+    original_pairs = premodular._pinned_pairs
     original_init = ExactContext.__init__
-    current, unit_failing, built = [], [], []
+    unit_failing, built = [], []
 
-    def certify(ring, dims, dims_index, twists, include_degenerate, landau, fields=None):
-        unit = all(t.is_one for t in twists.theta)
-        failing = unit and not (dims_index == 0 and rules.landau_rule(dims).passed)
-        if failing:
-            unit_failing.append(dims)
-        current.append(failing)
-        try:
-            return original_certify(
-                ring, dims, dims_index, twists, include_degenerate, landau, fields)
-        finally:
-            current.pop()
+    def pairs(ring, dims, chars, twists):
+        found = original_pairs(ring, dims, chars, twists)
+        dimension = dims is chars[0] and rules.landau_rule(solve_characters(ring).chars[0]).passed
+        if not dimension and any(twists.table[a].is_one and twists.table[b].is_one for a, b in found):
+            unit_failing.append(dims.values)
+        return found
 
-    def init(self, *args):
-        if current and current[-1]:
-            built.append(args)
-        original_init(self, *args)
+    def init(self, ring, dims, twists, *args):
+        if all(t.is_one for t in twists.theta) and not (
+                dims.is_positive and rules.landau_rule(dims).passed):
+            built.append((ring, dims))
+        original_init(self, ring, dims, twists, *args)
 
-    monkeypatch.setattr(premodular, "_certify_candidate", certify)
+    monkeypatch.setattr(premodular, "_pinned_pairs", pairs)
     monkeypatch.setattr(ExactContext, "__init__", init)
     classify_all(5, witness_all=True, max_twist_order=16)
     for params in (Rank3Params(0, 1, 0, 1), Rank3Params(1, 1, 0, 1)):
         search_ribbon_data(make_rank3_ring(params), 16, include_degenerate=True)
-    assert any(
-        {d.x.rational_value, d.y.rational_value} == {1, -1} for d in unit_failing
-    )
+    assert any({x, y} == {1.0, -1.0} for _, x, y in unit_failing)
     assert not built
+
+
+# ---------------------------------------------------------------------------
+# operation counts of the search
+# ---------------------------------------------------------------------------
+
+def _patch_everywhere(monkeypatch, original, wrapper):
+    """Bind `wrapper` in place of `original` under every name a rank3ribbon
+    module binds it to."""
+    import sys
+
+    for module in list(sys.modules.values()):
+        if not module.__name__.startswith("rank3ribbon"):
+            continue
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+
+def _ring_key(ring):
+    return ring.params.as_tuple() if ring.params is not None else "Z/3"
+
+
+def test_witness_all_solves_only_rings_that_build_a_context(monkeypatch):
+    """`classify_all(10, 16, witness_all=True)` searches all 68 rings, but
+    solves the characters of a ring only when one of its candidates builds
+    an ExactContext: Z/3, K(0,1,0,0), K(0,1,0,1) and K(1,1,0,1).  The unit
+    pair on a dimension character that fails the Landau rule needs no
+    character, and neither does a ring that proposes nothing else."""
+    solved, built = [], set()
+    original_init = ExactContext.__init__
+
+    def solve(ring, info=None):
+        solved.append(_ring_key(ring))
+        return solve_characters(ring, info)
+
+    def init(self, ring, *args):
+        built.add(_ring_key(ring))
+        original_init(self, ring, *args)
+
+    _patch_everywhere(monkeypatch, solve_characters, solve)
+    monkeypatch.setattr(ExactContext, "__init__", init)
+    report = classify_all(10, 16, witness_all=True)
+    assert len(report.rings) == 68
+    assert len(solved) == len(set(solved)) == 4
+    assert set(solved) == built == {"Z/3", (0, 1, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1)}
+
+
+def test_search_refines_no_root_after_typing(monkeypatch):
+    """`search --params 0,1,0,2 --max-twist-order 240 --include-degenerate`
+    reads its floats from roots that typing placed on their RENDER_WIDTH
+    nodes, so no RealAlgebraic.refine_to runs once `galois_type` has
+    returned; the search finds nothing."""
+    from rank3ribbon.characters import galois_type
+    from rank3ribbon.exactnum.realalg import RealAlgebraic
+
+    typed, late = [], []
+    original_refine = RealAlgebraic.refine_to
+
+    def typing(params):
+        info = galois_type(params)
+        typed.append(params)
+        return info
+
+    def refine(self, width):
+        if typed:
+            late.append((self, width))
+        return original_refine(self, width)
+
+    _patch_everywhere(monkeypatch, galois_type, typing)
+    monkeypatch.setattr(RealAlgebraic, "refine_to", refine)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["search", "--params", "0,1,0,2", "--max-twist-order", "240",
+                        "--include-degenerate"])
+    assert code == 0 and json.loads(out.getvalue())["count"] == 0
+    assert len(typed) == 1 and late == []
