@@ -4,24 +4,27 @@ For the self-dual family the multiplication matrices are symmetric, so all
 three characters are real.  They are read off the integer cubics in one
 pass: `galois_type` finds the integer roots of char_poly_x from one float
 estimate of its three roots, reads the orbit type off them, and takes its
-roots in the order of the characters, placing them by integer tests.  It
-places the dimension root alone on its rendering node; the other two are
-placed on theirs on first use (`GaloisInfo.roots`), which only the searched
-rings make.  The twist search reads the characters' floats straight off
-those placed roots (`float_characters`), and the exact zeros off the
-integer data.  `solve_characters` builds the characters from the same
-roots, for the rings where a candidate reaches exact certification: each
-y-value is (x^2 - m x - 1)/k, and K(0,1,0,n) has the closed form (1, y+),
-(-1, 0), (1, y-).  `_selfdual_characters` proves that these pairs satisfy
-the ring relations, are three and distinct, and that only the first is
-everywhere positive, so none of this is re-checked at run time.  Each
+roots in the order of the characters, ordering them by integer tests.  It
+locates the dimension root alone; the other two are located on first use
+(`GaloisInfo.roots`), which only the searched rings make.  The twist search
+reads the characters' floats straight off those roots (`float_characters`),
+and the exact zeros off the integer data.  `solve_characters` builds the
+characters from the same roots, for the rings where a candidate reaches
+exact certification: each y-value is (x^2 - m x - 1)/k, and K(0,1,0,n) has
+the closed form (1, y+), (-1, 0), (1, y-).  `_selfdual_characters` proves
+that these pairs satisfy the ring relations, are three and distinct, and
+that only the first is everywhere positive, so none of this is re-checked
+at run time.  Each
 character is stored with an exact generator of the field it lives in, plus
 polynomial expressions for its two values in that generator; this makes
 every downstream identity check a matter of polynomial reduction over Q.
 So an irrational y-value with k >= 1 is located as a root of char_poly_y
 only on its first exact read (a rendered witness, `ring`'s characters), and
 solving the characters of a ring whose x is irrational factors nothing on
-char_poly_y and isolates none of its roots."""
+char_poly_y and locates none of its roots.  Every root is located by
+`realalg.roots_of_irreducible` or, for the dimension root alone,
+`realalg.largest_root`, which decide between placing it from floats and
+isolating it; this module does not."""
 
 from __future__ import annotations
 
@@ -41,9 +44,7 @@ from .exactnum import (
 )
 from .exactnum.intpoly import sign_at, split_rational_roots
 from .exactnum.qpoly import QPoly, qconst, qeval, qmod, qnormalize, qscale, X
-from .exactnum.realalg import (
-    RENDER_WIDTH, from_poly_expr, largest_root, lower_roots, real_root_estimates,
-)
+from .exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root, real_root_estimates
 from .fusion import FusionRing, Rank3Params, StarViolation, make_z3_ring
 
 
@@ -112,7 +113,7 @@ class Character:
         """Float value on basis element j: a real value is its rep evaluated
         at float(gen), which a constant rep does not read.  The twist search
         reads this only on Z/3; on a parameter ring it reads the same floats
-        off the placed roots (`float_characters`), before any character is
+        off the located roots (`float_characters`), before any character is
         built."""
         if self.is_cyclotomic:
             return self.value(j).complex_approx()
@@ -192,7 +193,7 @@ class GaloisInfo:
     # What it is read from, not compared and not in the payload: the integer
     # roots of char_poly_x, ascending; the root of char_poly_x (of
     # char_poly_y when k = 0) that gives the dimension character; and what
-    # places the other two roots, in the order of their characters.
+    # locates the other two roots, in the order of their characters.
     x_roots: tuple[int, ...] = field(default=(), compare=False, repr=False)
     top: RealAlgebraic | None = field(default=None, compare=False, repr=False)
     lower: Callable[[], Sequence[RealAlgebraic]] | None = field(
@@ -201,7 +202,7 @@ class GaloisInfo:
     @cached_property
     def roots(self) -> tuple[RealAlgebraic, ...]:
         """The three roots in the order of the characters; the two below
-        the dimension root are placed on this first read."""
+        the dimension root are located on this first read."""
         return (self.top, *self.lower())
 
     def to_json(self) -> dict:
@@ -226,7 +227,7 @@ def solve_characters(ring: FusionRing, info: GaloisInfo | None = None) -> Charac
     A parameter ring is solved from `info`, the `galois_type` of
     `ring.params`, computed here unless the caller already holds it; the
     characters come in the order of `info.roots`, which its orbits index,
-    and reading them places the two roots below the dimension root."""
+    and reading them locates the two roots below the dimension root."""
     if ring.rank != 3:
         raise ValueError("only rank-3 rings are supported")
     if ring.dual == (0, 2, 1):
@@ -348,18 +349,15 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
     - One rational root r and quadratic rest q: C2-fixing if r lies above
       both roots of q, that is q(r) > 0 and 2r > -q_1.  Otherwise C2-moving:
       r lies between the roots of q if q(r) < 0, and below both if not.
-    Every root is located from one float estimate of the three
-    (`realalg.real_root_estimates`): the estimates name the integer roots
-    (`_integer_roots`), an irrational dimension root is placed alone on its
-    node of width RENDER_WIDTH (`largest_root`), which is where its
-    renderings read it, and the two lower roots are placed on theirs on
-    first use (`_rest_roots`).  Only where a placement is not certified are
-    the rational roots split off by `split_rational_roots` or all the roots
-    of the irreducible rest isolated.
+    The integer roots are named by float estimates of the three
+    (`_integer_roots`), and `realalg` locates the irrational ones, placed
+    from floats or, where that is not certified, isolated: the dimension
+    root alone here (`largest_root`), and the two lower roots on first use
+    (`roots_of_irreducible`).
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
     only for n = 1, which is Trivial, and every other n is C2-moving.  Both
-    y-roots are placed here: the nonmodular filter reads them.
+    y-roots are located here: the nonmodular filter reads them.
     """
     xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:
@@ -369,11 +367,10 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
             low, high = RealAlgebraic.from_rational(-1), RealAlgebraic.from_rational(2)
         else:
             tag, orbits = GaloisType.C2_MOVING_FP, ((0, 2), (1,))
-            ypoly = IntPoly((-2, -params.n, 1))
-            low, high = _rest_roots(ypoly, real_root_estimates(ypoly.coeffs))
+            low, high = roots_of_irreducible(IntPoly((-2, -params.n, 1)))
         lower = (RealAlgebraic.from_rational(0), low)
         return GaloisInfo(tag, orbits, (-1, 1, 1), high, lambda: lower)
-    xs, rest, estimates = _integer_roots(xpoly)
+    xs, rest = _integer_roots(xpoly)
     if len(xs) == 3:
         ascending = [RealAlgebraic.from_rational(x) for x in xs]
         return GaloisInfo(GaloisType.TRIVIAL, ((0,), (1,), (2,)), xs, ascending[-1],
@@ -392,27 +389,21 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
         else:  # below both
             tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 2), (1,)), 0
 
-    def lower(located: list[RealAlgebraic]) -> list[RealAlgebraic]:
-        """All but the largest root, ascending, from the located rest."""
+    def lower() -> list[RealAlgebraic]:
+        """All but the largest root, ascending: the roots of rest, with the
+        integer root in its place."""
+        located = roots_of_irreducible(rest)
         if xs:
             located.insert(place, RealAlgebraic.from_rational(xs[0]))
         return located[:-1]
 
-    if place == 2:
-        top = RealAlgebraic.from_rational(xs[0])
-        return GaloisInfo(tag, orbits, xs, top, lambda: lower(_rest_roots(rest, estimates)))
-    top = largest_root(rest, RENDER_WIDTH, estimates[-1]) if estimates else None
-    if top is None:  # not certified: isolate, and keep the lower roots too
-        isolated = roots_of_irreducible(rest)
-        top, known = isolated[-1], lower(isolated)
-        return GaloisInfo(tag, orbits, xs, top, lambda: known)
-    return GaloisInfo(tag, orbits, xs, top, lambda: lower(_rest_roots(rest, estimates, top)))
+    top = RealAlgebraic.from_rational(xs[0]) if place == 2 else largest_root(rest)
+    return GaloisInfo(tag, orbits, xs, top, lower)
 
 
-def _integer_roots(xpoly: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[float]]:
-    """The integer roots of the monic cubic xpoly, ascending, the quotient
-    rest of xpoly by their linear factors, and float estimates of the roots
-    of rest, ascending (none when floats cannot give them).
+def _integer_roots(xpoly: IntPoly) -> tuple[tuple[int, ...], IntPoly]:
+    """The integer roots of the monic cubic xpoly, ascending, and the
+    quotient rest of xpoly by their linear factors.
 
     xpoly is monic, so its rational roots are integers.  The integers
     nearest the float estimates of its roots are tested exactly and divided
@@ -422,8 +413,7 @@ def _integer_roots(xpoly: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[float
     1/2 and u + 1/2, as those intervals then hold the three roots, one each,
     and their integers u are no roots.  Otherwise `split_rational_roots`
     finds the rational roots."""
-    estimates = real_root_estimates(xpoly.coeffs)
-    nearest = {round(e) for e in estimates}
+    nearest = {round(e) for e in real_root_estimates(xpoly.coeffs)}
     xs = [u for u in sorted(nearest) if not sign_at(xpoly.coeffs, u, 1)]
     rest = xpoly
     for u in xs:
@@ -440,20 +430,4 @@ def _integer_roots(xpoly: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[float
     if not certified:
         roots, rest = split_rational_roots(xpoly)
         xs = sorted(u for u, _v in roots)
-    if rest.degree == 2:
-        estimates = real_root_estimates(rest.coeffs)
-    return tuple(xs), rest, estimates if rest.degree > 1 else []
-
-
-def _rest_roots(rest: IntPoly, estimates: list[float],
-                top: RealAlgebraic | None = None) -> list[RealAlgebraic]:
-    """The roots of the irreducible quadratic or cubic `rest`, ascending,
-    placed on their nodes of width RENDER_WIDTH from their float estimates
-    (`largest_root` for the top one unless `top` is already placed, then
-    `lower_roots`), or isolated where a placement is not certified."""
-    if top is None and estimates:
-        top = largest_root(rest, RENDER_WIDTH, estimates[-1])
-    below = None if top is None else lower_roots(top, estimates[:-1], RENDER_WIDTH)
-    if below is None:
-        return roots_of_irreducible(rest)
-    return [*below, top]
+    return tuple(xs), rest

@@ -3,7 +3,7 @@
 A root of unity is a reduced turn fraction p/q standing for exp(2*pi*i*p/q).
 Its real and imaginary parts are halves of 2cos(2*pi*r) values, which are
 roots of explicit integer minimal polynomials; certified enclosures therefore
-come from root isolation rather than transcendental evaluation.
+come from exactly located roots rather than transcendental evaluation.
 
 CycloNum provides exact field arithmetic in Q(zeta_n) on the power basis,
 reduced modulo the n-th cyclotomic polynomial.  It is the certification
@@ -81,7 +81,11 @@ def cos_minimal_poly(q: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _cos_roots(q: int) -> tuple[RealAlgebraic, ...]:
-    return tuple(roots_of_irreducible(cos_minimal_poly(q)))
+    """The roots of cos_minimal_poly(q), ascending: the values 2cos(2*pi*r/q)
+    for r coprime to q, located from their floats."""
+    estimates = sorted(2 * math.cos(2 * math.pi * r / q)
+                       for r in range(1, q // 2 + 1) if math.gcd(r, q) == 1)
+    return tuple(roots_of_irreducible(cos_minimal_poly(q), estimates))
 
 
 def two_cos(turn: Fraction) -> RealAlgebraic:

@@ -5,18 +5,24 @@ positive-leading) minimal polynomial together with its rank among that
 polynomial's real roots; two values are equal iff those agree, which makes
 equality decidable without separation bounds.
 
-Every irrational value is located one way.  Its minimal polynomial is an
-irreducible factor of an integer polynomial the caller already holds: a
-characteristic cubic, the Casimir polynomial of `fusion.global_fp_dim`, a
-scaled minimal polynomial, a cosine minimal polynomial.  `from_poly_expr`
-takes that polynomial rather than building one.  Root isolation uses integer
-Sturm chains and stops as soon as the roots are separated.  The roots of a
-real-rooted quadratic or cubic are instead placed straight on their nodes
-from one float estimate of all of them (`real_root_estimates`):
-`largest_root` places the top one, certified by Fourier-Budan, and
-`lower_roots` the others, certified by sign changes on distinct nodes.
-Either way the value is a node of the bisection tree of (-B, B),
-B = cauchy_bound(minpoly), held as integers: index j at depth d.
+Every irrational value is located one way, by `roots_of_irreducible`.  Its
+minimal polynomial is an irreducible factor of an integer polynomial the
+caller already holds: a characteristic cubic, the Casimir polynomial of
+`fusion.global_fp_dim`, a scaled minimal polynomial, a cosine minimal
+polynomial.  `from_poly_expr` takes that polynomial rather than building
+one.  The roots are placed straight on their nodes of width RENDER_WIDTH
+from float estimates of all of them: `real_root_estimates` for a quadratic
+or cubic, or the caller's where it knows them (the cosines of
+`cyclotomic.two_cos`).  A placement stands only under an exact certificate:
+Fourier-Budan on the top node, and sign changes of the polynomial on deg p
+distinct nodes.  Where it fails (roots that floats cannot separate,
+coefficients beyond float range, roots that are not all real), the roots
+are isolated instead by integer Sturm chains (`isolate_irreducible`), which
+stop as soon as the roots are separated.  `largest_root` locates the top
+root alone in the same two steps.  No caller chooses between them: either
+way the value is a node of the bisection tree of (-B, B), B =
+cauchy_bound(minpoly), held as integers (index j at depth d), and every
+rendering reads the node of its width, which depends on the value alone.
 
 A caller that needs a narrow interval asks for it (`refine_to`,
 `tree_interval`), and `approx_str` and `__float__` render the midpoint of a
@@ -242,30 +248,21 @@ class RealAlgebraic:
 
     def _newton_index(self, depth: int) -> int | None:
         """The index of the node at `depth` that holds the value, from a
-        Newton estimate (`_float_root`, then `_newton_node`), or None.
+        Newton estimate (`_float_root`, then `_sign_change_node`), or None.
 
-        The estimate is accepted only if the minimal polynomial takes
-        opposite signs at the two ends of its node, computed exactly.  That
-        node lies inside the current one, which holds no other root, so it
-        is the node that bisection reaches.  Anything else, float overflow
-        on huge coefficients included, returns None."""
-        coeffs = self.minpoly.coeffs
+        The estimate is accepted only if its node lies inside the current
+        one, which holds no other root, and the minimal polynomial takes
+        opposite signs at its two ends, computed exactly: then it is the
+        node that bisection reaches.  Anything else, float overflow on huge
+        coefficients included, returns None."""
         j, d = self._j, self._depth
         lo, hi = self._cut(j, d), self._cut(j + 1, d)
         try:
-            x = _float_root(coeffs, lo[0] / lo[1], hi[0] / hi[1], self._lo_sign)
-            index = _newton_node(coeffs, self._bound, depth, x)
+            x = _float_root(self.minpoly.coeffs, lo[0] / lo[1], hi[0] / hi[1], self._lo_sign)
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
-        if index is None:
-            return None
-        shift = depth - d
-        first = j << shift
-        index = min(max(index, first), first + (1 << shift) - 1)
-        lo_sign = sign_at(coeffs, *self._cut(index, depth))
-        if lo_sign != self._lo_sign or sign_at(coeffs, *self._cut(index + 1, depth)) != -lo_sign:
-            return None
-        return index
+        node = _sign_change_node(self, depth, x)
+        return node[0] if node is not None and node[0] >> (depth - d) == j else None
 
     def _node_at(self, width: Fraction) -> tuple[int, int]:
         """(index, depth) of the coarsest tree node at most `width` wide that
@@ -495,88 +492,95 @@ def _newton_node(coeffs: tuple[int, ...], bound: tuple[int, int], depth: int,
     return None
 
 
-def largest_root(p: IntPoly, width: Fraction,
-                 estimate: float | None = None) -> RealAlgebraic | None:
-    """The largest root of p, placed straight on its node of the bisection
-    tree at most `width` wide, or None when the placement is not certified.
+# ---------------------------------------------------------------------------
+# Location
+# ---------------------------------------------------------------------------
 
-    p must be irreducible of degree 2 or 3 with only real roots, as the
-    factors of a Jacobi matrix's characteristic polynomial are.  The float
-    `estimate` of the root (by default the top one of `real_root_estimates`)
-    goes to the node [a, b] by `_newton_node`.  It is certified exactly by
-    two facts:
-    - p(a) < 0 < p(b), so the node holds a root;
-    - p^(i)(a) > 0 for every i >= 1, so by Fourier-Budan p has at most one
-      root above a.
-    So the node holds the largest root and no other, and as every root is
-    real, its index is deg p - 1."""
+def roots_of_irreducible(p: IntPoly, estimates: list[float] | None = None) -> list[RealAlgebraic]:
+    """Real roots of an irreducible polynomial, ascending, each with p made
+    primitive as its minimal polynomial: placed from float estimates of all
+    deg p of them, ascending (`estimates` where the caller knows them,
+    `real_root_estimates` otherwise), or, where that is not certified
+    (`_placed`), isolated (`isolate_irreducible`)."""
     p = p.primitive()
-    coeffs = p.coeffs
-    value = RealAlgebraic(p, p.degree - 1, None, _bound_pair(coeffs))
-    depth = value._depth_for(width)
-    if estimate is None:
-        estimate = (real_root_estimates(coeffs) or [math.nan])[-1]
+    if p.degree == 1:
+        return [RealAlgebraic.from_rational(Fraction(-p.coeffs[0], p.coeffs[1]))]
+    if estimates is None:
+        estimates = real_root_estimates(p.coeffs)
+    return _placed(p, estimates, p.degree) or isolate_irreducible(p)
+
+
+def largest_root(p: IntPoly) -> RealAlgebraic:
+    """The largest root of p, located alone as `roots_of_irreducible`
+    locates them all: placed from the top estimate of `real_root_estimates`
+    or, where that is not certified, isolated.  p must be irreducible of
+    degree 2 or 3 with only real roots, as the factors of a Jacobi matrix's
+    characteristic polynomial are, so a placed root has index deg p - 1."""
+    p = p.primitive()
+    placed = _placed(p, real_root_estimates(p.coeffs)[-1:], 1)
+    return placed[0] if placed else isolate_irreducible(p)[-1]
+
+
+def _placed(p: IntPoly, estimates: list[float], count: int) -> list[RealAlgebraic]:
+    """The `count` largest roots of p, ascending, each on the node of width
+    RENDER_WIDTH to which `_newton_node` takes its estimate in `estimates`,
+    or [] when that is not certified.  The certificate is exact:
+    - p takes opposite signs at the two ends of each node, and the nodes
+      ascend.  Distinct nodes of one depth meet only at their ends, where p
+      does not vanish (it has no rational root), so each holds an odd
+      number of roots; with count = deg p, each holds exactly one, all the
+      roots are real, and their order is the order of the roots;
+    - at the low end a of the top node, p^(i) > 0 for every i >= 1, so p
+      increases above a (p(a) < 0 < p(b) at the node's ends) and by
+      Fourier-Budan has one root above a, the largest."""
+    if len(estimates) != count:
+        return []
+    bound = _bound_pair(p.coeffs)
+    out: list[RealAlgebraic] = []
+    for root_index, estimate in enumerate(estimates, p.degree - count):
+        value = RealAlgebraic(p, root_index, None, bound)
+        depth = value._depth_for(RENDER_WIDTH)
+        node = _sign_change_node(value, depth, estimate)
+        if node is None or out and node[0] <= out[-1]._j:
+            return []
+        value._j, value._depth, value._lo_sign = node[0], depth, node[1]
+        out.append(value)
+    a, coeffs = value._cut(value._j, depth), p.coeffs
+    while len(coeffs) > 1:  # p', p'', ... at a
+        coeffs = tuple(i * c for i, c in enumerate(coeffs) if i)
+        if sign_at(coeffs, *a) <= 0:
+            return []
+    return out
+
+
+def _sign_change_node(value: RealAlgebraic, depth: int, estimate: float) -> tuple[int, int] | None:
+    """(index, sign of p at its low end) of the node at `depth` of value's
+    tree to which `_newton_node` takes the float `estimate`, when p takes
+    opposite signs at its two ends, and None otherwise, float overflow on
+    huge coefficients included."""
+    coeffs = value.minpoly.coeffs
     try:
         index = _newton_node(coeffs, value._bound, depth, estimate)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
     if index is None or not 0 <= index < 1 << depth:
         return None
-    a = value._cut(index, depth)
-    if sign_at(coeffs, *a) >= 0 or sign_at(coeffs, *value._cut(index + 1, depth)) <= 0:
+    lo_sign = sign_at(coeffs, *value._cut(index, depth))
+    if sign_at(coeffs, *value._cut(index + 1, depth)) != -lo_sign:
         return None
-    derivative = p.derivative()
-    while derivative.degree > 0:
-        if sign_at(derivative.coeffs, *a) <= 0:
-            return None
-        derivative = derivative.derivative()
-    value._j, value._depth, value._lo_sign = index, depth, -1
-    return value
-
-
-def lower_roots(top: RealAlgebraic, estimates, width: Fraction) -> list[RealAlgebraic] | None:
-    """The roots of top's minimal polynomial p below `top`, ascending, each
-    placed on its node of the bisection tree at most `width` wide from its
-    float estimate in `estimates` (ascending), or None when the placement is
-    not certified.
-
-    `top` is the largest root of p, as `largest_root` certifies it, and p has
-    deg p real roots.  Each estimate goes to a node by `_newton_node`, at
-    the depth of top's node at `width`.  Certificate: the nodes are distinct
-    and below top's, and p takes opposite signs at the two ends of each.
-    Distinct nodes of one depth meet only at their ends, where p does not
-    vanish (it has no rational root), so each of these deg p nodes holds an
-    odd number of roots; p has deg p roots, so each holds exactly one, and
-    their order is the order of the roots."""
-    p, bound = top.minpoly, top._bound
-    coeffs = p.coeffs
-    top_index, depth = top._node_at(Fraction(width))
-    if len(estimates) != p.degree - 1:
-        return None
-    out: list[RealAlgebraic] = []
-    previous = -1
-    for root_index, estimate in enumerate(estimates):
-        value = RealAlgebraic(p, root_index, None, bound)
-        try:
-            index = _newton_node(coeffs, bound, depth, estimate)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return None
-        if index is None or not previous < index < top_index:
-            return None
-        lo_sign = sign_at(coeffs, *value._cut(index, depth))
-        if not lo_sign or sign_at(coeffs, *value._cut(index + 1, depth)) != -lo_sign:
-            return None
-        value._j, value._depth, value._lo_sign = index, depth, lo_sign
-        out.append(value)
-        previous = index
-    return out
+    return index, lo_sign
 
 
 def real_root_estimates(coeffs: tuple[int, ...]) -> list[float]:
     """Float estimates of the roots of a quadratic or cubic whose roots are
     all real, ascending: the quadratic formula, or the trigonometric form of
-    the depressed cubic.  None where floats cannot give them: coefficients
-    beyond float range, or a cubic that is not of that shape."""
+    the depressed cubic.  Empty where floats cannot give them: other degrees,
+    coefficients beyond float range, or a cubic that is not of that shape.
+    Estimates only propose nodes, which `roots_of_irreducible` certifies
+    exactly, so roots that are not all real cost a fallback, not a wrong
+    root."""
+    if len(coeffs) not in (3, 4):
+        return []
     try:
         lead = coeffs[-1]
         if len(coeffs) == 3:
@@ -611,33 +615,45 @@ def _isolate_squarefree(p: IntPoly, bound: tuple[int, int]) -> list[tuple[int, i
     first nodes of the bisection tree of (-B, B), B = bn/bd = `bound`, that
     hold one root each.
 
-    p must be irreducible of degree >= 2 (as `roots_of_irreducible` ensures):
+    p must be irreducible of degree >= 2 (as `isolate_irreducible` ensures):
     then it has no rational root, so no cut point is a root of p.  Each cut
     point evaluates the Sturm chain once, the variations at the ends being
     carried down from the parent.  Cut i at depth d is the integer numerator
-    bn(2i - 2^d) over bd 2^d.
+    bn(2i - 2^d) over bd 2^d.  The nodes still to split wait on a stack, the
+    lower half on top, so they are split depth first from the left however
+    deep the roots lie.
     """
     chain = sturm_chain(p)
     coeffs = p.coeffs
     bn, bd = bound
     out: list[tuple[int, int]] = []
-
-    def split(j: int, d: int, v_lo: int, v_hi: int) -> None:
+    stack = [(0, 0, variations_at(chain, -bn, bd), variations_at(chain, bn, bd))]
+    while stack:
         # Node j at depth d, (cut j, cut j + 1], holds v_lo - v_hi roots.
+        j, d, v_lo, v_hi = stack.pop()
         nroots = v_lo - v_hi
-        if nroots == 0:
-            return
         if nroots == 1:
             out.append((j, d))
-            return
-        mid, den = bn * (2 * j + 1 - (1 << d)), bd << d
-        assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
-        v_mid = variations_at(chain, mid, den)
-        split(2 * j, d + 1, v_lo, v_mid)
-        split(2 * j + 1, d + 1, v_mid, v_hi)
-
-    split(0, 0, variations_at(chain, -bn, bd), variations_at(chain, bn, bd))
+        elif nroots > 1:
+            mid, den = bn * (2 * j + 1 - (1 << d)), bd << d
+            assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
+            v_mid = variations_at(chain, mid, den)
+            stack.append((2 * j + 1, d + 1, v_mid, v_hi))
+            stack.append((2 * j, d + 1, v_lo, v_mid))
     return out
+
+
+def isolate_irreducible(p: IntPoly) -> list[RealAlgebraic]:
+    """The real roots of the irreducible p of degree >= 2, ascending, each on
+    the first node of its bisection tree that holds no other root
+    (`_isolate_squarefree`), with p made primitive as its minimal
+    polynomial: the fallback of `roots_of_irreducible` and `largest_root`."""
+    p = p.primitive()
+    bound = _bound_pair(p.coeffs)
+    return [
+        RealAlgebraic(p, idx, None, bound, node)
+        for idx, node in enumerate(_isolate_squarefree(p, bound))
+    ]
 
 
 def isolate_real_roots(p: IntPoly) -> list[IsolatedRoot]:
@@ -654,19 +670,6 @@ def isolate_real_roots(p: IntPoly) -> list[IsolatedRoot]:
         for val in roots_of_irreducible(factor)
     ]
     return sorted(found, key=lambda root: root.value)
-
-
-def roots_of_irreducible(p: IntPoly) -> list[RealAlgebraic]:
-    """Real roots of an irreducible polynomial, ascending, each with p made
-    primitive as its minimal polynomial."""
-    p = p.primitive()
-    if p.degree == 1:
-        return [RealAlgebraic.from_rational(Fraction(-p.coeffs[0], p.coeffs[1]))]
-    bound = _bound_pair(p.coeffs)
-    return [
-        RealAlgebraic(p, idx, None, bound, node)
-        for idx, node in enumerate(_isolate_squarefree(p, bound))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +700,7 @@ def from_poly_expr(alpha: RealAlgebraic, expr, poly: IntPoly) -> RealAlgebraic:
     """The real algebraic number expr(alpha), for rational-coefficient expr,
     given a nonzero integer polynomial `poly` that has it as a root.
 
-    The roots of `poly` are isolated, and the value is the one whose interval
+    The roots of `poly` are located, and the value is the one whose interval
     meets the interval image of expr over alpha's interval.  Interval Horner
     is inclusion-monotone, so while several roots meet the image, alpha and
     those roots are halved and the others are dropped.

@@ -30,7 +30,6 @@ from typing import Optional
 from .characters import Character, GaloisInfo, GaloisType, _selfdual_characters, galois_type
 from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots, realalg, two_cos
 from .exactnum.cyclotomic import euler_phi
-from .exactnum.qpoly import X, qscale
 from .fusion import Rank3Params, canonicalize
 
 LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
@@ -216,14 +215,18 @@ def _degenerate_certificate(ring, dims, twists) -> dict:
 
 
 def _scaled_value(v: RealAlgebraic, c: Fraction) -> RealAlgebraic:
-    """c*v, a root of v's minimal polynomial p scaled by c: with c = a/b,
-    sum p_i a^(d-i) b^i x^i = a^d p(b x / a) (for c = 0 this is p_d x^d,
-    and from_poly_expr gives 0 without it), by `realalg.from_poly_expr` as
-    bound at the call."""
+    """c*v.  For v irrational and c = a/b nonzero it is a root of v's
+    minimal polynomial p scaled by c, sum p_i a^(d-i) b^i x^i = a^d p(b x /
+    a), which is irreducible with the roots c*r of p: its rank among them is
+    v's for c > 0 and the reverse for c < 0.  It is located by
+    `realalg.roots_of_irreducible` as bound at the call."""
+    if v.is_rational or not c:
+        return RealAlgebraic.from_rational(c * (v.rational_value or 0))
     a, b = c.numerator, c.denominator
     d = v.minpoly.degree
-    scaled = IntPoly(p * a ** (d - i) * b**i for i, p in enumerate(v.minpoly.coeffs))
-    return realalg.from_poly_expr(v, qscale(X, c), scaled)
+    roots = realalg.roots_of_irreducible(
+        IntPoly(p * a ** (d - i) * b**i for i, p in enumerate(v.minpoly.coeffs)))
+    return roots[v.root_index if c > 0 else len(roots) - 1 - v.root_index]
 
 
 def _match_two_cos(value) -> Optional[RootOfUnity]:

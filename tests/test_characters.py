@@ -25,7 +25,7 @@ from rank3ribbon.exactnum import (
 from rank3ribbon.exactnum import cos_minimal_poly, isolate_real_roots, roots_of_irreducible
 from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
 from rank3ribbon.exactnum.qpoly import X, charpoly, qadd, qconst, qmod, qmul, qnormalize, qscale
-from rank3ribbon.exactnum.realalg import cauchy_bound, from_poly_expr
+from rank3ribbon.exactnum.realalg import cauchy_bound, from_poly_expr, isolate_irreducible
 from rank3ribbon.fusion import (
     Rank3Params,
     StarViolation,
@@ -402,12 +402,12 @@ def _assert_tree_nodes_through_refinement(v):
 
 
 def test_every_value_interval_is_a_bisection_tree_node():
-    """Isolation, from_poly_expr's root matching, refine_to and
+    """Placement, isolation, from_poly_expr's root matching, refine_to and
     tree_interval keep every interval a node of the value's bisection tree:
     every character value and global FP dimension up to bound 30, and every
-    root of cos_minimal_poly(q) for q <= 40."""
+    root of cos_minimal_poly(q) for q <= 40, placed and isolated."""
     for system in _systems_up_to(30):
-        # Fresh from the solve: isolation and the matching of from_poly_expr.
+        # Fresh from the solve: location and the matching of from_poly_expr.
         for c in system.chars:
             _assert_tree_node(c.x)
             _assert_tree_node(c.y)
@@ -415,7 +415,9 @@ def test_every_value_interval_is_a_bisection_tree_node():
         for v in values + [global_fp_dim(system)]:
             _assert_tree_nodes_through_refinement(v)
     for q in range(1, 41):
-        for v in roots_of_irreducible(cos_minimal_poly(q)):
+        p = cos_minimal_poly(q)
+        isolated = isolate_irreducible(p) if p.degree > 1 else []
+        for v in [*roots_of_irreducible(p), *isolated]:
             _assert_tree_nodes_through_refinement(v)
 
 
@@ -448,7 +450,7 @@ def _reference_value(alpha, expr):
         return RealAlgebraic.from_rational(reduced[0] if reduced else 0)
     poly = _from_q(_charpoly_of_multiplication(alpha.minpoly, reduced))
     candidates = [root.value for root in isolate_real_roots(poly)]
-    a = roots_of_irreducible(alpha.minpoly)[alpha.root_index]
+    a = isolate_irreducible(alpha.minpoly)[alpha.root_index]
     width = Fraction(1, 64)
     while True:
         a.refine_to(width)
@@ -609,14 +611,19 @@ def test_solving_locates_no_y_value_until_it_is_read(monkeypatch, params, tag):
 # The dimension root, placed alone at typing
 # ---------------------------------------------------------------------------
 
-def test_dimension_root_is_the_top_isolated_root_bound_100():
+def test_dimension_root_is_the_top_isolated_root_bound_100(monkeypatch):
     """Where the dimension root is irrational (S3, C3, C2-moving with k >= 1),
     typing places it alone on its RENDER_WIDTH node, certified by signs and
     Fourier-Budan; it is the largest isolated root of the irreducible rest of
     char_poly_x: the same minimal polynomial, root index and node.  Every
-    ring up to bound 100, in both orientations, and no placement declined."""
-    from rank3ribbon.exactnum.realalg import RENDER_WIDTH, largest_root
+    ring up to bound 100, in both orientations, and no placement declined:
+    nothing is isolated."""
+    from rank3ribbon.exactnum import realalg
+    from rank3ribbon.exactnum.realalg import RENDER_WIDTH
 
+    isolated = []
+    monkeypatch.setattr(realalg, "isolate_irreducible",
+                        lambda p: isolated.append(p) or isolate_irreducible(p))
     placed = 0
     for canon in enumerate_star_solutions(100):
         for params in {canon, canon.swapped()}:
@@ -626,12 +633,11 @@ def test_dimension_root_is_the_top_isolated_root_bound_100():
             top = galois_type(params).top
             if top.is_rational:
                 continue
-            assert largest_root(rest, RENDER_WIDTH) is not None, params
-            ref = roots_of_irreducible(rest)[-1]
+            ref = isolate_irreducible(rest)[-1]
             assert top.minpoly == ref.minpoly and top.root_index == ref.root_index, params
             assert top.interval() == ref.tree_interval(RENDER_WIDTH), params
             placed += 1
-    assert placed > 9000
+    assert isolated == [] and placed > 9000
 
 
 def _assert_placed_like_isolation(located, poly, placed=True):
@@ -641,7 +647,7 @@ def _assert_placed_like_isolation(located, poly, placed=True):
     root already is when `placed`."""
     from rank3ribbon.exactnum.realalg import RENDER_WIDTH
 
-    reference = roots_of_irreducible(poly)
+    reference = isolate_irreducible(poly)
     assert len(located) == len(reference), poly
     for value, ref in zip(located, reference):
         ref.refine_to(RENDER_WIDTH)
@@ -657,12 +663,11 @@ def test_placed_roots_match_isolation_bound_100(monkeypatch):
     typing and the two lower ones on first read, is the root that isolation
     and refine_to(RENDER_WIDTH) give, on the same node.  No placement is
     declined, so nothing is isolated."""
-    from rank3ribbon import characters
+    from rank3ribbon.exactnum import realalg
 
     isolated = []
-    original = characters.roots_of_irreducible
-    monkeypatch.setattr(characters, "roots_of_irreducible",
-                        lambda p: isolated.append(p) or original(p))
+    monkeypatch.setattr(realalg, "isolate_irreducible",
+                        lambda p: isolated.append(p) or isolate_irreducible(p))
     placed = 0
     for canon in enumerate_star_solutions(100):
         for params in {canon, canon.swapped()}:
@@ -691,11 +696,12 @@ def test_root_location_falls_back_on_close_roots(monkeypatch):
     import random
 
     from rank3ribbon import characters
+    from rank3ribbon.exactnum import realalg
 
     fallbacks = []
-    for name in ("split_rational_roots", "roots_of_irreducible"):
-        original = getattr(characters, name)
-        monkeypatch.setattr(characters, name,
+    for module, name in ((characters, "split_rational_roots"), (realalg, "isolate_irreducible")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda p, _o=original, _n=name: fallbacks.append(_n) or _o(p))
     rng = random.Random(2029)
     cubics = []
@@ -705,11 +711,11 @@ def test_root_location_falls_back_on_close_roots(monkeypatch):
         u, big = rng.randrange(-50, 50), rng.randrange(10**12, 10**13)
         cubics.append(IntPoly((-u, 1)) * IntPoly((u * big - 1, -(u + big), 1)))
     for cubic in cubics:
-        xs, rest, estimates = characters._integer_roots(cubic)
+        xs, rest = characters._integer_roots(cubic)
         integer, reference_rest = split_rational_roots(cubic)
         assert xs == tuple(sorted(u for u, _v in integer)) and rest == reference_rest, cubic
-        _assert_placed_like_isolation(characters._rest_roots(rest, estimates), rest, placed=False)
-    assert {"split_rational_roots", "roots_of_irreducible"} <= set(fallbacks)
+        _assert_placed_like_isolation(characters.roots_of_irreducible(rest), rest, placed=False)
+    assert {"split_rational_roots", "isolate_irreducible"} <= set(fallbacks)
 
 
 @pytest.mark.parametrize("shift", [-0.6, 0.3, 0.6, 1.5])
@@ -717,31 +723,36 @@ def test_integer_roots_are_certified_whatever_the_estimates(monkeypatch, shift):
     """The float estimates only name candidates: with every estimate moved by
     `shift`, the integer roots and the rest of every char_poly_x up to bound
     20, in both orientations, are still those of `split_rational_roots`, and
-    the roots of the rest are still the ones isolation gives."""
+    the roots of the rest, all of them or the top one alone, are still the
+    ones isolation gives."""
     from rank3ribbon import characters
+    from rank3ribbon.exactnum import realalg
 
-    original = characters.real_root_estimates
-    monkeypatch.setattr(characters, "real_root_estimates",
-                        lambda coeffs: [e + shift for e in original(coeffs)])
+    width = realalg.RENDER_WIDTH
+    original = realalg.real_root_estimates
+    for module in (characters, realalg):
+        monkeypatch.setattr(module, "real_root_estimates",
+                            lambda coeffs: [e + shift for e in original(coeffs)])
     for canon in enumerate_star_solutions(20):
         for params in {canon, canon.swapped()}:
             if params.k == 0:
                 continue
             xpoly = char_poly_x(params)
-            xs, rest, _estimates = characters._integer_roots(xpoly)
+            xs, rest = characters._integer_roots(xpoly)
             integer, reference_rest = split_rational_roots(xpoly)
             assert xs == tuple(sorted(u for u, _v in integer)) and rest == reference_rest, params
             if rest.degree > 1:
-                estimates = [e + shift for e in original(rest.coeffs)]
-                _assert_placed_like_isolation(characters._rest_roots(rest, estimates), rest,
+                _assert_placed_like_isolation(characters.roots_of_irreducible(rest), rest,
                                               placed=False)
+                top, ref = characters.largest_root(rest), isolate_irreducible(rest)[-1]
+                assert top == ref and top.tree_interval(width) == ref.tree_interval(width), params
 
 
 def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
     """`classify_all(30)` types every ring from its dimension root alone: the
-    other two roots of an irrational rest are located (placed on their
-    nodes by `_rest_roots`, or isolated) only for the rings it searches,
-    once each.  K(0,1,0,n) locates both y-roots at typing, as its
+    other two roots of an irrational rest are located (by
+    `roots_of_irreducible`, which places or isolates them) only for the
+    rings it searches, once each.  K(0,1,0,n) locates both y-roots at typing, as its
     nonmodular filter reads them."""
     from collections import Counter
 
@@ -763,7 +774,6 @@ def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
         return original_ring(params)
 
     monkeypatch.setattr(characters, "roots_of_irreducible", located(characters.roots_of_irreducible))
-    monkeypatch.setattr(characters, "_rest_roots", located(characters._rest_roots))
     monkeypatch.setattr(classify, "classify_ring", on_ring)
     report = classify_all(30)
     monkeypatch.undo()

@@ -393,23 +393,53 @@ def test_classify_all_solves_only_searched_rings(monkeypatch):
     assert len(calls) == 4 and set(calls.values()) == {1}
 
 
+def test_benchmark_commands_build_no_sturm_chain(monkeypatch):
+    """From cold caches of the cosine roots, the cyclotomic embeddings and
+    the balls of the roots of unity, no Sturm chain is built while
+    classifying to bound 30, classifying to bound 10 with every witness at
+    order 16, or searching K(0,1,0,0), K(0,1,0,1), K(1,1,0,1) and K(0,1,0,2)
+    at order 100: every root these read is placed from its floats."""
+    from rank3ribbon.exactnum import cyclotomic, realalg
+    from rank3ribbon.premodular import search_ribbon_data
+
+    chains = []
+    original = realalg.sturm_chain
+    monkeypatch.setattr(realalg, "sturm_chain", lambda p: chains.append(p) or original(p))
+    search_rings = [(0, 1, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1), (0, 1, 0, 2)]
+    runs = {
+        "classify-b30": lambda: classify_all(30),
+        "witness-all-b10-o16": lambda: classify_all(10, 16, witness_all=True),
+        "search-o100": lambda: [
+            search_ribbon_data(make_rank3_ring(Rank3Params(*p)), 100) for p in search_rings
+        ],
+    }
+    for name, run in runs.items():
+        for cache in (cyclotomic._cos_roots, cyclotomic._roots_in_cyclotomic_field,
+                      cyclotomic._zeta_ball):
+            cache.cache_clear()
+        run()
+        assert chains == [], name
+
+
 def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     """Triage and search share one reading of the integer roots of
     char_poly_x (`_integer_roots`) and one location of its irreducible rest,
-    both made by `galois_type`: the rest's roots are placed on their nodes
-    (`_rest_roots`), and none is isolated, nor is `split_rational_roots`
-    needed, on these rings.  Calls are counted through every name a module
-    binds them to.  The char_poly_x of K(0,1,0,n) is (x - 1)^2 (x + 1) in
-    closed form and is not factored; its y-values, the roots of y^2 - n y -
-    2, are located once for the typing, the nonmodular filter and the search
-    together."""
+    both made by `galois_type`: the top root of the rest is located alone
+    (`largest_root`) and all its roots once more on the search's read
+    (`roots_of_irreducible`); they are placed on their nodes, and none is
+    isolated, nor is `split_rational_roots` needed, on these rings.  Calls
+    are counted through every name a module binds them to.  The char_poly_x
+    of K(0,1,0,n) is (x - 1)^2 (x + 1) in closed form and is not factored;
+    its y-values, the roots of y^2 - n y - 2, are located once for the
+    typing, the nonmodular filter and the search together."""
     import sys
     from collections import Counter
 
     from rank3ribbon import characters, classify
     from rank3ribbon.characters import char_poly_x
-    from rank3ribbon.exactnum import IntPoly, roots_of_irreducible, two_cos
+    from rank3ribbon.exactnum import IntPoly, roots_of_irreducible
     from rank3ribbon.exactnum.intpoly import split_rational_roots
+    from rank3ribbon.exactnum.realalg import isolate_irreducible, largest_root
 
     current = [None]  # the ring being classified, and then searched
     calls = Counter()
@@ -423,12 +453,15 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
 
     # y^2 - 2 is also the minimal polynomial of 2cos(pi/4), whose roots the
-    # search isolates once per process; isolate them before counting.
-    two_cos(Fraction(1, 8))
+    # search locates once per process, and of the generator of Q(sqrt 2),
+    # which it embeds once per cyclotomic field; fill those caches with one
+    # run before counting.
+    classify_all(10, max_twist_order=16, witness_all=True)
     counted("_integer_roots", characters._integer_roots)
-    counted("_rest_roots", characters._rest_roots)
     counted("split_rational_roots", split_rational_roots)
+    counted("largest_root", largest_root)
     counted("roots_of_irreducible", roots_of_irreducible)
+    counted("isolate_irreducible", isolate_irreducible)
     original_ring = classify.classify_ring
 
     def on_ring(params):
@@ -448,14 +481,18 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
         assert calls["split_rational_roots", params, xpoly] == 0, params
         if params.k == 0 and params.n != 1:
             ypoly = IntPoly((-2, -params.n, 1))
-            assert calls["_rest_roots", params, ypoly] == 1, params
-            assert calls["roots_of_irreducible", params, ypoly] == 0, params
+            assert calls["roots_of_irreducible", params, ypoly] == 1, params
+            assert calls["isolate_irreducible", params, ypoly] == 0, params
             ypolys += 1
         _roots, rest = split_rational_roots(xpoly)
         if rest.degree < 2:
             continue
-        assert calls["_rest_roots", params, rest.primitive()] == 1, params
-        assert calls["roots_of_irreducible", params, rest.primitive()] == 0, params
+        rest = rest.primitive()
+        # A C2-fixing dimension root is the integer root.
+        top_located = r.galois.tag != GaloisType.C2_FIXING_FP
+        assert calls["largest_root", params, rest] == top_located, params
+        assert calls["roots_of_irreducible", params, rest] == 1, params
+        assert calls["isolate_irreducible", params, rest] == 0, params
         rests += 1
     assert rests == 56 and ypolys == 10
 

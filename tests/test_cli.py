@@ -344,6 +344,68 @@ def test_stdout_matches_golden_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_ring_whose_roots_floats_cannot_separate_is_isolated(capsys, monkeypatch):
+    """K(1, L, L, 0) with L = 10^100 has two roots of char_poly_x near L - 1
+    and L + 1, which no float separates: they are isolated by Sturm chains,
+    some 1,000 halvings below a Cauchy interval near 10^200, without
+    exhausting the stack."""
+    from rank3ribbon.exactnum import realalg
+
+    isolated = []
+    original = realalg._isolate_squarefree
+    monkeypatch.setattr(realalg, "_isolate_squarefree",
+                        lambda p, bound: isolated.append(p) or original(p, bound))
+    big = 10**100
+    code, out, err = _capture(capsys, ["ring", "--params", f"1,{big},{big},0"])
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["galois"]["tag"] == "S3"
+    assert payload["fp_dimensions"] == ["1", "1e+100", "1e+100"]
+    assert isolated
+
+
+def test_isolating_every_root_prints_the_same_bytes(capsys, monkeypatch):
+    """With no float estimate of any root, nothing is placed and every
+    irrational value is isolated by Sturm chains instead; every ring golden
+    and classify --bound 20 --witness-all --max-twist-order 60 still print
+    their pinned bytes, as every rendering reads the node of the value's
+    own bisection tree."""
+    from rank3ribbon.exactnum import cyclotomic, realalg
+
+    estimates = realalg.real_root_estimates
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rank3ribbon") and vars(module).get("real_root_estimates") is estimates:
+            monkeypatch.setattr(module, "real_root_estimates", lambda coeffs: [])
+    # The cosines bring their own estimates; drop them too.
+    locate = cyclotomic.roots_of_irreducible
+    monkeypatch.setattr(cyclotomic, "roots_of_irreducible", lambda p, estimates=None: locate(p))
+    placed, isolated = [], []
+    place, isolate = realalg._placed, realalg._isolate_squarefree
+
+    def recorded_place(*args):
+        roots = place(*args)
+        placed.extend(roots)
+        return roots
+
+    monkeypatch.setattr(realalg, "_placed", recorded_place)
+    monkeypatch.setattr(realalg, "_isolate_squarefree",
+                        lambda p, bound: isolated.append(p) or isolate(p, bound))
+    caches = (cyclotomic._cos_roots, cyclotomic._roots_in_cyclotomic_field, cyclotomic._zeta_ball)
+    cases = [g for g in GOLDEN if g["argv"][0] == "ring" or g["id"] == "classify-b20-witness-all-o60"]
+    assert len(cases) == 9
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for case in cases:
+            code, out, err = _capture(capsys, case["argv"])
+            assert code == 0 and not err
+            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["id"]
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert placed == [] and isolated
+
+
 def test_every_number_exact_or_approx_labeled(capsys):
     """Numeric payload fields carry exact representations or approx markers."""
     _, out, _ = _capture(capsys, ["ring", "--params", "0,1,0,0"])

@@ -32,7 +32,9 @@ from rank3ribbon.exactnum import realalg
 from rank3ribbon.exactnum.cyclotomic import _zeta_ball, rotated_sum
 from rank3ribbon.exactnum.intpoly import sign_at, split_rational_roots
 from rank3ribbon.exactnum.qpoly import charpoly, qdivmod, qeval, qmod, qtrim
-from rank3ribbon.exactnum.realalg import RENDER_WIDTH, from_poly_expr, largest_root
+from rank3ribbon.exactnum.realalg import (
+    RENDER_WIDTH, from_poly_expr, isolate_irreducible, largest_root,
+)
 
 
 def _qgcd(p, q):
@@ -309,7 +311,7 @@ def _assert_matches_reference(p: IntPoly, width: Fraction) -> None:
     """Isolation stops at the first nodes that separate the roots (the
     reference run with a width above the whole Cauchy interval), and
     refine_to(width) then lands on the reference's intervals at `width`."""
-    roots = roots_of_irreducible(p)
+    roots = isolate_irreducible(p)
     separated, _ = _reference_isolation(p, 2 * realalg.cauchy_bound(p))
     assert [r.interval() for r in roots] == separated
     for root in roots:
@@ -350,7 +352,7 @@ def test_refine_to_continues_the_refine_once_chain(coeffs):
     bisection chain it lands on the interval that repeated one-step Fraction
     halvings (`_reference_halve`) give, non-dyadic endpoints included."""
     p = IntPoly(coeffs)
-    for steps, root in enumerate(roots_of_irreducible(p)):
+    for steps, root in enumerate(isolate_irreducible(p)):
         root.refine_to(Fraction(1, 64))
         lo, hi = root.interval()
         for _ in range(steps):
@@ -397,7 +399,7 @@ def test_sturm_chain_evaluated_only_before_isolation(monkeypatch):
     monkeypatch.setattr(realalg, "variations_at", counting)
     p = IntPoly((1, -2, -1, 1))  # three real roots
     _, multi_root_cuts = _reference_isolation(p, Fraction(1, 64))
-    roots = roots_of_irreducible(p)
+    roots = isolate_irreducible(p)
     assert len(roots) == 3
     assert calls <= 2 + multi_root_cuts
     for width in (Fraction(1, 64), Fraction(1, 1 << 20), Fraction(1, 1 << 60), Fraction(1, 10**30)):
@@ -1216,7 +1218,7 @@ def _bisection_interval(root, width):
     copy of `root` by the sign of its minimal polynomial at each midpoint,
     on integer numerators over a common denominator, until it is at most
     `width` wide."""
-    fresh = roots_of_irreducible(root.minpoly)[root.root_index]
+    fresh = isolate_irreducible(root.minpoly)[root.root_index]
     lo, hi = fresh.interval()
     coeffs = root.minpoly.coeffs
     den = math.lcm(lo.denominator, hi.denominator)
@@ -1232,7 +1234,7 @@ def _bisection_interval(root, width):
 
 
 def _assert_newton_matches_bisection(poly, widths):
-    for root in roots_of_irreducible(poly):
+    for root in isolate_irreducible(poly):
         for width in widths:
             root.refine_to(width)
             assert root.interval() == _bisection_interval(root, width), (poly, width)
@@ -1262,7 +1264,8 @@ def test_newton_refinement_matches_bisection_on_cos_minimal_polys():
 def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypatch, offset):
     """A Newton estimate one node beside the root, or far from it, fails the
     exact sign check at the node's ends, and refine_to bisects instead;
-    largest_root declines to place the root."""
+    the placement is declined, so largest_root and roots_of_irreducible
+    isolate the roots."""
     original = realalg._newton_node
 
     def off(coeffs, bound, depth, x):
@@ -1273,25 +1276,29 @@ def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypa
     for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 5))):
         for width in (RENDER_WIDTH, Fraction(1, 2**130)):
             _assert_newton_matches_bisection(poly, (width,))
+        isolated = isolate_irreducible(poly)
+        assert [r.interval() for r in roots_of_irreducible(poly)] == [r.interval() for r in isolated]
         if poly.coeffs[-1] == 1:
-            assert largest_root(poly, RENDER_WIDTH) is None
+            assert largest_root(poly).interval() == isolated[-1].interval()
 
 
 def test_largest_root_is_not_placed_on_a_lower_root(monkeypatch):
     """At the smallest root of a cubic the signs of p bracket a root, as at
-    the largest; only the Fourier-Budan check (p'' < 0 there) refuses it."""
+    the largest; only the Fourier-Budan check (p'' < 0 there) refuses it,
+    and largest_root isolates the largest root instead."""
     poly = IntPoly((1, -2, -1, 1))  # three real roots
-    smallest = roots_of_irreducible(poly)[0]
-    index, depth = smallest._node_at(RENDER_WIDTH)
+    isolated = isolate_irreducible(poly)
+    index, depth = isolated[0]._node_at(RENDER_WIDTH)
     monkeypatch.setattr(realalg, "_newton_node", lambda coeffs, bound, d, x: index)
-    assert largest_root(poly, RENDER_WIDTH) is None
+    top = largest_root(poly)
+    assert top == isolated[-1] and top.interval() == isolated[-1].interval()
 
 
 def test_largest_root_matches_isolation():
     for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -6, -1, 1))):
-        top = largest_root(poly, RENDER_WIDTH)
-        ref = roots_of_irreducible(poly)[-1]
-        assert top is not None and top == ref
+        top = largest_root(poly)
+        ref = isolate_irreducible(poly)[-1]
+        assert top == ref
         assert top.minpoly == ref.minpoly and top.root_index == ref.root_index
         assert top.interval() == ref.tree_interval(RENDER_WIDTH)
         assert top.approx_str(12) == ref.approx_str(12) and float(top) == float(ref)
@@ -1300,11 +1307,11 @@ def test_largest_root_matches_isolation():
 def test_coefficients_beyond_float_range_fall_back_to_bisection():
     """10^400 x^2 - (2*10^400 + 1) has coefficients no float holds: the
     Newton jump gives up without an OverflowError and bisection places the
-    root; largest_root places it or declines, never wrongly."""
+    root; largest_root places it or isolates it, never wrongly."""
     big = 10**400
     poly = IntPoly((-(2 * big + 1), 0, big))
     _assert_newton_matches_bisection(poly, (RENDER_WIDTH, Fraction(1, 2**130)))
     root = roots_of_irreducible(poly)[1]
     assert root.approx_str(12) == "1.41421356237" and float(root) == math.sqrt(2)
-    top = largest_root(poly, RENDER_WIDTH)
-    assert top is None or top.interval() == root.tree_interval(RENDER_WIDTH)
+    top = largest_root(poly)
+    assert top == root and top.tree_interval(RENDER_WIDTH) == root.tree_interval(RENDER_WIDTH)
