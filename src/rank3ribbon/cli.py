@@ -61,64 +61,80 @@ def _check_twist_order(order: int) -> int:
     return order
 
 
+# Each command and audit, its help text and its own arguments, as
+# (flags, add_argument keywords); every one also takes the common options.
+_COMMANDS_SPEC = (
+    ("ring", "construct and analyze one parameter ring", (
+        ("--params", {"required": True}),
+    )),
+    ("enumerate", "canonical parameter solutions up to a bound", (
+        ("--bound", {"type": int, "required": True}),
+    )),
+    ("search", "ribbon-data witness search", (
+        ("--params", {"required": True}),
+        ("--max-twist-order", {"type": int, "default": 60}),
+        ("--include-degenerate", {"action": "store_true"}),
+    )),
+    ("classify", "full classification report", (
+        ("--bound", {"type": int, "required": True}),
+        ("--max-twist-order", {"type": int, "default": 60}),
+        ("--witness-all", {"action": "store_true"}),
+    )),
+)
+_AUDITS_SPEC = (
+    ("star-assoc", "star constraint vs associativity", (
+        ("--bound", {"type": int, "default": 10}),
+    )),
+    ("rank3-rings", "brute-force based-ring enumeration", (
+        ("--coeff-bound", {"type": int, "default": 1}),
+    )),
+    ("case3b-grid", "grid impossibility sweep", (
+        ("--smax", {"type": int, "default": 50}),
+        ("--tmax", {"type": int, "default": 50}),
+    )),
+    ("landau", "Landau bound for a class count", (
+        ("--classes", {"type": int, "default": 3}),
+    )),
+)
+
+_COMMAND_NAMES = frozenset(name for name, _, _ in _COMMANDS_SPEC) | {"audit"}
+
+
+def _populate(parser: argparse.ArgumentParser, arguments) -> None:
+    """Add a command's own arguments, then the common options."""
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--out", default=None, help="write output to this path")
+    parser.add_argument(
+        "--threads", type=int, default=os.cpu_count(),
+        help="accepted for compatibility; no command uses threads",
+    )
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first `run` of the process and
-    reused: parsing does not change it."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and command, and reused:
+    parsing does not change it.  Every command and audit is registered with
+    its help text, but only `command` gets its arguments (every audit, for
+    "audit"); with no command, every one does.  A parser only reads the
+    arguments of the command it parses, so its help and errors are those of
+    the full parser."""
     parser = argparse.ArgumentParser(
         prog="rank3ribbon",
         description="Exact classification of rank-3 fusion rings with premodular data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument(
-            "--threads", type=int, default=os.cpu_count(),
-            help="accepted for compatibility; no command uses threads",
-        )
-
-    p_ring = sub.add_parser("ring", help="construct and analyze one parameter ring")
-    p_ring.add_argument("--params", required=True)
-    common(p_ring)
-
-    p_enum = sub.add_parser("enumerate", help="canonical parameter solutions up to a bound")
-    p_enum.add_argument("--bound", type=int, required=True)
-    common(p_enum)
-
-    p_search = sub.add_parser("search", help="ribbon-data witness search")
-    p_search.add_argument("--params", required=True)
-    p_search.add_argument("--max-twist-order", type=int, default=60)
-    p_search.add_argument("--include-degenerate", action="store_true")
-    common(p_search)
-
-    p_classify = sub.add_parser("classify", help="full classification report")
-    p_classify.add_argument("--bound", type=int, required=True)
-    p_classify.add_argument("--max-twist-order", type=int, default=60)
-    p_classify.add_argument("--witness-all", action="store_true")
-    common(p_classify)
-
+    for name, text, arguments in _COMMANDS_SPEC:
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            _populate(p, arguments)
     p_audit = sub.add_parser("audit", help="desk-scale audits")
     audit_sub = p_audit.add_subparsers(dest="audit_command", required=True)
-
-    a_star = audit_sub.add_parser("star-assoc", help="star constraint vs associativity")
-    a_star.add_argument("--bound", type=int, default=10)
-    common(a_star)
-
-    a_rings = audit_sub.add_parser("rank3-rings", help="brute-force based-ring enumeration")
-    a_rings.add_argument("--coeff-bound", type=int, default=1)
-    common(a_rings)
-
-    a_grid = audit_sub.add_parser("case3b-grid", help="grid impossibility sweep")
-    a_grid.add_argument("--smax", type=int, default=50)
-    a_grid.add_argument("--tmax", type=int, default=50)
-    common(a_grid)
-
-    a_landau = audit_sub.add_parser("landau", help="Landau bound for a class count")
-    a_landau.add_argument("--classes", type=int, default=3)
-    common(a_landau)
-
+    for name, text, arguments in _AUDITS_SPEC:
+        p = audit_sub.add_parser(name, help=text)
+        if command in (None, "audit"):
+            _populate(p, arguments)
     return parser
 
 
@@ -366,7 +382,7 @@ def run(argv: list[str]) -> int:
     checked before anything is written.  classify writes each ring as it is
     decided: if it fails after that, stdout holds a truncated report, and an
     --out file never reaches its path."""
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else "")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

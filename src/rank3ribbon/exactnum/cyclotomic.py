@@ -348,6 +348,19 @@ class CycloNum:
             s, c = [-x for x in s], -c
         return CycloNum._make(self.n, [x * self.den for x in s], c)
 
+    def galois(self, a: int) -> "CycloNum":
+        """sigma_a(self), for the automorphism zeta -> zeta^a of Q(zeta_n),
+        a coprime to n: numerator i moves to exponent i*a mod n of
+        Z[x]/(x^n - 1), and the result is folded onto the power basis once,
+        as `rotated_sum` folds."""
+        n = self.n
+        if math.gcd(a, n) != 1:
+            raise ValueError(f"{a} is not a unit mod {n}")
+        acc = [0] * n
+        for i, c in enumerate(self.num):
+            acc[i * a % n] += c
+        return CycloNum._make(n, _fold(n, acc), self.den)
+
     def __rtruediv__(self, other) -> "CycloNum":
         """other / self for a rational other, e.g. Fraction(1) / self."""
         return self.inverse().scale(other)
@@ -401,6 +414,12 @@ def rotated_sum(n: int, terms) -> CycloNum:
             acc[j] += m * x
         for j, x in enumerate(v.num[split:]):
             acc[j] += m * x
+    return CycloNum._make(n, _fold(n, acc), den)
+
+
+def _fold(n: int, acc: list[int]) -> list[int]:
+    """The power-basis numerators of the vector `acc` of Z[x]/(x^n - 1):
+    every exponent e >= phi(n) folded back through x^e mod Phi_n."""
     deg, rows = _fold_rows(n)
     out = acc[:deg]
     for e in range(deg, n):
@@ -408,7 +427,7 @@ def rotated_sum(n: int, terms) -> CycloNum:
         if c:
             for k, t in rows[e - deg]:
                 out[k] += c * t
-    return CycloNum._make(n, out, den)
+    return out
 
 
 def _integer_inverse(num: tuple[int, ...], phi: tuple[int, ...]) -> tuple[list[int], int]:

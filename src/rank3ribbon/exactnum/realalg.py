@@ -13,16 +13,18 @@ polynomial.  `from_poly_expr` takes that polynomial rather than building
 one.  The roots are placed straight on their nodes of width RENDER_WIDTH
 from float estimates of all of them: `real_root_estimates` for a quadratic
 or cubic, or the caller's where it knows them (the cosines of
-`cyclotomic.two_cos`).  A placement stands only under an exact certificate:
-Fourier-Budan on the top node, and sign changes of the polynomial on deg p
-distinct nodes.  Where it fails (roots that floats cannot separate,
-coefficients beyond float range, roots that are not all real), the roots
-are isolated instead by integer Sturm chains (`isolate_irreducible`), which
-stop as soon as the roots are separated.  `largest_root` locates the top
-root alone in the same two steps.  No caller chooses between them: either
-way the value is a node of the bisection tree of (-B, B), B =
-cauchy_bound(minpoly), held as integers (index j at depth d), and every
-rendering reads the node of its width, which depends on the value alone.
+`cyclotomic.two_cos`), on the node that integer Newton reaches from each
+estimate or one beside it.  A placement stands only under an exact
+certificate: Fourier-Budan on the top node, and sign changes of the
+polynomial on deg p distinct nodes.  Where it fails (roots that floats
+cannot separate, coefficients beyond float range, roots that are not all
+real), the roots are isolated instead by integer Sturm chains
+(`isolate_irreducible`), which stop as soon as the roots are separated.
+`largest_root` locates the top root alone in the same two steps.  No
+caller chooses between them: either way the value is a node of the
+bisection tree of (-B, B), B = cauchy_bound(minpoly), held as integers
+(index j at depth d), and every rendering reads the node of its width,
+which depends on the value alone.
 
 A caller that needs a narrow interval asks for it (`refine_to`,
 `tree_interval`), and `approx_str` and `__float__` render the midpoint of a
@@ -554,21 +556,26 @@ def _placed(p: IntPoly, estimates: list[float], count: int) -> list[RealAlgebrai
 
 
 def _sign_change_node(value: RealAlgebraic, depth: int, estimate: float) -> tuple[int, int] | None:
-    """(index, sign of p at its low end) of the node at `depth` of value's
-    tree to which `_newton_node` takes the float `estimate`, when p takes
-    opposite signs at its two ends, and None otherwise, float overflow on
-    huge coefficients included."""
+    """(index, sign of p at its low end) of the first node at `depth` of
+    value's tree, among the one to which `_newton_node` takes the float
+    `estimate` and its two neighbours, at whose two ends p takes opposite
+    signs; None when none of them is such a node, float overflow on huge
+    coefficients included.  Newton ends one node beside a root that lies
+    within a grid cell or two of a node boundary; either way the node
+    stands only under `_placed`'s certificate."""
     coeffs = value.minpoly.coeffs
     try:
         index = _newton_node(coeffs, value._bound, depth, estimate)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    if index is None or not 0 <= index < 1 << depth:
+    if index is None:
         return None
-    lo_sign = sign_at(coeffs, *value._cut(index, depth))
-    if sign_at(coeffs, *value._cut(index + 1, depth)) != -lo_sign:
-        return None
-    return index, lo_sign
+    for node in (index, index - 1, index + 1):
+        if 0 <= node < 1 << depth:
+            lo_sign = sign_at(coeffs, *value._cut(node, depth))
+            if sign_at(coeffs, *value._cut(node + 1, depth)) == -lo_sign:
+                return node, lo_sign
+    return None
 
 
 def real_root_estimates(coeffs: tuple[int, ...]) -> list[float]:

@@ -13,14 +13,30 @@ The twists of an admissible datum have orders q with phi(q) <= 12
 pair of characters one row pins both twists, through one quadratic over the
 character field, solved in floats and looked up in the table
 (`_pinned_pairs`).  The exact checks of `_certify_candidate` alone decide
-each candidate, and there is no approximate fallback.  Each candidate is
-checked in one field, Q(zeta_n)[x]/(f) with f the minimal polynomial of the
-character generator alpha over Q(zeta_n), decided once per (minimal
-polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`: f = x - beta
-when alpha = beta lies in Q(zeta_n), and every element is then one CycloNum
-(integer numerators over one denominator); f is alpha's minimal polynomial
-over Q otherwise, and elements are ExtNum polynomials with CycloNum
-coefficients.  Either way the ring is a field, so a zero test reads the
+each candidate, and there is no approximate fallback.  Three rules, each
+applied before any arithmetic, decide which candidates they run on
+(`search_ribbon_data`):
+
+1. Without `include_degenerate`, an S3 ring is not searched.  A modular
+   S-matrix lies in Q(zeta_N), N = ord T (Ng-Schauenburg, arXiv:0806.2493),
+   and the character field of an S3 ring is not abelian, so it carries no
+   Modular datum; no Symmetric one either, as `landau_rule` needs integer
+   dimensions.
+2. Without `include_degenerate`, a candidate whose dimension generator does
+   not lie in Q(zeta_n) (`embed_real_algebraic` returns None) is rejected
+   on the same theorem, before a context is built.
+3. Every other candidate certified in Q(zeta_n) is certified once per orbit
+   of Gal(Q(zeta_n)/Q): each check is a polynomial identity over Q, so
+   sigma_a: zeta -> zeta^a carries a decision, its certificate and its free
+   entries to the conjugate candidate (`_OrbitDecisions`).
+
+Each candidate is checked in one field, Q(zeta_n)[x]/(f) with f the minimal
+polynomial of the character generator alpha over Q(zeta_n), decided once
+per (minimal polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`:
+f = x - beta when alpha = beta lies in Q(zeta_n), and every element is then
+one CycloNum (integer numerators over one denominator); f is alpha's
+minimal polynomial over Q otherwise, and elements are ExtNum polynomials
+with CycloNum coefficients.  Either way the ring is a field, so a zero test reads the
 representative (`ExactContext._is_zero`), and building and checking a
 matrix runs on Python ints.  Only three entries of S depend on the twists:
 row 0 is d by the unit axiom, and on a ring whose elements are self-dual
@@ -31,7 +47,8 @@ sum c * zeta^e * v of field elements shared by the whole search
 form products; the field data (`_Field`) live in a dict that one search
 holds.  The rendered `approx` S-matrix encloses the three free entries from
 their coefficients over alpha's minimal polynomial by Horner's rule on
-balls, and the dimension row once per field (`build_s_matrix`).  A witness
+balls, and the dimension row once per field; data of one field with the
+same free entries share one rendered matrix (`_Field.smatrix`).  A witness
 is admitted only if its structure class passes the corresponding rule
 (`rules`):
 
@@ -63,8 +80,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .characters import (
-    Character, CharacterSystem, FloatCharacter, GaloisInfo, float_characters, galois_type,
-    solve_characters,
+    Character, CharacterSystem, FloatCharacter, GaloisInfo, GaloisType, float_characters,
+    galois_type, solve_characters,
 )
 from .exactnum import ComplexBall, CycloNum, RealAlgebraic, RootOfUnity, decimal_str, lcm
 from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to, rotated_sum
@@ -110,11 +127,14 @@ class Twists:
 
 @dataclass
 class SMatrix:
-    """3x3 ball rendering of an exact S-matrix (`build_s_matrix`).  The
-    matrix is symmetric, and a mirrored entry is the same ball object."""
+    """3x3 ball rendering of an exact S-matrix (`_Field.smatrix`).  The
+    matrix is symmetric, and a mirrored entry is the same ball object.
+    `free` holds the exact entries it renders, S11, S12 and S22, each as its
+    coefficients over the modulus in alpha."""
 
     entries: tuple  # 3x3 tuple of ComplexBall
     precision_bits: int
+    free: tuple
 
     def entry(self, i: int, j: int) -> ComplexBall:
         return self.entries[i][j]
@@ -252,10 +272,11 @@ def _ring_premises(ring: FusionRing) -> tuple[bool, bool]:
 
 
 class _Field:
-    """What the exact contexts of one dimension character over one field
-    share: the d_j, their coefficients over the modulus in alpha (`lifts`),
-    the products d_i d_j, D^2 = sum_j d_j^2, the balls of alpha and the
-    rendered dimension row, each formed once, on first use."""
+    """What the exact contexts and rendered data of one dimension character
+    over one field share: the d_j, their coefficients over the modulus in
+    alpha (`lifts`), the products d_i d_j, D^2 = sum_j d_j^2, the balls of
+    alpha, the rendered dimension row and the rendered matrices, each formed
+    once, on first use."""
 
     def __init__(self, n: int, gen: RealAlgebraic, beta, dim_terms):
         self.n, self.gen, self.beta = n, gen, beta
@@ -272,7 +293,8 @@ class _Field:
             self.lifts.append(tuple(z.scale(c) for c in rep) + (zero,) * (self.deg - len(rep)))
         self.d = [self._at_generator(lift) for lift in self.lifts]
         self._gen_balls: dict[int, ComplexBall] = {}
-        self.dim_row: Optional[tuple[ComplexBall, ...]] = None  # set by build_s_matrix
+        self.dim_row: Optional[tuple[ComplexBall, ...]] = None  # set by `smatrix`
+        self._smatrices: dict[tuple, SMatrix] = {}
 
     def _at_generator(self, coeffs: tuple[CycloNum, ...]):
         """The element with these coefficients over the modulus in alpha."""
@@ -323,6 +345,66 @@ class _Field:
             )
         return ab
 
+    def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
+        """Certified ball around poly(alpha) for CycloNum coefficients, each
+        enclosed at `prec` bits, and alpha enclosed by the node of its
+        bisection tree at width 2^-prec (`gen_ball`), by Horner's rule from
+        the top coefficient; for one coefficient the ball is exactly its
+        own.  The ball does not depend on how far alpha was refined before."""
+        acc = poly[-1].ball(prec)
+        if len(poly) > 1:
+            ab = self.gen_ball(prec)
+            for c in reversed(poly[:-1]):
+                acc = acc * ab + c.ball(prec)
+        return acc
+
+    def render(self, coeffs) -> ComplexBall:
+        """The ball of the value with these coefficients over the modulus, at
+        doubling precision from SMATRIX_PRECISION_BITS + 16 bits until its
+        radius is at most 2^-SMATRIX_PRECISION_BITS."""
+        prec = SMATRIX_PRECISION_BITS + 16
+        while True:
+            out = self._eval_ball_at_gen(coeffs, prec)
+            _, _, rad, den = out.integers
+            if rad << SMATRIX_PRECISION_BITS <= den:
+                return out
+            prec *= 2
+
+    def smatrix(self, free: tuple) -> SMatrix:
+        """The matrix [[1, d_1, d_2], [d_1, S11, S12], [d_2, S12, S22]] with
+        the free entries `free`, each given by its coefficients over the
+        modulus, rendered once per field and free entries: the dimension row
+        once per field, and each free entry from its coefficients."""
+        sm = self._smatrices.get(free)
+        if sm is None:
+            if self.dim_row is None:
+                self.dim_row = tuple(self.render(lift) for lift in self.lifts)
+            r0, r1, r2 = self.dim_row
+            s11, s12, s22 = (self.render(c) for c in free)
+            sm = self._smatrices[free] = SMatrix(
+                ((r0, r1, r2), (r1, s11, s12), (r2, s12, s22)), SMATRIX_PRECISION_BITS, free)
+        return sm
+
+
+def _field_of(fields: dict, dims: Character, n: int) -> _Field:
+    """The field data of `dims` over Q(zeta_n), looked up in `fields` and
+    added to it on first use.  Rational and Z/3 dimensions have no generator
+    of their own: they take 0, whose minimal polynomial x is the modulus."""
+    gen = dims.gen or RealAlgebraic.from_rational(0)
+    beta = embed_real_algebraic(gen, n)
+    one = RootOfUnity.one()
+    if dims.is_cyclotomic:
+        dim_terms = ((_UNIT_REP, one), (_UNIT_REP, dims.x), (_UNIT_REP, dims.y))
+    else:
+        dim_terms = ((_UNIT_REP, one), (dims.x_rep, one), (dims.y_rep, one))
+    # beta is in the key because it decides the field: the same character
+    # and order can be certified in Q(zeta_n) or in Q(zeta_n)[x]/(m).
+    key = (gen, dim_terms, n, beta)
+    field = fields.get(key)
+    if field is None:
+        field = fields[key] = _Field(n, gen, beta, dim_terms)
+    return field
+
 
 class ExactContext:
     """Exact S-matrix entries for one (ring, dims, twists) datum, in one
@@ -362,28 +444,12 @@ class ExactContext:
                 f"cyclotomic order {n} has degree phi = {self.phi_degree}, "
                 f"beyond the exact cap {EXACT_PHI_CAP}"
             )
-        # Rational and Z/3 dimensions have no generator of their own: they take
-        # 0, whose minimal polynomial x is the modulus.
-        gen = dims.gen or RealAlgebraic.from_rational(0)
-        self.gen = gen
-        self.beta = embed_real_algebraic(gen, n)
         self.ring = ring
         self.dims = dims
         self.twists = twists
-        one = RootOfUnity.one()
-        if dims.is_cyclotomic:
-            dim_terms = ((_UNIT_REP, one), (_UNIT_REP, dims.x), (_UNIT_REP, dims.y))
-        else:
-            dim_terms = ((_UNIT_REP, one), (dims.x_rep, one), (dims.y_rep, one))
         self.premises = _ring_premises(ring)
-        # beta is in the key because it decides the field: the same character
-        # and order can be certified in Q(zeta_n) or in Q(zeta_n)[x]/(m).
-        key = (gen, dim_terms, n, self.beta)
-        if fields is None:
-            fields = {}
-        if key not in fields:
-            fields[key] = _Field(n, gen, self.beta, dim_terms)
-        field = self.field = fields[key]
+        field = self.field = _field_of({} if fields is None else fields, dims, n)
+        self.gen, self.beta = field.gen, field.beta
         self.modulus, self.d = field.modulus, field.d
         self._exps = [t.p * (n // t.q) for t in twists.theta]  # theta_k = zeta^e_k
 
@@ -424,19 +490,6 @@ class ExactContext:
         if self.field.deg == 1:
             return (value,)
         return self.field.coefficients(self._terms(i, j), self.field.lifts)
-
-    def _eval_ball_at_gen(self, poly, prec: int) -> ComplexBall:
-        """Certified ball around poly(alpha) for CycloNum coefficients, each
-        enclosed at `prec` bits, and alpha enclosed by the node of its
-        bisection tree at width 2^-prec (`_Field.gen_ball`), by Horner's rule
-        from the top coefficient; for one coefficient the ball is exactly its
-        own.  The ball does not depend on how far alpha was refined before."""
-        acc = poly[-1].ball(prec)
-        if len(poly) > 1:
-            ab = self.field.gen_ball(prec)
-            for c in reversed(poly[:-1]):
-                acc = acc * ab + c.ball(prec)
-        return acc
 
     # -- exact checks -----------------------------------------------------
 
@@ -564,37 +617,20 @@ def build_s_matrix(ctx: ExactContext) -> SMatrix:
     """The context's exact S-matrix rendered for output: each entry as a ball
     of radius at most 2^-SMATRIX_PRECISION_BITS around its value, from its
     coefficients over the modulus in alpha by Horner's rule on balls
-    (`ExactContext._eval_ball_at_gen`); exactly 0 when those coefficients
-    are zero.
+    (`_Field._eval_ball_at_gen`); exactly 0 when those coefficients are
+    zero.
 
-    Only the three free entries are rendered per datum.  Row 0 is d by the
-    unit axiom, rendered once per field, and the entries below the diagonal
-    are the same balls as those above it.  That is S for a symmetric datum,
-    so a matrix that is not symmetric (a Z/3 datum the checks reject) is
-    refused."""
+    Only the three free entries are rendered per datum, and a datum whose
+    free entries have the coefficients of one already rendered in its field
+    shares that matrix (`_Field.smatrix`).  Row 0 is d by the unit axiom,
+    rendered once per field, and the entries below the diagonal are the same
+    balls as those above it.  That is S for a symmetric datum, so a matrix
+    that is not symmetric (a Z/3 datum the checks reject) is refused."""
     if not ctx.dims.nonzero():
         raise ZeroDimension("candidate dimensions contain an exact zero")
     if not (ctx.is_symmetric() and ctx.unit_row_ok()):
         raise ValueError("the S-matrix is not symmetric with unit row d")
-    field = ctx.field
-    if field.dim_row is None:
-        field.dim_row = tuple(_render_ball(ctx, lift) for lift in field.lifts)
-    r0, r1, r2 = field.dim_row
-    s11, s12, s22 = (_render_ball(ctx, ctx._coefficients(i, j)) for i, j in FREE_ENTRIES)
-    return SMatrix(((r0, r1, r2), (r1, s11, s12), (r2, s12, s22)), SMATRIX_PRECISION_BITS)
-
-
-def _render_ball(ctx: ExactContext, coeffs) -> ComplexBall:
-    """The ball of the value with these coefficients over the modulus, at
-    doubling precision from SMATRIX_PRECISION_BITS + 16 bits until its
-    radius is at most 2^-SMATRIX_PRECISION_BITS."""
-    prec = SMATRIX_PRECISION_BITS + 16
-    while True:
-        out = ctx._eval_ball_at_gen(coeffs, prec)
-        _, _, rad, den = out.integers
-        if rad << SMATRIX_PRECISION_BITS <= den:
-            return out
-        prec *= 2
+    return ctx.field.smatrix(tuple(ctx._coefficients(i, j) for i, j in FREE_ENTRIES))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +661,17 @@ def search_ribbon_data(
     (properly premodular) candidates are returned only when
     `include_degenerate` is set.
 
+    The three rules of the module docstring apply before any arithmetic.
+    Without `include_degenerate`, an S3 ring gets no search (rule 1) and a
+    candidate whose dimension generator is not in Q(zeta_n) is rejected
+    (rule 2), both because a modular S-matrix lies in Q(zeta_N), N = ord T
+    (Ng-Schauenburg), and symmetric dimensions are integers.  Every other
+    candidate in Q(zeta_n) is certified once per orbit of Gal(Q(zeta_n)/Q)
+    (rule 3, `_OrbitDecisions`), and a degenerate search certifies its
+    extension-field candidates one by one.  Each proposed candidate still
+    looks up its own decision, so the witnesses are those that certifying
+    every candidate gives.
+
     The characters are solved only for a candidate that builds an exact
     context, once per search: `system` when the caller has solved them, and
     `solve_characters(ring, info)` otherwise.  `landau` is the symmetric
@@ -645,11 +692,13 @@ def search_ribbon_data(
                  for c in system.chars]
     else:
         info = info or galois_type(ring.params)
+        if info.tag is GaloisType.S3 and not include_degenerate:
+            return []  # rule 1
         chars = float_characters(ring.params, info.roots)
     twists = _twist_index(min(max_twist_order, TWIST_ORDER_BOUND))
     table = twists.table
     witnesses: list[PremodularDatum] = []
-    fields: dict = {}  # the field data this search's contexts share
+    orbits = _OrbitDecisions(ring, info, system, include_degenerate)
     for dims_index, dims in enumerate(chars):
         if any(dims.zero):
             continue
@@ -663,18 +712,96 @@ def search_ribbon_data(
         for a, b in pairs:
             if not sym_ok and table[a].is_one and table[b].is_one:
                 continue
-            if system is None:
-                system = solve_characters(ring, info)
-            datum = _certify_candidate(
-                ring, system.chars[dims_index], dims_index, Twists.of(table[a], table[b]),
-                include_degenerate, landau if dims_index == 0 else None, fields,
-            )
+            datum = orbits.decide(dims_index, table[a], table[b],
+                                  landau if dims_index == 0 else None)
             if datum is not None:
                 witnesses.append(datum)
     witnesses.sort(
         key=lambda w: (w.dims_index, w.twists.theta[1].turn, w.twists.theta[2].turn)
     )
     return witnesses
+
+
+class _OrbitDecisions:
+    """The decisions of one search's candidates (j, theta_1, theta_2): rules
+    2 and 3 of the module docstring.  sigma_a (a a unit mod n) maps a
+    candidate certified in Q(zeta_n) to (pi_a(j), theta_1^a, theta_2^a),
+    with the same verdict, structure class and certificate and its free
+    entries mapped by `CycloNum.galois`.  The first candidate proposed in an
+    orbit is certified; every later one takes the image of that decision
+    (`_conjugate`).  The orbits are indexed by the twist pairs they hold.
+    With `include_degenerate`, a candidate outside Q(zeta_n) is certified on
+    its own."""
+
+    def __init__(self, ring: FusionRing, info: GaloisInfo | None,
+                 system: CharacterSystem | None, include_degenerate: bool):
+        self.ring, self.info, self.system = ring, info, system
+        self.include_degenerate = include_degenerate
+        self.fields: dict = {}  # the field data this search's contexts share
+        # twist pair -> (j, a, datum) for each orbit member with those twists:
+        # the member is sigma_a of the representative at character j, whose
+        # decision is datum
+        self.members: dict[tuple, list] = {}
+
+    def _generator(self, j: int, n: int) -> Optional[CycloNum]:
+        """Character j's generator in Q(zeta_n), or None when it is not
+        there; a Z/3 character is named by its x-value."""
+        if self.info is None:
+            return CycloNum.from_root(self.system.chars[j].x, n)
+        return embed_real_algebraic(self.info.roots[j], n)
+
+    def _conjugate_index(self, j: int, a: int, n: int) -> int:
+        """pi_a(j): the character whose generator is sigma_a of character
+        j's.  The three generators are distinct, and the conjugates of one
+        in Q(zeta_n) are there too, so exactly one is; rational characters
+        are fixed, and Z/3's map by x -> x^a."""
+        image = self._generator(j, n).galois(a)
+        return next(k for k in range(3) if self._generator(k, n) == image)
+
+    def decide(self, j: int, theta_1: RootOfUnity, theta_2: RootOfUnity,
+               landau: FilterVerdict | None) -> Optional[PremodularDatum]:
+        """The datum of candidate (j, theta_1, theta_2), or None when it is
+        not admitted; `landau` as `_certify_candidate` takes it."""
+        n = lcm(theta_1.q, theta_2.q, 3 if self.info is None else 1)
+        for rep_j, a, datum in self.members.get((theta_1, theta_2), ()):
+            if self._conjugate_index(rep_j, a, n) == j:
+                return self._conjugate(datum, a, j, Twists.of(theta_1, theta_2), n)
+        embedded = self._generator(j, n) is not None
+        if not (embedded or self.include_degenerate):
+            return None  # rule 2
+        if self.system is None:
+            self.system = solve_characters(self.ring, self.info)
+        datum = _certify_candidate(
+            self.ring, self.system.chars[j], j, Twists.of(theta_1, theta_2),
+            self.include_degenerate, landau, self.fields,
+        )
+        if embedded:
+            for a in range(1, n + 1):
+                if math.gcd(a, n) == 1:
+                    self.members.setdefault((theta_1 ** a, theta_2 ** a), []).append((j, a, datum))
+        return datum
+
+    def _conjugate(self, datum: Optional[PremodularDatum], a: int, j: int, twists: Twists,
+                   n: int) -> Optional[PremodularDatum]:
+        """sigma_a of a representative's decision, for the member with
+        character j and `twists`: its free entries are mapped by sigma_a and
+        rendered in the member's own field."""
+        if datum is None:
+            return None
+        dims = self.system.chars[j]
+        certificate = dict(datum.certificate)
+        if datum.structure_class is StructureClass.PROPER_PREMODULAR:
+            certificate["degenerate_rule"] = _degenerate_certificate(self.ring, dims, twists)
+        free = tuple(tuple(c.galois(a) for c in entry) for entry in datum.smatrix.free)
+        return PremodularDatum(
+            ring=self.ring,
+            dims=dims,
+            dims_index=j,
+            twists=twists,
+            smatrix=_field_of(self.fields, dims, n).smatrix(free),
+            structure_class=datum.structure_class,
+            certificate=certificate,
+        )
 
 
 TWIST_PHI_BOUND = 12  # phi(q) of every twist order q of an admissible datum
@@ -746,12 +873,14 @@ def _twist_index(order: int) -> _TwistIndex:
     """The twist table of orders up to `order` <= TWIST_ORDER_BOUND and its
     lookup data, built on first use, once per order."""
     table = tuple(r for r in roots_of_unity_up_to(order) if euler_phi(r.q) <= TWIST_PHI_BOUND)
-    by_turn = sorted(range(len(table)), key=lambda j: table[j].turn)
+    # p/q sorts as the integer p * (L/q), L the lcm of the orders.
+    common = lcm(*(r.q for r in table))
+    by_turn = sorted(range(len(table)), key=lambda j: table[j].p * (common // table[j].q))
     return _TwistIndex(
         table,
         tuple(r.complex_approx() for r in table),
         (*by_turn, by_turn[0]),
-        (*(float(table[j].turn) for j in by_turn), 1.0),
+        (*(table[j].p / table[j].q for j in by_turn), 1.0),
         tuple(j for j, r in enumerate(table) if r.q == 16),
     )
 

@@ -426,7 +426,8 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     char_poly_x (`_integer_roots`) and one location of its irreducible rest,
     both made by `galois_type`: the top root of the rest is located alone
     (`largest_root`) and all its roots once more on the search's read
-    (`roots_of_irreducible`); they are placed on their nodes, and none is
+    (`roots_of_irreducible`), which an S3 ring, searched by no rule, never
+    makes; they are placed on their nodes, and none is
     isolated, nor is `split_rational_roots` needed, on these rings.  Calls
     are counted through every name a module binds them to.  The char_poly_x
     of K(0,1,0,n) is (x - 1)^2 (x + 1) in closed form and is not factored;
@@ -473,7 +474,7 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
     rings = [r for r in report.rings if r.params is not None]
     assert len(rings) == 67 and all(r.witnesses is not None for r in rings)
     monkeypatch.undo()
-    rests = ypolys = 0
+    rests = ypolys = s3 = 0
     for r in rings:
         params = r.params
         xpoly = char_poly_x(params)
@@ -491,10 +492,12 @@ def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):
         # A C2-fixing dimension root is the integer root.
         top_located = r.galois.tag != GaloisType.C2_FIXING_FP
         assert calls["largest_root", params, rest] == top_located, params
-        assert calls["roots_of_irreducible", params, rest] == 1, params
+        searched = r.galois.tag != GaloisType.S3
+        assert calls["roots_of_irreducible", params, rest] == searched, params
         assert calls["isolate_irreducible", params, rest] == 0, params
         rests += 1
-    assert rests == 56 and ypolys == 10
+        s3 += not searched
+    assert rests == 56 and ypolys == 10 and s3 == 41
 
 
 def test_classify_all_locates_a_y_value_only_where_it_is_read(monkeypatch):

@@ -48,6 +48,29 @@ def test_usage_errors(capsys):
     assert code3 == 2
 
 
+HELP_ARGVS = [
+    ["--help"],
+    *([name, "--help"] for name in ("ring", "enumerate", "search", "classify", "audit")),
+    *(["audit", name, "--help"] for name in ("star-assoc", "rank3-rings", "case3b-grid", "landau")),
+    ["search", "--max-twist-order", "16"],  # --params is missing
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_and_errors_match_the_fully_populated_parser(capsys, argv):
+    """A run builds only its own command's arguments, yet prints the help of
+    the top level, of each command and of each audit, and a missing-argument
+    error, exactly as the parser with every command populated does."""
+    from rank3ribbon import cli
+
+    code, out, err = _capture(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (code, out, err) == (exc.value.code, full.out, full.err)
+    assert out or err
+
+
 def test_tol_option_is_gone(capsys):
     """The tolerance of the pinning-row test is the constant SCAN_TOL; a
     --tol value such as 0, which made a search report no witnesses, is a

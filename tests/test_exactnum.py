@@ -1263,23 +1263,76 @@ def test_newton_refinement_matches_bisection_on_cos_minimal_polys():
                          ids=["one-below", "one-above", "far-below", "far-above"])
 def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypatch, offset):
     """A Newton estimate one node beside the root, or far from it, fails the
-    exact sign check at the node's ends, and refine_to bisects instead;
-    the placement is declined, so largest_root and roots_of_irreducible
-    isolate the roots."""
+    exact sign check at the node's ends, and refine_to bisects instead.
+    Placement tries the two neighbours of the node under the same check, so
+    it places the roots one node off and declines those far off, which
+    largest_root and roots_of_irreducible then isolate: the nodes are those
+    of isolation either way."""
     original = realalg._newton_node
 
     def off(coeffs, bound, depth, x):
         index = original(coeffs, bound, depth, x)
         return None if index is None else index + offset
 
+    def located(poly):  # the intervals of every root, and of the top one alone
+        roots = roots_of_irreducible(poly)
+        return [r.interval() for r in roots + ([largest_root(poly)] if poly.coeffs[-1] == 1 else [])]
+
+    polys = (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 5)))
+    unperturbed = {poly: located(poly) for poly in polys}
     monkeypatch.setattr(realalg, "_newton_node", off)
-    for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 5))):
+    for poly in polys:
         for width in (RENDER_WIDTH, Fraction(1, 2**130)):
             _assert_newton_matches_bisection(poly, (width,))
-        isolated = isolate_irreducible(poly)
-        assert [r.interval() for r in roots_of_irreducible(poly)] == [r.interval() for r in isolated]
-        if poly.coeffs[-1] == 1:
-            assert largest_root(poly).interval() == isolated[-1].interval()
+        if abs(offset) == 1:  # placed as from the Newton node itself
+            assert located(poly) == unperturbed[poly]
+        else:
+            isolated = isolate_irreducible(poly)
+            isolated += isolated[-1:] if poly.coeffs[-1] == 1 else []
+            assert located(poly) == [r.interval() for r in isolated]
+    # A placed root holds its RENDER_WIDTH node, never an isolating one.
+    assert all(hi - lo <= RENDER_WIDTH for lo, hi in unperturbed[polys[0]] + unperturbed[polys[1]])
+
+
+def test_cos_roots_367_are_placed_beside_a_node_boundary(monkeypatch):
+    """One root of cos_minimal_poly(367), of degree 183, lies so near a node
+    boundary that integer Newton ends one node beside it; placement takes
+    the neighbour under the same certificate, so no Sturm chain is built.
+    The nodes are the ones any locator gives, isolation included: 183
+    ascending nodes of width RENDER_WIDTH with p of opposite signs at the
+    ends of each hold one root each, and each lies at its cosine."""
+    from rank3ribbon.exactnum import cyclotomic
+
+    chains, beside = [], []
+    original_chain, original_newton = realalg.sturm_chain, realalg._newton_node
+
+    def newton(coeffs, bound, depth, x):
+        index = original_newton(coeffs, bound, depth, x)
+        if index is not None:
+            bn, bd = bound  # node j spans the cuts B(2i/2^depth - 1), i = j, j + 1
+            lo, hi = (sign_at(coeffs, bn * (2 * i - (1 << depth)), bd << depth)
+                      for i in (index, index + 1))
+            if lo == hi:
+                beside.append(index)
+        return index
+
+    monkeypatch.setattr(realalg, "sturm_chain", lambda p: chains.append(p) or original_chain(p))
+    monkeypatch.setattr(realalg, "_newton_node", newton)
+    cyclotomic._cos_roots.cache_clear()
+    try:
+        roots = cyclotomic._cos_roots(367)
+    finally:
+        cyclotomic._cos_roots.cache_clear()
+    p = cos_minimal_poly(367)
+    assert chains == [] and beside and len(roots) == p.degree == 183
+    nodes = [r.tree_interval(RENDER_WIDTH) for r in roots]
+    assert all(hi - lo <= RENDER_WIDTH for lo, hi in nodes)
+    assert all(a[1] <= b[0] for a, b in zip(nodes, nodes[1:]))
+    for lo, hi in nodes:
+        assert sign_at(p.coeffs, lo.numerator, lo.denominator) == -sign_at(
+            p.coeffs, hi.numerator, hi.denominator)
+    cosines = sorted(2 * math.cos(2 * math.pi * r / 367) for r in range(1, 184))
+    assert all(abs(float(lo) - c) < 1e-12 for (lo, _), c in zip(nodes, cosines))
 
 
 def test_largest_root_is_not_placed_on_a_lower_root(monkeypatch):

@@ -292,14 +292,14 @@ def test_search_renders_three_fresh_entries_per_witness(monkeypatch):
     Rendering all nine entries of each witness would take nine per
     witness."""
     calls = []
-    original = ExactContext._eval_ball_at_gen
+    original = premodular._Field._eval_ball_at_gen
 
     def counted(self, poly, prec):
         if prec == premodular.SMATRIX_PRECISION_BITS + 16:
             calls.append(prec)
         return original(self, poly, prec)
 
-    monkeypatch.setattr(ExactContext, "_eval_ball_at_gen", counted)
+    monkeypatch.setattr(premodular._Field, "_eval_ball_at_gen", counted)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.run(["search", "--params", "0,1,0,0", "--max-twist-order", "100"]) == 0
@@ -311,7 +311,7 @@ def test_search_renders_three_fresh_entries_per_witness(monkeypatch):
 
 def test_overlapping_searches_keep_their_own_field_sharing(monkeypatch):
     """Two searches running at once, K(0,1,0,0) and K(1,1,0,1) at order 60
-    in two threads, each build as many `_Field`s as they do alone (6 and 3)
+    in two threads, each build as many `_Field`s as they do alone (2 and 3)
     and find the same witnesses.  The overlap is forced: the first search
     waits at its first candidate until the second has started, and the
     second waits at its first candidate until the first has returned."""
@@ -368,7 +368,7 @@ def test_overlapping_searches_keep_their_own_field_sharing(monkeypatch):
         t.join(120)
     assert not any(t.is_alive() for t in threads)
     assert not errors and not gates, (errors, gates)
-    assert alone == {"a": 6, "b": 3}
+    assert alone == {"a": 2, "b": 3}
     assert dict(built) == alone
     assert found == serial
 
@@ -481,7 +481,7 @@ def test_extnum_rejects_an_unreduced_representative(rep_s3):
         assert rational.beta == CycloNum.from_rational(rational.n, 0)
         assert all(isinstance(d, CycloNum) for d in rational.d)
         for c in (rational.d[1], CycloNum.from_root(RootOfUnity.make(1, rational.n), rational.n)):
-            ball, expected = rational._eval_ball_at_gen((c,), 96), c.ball(96)
+            ball, expected = rational.field._eval_ball_at_gen((c,), 96), c.ball(96)
             assert (ball.re, ball.im, ball.rad) == (expected.re, expected.im, expected.rad)
         with pytest.raises(ValueError, match="not reduced"):
             ExtNum(rational.n, rational.modulus, (c, c))
@@ -1091,9 +1091,9 @@ def _full_modulus_is_zero(ctx, elem):
     assert not rem
     prec = 96
     while prec <= ORACLE_PRECISION_CAP:
-        if ctx._eval_ball_at_gen(h, prec).definitely_nonzero():
+        if ctx.field._eval_ball_at_gen(h, prec).definitely_nonzero():
             return False
-        if ctx._eval_ball_at_gen(h2, prec).definitely_nonzero():
+        if ctx.field._eval_ball_at_gen(h2, prec).definitely_nonzero():
             return True
         prec *= 2
     raise Undecidable("reference zero test did not separate")
@@ -1433,3 +1433,185 @@ def test_search_refines_no_root_after_typing(monkeypatch):
                         "--include-degenerate"])
     assert code == 0 and json.loads(out.getvalue())["count"] == 0
     assert len(typed) == 1 and late == []
+
+
+# ---------------------------------------------------------------------------
+# decisions per Galois orbit
+# ---------------------------------------------------------------------------
+
+def _conjugate_index(system, j, a, n):
+    """pi_a(j) from the solved characters: the one whose generator, placed
+    in Q(zeta_n), is sigma_a of character j's; x -> x^a on Z/3."""
+    chars = system.chars
+    if chars[j].is_cyclotomic:
+        return [c.x for c in chars].index(chars[j].x ** a)
+    if chars[j].gen is None:
+        return j
+    image = embed_real_algebraic(chars[j].gen, n).galois(a)
+    return next(k for k, c in enumerate(chars)
+                if c.gen is not None and embed_real_algebraic(c.gen, n) == image)
+
+
+def _orbit(system, j, theta_1, theta_2):
+    """The candidates sigma_a (j, theta_1, theta_2), a a unit mod n."""
+    n = math.lcm(theta_1.q, theta_2.q, 3 if system.chars[j].is_cyclotomic else 1)
+    return {(_conjugate_index(system, j, a, n), theta_1 ** a, theta_2 ** a)
+            for a in range(1, n + 1) if math.gcd(a, n) == 1}
+
+
+def _in_cyclotomic_field(dims, theta_1, theta_2):
+    """Whether the generator of `dims` lies in Q(zeta_n) of the twists."""
+    return dims.gen is None or embed_real_algebraic(
+        dims.gen, math.lcm(theta_1.q, theta_2.q)) is not None
+
+
+def _orbit_rings(bound):
+    return [make_z3_ring()] + [make_rank3_ring(p) for p in enumerate_star_solutions(bound)]
+
+
+def test_galois_images_of_cyclotomic_numbers():
+    """sigma_a is a field automorphism fixing Q: it maps zeta_n to zeta_n^a,
+    respects sums and products, and sigma_a sigma_b = sigma_ab; a non-unit
+    is refused."""
+    n = 24
+    x = CycloNum(n, [Fraction(1, 3), 2, 0, -5, 0, 0, 7, 1, 0, 0, Fraction(-1, 2)])
+    y = CycloNum(n, [0, 1, 1, 0, 0, 0, 0, 0, 3])
+    for a in (1, 5, 7, 11, 13, 23):
+        assert CycloNum.from_root(RootOfUnity.make(1, n), n).galois(a) == CycloNum.from_root(
+            RootOfUnity.make(a, n), n)
+        assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+        assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+        assert x.galois(a).galois(5) == x.galois(a * 5 % n)
+        assert CycloNum.from_rational(n, Fraction(7, 3)).galois(a) == CycloNum.from_rational(n, Fraction(7, 3))
+    with pytest.raises(ValueError, match="not a unit"):
+        x.galois(4)
+
+
+def test_s3_rings_propose_only_the_unit_pair_which_the_landau_rule_rejects():
+    """Rule 1 needs no arithmetic to be safe: on all 4,638 S3 rings at bound
+    100, order 60, every character proposes only the unit pair (twists 1,
+    1), and the symmetric filter fails, so the search would reject each
+    proposal without a context."""
+    twists = _twist_index(min(60, premodular.TWIST_ORDER_BOUND))
+    assert twists.table[0].is_one
+    s3 = 0
+    for params in enumerate_star_solutions(100):
+        info = galois_type(params)
+        if info.tag.value != "S3":
+            continue
+        ring = make_rank3_ring(params)
+        chars = float_characters(params, info.roots)
+        for dims in chars:
+            assert _pinned_pairs(ring, dims, chars, twists) == [(0, 0)], params
+        assert not rules.symmetric_filter(params, info).passed, params
+        assert search_ribbon_data(ring, 60) == []
+        s3 += 1
+    assert s3 == 4638
+
+
+@pytest.mark.parametrize("order", [16, 60, 240])
+def test_each_derived_decision_is_the_direct_certification(monkeypatch, order):
+    """Every candidate proposed on Z/3 and the rings up to bound 20, with
+    and without degenerate data, is decided as `_certify_candidate` decides
+    it on its own, with no shared field data (compared by to_json): the
+    representative of its orbit, the images by sigma_a and the rejections by
+    rule 2 alike.  The orbit of each admitted representative lies inside
+    the proposed candidates, so each witness set is closed under the Galois
+    action by construction."""
+    original_decide, original_certify = premodular._OrbitDecisions.decide, premodular._certify_candidate
+    calls, certified = [], set()
+
+    def decide(self, j, theta_1, theta_2, landau):
+        datum = original_decide(self, j, theta_1, theta_2, landau)
+        calls.append((self, j, theta_1, theta_2, landau, datum))
+        return datum
+
+    def certify(ring, dims, j, twists, *args):
+        certified.add((j, *twists.theta[1:]))
+        return original_certify(ring, dims, j, twists, *args)
+
+    monkeypatch.setattr(premodular._OrbitDecisions, "decide", decide)
+    monkeypatch.setattr(premodular, "_certify_candidate", certify)
+    derived = admitted_orbits = 0
+    for ring in _orbit_rings(20):
+        for degenerate in (False, True):
+            calls.clear()
+            certified.clear()
+            search_ribbon_data(ring, order, include_degenerate=degenerate)
+            proposed = {(j, t1, t2) for _, j, t1, t2, _, _ in calls}
+            for search, j, t1, t2, landau, datum in calls:
+                system = search.system or solve_characters(ring)
+                direct = original_certify(
+                    ring, system.chars[j], j, Twists.of(t1, t2), degenerate, landau)
+                assert (datum and datum.to_json()) == (direct and direct.to_json()), (ring, j, t1, t2)
+                if (j, t1, t2) not in certified:
+                    derived += datum is not None
+                elif datum is not None and _in_cyclotomic_field(system.chars[j], t1, t2):
+                    assert _orbit(system, j, t1, t2) <= proposed, (ring, j, t1, t2)
+                    admitted_orbits += 1
+    assert derived and admitted_orbits
+
+
+def test_rule_2_rejects_only_what_certification_rejects(monkeypatch):
+    """Without degenerate data, a candidate whose dimension generator is not
+    in Q(zeta_n) is rejected before any context; certified on its own, it
+    is rejected too.  Over Z/3 and the rings up to bound 100 at order 60
+    there are such candidates, all on K(0,1,0,0)'s sqrt(2) at twists of
+    order 4."""
+    original = premodular._OrbitDecisions.decide
+    rejected = []
+
+    def decide(self, j, theta_1, theta_2, landau):
+        datum = original(self, j, theta_1, theta_2, landau)
+        n = math.lcm(theta_1.q, theta_2.q)
+        if self.info is not None and embed_real_algebraic(self.info.roots[j], n) is None:
+            assert datum is None
+            rejected.append((self.ring, j, Twists.of(theta_1, theta_2), landau))
+        return datum
+
+    monkeypatch.setattr(premodular._OrbitDecisions, "decide", decide)
+    classify_all(100, 60, witness_all=True)
+    assert rejected and {ring.params for ring, *_ in rejected} == {Rank3Params(0, 1, 0, 0)}
+    for ring, j, twists, landau in rejected:
+        dims = solve_characters(ring).chars[j]
+        assert premodular._certify_candidate(ring, dims, j, twists, False, landau) is None
+
+
+def test_full_checks_run_once_per_orbit(monkeypatch):
+    """`classify --bound 10 --witness-all --max-twist-order 16` runs the
+    Frobenius-Schur and row checks on orbit representatives alone, 11 and 7
+    times (43 and 28 when each candidate was certified), the Z/3 report's
+    own check of its hand-made witness included: no two candidates that the
+    search checks are Galois conjugate."""
+    checked = {"fs_indicators": [], "rows_are_characters": []}
+    searching = []
+    for name, log in checked.items():
+        def counted(self, _original=getattr(ExactContext, name), _log=log):
+            _log.append((self.ring, self.dims, self.twists, bool(searching)))
+            return _original(self)
+        monkeypatch.setattr(ExactContext, name, counted)
+    original_certify = premodular._certify_candidate
+
+    def certify(*args):
+        searching.append(True)
+        try:
+            return original_certify(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(premodular, "_certify_candidate", certify)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["classify", "--bound", "10", "--witness-all", "--max-twist-order", "16"]) == 0
+    assert [len(log) for log in checked.values()] == [11, 7]
+    assert [sum(not s for *_, s in log) for log in checked.values()] == [1, 0]
+    for log in checked.values():
+        seen = set()
+        for ring, dims, twists, in_search in log:
+            if not in_search:
+                continue
+            system = solve_characters(ring)
+            j = next(k for k, c in enumerate(system.chars) if c.to_json() == dims.to_json())
+            orbit = {(ring, *member) for member in _orbit(system, j, *twists.theta[1:])}
+            assert not orbit & seen, (ring, j, twists)
+            seen |= orbit
