@@ -353,7 +353,8 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
     (`_integer_roots`), and `realalg` locates the irrational ones, placed
     from floats or, where that is not certified, isolated: the dimension
     root alone here (`largest_root`), and the two lower roots on first use
-    (`roots_of_irreducible`).
+    (`roots_of_irreducible`), unless isolating the dimension root located
+    them already.
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
     only for n = 1, which is Trivial, and every other n is C2-moving.  Both
@@ -389,15 +390,18 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
         else:  # below both
             tag, orbits, place = GaloisType.C2_MOVING_FP, ((0, 2), (1,)), 0
 
+    found = [] if place == 2 else largest_root(rest)
+    top = found[-1] if found else RealAlgebraic.from_rational(xs[0])
+
     def lower() -> list[RealAlgebraic]:
-        """All but the largest root, ascending: the roots of rest, with the
-        integer root in its place."""
-        located = roots_of_irreducible(rest)
+        """All but the largest root, ascending: the roots of rest (those
+        `largest_root` isolated, if it did), with the integer root in its
+        place."""
+        located = found if len(found) > 1 else roots_of_irreducible(rest)
         if xs:
-            located.insert(place, RealAlgebraic.from_rational(xs[0]))
+            located = [*located[:place], RealAlgebraic.from_rational(xs[0]), *located[place:]]
         return located[:-1]
 
-    top = RealAlgebraic.from_rational(xs[0]) if place == 2 else largest_root(rest)
     return GaloisInfo(tag, orbits, xs, top, lower)
 
 

@@ -9,8 +9,8 @@ cubic locates the global dimension.  Division (`qdivmod`, `qmod`) works
 unchanged on any field whose elements support +, -, *, truthiness and
 `Fraction(1) / c` (Fraction, and CycloNum for Q(zeta_n)).
 Arithmetic inside Q(zeta_n) itself does not come here: CycloNum works on
-integer vectors (`cyclotomic.py`), and root isolation on integer polynomials
-(`realalg.sturm_chain`).
+integer vectors (`cyclotomic.py`), and root location on integer polynomials
+(`realalg.descartes_count`).
 """
 
 from __future__ import annotations

@@ -15,16 +15,16 @@ from float estimates of all of them: `real_root_estimates` for a quadratic
 or cubic, or the caller's where it knows them (the cosines of
 `cyclotomic.two_cos`), on the node that integer Newton reaches from each
 estimate or one beside it.  A placement stands only under an exact
-certificate: Fourier-Budan on the top node, and sign changes of the
-polynomial on deg p distinct nodes.  Where it fails (roots that floats
-cannot separate, coefficients beyond float range, roots that are not all
-real), the roots are isolated instead by integer Sturm chains
-(`isolate_irreducible`), which stop as soon as the roots are separated.
-`largest_root` locates the top root alone in the same two steps.  No
-caller chooses between them: either way the value is a node of the
-bisection tree of (-B, B), B = cauchy_bound(minpoly), held as integers
-(index j at depth d), and every rendering reads the node of its width,
-which depends on the value alone.
+certificate: sign changes of the polynomial on deg p distinct nodes, or,
+for the top root placed alone (`largest_root`), on its node with a
+Descartes count of 1 above it (`descartes_count`).  Where it fails (roots
+that floats cannot separate, coefficients beyond float range, roots that
+are not all real), the roots are isolated instead (`isolate_irreducible`)
+by Vincent-Collins-Akritas bisection on the same count.  No caller
+chooses between them: either way the value is a node of the bisection
+tree of (-B, B), B = cauchy_bound(minpoly), held as integers (index j at
+depth d), and every rendering reads the node of its width, which depends
+on the value alone.
 
 A caller that needs a narrow interval asks for it (`refine_to`,
 `tree_interval`), and `approx_str` and `__float__` render the midpoint of a
@@ -54,63 +54,45 @@ from .intpoly import IntPoly, factor_into_irreducibles, scaled_value, sign_at
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# Descartes' rule of signs
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: IntPoly) -> list[tuple[int, ...]]:
-    """Sturm chain of a squarefree polynomial, each member scaled by a
-    positive constant to primitive integer coefficients."""
-    chain = [_positive_primitive(p.coeffs), _positive_primitive(p.derivative().coeffs)]
-    while len(chain[-1]) > 1:
-        f, g = chain[-2], chain[-1]
-        # prem = lead(g)^k * (f mod g), so the next member -(f mod g) is a
-        # positive multiple of -prem, or of prem when lead(g)^k < 0.
-        k = len(f) - len(g) + 1
-        flip = -1 if g[-1] < 0 and k % 2 else 1
-        chain.append(_positive_primitive([-flip * c for c in _pseudo_remainder(f, g)]))
-    return chain
+def descartes_count(coeffs: tuple[int, ...], lo: int, den: int, hi: int | None = None) -> int:
+    """Descartes' bound on the roots of p in (a, b), a = lo/den, b = hi/den
+    (den > 0), or above a when hi is None: the sign variations of
+    (1 + x)^d p((a + bx)/(1 + x)), or of den^d p((lo + y)/den).  It exceeds
+    the root count by an even number, so 0 and 1 are exact, and it is exact
+    when p has only real roots.  On integers: P(t) = den^d p(t/den) is
+    shifted to P(lo + y), and for (a, b) scaled to Q(y) = P(lo + (hi - lo)y),
+    whose reverse shifted by 1 has those variations."""
+    d = len(coeffs) - 1
+    shifted = [c * den ** (d - i) for i, c in enumerate(coeffs)]
+    _taylor_shift(shifted, lo)
+    if hi is not None:
+        width, power = hi - lo, 1
+        for i in range(d + 1):
+            shifted[i] *= power
+            power *= width
+        shifted.reverse()
+        _taylor_shift(shifted, 1)
+    return _variations(shifted)
 
 
-def _pseudo_remainder(f: tuple[int, ...], g: tuple[int, ...]) -> list[int]:
-    """Remainder of lead(g)^(deg f - deg g + 1) * f on division by g, over Z."""
-    rem = list(f)
-    lead, dg = g[-1], len(g) - 1
-    while len(rem) > dg:
-        c = rem.pop()
-        shift = len(rem) - dg
-        rem = [lead * r for r in rem]
-        for j in range(dg):
-            rem[shift + j] -= c * g[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _taylor_shift(coeffs: list[int], s: int) -> None:
+    """Replace the coefficients of f(x), lowest first, by those of f(x + s)."""
+    for i in range(len(coeffs) - 1):
+        for j in range(len(coeffs) - 2, i - 1, -1):
+            coeffs[j] += s * coeffs[j + 1]
 
 
-def _positive_primitive(coeffs) -> tuple[int, ...]:
-    """Divide out the (positive) content, keeping every sign."""
-    g = math.gcd(*coeffs)
-    return tuple(c // g for c in coeffs)
-
-
-def _variations(signs: list[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def _variations(coeffs: list[int]) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-def variations_at(chain: list[tuple[int, ...]], num: int, den: int) -> int:
-    """Sign variations of the chain at num/den (den > 0)."""
-    return _variations([sign_at(f, num, den) for f in chain])
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
@@ -512,15 +494,15 @@ def roots_of_irreducible(p: IntPoly, estimates: list[float] | None = None) -> li
     return _placed(p, estimates, p.degree) or isolate_irreducible(p)
 
 
-def largest_root(p: IntPoly) -> RealAlgebraic:
-    """The largest root of p, located alone as `roots_of_irreducible`
-    locates them all: placed from the top estimate of `real_root_estimates`
-    or, where that is not certified, isolated.  p must be irreducible of
-    degree 2 or 3 with only real roots, as the factors of a Jacobi matrix's
-    characteristic polynomial are, so a placed root has index deg p - 1."""
+def largest_root(p: IntPoly) -> list[RealAlgebraic]:
+    """The roots of p that locating its largest root locates, ascending:
+    the largest alone where it is placed from the top estimate of
+    `real_root_estimates`, else every real root, isolated, so a caller
+    need not isolate again.  p must be irreducible of degree 2 or 3 with
+    only real roots, as the factors of a Jacobi matrix's characteristic
+    polynomial are, so a placed root has index deg p - 1."""
     p = p.primitive()
-    placed = _placed(p, real_root_estimates(p.coeffs)[-1:], 1)
-    return placed[0] if placed else isolate_irreducible(p)[-1]
+    return _placed(p, real_root_estimates(p.coeffs)[-1:], 1) or isolate_irreducible(p)
 
 
 def _placed(p: IntPoly, estimates: list[float], count: int) -> list[RealAlgebraic]:
@@ -532,9 +514,10 @@ def _placed(p: IntPoly, estimates: list[float], count: int) -> list[RealAlgebrai
       does not vanish (it has no rational root), so each holds an odd
       number of roots; with count = deg p, each holds exactly one, all the
       roots are real, and their order is the order of the roots;
-    - at the low end a of the top node, p^(i) > 0 for every i >= 1, so p
-      increases above a (p(a) < 0 < p(b) at the node's ends) and by
-      Fourier-Budan has one root above a, the largest."""
+    - with count < deg p, `descartes_count` above the low end of the lowest
+      node is count, so those nodes hold the count largest roots, one each.
+      With count = deg p the sign changes alone suffice, at O(deg p) per
+      node, which the cosine polynomials of high degree rely on."""
     if len(estimates) != count:
         return []
     bound = _bound_pair(p.coeffs)
@@ -547,11 +530,8 @@ def _placed(p: IntPoly, estimates: list[float], count: int) -> list[RealAlgebrai
             return []
         value._j, value._depth, value._lo_sign = node[0], depth, node[1]
         out.append(value)
-    a, coeffs = value._cut(value._j, depth), p.coeffs
-    while len(coeffs) > 1:  # p', p'', ... at a
-        coeffs = tuple(i * c for i, c in enumerate(coeffs) if i)
-        if sign_at(coeffs, *a) <= 0:
-            return []
+    if count < p.degree and descartes_count(p.coeffs, *out[0]._cut(out[0]._j, depth)) != count:
+        return []
     return out
 
 
@@ -618,35 +598,32 @@ class IsolatedRoot(NamedTuple):
 
 
 def _isolate_squarefree(p: IntPoly, bound: tuple[int, int]) -> list[tuple[int, int]]:
-    """Isolating nodes (index, depth) for all real roots of p, ascending: the
-    first nodes of the bisection tree of (-B, B), B = bn/bd = `bound`, that
-    hold one root each.
+    """Isolating nodes (index, depth) for all real roots of p, ascending, by
+    Vincent-Collins-Akritas bisection of the tree of (-B, B), B = bn/bd =
+    `bound`: a node is dropped at Descartes count 0 (`descartes_count`),
+    kept at 1 and split above 1.  Where p has only real roots the count is
+    exact, so these are the first nodes that hold one root each; otherwise
+    some may lie deeper.
 
     p must be irreducible of degree >= 2 (as `isolate_irreducible` ensures):
-    then it has no rational root, so no cut point is a root of p.  Each cut
-    point evaluates the Sturm chain once, the variations at the ends being
-    carried down from the parent.  Cut i at depth d is the integer numerator
-    bn(2i - 2^d) over bd 2^d.  The nodes still to split wait on a stack, the
-    lower half on top, so they are split depth first from the left however
-    deep the roots lie.
+    then no cut point is a root of p.  Cut i at depth d is the integer
+    numerator bn(2i - 2^d) over bd 2^d.  The nodes still to count wait on a
+    stack, the lower half on top, so they are split depth first from the
+    left however deep the roots lie.
     """
-    chain = sturm_chain(p)
     coeffs = p.coeffs
     bn, bd = bound
     out: list[tuple[int, int]] = []
-    stack = [(0, 0, variations_at(chain, -bn, bd), variations_at(chain, bn, bd))]
+    stack = [(0, 0)]
     while stack:
-        # Node j at depth d, (cut j, cut j + 1], holds v_lo - v_hi roots.
-        j, d, v_lo, v_hi = stack.pop()
-        nroots = v_lo - v_hi
-        if nroots == 1:
+        j, d = stack.pop()
+        count = descartes_count(coeffs, bn * (2 * j - (1 << d)), bd << d,
+                                bn * (2 * j + 2 - (1 << d)))
+        if count == 1:
             out.append((j, d))
-        elif nroots > 1:
-            mid, den = bn * (2 * j + 1 - (1 << d)), bd << d
-            assert sign_at(coeffs, mid, den), "an irreducible p of degree >= 2 has no rational root"
-            v_mid = variations_at(chain, mid, den)
-            stack.append((2 * j + 1, d + 1, v_mid, v_hi))
-            stack.append((2 * j, d + 1, v_lo, v_mid))
+        elif count > 1:
+            stack.append((2 * j + 1, d + 1))
+            stack.append((2 * j, d + 1))
     return out
 
 

@@ -614,7 +614,7 @@ def test_solving_locates_no_y_value_until_it_is_read(monkeypatch, params, tag):
 def test_dimension_root_is_the_top_isolated_root_bound_100(monkeypatch):
     """Where the dimension root is irrational (S3, C3, C2-moving with k >= 1),
     typing places it alone on its RENDER_WIDTH node, certified by signs and
-    Fourier-Budan; it is the largest isolated root of the irreducible rest of
+    a Descartes count; it is the largest isolated root of the irreducible rest of
     char_poly_x: the same minimal polynomial, root index and node.  Every
     ring up to bound 100, in both orientations, and no placement declined:
     nothing is isolated."""
@@ -744,7 +744,7 @@ def test_integer_roots_are_certified_whatever_the_estimates(monkeypatch, shift):
             if rest.degree > 1:
                 _assert_placed_like_isolation(characters.roots_of_irreducible(rest), rest,
                                               placed=False)
-                top, ref = characters.largest_root(rest), isolate_irreducible(rest)[-1]
+                top, ref = characters.largest_root(rest)[-1], isolate_irreducible(rest)[-1]
                 assert top == ref and top.tree_interval(width) == ref.tree_interval(width), params
 
 

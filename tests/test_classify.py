@@ -393,18 +393,18 @@ def test_classify_all_solves_only_searched_rings(monkeypatch):
     assert len(calls) == 4 and set(calls.values()) == {1}
 
 
-def test_benchmark_commands_build_no_sturm_chain(monkeypatch):
+def test_benchmark_commands_isolate_nothing(monkeypatch):
     """From cold caches of the cosine roots, the cyclotomic embeddings and
-    the balls of the roots of unity, no Sturm chain is built while
+    the balls of the roots of unity, no root is isolated while
     classifying to bound 30, classifying to bound 10 with every witness at
     order 16, or searching K(0,1,0,0), K(0,1,0,1), K(1,1,0,1) and K(0,1,0,2)
     at order 100: every root these read is placed from its floats."""
     from rank3ribbon.exactnum import cyclotomic, realalg
     from rank3ribbon.premodular import search_ribbon_data
 
-    chains = []
-    original = realalg.sturm_chain
-    monkeypatch.setattr(realalg, "sturm_chain", lambda p: chains.append(p) or original(p))
+    isolated = []
+    original = realalg.isolate_irreducible
+    monkeypatch.setattr(realalg, "isolate_irreducible", lambda p: isolated.append(p) or original(p))
     search_rings = [(0, 1, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1), (0, 1, 0, 2)]
     runs = {
         "classify-b30": lambda: classify_all(30),
@@ -418,7 +418,7 @@ def test_benchmark_commands_build_no_sturm_chain(monkeypatch):
                       cyclotomic._zeta_ball):
             cache.cache_clear()
         run()
-        assert chains == [], name
+        assert isolated == [], name
 
 
 def test_classify_all_factors_and_isolates_each_ring_once(monkeypatch):

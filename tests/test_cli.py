@@ -369,27 +369,31 @@ def test_stdout_matches_golden_digest(capsys, argv, digest):
 
 def test_ring_whose_roots_floats_cannot_separate_is_isolated(capsys, monkeypatch):
     """K(1, L, L, 0) with L = 10^100 has two roots of char_poly_x near L - 1
-    and L + 1, which no float separates: they are isolated by Sturm chains,
-    some 1,000 halvings below a Cauchy interval near 10^200, without
-    exhausting the stack."""
+    and L + 1, which no float separates: they are isolated by Descartes
+    bisection, some 1,000 halvings below a Cauchy interval near 10^200,
+    without exhausting the stack.  `largest_root` isolates every root of the
+    rest of char_poly_x, and the typing keeps them for the lower characters,
+    so no polynomial is isolated twice."""
+    from collections import Counter
+
     from rank3ribbon.exactnum import realalg
 
-    isolated = []
+    isolated = Counter()
     original = realalg._isolate_squarefree
     monkeypatch.setattr(realalg, "_isolate_squarefree",
-                        lambda p, bound: isolated.append(p) or original(p, bound))
+                        lambda p, bound: isolated.update([p.coeffs]) or original(p, bound))
     big = 10**100
     code, out, err = _capture(capsys, ["ring", "--params", f"1,{big},{big},0"])
     assert code == 0 and not err
     payload = json.loads(out)
     assert payload["galois"]["tag"] == "S3"
     assert payload["fp_dimensions"] == ["1", "1e+100", "1e+100"]
-    assert isolated
+    assert isolated and set(isolated.values()) == {1}
 
 
 def test_isolating_every_root_prints_the_same_bytes(capsys, monkeypatch):
     """With no float estimate of any root, nothing is placed and every
-    irrational value is isolated by Sturm chains instead; every ring golden
+    irrational value is isolated by Descartes bisection instead; every ring golden
     and classify --bound 20 --witness-all --max-twist-order 60 still print
     their pinned bytes, as every rendering reads the node of the value's
     own bisection tree."""

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,23 @@ def _fraction_sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _reference_sturm(p: IntPoly):
+    """The Fraction Sturm chain of p and its variations at x, or at +inf
+    for x None: for squarefree p, variations(a) - variations(b) is the
+    number of roots in (a, b]."""
+    chain = [p.to_q(), p.derivative().to_q()]
+    while chain[-1]:
+        chain.append(tuple(-c for c in qmod(chain[-2], chain[-1])))
+    chain.pop()
+
+    def variations(x):
+        values = (f[-1] if x is None else qeval(f, x) for f in chain)
+        signs = [s for s in map(_fraction_sign, values) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return chain, variations
+
+
 def _reference_isolation(p: IntPoly, width: Fraction):
     """Plain Fraction Sturm bisection: halve at midpoints from the Cauchy
     bound, count roots by Sturm variations at both ends of every cut, and
@@ -254,15 +272,7 @@ def _reference_isolation(p: IntPoly, width: Fraction):
     Returns the isolating intervals and the number of cuts made while an
     interval held two or more roots.
     """
-    chain = [p.to_q(), p.derivative().to_q()]
-    while chain[-1]:
-        chain.append(tuple(-c for c in qmod(chain[-2], chain[-1])))
-    chain.pop()
-
-    def variations(x):
-        signs = [s for s in (_fraction_sign(qeval(f, x)) for f in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
+    _chain, variations = _reference_sturm(p)
     bound = Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading)) + 1
     out = []
     multi_root_cuts = 0
@@ -308,12 +318,19 @@ def _character_factors(bound: int) -> list[IntPoly]:
 
 
 def _assert_matches_reference(p: IntPoly, width: Fraction) -> None:
-    """Isolation stops at the first nodes that separate the roots (the
-    reference run with a width above the whole Cauchy interval), and
+    """Where p has only real roots, isolation stops at the first nodes that
+    separate the roots (the reference run with a width above the whole
+    Cauchy interval); where it has complex roots, the Descartes count may
+    split further, so each node lies inside the reference's.  Either way
     refine_to(width) then lands on the reference's intervals at `width`."""
     roots = isolate_irreducible(p)
     separated, _ = _reference_isolation(p, 2 * realalg.cauchy_bound(p))
-    assert [r.interval() for r in roots] == separated
+    nodes = [r.interval() for r in roots]
+    if len(separated) == p.degree:
+        assert nodes == separated
+    else:
+        assert len(nodes) == len(separated)
+        assert all(a <= lo and hi <= b for (lo, hi), (a, b) in zip(nodes, separated))
     for root in roots:
         root.refine_to(width)
     expected, _ = _reference_isolation(p, width)
@@ -339,7 +356,8 @@ def test_isolation_matches_fraction_reference_on_cos_minimal_polys(q):
 @pytest.mark.parametrize("coeffs", [(-2, 0, 3), (-1, -1, 0, 5)])
 def test_isolation_matches_fraction_reference_off_dyadic_points(coeffs):
     """3x^2 - 2 and 5x^3 - x - 1 have Cauchy bounds 5/3 and 6/5, so every cut
-    point has a non-power-of-two denominator."""
+    point has a non-power-of-two denominator.  5x^3 - x - 1 has two complex
+    roots, so its isolating node lies one level below the reference's."""
     p = IntPoly(coeffs)
     assert realalg.cauchy_bound(p).denominator in (3, 5)
     for width in (Fraction(1, 64), Fraction(1, 1 << 20)):
@@ -383,29 +401,70 @@ def test_integer_sign_matches_fraction_evaluation():
     assert sign_at((-4, 0, 9), 2, 3) == 0
 
 
-def test_sturm_chain_evaluated_only_before_isolation(monkeypatch):
-    """Each cut point made while an interval holds several roots evaluates
-    the Sturm chain once; the two ends of the Cauchy interval add one each.
-    Halving an isolated interval and refine_to use the sign of p alone, so
-    the count does not grow with the requested width."""
+def test_descartes_count_evaluated_only_before_isolation(monkeypatch):
+    """Isolation takes one Descartes count on the whole Cauchy interval and
+    one on each half of every node it splits, which on this real-rooted
+    cubic are the reference's cuts made while an interval holds several
+    roots.  Halving an isolated interval and refine_to use the sign of p
+    alone, so the count does not grow with the requested width."""
     calls = 0
-    original = realalg.variations_at
+    original = realalg.descartes_count
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(realalg, "variations_at", counting)
+    monkeypatch.setattr(realalg, "descartes_count", counting)
     p = IntPoly((1, -2, -1, 1))  # three real roots
     _, multi_root_cuts = _reference_isolation(p, Fraction(1, 64))
     roots = isolate_irreducible(p)
     assert len(roots) == 3
-    assert calls <= 2 + multi_root_cuts
+    assert calls <= 1 + 2 * multi_root_cuts
     for width in (Fraction(1, 64), Fraction(1, 1 << 20), Fraction(1, 1 << 60), Fraction(1, 10**30)):
         for root in roots:
             root.refine_to(width)
-        assert calls <= 2 + multi_root_cuts
+        assert calls <= 1 + 2 * multi_root_cuts
+
+
+def test_descartes_count_bounds_the_sturm_count():
+    """Seeded squarefree integer polynomials of degree 2 to 7, some with
+    complex roots, on intervals with dyadic and non-dyadic ends and on
+    (a, inf): the Descartes count is at least the number of roots that the
+    test-local Fraction Sturm chain counts, of the same parity, equal to it
+    where it reads 0 or 1, and equal to it outright where every root of p
+    is real."""
+    rng = random.Random(2033)
+    checked, over = Counter(), 0
+    while sum(checked.values()) < 800:
+        degree = rng.randint(2, 7)
+        if rng.random() < 0.5:  # random coefficients: mostly complex roots
+            p = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))])
+        else:  # distinct real roots u/v
+            p = IntPoly((1,))
+            for _ in range(degree):
+                p = p * IntPoly((-rng.randint(-12, 12), rng.randint(1, 4)))
+        chain, variations = _reference_sturm(p)
+        if len(chain[-1]) > 1:  # not squarefree
+            continue
+        real_rooted = variations(-realalg.cauchy_bound(p)) - variations(None) == p.degree
+        den = rng.choice((1, 4, 1 << 20, 3, 10**6 + 3))
+        lo = rng.randint(-5 * den, 5 * den)
+        hi = None if rng.random() < 0.3 else lo + rng.randint(1, 6 * den)
+        if any(x is not None and sign_at(p.coeffs, x, den) == 0 for x in (lo, hi)):
+            continue
+        true = variations(Fraction(lo, den)) - variations(None if hi is None else Fraction(hi, den))
+        count = realalg.descartes_count(p.coeffs, lo, den, hi)
+        assert count >= true and (count - true) % 2 == 0, (p, lo, hi, den)
+        if count <= 1 or real_rooted:
+            assert count == true, (p, lo, hi, den)
+        checked[real_rooted, hi is None] += 1
+        over += count > true
+    assert len(checked) == 4 and min(checked.values()) > 50 and over > 50
+    # Zero coefficients are skipped: x^2 + 1 has no root above 0, and
+    # 2x^4 - 4x^2 + 1 has two.
+    assert realalg.descartes_count((1, 0, 1), 0, 1) == 0
+    assert realalg.descartes_count((1, 0, -4, 0, 2), 0, 1) == 2
 
 
 def test_equality_stable_under_refinement():
@@ -1276,7 +1335,7 @@ def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypa
 
     def located(poly):  # the intervals of every root, and of the top one alone
         roots = roots_of_irreducible(poly)
-        return [r.interval() for r in roots + ([largest_root(poly)] if poly.coeffs[-1] == 1 else [])]
+        return [r.interval() for r in roots + (largest_root(poly)[-1:] if poly.coeffs[-1] == 1 else [])]
 
     polys = (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 5)))
     unperturbed = {poly: located(poly) for poly in polys}
@@ -1297,14 +1356,14 @@ def test_newton_estimate_off_its_node_still_lands_on_the_bisection_node(monkeypa
 def test_cos_roots_367_are_placed_beside_a_node_boundary(monkeypatch):
     """One root of cos_minimal_poly(367), of degree 183, lies so near a node
     boundary that integer Newton ends one node beside it; placement takes
-    the neighbour under the same certificate, so no Sturm chain is built.
+    the neighbour under the same certificate, so nothing is isolated.
     The nodes are the ones any locator gives, isolation included: 183
     ascending nodes of width RENDER_WIDTH with p of opposite signs at the
     ends of each hold one root each, and each lies at its cosine."""
     from rank3ribbon.exactnum import cyclotomic
 
-    chains, beside = [], []
-    original_chain, original_newton = realalg.sturm_chain, realalg._newton_node
+    isolated, beside = [], []
+    original_isolate, original_newton = realalg.isolate_irreducible, realalg._newton_node
 
     def newton(coeffs, bound, depth, x):
         index = original_newton(coeffs, bound, depth, x)
@@ -1316,7 +1375,8 @@ def test_cos_roots_367_are_placed_beside_a_node_boundary(monkeypatch):
                 beside.append(index)
         return index
 
-    monkeypatch.setattr(realalg, "sturm_chain", lambda p: chains.append(p) or original_chain(p))
+    monkeypatch.setattr(realalg, "isolate_irreducible",
+                        lambda p: isolated.append(p) or original_isolate(p))
     monkeypatch.setattr(realalg, "_newton_node", newton)
     cyclotomic._cos_roots.cache_clear()
     try:
@@ -1324,7 +1384,7 @@ def test_cos_roots_367_are_placed_beside_a_node_boundary(monkeypatch):
     finally:
         cyclotomic._cos_roots.cache_clear()
     p = cos_minimal_poly(367)
-    assert chains == [] and beside and len(roots) == p.degree == 183
+    assert isolated == [] and beside and len(roots) == p.degree == 183
     nodes = [r.tree_interval(RENDER_WIDTH) for r in roots]
     assert all(hi - lo <= RENDER_WIDTH for lo, hi in nodes)
     assert all(a[1] <= b[0] for a, b in zip(nodes, nodes[1:]))
@@ -1337,19 +1397,23 @@ def test_cos_roots_367_are_placed_beside_a_node_boundary(monkeypatch):
 
 def test_largest_root_is_not_placed_on_a_lower_root(monkeypatch):
     """At the smallest root of a cubic the signs of p bracket a root, as at
-    the largest; only the Fourier-Budan check (p'' < 0 there) refuses it,
-    and largest_root isolates the largest root instead."""
+    the largest; only the Descartes count above the node's low end (3, not
+    1) refuses it, and largest_root isolates the roots instead, handing
+    back all three."""
     poly = IntPoly((1, -2, -1, 1))  # three real roots
     isolated = isolate_irreducible(poly)
+    nodes = [r.interval() for r in isolated]
     index, depth = isolated[0]._node_at(RENDER_WIDTH)
+    lo = isolated[0].tree_interval(RENDER_WIDTH)[0]
+    assert realalg.descartes_count(poly.coeffs, lo.numerator, lo.denominator) == 3
     monkeypatch.setattr(realalg, "_newton_node", lambda coeffs, bound, d, x: index)
-    top = largest_root(poly)
-    assert top == isolated[-1] and top.interval() == isolated[-1].interval()
+    located = largest_root(poly)
+    assert located == isolated and [r.interval() for r in located] == nodes
 
 
 def test_largest_root_matches_isolation():
     for poly in (IntPoly((1, -2, -1, 1)), IntPoly((-2, 0, 1)), IntPoly((-1, -6, -1, 1))):
-        top = largest_root(poly)
+        (top,) = largest_root(poly)
         ref = isolate_irreducible(poly)[-1]
         assert top == ref
         assert top.minpoly == ref.minpoly and top.root_index == ref.root_index
@@ -1366,5 +1430,5 @@ def test_coefficients_beyond_float_range_fall_back_to_bisection():
     _assert_newton_matches_bisection(poly, (RENDER_WIDTH, Fraction(1, 2**130)))
     root = roots_of_irreducible(poly)[1]
     assert root.approx_str(12) == "1.41421356237" and float(root) == math.sqrt(2)
-    top = largest_root(poly)
+    top = largest_root(poly)[-1]
     assert top == root and top.tree_interval(RENDER_WIDTH) == root.tree_interval(RENDER_WIDTH)
