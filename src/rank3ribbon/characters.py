@@ -358,7 +358,7 @@ def galois_type(params: Rank3Params) -> GaloisInfo:
     With k = 0 the star equation forces K(0,1,0,n), with characters (1, y+),
     (-1, 0), (1, y-) for the roots y of y^2 - n y - 2; n^2 + 8 is a square
     only for n = 1, which is Trivial, and every other n is C2-moving.  Both
-    y-roots are located here: the nonmodular filter reads them.
+    y-roots are located here, as the two roots of one quadratic.
     """
     xpoly = char_poly_x(params)  # raises StarViolation off the star equation
     if params.k == 0:

@@ -9,9 +9,10 @@ them passes.  It yields each ring's report as soon as it is decided, so a
 caller that writes and drops them runs in constant memory; `classify_all`
 keeps them all.
 
-Every verdict is read off the integer roots of char_poly_x
-(`characters.galois_type`): the Galois type, the Perron-Frobenius root and,
-where they are rational, the dimension y-value and case 3b's character.
+The nonmodular verdict reads the parameters alone.  Every other verdict is
+read off the integer roots of char_poly_x (`characters.galois_type`): the
+Galois type, the Perron-Frobenius root and, where they are rational, the
+dimension y-value and case 3b's character.
 Typing places only the dimension root.  Only the rings whose witnesses are
 searched place the other two, once, and the search solves their characters
 only when a candidate reaches exact certification.
@@ -22,7 +23,7 @@ intermediate quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .characters import GaloisInfo, galois_type, solve_characters
 from .exactnum import RootOfUnity
@@ -90,7 +91,6 @@ class RingReport:
     modular_case: str
     admissible: bool
     witnesses: list[PremodularDatum] | None = None
-    notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -106,8 +106,6 @@ class RingReport:
         if self.witnesses is not None:
             out["witnesses"] = [w.to_json() for w in self.witnesses]
             out["witness_count"] = len(self.witnesses)
-        if self.notes:
-            out["notes"] = self.notes
         return out
 
     def table_row(self) -> str:
@@ -164,25 +162,18 @@ def classify_ring(params: Rank3Params) -> RingReport:
     info = galois_type(canon)
     verdicts = {
         "symmetric": symmetric_filter(canon, info),
-        "nonmodular": nonmodular_filter(canon, info),
+        "nonmodular": nonmodular_filter(canon),
     }
     case_name, verdicts["modular"] = modular_branch(canon, info, verdicts["symmetric"])
-    admissible = any(v.passed for v in verdicts.values())
-    report = RingReport(
+    return RingReport(
         label=canon.name(),
         params=canon,
         aliases=param_aliases(canon),
         galois=info,
         verdicts=verdicts,
         modular_case=case_name,
-        admissible=admissible,
+        admissible=any(v.passed for v in verdicts.values()),
     )
-    if verdicts["nonmodular"].passed:
-        report.notes.append(
-            "nonmodular branch is conditional on the cited structure result for "
-            "degenerate braidings (two-object symmetric subring)"
-        )
-    return report
 
 
 def _z3_report(max_twist_order: int) -> RingReport:

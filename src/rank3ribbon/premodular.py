@@ -17,26 +17,24 @@ each candidate, and there is no approximate fallback.  Three rules, each
 applied before any arithmetic, decide which candidates they run on
 (`search_ribbon_data`):
 
-1. Without `include_degenerate`, an S3 ring is not searched.  A modular
-   S-matrix lies in Q(zeta_N), N = ord T (Ng-Schauenburg, arXiv:0806.2493),
-   and the character field of an S3 ring is not abelian, so it carries no
-   Modular datum; no Symmetric one either, as `landau_rule` needs integer
-   dimensions.
-2. Without `include_degenerate`, a candidate whose dimension generator does
-   not lie in Q(zeta_n) (`embed_real_algebraic` returns None) is rejected
-   on the same theorem, before a context is built.
-3. Every other candidate certified in Q(zeta_n) is certified once per orbit
-   of Gal(Q(zeta_n)/Q): each check is a polynomial identity over Q, so
-   sigma_a: zeta -> zeta^a carries a decision, its certificate and its free
-   entries to the conjugate candidate (`_OrbitDecisions`).
+1. An S3 ring is not searched.  A modular S-matrix lies in Q(zeta_N), N =
+   ord T (Ng-Schauenburg, arXiv:0806.2493), and the character field of an
+   S3 ring is not abelian, so it carries no Modular datum; no Symmetric one
+   either, as `landau_rule` needs integer dimensions, and no
+   ProperPremodular one, whose dimensions are (1, 1, 2)
+   (`rules.nonmodular_filter`).
+2. A candidate whose dimension generator does not lie in Q(zeta_n)
+   (`embed_real_algebraic` returns None) is rejected on the same grounds,
+   before a context is built.
+3. Every other candidate is certified once per orbit of Gal(Q(zeta_n)/Q):
+   each check is a polynomial identity over Q, so sigma_a: zeta -> zeta^a
+   carries a decision, its certificate and its free entries to the
+   conjugate candidate (`_OrbitDecisions`).
 
-Each candidate is checked in one field, Q(zeta_n)[x]/(f) with f the minimal
-polynomial of the character generator alpha over Q(zeta_n), decided once
-per (minimal polynomial, n) by `exactnum.cyclotomic.embed_real_algebraic`:
-f = x - beta when alpha = beta lies in Q(zeta_n), and every element is then
-one CycloNum (integer numerators over one denominator); f is alpha's
-minimal polynomial over Q otherwise, and elements are ExtNum polynomials
-with CycloNum coefficients.  Either way the ring is a field, so a zero test reads the
+Each candidate is checked in Q(zeta_n), where its character generator
+alpha is beta = `exactnum.cyclotomic.embed_real_algebraic(alpha, n)`,
+decided once per (minimal polynomial, n): every element is one CycloNum
+(integer numerators over one denominator), so a zero test reads the
 representative (`ExactContext._is_zero`), and building and checking a
 matrix runs on Python ints.  Only three entries of S depend on the twists:
 row 0 is d by the unit axiom, and on a ring whose elements are self-dual
@@ -63,9 +61,11 @@ is admitted only if its structure class passes the corresponding rule
   computed exactly from (N, d, theta) must be +-1 on self-dual elements and 0
   otherwise; this is the standard admissibility test for modular data and is
   what pins the twists beyond the S-matrix itself.
-- Properly premodular (degenerate, rank 2): such data cannot be certified at
-  this level and are reported only when `include_degenerate` is set; the
-  non-modular ring filter (`nonmodular_filter`) covers that regime.
+- Properly premodular (degenerate, rank 2): reported only when
+  `include_degenerate` is set, and admitted only where `nonmodular_filter`
+  passes on the ring.  The transparent objects (`ExactContext.transparent`)
+  must be {1, X}, X the invertible object, with theta_X = 1 and d_Y = 2:
+  the Muger center Rep(Z/2) that the rule derives.
 """
 
 from __future__ import annotations
@@ -85,20 +85,14 @@ from .characters import (
 )
 from .exactnum import ComplexBall, CycloNum, RealAlgebraic, RootOfUnity, decimal_str, lcm
 from .exactnum.cyclotomic import embed_real_algebraic, euler_phi, roots_of_unity_up_to, rotated_sum
-from .exactnum.qpoly import QPoly
 from .fusion import FusionRing
-from .rules import FilterVerdict, _degenerate_certificate, landau_rule, symmetric_filter
+from .rules import FilterVerdict, landau_rule, nonmodular_filter, symmetric_filter
 
-EXACT_PHI_CAP = 256  # largest cyclotomic degree for which exact certification runs
 SMATRIX_PRECISION_BITS = 128  # radius bound 2^-bits of the rendered approx S-matrix
 
 
 class ZeroDimension(ValueError):
     """A candidate dimension is exactly zero."""
-
-
-class Undecidable(RuntimeError):
-    """No exact certificate within the cap: the cyclotomic field is too large."""
 
 
 class StructureClass(enum.Enum):
@@ -182,72 +176,8 @@ class PremodularDatum:
 
 
 # ---------------------------------------------------------------------------
-# Exact entries in one field: Q(zeta_n), or Q(zeta_n)[x]/(m)
+# Exact entries in Q(zeta_n)
 # ---------------------------------------------------------------------------
-
-class ExtNum:
-    """Element of Q(zeta_n)[x]/(modulus) for a generator whose minimal
-    polynomial `modulus` (monic, of degree >= 2) stays irreducible over
-    Q(zeta_n), so that the ring is a field.  `coeffs` holds exactly
-    deg(modulus) CycloNum coefficients."""
-
-    __slots__ = ("n", "modulus", "coeffs")
-
-    def __init__(self, n: int, modulus: QPoly, coeffs: tuple[CycloNum, ...]):
-        self.n = n
-        self.modulus = modulus
-        deg = len(modulus) - 1
-        if len(coeffs) > deg:
-            if any(coeffs[deg:]):
-                raise ValueError(
-                    f"representative of degree {len(coeffs) - 1} is not reduced "
-                    f"modulo a modulus of degree {deg}"
-                )
-            coeffs = coeffs[:deg]
-        elif len(coeffs) < deg:
-            coeffs = tuple(coeffs) + (CycloNum.from_rational(n, 0),) * (deg - len(coeffs))
-        self.coeffs = tuple(coeffs)
-
-    def _with(self, coeffs) -> "ExtNum":
-        """A sibling with the same field and `coeffs` already of full length."""
-        out = object.__new__(ExtNum)
-        out.n, out.modulus, out.coeffs = self.n, self.modulus, tuple(coeffs)
-        return out
-
-    def __sub__(self, other: "ExtNum") -> "ExtNum":
-        return self._with(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, r) -> "ExtNum":
-        return self._with(a.scale(r) for a in self.coeffs)
-
-    def __mul__(self, other: "ExtNum") -> "ExtNum":
-        deg = len(self.modulus) - 1
-        prod: list = [None] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs, i):
-                if b:
-                    ab = a * b
-                    prod[j] = ab if prod[j] is None else prod[j] + ab
-        # Reduce modulo the monic modulus.
-        for d in range(2 * deg - 2, deg - 1, -1):
-            lead = prod[d]
-            if not lead:  # None or zero
-                continue
-            for t, m in enumerate(self.modulus[:deg], d - deg):
-                if m:
-                    lm = lead.scale(m)
-                    prod[t] = -lm if prod[t] is None else prod[t] - lm
-        zero = CycloNum.from_rational(self.n, 0)
-        return self._with(zero if c is None else c for c in prod[:deg])
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __hash__(self):
-        raise TypeError("ExtNum is unhashable")
-
 
 FREE_ENTRIES = ((1, 1), (1, 2), (2, 2))  # the entries of S that depend on the twists
 _UNIT_REP = (Fraction(1),)
@@ -278,12 +208,9 @@ class _Field:
     alpha, the rendered dimension row and the rendered matrices, each formed
     once, on first use."""
 
-    def __init__(self, n: int, gen: RealAlgebraic, beta, dim_terms):
+    def __init__(self, n: int, gen: RealAlgebraic, beta: CycloNum, dim_terms):
         self.n, self.gen, self.beta = n, gen, beta
-        # Every generator is a root of a monic integer cubic, so its minimal
-        # polynomial is monic.
-        self.modulus = tuple(Fraction(c) for c in gen.minpoly.coeffs)
-        self.deg = len(self.modulus) - 1
+        self.deg = gen.degree
         zero = CycloNum.from_rational(n, 0)
         # d_j = rep_j(alpha) * root_j, root_j a root of unity (not 1 only for
         # Z/3 dimensions).
@@ -296,22 +223,17 @@ class _Field:
         self.dim_row: Optional[tuple[ComplexBall, ...]] = None  # set by `smatrix`
         self._smatrices: dict[tuple, SMatrix] = {}
 
-    def _at_generator(self, coeffs: tuple[CycloNum, ...]):
+    def _at_generator(self, coeffs: tuple[CycloNum, ...]) -> CycloNum:
         """The element with these coefficients over the modulus in alpha."""
-        if self.beta is None:
-            return ExtNum(self.n, self.modulus, coeffs)
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * self.beta + c
         return acc
 
-    def combine(self, terms, values):
-        """sum c * zeta_n^e * values[k] over the terms (c, e, k), for values
-        in the field: one rotated combination (`rotated_sum`), taken
-        coefficientwise when the field is an extension of Q(zeta_n)."""
-        if self.beta is not None:
-            return rotated_sum(self.n, [(c, e, values[k]) for c, e, k in terms])
-        return ExtNum(self.n, self.modulus, self.coefficients(terms, [v.coeffs for v in values]))
+    def combine(self, terms, values) -> CycloNum:
+        """sum c * zeta_n^e * values[k] over the terms (c, e, k): one
+        rotated combination (`rotated_sum`)."""
+        return rotated_sum(self.n, [(c, e, values[k]) for c, e, k in terms])
 
     def coefficients(self, terms, vectors) -> tuple[CycloNum, ...]:
         """The coefficients of sum c * zeta_n^e * vectors[k] over the terms
@@ -389,17 +311,19 @@ class _Field:
 def _field_of(fields: dict, dims: Character, n: int) -> _Field:
     """The field data of `dims` over Q(zeta_n), looked up in `fields` and
     added to it on first use.  Rational and Z/3 dimensions have no generator
-    of their own: they take 0, whose minimal polynomial x is the modulus."""
+    of their own: they take 0, whose minimal polynomial x is the modulus.
+    A generator outside Q(zeta_n) is refused: no admissible datum has one
+    (rule 2)."""
     gen = dims.gen or RealAlgebraic.from_rational(0)
     beta = embed_real_algebraic(gen, n)
+    if beta is None:
+        raise ValueError(f"the dimension generator {gen.approx_str(12)} does not lie in Q(zeta_{n})")
     one = RootOfUnity.one()
     if dims.is_cyclotomic:
         dim_terms = ((_UNIT_REP, one), (_UNIT_REP, dims.x), (_UNIT_REP, dims.y))
     else:
         dim_terms = ((_UNIT_REP, one), (dims.x_rep, one), (dims.y_rep, one))
-    # beta is in the key because it decides the field: the same character
-    # and order can be certified in Q(zeta_n) or in Q(zeta_n)[x]/(m).
-    key = (gen, dim_terms, n, beta)
+    key = (gen, dim_terms, n)
     field = fields.get(key)
     if field is None:
         field = fields[key] = _Field(n, gen, beta, dim_terms)
@@ -407,17 +331,13 @@ def _field_of(fields: dict, dims: Character, n: int) -> _Field:
 
 
 class ExactContext:
-    """Exact S-matrix entries for one (ring, dims, twists) datum, in one
-    field F = Q(zeta_n)[x]/(f), f the minimal polynomial of the character
-    generator alpha over Q(zeta_n) (`embed_real_algebraic`):
-
-    - f = x - beta when alpha = beta lies in Q(zeta_n).  Then F = Q(zeta_n)
-      and every element is one CycloNum: so for rational and Z/3 dimensions
-      (generator 0), sqrt(2) = zeta_8 + zeta_8^-1 at n = 16 and 2cos(pi/7) =
-      -(zeta_7^3 + zeta_7^4) at n = 7.
-    - f = m, the minimal polynomial over Q, otherwise; elements are ExtNum.
-    Either way F is a field and a value is zero exactly when its
-    representative is (`_is_zero`).
+    """Exact S-matrix entries for one (ring, dims, twists) datum in
+    Q(zeta_n), where the character generator alpha is beta
+    (`embed_real_algebraic`), and every element is one CycloNum: so for
+    rational and Z/3 dimensions (generator 0), sqrt(2) = zeta_8 + zeta_8^-1
+    at n = 16 and 2cos(pi/7) = -(zeta_7^3 + zeta_7^4) at n = 7.  A value is
+    zero exactly when its representative is (`_is_zero`).  A generator
+    outside Q(zeta_n) is refused with a ValueError (`_field_of`).
 
     Only the free entries S11, S12 and S22 are formed (`_ring_premises`),
     each once, as one rotated combination of the field's d_k
@@ -429,28 +349,17 @@ class ExactContext:
     (`_Field`), looked up in `fields`, a dict the caller keeps for as long as
     it wants them shared: the search keeps one per search.  A context built
     without one gets a field of its own.
-
-    Raises Undecidable, before any arithmetic table is built, when the
-    ambient cyclotomic degree phi(n) exceeds EXACT_PHI_CAP.
     """
 
     def __init__(self, ring: FusionRing, dims: Character, twists: Twists,
                  fields: Optional[dict] = None):
-        n = ambient_cyclotomic_order(dims, twists)
-        self.n = n
-        self.phi_degree = euler_phi(n)
-        if self.phi_degree > EXACT_PHI_CAP:
-            raise Undecidable(
-                f"cyclotomic order {n} has degree phi = {self.phi_degree}, "
-                f"beyond the exact cap {EXACT_PHI_CAP}"
-            )
+        n = self.n = ambient_cyclotomic_order(dims, twists)
         self.ring = ring
         self.dims = dims
         self.twists = twists
         self.premises = _ring_premises(ring)
         field = self.field = _field_of({} if fields is None else fields, dims, n)
-        self.gen, self.beta = field.gen, field.beta
-        self.modulus, self.d = field.modulus, field.d
+        self.gen, self.beta, self.d = field.gen, field.beta, field.d
         self._exps = [t.p * (n // t.q) for t in twists.theta]  # theta_k = zeta^e_k
 
     def _terms(self, i: int, j: int) -> list[tuple[int, int, int]]:
@@ -472,23 +381,18 @@ class ExactContext:
         s11, s12, s22 = (self._entry(i, j) for i, j in FREE_ENTRIES)
         return [list(d), [d[1], s11, s12], [d[2], s12, s22]]
 
-    def _is_zero(self, elem) -> bool:
-        """Whether the value vanishes: the context's ring is a field, so this
-        is whether the representative is zero."""
+    def _is_zero(self, elem: CycloNum) -> bool:
+        """Whether the value vanishes: whether its representative is zero."""
         return not elem
 
     # -- rendering ----------------------------------------------------------
 
     def _coefficients(self, i: int, j: int) -> tuple[CycloNum, ...]:
         """The coefficients over the modulus in alpha of the free entry
-        S[i][j]: in an extension field and at degree 1 the entry itself, and
-        otherwise its rotated combination taken over the coefficients of the
-        d_k."""
-        value = self.entries[i][j]
-        if self.beta is None:
-            return value.coeffs
+        S[i][j]: at degree 1 the entry itself, and otherwise its rotated
+        combination taken over the coefficients of the d_k."""
         if self.field.deg == 1:
-            return (value,)
+            return (self.entries[i][j],)
         return self.field.coefficients(self._terms(i, j), self.field.lifts)
 
     # -- exact checks -----------------------------------------------------
@@ -545,12 +449,18 @@ class ExactContext:
             [(1, 0, 0), (-1, 0, 1), (-1, 0, 2), (2, 0, 3), (-1, 0, 4)], products
         )
 
+    def transparent(self) -> list[int]:
+        """The transparent objects: the i whose row is d_i times row 0,
+        S_ij = d_i d_j for every j.  Row 0 = d and S[i][0] = d_i, so that is
+        tested on the free entries of row i, each entry once."""
+        e, dp = self.entries, self.field.dim_products
+        split = {(i, j): self._is_zero(e[i][j] - dp[i][j]) for i, j in FREE_ENTRIES}
+        return [0] + [i for i in (1, 2) if split[1, i] and split[i, 2]]
+
     def rank_is_one(self) -> bool:
         """Every 2x2 minor vanishes.  Row 0 = d starts with 1 and S[i][0] =
-        d_i, so that holds exactly when each row i is d_i times row 0, that
-        is when S_ij = d_i d_j on the three free entries."""
-        e, dp = self.entries, self.field.dim_products
-        return all(self._is_zero(e[i][j] - dp[i][j]) for i, j in FREE_ENTRIES)
+        d_i, so that holds exactly when every object is transparent."""
+        return self.transparent() == [0, 1, 2]
 
     def structure_class(self) -> StructureClass:
         if not self._is_zero(self.det()):
@@ -662,15 +572,14 @@ def search_ribbon_data(
     `include_degenerate` is set.
 
     The three rules of the module docstring apply before any arithmetic.
-    Without `include_degenerate`, an S3 ring gets no search (rule 1) and a
-    candidate whose dimension generator is not in Q(zeta_n) is rejected
-    (rule 2), both because a modular S-matrix lies in Q(zeta_N), N = ord T
-    (Ng-Schauenburg), and symmetric dimensions are integers.  Every other
-    candidate in Q(zeta_n) is certified once per orbit of Gal(Q(zeta_n)/Q)
-    (rule 3, `_OrbitDecisions`), and a degenerate search certifies its
-    extension-field candidates one by one.  Each proposed candidate still
-    looks up its own decision, so the witnesses are those that certifying
-    every candidate gives.
+    An S3 ring gets no search (rule 1) and a candidate whose dimension
+    generator is not in Q(zeta_n) is rejected (rule 2), both because a
+    modular S-matrix lies in Q(zeta_N), N = ord T (Ng-Schauenburg),
+    symmetric dimensions are integers and properly premodular ones are
+    (1, 1, 2).  Every other candidate is certified once per orbit of
+    Gal(Q(zeta_n)/Q) (rule 3, `_OrbitDecisions`).  Each proposed candidate
+    still looks up its own decision, so the witnesses are those that
+    certifying every candidate gives.
 
     The characters are solved only for a candidate that builds an exact
     context, once per search: `system` when the caller has solved them, and
@@ -692,7 +601,7 @@ def search_ribbon_data(
                  for c in system.chars]
     else:
         info = info or galois_type(ring.params)
-        if info.tag is GaloisType.S3 and not include_degenerate:
+        if info.tag is GaloisType.S3:
             return []  # rule 1
         chars = float_characters(ring.params, info.roots)
     twists = _twist_index(min(max_twist_order, TWIST_ORDER_BOUND))
@@ -729,9 +638,7 @@ class _OrbitDecisions:
     with the same verdict, structure class and certificate and its free
     entries mapped by `CycloNum.galois`.  The first candidate proposed in an
     orbit is certified; every later one takes the image of that decision
-    (`_conjugate`).  The orbits are indexed by the twist pairs they hold.
-    With `include_degenerate`, a candidate outside Q(zeta_n) is certified on
-    its own."""
+    (`_conjugate`).  The orbits are indexed by the twist pairs they hold."""
 
     def __init__(self, ring: FusionRing, info: GaloisInfo | None,
                  system: CharacterSystem | None, include_degenerate: bool):
@@ -766,8 +673,7 @@ class _OrbitDecisions:
         for rep_j, a, datum in self.members.get((theta_1, theta_2), ()):
             if self._conjugate_index(rep_j, a, n) == j:
                 return self._conjugate(datum, a, j, Twists.of(theta_1, theta_2), n)
-        embedded = self._generator(j, n) is not None
-        if not (embedded or self.include_degenerate):
+        if self._generator(j, n) is None:
             return None  # rule 2
         if self.system is None:
             self.system = solve_characters(self.ring, self.info)
@@ -775,23 +681,20 @@ class _OrbitDecisions:
             self.ring, self.system.chars[j], j, Twists.of(theta_1, theta_2),
             self.include_degenerate, landau, self.fields,
         )
-        if embedded:
-            for a in range(1, n + 1):
-                if math.gcd(a, n) == 1:
-                    self.members.setdefault((theta_1 ** a, theta_2 ** a), []).append((j, a, datum))
+        for a in range(1, n + 1):
+            if math.gcd(a, n) == 1:
+                self.members.setdefault((theta_1 ** a, theta_2 ** a), []).append((j, a, datum))
         return datum
 
     def _conjugate(self, datum: Optional[PremodularDatum], a: int, j: int, twists: Twists,
                    n: int) -> Optional[PremodularDatum]:
         """sigma_a of a representative's decision, for the member with
         character j and `twists`: its free entries are mapped by sigma_a and
-        rendered in the member's own field."""
+        rendered in the member's own field, and its certificate, which
+        sigma_a fixes, is the representative's."""
         if datum is None:
             return None
         dims = self.system.chars[j]
-        certificate = dict(datum.certificate)
-        if datum.structure_class is StructureClass.PROPER_PREMODULAR:
-            certificate["degenerate_rule"] = _degenerate_certificate(self.ring, dims, twists)
         free = tuple(tuple(c.galois(a) for c in entry) for entry in datum.smatrix.free)
         return PremodularDatum(
             ring=self.ring,
@@ -800,7 +703,7 @@ class _OrbitDecisions:
             twists=twists,
             smatrix=_field_of(self.fields, dims, n).smatrix(free),
             structure_class=datum.structure_class,
-            certificate=certificate,
+            certificate=datum.certificate,
         )
 
 
@@ -839,8 +742,8 @@ def twist_table(max_twist_order: int) -> list[RootOfUnity]:
     (d) Z/3.  S[1][2] = theta_2^-1 d_1 and S[1][1] = theta_1^-2 are cube
         roots of unity, so theta_2^3 = theta_1^6 = 1.
 
-    So a pair of the table has phi(lcm(q_1, q_2)) <= phi(q_1) phi(q_2) <= 144
-    < EXACT_PHI_CAP, and orders above 42 add no root.  The search runs this
+    So a pair of the table has phi(lcm(q_1, q_2)) <= phi(q_1) phi(q_2) <= 144,
+    and orders above 42 add no root.  The search runs this
     proof per pair of characters (`_pinned_pairs`).
     """
     return list(_twist_index(min(max_twist_order, TWIST_ORDER_BOUND)).table)
@@ -961,6 +864,7 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
     read only d and the twists, so they run first and reject the candidate
     before its S-matrix is built.
 
+    A ProperPremodular datum is admitted by `_proper_premodular_rule`.
     The verdict is the one the full check order gives."""
     sym_ok = landau is not None and landau.passed
     ctx = ExactContext(ring, dims, twists, fields)
@@ -987,7 +891,10 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
     else:
         if not include_degenerate:
             return None
-        certificate["degenerate_rule"] = _degenerate_certificate(ring, dims, twists)
+        rule = _proper_premodular_rule(ctx)
+        if rule is None:
+            return None
+        certificate["nonmodular_rule"], certificate["transparent"] = rule
 
     return PremodularDatum(
         ring=ring,
@@ -998,3 +905,23 @@ def _certify_candidate(ring, dims, dims_index, twists, include_degenerate,
         structure_class=sclass,
         certificate=certificate,
     )
+
+
+def _proper_premodular_rule(ctx: ExactContext) -> Optional[tuple]:
+    """The nonmodular rule's certificate and the transparent objects of a
+    ProperPremodular datum, or None when it is not admitted: the rule must
+    pass on the ring, K(0,1,0,1) or its swap, and the transparent objects
+    must be {1, X}, X the invertible object, with theta_X = 1 and d_Y = 2,
+    as the rule derives (`rules.nonmodular_filter`).  None of this moves
+    under Gal(Q(zeta_n)/Q)."""
+    params = ctx.ring.params
+    if params is None:
+        return None
+    verdict = nonmodular_filter(params)
+    if not verdict.passed:
+        return None
+    x = 1 if params.k == 0 else 2  # X: X^2 = 1 and XY = Y
+    transparent = ctx.transparent()
+    if transparent != [0, x] or not ctx.twists.theta[x].is_one or ctx.dims.value(3 - x) != 2:
+        return None
+    return verdict.certificate, transparent

@@ -5,9 +5,9 @@ A ring is admissible when one of three independent branches passes:
 - symmetric: rank-1 data exist only on finite-group character rings
   (integer dimensions, total squared dimension within the Landau bound):
   `landau_rule` on a dimension character, `symmetric_filter` on a ring;
-- nonmodular: degenerate non-symmetric data force the (0,1,0,n) shape and an
-  exact twist relation that bounds n (`nonmodular_filter`, and
-  `_degenerate_certificate` on one datum);
+- nonmodular: degenerate non-symmetric data have the Muger center Rep(Z/2),
+  which forces the (0,1,0,n) shape and an integral dimension d_Y/2, so n = 1
+  (`nonmodular_filter`);
 - modular: the one exact rule that the Galois type selects
   (`modular_branch`): case 1 is the Landau rule, case 2 the cyclic cubic,
   cases 3a and 3b an order-two image fixing or moving the dimension
@@ -25,11 +25,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .characters import Character, GaloisInfo, GaloisType, _selfdual_characters, galois_type
-from .exactnum import IntPoly, RealAlgebraic, RootOfUnity, isolate_real_roots, realalg, two_cos
-from .exactnum.cyclotomic import euler_phi
+from .characters import Character, GaloisInfo, GaloisType, _selfdual_characters
+from .exactnum import IntPoly, isolate_real_roots
 from .fusion import Rank3Params, canonicalize
 
 LANDAU_BOUND_3 = 6  # landau_bound(3): a group with three classes has order <= 6
@@ -153,101 +151,40 @@ def symmetric_filter(params: Rank3Params, info: GaloisInfo) -> FilterVerdict:
 # Nonmodular branch: degenerate, non-symmetric data
 # ---------------------------------------------------------------------------
 
-def nonmodular_filter(params: Rank3Params, info: GaloisInfo | None = None) -> FilterVerdict:
-    """Necessary conditions for a degenerate, non-symmetric structure.
+def nonmodular_filter(params: Rank3Params) -> FilterVerdict:
+    """Admissibility of degenerate, non-symmetric data on K(params), decided
+    from the integers alone by the Muger center C' of such a category C.
 
-    Applies only to rings whose canonical form is (0, 1, 0, n) -- the shape
-    forced by a two-object symmetric subring.  Passing requires n*y_+ <= 4 for
-    the positive root y_+ of y^2 = 2 + n*y, together with a root of unity
-    theta satisfying n*d_Y = -2*(theta + theta^-1) for some root d_Y; both
-    checks are exact (minimal-polynomial comparison for the 2cos values).
-    The roots y_+ and y_- are the y-values of the first and last characters
-    in `info`, the `galois_type` of the canonical form, computed here unless
-    the caller already holds it.
-    """
+    - Shape.  C is neither modular nor symmetric, so C' is a symmetric
+      fusion subcategory of rank 2: Rep(Z/2) or sVec (Deligne; Ostrik,
+      arXiv:math/0203255).  The ring has the canonical form (0, 1, 0, n),
+      X invertible with X Y = Y.  Any other shape is NotApplicable.
+    - C' is Tannakian.  d_X d_Y = d_Y with d_Y != 0 gives d_X = 1, and X
+      transparent gives theta_X theta_Y = theta_{XY} = theta_Y, so theta_X =
+      1, the self-braiding theta_X / d_X of X is 1, and C' = Rep(Z/2).
+    - De-equivariantization by Z/2 (Bruguieres; Muger, arXiv:math/9812040;
+      Drinfeld-Gelaki-Nikshych-Ostrik, arXiv:0906.0620) splits Y, which X
+      fixes, into two simple objects of dimension z = d_Y/2.  From Y^2 = 1
+      + X + nY, d_Y^2 = 2 + n d_Y, so 2z^2 - nz - 1 = 0, and a simple
+      object's dimension is an algebraic integer.
+
+    The product of the roots is -1/2, so an irrational root is not an
+    algebraic integer, and a rational one must be an integer: n^2 + 8 is a
+    square only for n = 1, where z = 1 (d_Y = 2) passes."""
     canon = canonicalize(params)
     if (canon.k, canon.l, canon.m) != (0, 1, 0):
         return FilterVerdict(Verdict.NOT_APPLICABLE, {"reason": "ring has no two-object symmetric subring shape"})
     n = canon.n
-    if info is None:
-        info = galois_type(canon)
-    y_plus, _zero, y_minus = info.roots
-    cert: dict = {"n": n, "y_plus": y_plus.approx_str(12)}
-    if n > 0 and not (y_plus <= Fraction(4, n)):
-        cert["violated"] = f"n*y_+ = {_scaled_value(y_plus, Fraction(n)).approx_str(12)} > 4"
+    cert: dict = {"n": n, "d_X": "1", "theta_X": "1", "z_poly": [-1, -n, 2]}
+    root = math.isqrt(n * n + 8)
+    roots = (Fraction(n + root, 4), Fraction(n - root, 4)) if root * root == n * n + 8 else ()
+    z = next((r for r in roots if r.denominator == 1), None)
+    if z is None:
+        poly = f"2z^2 - {n}z - 1" if n else "2z^2 - 1"
+        cert["failed"] = f"z = d_Y/2 is a root of {poly}, which has no algebraic-integer root"
         return FilterVerdict(Verdict.FAIL, cert)
-    witness = None
-    for d_y in (y_minus, y_plus):  # both nonzero: y_+ * y_- = -2
-        target = _scaled_value(d_y, Fraction(-n, 2))
-        hit = _match_two_cos(target)
-        if hit is not None:
-            witness = {"d_Y": d_y.approx_str(12), "theta_turn": str(hit.turn)}
-            break
-    if witness is None:
-        cert["violated"] = "no root of unity satisfies n*d_Y = -2*(theta+theta^-1)"
-        return FilterVerdict(Verdict.FAIL, cert)
-    cert["witness"] = witness
+    cert["z"], cert["d_Y"] = str(z), str(2 * z)
     return FilterVerdict(Verdict.PASS, cert)
-
-
-def _degenerate_certificate(ring, dims, twists) -> dict:
-    """For rings of canonical shape (0,1,0,n), record whether the degenerate
-    datum satisfies the exact twist relation n*d_Y = -2*(theta_Y+theta_Y^-1),
-    where Y is the element outside the two-object symmetric subring."""
-    cert: dict = {"checked": False}
-    params = ring.params
-    if params is None:
-        return cert
-    canon = canonicalize(params)
-    if (canon.k, canon.l, canon.m) != (0, 1, 0):
-        return cert
-    n = canon.n
-    if params.k == 0:
-        d_val, theta = dims.y, twists.theta[2]
-    else:  # swapped orientation (1, 0, n, 0)
-        d_val, theta = dims.x, twists.theta[1]
-    target = theta.real_two_cos()  # theta + theta^-1
-    lhs_needed = _scaled_value(d_val, Fraction(-n, 2))
-    cert["checked"] = True
-    cert["relation_holds"] = bool(lhs_needed == target)
-    cert["theta_turn"] = str(theta.turn)
-    return cert
-
-
-def _scaled_value(v: RealAlgebraic, c: Fraction) -> RealAlgebraic:
-    """c*v.  For v irrational and c = a/b nonzero it is a root of v's
-    minimal polynomial p scaled by c, sum p_i a^(d-i) b^i x^i = a^d p(b x /
-    a), which is irreducible with the roots c*r of p: its rank among them is
-    v's for c > 0 and the reverse for c < 0.  It is located by
-    `realalg.roots_of_irreducible` as bound at the call."""
-    if v.is_rational or not c:
-        return RealAlgebraic.from_rational(c * (v.rational_value or 0))
-    a, b = c.numerator, c.denominator
-    d = v.minpoly.degree
-    roots = realalg.roots_of_irreducible(
-        IntPoly(p * a ** (d - i) * b**i for i, p in enumerate(v.minpoly.coeffs)))
-    return roots[v.root_index if c > 0 else len(roots) - 1 - v.root_index]
-
-
-def _match_two_cos(value) -> Optional[RootOfUnity]:
-    """Exact search for a reduced turn p/q with 2cos(2*pi*p/q) equal to the
-    given real algebraic number.
-
-    2cos(2*pi*p/q) has degree phi(q)/2 for q > 2 and 1 for q in {1, 2}, so
-    only the finitely many q with phi(q) = 2*deg (all q <= 8*deg^2, since
-    phi(q) >= sqrt(q/2)), plus q in {1, 2} when deg = 1, can match; they are
-    tried in ascending order.
-    """
-    if value < Fraction(-2) or value > Fraction(2):
-        return None
-    deg = value.degree
-    for q in range(1, 8 * deg * deg + 1):
-        if euler_phi(q) != 2 * deg and not (deg == 1 and q <= 2):
-            continue
-        for p in range(q // 2 + 1):
-            if math.gcd(p, q) == 1 and two_cos(Fraction(p, q)) == value:
-                return RootOfUnity(p, q)
-    return None
 
 
 # ---------------------------------------------------------------------------

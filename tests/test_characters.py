@@ -29,7 +29,6 @@ from rank3ribbon.exactnum.realalg import cauchy_bound, from_poly_expr, isolate_i
 from rank3ribbon.fusion import (
     Rank3Params,
     StarViolation,
-    canonicalize,
     global_fp_dim,
     make_rank3_ring,
     make_z3_ring,
@@ -39,7 +38,6 @@ from rank3ribbon.premodular import (
     _pinned_pairs,
     _twist_index,
 )
-from rank3ribbon.rules import _scaled_value
 
 
 def test_char_polys():
@@ -476,9 +474,8 @@ def _assert_same_value(value, reference):
 def test_values_from_given_polynomials_match_the_charpoly_route():
     """Every y-value (x-value for k = 0 rings) located among the roots of
     char_poly_y, every global FP dimension located among the roots of the
-    Casimir cubic, and every scaled value located among the roots of its
-    scaled minimal polynomial is the root that the characteristic
-    polynomial of multiplication gives, up to bound 30."""
+    Casimir cubic is the root that the characteristic polynomial of
+    multiplication gives, up to bound 30."""
     checked = 0
     for system in _systems_up_to(30):
         for c in system.chars:
@@ -493,19 +490,6 @@ def test_values_from_given_polynomials_match_the_charpoly_route():
             expr = qadd(qconst(1), qadd(qmul(fp.x_rep, fp.x_rep), qmul(fp.y_rep, fp.y_rep)))
             _assert_same_value(global_fp_dim(system), _reference_value(fp.gen, expr))
             checked += 1
-        # The inputs of _scaled_value: the roots of y^2 - n y - 2 (the
-        # nonmodular filter) and the character values (the degenerate
-        # certificate) of each (0, 1, 0, n) ring, scaled by n, -n/2 and 0.
-        canon = canonicalize(system.ring.params)
-        if (canon.k, canon.l, canon.m) != (0, 1, 0):
-            continue
-        n = canon.n
-        values = [r.value for r in isolate_real_roots(IntPoly((-2, -n, 1)))]
-        values += [v for c in system.chars for v in (c.x, c.y)]
-        for v in values:
-            for scale in (Fraction(n), Fraction(-n, 2), Fraction(0)):
-                _assert_same_value(_scaled_value(v, scale), _reference_value(v, (0, scale)))
-                checked += 1
     assert checked > 1000
 
 
@@ -752,8 +736,8 @@ def test_classify_isolates_lower_roots_only_of_searched_rings(monkeypatch):
     """`classify_all(30)` types every ring from its dimension root alone: the
     other two roots of an irrational rest are located (by
     `roots_of_irreducible`, which places or isolates them) only for the
-    rings it searches, once each.  K(0,1,0,n) locates both y-roots at typing, as its
-    nonmodular filter reads them."""
+    rings it searches, once each.  K(0,1,0,n) locates both y-roots at
+    typing, the two roots of one quadratic."""
     from collections import Counter
 
     from rank3ribbon import characters, classify

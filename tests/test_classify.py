@@ -578,12 +578,34 @@ def test_galois_dispatch_total_bound_5():
 
 @pytest.mark.parametrize("params", [Rank3Params(0, 1, 0, 0), Rank3Params(0, 1, 0, 1)])
 def test_nonmodular_verdict_independent_of_twist_order(params, report_bound2):
-    """The nonmodular branch is decided exactly; a small search order must
-    not turn its Pass into a Fail."""
+    """The nonmodular branch is decided from the integers alone; a small
+    search order changes no verdict: K(0,1,0,1) passes, and K(0,1,0,0),
+    whose fusion rules braid only modularly, fails."""
     low = next(r for r in classify_all(1, max_twist_order=2).rings if r.params == params)
     default = next(r for r in report_bound2.rings if r.params == params)
-    assert low.verdicts["nonmodular"].status == Verdict.PASS
+    expected = Verdict.PASS if params.n == 1 else Verdict.FAIL
+    assert low.verdicts["nonmodular"].status == expected
     assert low.verdicts["nonmodular"].to_json() == default.verdicts["nonmodular"].to_json()
+
+
+def test_nonmodular_pass_iff_a_proper_premodular_witness():
+    """The nonmodular branch, checked against the data: on Z/3 and every
+    ring up to bound 60, its verdict passes exactly where the degenerate
+    search at order 60 finds a ProperPremodular witness, and every such
+    witness carries that verdict's certificate.  That is K(0,1,0,1) alone."""
+    from rank3ribbon.premodular import StructureClass, search_ribbon_data
+
+    found = []
+    for report in classify_all(60).rings:
+        ring = make_z3_ring() if report.params is None else make_rank3_ring(report.params)
+        verdict = report.verdicts["nonmodular"]
+        proper = [w for w in search_ribbon_data(ring, 60, include_degenerate=True, info=report.galois)
+                  if w.structure_class is StructureClass.PROPER_PREMODULAR]
+        assert verdict.passed == bool(proper), report.label
+        for w in proper:
+            assert w.certificate["nonmodular_rule"] == verdict.certificate, report.label
+        found += [report.label] * len(proper)
+    assert found == ["K(0,1,0,1)"] * 2
 
 
 def test_cross_validation_witnesses_bound_5():

@@ -20,24 +20,19 @@ from rank3ribbon.classify import classify_all, enumerate_star_solutions
 from rank3ribbon.exactnum import ComplexBall, CycloNum, IntPoly, RootOfUnity, cubic_discriminant
 from rank3ribbon.exactnum import cyclotomic
 from rank3ribbon.exactnum.cyclotomic import (
-    _fold_rows,
-    _power_basis,
     _zeta_ball,
-    cyclotomic_poly,
     embed_real_algebraic,
     root_of_unity_value,
     roots_of_unity_up_to,
     two_cos,
 )
 from rank3ribbon.exactnum.qpoly import qdivmod, qmod, qtrim
-from rank3ribbon.exactnum.realalg import roots_of_irreducible
+from rank3ribbon.exactnum.realalg import RealAlgebraic, roots_of_irreducible
 from rank3ribbon.fusion import Rank3Params, make_rank3_ring, make_z3_ring
 from rank3ribbon.premodular import (
     ExactContext,
-    ExtNum,
     StructureClass,
     Twists,
-    Undecidable,
     ZeroDimension,
     _pinned_pairs,
     _twist_index,
@@ -226,7 +221,7 @@ def _nine_entry_ball(ctx, i, j):
     else:
         dim_terms = (((1,), one), (dims.x_rep, one), (dims.y_rep, one))
     shift = (theta[i] * theta[j]).inverse()
-    coeffs = [CycloNum.from_rational(n, 0)] * (len(ctx.modulus) - 1)
+    coeffs = [CycloNum.from_rational(n, 0)] * ctx.field.deg
     for k, (rep, root) in enumerate(dim_terms):
         coef = N[dual[i]][j][k]
         if coef:
@@ -256,7 +251,8 @@ def test_rendering_matches_the_nine_entry_route(monkeypatch):
     degenerate searches of K(0,1,0,1), K(1,0,1,0) and K(1,0,0,0) equals,
     ball for ball, the nine entries rendered one by one from their own
     coefficients: the dimension row shared by a field and the mirrored
-    entries are the exact balls of the entries they stand for."""
+    entries are the exact balls of the entries they stand for.  The
+    generators have degrees 1, 2 and 3."""
     rendered = []
     original = premodular.build_s_matrix
 
@@ -274,14 +270,14 @@ def test_rendering_matches_the_nine_entry_route(monkeypatch):
         search_ribbon_data(make_rank3_ring(params), 60, include_degenerate=True)
     kinds = set()
     for ctx, sm in rendered:
-        kinds.add((ctx.ring.dual, ctx.beta is None, len(ctx.modulus) - 1))
+        kinds.add((ctx.ring.dual, ctx.field.deg))
         for i in range(3):
             for j in range(3):
                 got, ref = sm.entry(i, j), _nine_entry_ball(ctx, i, j)
                 assert (got.re, got.im, got.rad) == (ref.re, ref.im, ref.rad), (ctx.twists, i, j)
-    # Z/3, rational dimensions, generators inside and outside Q(zeta_n).
-    assert {(0, 2, 1), (0, 1, 2)} == {dual for dual, _, _ in kinds}
-    assert {(False, 1), (False, 2), (False, 3), (True, 2)} <= {k[1:] for k in kinds}
+    # Z/3, rational dimensions, quadratic and cubic generators.
+    assert {(0, 2, 1), (0, 1, 2)} == {dual for dual, _ in kinds}
+    assert {deg for _, deg in kinds} == {1, 2, 3}
 
 
 def test_search_renders_three_fresh_entries_per_witness(monkeypatch):
@@ -461,44 +457,20 @@ def test_is_zero_sees_through_the_tensor_ring(ising):
     assert not ctx._is_zero(ctx.d[2] + s)
 
 
-def test_extnum_rejects_an_unreduced_representative(rep_s3):
-    """Coefficients beyond the modulus degree must be zero: a nonzero one
-    would be dropped silently, changing the value."""
-    modulus = (Fraction(-2), Fraction(0), Fraction(1))
-    zero, one = CycloNum.from_rational(8, 0), CycloNum.from_rational(8, 1)
-    assert ExtNum(8, modulus, (one, one, zero)).coeffs == (one, one)
-    assert ExtNum(8, modulus, (one,)).coeffs == (one, zero)
-    with pytest.raises(ValueError, match="not reduced"):
-        ExtNum(8, modulus, (one, zero, one))
-    # Rational and Z/3 dimensions have the generator 0 and the degree-1
-    # modulus x, so the context computes in Q(zeta_n); their balls are those
-    # of the single coefficient.
+def test_rational_dimensions_compute_in_the_cyclotomic_field(rep_s3):
+    """Rational and Z/3 dimensions have the generator 0 and the degree-1
+    modulus x, so the context computes in Q(zeta_n) with beta = 0; their
+    balls are those of the single coefficient."""
     s3_ring, s3_system = rep_s3
     z3 = make_z3_ring()
     for ring, dims in ((s3_ring, s3_system.chars[0]), (z3, solve_characters(z3).chars[0])):
         rational = ExactContext(ring, dims, Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 8)))
-        assert rational.modulus == (0, 1) and rational.gen == 0
+        assert rational.field.deg == 1 and rational.gen == 0
         assert rational.beta == CycloNum.from_rational(rational.n, 0)
         assert all(isinstance(d, CycloNum) for d in rational.d)
         for c in (rational.d[1], CycloNum.from_root(RootOfUnity.make(1, rational.n), rational.n)):
             ball, expected = rational.field._eval_ball_at_gen((c,), 96), c.ball(96)
             assert (ball.re, ball.im, ball.rad) == (expected.re, expected.im, expected.rad)
-        with pytest.raises(ValueError, match="not reduced"):
-            ExtNum(rational.n, rational.modulus, (c, c))
-
-
-def test_exact_context_refuses_over_cap_before_building_tables(rep_s3):
-    """Twists of orders 97 and 89 need Q(zeta_8633), of degree 8448 > the
-    exact cap: the context raises Undecidable, naming the order and degree,
-    before it computes Phi_8633 or builds the power-basis or product-folding
-    table of that field."""
-    ring, system = rep_s3
-    tw = Twists.of(RootOfUnity.make(1, 97), RootOfUnity.make(1, 89))
-    tables = (cyclotomic_poly, _power_basis, _fold_rows)
-    before = [t.cache_info() for t in tables]
-    with pytest.raises(Undecidable, match="8633.*8448"):
-        ExactContext(ring, system.chars[0], tw)
-    assert [t.cache_info() for t in tables] == before
 
 
 def test_twists_require_unit():
@@ -544,19 +516,23 @@ def test_search_excluded_ring_is_empty():
     assert search_ribbon_data(ring, 16) == []
 
 
-def test_search_include_degenerate(ising):
-    """Degenerate candidates surface only on request; on the Ising-type ring
-    they are the quarter-turn twists satisfying the exact relation."""
-    ring, _ = ising
-    default = search_ribbon_data(ring, 4)
-    assert default == []  # modular family needs 16th roots; symmetric fails integrality
-    degenerate = search_ribbon_data(ring, 4, include_degenerate=True)
-    assert len(degenerate) == 4
-    for w in degenerate:
-        assert w.structure_class == StructureClass.PROPER_PREMODULAR
-        assert w.twists.theta[1].is_one
-        assert w.twists.theta[2].turn in (Fraction(1, 4), Fraction(3, 4))
-        assert w.certificate["degenerate_rule"]["relation_holds"]
+def test_search_include_degenerate(ising, rep_s3):
+    """Degenerate data surface only on request, and only where the
+    nonmodular rule passes: on K(0,1,0,1) they are dims (1, 1, 2) with
+    theta_X = 1 and theta_Y a primitive cube root of unity, whose
+    transparent objects are 1 and X; the Ising-type ring has none."""
+    assert search_ribbon_data(ising[0], 4) == []
+    assert search_ribbon_data(ising[0], 4, include_degenerate=True) == []
+    ring, _ = rep_s3
+    default = search_ribbon_data(ring, 60)
+    degenerate = search_ribbon_data(ring, 60, include_degenerate=True)
+    proper = [w for w in degenerate if w.structure_class == StructureClass.PROPER_PREMODULAR]
+    assert [w.to_json() for w in degenerate if w not in proper] == [w.to_json() for w in default]
+    assert [w.twists.theta[2].turn for w in proper] == [Fraction(1, 3), Fraction(2, 3)]
+    for w in proper:
+        assert w.dims_index == 0 and w.twists.theta[1].is_one
+        assert w.certificate["nonmodular_rule"] == nonmodular_filter(ring.params).certificate
+        assert w.certificate["transparent"] == [0, 1]
 
 
 def test_search_z3():
@@ -731,14 +707,16 @@ def _arc_candidates(ring, d, chars, characters, screen, tol):
 
 def _certify_pairs(ring, index, dims, roots, pairs):
     """The data exact certification admits, degenerate ones included, among
-    the index `pairs` into `roots`, for the dimension character `index`."""
+    the index `pairs` into `roots`, for the dimension character `index`,
+    certified in the tensor ring where the generator is outside Q(zeta_n)."""
     landau = rules.landau_rule(dims) if index == 0 else None
     out = []
-    for a, b in pairs:
-        datum = premodular._certify_candidate(
-            ring, dims, index, Twists.of(roots[a], roots[b]), True, landau)
-        if datum is not None:
-            out.append(datum)
+    with _tensor_ring_outside_the_cyclotomic_field():
+        for a, b in pairs:
+            datum = premodular._certify_candidate(
+                ring, dims, index, Twists.of(roots[a], roots[b]), True, landau)
+            if datum is not None:
+                out.append(datum)
     return out
 
 
@@ -851,11 +829,12 @@ def test_pinned_pairs_match_the_reference_scan(order):
             scanned = set(_arc_candidates(ring, reps[index], reps, system.chars, screen, 1e-9))
             solved = set(_pinned_pairs(ring, chars[index], chars, twists))
             landau = rules.landau_rule(dims) if index == 0 else None
-            for a, b in scanned ^ solved:
-                for degenerate in (False, True):
-                    assert premodular._certify_candidate(
-                        ring, dims, index, Twists.of(twists.table[a], twists.table[b]),
-                        degenerate, landau) is None, (ring.params, index, a, b)
+            with _tensor_ring_outside_the_cyclotomic_field():
+                for a, b in scanned ^ solved:
+                    for degenerate in (False, True):
+                        assert premodular._certify_candidate(
+                            ring, dims, index, Twists.of(twists.table[a], twists.table[b]),
+                            degenerate, landau) is None, (ring.params, index, a, b)
             proposed += len(solved)
     assert proposed > 0
 
@@ -984,13 +963,14 @@ def test_unit_twists_on_the_dimension_character_give_rank_one_character_data():
     S[i][j] = sum_k N[i*][j][k] d_k = d_i* d_j, so on the dimension character
     the datum is exactly symmetric, its unit row is d, its rows are
     characters and it has rank 1.  Checked on Z/3 and every ring up to bound
-    20."""
+    20, in the tensor ring where the dimensions are irrational."""
     unit = Twists.of(RootOfUnity.one(), RootOfUnity.one())
     rings = [make_z3_ring()] + [make_rank3_ring(p) for p in enumerate_star_solutions(20)]
-    for ring in rings:
-        ctx = ExactContext(ring, solve_characters(ring).chars[0], unit)
-        assert ctx.is_symmetric() and ctx.unit_row_ok(), ring
-        assert ctx.rows_are_characters() and ctx.rank_is_one(), ring
+    with _tensor_ring_outside_the_cyclotomic_field():
+        for ring in rings:
+            ctx = ExactContext(ring, solve_characters(ring).chars[0], unit)
+            assert ctx.is_symmetric() and ctx.unit_row_ok(), ring
+            assert ctx.rows_are_characters() and ctx.rank_is_one(), ring
 
 
 def test_modular_rows_pair_opposite_y(ising):
@@ -1019,22 +999,52 @@ def test_exact_context_agrees_with_ball_classifier(ising, rep_s3):
 # nonmodular filter
 # ---------------------------------------------------------------------------
 
-def test_nonmodular_filter_passes_n0():
+def test_nonmodular_filter_fails_n0():
+    """K(0,1,0,0) has Ising fusion rules, and every braided Ising category
+    is modular: z = d_Y/2 would be a root of 2z^2 - 1, not an algebraic
+    integer."""
     v = nonmodular_filter(Rank3Params(0, 1, 0, 0))
-    assert v.status == Verdict.PASS
-    assert v.certificate["witness"]["theta_turn"] == "1/4"
+    assert v.status == Verdict.FAIL
+    assert v.certificate["z_poly"] == [-1, 0, 2]
+    assert "2z^2 - 1," in v.certificate["failed"]
 
 
 def test_nonmodular_filter_passes_n1():
     v = nonmodular_filter(Rank3Params(0, 1, 0, 1))
     assert v.status == Verdict.PASS
-    assert v.certificate["witness"] == {"d_Y": "2", "theta_turn": "1/3"}
+    assert v.certificate == {"n": 1, "d_X": "1", "theta_X": "1", "z_poly": [-1, -1, 2],
+                             "z": "1", "d_Y": "2"}
 
 
 def test_nonmodular_filter_fails_n2():
     v = nonmodular_filter(Rank3Params(0, 1, 0, 2))
     assert v.status == Verdict.FAIL
-    assert "5.46410161514" in v.certificate["violated"]
+    assert "2z^2 - 2z - 1," in v.certificate["failed"]
+
+
+def test_nonmodular_filter_names_the_split_dimension_polynomial():
+    """For n = 2..50 the certificate names 2z^2 - nz - 1, with no
+    algebraic-integer root: n^2 + 8 is a square only for n = 1."""
+    for n in range(2, 51):
+        v = nonmodular_filter(Rank3Params(0, 1, 0, n))
+        assert v.status == Verdict.FAIL, n
+        assert v.certificate["z_poly"] == [-1, -n, 2], n
+        assert f"2z^2 - {n}z - 1," in v.certificate["failed"], n
+
+
+@pytest.mark.parametrize("params", ["0,1,0,0", "1,0,0,0"])
+@pytest.mark.parametrize("order", [16, 60, 240])
+def test_ising_rings_have_no_proper_premodular_datum(params, order):
+    """`search --params 0,1,0,0 --include-degenerate`, and its swap, return
+    no ProperPremodular datum: the Ising fusion rules carry no properly
+    premodular braiding."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["search", "--params", params, "--max-twist-order", str(order),
+                        "--include-degenerate"])
+    witnesses = json.loads(out.getvalue())["witnesses"]
+    assert code == 0 and witnesses
+    assert {w["structure_class"] for w in witnesses} == {"Modular"}
 
 
 def test_nonmodular_filter_not_applicable():
@@ -1074,14 +1084,12 @@ def _full_modulus_is_zero(ctx, elem):
     """Reference zero test in Q(zeta_n)[x]/(m), with no learned state: gcd of
     the representative with the whole lifted modulus m, then certified
     separation of the two complementary factors at the generator."""
-    if not isinstance(elem, ExtNum):  # the generator is rational
-        return not elem
     if not elem:
         return True
     g = qtrim(elem.coeffs)
     if len(g) == 1:
         return False
-    m = tuple(CycloNum.from_rational(ctx.n, c) for c in ctx.modulus)
+    m = elem.modulus
     h = _qgcd(g, m)
     if len(h) <= 1:
         return False
@@ -1096,17 +1104,81 @@ def _full_modulus_is_zero(ctx, elem):
         if ctx.field._eval_ball_at_gen(h2, prec).definitely_nonzero():
             return True
         prec *= 2
-    raise Undecidable("reference zero test did not separate")
+    raise AssertionError("reference zero test did not separate")
+
+
+class _TensorNum:
+    """An element of the tensor ring Q(zeta_n)[x]/(m), m the minimal
+    polynomial of the generator over Q lifted to CycloNum coefficients
+    (`modulus`): its deg(m) CycloNum coefficients."""
+
+    def __init__(self, modulus, coeffs):
+        self.modulus, self.coeffs = modulus, tuple(coeffs)
+
+    def __sub__(self, other):
+        return _TensorNum(self.modulus, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def scale(self, r):
+        return _TensorNum(self.modulus, (a.scale(r) for a in self.coeffs))
+
+    def __mul__(self, other):
+        zero = self.modulus[0] - self.modulus[0]
+        product = [zero] * (2 * len(self.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                product[i + j] = product[i + j] + a * b
+        rem = qmod(product, self.modulus)
+        return _TensorNum(self.modulus, rem + (zero,) * (len(self.coeffs) - len(rem)))
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+
+class _TensorField(premodular._Field):
+    """Field data of one dimension character over the tensor ring: the
+    generator stays the variable x, whether or not it lies in Q(zeta_n)."""
+
+    def __init__(self, dims, n):
+        gen = dims.gen or RealAlgebraic.from_rational(0)
+        self.modulus = tuple(CycloNum.from_rational(n, c) for c in gen.minpoly.coeffs)
+        one, unit = RootOfUnity.one(), (1,)
+        if dims.is_cyclotomic:
+            dim_terms = ((unit, one), (unit, dims.x), (unit, dims.y))
+        else:
+            dim_terms = ((unit, one), (dims.x_rep, one), (dims.y_rep, one))
+        super().__init__(n, gen, None, dim_terms)
+
+    def _at_generator(self, coeffs):
+        return _TensorNum(self.modulus, coeffs)
+
+    def combine(self, terms, values):
+        return _TensorNum(self.modulus, self.coefficients(terms, [v.coeffs for v in values]))
 
 
 def _tensor_ring_context(ring, dims, twists):
-    """The context with its generator left out of Q(zeta_n): it computes in
-    Q(zeta_n)[x]/(m), where a nonzero representative can be a zero value."""
+    """The context computed in Q(zeta_n)[x]/(m), where a nonzero
+    representative can be a zero value."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(premodular, "embed_real_algebraic", lambda alpha, n: (
-            CycloNum.from_rational(n, alpha.rational_value) if alpha.is_rational else None
-        ))
+        mp.setattr(premodular, "_field_of", lambda fields, dims, n: _TensorField(dims, n))
         return ExactContext(ring, dims, twists)
+
+
+@contextlib.contextmanager
+def _tensor_ring_outside_the_cyclotomic_field():
+    """Contexts whose generator lies outside Q(zeta_n), which the package
+    refuses, compute in Q(zeta_n)[x]/(m) instead: m has degree <= 3 and no
+    root in Q(zeta_n), so it stays irreducible there, the tensor ring is a
+    field, and a value is zero exactly when its representative is."""
+    original = premodular._field_of
+
+    def field_of(fields, dims, n):
+        if dims.gen is not None and embed_real_algebraic(dims.gen, n) is None:
+            return _TensorField(dims, n)
+        return original(fields, dims, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(premodular, "_field_of", field_of)
+        yield
 
 
 ZERO_TESTING_CHECKS = (
@@ -1210,17 +1282,15 @@ def test_cubic_generator_lies_in_q_zeta7():
 def test_ising_order16_places_sqrt2_in_the_cyclotomic_field(ising):
     """sqrt(2) = zeta_8 + zeta_8^7 lies in Q(zeta_16): gcd(2, phi(16)) = 2,
     and the period search finds it, so the context computes in Q(zeta_16).
-    At n = 4 there is no root of x^2 - 2 and the context computes in
-    Q(zeta_4)[x]/(x^2 - 2), a field."""
+    At n = 4 there is no root of x^2 - 2, and no context is built."""
     ring, system = ising
     ctx = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 16)))
     sqrt2 = CycloNum.from_root(RootOfUnity.make(1, 8), 16) + CycloNum.from_root(RootOfUnity.make(7, 8), 16)
     assert ctx.n == 16 and ctx.beta == sqrt2
     assert all(isinstance(d, CycloNum) for d in ctx.d)
     _check_sequence(ctx)
-    at4 = ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 4)))
-    assert at4.n == 4 and at4.beta is None
-    assert all(isinstance(d, ExtNum) for d in at4.d)
+    with pytest.raises(ValueError, match=r"does not lie in Q\(zeta_4\)"):
+        ExactContext(ring, system.chars[0], Twists.of(RootOfUnity.make(1, 2), RootOfUnity.make(1, 4)))
     assert embed_real_algebraic(system.chars[0].gen, 4) is None
 
 
@@ -1292,12 +1362,41 @@ def _full_order_certify(ring, dims, dims_index, twists, include_degenerate, land
     else:
         if not include_degenerate:
             return None
-        certificate["degenerate_rule"] = rules._degenerate_certificate(ring, dims, twists)
+        rule = _muger_center_rule(ring, dims, twists, ctx)
+        if rule is None:
+            return None
+        certificate["nonmodular_rule"], certificate["transparent"] = rule
     return premodular.PremodularDatum(
         ring=ring, dims=dims, dims_index=dims_index, twists=twists,
         smatrix=build_s_matrix(ctx), structure_class=sclass,
         certificate=certificate,
     )
+
+
+def _muger_center_rule(ring, dims, twists, ctx):
+    """The reference admission of a ProperPremodular datum, from the Muger
+    center: the transparent objects (rows with S_ij = d_i d_j, all nine
+    entries compared) are 1 and an invertible X with XY = Y, d_X = 1 and
+    theta_X = 1, and z = d_Y/2 is an integer root of 2z^2 - nz - 1, n =
+    N[Y][Y][Y].  Its certificate and the transparent objects, or None."""
+    e, d = ctx.entries, ctx.d
+    transparent = [i for i in range(3) if all(not (e[i][j] - d[i] * d[j]) for j in range(3))]
+    if len(transparent) != 2:
+        return None
+    x = transparent[1]
+    y = 3 - x
+    N = ring.N
+    if N[x][x] != (1, 0, 0) or N[x][y] != tuple(int(k == y) for k in range(3)):
+        return None
+    n = N[y][y][y]
+    d_y = dims.value(y).rational_value
+    if dims.value(x) != 1 or not twists.theta[x].is_one or d_y is None:
+        return None
+    z = d_y / 2
+    if 2 * z * z - n * z - 1 != 0 or z.denominator != 1:
+        return None
+    return {"n": n, "d_X": "1", "theta_X": "1", "z_poly": [-1, -n, 2],
+            "z": str(z), "d_Y": str(d_y)}, transparent
 
 
 def test_certification_order_matches_full_order_reference(monkeypatch):
@@ -1459,12 +1558,6 @@ def _orbit(system, j, theta_1, theta_2):
             for a in range(1, n + 1) if math.gcd(a, n) == 1}
 
 
-def _in_cyclotomic_field(dims, theta_1, theta_2):
-    """Whether the generator of `dims` lies in Q(zeta_n) of the twists."""
-    return dims.gen is None or embed_real_algebraic(
-        dims.gen, math.lcm(theta_1.q, theta_2.q)) is not None
-
-
 def _orbit_rings(bound):
     return [make_z3_ring()] + [make_rank3_ring(p) for p in enumerate_star_solutions(bound)]
 
@@ -1515,7 +1608,7 @@ def test_each_derived_decision_is_the_direct_certification(monkeypatch, order):
     and without degenerate data, is decided as `_certify_candidate` decides
     it on its own, with no shared field data (compared by to_json): the
     representative of its orbit, the images by sigma_a and the rejections by
-    rule 2 alike.  The orbit of each admitted representative lies inside
+    rule 2 alike, the last certified in the tensor ring.  The orbit of each admitted representative lies inside
     the proposed candidates, so each witness set is closed under the Galois
     action by construction."""
     original_decide, original_certify = premodular._OrbitDecisions.decide, premodular._certify_candidate
@@ -1541,23 +1634,26 @@ def test_each_derived_decision_is_the_direct_certification(monkeypatch, order):
             proposed = {(j, t1, t2) for _, j, t1, t2, _, _ in calls}
             for search, j, t1, t2, landau, datum in calls:
                 system = search.system or solve_characters(ring)
-                direct = original_certify(
-                    ring, system.chars[j], j, Twists.of(t1, t2), degenerate, landau)
+                with _tensor_ring_outside_the_cyclotomic_field():
+                    direct = original_certify(
+                        ring, system.chars[j], j, Twists.of(t1, t2), degenerate, landau)
                 assert (datum and datum.to_json()) == (direct and direct.to_json()), (ring, j, t1, t2)
                 if (j, t1, t2) not in certified:
                     derived += datum is not None
-                elif datum is not None and _in_cyclotomic_field(system.chars[j], t1, t2):
+                elif datum is not None:
                     assert _orbit(system, j, t1, t2) <= proposed, (ring, j, t1, t2)
                     admitted_orbits += 1
     assert derived and admitted_orbits
 
 
 def test_rule_2_rejects_only_what_certification_rejects(monkeypatch):
-    """Without degenerate data, a candidate whose dimension generator is not
-    in Q(zeta_n) is rejected before any context; certified on its own, it
-    is rejected too.  Over Z/3 and the rings up to bound 100 at order 60
-    there are such candidates, all on K(0,1,0,0)'s sqrt(2) at twists of
-    order 4."""
+    """A candidate whose dimension generator is not in Q(zeta_n) is rejected
+    before any context; certified on its own in the tensor ring, with or
+    without degenerate data, it is rejected too.  Over Z/3 and the rings up
+    to bound 100 at order 60, and the degenerate searches of K(0,1,0,0) in
+    both orientations, there are such candidates, all on K(0,1,0,0)'s
+    sqrt(2) at twists of order 4; some are properly premodular, and the
+    nonmodular rule rejects them."""
     original = premodular._OrbitDecisions.decide
     rejected = []
 
@@ -1572,9 +1668,19 @@ def test_rule_2_rejects_only_what_certification_rejects(monkeypatch):
     monkeypatch.setattr(premodular._OrbitDecisions, "decide", decide)
     classify_all(100, 60, witness_all=True)
     assert rejected and {ring.params for ring, *_ in rejected} == {Rank3Params(0, 1, 0, 0)}
-    for ring, j, twists, landau in rejected:
-        dims = solve_characters(ring).chars[j]
-        assert premodular._certify_candidate(ring, dims, j, twists, False, landau) is None
+    for params in (Rank3Params(0, 1, 0, 0), Rank3Params(1, 0, 0, 0)):
+        search_ribbon_data(make_rank3_ring(params), 60, include_degenerate=True)
+    classes = set()
+    with _tensor_ring_outside_the_cyclotomic_field():
+        for ring, j, twists, landau in rejected:
+            dims = solve_characters(ring).chars[j]
+            for degenerate in (False, True):
+                assert premodular._certify_candidate(ring, dims, j, twists, degenerate, landau) is None
+            ctx = ExactContext(ring, dims, twists)
+            if ctx.is_symmetric() and ctx.rows_are_characters():
+                classes.add(ctx.structure_class())
+    assert StructureClass.PROPER_PREMODULAR in classes
+    assert {ring.params for ring, *_ in rejected} == {Rank3Params(0, 1, 0, 0), Rank3Params(1, 0, 0, 0)}
 
 
 def test_full_checks_run_once_per_orbit(monkeypatch):
